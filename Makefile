@@ -4,7 +4,7 @@ GO ?= go
 # or local deep runs override, e.g. `make fuzz-smoke FUZZTIME=5m`.
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint fuzz-smoke verify bench bench-gate
+.PHONY: build test race vet lint fuzz-smoke verify bench bench-gate bench-pair
 
 build:
 	$(GO) build ./...
@@ -48,8 +48,19 @@ bench:
 	sh scripts/bench.sh
 	sh scripts/bench_gate.sh
 
-# bench-gate re-checks existing BENCH_e2e.json and BENCH_conns.json against
-# the committed baselines (>20% regression fails; tolerances via
-# P99_TOL/ALLOC_TOL/CONNS_P99_TOL/CONNS_MEM_TOL).
+# bench-gate re-checks existing BENCH_e2e.json, BENCH_conns.json and
+# BENCH_planner.json against the committed baselines (>20% regression fails,
+# 30% on planner ns/op; tolerances via
+# P99_TOL/ALLOC_TOL/CONNS_P99_TOL/CONNS_MEM_TOL/PLANNER_NS_TOL).
 bench-gate:
 	sh scripts/bench_gate.sh
+
+# bench-pair runs the repository benchmark (bench/run.sh, BENCHMARK.json) on
+# PARENT's committed tree and on the working tree in alternating pairs and
+# prints medians, quartiles, pairs won and the gain verdict per end-to-end
+# metric, e.g. `make bench-pair PARENT=HEAD~1 WORKLOAD=table200 PAIRS=10`.
+PARENT ?= HEAD
+WORKLOAD ?= table200
+PAIRS ?= 10
+bench-pair:
+	sh scripts/bench_pair.sh $(PARENT) $(WORKLOAD) $(PAIRS)

@@ -150,3 +150,59 @@ func BenchmarkMaxMatching(b *testing.B) {
 		})
 	}
 }
+
+var satisfiedSink bool // keeps the measured call live
+
+// BenchmarkSatisfiedBy measures one completion decision on a values +
+// predicates template (a quarter of the rows each pin a position, pin a
+// nationality, bound caps, bound goals — the rest are cardinality slots)
+// against a final table holding 50 % and 100 % of |T| rows. At 50 % the
+// answer follows from the row counts alone; at 100 % the matching is built
+// and the table satisfies the template. scripts/bench.sh records the rows in
+// BENCH_planner.json.
+func BenchmarkSatisfiedBy(b *testing.B) {
+	s := soccerSchema(b)
+	positions := []string{"GK", "DF", "MF", "FW"}
+	for _, tsize := range []int{20, 200} {
+		final := make([]*model.Row, tsize)
+		for i := range final {
+			final[i] = &model.Row{ID: model.RowID(fmt.Sprintf("r-%04d", i)), Vec: model.VectorOf(
+				fmt.Sprintf("player%d", i), fmt.Sprintf("nation%d", i%7), positions[i%4],
+				fmt.Sprint(40+i%90), fmt.Sprint(i%60))}
+		}
+		rows := make([]TemplateRow, tsize/5)
+		for i := range rows {
+			r := final[i*5].Vec
+			tr := make(TemplateRow, s.NumColumns())
+			switch i % 4 {
+			case 0:
+				tr[2] = Eq(r[2].Val)
+			case 1:
+				tr[1] = Eq(r[1].Val)
+			case 2:
+				tr[3] = Ge(r[3].Val)
+			case 3:
+				tr[4] = Ge(r[4].Val)
+			}
+			rows[i] = tr
+		}
+		tmpl, err := PredTemplate(s, rows...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tmpl = tmpl.WithCardinality(tsize)
+		for _, pct := range []int{50, 100} {
+			b.Run(fmt.Sprintf("tmpl=%d/final=%d", tsize, pct), func(b *testing.B) {
+				have := final[:tsize*pct/100]
+				if got, want := tmpl.SatisfiedBy(have), pct == 100; got != want {
+					b.Fatalf("SatisfiedBy = %v, want %v", got, want)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					satisfiedSink = tmpl.SatisfiedBy(have)
+				}
+			})
+		}
+	}
+}

@@ -78,6 +78,11 @@ type deltaAdj struct {
 	augEp    uint64
 
 	freeT []int // scratch: templates still free after augmenting
+
+	// stable: the last repair planned nothing and no row has entered or left
+	// the probable set (nor the index reset) since — the next repair is a
+	// no-op and Planner.Repair skips it.
+	stable bool
 }
 
 func newDeltaAdj(p *Planner) *deltaAdj {
@@ -219,6 +224,7 @@ func (e *deltaAdj) compact() {
 // the existing slot live in O(1); a genuinely new row gets a slot and its
 // adjacency, computed against only the templates the inverted index selects.
 func (e *deltaAdj) ProbableAdded(r *model.Row) {
+	e.stable = false
 	if s, ok := e.rowSlot[r.ID]; ok {
 		if !e.live[s] {
 			e.live[s] = true
@@ -241,6 +247,7 @@ func (e *deltaAdj) ProbableAdded(r *model.Row) {
 // the removal is a vote flip the row will revive with the same vector, and
 // if the row truly left the table the slot is reclaimed at the next compact.
 func (e *deltaAdj) ProbableRemoved(r *model.Row) {
+	e.stable = false
 	s, ok := e.rowSlot[r.ID]
 	if !ok || !e.live[s] {
 		return
@@ -262,6 +269,7 @@ func (e *deltaAdj) ProbableUpdated(*model.Row) {}
 // (exactly the spec's seeding step, so a snapshot reload does not perturb
 // the assignment).
 func (e *deltaAdj) IndexReset() {
+	e.stable = false
 	e.slots = nil
 	e.live = nil
 	e.rowSlot = make(map[model.RowID]int)

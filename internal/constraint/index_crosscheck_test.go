@@ -14,7 +14,8 @@ import (
 // convergence harness, which is test-internal there and mirrored here) and
 // checks after every applied message that the incrementally maintained
 // TableIndex agrees exactly with the from-scratch Probable and FinalTable
-// computations.
+// computations — and that its final-winner counter moved iff the from-scratch
+// final set changed, including across in-place snapshot reloads (TableReset).
 func TestTableIndexMatchesFromScratch(t *testing.T) {
 	schema := model.MustSchema("kv", []model.Column{
 		{Name: "k1", Type: model.TypeString},
@@ -45,9 +46,40 @@ func runIndexCrossCheck(t *testing.T, schema *model.Schema, score model.ScoreFun
 	gen := sync.NewIDGen(fmt.Sprintf("s%d", seed))
 
 	var castUp, castDown []model.Vector
+	prevFinal, prevVer := model.FinalTable(rep.Table(), score), idx.FinalVersion()
+	var moves, holds int
 	for i := 0; i < ops; i++ {
-		doRandomOp(t, rep, gen, rng, &castUp, &castDown)
+		if i%50 == 49 {
+			// Reload in place: every row is a fresh object, so the winners
+			// change exactly when there are any.
+			rep.LoadSnapshot(rep.TakeSnapshot())
+			castUp, castDown = nil, nil
+		} else {
+			doRandomOp(t, rep, gen, rng, &castUp, &castDown)
+		}
 		assertIndexAgrees(t, idx, rep, score, seed, i)
+
+		final, ver := model.FinalTable(rep.Table(), score), idx.FinalVersion()
+		changed := len(final) != len(prevFinal)
+		for j := 0; !changed && j < len(final); j++ {
+			changed = final[j] != prevFinal[j]
+		}
+		if moved := ver != prevVer; moved != changed {
+			t.Fatalf("seed %d op %d: final-winner counter moved=%v (%d -> %d), from-scratch final changed=%v",
+				seed, i, moved, prevVer, ver, changed)
+		}
+		if got := idx.FinalRows(); got != len(final) {
+			t.Fatalf("seed %d op %d: FinalRows = %d, want %d", seed, i, got, len(final))
+		}
+		if changed {
+			moves++
+		} else {
+			holds++
+		}
+		prevFinal, prevVer = final, ver
+	}
+	if moves == 0 || holds == 0 {
+		t.Fatalf("seed %d: op mix too tame: final set moved on %d ops, held on %d", seed, moves, holds)
 	}
 
 	// A snapshot reload must reset and rebuild the index, not corrupt it.

@@ -46,6 +46,11 @@ type Planner struct {
 	removed  []bool
 	assigned []model.RowID // assigned[t] = probable row currently matched, "" if none
 
+	// active caches the active template (removed rows excluded; rows shared
+	// with tmpl, never mutated). A template removal resets it to the zero
+	// value (nil Schema), which activeTemplate takes as "rebuild".
+	active Template
+
 	// Stats for benchmarks and reports.
 	Repairs  int
 	Inserts  int
@@ -63,28 +68,36 @@ func NewPlanner(t Template, score model.ScoreFunc) *Planner {
 	}
 }
 
-// Template returns the active template (removed rows excluded), used for
-// final-constraint checking and compensation estimation.
-func (p *Planner) Template() Template {
-	out := Template{Schema: p.tmpl.Schema}
-	for i, tr := range p.tmpl.Rows {
-		if !p.removed[i] {
-			out.Rows = append(out.Rows, append(TemplateRow(nil), tr...))
+// Template returns a copy of the active template (removed rows excluded),
+// for final-constraint checking and compensation estimation. The copy is the
+// caller's to keep; SatisfiedBy answers the per-message question without it.
+func (p *Planner) Template() Template { return p.activeTemplate().Clone() }
+
+// activeTemplate returns the cached active template, rebuilding it after a
+// removal. Callers must not modify it.
+func (p *Planner) activeTemplate() Template {
+	if p.active.Schema == nil {
+		p.active = Template{Schema: p.tmpl.Schema, Rows: make([]TemplateRow, 0, p.ActiveRows())}
+		for i, tr := range p.tmpl.Rows {
+			if !p.removed[i] {
+				p.active.Rows = append(p.active.Rows, tr)
+			}
 		}
 	}
-	return out
+	return p.active
+}
+
+// SatisfiedBy reports whether the final table satisfies the active template
+// (Template.SatisfiedBy against the cached active template — no copy).
+func (p *Planner) SatisfiedBy(final []*model.Row) bool {
+	return p.activeTemplate().SatisfiedBy(final)
 }
 
 // RemovedCount returns how many template rows have been dropped.
-func (p *Planner) RemovedCount() int {
-	n := 0
-	for _, r := range p.removed {
-		if r {
-			n++
-		}
-	}
-	return n
-}
+func (p *Planner) RemovedCount() int { return p.Removals }
+
+// ActiveRows returns how many template rows are still in T.
+func (p *Planner) ActiveRows() int { return len(p.tmpl.Rows) - p.Removals }
 
 // InitActions returns the startup actions: populate the candidate table with
 // the template rows, upvoting complete ones (§4.2 initialization).
@@ -276,6 +289,7 @@ func (p *Planner) repairFull(rep *sync.Replica) []Action {
 		}
 		// No option left: drop the template row (§4.2).
 		p.removed[t] = true
+		p.active = Template{}
 		p.Removals++
 		actions = append(actions, Action{Kind: ActionRemoveTemplate, Template: t})
 	}
@@ -298,7 +312,8 @@ func (p *Planner) repairFull(rep *sync.Replica) []Action {
 // per-|P| work left is the augmenting searches for templates a delta
 // actually freed. Step for step it mirrors repairFull — same seeding rule,
 // same template order, same sorted-by-row-id exploration — so the two paths
-// produce identical actions and assignments.
+// produce identical actions and assignments. When the probable set has not
+// moved since a repair that planned nothing, even the re-seed is skipped.
 func (p *Planner) repairIncremental(rep *sync.Replica) []Action {
 	var preAssigned []model.RowID
 	var preRemoved []bool
@@ -312,6 +327,16 @@ func (p *Planner) repairIncremental(rep *sync.Replica) []Action {
 	// reached the engine (Version is the cheapest flushing query).
 	p.idx.Version()
 	e := p.eng
+	if e.stable {
+		// Nothing entered or left the probable set since a repair that
+		// planned nothing: the re-seed below would reproduce that repair's
+		// matching (same slots, all live, vectors immutable), leave no
+		// template free and plan nothing again.
+		if p.debug {
+			p.crossCheckRepair(rep, preAssigned, preRemoved, nil) //lint:allow hotalloc debug-only replay through the full-rebuild spec
+		}
+		return nil
+	}
 	e.beginRepair()
 
 	// Seed the matching with still-valid previous assignments (the spec's
@@ -376,6 +401,7 @@ func (p *Planner) repairIncremental(rep *sync.Replica) []Action {
 			continue
 		}
 		p.removed[t] = true
+		p.active = Template{}
 		p.Removals++
 		e.removeTemplate(t) //lint:allow hotalloc template removal is the last-resort action (section 4.2), not the per-delta path
 		actions = append(actions, Action{Kind: ActionRemoveTemplate, Template: t})
@@ -389,6 +415,8 @@ func (p *Planner) repairIncremental(rep *sync.Replica) []Action {
 			p.assigned[t] = e.slots[e.matchT[t]].ID
 		}
 	}
+
+	e.stable = len(actions) == 0
 
 	if p.debug {
 		p.crossCheckRepair(rep, preAssigned, preRemoved, actions) //lint:allow hotalloc debug-only replay through the full-rebuild spec

@@ -27,7 +27,10 @@ func newIncrementalPlanner(rep *sync.Replica, tmpl Template, score model.ScoreFu
 // sets at every repair — with CheckPRI holding at every stable point. The
 // template mixes pinned OpEq rows (exercising shuffle and removal) with
 // cardinality slots, and the op mix is the same one the index cross-check
-// uses.
+// uses, plus vote-only messages on probable rows: those mostly leave the
+// probable set alone, which is when the incremental Repair returns before
+// re-seeding — so the property covers that early return too (and the run
+// must have taken it).
 func TestPlannerIncrementalEquivalenceRandom(t *testing.T) {
 	schema := model.MustSchema("kv", []model.Column{
 		{Name: "k1", Type: model.TypeString},
@@ -35,7 +38,7 @@ func TestPlannerIncrementalEquivalenceRandom(t *testing.T) {
 		{Name: "v", Type: model.TypeString},
 	}, "k1", "k2")
 
-	var totInserts, totRemovals int
+	var totInserts, totRemovals, totSkipped int
 	for seed := int64(0); seed < 10; seed++ {
 		tmpl, err := ValuesTemplate(schema,
 			model.VectorOf("v1", "", ""), // pinned: k1=v1 (fills use v0/v1/v2)
@@ -53,7 +56,7 @@ func TestPlannerIncrementalEquivalenceRandom(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 
 		spec := NewPlanner(tmpl, score)
-		incr, _ := newIncrementalPlanner(rep, tmpl, score)
+		incr, idx := newIncrementalPlanner(rep, tmpl, score)
 		incr.SetDebug(true) // panic with detail inside Repair on divergence
 		if incr.Mode() != "incremental" || spec.Mode() != "full-rebuild" {
 			t.Fatalf("modes = %s/%s", incr.Mode(), spec.Mode())
@@ -66,6 +69,10 @@ func TestPlannerIncrementalEquivalenceRandom(t *testing.T) {
 					t.Fatalf("seed %d step %d: repair did not stabilize", seed, step)
 				}
 				specActs := spec.Repair(rep)
+				idx.Version() // deliver pending deltas, as Repair is about to
+				if incr.eng.stable {
+					totSkipped++
+				}
 				incrActs := incr.Repair(rep)
 				if !reflect.DeepEqual(specActs, incrActs) {
 					t.Fatalf("seed %d step %d: actions diverge\n spec %v\n incr %v",
@@ -94,13 +101,30 @@ func TestPlannerIncrementalEquivalenceRandom(t *testing.T) {
 
 		var castUp, castDown []model.Vector
 		for step := 0; step < 150; step++ {
-			if rng.Intn(25) == 0 {
+			switch prob := idx.Probable(); {
+			case rng.Intn(25) == 0:
 				// Snapshot reload: the index resets and rebuilds; the engine
 				// must survive losing every slot without perturbing the
 				// assignment.
 				rep.LoadSnapshot(rep.TakeSnapshot())
 				castUp, castDown = nil, nil
-			} else {
+			case rng.Intn(4) == 0 && len(prob) > 0:
+				// Vote-only message on a probable row.
+				r := prob[rng.Intn(len(prob))]
+				if r.Vec.IsComplete() {
+					m, err := rep.Upvote(r.ID)
+					if err != nil {
+						t.Fatal(err)
+					}
+					castUp = append(castUp, m.Vec.Clone())
+				} else if r.Vec.IsPartial() {
+					m, err := rep.Downvote(r.ID)
+					if err != nil {
+						t.Fatal(err)
+					}
+					castDown = append(castDown, m.Vec.Clone())
+				}
+			default:
 				doRandomOp(t, rep, gen, rng, &castUp, &castDown)
 			}
 			repairBoth(step)
@@ -115,10 +139,11 @@ func TestPlannerIncrementalEquivalenceRandom(t *testing.T) {
 		totInserts += incr.Inserts
 		totRemovals += incr.Removals
 	}
-	if totInserts == 0 || totRemovals == 0 {
-		t.Fatalf("op mix too tame: inserts=%d removals=%d across seeds — the equivalence was not exercised",
-			totInserts, totRemovals)
+	if totInserts == 0 || totRemovals == 0 || totSkipped == 0 {
+		t.Fatalf("op mix too tame: inserts=%d removals=%d no-delta repairs=%d across seeds — the equivalence was not exercised",
+			totInserts, totRemovals, totSkipped)
 	}
+	t.Logf("inserts=%d removals=%d no-delta repairs=%d", totInserts, totRemovals, totSkipped)
 }
 
 // TestPlannerIncrementalShuffle replays the §4.2 shuffle scenario through the

@@ -63,30 +63,46 @@ func Cardinality(s *model.Schema, n int) Template {
 }
 
 // ValuesTemplate builds a values constraint from partially-filled vectors
-// (set cells become OpEq predicates).
+// (set cells become OpEq predicates). Operands are canonicalised as
+// PredTemplate does.
 func ValuesTemplate(s *model.Schema, rows ...model.Vector) (Template, error) {
-	t := Template{Schema: s}
-	for _, v := range rows {
-		if len(v) != s.NumColumns() {
-			return Template{}, fmt.Errorf("constraint: template row width %d, schema has %d columns", len(v), s.NumColumns())
-		}
-		tr := make(TemplateRow, s.NumColumns())
+	trs := make([]TemplateRow, len(rows))
+	for ri, v := range rows {
+		tr := make(TemplateRow, len(v))
 		for i, c := range v {
 			if c.Set {
 				tr[i] = Eq(c.Val)
 			}
 		}
-		t.Rows = append(t.Rows, tr)
+		trs[ri] = tr
 	}
-	if err := t.Validate(); err != nil {
-		return Template{}, err
-	}
-	return t, nil
+	return PredTemplate(s, trs...)
 }
 
-// PredTemplate builds a predicates constraint from explicit rows.
+// PredTemplate builds a predicates constraint from explicit rows. Operands
+// are rewritten to the column type's canonical form ("07" → "7" on an int
+// column): clients only ever fill canonical values (Schema.CheckValue) and
+// Pred.Holds compares `=`/`!=` operands as strings, so a non-canonical
+// operand could never be matched. The caller's rows are not modified.
 func PredTemplate(s *model.Schema, rows ...TemplateRow) (Template, error) {
-	t := Template{Schema: s, Rows: rows}
+	t := Template{Schema: s, Rows: make([]TemplateRow, len(rows))}
+	if s == nil {
+		return Template{}, t.Validate() // reports the missing schema
+	}
+	for ri, tr := range rows {
+		out := append(TemplateRow(nil), tr...)
+		// Malformed rows (wrong width, an operand that does not parse) are
+		// left as they are for Validate to report.
+		for ci := 0; ci < len(out) && ci < s.NumColumns(); ci++ {
+			if out[ci].Op == OpAny {
+				continue
+			}
+			if canon, err := model.CanonicalValue(s.Columns[ci].Type, out[ci].Val); err == nil {
+				out[ci].Val = canon
+			}
+		}
+		t.Rows[ri] = out
+	}
 	if err := t.Validate(); err != nil {
 		return Template{}, err
 	}
@@ -104,9 +120,11 @@ func (t Template) WithCardinality(n int) Template {
 }
 
 // Validate checks the template is well-formed: row widths match the schema,
-// OpEq operands are valid column values, comparison predicates only appear
-// on ordered types, and no two rows pin the same complete primary key (the
-// paper assumes a satisfying final table exists).
+// every operand is a value of its column's type in canonical form (what
+// ValuesTemplate and PredTemplate produce), OpEq operands are additionally
+// inside the column's domain, and no two rows pin the same complete primary
+// key (the paper assumes a satisfying final table exists). Comparison
+// predicates are allowed on every type: CompareTyped orders them all.
 func (t Template) Validate() error {
 	if t.Schema == nil {
 		return errors.New("constraint: template has no schema")
@@ -125,12 +143,14 @@ func (t Template) Validate() error {
 			if err != nil {
 				return fmt.Errorf("constraint: template row %d column %q: %w", ri, col.Name, err)
 			}
+			if canon != p.Val {
+				return fmt.Errorf("constraint: template row %d column %q: operand %q is not canonical (want %q)", ri, col.Name, p.Val, canon)
+			}
 			if p.Op == OpEq {
 				if _, err := t.Schema.CheckValue(ci, p.Val); err != nil {
 					return fmt.Errorf("constraint: template row %d: %w", ri, err)
 				}
 			}
-			_ = canon
 		}
 		// Detect duplicate fully-pinned primary keys.
 		eq := tr.EqVector()
@@ -183,8 +203,14 @@ func (t Template) MatchFinal(tr TemplateRow, v model.Vector) bool {
 
 // SatisfiedBy reports whether the final table satisfies the constraint:
 // there is an injective mapping from template rows to final rows with
-// s ⊇* t — i.e. a maximum bipartite matching of size |T|.
+// s ⊇* t — i.e. a maximum bipartite matching of size |T|. An injective map
+// needs at least |T| targets, so a shorter final table is rejected without
+// building the matching (exact, and it is the common case for almost the
+// whole of a collection).
 func (t Template) SatisfiedBy(final []*model.Row) bool {
+	if len(final) < len(t.Rows) {
+		return false
+	}
 	adj := make([][]int, len(t.Rows))
 	for ti, tr := range t.Rows {
 		for si, s := range final {

@@ -1,6 +1,8 @@
 package constraint
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -222,5 +224,140 @@ func TestTemplateCloneIndependent(t *testing.T) {
 	c.Rows[0][0] = Eq("changed")
 	if tmpl.Rows[0][0].Op != OpAny {
 		t.Fatalf("Clone aliased rows")
+	}
+}
+
+// TestTemplateOperandsCanonical: clients only ever fill canonical values
+// (Schema.CheckValue) and Pred.Holds compares `=`/`!=` operands as strings,
+// so a template built from "07" on an int column must end up holding "7" —
+// otherwise no fill can ever match it and the collection cannot finish. The
+// constructors canonicalise; Validate rejects a hand-built non-canonical
+// operand and names the canonical form.
+func TestTemplateOperandsCanonical(t *testing.T) {
+	s := model.MustSchema("T", []model.Column{
+		{Name: "k"},
+		{Name: "n", Type: model.TypeInt},
+		{Name: "x", Type: model.TypeFloat},
+		{Name: "d", Type: model.TypeDate},
+	}, "k")
+	cases := []struct {
+		name  string
+		col   int
+		pred  Pred
+		canon string
+		fill  string // a canonical client fill
+		holds bool   // whether fill satisfies the predicate
+	}{
+		{"int eq", 1, Eq("07"), "7", "7", true},
+		{"int eq plus sign", 1, Eq("+7"), "7", "7", true},
+		{"int ne", 1, Ne("007"), "7", "7", false},
+		{"int ge", 1, Ge("010"), "10", "9", false},
+		{"float eq", 2, Eq("1.50"), "1.5", "1.5", true},
+		{"float ne", 2, Ne("1.50"), "1.5", "1.5", false},
+		{"float ge exponent", 2, Ge("1e1"), "10", "10", true},
+		{"date eq padded", 3, Eq(" 2014-06-22 "), "2014-06-22", "2014-06-22", true},
+		{"date ge", 3, Ge("2014-06-22"), "2014-06-22", "2014-06-21", false},
+		{"string untouched", 0, Eq("07"), "07", "07", true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			row := make(TemplateRow, s.NumColumns())
+			row[tc.col] = tc.pred
+			tmpl, err := PredTemplate(s, row)
+			if err != nil {
+				t.Fatalf("PredTemplate: %v", err)
+			}
+			if row[tc.col] != tc.pred {
+				t.Fatalf("PredTemplate modified the caller's row: %v", row[tc.col])
+			}
+			got := tmpl.Rows[0][tc.col]
+			if got.Op != tc.pred.Op || got.Val != tc.canon {
+				t.Fatalf("operand = %q, want canonical %q", got.Val, tc.canon)
+			}
+			final := model.NewVector(s.NumColumns())
+			final[tc.col] = model.Cell{Set: true, Val: tc.fill}
+			if holds := tmpl.MatchFinal(tmpl.Rows[0], final); holds != tc.holds {
+				t.Fatalf("fill %q against %v: match = %v, want %v", tc.fill, got, holds, tc.holds)
+			}
+
+			// The same operand through ValuesTemplate (OpEq only).
+			if tc.pred.Op == OpEq {
+				v := model.NewVector(s.NumColumns())
+				v[tc.col] = model.Cell{Set: true, Val: tc.pred.Val}
+				vt, err := ValuesTemplate(s, v)
+				if err != nil {
+					t.Fatalf("ValuesTemplate: %v", err)
+				}
+				if got := vt.Rows[0].EqVector()[tc.col].Val; got != tc.canon {
+					t.Fatalf("ValuesTemplate seed = %q, want %q", got, tc.canon)
+				}
+			}
+
+			// A template assembled by hand keeps the raw operand; Validate
+			// must refuse it unless it is already canonical.
+			raw := Template{Schema: s, Rows: []TemplateRow{row}}
+			err = raw.Validate()
+			if tc.pred.Val == tc.canon {
+				if err != nil {
+					t.Fatalf("canonical operand rejected: %v", err)
+				}
+			} else if err == nil || !strings.Contains(err.Error(), `"`+tc.canon+`"`) {
+				t.Fatalf("Validate(%v) = %v, want an error naming %q", tc.pred, err, tc.canon)
+			}
+		})
+	}
+}
+
+// TestSatisfiedByBoundIsExact: the len(final) < |T| early return must agree
+// with the matching it skips, on final tables both shorter and longer than
+// the template.
+func TestSatisfiedByBoundIsExact(t *testing.T) {
+	s := soccerSchema(t)
+	rng := rand.New(rand.NewSource(3))
+	positions := []string{"GK", "DF", "MF", "FW"}
+	nations := []string{"Brazil", "Spain", "Japan"}
+	var sawTrue, sawShort bool
+	for iter := 0; iter < 400; iter++ {
+		rows := make([]TemplateRow, 1+rng.Intn(5))
+		for i := range rows {
+			tr := make(TemplateRow, s.NumColumns())
+			switch rng.Intn(4) {
+			case 0:
+				tr[2] = Eq(positions[rng.Intn(len(positions))])
+			case 1:
+				tr[1] = Eq(nations[rng.Intn(len(nations))])
+			case 2:
+				tr[3] = Ge(fmt.Sprint(rng.Intn(100)))
+			}
+			rows[i] = tr
+		}
+		tmpl, err := PredTemplate(s, rows...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := make([]*model.Row, rng.Intn(8))
+		for i := range final {
+			final[i] = &model.Row{ID: model.RowID(fmt.Sprintf("r-%02d", i)), Vec: model.VectorOf(
+				fmt.Sprintf("p%d", i), nations[rng.Intn(len(nations))], positions[rng.Intn(len(positions))],
+				fmt.Sprint(rng.Intn(100)), fmt.Sprint(rng.Intn(50)))}
+		}
+		adj := make([][]int, len(tmpl.Rows))
+		for ti, tr := range tmpl.Rows {
+			for si, r := range final {
+				if tmpl.MatchFinal(tr, r.Vec) {
+					adj[ti] = append(adj[ti], si)
+				}
+			}
+		}
+		want := MaxMatching(adj, len(final)).Size == len(tmpl.Rows)
+		if got := tmpl.SatisfiedBy(final); got != want {
+			t.Fatalf("iter %d: SatisfiedBy = %v, matching says %v (|T|=%d |final|=%d)",
+				iter, got, want, len(tmpl.Rows), len(final))
+		}
+		sawTrue = sawTrue || want
+		sawShort = sawShort || len(final) < len(tmpl.Rows)
+	}
+	if !sawTrue || !sawShort {
+		t.Fatalf("inputs too tame: satisfied seen=%v, short final seen=%v", sawTrue, sawShort)
 	}
 }

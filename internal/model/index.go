@@ -61,12 +61,18 @@ type TableIndex struct {
 	pending    bool // a structural change happened since the last flush
 
 	version     uint64
+	finalVer    uint64 // bumped exactly where a key's final-table winner changes
 	sortedProb  []*Row
 	sortedFinal []*Row
 
 	listeners []ProbableDeltaListener
 
-	debug bool
+	// Debug mode: the from-scratch final winners and the final-winner counter
+	// as of the previous cross-check, so the next one can assert the counter
+	// moved iff the winners did.
+	debug       bool
+	dbgFinal    map[string]*Row
+	dbgFinalVer uint64
 }
 
 // ProbableDeltaListener observes probable-set changes as the index maintains
@@ -159,14 +165,40 @@ func NewTableIndex(c *Candidate, f ScoreFunc) *TableIndex {
 
 // SetDebug enables the opt-in cross-check mode: after every recompute the
 // incremental results are compared against the from-scratch ProbableRows and
-// FinalTable, panicking on divergence. For tests and debugging only.
-func (x *TableIndex) SetDebug(on bool) { x.debug = on }
+// FinalTable, panicking on divergence, and the final-winner counter is checked
+// to move exactly when the from-scratch winners do. For tests and debugging
+// only.
+func (x *TableIndex) SetDebug(on bool) {
+	x.flush()
+	x.debug = on
+	x.dbgFinal, x.dbgFinalVer = nil, x.finalVer
+	if on {
+		x.dbgFinal = finalByKey(x.s, FinalTable(x.c, x.f))
+	}
+}
 
 // Version returns a counter that increases whenever the probable set or the
 // final-table winners change. Cheap change detection for broadcast coalescing.
 func (x *TableIndex) Version() uint64 {
 	x.flush()
 	return x.version
+}
+
+// FinalVersion returns a counter that moves exactly when the set of
+// final-table winners changes (a key gains, loses or swaps its winning row).
+// Vote changes that leave every winner in place, and probable-set churn among
+// non-winners, do not move it — which is what lets completion detection skip
+// messages that cannot change its answer.
+func (x *TableIndex) FinalVersion() uint64 {
+	x.flush()
+	return x.finalVer
+}
+
+// FinalRows returns the number of final-table rows without materialising
+// FinalTable.
+func (x *TableIndex) FinalRows() int {
+	x.flush()
+	return len(x.final)
 }
 
 // Probable returns the current probable rows sorted by id. The returned slice
@@ -289,7 +321,9 @@ func (x *TableIndex) TableReset(c *Candidate) {
 	x.free = make(map[RowID]*Row)
 	x.stats = make(map[string]*KeyStat)
 	x.probable = make(map[RowID]*Row)
-	x.final = make(map[string]*Row)
+	if x.final == nil {
+		x.final = make(map[string]*Row)
+	}
 	x.dirtyKeys = make(map[string]struct{})
 	x.dirtyKeyQ = x.dirtyKeyQ[:0]
 	x.dirtyFree = make(map[RowID]struct{})
@@ -297,6 +331,15 @@ func (x *TableIndex) TableReset(c *Candidate) {
 	x.sortedProb, x.sortedFinal = nil, nil
 	x.version++
 	c.Each(func(r *Row) { x.RowAdded(r) })
+	// The previous winners stay in x.final so the rebuild's flushKey calls
+	// reconcile them against the new table one key at a time — the
+	// final-winner counter then moves only if the reset really changed a
+	// winner. Keys the new table no longer has are queued too (after the
+	// table's own keys, and they notify nobody, so delivery order to the
+	// delta listeners is unaffected by this map walk).
+	for k := range x.final {
+		x.markKeyDirty(k)
+	}
 	x.flush()
 }
 
@@ -363,6 +406,7 @@ func (x *TableIndex) flushKey(k string) bool {
 		}
 		if _, had := x.final[k]; had {
 			delete(x.final, k)
+			x.finalVer++
 			changed = true
 		}
 		return changed
@@ -393,6 +437,7 @@ func (x *TableIndex) flushKey(k string) bool {
 		} else {
 			x.final[k] = st.Best
 		}
+		x.finalVer++
 		changed = true
 	}
 
@@ -445,4 +490,27 @@ func (x *TableIndex) crossCheck() {
 			panic(fmt.Sprintf("model: TableIndex final divergence at row %s", r.ID))
 		}
 	}
+	// The final-winner counter must have moved since the previous cross-check
+	// iff the from-scratch winners did.
+	now := finalByKey(x.s, refFinal)
+	changed := len(now) != len(x.dbgFinal)
+	for k, r := range now {
+		if x.dbgFinal[k] != r {
+			changed = true
+		}
+	}
+	if moved := x.finalVer != x.dbgFinalVer; moved != changed {
+		panic(fmt.Sprintf("model: TableIndex final-winner counter moved=%v (%d -> %d) but from-scratch winners changed=%v",
+			moved, x.dbgFinalVer, x.finalVer, changed))
+	}
+	x.dbgFinal, x.dbgFinalVer = now, x.finalVer
+}
+
+// finalByKey indexes a final table by primary key.
+func finalByKey(s *Schema, final []*Row) map[string]*Row {
+	out := make(map[string]*Row, len(final))
+	for _, r := range final {
+		out[r.Vec.KeyOf(s)] = r
+	}
+	return out
 }

@@ -244,3 +244,38 @@ func TestTwoDeltaListeners(t *testing.T) {
 		t.Fatal("remaining listener missed delta after RemoveDeltaListener")
 	}
 }
+
+// TestFinalVersionAcrossReset: the final-winner counter moves only when a
+// winner changes — a vote that keeps the winner, and a reset onto a table
+// with the very same winning rows, leave it alone; a reset onto a table
+// that lost the key moves it. (Debug mode re-derives each step from scratch.)
+func TestFinalVersionAcrossReset(t *testing.T) {
+	s := MustSchema("KV", []Column{{Name: "k"}, {Name: "v"}}, "k")
+	c := NewCandidate(s)
+	idx := NewTableIndex(c, DefaultScore)
+	idx.SetDebug(true)
+
+	win := &Row{ID: "r-1", Vec: VectorOf("a", "x"), Up: 1}
+	c.Put(win)
+	idx.RowAdded(win)
+	v1 := idx.FinalVersion()
+	if v1 == 0 || idx.FinalRows() != 1 {
+		t.Fatalf("a positive complete row must become the winner: version %d, rows %d", v1, idx.FinalRows())
+	}
+
+	win.Up = 2
+	idx.RowVotesChanged(win)
+	if got := idx.FinalVersion(); got != v1 {
+		t.Fatalf("vote on the standing winner moved the counter: %d -> %d", v1, got)
+	}
+
+	idx.TableReset(c)
+	if got := idx.FinalVersion(); got != v1 {
+		t.Fatalf("reset onto the same winning rows moved the counter: %d -> %d", v1, got)
+	}
+
+	idx.TableReset(NewCandidate(s))
+	if got := idx.FinalVersion(); got == v1 || idx.FinalRows() != 0 {
+		t.Fatalf("reset onto an empty table: version %d -> %d, rows %d", v1, got, idx.FinalRows())
+	}
+}

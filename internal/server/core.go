@@ -121,6 +121,14 @@ type Core struct {
 
 	repairOverruns int // times runCC hit the iteration cap without converging
 
+	// Completion memo: the (final-winner counter, template removals) pair
+	// the completion condition was last decided on. The condition is a
+	// function of the final-table winners and the active template only, so
+	// while neither moved the answer stands.
+	doneDecided  bool
+	doneFinalVer uint64
+	doneRemovals int
+
 	start  int64
 	lastTS int64
 	done   bool
@@ -318,13 +326,35 @@ func (c *Core) RepairStats() RepairStats {
 }
 
 // checkDone evaluates the completion condition: the final table derived from
-// the master copy satisfies the (active) constraint template.
+// the master copy satisfies the (active) constraint template. The decision
+// is always Template.SatisfiedBy's, but it is only re-made when one of its
+// two inputs moved since the last decision — the index's final-winner
+// counter or the planner's removal count — and not at all while the final
+// table has fewer rows than the template (an injective map needs |T|
+// targets). Under DebugCrossCheck every skipped or short-circuited check is
+// re-derived from scratch.
 func (c *Core) checkDone() {
 	if c.done {
 		return
 	}
-	if c.planner.Template().SatisfiedBy(c.index.FinalTable()) {
-		c.done = true
+	finalVer, removals := c.index.FinalVersion(), c.planner.RemovedCount()
+	finalRows, tmplRows := c.index.FinalRows(), c.planner.ActiveRows()
+	outcome := doneCheckFull
+	switch {
+	case c.doneDecided && finalVer == c.doneFinalVer && removals == c.doneRemovals:
+		outcome = doneCheckUnchanged
+	case finalRows < tmplRows:
+		outcome = doneCheckShort
+	default:
+		c.done = c.planner.SatisfiedBy(c.index.FinalTable())
+	}
+	c.doneDecided, c.doneFinalVer, c.doneRemovals = true, finalVer, removals
+	c.metrics.doneChecked(outcome, finalRows, tmplRows)
+	if c.cfg.DebugCrossCheck && outcome != doneCheckFull {
+		if c.planner.Template().SatisfiedBy(model.FinalTable(c.master.Table(), c.score)) {
+			panic(fmt.Sprintf("server: completion check %q said not done, from-scratch says done (final version %d, removals %d)",
+				outcome, finalVer, removals))
+		}
 	}
 }
 
@@ -498,7 +528,7 @@ func (c *Core) FinalTable() []*model.Row {
 
 // Satisfied reports whether the final table satisfies the active constraint.
 func (c *Core) Satisfied() bool {
-	return c.planner.Template().SatisfiedBy(c.FinalTable())
+	return c.planner.SatisfiedBy(c.index.FinalTable())
 }
 
 // Trace returns the stamped worker-message trace (the set M of §5.2).

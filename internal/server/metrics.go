@@ -57,6 +57,30 @@ func (dc dropCause) eventKind() string {
 	return "unknown"
 }
 
+// doneCheck labels how one completion check was answered.
+type doneCheck int
+
+const (
+	doneCheckUnchanged doneCheck = iota // neither final winners nor template moved: previous answer stands
+	doneCheckShort                      // fewer final rows than template rows: not done, no matching built
+	doneCheckFull                       // Template.SatisfiedBy ran its matching
+	doneCheckN
+)
+
+// String returns the outcome label used in the metric name. Constant
+// strings: safe on any path.
+func (dc doneCheck) String() string {
+	switch dc {
+	case doneCheckUnchanged:
+		return "unchanged"
+	case doneCheckShort:
+		return "short"
+	case doneCheckFull:
+		return "full"
+	}
+	return "unknown"
+}
+
 // msgTypeSlots sizes the per-type message counter array: message types are
 // 1-based iota, so the highest type is a valid index.
 const msgTypeSlots = int(sync.MsgUndownvote) + 1
@@ -98,6 +122,9 @@ type Metrics struct {
 	removals    *metrics.Gauge
 	overruns    *metrics.Counter // repair loops that hit the iteration cap
 	clients     *metrics.Gauge   // registered core clients
+	finalRows   *metrics.Gauge   // final-table rows at the last completion check
+	tmplRows    *metrics.Gauge   // active template rows at the last completion check
+	doneChecks  [doneCheckN]*metrics.Counter
 
 	// Readiness read plane (netpoll). The exported Poll* observe methods
 	// implement netpoll.Stats.
@@ -143,6 +170,8 @@ func NewMetrics(reg *metrics.Registry, rec *metrics.Recorder) *Metrics {
 		removals:    reg.Gauge("crowdfill_repair_removals", "template rows dropped (RepairStats.Removals)"),
 		overruns:    reg.Counter("crowdfill_repair_overruns_total", "repair loops that hit the iteration cap"),
 		clients:     reg.Gauge("crowdfill_core_clients", "registered clients"),
+		finalRows:   reg.Gauge("crowdfill_core_final_rows", "final-table rows (completion needs at least crowdfill_core_template_rows)"),
+		tmplRows:    reg.Gauge("crowdfill_core_template_rows", "active constraint-template rows (removed rows excluded)"),
 
 		pollConns:      reg.Gauge("crowdfill_poll_conns", "connections registered with the readiness poller"),
 		pollWakeups:    reg.Counter("crowdfill_poll_wakeups_total", "poller wakeups that delivered ready connections"),
@@ -160,6 +189,11 @@ func NewMetrics(reg *metrics.Registry, rec *metrics.Recorder) *Metrics {
 		m.drops[dc] = reg.Counter(
 			`crowdfill_client_drops_total{cause="`+dc.String()+`"}`,
 			"client drops and rejects by cause")
+	}
+	for dc := doneCheck(0); dc < doneCheckN; dc++ {
+		m.doneChecks[dc] = reg.Counter(
+			`crowdfill_core_done_checks_total{outcome="`+dc.String()+`"}`,
+			"completion checks by how they were answered")
 	}
 	for t := sync.MsgInsert; t <= sync.MsgUndownvote; t++ {
 		m.msgs[t] = reg.Counter(
@@ -348,6 +382,20 @@ func (m *Metrics) repairDone(start time.Time, actions int, rs RepairStats) {
 	m.augments.Set(int64(rs.Augments))
 	m.inserts.Set(int64(rs.Inserts))
 	m.removals.Set(int64(rs.Removals))
+}
+
+// doneChecked records one completion check: how it was answered, and the
+// two row counts an operator compares to see how far the collection is from
+// done.
+//
+//lint:hotpath
+func (m *Metrics) doneChecked(outcome doneCheck, finalRows, templateRows int) {
+	if m == nil {
+		return
+	}
+	m.doneChecks[outcome].Inc()
+	m.finalRows.Set(int64(finalRows))
+	m.tmplRows.Set(int64(templateRows))
 }
 
 // clientCount records the number of registered core clients.

@@ -317,3 +317,68 @@ func TestRejectCountedNotDropped(t *testing.T) {
 		t.Fatalf("teardown of a healthy connection was counted as a drop: %+v", snapshotDrops(m))
 	}
 }
+
+// TestCompletionProgressSeries: the completion-progress series answer "how
+// far is this collection from done" — final rows against active template
+// rows — and say how the per-message completion checks were answered. A
+// finished collection reports final ≥ template rows and at least one full
+// check (the one that found it done); the vote messages that moved no
+// final-table winner must have been answered without one.
+func TestCompletionProgressSeries(t *testing.T) {
+	reg := metrics.NewRegistry()
+	cfg := cardinalityConfig(t, 3)
+	cfg.Metrics = NewMetrics(reg, metrics.NewRecorder(16))
+	r := newRig(t, cfg)
+	c1, c2 := r.join("c1", "w1"), r.join("c2", "w2")
+	for i, row := range c1.Rows(nil) {
+		key := string(rune('a' + i))
+		msgs, err := c1.Fill(row.ID, 0, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.send("c1", msgs...)
+		if msgs, err = c1.Fill(msgs[0].NewRow, 1, "val"+key); err != nil {
+			t.Fatal(err)
+		}
+		r.send("c1", msgs...)
+	}
+	for _, row := range c2.Rows(nil) {
+		m, err := c2.Upvote(row.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.send("c2", m)
+	}
+	if !r.core.Done() {
+		t.Fatal("collection should have finished")
+	}
+
+	snap := reg.Snapshot()
+	gauge := func(name string) int64 {
+		for _, g := range snap.Gauges {
+			if g.Name == name {
+				return g.Value
+			}
+		}
+		t.Fatalf("gauge %s not registered", name)
+		return 0
+	}
+	final, tmpl := gauge("crowdfill_core_final_rows"), gauge("crowdfill_core_template_rows")
+	if tmpl != 3 || final < tmpl {
+		t.Fatalf("final rows %d, template rows %d: want 3 template rows and final >= template", final, tmpl)
+	}
+	checks := func(outcome string) uint64 {
+		return counterValue(snap, `crowdfill_core_done_checks_total{outcome="`+outcome+`"}`)
+	}
+	if checks("full") == 0 {
+		t.Fatalf("a finished collection needs at least one full check")
+	}
+	if checks("unchanged") == 0 || checks("short") == 0 {
+		t.Fatalf("checks unchanged=%d short=%d: fills that moved no winner and winners short of |T| should not run the matching",
+			checks("unchanged"), checks("short"))
+	}
+	// One check per handled message plus the one in New.
+	if got, want := checks("unchanged")+checks("short")+checks("full"), uint64(len(r.core.Trace())+1); got != want {
+		t.Fatalf("completion checks = %d, want %d", got, want)
+	}
+}

@@ -5,7 +5,10 @@
 # real loopback WebSockets), BENCH_broadcast.json (per-message
 # handle+publish cost on the broadcast log, with allocations),
 # BENCH_planner.json (PRI repair cost per message, full-rebuild spec vs
-# delta-driven incremental, across probable-set and template sizes), and
+# delta-driven incremental, across probable-set and template sizes; one
+# completion decision, Template.SatisfiedBy, at |T| 20/200 with the final
+# table at 50 %/100 % of |T|; and Core.HandleBroadcast per message over a
+# replayed 200-row-template collection),
 # BENCH_conns.json (connection-scale envelope: goroutines/conn, bytes/conn,
 # and publish p50/p99 with 1k-10k mostly-idle connections attached), and
 # BENCH_metrics.json (observability overhead: the same e2e latency benchmark
@@ -52,6 +55,13 @@ go test -run '^$' -bench 'BenchmarkProbable' -benchtime "${PROBABLE_BENCHTIME:-2
 
 echo "== planner repair (full vs incremental) =="
 go test -run '^$' -bench 'BenchmarkPlannerRepair' -benchmem -benchtime "${PLANNER_BENCHTIME:-200x}" ./internal/constraint/ | tee "$PRAW"
+
+echo "== completion decision (Template.SatisfiedBy) =="
+go test -run '^$' -bench 'BenchmarkSatisfiedBy' -benchmem -benchtime "${SATISFIED_BENCHTIME:-200x}" ./internal/constraint/ | tee -a "$PRAW"
+
+echo "== core handle (replayed 200-row-template collection) =="
+# ~2k messages per replayed collection: the default averages five of them.
+go test -run '^$' -bench 'BenchmarkCoreHandle' -benchmem -benchtime "${CORE_BENCHTIME:-10000x}" ./internal/server/ | tee -a "$PRAW"
 
 echo "== connection scale (idle herd + 1% publishers) =="
 go test -run '^$' -bench 'BenchmarkConnScale' -benchtime "${CONNS_BENCHTIME:-10x}" -timeout 30m . | tee "$CRAW"
@@ -127,22 +137,30 @@ echo "wrote $EOUT"
 extract "$BRAW" BenchmarkBroadcastHandlePublish > "$BOUT"
 echo "wrote $BOUT"
 
-# Planner sub-benchmarks carry three name parameters
-# (mode=<full|incr>/rows=<n>/tmpl=<n>); parse them individually.
+# Planner sub-benchmarks carry their parameters in the name
+# (mode=<full|incr>/rows=<n>/tmpl=<n> for the repair, tmpl=<n>/final=<pct>
+# for the completion decision, none for the core replay); parse them
+# individually. Every row ends with ns_per_op and allocs_per_op, which is what
+# the gate keys on.
 awk '
-$1 ~ "^BenchmarkPlannerRepair/" {
-    split($1, segs, "/")
-    split(segs[2], m, "=")
-    split(segs[3], r, "=")
-    split(segs[4], tp, "=")
-    sub(/-.*/, "", tp[2])
+$1 ~ "^Benchmark(PlannerRepair|SatisfiedBy)/" || $1 ~ "^BenchmarkCoreHandle(-|$)" {
+    name = $1
+    sub(/-[0-9]+$/, "", name)
+    nseg = split(name, segs, "/")
+    for (j = 2; j <= nseg; j++) { split(segs[j], kv, "="); par[j] = kv[2] }
     ns = allocs = "null"
     for (i = 3; i < NF; i++) {
         if ($(i+1) == "ns/op") ns = $i
         if ($(i+1) == "allocs/op") allocs = $i
     }
     if (n++) printf ",\n"
-    printf "  {\"mode\": \"%s\", \"rows\": %s, \"tmpl\": %s, \"ns_per_op\": %s, \"allocs_per_op\": %s}", m[2], r[2], tp[2], ns, allocs
+    if (segs[1] == "BenchmarkPlannerRepair")
+        printf "  {\"mode\": \"%s\", \"rows\": %s, \"tmpl\": %s,", par[2], par[3], par[4]
+    else if (segs[1] == "BenchmarkSatisfiedBy")
+        printf "  {\"bench\": \"satisfied_by\", \"tmpl\": %s, \"final_pct\": %s,", par[2], par[3]
+    else
+        printf "  {\"bench\": \"core_handle\", \"tmpl\": 200,"
+    printf " \"ns_per_op\": %s, \"allocs_per_op\": %s}", ns, allocs
 }
 BEGIN { printf "[\n" }
 END   { printf "\n]\n" }

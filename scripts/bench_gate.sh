@@ -4,7 +4,10 @@
 # and fails if, at any client count, p99 latency or allocs/op regressed by
 # more than the tolerance (percent). Then gates BENCH_conns.json the same
 # way: at every connection count, publish p99, bytes/conn, and
-# goroutines/conn must stay within tolerance of the committed baseline.
+# goroutines/conn must stay within tolerance of the committed baseline — and
+# BENCH_planner.json: every row (PRI repair, completion decision, core
+# handle) must keep its ns/op and allocs/op within tolerance of the committed
+# row with the same parameters.
 #
 #   sh scripts/bench_gate.sh [new.json [baseline.json]]
 #
@@ -18,6 +21,10 @@
 #                      always passes, default 0.05 — with the readiness
 #                      poller the baseline is ~0, where a relative
 #                      percentage on measurement noise would flake
+#   PLANNER_NS_TOL     planner/completion/core ns/op tolerance, default 30
+#   PLANNER_NS_ABS     absolute ns/op floor below which the ns gate always
+#                      passes, default 1000 — the short-circuited completion
+#                      decision costs a few ns, where a percentage is noise
 #   METRICS_P99_TOL    metrics-on p99 overhead over metrics-off, default 25
 #   METRICS_ALLOC_DELTA  allocs/op the metrics plane may add, default 1
 #
@@ -38,6 +45,8 @@ ALLOC_TOL=${ALLOC_TOL:-20}
 CONNS_P99_TOL=${CONNS_P99_TOL:-$P99_TOL}
 CONNS_MEM_TOL=${CONNS_MEM_TOL:-20}
 CONNS_GORO_ABS=${CONNS_GORO_ABS:-0.05}
+PLANNER_NS_TOL=${PLANNER_NS_TOL:-30}
+PLANNER_NS_ABS=${PLANNER_NS_ABS:-1000}
 METRICS_P99_TOL=${METRICS_P99_TOL:-25}
 METRICS_ALLOC_DELTA=${METRICS_ALLOC_DELTA:-1}
 
@@ -145,6 +154,54 @@ function gate(name, c, got, base, tol, floor,    lim) {
 END { exit bad }
 ' "$CBASETMP" "$CNEW"
 fi
+fi
+
+# Planner gate: PRI repair, completion decision and core handle rows, keyed by
+# everything in the row before its measurements. Allocation counts are
+# deterministic; ns/op is wall-clock and gets the wider tolerance.
+PNEW=BENCH_planner.json
+PBASETMP=$(mktemp)
+trap 'rm -f "$PBASETMP" ${CBASETMP:-} ${BASETMP:-}' EXIT
+if [ ! -f "$PNEW" ] || ! grep -q '"ns_per_op"' "$PNEW"; then
+    echo "bench_gate: no fresh $PNEW rows; skipping planner gate"
+elif ! git show "HEAD:$PNEW" > "$PBASETMP" 2>/dev/null || ! grep -q '"ns_per_op"' "$PBASETMP"; then
+    echo "bench_gate: no committed $PNEW baseline at HEAD; nothing to gate against"
+else
+awk -v nstol="$PLANNER_NS_TOL" -v nsabs="$PLANNER_NS_ABS" -v alloctol="$ALLOC_TOL" '
+function field(line, key,    rest) {
+    rest = line
+    if (!match(rest, "\"" key "\": *[0-9.eE+-]+")) return ""
+    rest = substr(rest, RSTART, RLENGTH)
+    sub("\"" key "\": *", "", rest)
+    return rest
+}
+function gate(name, k, got, base, tol, floor,    lim) {
+    if (base == "" || got == "") return
+    lim = base * (1 + tol / 100.0)
+    if (floor + 0 > lim) lim = floor + 0
+    if (got + 0 > lim) {
+        printf "bench_gate: FAIL %s %s %.0f > baseline %.0f +%d%% (limit %.0f)\n", k, name, got, base, tol, lim
+        bad = 1
+    } else {
+        printf "bench_gate: ok   %s %s %.0f (baseline %.0f, +%d%% limit %.0f)\n", k, name, got, base, tol, lim
+    }
+}
+/"ns_per_op"/ {
+    k = $0
+    sub(/, *"ns_per_op".*/, "", k)
+    sub(/^ *\{/, "", k)
+    gsub(/"/, "", k)
+    if (FNR == NR) {
+        basens[k] = field($0, "ns_per_op")
+        basealloc[k] = field($0, "allocs_per_op")
+        next
+    }
+    if (!(k in basens)) { printf "bench_gate: %s missing from baseline\n", k; next }
+    gate("ns/op", k, field($0, "ns_per_op"), basens[k], nstol, nsabs)
+    gate("allocs/op", k, field($0, "allocs_per_op"), basealloc[k], alloctol, 0)
+}
+END { exit bad }
+' "$PBASETMP" "$PNEW"
 fi
 
 # Metrics-overhead gate: off vs on arms of the same run. The allocation
