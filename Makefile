@@ -4,7 +4,7 @@ GO ?= go
 # or local deep runs override, e.g. `make fuzz-smoke FUZZTIME=5m`.
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint fuzz-smoke verify bench bench-gate bench-pair
+.PHONY: build test race vet lint fuzz-smoke verify bench bench-gate bench-pair bench-e2e
 
 build:
 	$(GO) build ./...
@@ -64,3 +64,15 @@ WORKLOAD ?= table200
 PAIRS ?= 10
 bench-pair:
 	sh scripts/bench_pair.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+
+# bench-e2e runs the repository benchmark once per workload exactly as the
+# driver does — bench/run.sh, seed 1, the run length BENCHMARK.json fixes,
+# untraced — and prints each run's final JSON line (correct, failed and the
+# end-to-end metrics). A run that does not verify fails the target.
+RUN_SECONDS := $(shell sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)
+E2E_WORKLOADS := paper5 table200 fanout64 burst64
+bench-e2e:
+	@for w in $(E2E_WORKLOADS); do \
+		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds $(RUN_SECONDS) --trace 0) || { echo "bench-e2e: $$w failed" >&2; exit 1; }; \
+		printf '%s\n' "$$out" | tail -n 1; \
+	done

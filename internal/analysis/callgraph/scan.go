@@ -31,13 +31,37 @@ type scanner struct {
 	// (x = append(x, ...) and return append(dst, ...)): the pooled-buffer
 	// idiom whose growth is amortized by the caller-owned backing array.
 	amortized map[*ast.CallExpr]bool
+	// elided marks []byte→string conversions the compiler performs without
+	// copying: the key of a map read (m[string(b)] anywhere but the left of
+	// an assignment — the stack-built lookup key) and an operand of a
+	// comparison.
+	elided map[*ast.CallExpr]bool
 }
 
 func (sc *scanner) scanFunc() {
 	sc.amortized = make(map[*ast.CallExpr]bool)
+	sc.elided = make(map[*ast.CallExpr]bool)
+	stored := make(map[ast.Expr]bool) // map elements being written (parents are visited first)
 	ast.Inspect(sc.node.Decl.Body, func(n ast.Node) bool {
 		switch s := n.(type) {
+		case *ast.IncDecStmt:
+			stored[ast.Unparen(s.X)] = true
+		case *ast.IndexExpr:
+			if tv, ok := sc.pkg.TypesInfo.Types[s.X]; ok && tv.Type != nil && !stored[s] {
+				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+					sc.markElided(s.Index)
+				}
+			}
+		case *ast.BinaryExpr:
+			switch s.Op {
+			case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+				sc.markElided(s.X)
+				sc.markElided(s.Y)
+			}
 		case *ast.AssignStmt:
+			for _, lhs := range s.Lhs {
+				stored[ast.Unparen(lhs)] = true
+			}
 			if len(s.Lhs) == len(s.Rhs) {
 				for i, rhs := range s.Rhs {
 					if call := appendCall(sc.pkg, rhs); call != nil && len(call.Args) > 0 &&
@@ -59,6 +83,17 @@ func (sc *scanner) scanFunc() {
 	})
 	state := &[]Lock{}
 	sc.walkStmts(sc.node.Decl.Body.List, state)
+}
+
+// markElided records e as a copy-free conversion when it is one: a direct
+// string(b) call. checkConversion still decides what kind of conversion the
+// call is; the mark only silences the []byte→string case.
+func (sc *scanner) markElided(e ast.Expr) {
+	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok && len(call.Args) == 1 {
+		if tv, ok := sc.pkg.TypesInfo.Types[ast.Unparen(call.Fun)]; ok && tv.IsType() {
+			sc.elided[call] = true
+		}
+	}
 }
 
 func appendCall(pkg *analysis.Package, e ast.Expr) *ast.CallExpr {
@@ -405,7 +440,7 @@ func (sc *scanner) checkConversion(call *ast.CallExpr, target types.Type, state 
 		}
 	case *types.Basic:
 		if tt.Info()&types.IsString != 0 {
-			if _, isSlice := argTV.Type.Underlying().(*types.Slice); isSlice {
+			if _, isSlice := argTV.Type.Underlying().(*types.Slice); isSlice && !sc.elided[call] {
 				sc.emit(Event{Kind: KAlloc, Pos: call.Pos(), What: "[]byte→string conversion", Deferred: deferred}, state)
 			}
 		}

@@ -85,6 +85,24 @@ func closureAlloc(xs []int) func() int {
 	return func() int { return len(xs) } // want `hot-path allocation: closure \(function literal\) in //lint:hotpath function closureAlloc`
 }
 
+// lookupKey reads a map and compares through string(b): the compiler elides
+// both copies, so neither is an allocation.
+//
+//lint:hotpath
+func lookupKey(m map[string]int, b []byte) bool {
+	return m[string(b)] > 0 && string(b) != "skip"
+}
+
+// storeKey writes the element: the map keeps the key, so the conversion is a
+// real copy — as is one that merely sits next to a map.
+//
+//lint:hotpath
+func storeKey(m map[string]int, b []byte) {
+	m[string(b)] = 1     // want `hot-path allocation: \[\]byte→string conversion in //lint:hotpath function storeKey`
+	m[string(b)]++       // want `hot-path allocation: \[\]byte→string conversion in //lint:hotpath function storeKey`
+	delete(m, string(b)) // want `hot-path allocation: \[\]byte→string conversion in //lint:hotpath function storeKey`
+}
+
 // coldPath is not annotated and not hot-reachable: allocations are fine.
 func coldPath() []int {
 	return make([]int, 4)

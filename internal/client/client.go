@@ -155,7 +155,7 @@ func (c *Client) Fill(id model.RowID, col int, raw string) ([]sync.Message, erro
 	if newRow != nil && newRow.Vec.IsComplete() {
 		// Auto-upvote the completed row; this counts as the worker's one
 		// vote on the row and their one upvote for its key.
-		if c.voted[newRow.Vec.Encode()] == votedNone && !c.upvotedKeys[newRow.Vec.KeyOf(c.cfg.Schema)] {
+		if c.vote(newRow.Vec) == votedNone && !c.keyUpvoted(newRow.Vec) {
 			up, uerr := c.rep.Upvote(newRow.ID)
 			if uerr == nil {
 				up.Auto = true
@@ -184,6 +184,21 @@ func (c *Client) recordVote(v model.Vector, kind voteKind) {
 	}
 }
 
+// vote returns this worker's outstanding vote on exactly vector v. Like
+// keyUpvoted it builds the map key in a stack buffer, so the checks every
+// action and every rendered row make allocate nothing.
+func (c *Client) vote(v model.Vector) voteKind {
+	var buf [model.KeyScratch]byte
+	return c.voted[string(v.AppendKey(buf[:0]))]
+}
+
+// keyUpvoted reports whether this worker has upvoted a row with v's primary
+// key.
+func (c *Client) keyUpvoted(v model.Vector) bool {
+	var buf [model.KeyScratch]byte
+	return c.upvotedKeys[string(v.AppendKeyOf(buf[:0], c.cfg.Schema))]
+}
+
 // voteCapOK checks the optional per-row vote cap.
 func (c *Client) voteCapOK(r *model.Row) bool {
 	return c.cfg.MaxVotesPerRow <= 0 || r.Up+r.Down < c.cfg.MaxVotesPerRow
@@ -198,10 +213,10 @@ func (c *Client) Upvote(id model.RowID) (sync.Message, error) {
 	if row == nil {
 		return sync.Message{}, fmt.Errorf("%w: %s", sync.ErrNoSuchRow, id)
 	}
-	if c.voted[row.Vec.Encode()] != votedNone {
+	if c.vote(row.Vec) != votedNone {
 		return sync.Message{}, ErrAlreadyVoted
 	}
-	if row.Vec.IsComplete() && c.upvotedKeys[row.Vec.KeyOf(c.cfg.Schema)] {
+	if row.Vec.IsComplete() && c.keyUpvoted(row.Vec) {
 		return sync.Message{}, ErrKeyUpvoted
 	}
 	if !c.voteCapOK(row) {
@@ -225,7 +240,7 @@ func (c *Client) Downvote(id model.RowID) (sync.Message, error) {
 	if row == nil {
 		return sync.Message{}, fmt.Errorf("%w: %s", sync.ErrNoSuchRow, id)
 	}
-	if c.voted[row.Vec.Encode()] != votedNone {
+	if c.vote(row.Vec) != votedNone {
 		return sync.Message{}, ErrAlreadyVoted
 	}
 	if !c.voteCapOK(row) {
@@ -247,7 +262,7 @@ func (c *Client) UndoVote(v model.Vector) (sync.Message, error) {
 	if c.done {
 		return sync.Message{}, ErrDone
 	}
-	kind := c.voted[v.Encode()]
+	kind := c.vote(v)
 	var m sync.Message
 	var err error
 	switch kind {
@@ -301,7 +316,7 @@ func (c *Client) Modify(id model.RowID, col int, raw string) ([]sync.Message, er
 	// If the worker previously upvoted this value (e.g. the automatic
 	// upvote when they completed the row), retract it first so the
 	// corrective downvote is permitted.
-	if c.voted[oldVec.Encode()] == votedUp {
+	if c.vote(oldVec) == votedUp {
 		undo, uerr := c.UndoVote(oldVec)
 		if uerr != nil {
 			return nil, uerr
@@ -310,7 +325,7 @@ func (c *Client) Modify(id model.RowID, col int, raw string) ([]sync.Message, er
 	}
 	// Downvote the value being corrected, unless this worker already
 	// downvoted it.
-	if c.voted[oldVec.Encode()] == votedNone {
+	if c.vote(oldVec) == votedNone {
 		dv, derr := c.rep.Downvote(id)
 		if derr != nil {
 			return nil, derr
@@ -348,12 +363,14 @@ func (c *Client) Modify(id model.RowID, col int, raw string) ([]sync.Message, er
 }
 
 // VotedOn reports whether this worker has an outstanding vote on the value.
-func (c *Client) VotedOn(v model.Vector) bool { return c.voted[v.Encode()] != votedNone }
+//
+//lint:hotpath
+func (c *Client) VotedOn(v model.Vector) bool { return c.vote(v) != votedNone }
 
 // VoteDirection returns +1 (upvoted), -1 (downvoted), or 0 (no outstanding
 // vote) for this worker's vote on the value.
 func (c *Client) VoteDirection(v model.Vector) int {
-	switch c.voted[v.Encode()] {
+	switch c.vote(v) {
 	case votedUp:
 		return 1
 	case votedDown:

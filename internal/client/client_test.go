@@ -173,6 +173,28 @@ func TestUndoVote(t *testing.T) {
 	}
 }
 
+// TestVoteChecksAllocationFree: the interface asks VotedOn / VoteDirection
+// for every row it renders and every action re-checks the worker's votes;
+// the lookups build their map key on the stack, so they allocate nothing,
+// voted on or not.
+func TestVoteChecksAllocationFree(t *testing.T) {
+	c := newClient(t)
+	seedRow(t, c, "cc-1")
+	m1, _ := c.Fill("cc-1", 0, "a fairly long primary key value")
+	id := m1[0].NewRow
+	voted := c.Replica().Table().Get(id).Vec.Clone()
+	if _, err := c.Downvote(id); err != nil {
+		t.Fatal(err)
+	}
+	fresh := model.VectorOf("another fairly long primary key value", "")
+	if !c.VotedOn(voted) || c.VotedOn(fresh) || c.VoteDirection(voted) != -1 {
+		t.Fatalf("setup: VotedOn(voted)=%v VotedOn(fresh)=%v direction=%d", c.VotedOn(voted), c.VotedOn(fresh), c.VoteDirection(voted))
+	}
+	if n := testing.AllocsPerRun(100, func() { c.VotedOn(voted); c.VotedOn(fresh); c.VoteDirection(voted) }); n != 0 {
+		t.Errorf("Client.VotedOn/VoteDirection: %v allocs/op, want 0", n)
+	}
+}
+
 func TestUndoUpvoteFreesKey(t *testing.T) {
 	c := newClient(t)
 	seedRow(t, c, "cc-1")

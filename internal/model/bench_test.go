@@ -33,12 +33,37 @@ func BenchmarkFinalTable(b *testing.B) {
 	}
 }
 
-func BenchmarkVectorEncode(b *testing.B) {
+// BenchmarkVectorKey prices the three ways a vector becomes a map key: the
+// key string an insert keeps (Encode, one allocation), the stack-built key a
+// lookup uses (AppendKey, none), and a value-index read through it.
+func BenchmarkVectorKey(b *testing.B) {
 	v := VectorOf("Lionel Messi", "Argentina", "FW", "83", "37")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = v.Encode()
-	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			keySink = v.Encode()
+		}
+	})
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf [KeyScratch]byte
+		for i := 0; i < b.N; i++ {
+			_ = v.AppendKey(buf[:0])
+		}
+	})
+	b.Run("lookup", func(b *testing.B) {
+		c := benchCandidate(200)
+		c.Put(&Row{ID: "messi", Vec: v})
+		n := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.EachWithValue(v, func(*Row) { n++ })
+		}
+		if n != b.N {
+			b.Fatalf("visited %d rows in %d lookups", n, b.N)
+		}
+	})
 }
 
 func BenchmarkVectorSubset(b *testing.B) {

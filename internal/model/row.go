@@ -70,11 +70,12 @@ func (c *Candidate) Put(r *Row) {
 		c.unindex(old)
 	}
 	c.rows[r.ID] = r
-	k := r.Vec.Encode()
-	bucket := c.byValue[k]
+	var buf [KeyScratch]byte
+	k := r.Vec.AppendKey(buf[:0])
+	bucket := c.byValue[string(k)]
 	if bucket == nil {
 		bucket = make(map[RowID]*Row)
-		c.byValue[k] = bucket
+		c.byValue[string(k)] = bucket
 	}
 	bucket[r.ID] = r
 }
@@ -88,20 +89,25 @@ func (c *Candidate) Delete(id RowID) {
 }
 
 func (c *Candidate) unindex(r *Row) {
-	k := r.Vec.Encode()
-	if bucket := c.byValue[k]; bucket != nil {
+	var buf [KeyScratch]byte
+	k := r.Vec.AppendKey(buf[:0])
+	if bucket := c.byValue[string(k)]; bucket != nil {
 		delete(bucket, r.ID)
 		if len(bucket) == 0 {
-			delete(c.byValue, k)
+			delete(c.byValue, string(k))
 		}
 	}
 }
 
 // EachWithValue calls fn for every row whose value equals v, using the value
-// index (vote application's equality case, §2.4).
+// index (vote application's equality case, §2.4). The lookup itself is pure
+// and allocation-free: the key lives in a stack buffer.
+//
+//lint:hotpath
 func (c *Candidate) EachWithValue(v Vector, fn func(*Row)) {
-	for _, r := range c.byValue[v.Encode()] {
-		fn(r)
+	var buf [KeyScratch]byte
+	for _, r := range c.byValue[string(v.AppendKey(buf[:0]))] {
+		fn(r) //lint:allow hotalloc the visitor is the caller's; the lookup is what this root guards
 	}
 }
 

@@ -124,33 +124,55 @@ func (v Vector) KeyComplete(s *Schema) bool {
 // KeyOf returns an opaque comparable key string for the primary-key cells of
 // v. Only meaningful when KeyComplete is true.
 func (v Vector) KeyOf(s *Schema) string {
-	var b strings.Builder
-	for _, k := range s.KeyColumns() {
-		writeCell(&b, v[k])
-	}
-	return b.String()
+	var buf [KeyScratch]byte
+	return string(v.AppendKeyOf(buf[:0], s))
 }
 
 // Encode returns an opaque comparable key string uniquely identifying the
 // whole vector (used to index the upvote/downvote histories UH and DH).
 func (v Vector) Encode() string {
-	var b strings.Builder
-	for _, c := range v {
-		writeCell(&b, c)
-	}
-	return b.String()
+	var buf [KeyScratch]byte
+	return string(v.AppendKey(buf[:0]))
 }
 
-func writeCell(b *strings.Builder, c Cell) {
-	if !c.Set {
-		b.WriteByte('_')
-		b.WriteByte('|')
-		return
+// KeyScratch sizes the stack buffer keyed lookups build a vector key in: it
+// holds the key of every vector the paper's tables produce, and a longer key
+// only costs the append growing onto the heap.
+const KeyScratch = 128
+
+// AppendKey appends Encode's key bytes to dst and returns the extended
+// slice. A lookup builds the key in a stack buffer and indexes with
+// m[string(b)], which the compiler performs without materializing the
+// string; only inserting a new map entry needs a key string of its own.
+//
+//lint:hotpath
+func (v Vector) AppendKey(dst []byte) []byte {
+	for _, c := range v {
+		dst = appendCell(dst, c)
 	}
-	b.WriteString(strconv.Itoa(len(c.Val)))
-	b.WriteByte(':')
-	b.WriteString(c.Val)
-	b.WriteByte('|')
+	return dst
+}
+
+// AppendKeyOf is AppendKey for KeyOf's primary-key cells.
+func (v Vector) AppendKeyOf(dst []byte, s *Schema) []byte {
+	if len(s.Key) == 0 {
+		// No declared key: every column is a key column (Schema.KeyColumns).
+		return v.AppendKey(dst)
+	}
+	for _, k := range s.Key {
+		dst = appendCell(dst, v[k])
+	}
+	return dst
+}
+
+func appendCell(dst []byte, c Cell) []byte {
+	if !c.Set {
+		return append(dst, '_', '|')
+	}
+	dst = strconv.AppendInt(dst, int64(len(c.Val)), 10)
+	dst = append(dst, ':')
+	dst = append(dst, c.Val...)
+	return append(dst, '|')
 }
 
 // String renders v for logs and test failures, e.g. "(Messi, Argentina, ·, 83)".

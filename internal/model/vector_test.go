@@ -3,6 +3,7 @@ package model
 import (
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -156,5 +157,60 @@ func TestVectorString(t *testing.T) {
 	v := VectorOf("a", "", "c")
 	if got := v.String(); got != "(a, ·, c)" {
 		t.Fatalf("String = %q", got)
+	}
+}
+
+// keySink keeps a key string alive, as the map that stores it would.
+var keySink string
+
+// TestVectorKeyAllocs pins the key paths' share of the message path's
+// allocation budget: a key string costs exactly one allocation, and a lookup
+// by value — the key built in a stack buffer — costs none.
+func TestVectorKeyAllocs(t *testing.T) {
+	s := MustSchema("P", []Column{{Name: "name"}, {Name: "nat"}, {Name: "pos"}}, "name", "nat")
+	v := VectorOf("Lionel Messi", "Argentina", "FW")
+	if n := testing.AllocsPerRun(100, func() { keySink = v.Encode() }); n != 1 {
+		t.Errorf("Vector.Encode: %v allocs/op, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { keySink = v.KeyOf(s) }); n != 1 {
+		t.Errorf("Vector.KeyOf: %v allocs/op, want 1", n)
+	}
+	c := NewCandidate(s)
+	c.Put(&Row{ID: "r1", Vec: v})
+	seen := 0
+	if n := testing.AllocsPerRun(100, func() { c.EachWithValue(v, func(*Row) { seen++ }) }); n != 0 {
+		t.Errorf("Candidate.EachWithValue: %v allocs/op, want 0", n)
+	}
+	if seen == 0 {
+		t.Fatalf("EachWithValue never visited the row")
+	}
+}
+
+// TestVectorKeyForms: AppendKey is Encode's bytes and AppendKeyOf is KeyOf's
+// — with and without a declared key, and for keys that outgrow the lookup
+// scratch — and both extend dst rather than replace it.
+func TestVectorKeyForms(t *testing.T) {
+	keyed := MustSchema("P", []Column{{Name: "a"}, {Name: "b"}, {Name: "c"}}, "c", "a")
+	unkeyed := MustSchema("Q", []Column{{Name: "a"}, {Name: "b"}, {Name: "c"}})
+	long := strings.Repeat("x", 2*KeyScratch)
+	for _, v := range []Vector{
+		VectorOf("1", "", "33"),
+		VectorOf("", "", ""),
+		VectorOf(long, "b", long),
+	} {
+		if got := string(v.AppendKey([]byte("pre"))); got != "pre"+v.Encode() {
+			t.Errorf("AppendKey(%v) = %q, want %q", v, got, "pre"+v.Encode())
+		}
+		for _, s := range []*Schema{keyed, unkeyed} {
+			if got := string(v.AppendKeyOf([]byte("pre"), s)); got != "pre"+v.KeyOf(s) {
+				t.Errorf("AppendKeyOf(%v, %s) = %q, want %q", v, s.Name, got, "pre"+v.KeyOf(s))
+			}
+		}
+	}
+	if got, want := VectorOf("1", "", "33").Encode(), "1:1|_|2:33|"; got != want {
+		t.Errorf("Encode = %q, want %q (stored snapshots and traces carry this form)", got, want)
+	}
+	if got, want := VectorOf("1", "", "33").KeyOf(keyed), "2:33|1:1|"; got != want {
+		t.Errorf("KeyOf = %q, want %q", got, want)
 	}
 }

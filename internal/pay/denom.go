@@ -22,7 +22,7 @@ import "crowdfill/internal/model"
 type denomTracker struct {
 	umin     int
 	probable map[model.RowID]*model.Row
-	byVec    map[string]int // probable rows per exact vector encoding
+	byVec    map[string]*vecCount // probable rows per exact vector encoding
 	surplus  map[model.RowID]int
 	sumU     int
 	cover    map[string]*coverEntry
@@ -38,11 +38,18 @@ type coverEntry struct {
 	cover int
 }
 
+// vecCount is one byVec entry. It keeps its own map key so the last probable
+// row of a value can leave without re-deriving the key string.
+type vecCount struct {
+	key string
+	n   int
+}
+
 func newDenomTracker(umin int) *denomTracker {
 	return &denomTracker{
 		umin:     umin,
 		probable: make(map[model.RowID]*model.Row),
-		byVec:    make(map[string]int),
+		byVec:    make(map[string]*vecCount),
 		surplus:  make(map[model.RowID]int),
 		cover:    make(map[string]*coverEntry),
 	}
@@ -53,14 +60,21 @@ func (t *denomTracker) isProbable(id model.RowID) bool {
 	return ok
 }
 
-func (t *denomTracker) hasVec(v model.Vector) bool { return t.byVec[v.Encode()] > 0 }
+// hasVec reports whether some probable row carries exactly vector v.
+//
+//lint:hotpath
+func (t *denomTracker) hasVec(v model.Vector) bool {
+	var buf [model.KeyScratch]byte
+	return t.byVec[string(v.AppendKey(buf[:0]))] != nil
+}
 
 // addDownvote registers one observed downvote of vector v, computing its
 // cover against the current probable rows on first sight (repeat downvotes
 // of the same vector are O(1)). Reports whether v is currently consistent.
 func (t *denomTracker) addDownvote(v model.Vector) bool {
-	k := v.Encode()
-	e, ok := t.cover[k]
+	var buf [model.KeyScratch]byte
+	k := v.AppendKey(buf[:0])
+	e, ok := t.cover[string(k)]
 	if !ok {
 		e = &coverEntry{vec: v.Clone()}
 		for _, p := range t.probable {
@@ -68,7 +82,7 @@ func (t *denomTracker) addDownvote(v model.Vector) bool {
 				e.cover++
 			}
 		}
-		t.cover[k] = e
+		t.cover[string(k)] = e
 	}
 	e.mult++
 	if e.cover == 0 {
@@ -76,6 +90,12 @@ func (t *denomTracker) addDownvote(v model.Vector) bool {
 		return true
 	}
 	return false
+}
+
+func (t *denomTracker) newVecCount(key []byte) *vecCount {
+	vc := &vecCount{key: string(key)}
+	t.byVec[vc.key] = vc
+	return vc
 }
 
 // setSurplus recomputes one row's contribution to the |U| surplus.
@@ -106,7 +126,13 @@ func (t *denomTracker) ProbableAdded(r *model.Row) {
 		return
 	}
 	t.probable[r.ID] = r
-	t.byVec[r.Vec.Encode()]++ //lint:allow hotalloc the by-vector counter is keyed by the canonical encoding, one key string per probable-set delta
+	var buf [model.KeyScratch]byte
+	k := r.Vec.AppendKey(buf[:0])
+	vc := t.byVec[string(k)]
+	if vc == nil {
+		vc = t.newVecCount(k) //lint:allow hotalloc a value's first probable row inserts its entry: one key string and one counter
+	}
+	vc.n++
 	t.setSurplus(r)
 	for _, e := range t.cover {
 		if r.Vec.Superset(e.vec) {
@@ -124,9 +150,11 @@ func (t *denomTracker) ProbableRemoved(r *model.Row) {
 		return
 	}
 	delete(t.probable, r.ID)
-	k := r.Vec.Encode() //lint:allow hotalloc the by-vector counter is keyed by the canonical encoding, one key string per probable-set delta
-	if t.byVec[k]--; t.byVec[k] <= 0 {
-		delete(t.byVec, k)
+	var buf [model.KeyScratch]byte
+	if vc := t.byVec[string(r.Vec.AppendKey(buf[:0]))]; vc != nil {
+		if vc.n--; vc.n <= 0 {
+			delete(t.byVec, vc.key)
+		}
 	}
 	if old := t.surplus[r.ID]; old != 0 {
 		t.sumU -= old
@@ -152,7 +180,7 @@ func (t *denomTracker) ProbableUpdated(r *model.Row) {
 
 func (t *denomTracker) IndexReset() {
 	t.probable = make(map[model.RowID]*model.Row)
-	t.byVec = make(map[string]int)
+	t.byVec = make(map[string]*vecCount)
 	t.surplus = make(map[model.RowID]int)
 	t.sumU = 0
 	// With no probable rows every observed downvote is consistent; the

@@ -1,6 +1,7 @@
 package pay
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -53,42 +54,8 @@ func TestIncrementalDenominatorMatchesScan(t *testing.T) {
 		}
 	}
 
-	genOp := func() (sync.Message, bool) {
-		rows := rep.Table().Rows()
-		if len(rows) == 0 || rng.Intn(8) == 0 {
-			m, err := rep.Insert(gen.Next())
-			return m, err == nil
-		}
-		row := rows[rng.Intn(len(rows))]
-		switch rng.Intn(5) {
-		case 0, 1:
-			for ci := range row.Vec {
-				if !row.Vec[ci].Set {
-					m, err := rep.Fill(row.ID, ci, vals[rng.Intn(len(vals))], gen.Next())
-					return m, err == nil
-				}
-			}
-			return sync.Message{}, false
-		case 2:
-			m, err := rep.Upvote(row.ID)
-			return m, err == nil
-		case 3:
-			m, err := rep.Downvote(row.ID)
-			return m, err == nil
-		default:
-			var m sync.Message
-			var err error
-			if rng.Intn(2) == 0 {
-				m, err = rep.UndoUpvote(row.Vec)
-			} else {
-				m, err = rep.UndoDownvote(row.Vec)
-			}
-			return m, err == nil
-		}
-	}
-
 	for step := 0; step < 300; step++ {
-		m, ok := genOp()
+		m, ok := randomOp(rep, rng, gen, vals)
 		if !ok {
 			continue
 		}
@@ -119,6 +86,124 @@ func TestIncrementalDenominatorMatchesScan(t *testing.T) {
 		if inc.Records[i] != ref.Records[i] {
 			t.Fatalf("record %d diverged: %+v vs %+v", i, inc.Records[i], ref.Records[i])
 		}
+	}
+}
+
+// indexedEstimator returns an estimator attached to a TableIndex over a fresh
+// replica, for a Cardinality(tmplRows) template on s.
+func indexedEstimator(s *model.Schema, scheme Scheme, tmplRows int) (*Estimator, *sync.Replica) {
+	score := model.MajorityShortcut(3)
+	e := NewEstimator(s, score, scheme, 10, constraint.Cardinality(s, tmplRows), 0)
+	rep := sync.NewReplica(s)
+	idx := model.NewTableIndex(rep.Table(), score)
+	rep.SetObserver(idx)
+	e.AttachIndex(idx)
+	return e, rep
+}
+
+// randomOp performs one random primitive operation on rep — insert, fill,
+// upvote, downvote or a vote undo — and returns its message; ok is false
+// when the drawn operation had no legal target.
+func randomOp(rep *sync.Replica, rng *rand.Rand, gen *sync.IDGen, vals []string) (sync.Message, bool) {
+	rows := rep.Table().Rows()
+	if len(rows) == 0 || rng.Intn(8) == 0 {
+		m, err := rep.Insert(gen.Next())
+		return m, err == nil
+	}
+	row := rows[rng.Intn(len(rows))]
+	switch rng.Intn(5) {
+	case 0, 1:
+		for ci := range row.Vec {
+			if !row.Vec[ci].Set {
+				m, err := rep.Fill(row.ID, ci, vals[rng.Intn(len(vals))], gen.Next())
+				return m, err == nil
+			}
+		}
+		return sync.Message{}, false
+	case 2:
+		m, err := rep.Upvote(row.ID)
+		return m, err == nil
+	case 3:
+		m, err := rep.Downvote(row.ID)
+		return m, err == nil
+	default:
+		var m sync.Message
+		var err error
+		if rng.Intn(2) == 0 {
+			m, err = rep.UndoUpvote(row.Vec)
+		} else {
+			m, err = rep.UndoDownvote(row.Vec)
+		}
+		return m, err == nil
+	}
+}
+
+// TestCurrentIndexedMatchesPerCallEstimates: the displayed payload derives
+// every figure from one denominator; the per-action estimators still
+// compute theirs per call. Over random fills, votes and undos, under every
+// scheme, each payload figure must equal the per-call one bit for bit — the
+// payload's wire bytes and the simulator's traces depend on it.
+func TestCurrentIndexedMatchesPerCallEstimates(t *testing.T) {
+	for _, scheme := range []Scheme{Uniform, ColumnWeighted, DualWeighted} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			e, rep := indexedEstimator(kvSchema(t), scheme, 4)
+
+			rng := rand.New(rand.NewSource(int64(7 + scheme)))
+			gen := sync.NewIDGen("n")
+			vals := []string{"ada", "bob", "cyd", "dee"}
+			workers := []string{"w1", "w2", "w3"}
+			var ts int64
+			for step := 0; step < 400; step++ {
+				m, ok := randomOp(rep, rng, gen, vals)
+				if !ok {
+					continue
+				}
+				m.Worker = workers[rng.Intn(len(workers))]
+				ts += int64(1+rng.Intn(5)) * 1e9
+				m.TS = ts
+				e.ObserveIndexed(m)
+
+				got := e.CurrentIndexed()
+				for ci, g := range got.PerColumn {
+					if want := e.estimateFill(ci, nil); math.Float64bits(g) != math.Float64bits(want) {
+						t.Fatalf("step %d: PerColumn[%d] = %v, estimateFill = %v", step, ci, g, want)
+					}
+				}
+				if want := e.estimateVote(true, nil); math.Float64bits(got.Upvote) != math.Float64bits(want) {
+					t.Fatalf("step %d: Upvote = %v, estimateVote = %v", step, got.Upvote, want)
+				}
+				if want := e.estimateVote(false, nil); math.Float64bits(got.Downvote) != math.Float64bits(want) {
+					t.Fatalf("step %d: Downvote = %v, estimateVote = %v", step, got.Downvote, want)
+				}
+			}
+		})
+	}
+}
+
+// TestEstimatorHotPathAllocs pins the estimator's share of the message
+// path's allocation budget: the exact-value usefulness check is free, and a
+// displayed payload allocates only itself (the struct and its column slice).
+func TestEstimatorHotPathAllocs(t *testing.T) {
+	e, rep := indexedEstimator(kvSchema(t), ColumnWeighted, 4)
+	ins, err := rep.Insert("r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill, err := rep.Fill(ins.Row, 0, "ada", "r2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill.Worker, fill.TS = "w1", 3e9
+	e.ObserveIndexed(fill)
+	if !e.inc.hasVec(fill.Vec) {
+		t.Fatalf("setup: %v is not probable", fill.Vec)
+	}
+
+	if n := testing.AllocsPerRun(100, func() { e.inc.hasVec(fill.Vec) }); n != 0 {
+		t.Errorf("denomTracker.hasVec: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { e.CurrentIndexed() }); n > 2 {
+		t.Errorf("Estimator.CurrentIndexed: %v allocs/op, want <= 2", n)
 	}
 }
 
@@ -181,3 +266,40 @@ func TestDenomTrackerSurplus(t *testing.T) {
 		t.Fatalf("sumU after removal = %d, want 0", tr.sumU)
 	}
 }
+
+// BenchmarkCurrentIndexed prices one displayed estimate payload — what the
+// server computes after every handled message — on a column-weighted
+// estimator that has latency samples for some columns and falls back to
+// their median for the rest.
+func BenchmarkCurrentIndexed(b *testing.B) {
+	s := model.MustSchema("P", []model.Column{
+		{Name: "name"}, {Name: "nat"}, {Name: "pos"}, {Name: "caps"}, {Name: "goals"},
+	}, "name", "nat")
+	e, rep := indexedEstimator(s, ColumnWeighted, 20)
+	gen := sync.NewIDGen("n")
+	var ts int64
+	for row := 0; row < 20; row++ {
+		ins, err := rep.Insert(gen.Next())
+		if err != nil {
+			b.Fatal(err)
+		}
+		id := ins.Row
+		for col := 0; col < 3; col++ { // caps and goals never get a sample
+			m, err := rep.Fill(id, col, fmt.Sprintf("v%d-%d", row, col), gen.Next())
+			if err != nil {
+				b.Fatal(err)
+			}
+			ts += int64(2+col) * 1e9
+			m.Worker, m.TS = "w1", ts
+			e.ObserveIndexed(m)
+			id = m.NewRow
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		estimatesSink = e.CurrentIndexed()
+	}
+}
+
+var estimatesSink *sync.Estimates

@@ -62,6 +62,12 @@ type Estimator struct {
 	// estC caches the per-column empty-cell counts |C_i| (template-static).
 	estC []int
 
+	// wCol and wHave are weights' scratch: the per-column weights it returns
+	// (valid until the next call) and the positive ones its fallback median
+	// sorts in place.
+	wCol  []float64
+	wHave []float64
+
 	// inc, when non-nil, maintains the denominator tallies from TableIndex
 	// deltas; incIdx is the index driving it.
 	inc    *denomTracker
@@ -130,6 +136,8 @@ func NewEstimator(schema *model.Schema, score model.ScoreFunc, scheme Scheme, bu
 		zCache:    make([]float64, schema.NumColumns()),
 		zValid:    make([]bool, schema.NumColumns()),
 		estC:      make([]int, schema.NumColumns()),
+		wCol:      make([]float64, schema.NumColumns()),
+		wHave:     make([]float64, 0, schema.NumColumns()),
 		PerWorker: make(map[string]float64),
 	}
 	for i := range e.firstSeen {
@@ -374,23 +382,23 @@ func (e *Estimator) noteFirstSeen(col int, val string, ts int64) {
 }
 
 // weights returns the current weight estimates (uniform until latency data
-// accumulates).
+// accumulates). col is estimator-owned scratch, overwritten by the next call.
 func (e *Estimator) weights() (col []float64, up, down float64) {
-	col = make([]float64, e.schema.NumColumns())
+	col = e.wCol
 	if e.scheme == Uniform {
 		for i := range col {
 			col[i] = 1
 		}
 		return col, 1, 1
 	}
-	var have []float64
+	have := e.wHave[:0]
 	for i := range col {
 		col[i] = e.colGaps[i].value()
 		if col[i] > 0 {
 			have = append(have, col[i])
 		}
 	}
-	fallback := median(have)
+	fallback := medianInPlace(have)
 	if fallback == 0 {
 		fallback = 1
 	}
@@ -458,10 +466,15 @@ func (e *Estimator) denominator(prob []*model.Row) (col []float64, up, down, y f
 // assuming both direct and indirect contribution (§5.3).
 func (e *Estimator) estimateFill(ci int, prob []*model.Row) float64 {
 	col, _, _, y := e.denominator(prob)
+	return e.fillShare(ci, col[ci], y)
+}
+
+// fillShare is estimateFill given column ci's weight w and the denominator y.
+func (e *Estimator) fillShare(ci int, w, y float64) float64 {
 	if y == 0 {
 		return 0
 	}
-	base := col[ci] * e.budget / y
+	base := w * e.budget / y
 	if e.scheme != DualWeighted || !e.schema.IsKeyColumn(ci) {
 		return base
 	}
@@ -512,13 +525,19 @@ func (e *Estimator) fitColumnZ(ci int) float64 {
 // estimateVote returns the estimated pay for an upvote or downvote.
 func (e *Estimator) estimateVote(up bool, prob []*model.Row) float64 {
 	_, wu, wd, y := e.denominator(prob)
+	if up {
+		return e.voteShare(wu, y)
+	}
+	return e.voteShare(wd, y)
+}
+
+// voteShare is estimateVote given the vote type's weight w and the
+// denominator y.
+func (e *Estimator) voteShare(w, y float64) float64 {
 	if y == 0 {
 		return 0
 	}
-	if up {
-		return wu * e.budget / y
-	}
-	return wd * e.budget / y
+	return w * e.budget / y
 }
 
 // Current returns the per-action estimates to display in clients' column
@@ -547,12 +566,16 @@ func (e *Estimator) CurrentIndexed() *sync.Estimates {
 	return e.currentEstimates(nil)
 }
 
+// currentEstimates derives the whole payload from one denominator: the
+// weights and tallies are the same for every figure in it, and each figure
+// is the arithmetic estimateFill/estimateVote would do on them.
 func (e *Estimator) currentEstimates(prob []*model.Row) *sync.Estimates {
-	out := &sync.Estimates{PerColumn: make([]float64, e.schema.NumColumns())}
-	for i := range out.PerColumn {
-		out.PerColumn[i] = e.estimateFill(i, prob)
+	col, up, down, y := e.denominator(prob)
+	out := &sync.Estimates{PerColumn: make([]float64, len(col))}
+	for i, w := range col {
+		out.PerColumn[i] = e.fillShare(i, w, y)
 	}
-	out.Upvote = e.estimateVote(true, prob)
-	out.Downvote = e.estimateVote(false, prob)
+	out.Upvote = e.voteShare(up, y)
+	out.Downvote = e.voteShare(down, y)
 	return out
 }

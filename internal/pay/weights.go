@@ -47,10 +47,14 @@ func gaps(trace []sync.Message, joinTime map[string]int64, start int64) []float6
 
 // median returns the median of xs (0 for an empty slice).
 func median(xs []float64) float64 {
-	if len(xs) == 0 {
+	return medianInPlace(append([]float64(nil), xs...))
+}
+
+// medianInPlace is median for a slice the caller lets it sort.
+func medianInPlace(s []float64) float64 {
+	if len(s) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
 	n := len(s)
 	if n%2 == 1 {

@@ -617,8 +617,11 @@ func (l *bcastLog) noteDrop(cause dropCause, clientID, detail string) {
 // connection's reader loop so both halves tear down), detach, and — if this
 // call won the detach — note the drop. A send error on a cursor the
 // publisher already evicted is re-attributed to lag: the evictor closed the
-// transport, so the write failure is a symptom, not the cause.
-func (l *bcastLog) dropConn(fc *flushConn, cause dropCause, detail string) {
+// transport, so the write failure is a symptom, not the cause. Any other
+// send that failed because the link was already closed is a peer that hung
+// up just before the flusher's last write: the reader side sees the same
+// close and removes the client, and a healthy disconnect is not a drop.
+func (l *bcastLog) dropConn(fc *flushConn, cause dropCause, err error) {
 	fc.conn.Close()
 	l.mu.Lock()
 	won := l.detachLocked(fc)
@@ -628,9 +631,13 @@ func (l *bcastLog) dropConn(fc *flushConn, cause dropCause, detail string) {
 		return
 	}
 	if lagged {
-		cause, detail = dropLag, "cursor lagged behind broadcast log"
+		l.noteDrop(dropLag, fc.id, "cursor lagged behind broadcast log")
+		return
 	}
-	l.noteDrop(cause, fc.id, detail)
+	if cause == dropSendError && transport.IsClosed(err) {
+		return
+	}
+	l.noteDrop(cause, fc.id, err.Error())
 }
 
 // flusher is one pool worker: it pulls dirty connections off the queue and
@@ -670,7 +677,7 @@ func (l *bcastLog) flushOne(fc *flushConn, recs []bcastRecord, preps []*sync.Pre
 	n, err := fc.cur.drainBatch(recs)
 	if err != nil {
 		if err == errCursorLagged {
-			l.dropConn(fc, dropLag, "cursor lagged behind broadcast log")
+			l.dropConn(fc, dropLag, err)
 		} else {
 			// Stopped or closed: the reader-side teardown (or close) owns
 			// the cleanup; just release ownership.
@@ -693,7 +700,7 @@ func (l *bcastLog) flushOne(fc *flushConn, recs []bcastRecord, preps []*sync.Pre
 			if transport.IsTimeout(err) {
 				cause = dropWriteDeadline
 			}
-			l.dropConn(fc, cause, err.Error())
+			l.dropConn(fc, cause, err)
 			return batch[:0]
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"crowdfill/internal/constraint"
+	"crowdfill/internal/metrics"
 	"crowdfill/internal/model"
 	"crowdfill/internal/sync"
 	"crowdfill/internal/transport"
@@ -262,6 +263,65 @@ func TestFlusherSendErrorTearsDownBothHalves(t *testing.T) {
 		return n == 0
 	})
 	waitFor(t, func() bool { conns, _ := ns.log.poolStats(); return conns == 0 })
+}
+
+// heldRecvConn delays the reader half: Recv waits for release before it
+// looks at the link, so a test decides which half observes a close first.
+type heldRecvConn struct {
+	transport.Conn
+	release chan struct{}
+}
+
+func (c *heldRecvConn) Recv() (sync.Message, error) {
+	<-c.release
+	return c.Conn.Recv()
+}
+
+// TestPeerCloseBeforeFlushIsNotADrop: a peer that hangs up right before the
+// flusher's next write makes that write fail on an already-closed link, and
+// the flusher — not the reader — wins the detach. That is still a healthy
+// disconnect: no drop of any cause is counted, and the reader half, once it
+// sees the same close, removes the client. (The race this pins made
+// TestRejectCountedNotDropped count a send-error drop about 1 run in 1 000.)
+func TestPeerCloseBeforeFlushIsNotADrop(t *testing.T) {
+	cfg := cardinalityConfig(t, 2)
+	cfg.Metrics = NewMetrics(metrics.NewRegistry(), metrics.NewRecorder(16))
+	core, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := NewNetServer(core, nil)
+	defer ns.Shutdown()
+
+	near, far := transport.Pipe(64)
+	held := &heldRecvConn{Conn: far, release: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		ns.ServeConn(held, "w1")
+	}()
+	// The join snapshot fits the pipe buffer; once it is flushed the
+	// connection parks with its cursor at the head.
+	waitFor(t, func() bool { _, parked := ns.log.poolStats(); return parked == 1 })
+
+	near.Close()
+	ns.log.publish(bcastRecord{prep: prepSeq(1)})
+	// The flusher's send hits the closed pipe and detaches the connection
+	// while the reader is still held back.
+	waitFor(t, func() bool { conns, _ := ns.log.poolStats(); return conns == 0 })
+
+	close(held.release)
+	<-served
+	n := -1
+	ns.WithCore(func(c *Core) { n = c.Clients() })
+	if n != 0 {
+		t.Fatalf("clients after disconnect = %d, want 0 (the reader half owns RemoveClient)", n)
+	}
+	for dc, c := range cfg.Metrics.drops {
+		if got := c.Value(); got != 0 {
+			t.Errorf("%s drops = %d, want 0 for a healthy disconnect", dropCause(dc), got)
+		}
+	}
 }
 
 // TestShutdownNoGoroutineLeak: Shutdown with a mix of live, parked, and

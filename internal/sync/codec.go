@@ -11,9 +11,11 @@
 // Why hand-rolled: encoding/json costs ~30-50 heap allocations per message
 // (reflection machinery, intermediate field buffers, the decoder's state).
 // AppendMessage allocates nothing beyond growing dst, and DecodeMessageInto
-// allocates only what the decoded message itself retains (its strings and
-// vectors) — never scratch, never scanner state — which is what lets the
-// transport layer decode straight out of a leased read buffer.
+// allocates only what the decoded message itself retains (its strings, and
+// each vector or float slice once at its exact length) — never scratch, never
+// scanner state — which is what lets the transport layer decode straight out
+// of a leased read buffer. A link's read side decodes through a DecodeCache,
+// which also serves the short strings that link keeps repeating.
 package sync
 
 import (
@@ -346,8 +348,66 @@ var errSyntax = errors.New("invalid JSON syntax")
 //
 //lint:hotpath
 func DecodeMessageInto(data []byte, m *Message) error {
+	return decodeMessageInto(data, m, nil)
+}
+
+// DecodeCache is the string cache of one link's read side: a small
+// direct-mapped table of the short strings (row ids, worker and client ids,
+// cell values) the link has decoded, so a message that repeats one shares
+// the earlier copy instead of allocating its own. Crowd traffic repeats
+// heavily — every vote carries a whole vector of values that arrived before
+// — which makes the strings most of what a decoded message allocates.
+//
+// A cache belongs to exactly one reader (the transport's single-receiver
+// contract), so it needs no lock; the zero value is ready to use. A miss, or
+// a string over decodeCacheMaxLen, costs exactly the copy the cache-less
+// decode makes, and a cached string is always that private copy — never a
+// view of the buffer it was decoded from. Slot collisions overwrite: the
+// table holds at most decodeCacheSlots strings, whatever the link carries.
+type DecodeCache struct {
+	slots [decodeCacheSlots]string
+}
+
+const (
+	decodeCacheSlots  = 256
+	decodeCacheMaxLen = 64
+)
+
+// DecodeMessageInto is the package-level DecodeMessageInto with the short
+// strings of the result served from c. The result is equal to the cache-less
+// one in every field, and the same inputs are rejected.
+//
+//lint:hotpath
+func (c *DecodeCache) DecodeMessageInto(data []byte, m *Message) error {
+	return decodeMessageInto(data, m, c)
+}
+
+// str returns b as a string the caller may retain.
+func (c *DecodeCache) str(b []byte) string {
+	if c == nil || len(b) == 0 || len(b) > decodeCacheMaxLen {
+		return string(b)
+	}
+	slot := &c.slots[decodeCacheSlot(b)]
+	if *slot != string(b) {
+		*slot = string(b)
+	}
+	return *slot
+}
+
+// decodeCacheSlot maps a string's bytes to its slot (FNV-1a). The slot
+// depends on nothing but the bytes, so a link's allocation count repeats
+// from run to run.
+func decodeCacheSlot(b []byte) uint32 {
+	h := uint32(2166136261)
+	for _, x := range b {
+		h = (h ^ uint32(x)) * 16777619
+	}
+	return h % decodeCacheSlots
+}
+
+func decodeMessageInto(data []byte, m *Message, cache *DecodeCache) error {
 	*m = Message{}
-	d := decoder{data: data}
+	d := decoder{data: data, cache: cache}
 	d.skipSpace()
 	if d.eof() {
 		return d.fail("unexpected end of input")
@@ -371,6 +431,7 @@ type decoder struct {
 	data  []byte
 	pos   int
 	depth int
+	cache *DecodeCache // nil: every decoded string is a fresh copy
 }
 
 func (d *decoder) eof() bool  { return d.pos >= len(d.data) }
@@ -401,7 +462,7 @@ func (d *decoder) push() error {
 func (d *decoder) pop() { d.depth-- }
 
 func (d *decoder) expectLiteral(lit string) error {
-	if len(d.data)-d.pos < len(lit) || string(d.data[d.pos:d.pos+len(lit)]) != lit { //lint:allow hotalloc comparison-context conversion, the compiler elides the copy
+	if len(d.data)-d.pos < len(lit) || string(d.data[d.pos:d.pos+len(lit)]) != lit {
 		return d.fail("invalid literal")
 	}
 	d.pos += len(lit)
@@ -493,7 +554,7 @@ func (d *decoder) decodeObject(names []string, decodeField func(i int) error) er
 // encoding/json's byExactName/byFoldedName lookup). Returns -1 for unknown.
 func matchField(key []byte, names []string) int {
 	for i, n := range names {
-		if string(key) == n { //lint:allow hotalloc comparison-context conversion, the compiler elides the copy
+		if string(key) == n {
 			return i
 		}
 	}
@@ -776,16 +837,19 @@ func (d *decoder) decodeVector(v *model.Vector) error {
 	}
 	defer d.pop()
 	d.pos++
-	out := make(model.Vector, 0, 4)
 	c, err = d.next()
 	if err != nil {
 		return err
 	}
 	if c == ']' {
 		d.pos++
-		*v = out
+		*v = make(model.Vector, 0)
 		return nil
 	}
+	// Cells collect in a stack array (a wider vector spills to the heap) so
+	// the result is allocated once, at its exact length.
+	var buf [decodeStackElems]model.Cell
+	cells := buf[:0]
 	for {
 		c, err = d.next()
 		if err != nil {
@@ -796,13 +860,13 @@ func (d *decoder) decodeVector(v *model.Vector) error {
 			if err := d.expectLiteral("null"); err != nil {
 				return err
 			}
-			out = append(out, model.Cell{})
+			cells = append(cells, model.Cell{})
 		case '"':
 			s, err := d.decodeStringBytes()
 			if err != nil {
 				return err
 			}
-			out = append(out, model.Cell{Set: true, Val: string(s)})
+			cells = append(cells, model.Cell{Set: true, Val: d.cache.str(s)})
 		default:
 			return d.fail("vector cell must be a string or null")
 		}
@@ -815,6 +879,8 @@ func (d *decoder) decodeVector(v *model.Vector) error {
 			d.pos++
 		case ']':
 			d.pos++
+			out := make(model.Vector, len(cells))
+			copy(out, cells)
 			*v = out
 			return nil
 		default:
@@ -970,16 +1036,18 @@ func (d *decoder) decodeFloatSlice(p *[]float64) error {
 	}
 	defer d.pop()
 	d.pos++
-	out := []float64{}
 	c, err = d.next()
 	if err != nil {
 		return err
 	}
 	if c == ']' {
 		d.pos++
-		*p = out
+		*p = []float64{}
 		return nil
 	}
+	// Same shape as decodeVector: collect on the stack, allocate once.
+	var buf [decodeStackElems]float64
+	out := buf[:0]
 	for {
 		c, err = d.next()
 		if err != nil {
@@ -1007,13 +1075,19 @@ func (d *decoder) decodeFloatSlice(p *[]float64) error {
 			d.pos++
 		case ']':
 			d.pos++
-			*p = out
+			fs := make([]float64, len(out))
+			copy(fs, out)
+			*p = fs
 			return nil
 		default:
 			return d.fail("expected ',' or ']' in array")
 		}
 	}
 }
+
+// decodeStackElems is how many elements decodeVector and decodeFloatSlice
+// collect on the stack before spilling: wider than any schema in the paper.
+const decodeStackElems = 16
 
 // decodeInt64 parses a JSON number with integer syntax (strconv.ParseInt on
 // the literal, as encoding/json does for integer fields — "1.0" and "1e2"
@@ -1086,8 +1160,9 @@ func (d *decoder) decodeBool(p *bool) error {
 	return d.fail("expected boolean")
 }
 
-// decodeString parses a JSON string into a freshly-copied Go string; null is
-// a no-op (set not called), any other value errors, mirroring encoding/json
+// decodeString parses a JSON string into a Go string that shares nothing
+// with the input (a fresh copy, or the link cache's earlier one); null is a
+// no-op (set not called), any other value errors, mirroring encoding/json
 // decoding into a string field.
 func (d *decoder) decodeString(set func(string)) error {
 	c, err := d.next()
@@ -1104,7 +1179,7 @@ func (d *decoder) decodeString(set func(string)) error {
 	if err != nil {
 		return err
 	}
-	set(string(b))
+	set(d.cache.str(b))
 	return nil
 }
 

@@ -310,3 +310,137 @@ func TestCodecDecodeAllocs(t *testing.T) {
 		t.Errorf("DecodeMessageInto: %v allocs/op, want <= %d", allocs, maxAllocs)
 	}
 }
+
+// TestDecodeCacheAllocs pins the decoder's share of the message path's
+// allocation budget: once a link's cache has seen a vote's strings, decoding
+// that vote allocates its vector and nothing else; and the vote histories
+// the replica then consults look a vector up for free.
+func TestDecodeCacheAllocs(t *testing.T) {
+	vote := Message{Type: MsgUpvote, Vec: model.VectorOf("Lionel Messi", "Argentina", "FW", "83", "37"),
+		Origin: "net-00003", Worker: "worker3", Seq: 17, TS: 123456789}
+	data := AppendMessage(nil, vote)
+	var cache DecodeCache
+	var m Message
+	if err := cache.DecodeMessageInto(data, &m); err != nil { // first sight fills the slots
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := cache.DecodeMessageInto(data, &m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("warm cached decode of a vote: %v allocs/op, want 1 (the vector)", allocs)
+	}
+	if !reflect.DeepEqual(m, vote) {
+		t.Fatalf("cached decode = %#v, want %#v", m, vote)
+	}
+
+	h := NewVoteHist()
+	h.Inc(vote.Vec)
+	if n := testing.AllocsPerRun(200, func() { h.Get(vote.Vec) }); n != 0 {
+		t.Errorf("VoteHist.Get: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { h.Inc(vote.Vec) }); n != 0 {
+		t.Errorf("VoteHist.Inc of a known vector: %v allocs/op, want 0", n)
+	}
+}
+
+// TestDecodeCacheOwnsItsStrings: whatever the cache hands out — on first
+// sight, on a hit, after a slot collision, or for a string too long to cache
+// — is a private copy, so overwriting the read buffer the message came from
+// changes neither the message nor what the cache serves next.
+func TestDecodeCacheOwnsItsStrings(t *testing.T) {
+	var cache DecodeCache
+	decode := func(val string) Message {
+		t.Helper()
+		buf := AppendMessage(nil, Message{Type: MsgReplace, Row: "r1", NewRow: "r2", Vec: model.VectorOf(val, ""), Val: val})
+		var m Message
+		if err := cache.DecodeMessageInto(buf, &m); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 'Z' // the transport reuses its lease immediately
+		}
+		if m.Val != val || m.Vec[0].Val != val || m.Row != "r1" || m.NewRow != "r2" {
+			t.Fatalf("decoded %q as %#v", val, m)
+		}
+		return m
+	}
+
+	first := decode("alpha")
+	hit := decode("alpha")
+	if first.Val != "alpha" || hit.Val != "alpha" {
+		t.Fatalf("scribbling over the buffer reached a decoded string: %q, %q", first.Val, hit.Val)
+	}
+
+	// Find a second value that lands in alpha's slot: it evicts alpha, and
+	// alpha must come back intact afterwards.
+	rival := ""
+	for i := 0; rival == ""; i++ {
+		if c := "rival-" + strings.Repeat("x", i%7) + string(rune('a'+i%26)) + strings.Repeat("y", i/26); decodeCacheSlot([]byte(c)) == decodeCacheSlot([]byte("alpha")) {
+			rival = c
+		}
+	}
+	decode(rival)
+	if got := cache.slots[decodeCacheSlot([]byte("alpha"))]; got != rival {
+		t.Fatalf("slot holds %q after decoding its rival %q", got, rival)
+	}
+	decode("alpha")
+	if first.Val != "alpha" || hit.Val != "alpha" {
+		t.Fatalf("a slot collision changed an earlier message: %q, %q", first.Val, hit.Val)
+	}
+
+	// One byte past the limit: decoded correctly, never cached.
+	long := strings.Repeat("L", decodeCacheMaxLen+1)
+	decode(long)
+	decode(long)
+	for i, s := range cache.slots {
+		if len(s) > decodeCacheMaxLen {
+			t.Fatalf("slot %d caches a %d-byte string, limit %d", i, len(s), decodeCacheMaxLen)
+		}
+	}
+	decode(strings.Repeat("M", decodeCacheMaxLen)) // at the limit: cached
+	if got := cache.slots[decodeCacheSlot([]byte(strings.Repeat("M", decodeCacheMaxLen)))]; len(got) != decodeCacheMaxLen {
+		t.Fatalf("a %d-byte string was not cached (slot holds %q)", decodeCacheMaxLen, got)
+	}
+}
+
+// BenchmarkDecodeMessage prices the decoder on the three payloads that make
+// up steady-state traffic, through the plain entry (cold: every string is a
+// fresh copy) and through a link cache that has seen them (warm).
+func BenchmarkDecodeMessage(b *testing.B) {
+	vec := model.VectorOf("Lionel Messi", "Argentina", "FW", "83", "37")
+	payloads := []struct {
+		name string
+		m    Message
+	}{
+		{"vote", Message{Type: MsgUpvote, Vec: vec, Origin: "net-00003", Worker: "worker3", Seq: 17, TS: 123456789}},
+		{"replace", Message{Type: MsgReplace, Row: "net-00003-41", NewRow: "net-00003-42", Vec: vec,
+			Origin: "net-00003", Worker: "worker3", Seq: 18, TS: 123456790, Col: 4, Val: "37"}},
+		{"estimate", Message{Type: MsgEstimate, Estimates: &Estimates{
+			PerColumn: []float64{0.0123, 0.0456, 0.0789, 0.0101, 0.0202}, Upvote: 0.0033, Downvote: 0.0044}}},
+	}
+	for _, p := range payloads {
+		data := AppendMessage(nil, p.m)
+		b.Run(p.name+"/cold", func(b *testing.B) {
+			var m Message
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := DecodeMessageInto(data, &m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(p.name+"/warm", func(b *testing.B) {
+			var cache DecodeCache
+			var m Message
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := cache.DecodeMessageInto(data, &m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

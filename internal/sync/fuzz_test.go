@@ -66,10 +66,11 @@ func FuzzMessageDecode(f *testing.F) {
 	})
 }
 
-// FuzzCodecDifferential drives the hand-rolled codec and the encoding/json
-// reference over the same arbitrary input: accept/reject verdicts must
-// match, accepted inputs must decode to identical messages, and re-encoding
-// both must yield identical wire bytes. This is the standing proof that the
+// FuzzCodecDifferential drives the hand-rolled codec — its plain entry and
+// the link-cache entry — and the encoding/json reference over the same
+// arbitrary input: accept/reject verdicts must match, accepted inputs must
+// decode to identical messages, and re-encoding both must yield identical
+// wire bytes. This is the standing proof that the
 // codec swap cannot change what any peer observes on the wire.
 func FuzzCodecDifferential(f *testing.F) {
 	for _, m := range codecMessages() {
@@ -80,12 +81,31 @@ func FuzzCodecDifferential(f *testing.F) {
 	for _, in := range codecDecodeInputs() {
 		f.Add([]byte(in))
 	}
+	// One cache for the whole run, as on a link: later inputs meet the
+	// strings earlier ones left behind, in their slots or in the way.
+	var cache DecodeCache
 	f.Fuzz(func(t *testing.T, data []byte) {
 		jm, jerr := decodeMessageJSON(data)
 		var m Message
 		cerr := DecodeMessageInto(data, &m)
 		if (jerr == nil) != (cerr == nil) {
 			t.Fatalf("verdict mismatch on %q: json err=%v, codec err=%v", data, jerr, cerr)
+		}
+		// The cached entry, twice (first sight, then hits), out of a buffer
+		// that is scribbled over before the result is read.
+		for pass := 0; pass < 2; pass++ {
+			buf := append([]byte(nil), data...)
+			var cm Message
+			cachedErr := cache.DecodeMessageInto(buf, &cm)
+			for i := range buf {
+				buf[i] = '#'
+			}
+			if (cachedErr == nil) != (cerr == nil) {
+				t.Fatalf("verdict mismatch on %q (pass %d): plain err=%v, cached err=%v", data, pass, cerr, cachedErr)
+			}
+			if cerr == nil && !reflect.DeepEqual(cm, m) {
+				t.Fatalf("cached decode mismatch on %q (pass %d):\ncached: %#v\n plain: %#v", data, pass, cm, m)
+			}
 		}
 		if jerr != nil {
 			return

@@ -25,12 +25,7 @@ func NewVoteHist() *VoteHist { return &VoteHist{m: make(map[string]*histEntry)} 
 
 // Inc increments the count for vector v and returns the new count.
 func (h *VoteHist) Inc(v model.Vector) int {
-	k := v.Encode()
-	e, ok := h.m[k]
-	if !ok {
-		e = &histEntry{vec: v.Clone()}
-		h.m[k] = e
-	}
+	e := h.entry(v)
 	e.n++
 	return e.n
 }
@@ -39,19 +34,30 @@ func (h *VoteHist) Inc(v model.Vector) int {
 // the new count. Callers enforce that an undo follows a matching vote; the
 // structure itself tolerates any count.
 func (h *VoteHist) Dec(v model.Vector) int {
-	k := v.Encode()
-	e, ok := h.m[k]
-	if !ok {
-		e = &histEntry{vec: v.Clone()}
-		h.m[k] = e
-	}
+	e := h.entry(v)
 	e.n--
 	return e.n
 }
 
+// entry returns v's entry, creating it on first sight — the only time a key
+// string is allocated; a repeat vote finds it through a stack-built key.
+func (h *VoteHist) entry(v model.Vector) *histEntry {
+	var buf [model.KeyScratch]byte
+	k := v.AppendKey(buf[:0])
+	e, ok := h.m[string(k)]
+	if !ok {
+		e = &histEntry{vec: v.Clone()}
+		h.m[string(k)] = e
+	}
+	return e
+}
+
 // Get returns the count for exactly vector v (0 if never voted).
+//
+//lint:hotpath
 func (h *VoteHist) Get(v model.Vector) int {
-	if e, ok := h.m[v.Encode()]; ok {
+	var buf [model.KeyScratch]byte
+	if e, ok := h.m[string(v.AppendKey(buf[:0]))]; ok {
 		return e.n
 	}
 	return 0

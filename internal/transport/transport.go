@@ -78,6 +78,15 @@ func IsTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
+// IsClosed reports whether an error means the link was already closed when
+// the operation ran — by either end of a pipe, by a local Close of the
+// socket, or by a completed WebSocket closing handshake — as opposed to a
+// link that broke under the operation. The flusher pool uses it to tell a
+// peer that hung up from a failed send.
+func IsClosed(err error) bool {
+	return errors.Is(err, ErrPipeClosed) || errors.Is(err, net.ErrClosed) || errors.Is(err, wsock.ErrClosed)
+}
+
 // PollConn is the optional readiness-driven extension of Conn implemented
 // by transports whose receive side can run without a blocking reader
 // goroutine (DESIGN.md §15). The server probes for it with a type
@@ -269,10 +278,19 @@ func (p *pipeEnd) Close() error {
 
 // wsConn adapts a WebSocket connection to the message link interface. The
 // encode buffer and the wsock read lease make steady-state Send and Recv
-// allocation-free apart from what a decoded message itself retains.
+// allocation-free apart from what a decoded message itself retains: one
+// exact-size slice per vector or estimate payload, the estimates struct, and
+// a copy of each string the link's decode cache does not already hold (a
+// first sight, a collision victim, or a string over 64 bytes). The cache in
+// turn retains at most 256 such copies per link.
 type wsConn struct {
 	ws   *wsock.Conn
 	ebuf []byte // reusable encode buffer; safe because Send calls never overlap
+	// dec serves the short strings this link's messages repeat. It belongs
+	// to the read side — Recv, RecvBatch and PollRecv admit one receiver at
+	// a time, so it needs no lock — and is allocated by the first decode, so
+	// a connection that never receives a message never pays for it.
+	dec *sync.DecodeCache
 	// fbuf collects the cached frames of one SendPreparedBatch call; reused
 	// across batches under the same no-overlap contract as ebuf.
 	fbuf []*wsock.PreparedFrame
@@ -341,10 +359,10 @@ func (w *wsConn) SetWriteDeadline(t time.Time) error { return w.ws.SetWriteDeadl
 func (w *wsConn) SetReadDeadline(t time.Time) error { return w.ws.SetReadDeadline(t) }
 
 // StartPoll switches the underlying WebSocket into non-blocking read mode
-// and installs the message delivery chain: wsock lease → DecodeMessageInto
-// → onMsg. The decoded Message is stack-scoped per delivery; DecodeMessageInto
-// copies what it keeps out of the lease, so nothing aliases the read buffer
-// past the callback.
+// and installs the message delivery chain: wsock lease → decode → onMsg.
+// The decoded Message is stack-scoped per delivery; decode copies what it
+// keeps out of the lease, so nothing aliases the read buffer past the
+// callback.
 func (w *wsConn) StartPoll(onMsg func(m sync.Message) error) (syscall.RawConn, error) {
 	rc, err := w.ws.StartPoll()
 	if err != nil {
@@ -352,7 +370,7 @@ func (w *wsConn) StartPoll(onMsg func(m sync.Message) error) (syscall.RawConn, e
 	}
 	w.pollFeed = func(data []byte) error {
 		var m sync.Message
-		if derr := sync.DecodeMessageInto(data, &m); derr != nil {
+		if derr := w.decode(data, &m); derr != nil {
 			return derr
 		}
 		return onMsg(m)
@@ -378,9 +396,18 @@ func (w *wsConn) Recv() (sync.Message, error) {
 	return m, nil
 }
 
+// decode parses one leased frame through the link's decode cache. Neither
+// the message nor the cache keeps any part of data.
+func (w *wsConn) decode(data []byte, m *sync.Message) error {
+	if w.dec == nil {
+		w.dec = new(sync.DecodeCache)
+	}
+	return w.dec.DecodeMessageInto(data, m)
+}
+
 // recvInto decodes the next message straight out of the wsock read lease;
-// DecodeMessageInto copies everything it keeps, so the lease is not retained
-// past this call.
+// decode copies everything it keeps, so the lease is not retained past this
+// call.
 func (w *wsConn) recvInto(m *sync.Message) error {
 	if err := w.pendingErr; err != nil {
 		w.pendingErr = nil
@@ -390,7 +417,7 @@ func (w *wsConn) recvInto(m *sync.Message) error {
 	if err != nil {
 		return err
 	}
-	return sync.DecodeMessageInto(data, m)
+	return w.decode(data, m)
 }
 
 // RecvBatch blocks for the first message, then decodes every further frame
@@ -414,7 +441,7 @@ func (w *wsConn) RecvBatch(dst []sync.Message) (int, error) {
 		if !ok {
 			break
 		}
-		if err := sync.DecodeMessageInto(data, &dst[n]); err != nil {
+		if err := w.decode(data, &dst[n]); err != nil {
 			w.pendingErr = err
 			break
 		}
