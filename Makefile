@@ -27,20 +27,25 @@ lint:
 
 # fuzz-smoke gives each native fuzz target a short budget on top of its
 # committed testdata/fuzz corpus (which plain `go test` already replays).
+# FuzzPlannerIncremental's inputs are operation streams whose coverage shifts
+# with map order, so nearly every one looks new to the engine; minimizing
+# them (60 s each by default) would eat the whole budget, so it is off.
 fuzz-smoke:
 	$(GO) test ./internal/wsock -fuzz FuzzFrameParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wsock -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wsock -fuzz FuzzFrameReassembly -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sync -fuzz FuzzMessageDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sync -fuzz FuzzCodecDifferential -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/constraint -fuzz FuzzPlannerIncremental -fuzztime $(FUZZTIME) -fuzzminimizetime 0
 
 # verify is the tier-1 gate plus static analysis, the invariant suite, the
 # race detector, and a short fuzz smoke.
 verify: build vet lint test race fuzz-smoke
 
 # bench runs the hot-path benchmarks (server fan-out, e2e WebSocket latency,
-# broadcast publish, probable-row scan, PRI repair full-vs-incremental,
-# connection-scale idle herd) and the paper's E1-E6 experiment benchmarks,
+# broadcast publish, probable-row scan, PRI repair full-vs-incremental, an
+# entering probable row, connection-scale idle herd) and the paper's E1-E6
+# experiment benchmarks,
 # writing BENCH_fanout.json, BENCH_e2e.json, BENCH_broadcast.json,
 # BENCH_planner.json, and BENCH_conns.json — then diffs the fresh e2e and
 # connection-scale numbers against the committed baselines.

@@ -55,7 +55,7 @@ func runIndexCrossCheck(t *testing.T, schema *model.Schema, score model.ScoreFun
 			rep.LoadSnapshot(rep.TakeSnapshot())
 			castUp, castDown = nil, nil
 		} else {
-			doRandomOp(t, rep, gen, rng, &castUp, &castDown)
+			doRandomOp(t, rep, gen, rng.Intn, &castUp, &castDown)
 		}
 		assertIndexAgrees(t, idx, rep, score, seed, i)
 
@@ -93,8 +93,8 @@ func runIndexCrossCheck(t *testing.T, schema *model.Schema, score model.ScoreFun
 
 // doRandomOp performs one random valid primitive op against the replica
 // (insert / fill / upvote / downvote / undo-upvote / undo-downvote), the same
-// action mix the convergence netSim generates.
-func doRandomOp(t *testing.T, rep *sync.Replica, gen *sync.IDGen, rng *rand.Rand, castUp, castDown *[]model.Vector) {
+// action mix the convergence netSim generates. intn(n) picks in [0, n).
+func doRandomOp(t *testing.T, rep *sync.Replica, gen *sync.IDGen, intn func(int) int, castUp, castDown *[]model.Vector) {
 	t.Helper()
 	rows := rep.Table().Rows()
 	type action struct {
@@ -122,13 +122,13 @@ func doRandomOp(t *testing.T, rep *sync.Replica, gen *sync.IDGen, rng *rand.Rand
 	if len(*castDown) > 0 {
 		actions = append(actions, action{kind: 5})
 	}
-	a := actions[rng.Intn(len(actions))]
+	a := actions[intn(len(actions))]
 	var err error
 	switch a.kind {
 	case 0:
 		_, err = rep.Insert(gen.Next())
 	case 1:
-		_, err = rep.Fill(a.row.ID, a.col, fmt.Sprintf("v%d", rng.Intn(3)), gen.Next())
+		_, err = rep.Fill(a.row.ID, a.col, fmt.Sprintf("v%d", intn(3)), gen.Next())
 	case 2:
 		var m sync.Message
 		m, err = rep.Upvote(a.row.ID)
@@ -142,12 +142,12 @@ func doRandomOp(t *testing.T, rep *sync.Replica, gen *sync.IDGen, rng *rand.Rand
 			*castDown = append(*castDown, m.Vec.Clone())
 		}
 	case 4:
-		j := rng.Intn(len(*castUp))
+		j := intn(len(*castUp))
 		v := (*castUp)[j]
 		*castUp = append((*castUp)[:j], (*castUp)[j+1:]...)
 		_, err = rep.UndoUpvote(v)
 	case 5:
-		j := rng.Intn(len(*castDown))
+		j := intn(len(*castDown))
 		v := (*castDown)[j]
 		*castDown = append((*castDown)[:j], (*castDown)[j+1:]...)
 		_, err = rep.UndoDownvote(v)

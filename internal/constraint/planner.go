@@ -2,6 +2,7 @@ package constraint
 
 import (
 	"fmt"
+	"slices"
 
 	"crowdfill/internal/model"
 	"crowdfill/internal/sync"
@@ -56,6 +57,10 @@ type Planner struct {
 	Inserts  int
 	Removals int
 	Augments int
+
+	// Scope of the last incremental repair (LastDirty, Unmatched).
+	lastDirty int
+	unmatched int
 }
 
 // NewPlanner returns a planner for the given template and scoring function.
@@ -135,9 +140,12 @@ func (p *Planner) UseIndex(idx *model.TableIndex) { p.idx = idx }
 
 // UseIncremental switches Repair to the delta-driven fast path: a listener
 // registered on the index maintains a persistent template×probable-row
-// adjacency and the repair re-runs augmenting searches only for template
-// rows a delta dirtied, so per-repair cost is proportional to the
-// probable-set delta instead of |T|·|P|. The full-rebuild path remains the
+// adjacency (one list per class of identical template rows) and a matching
+// that survives from one repair to the next, and the repair re-validates and
+// re-augments only the template rows a delta dirtied — so per-repair cost
+// follows the probable-set delta, with no term linear in |T| or |P| outside
+// the augmenting searches (a search is the spec's first-fit walk and can
+// cascade through every holder of a class). The full-rebuild path remains the
 // executable spec (and stays selected when UseIncremental is not called);
 // both produce identical actions and assignments.
 //
@@ -166,6 +174,16 @@ func (p *Planner) Mode() string {
 	}
 	return "full-rebuild"
 }
+
+// LastDirty reports how many template rows the last Repair re-validated: 0
+// means it returned without looking at the matching. Incremental mode only
+// (always 0 under full rebuild, which re-seeds every row every time).
+func (p *Planner) LastDirty() int { return p.lastDirty }
+
+// Unmatched reports how many active template rows the last Repair left
+// without a probable row, each behind an insert it planned; they are matched
+// by the repair that follows the insert. Incremental mode only.
+func (p *Planner) Unmatched() int { return p.unmatched }
 
 // Repair revalidates the matching against the replica's current state and
 // returns the actions needed to restore the PRI. Planned insertions are
@@ -308,12 +326,13 @@ func (p *Planner) repairFull(rep *sync.Replica) []Action {
 
 // repairIncremental is the delta-driven fast path: the persistent adjacency
 // maintained by the deltaAdj listener replaces the per-call rebuild, and the
-// matching is re-seeded from the persisted assignment in O(|T|), so the only
-// per-|P| work left is the augmenting searches for templates a delta
-// actually freed. Step for step it mirrors repairFull — same seeding rule,
-// same template order, same sorted-by-row-id exploration — so the two paths
-// produce identical actions and assignments. When the probable set has not
-// moved since a repair that planned nothing, even the re-seed is skipped.
+// matching it keeps across repairs replaces the per-call seeding, so the only
+// work left is re-validating the templates a delta dirtied and augmenting the
+// ones that lost their row. Step for step it mirrors repairFull — same
+// seeding rule, same template order, same sorted-by-row-id exploration — so
+// the two paths produce identical actions and assignments. When nothing is
+// dirty every active template still holds a probable row: the spec would
+// seed them all, augment nothing and plan nothing, so the repair returns.
 func (p *Planner) repairIncremental(rep *sync.Replica) []Action {
 	var preAssigned []model.RowID
 	var preRemoved []bool
@@ -327,57 +346,49 @@ func (p *Planner) repairIncremental(rep *sync.Replica) []Action {
 	// reached the engine (Version is the cheapest flushing query).
 	p.idx.Version()
 	e := p.eng
-	if e.stable {
-		// Nothing entered or left the probable set since a repair that
-		// planned nothing: the re-seed below would reproduce that repair's
-		// matching (same slots, all live, vectors immutable), leave no
-		// template free and plan nothing again.
+	p.lastDirty, p.unmatched = len(e.dirty), 0
+	if len(e.dirty) == 0 {
 		if p.debug {
 			p.crossCheckRepair(rep, preAssigned, preRemoved, nil) //lint:allow hotalloc debug-only replay through the full-rebuild spec
 		}
 		return nil
 	}
-	e.beginRepair()
 
-	// Seed the matching with still-valid previous assignments (the spec's
-	// seeding step, against the engine's slots instead of a rebuilt row
-	// index).
-	for t := range p.tmpl.Rows {
-		if p.removed[t] {
-			continue
-		}
-		id := p.assigned[t]
-		if id == "" {
-			continue
-		}
-		s, ok := e.rowSlot[id]
-		if !ok || !e.live[s] || e.slotHolder(s) != -1 ||
-			!p.tmpl.MatchCandidate(p.tmpl.Rows[t], e.slots[s].Vec) {
-			continue
-		}
-		e.match(t, s)
-	}
-
-	// Augment every free template row, in template order.
+	// Re-validate every dirty template by the spec's seeding rule — all of
+	// them before the first search, which may route through any kept pair.
+	slices.Sort(e.dirty)
 	free := e.freeT[:0]
-	for t := range p.tmpl.Rows {
-		if p.removed[t] || e.matchT[t] != -1 {
-			continue
-		}
-		p.Augments++
-		if !e.augment(t) {
+	for _, t := range e.dirty {
+		e.isDirty[t] = false
+		if !e.revalidate(t) {
 			free = append(free, t)
 		}
 	}
+	e.dirty = e.dirty[:0]
+
+	// Augment every free template row, in template order, keeping in free
+	// only the ones no augmenting path reaches.
+	n := 0
+	for _, t := range free {
+		p.Augments++
+		if !e.augment(t) {
+			free[n] = t
+			n++
+		}
+	}
+	free = free[:n]
 	e.freeT = free
 
 	// Handle templates that no existing probable row can satisfy — the same
-	// insert / shuffle / remove ladder as the spec.
+	// insert / shuffle / remove ladder as the spec. A template left unmatched
+	// behind a planned insert is dirty for the next repair, which augments it
+	// onto the inserted row.
 	var actions []Action
 	for _, t := range free {
 		//lint:allow hotalloc insertion planning runs only for freed template rows (the rare augment ladder), off the per-delta path
 		if p.insertable(rep, t) {
 			actions = append(actions, p.insertAction(t)) //lint:allow hotalloc seeding an insert action is rare-path work for a freed template row
+			e.markDirty(t)
 			continue
 		}
 		shuffled := false
@@ -387,11 +398,11 @@ func (p *Planner) repairIncremental(rep *sync.Replica) []Action {
 				continue
 			}
 			saved := e.matchT[t2]
-			e.matchT[t2] = -1
-			e.unmatchSlot(saved)
+			e.unmatch(t2)
 			p.Augments++
 			if e.augment(t) {
 				actions = append(actions, p.insertAction(t2)) //lint:allow hotalloc seeding an insert action is rare-path work for a freed template row
+				e.markDirty(t2)
 				shuffled = true
 				break
 			}
@@ -406,17 +417,7 @@ func (p *Planner) repairIncremental(rep *sync.Replica) []Action {
 		e.removeTemplate(t) //lint:allow hotalloc template removal is the last-resort action (section 4.2), not the per-delta path
 		actions = append(actions, Action{Kind: ActionRemoveTemplate, Template: t})
 	}
-
-	// Persist the assignment for the next repair.
-	for t := range p.tmpl.Rows {
-		if p.removed[t] || e.matchT[t] == -1 {
-			p.assigned[t] = ""
-		} else {
-			p.assigned[t] = e.slots[e.matchT[t]].ID
-		}
-	}
-
-	e.stable = len(actions) == 0
+	p.unmatched = len(e.dirty)
 
 	if p.debug {
 		p.crossCheckRepair(rep, preAssigned, preRemoved, actions) //lint:allow hotalloc debug-only replay through the full-rebuild spec

@@ -189,10 +189,10 @@ func New(cfg Config) (*Core, error) {
 	c.index = model.NewTableIndex(c.master.Table(), score)
 	c.index.SetDebug(cfg.DebugCrossCheck)
 	c.master.SetObserver(c.index)
-	// Delta-driven PRI repair: the planner's persistent adjacency follows the
-	// index's probable-set deltas, so each repair costs O(delta), not table
-	// size. The full-rebuild path remains the executable spec; with
-	// DebugCrossCheck every repair is verified against it.
+	// Delta-driven PRI repair: the planner's persistent adjacency and matching
+	// follow the index's probable-set deltas, so each repair costs O(delta),
+	// not table or template size. The full-rebuild path remains the executable
+	// spec; with DebugCrossCheck every repair is verified against it.
 	c.planner.UseIncremental(c.index)
 	c.planner.SetDebug(cfg.DebugCrossCheck)
 	c.start = cfg.Clock.Now()
@@ -270,6 +270,7 @@ func (c *Core) runCC() []sync.Message {
 	stable := false
 	for iter := 0; iter < maxRepairIters; iter++ {
 		actions := c.planner.Repair(c.master)
+		c.metrics.repairScoped(c.planner.LastDirty(), c.planner.Unmatched())
 		if len(actions) == 0 {
 			stable = true
 			break

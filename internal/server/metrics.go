@@ -116,6 +116,8 @@ type Metrics struct {
 	msgs        [msgTypeSlots]*metrics.Counter // handled messages by type
 	repairDur   *metrics.Histogram             // one runCC convergence loop, ns
 	repairDelta *metrics.Histogram             // CC actions per convergence loop
+	repairDirty *metrics.Histogram             // templates one planner Repair re-validated (0 = early exit)
+	unmatched   *metrics.Gauge                 // templates waiting behind a planned CC insert after the last Repair
 	repairs     *metrics.Gauge                 // planner Repair calls (RepairStats)
 	augments    *metrics.Gauge
 	inserts     *metrics.Gauge
@@ -164,6 +166,8 @@ func NewMetrics(reg *metrics.Registry, rec *metrics.Recorder) *Metrics {
 
 		repairDur:   reg.Histogram("crowdfill_repair_ns", "central-client convergence loop duration", metrics.LatencyBuckets),
 		repairDelta: reg.Histogram("crowdfill_repair_actions", "central-client actions per convergence loop", metrics.CountBuckets),
+		repairDirty: reg.Histogram("crowdfill_repair_dirty_templates", "template rows one planner Repair re-validated (0: nothing was dirty, it returned at once)", metrics.CountBuckets),
+		unmatched:   reg.Gauge("crowdfill_core_unmatched_templates", "template rows the last planner Repair left waiting behind a planned central-client insert"),
 		repairs:     reg.Gauge("crowdfill_repair_calls", "planner Repair calls (RepairStats.Repairs)"),
 		augments:    reg.Gauge("crowdfill_repair_augments", "augmenting-path searches (RepairStats.Augments)"),
 		inserts:     reg.Gauge("crowdfill_repair_inserts", "row insertions planned (RepairStats.Inserts)"),
@@ -368,6 +372,19 @@ func (m *Metrics) msgHandled(t sync.MsgType) {
 	if t > 0 && int(t) < msgTypeSlots {
 		m.msgs[t].Inc()
 	}
+}
+
+// repairScoped records the scope of one planner Repair call: how many
+// template rows it re-validated, and how many it left unmatched behind the
+// inserts it planned.
+//
+//lint:hotpath
+func (m *Metrics) repairScoped(dirty, unmatched int) {
+	if m == nil {
+		return
+	}
+	m.repairDirty.Observe(int64(dirty))
+	m.unmatched.Set(int64(unmatched))
 }
 
 // repairDone records one central-client convergence loop and refreshes the

@@ -233,11 +233,17 @@ func TestNetServerOverPipes(t *testing.T) {
 // Closing the client's own end afterwards must be a clean no-op.
 func TestSlowClientOverflowDisconnect(t *testing.T) {
 	s := kvSchema(t)
+	// A small log, so a few hundred toggles lap the stalled cursor. The
+	// healthy client is kept within a quarter of it (see the toggle loop);
+	// the 256 messages its pipe can hold unhandled add at most two records
+	// each, which still leaves it short of the capacity.
+	const logCapacity = 1024
 	core, err := New(Config{
 		Schema:          s,
 		Score:           model.MajorityShortcut(3),
 		Template:        constraint.Cardinality(s, 1),
 		Budget:          1,
+		LogCapacity:     logCapacity,
 		DebugCrossCheck: true, // verify incremental index on every message
 	})
 	if err != nil {
@@ -311,8 +317,36 @@ func TestSlowClientOverflowDisconnect(t *testing.T) {
 		})
 		return !live
 	}
+	// healthyLag is how far w1's connection trails the log head. Cursor
+	// positions are only the evictor's to read, under the write lock.
+	var w1ID string
+	ns.WithCore(func(c *Core) {
+		for id, w := range c.clients {
+			if w == "w1" {
+				w1ID = id
+			}
+		}
+	})
+	healthyLag := func() uint64 {
+		ns.log.mu.Lock()
+		defer ns.log.mu.Unlock()
+		for fc := range ns.log.conns {
+			if fc.id == w1ID {
+				return ns.log.head - fc.cur.pos
+			}
+		}
+		return 0
+	}
 	// Completing the row auto-upvoted it, so each toggle undoes then re-casts.
-	for i := 0; i < 2400 && !dropped(); i++ {
+	// The publisher scans for lapped cursors every capacity/2 records, so the
+	// eviction is certain within two capacities of traffic — wherever the
+	// stalled cursor happened to stop — and asynchronous from there (onEvict
+	// closes the transport, the serve goroutine's teardown removes the
+	// client). Publish until the removal is observed, bounded well past
+	// certainty and never faster than the healthy client drains, then give
+	// the teardown time to land.
+	for i := 0; i < 4*logCapacity && !dropped(); i++ {
+		waitFor(t, func() bool { return healthyLag() < logCapacity/4 })
 		if err := r1.Do(func(c *client.Client) ([]sync.Message, error) {
 			m, uerr := c.UndoVote(vec)
 			if uerr != nil {
@@ -337,9 +371,7 @@ func TestSlowClientOverflowDisconnect(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !dropped() {
-		t.Fatal("slow client was never dropped despite queue overflow")
-	}
+	waitFor(t, dropped)
 
 	// The survivors converge: fresh workers push the row to a majority
 	// (the toggle loop always ends with w1's upvote cast, so one more vote

@@ -323,7 +323,10 @@ func TestRejectCountedNotDropped(t *testing.T) {
 // rows — and say how the per-message completion checks were answered. A
 // finished collection reports final ≥ template rows and at least one full
 // check (the one that found it done); the vote messages that moved no
-// final-table winner must have been answered without one.
+// final-table winner must have been answered without one. The repair-scope
+// series say how much of the template each planner Repair looked at — every
+// row at construction, none for a vote that leaves the matched rows probable —
+// and that no template row is left waiting behind a planned insert.
 func TestCompletionProgressSeries(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cfg := cardinalityConfig(t, 3)
@@ -342,6 +345,20 @@ func TestCompletionProgressSeries(t *testing.T) {
 		}
 		r.send("c1", msgs...)
 	}
+	dirtyTemplates := func() (repairs uint64, templates int64) {
+		for _, h := range reg.Snapshot().Histograms {
+			if h.Name == "crowdfill_repair_dirty_templates" {
+				return h.Count, h.Sum
+			}
+		}
+		t.Fatal("histogram crowdfill_repair_dirty_templates not registered")
+		return 0, 0
+	}
+	filledRepairs, filledTemplates := dirtyTemplates()
+	if filledRepairs != uint64(r.core.RepairStats().Repairs) || filledTemplates < 3 {
+		t.Fatalf("dirty-template histogram: %d repairs over %d templates, want one observation per Repair call (%d) and the 3 rows construction re-validates",
+			filledRepairs, filledTemplates, r.core.RepairStats().Repairs)
+	}
 	for _, row := range c2.Rows(nil) {
 		m, err := c2.Upvote(row.ID)
 		if err != nil {
@@ -351,6 +368,12 @@ func TestCompletionProgressSeries(t *testing.T) {
 	}
 	if !r.core.Done() {
 		t.Fatal("collection should have finished")
+	}
+	// The upvotes kept every matched row probable: one Repair each, all of
+	// them finding nothing dirty.
+	if repairs, templates := dirtyTemplates(); repairs != filledRepairs+3 || templates != filledTemplates {
+		t.Fatalf("three upvotes: %d more repairs re-validating %d more templates, want 3 and 0",
+			repairs-filledRepairs, templates-filledTemplates)
 	}
 
 	snap := reg.Snapshot()
@@ -366,6 +389,9 @@ func TestCompletionProgressSeries(t *testing.T) {
 	final, tmpl := gauge("crowdfill_core_final_rows"), gauge("crowdfill_core_template_rows")
 	if tmpl != 3 || final < tmpl {
 		t.Fatalf("final rows %d, template rows %d: want 3 template rows and final >= template", final, tmpl)
+	}
+	if n := gauge("crowdfill_core_unmatched_templates"); n != 0 {
+		t.Fatalf("%d template rows left behind a planned insert after the repair loop settled, want 0", n)
 	}
 	checks := func(outcome string) uint64 {
 		return counterValue(snap, `crowdfill_core_done_checks_total{outcome="`+outcome+`"}`)

@@ -5,10 +5,13 @@
 # real loopback WebSockets), BENCH_broadcast.json (per-message
 # handle+publish cost on the broadcast log, with allocations),
 # BENCH_planner.json (PRI repair cost per message, full-rebuild spec vs
-# delta-driven incremental, across probable-set and template sizes; one
-# completion decision, Template.SatisfiedBy, at |T| 20/200 with the final
-# table at 50 %/100 % of |T|; and Core.HandleBroadcast per message over a
-# replayed 200-row-template collection),
+# delta-driven incremental — with nothing dirty and with one template
+# re-augmented through its whole class — across probable-set and template
+# sizes up to |T| = 200; one new probable row entering — a worker message plus
+# the repair after it — under Cardinality 20/200 and the 40-predicate +
+# 160-padding template; one completion decision, Template.SatisfiedBy, at |T|
+# 20/200 with the final table at 50 %/100 % of |T|; and Core.HandleBroadcast
+# per message over a replayed 200-row-template collection),
 # BENCH_conns.json (connection-scale envelope: goroutines/conn, bytes/conn,
 # and publish p50/p99 with 1k-10k mostly-idle connections attached), and
 # BENCH_metrics.json (observability overhead: the same e2e latency benchmark
@@ -55,6 +58,10 @@ go test -run '^$' -bench 'BenchmarkProbable' -benchtime "${PROBABLE_BENCHTIME:-2
 
 echo "== planner repair (full vs incremental) =="
 go test -run '^$' -bench 'BenchmarkPlannerRepair' -benchmem -benchtime "${PLANNER_BENCHTIME:-200x}" ./internal/constraint/ | tee "$PRAW"
+
+echo "== one probable row enters (message + repair) =="
+# The table is rebuilt every 1 200 messages: this averages two of them.
+go test -run '^$' -bench 'BenchmarkPlannerProbableEnter' -benchmem -benchtime 2400x ./internal/constraint/ | tee -a "$PRAW"
 
 echo "== completion decision (Template.SatisfiedBy) =="
 go test -run '^$' -bench 'BenchmarkSatisfiedBy' -benchmem -benchtime "${SATISFIED_BENCHTIME:-200x}" ./internal/constraint/ | tee -a "$PRAW"
@@ -138,12 +145,13 @@ extract "$BRAW" BenchmarkBroadcastHandlePublish > "$BOUT"
 echo "wrote $BOUT"
 
 # Planner sub-benchmarks carry their parameters in the name
-# (mode=<full|incr>/rows=<n>/tmpl=<n> for the repair, tmpl=<n>/final=<pct>
-# for the completion decision, none for the core replay); parse them
-# individually. Every row ends with ns_per_op and allocs_per_op, which is what
-# the gate keys on.
+# (mode=<full|incr|dirty>/rows=<n>/tmpl=<n> for the repair,
+# shape=<card|pred>/tmpl=<n> for the entering row, tmpl=<n>/final=<pct> for
+# the completion decision, none for the core replay); parse them individually.
+# Every row ends with ns_per_op and allocs_per_op; the gate keys a row by
+# everything before them.
 awk '
-$1 ~ "^Benchmark(PlannerRepair|SatisfiedBy)/" || $1 ~ "^BenchmarkCoreHandle(-|$)" {
+$1 ~ "^Benchmark(PlannerRepair|PlannerProbableEnter|SatisfiedBy)/" || $1 ~ "^BenchmarkCoreHandle(-|$)" {
     name = $1
     sub(/-[0-9]+$/, "", name)
     nseg = split(name, segs, "/")
@@ -156,6 +164,8 @@ $1 ~ "^Benchmark(PlannerRepair|SatisfiedBy)/" || $1 ~ "^BenchmarkCoreHandle(-|$)
     if (n++) printf ",\n"
     if (segs[1] == "BenchmarkPlannerRepair")
         printf "  {\"mode\": \"%s\", \"rows\": %s, \"tmpl\": %s,", par[2], par[3], par[4]
+    else if (segs[1] == "BenchmarkPlannerProbableEnter")
+        printf "  {\"bench\": \"probable_enter\", \"shape\": \"%s\", \"tmpl\": %s,", par[2], par[3]
     else if (segs[1] == "BenchmarkSatisfiedBy")
         printf "  {\"bench\": \"satisfied_by\", \"tmpl\": %s, \"final_pct\": %s,", par[2], par[3]
     else

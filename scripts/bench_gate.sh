@@ -5,9 +5,9 @@
 # more than the tolerance (percent). Then gates BENCH_conns.json the same
 # way: at every connection count, publish p99, bytes/conn, and
 # goroutines/conn must stay within tolerance of the committed baseline — and
-# BENCH_planner.json: every row (PRI repair, completion decision, core
-# handle) must keep its ns/op and allocs/op within tolerance of the committed
-# row with the same parameters.
+# BENCH_planner.json: every row (PRI repair, entering probable row, completion
+# decision, core handle) must keep its ns/op and allocs/op within tolerance of
+# the committed row with the same parameters.
 #
 #   sh scripts/bench_gate.sh [new.json [baseline.json]]
 #
@@ -156,9 +156,12 @@ END { exit bad }
 fi
 fi
 
-# Planner gate: PRI repair, completion decision and core handle rows, keyed by
-# everything in the row before its measurements. Allocation counts are
-# deterministic; ns/op is wall-clock and gets the wider tolerance.
+# Planner gate: PRI repair, entering probable row, completion decision and
+# core handle rows, keyed by everything in the row before its measurements
+# (mode/rows/tmpl, bench/shape/tmpl, bench/tmpl/final_pct, bench/tmpl), so a
+# row new to the file is reported as missing from the baseline once and gated
+# from then on. Allocation counts are deterministic; ns/op is wall-clock and
+# gets the wider tolerance.
 PNEW=BENCH_planner.json
 PBASETMP=$(mktemp)
 trap 'rm -f "$PBASETMP" ${CBASETMP:-} ${BASETMP:-}' EXIT
