@@ -464,12 +464,12 @@ func TestMatchKnown(t *testing.T) {
 	partial := model.NewVector(6)
 	partial[1] = truth[1]
 	partial[2] = truth[2]
-	got := w.matchKnown(partial)
+	got := w.matchKnownFresh(partial, nil)
 	if got == nil || !partial.Subset(got) {
-		t.Fatalf("matchKnown = %v", got)
+		t.Fatalf("matchKnownFresh = %v", got)
 	}
 	impossible := partial.With(0, "Nobody Real")
-	if w.matchKnown(impossible) != nil {
+	if w.matchKnownFresh(impossible, nil) != nil {
 		t.Fatalf("impossible vector matched")
 	}
 }

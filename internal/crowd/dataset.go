@@ -8,15 +8,28 @@ package crowd
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"crowdfill/internal/model"
 )
 
 // Dataset is a ground truth: a schema plus complete, key-unique rows that
-// simulated workers partially know.
+// simulated workers partially know. A literal is a valid Dataset; the lookup
+// index is built on the first lookup, so Schema and Rows must be final by
+// then and a Dataset must not be copied afterwards. Lookups are safe for
+// concurrent use: one truth may be shared by simulations running in parallel.
 type Dataset struct {
 	Schema *model.Schema
 	Rows   []model.Vector
+
+	once sync.Once
+	ix   *rowIndex
+}
+
+// index returns the lookup index over Rows, building it on first use.
+func (d *Dataset) index() *rowIndex {
+	d.once.Do(func() { d.ix = newRowIndex(d.Schema, d.Rows) })
+	return d.ix
 }
 
 var firstNames = []string{
@@ -135,24 +148,13 @@ func randomValue(rng *rand.Rand, col model.Column) string {
 	}
 }
 
-// LookupByKey returns the truth row whose key cells match v's (which must
-// have all key cells set), or nil.
-func (d *Dataset) LookupByKey(v model.Vector) model.Vector {
-	want := v.Project(d.Schema.KeyColumns())
-	for _, row := range d.Rows {
-		if want.Subset(row) {
-			return row
-		}
-	}
-	return nil
-}
+// LookupByKey returns the truth row whose key cells equal v's, or nil when
+// there is none or v's key is incomplete. Should a hand-built Dataset repeat
+// a key, the first row holding it answers for it.
+func (d *Dataset) LookupByKey(v model.Vector) model.Vector { return d.index().lookup(v) }
 
-// Contains reports whether v exactly equals some truth row.
+// Contains reports whether v exactly equals the truth row of its key.
 func (d *Dataset) Contains(v model.Vector) bool {
-	for _, row := range d.Rows {
-		if row.Equal(v) {
-			return true
-		}
-	}
-	return false
+	row := d.index().lookup(v)
+	return row != nil && row.Equal(v)
 }

@@ -94,18 +94,43 @@ type Decision struct {
 // the simulation harness: Decide inspects the worker's client view and
 // produces the next Decision; the harness executes it against the client and
 // schedules the resulting messages.
+//
+// What the worker knows is a shuffled sample of the truth plus an index over
+// it, built once; a decision looks rows up instead of scanning the sample, so
+// it costs the table it reads rather than table × knowledge. A Worker is not
+// safe for concurrent use.
 type Worker struct {
 	Spec  Spec
 	truth *Dataset
 	rng   *rand.Rand
 	known []model.Vector
+	ix    *rowIndex // over known
+	kc0   int       // the leading key column
+
+	// Decide's scratch, cleared per call.
+	taken       map[string]bool
+	votes       []voteOption
+	fills       []Decision
+	reconsiders []Decision
+}
+
+// voteOption is a vote Decide could cast: the row and the worker's judgement.
+type voteOption struct {
+	row *model.Row
+	up  bool
 }
 
 // NewWorker binds a spec to the ground truth, sampling the worker's
 // knowledge subset.
 func NewWorker(spec Spec, truth *Dataset) *Worker {
 	rng := rand.New(rand.NewSource(spec.Seed))
-	w := &Worker{Spec: spec, truth: truth, rng: rng}
+	w := &Worker{
+		Spec:  spec,
+		truth: truth,
+		rng:   rng,
+		kc0:   truth.Schema.KeyColumns()[0],
+		taken: make(map[string]bool),
+	}
 	for _, row := range truth.Rows {
 		if rng.Float64() < spec.Knowledge {
 			w.known = append(w.known, row)
@@ -114,6 +139,8 @@ func NewWorker(spec Spec, truth *Dataset) *Worker {
 	// Shuffle so different workers walk their knowledge in different orders;
 	// otherwise everyone starts the same "next" entity and collides.
 	rng.Shuffle(len(w.known), func(i, j int) { w.known[i], w.known[j] = w.known[j], w.known[i] })
+	// Indexed after the shuffle: positions are the order lookups prefer.
+	w.ix = newRowIndex(truth.Schema, w.known)
 	return w
 }
 
@@ -157,34 +184,31 @@ func (w *Worker) Decide(c *client.Client) Decision {
 	}
 	rows := c.Rows(w.rng) // randomized presentation, as in the UI (§3.4)
 
-	type vote struct {
-		row *model.Row
-		up  bool
-	}
-	var votes []vote
-	var fills []Decision
-	var reconsiders []Decision
+	votes, fills, reconsiders := w.votes[:0], w.fills[:0], w.reconsiders[:0]
 
 	// Transparency: workers see every entity already started and avoid
 	// entering duplicates (one of the table-filling approach's advantages
 	// the paper's §1 calls out).
-	kc0 := w.truth.Schema.KeyColumns()[0]
-	taken := make(map[string]bool)
+	taken := w.taken
+	clear(taken)
 	for _, r := range rows {
-		if r.Vec[kc0].Set {
-			taken[r.Vec[kc0].Val] = true
+		if r.Vec[w.kc0].Set {
+			taken[r.Vec[w.kc0].Val] = true
 		}
 	}
+	// The entity this worker would start in an empty row: the same for every
+	// empty row of one view, since taken is fixed for the walk below.
+	fresh := w.pickFreshTruth(taken)
 
+	decidedNet := w.Spec.DecidedNet
+	if decidedNet == 0 {
+		decidedNet = 2
+	}
 	for _, r := range rows {
 		// Voting opportunities. Rows already clearly decided attract no
 		// further piling-on: an extra vote on a settled row earns nothing
 		// under contribution-based pay, and the displayed estimates steer
 		// real workers the same way.
-		decidedNet := w.Spec.DecidedNet
-		if decidedNet == 0 {
-			decidedNet = 2
-		}
 		decidedUp := r.Up-r.Down >= decidedNet
 		decidedDown := r.Down-r.Up >= decidedNet
 		if r.Vec.IsPartial() && !c.VotedOn(r.Vec) && !decidedDown {
@@ -192,24 +216,24 @@ func (w *Worker) Decide(c *client.Client) Decision {
 				if truth := w.lookupKnown(r.Vec); truth != nil {
 					up := truth.Equal(r.Vec)
 					if !(up && decidedUp) {
-						votes = append(votes, vote{row: r, up: up})
+						votes = append(votes, voteOption{row: r, up: up})
 					}
 				} else if !decidedUp && w.rng.Float64() < w.Spec.ResearchProb {
 					// Research an unknown entity against the full truth:
 					// a fabricated key earns a downvote.
 					full := w.truth.LookupByKey(r.Vec)
-					votes = append(votes, vote{row: r, up: full != nil && full.Equal(r.Vec)})
+					votes = append(votes, voteOption{row: r, up: full != nil && full.Equal(r.Vec)})
 				}
 			} else if w.conflictsWithKnowledge(r.Vec) {
-				votes = append(votes, vote{row: r, up: false})
+				votes = append(votes, voteOption{row: r, up: false})
 			} else if w.rng.Float64() < w.Spec.ResearchProb && !w.truthSupports(r.Vec) {
 				// Research a suspicious partial row (e.g. a typo'd name no
 				// search would confirm): downvote data no truth supports.
-				votes = append(votes, vote{row: r, up: false})
+				votes = append(votes, voteOption{row: r, up: false})
 			}
 		}
 		// Filling opportunities.
-		if d, ok := w.fillFor(r, taken); ok {
+		if d, ok := w.fillFor(r, fresh, taken); ok {
 			fills = append(fills, d)
 		}
 		// Reconsideration opportunities: a contested complete row this
@@ -230,6 +254,8 @@ func (w *Worker) Decide(c *client.Client) Decision {
 			}
 		}
 	}
+
+	w.votes, w.fills, w.reconsiders = votes, fills, reconsiders
 
 	// VotePreference zero means the worker never votes (the paper's §6 run
 	// had such a worker); otherwise voting wins by preference, or by
@@ -278,8 +304,9 @@ func (w *Worker) Decide(c *client.Client) Decision {
 }
 
 // fillFor proposes a fill on row r, if this worker can contribute to it.
-// taken holds first-key-column values already present in the table.
-func (w *Worker) fillFor(r *model.Row, taken map[string]bool) (Decision, bool) {
+// taken holds first-key-column values already present in the table; fresh is
+// pickFreshTruth(taken).
+func (w *Worker) fillFor(r *model.Row, fresh model.Vector, taken map[string]bool) (Decision, bool) {
 	if r.Vec.IsComplete() {
 		return Decision{}, false
 	}
@@ -287,16 +314,15 @@ func (w *Worker) fillFor(r *model.Row, taken map[string]bool) (Decision, bool) {
 		// Start a new entity the worker knows and nobody has started. The
 		// transparency of table-filling makes the "nobody has started" check
 		// possible: the taken set holds every visible leading key value.
-		truth := w.pickFreshTruth(taken)
-		if truth == nil {
+		if fresh == nil {
 			return Decision{}, false
 		}
-		col := w.truth.Schema.KeyColumns()[0]
+		col := w.kc0
 		return Decision{
 			Kind:  ActFill,
 			Row:   r.ID,
 			Col:   col,
-			Value: w.valueFor(truth, col),
+			Value: w.valueFor(fresh, col),
 			Think: w.jitter(w.fillMean(col)),
 		}, true
 	}
@@ -352,40 +378,23 @@ func (w *Worker) wrongValue(col int, correct string) string {
 	}
 }
 
-// lookupKnown finds the known truth row with the same key as v (which must
-// have its key complete), or nil if this worker cannot judge it.
-func (w *Worker) lookupKnown(v model.Vector) model.Vector {
-	want := v.Project(w.truth.Schema.KeyColumns())
-	for _, row := range w.known {
-		if want.Subset(row) {
-			return row
-		}
-	}
-	return nil
-}
+// lookupKnown returns the known truth row with v's key, or nil if this worker
+// cannot judge v: the entity is not in their knowledge, or v's key is
+// incomplete and names no entity yet.
+func (w *Worker) lookupKnown(v model.Vector) model.Vector { return w.ix.lookup(v) }
 
-// matchKnown finds a known truth row consistent with every set cell of v.
-func (w *Worker) matchKnown(v model.Vector) model.Vector {
-	for _, row := range w.known {
-		if v.Subset(row) {
-			return row
-		}
-	}
-	return nil
-}
-
-// matchKnownFresh finds a known truth row consistent with v, avoiding
+// matchKnownFresh finds the first known truth row consistent with v, avoiding
 // entities already visible in the table when v's leading key cell is still
 // open (otherwise the worker would keep re-entering the same entity into
 // every template-seeded row and thrash forever).
 func (w *Worker) matchKnownFresh(v model.Vector, taken map[string]bool) model.Vector {
-	kc0 := w.truth.Schema.KeyColumns()[0]
-	keyPinned := v[kc0].Set
-	for _, row := range w.known {
-		if !v.Subset(row) {
-			continue
-		}
-		if keyPinned || !taken[row[kc0].Val] {
+	if v.IsEmpty() {
+		return w.pickFreshTruth(taken)
+	}
+	keyPinned := v[w.kc0].Set
+	for _, p := range w.ix.candidates(v) {
+		row := w.known[p]
+		if v.Subset(row) && (keyPinned || !taken[row[w.kc0].Val]) {
 			return row
 		}
 	}
@@ -394,34 +403,21 @@ func (w *Worker) matchKnownFresh(v model.Vector, taken map[string]bool) model.Ve
 
 // truthSupports reports whether any ground-truth row is consistent with all
 // of v's set cells (the research check for suspicious partial rows).
-func (w *Worker) truthSupports(v model.Vector) bool {
-	for _, row := range w.truth.Rows {
-		if v.Subset(row) {
-			return true
-		}
-	}
-	return false
-}
+func (w *Worker) truthSupports(v model.Vector) bool { return w.truth.index().supports(v) }
 
 // conflictsWithKnowledge reports whether v's key is known but some set value
 // contradicts the truth — a downvoting opportunity on a partial row.
 func (w *Worker) conflictsWithKnowledge(v model.Vector) bool {
-	if !v.KeyComplete(w.truth.Schema) {
-		return false
-	}
 	truth := w.lookupKnown(v)
-	if truth == nil {
-		return false
-	}
-	return !v.Subset(truth)
+	return truth != nil && !v.Subset(truth)
 }
 
-// pickFreshTruth returns a known truth row whose leading key value is not
-// already visible in the table.
+// pickFreshTruth returns the first known truth row whose leading key value
+// is not already visible in the table. It is the one walk over the worker's
+// knowledge a decision makes.
 func (w *Worker) pickFreshTruth(taken map[string]bool) model.Vector {
-	kc0 := w.truth.Schema.KeyColumns()[0]
 	for _, row := range w.known {
-		if !taken[row[kc0].Val] {
+		if !taken[row[w.kc0].Val] {
 			return row
 		}
 	}

@@ -246,7 +246,7 @@ func TestFlusherSendErrorTearsDownBothHalves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNetServer(core, t.Logf)
+	ns := NewNetServer(core, quietLogf(t))
 	defer ns.Shutdown()
 
 	rc := newRecConn()
@@ -340,7 +340,7 @@ func TestShutdownNoGoroutineLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNetServer(core, t.Logf)
+	ns := NewNetServer(core, quietLogf(t))
 
 	// Three live pipe connections whose client halves drain (they will park
 	// between publishes), plus one connection wedged mid-flush behind a gate.

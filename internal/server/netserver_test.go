@@ -100,7 +100,7 @@ func TestNetworkCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNetServer(core, t.Logf)
+	ns := NewNetServer(core, quietLogf(t))
 	hsrv := httptest.NewServer(ns.Handler())
 	defer hsrv.Close()
 	url := "ws" + strings.TrimPrefix(hsrv.URL, "http")
@@ -249,7 +249,7 @@ func TestSlowClientOverflowDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNetServer(core, t.Logf)
+	ns := NewNetServer(core, quietLogf(t))
 
 	// The slow client connects and never reads: a tiny pipe buffer blocks
 	// its writer goroutine almost immediately, so its log cursor stops
@@ -443,7 +443,7 @@ func TestBroadcastWireBytesShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNetServer(core, t.Logf)
+	ns := NewNetServer(core, quietLogf(t))
 	hsrv := httptest.NewServer(ns.Handler())
 	defer hsrv.Close()
 	url := "ws" + strings.TrimPrefix(hsrv.URL, "http")
@@ -525,4 +525,27 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("condition not reached in time")
+}
+
+// quietLogf is t.Logf for handing to a NetServer: the server passes its log
+// function on to goroutines the test does not own and cannot join — pool
+// flushers, the recorder's sink, a serve loop still in its epilogue — and a
+// t.Logf from one of them after the test has returned panics the whole
+// binary. Lines logged once the test's cleanups have run are dropped; the
+// mutex keeps a line in flight from straddling that moment.
+func quietLogf(t testing.TB) func(format string, args ...any) {
+	var mu gosync.Mutex
+	done := false
+	t.Cleanup(func() {
+		mu.Lock()
+		done = true
+		mu.Unlock()
+	})
+	return func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !done {
+			t.Logf(format, args...)
+		}
+	}
 }

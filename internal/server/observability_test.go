@@ -59,7 +59,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNetServer(core, t.Logf)
+	ns := NewNetServer(core, quietLogf(t))
 	defer ns.Shutdown()
 	hsrv := httptest.NewServer(ns.Handler())
 	defer hsrv.Close()

@@ -34,7 +34,7 @@ func pollTestServer(t *testing.T) (*NetServer, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNetServer(core, t.Logf)
+	ns := NewNetServer(core, quietLogf(t))
 	if !ns.poller.Supported() {
 		t.Fatal("poller did not start on a supported platform")
 	}
