@@ -33,8 +33,8 @@ type scanner struct {
 	amortized map[*ast.CallExpr]bool
 	// elided marks []byte→string conversions the compiler performs without
 	// copying: the key of a map read (m[string(b)] anywhere but the left of
-	// an assignment — the stack-built lookup key) and an operand of a
-	// comparison.
+	// an assignment — the stack-built lookup key), an operand of a
+	// comparison, and the tag of a switch whose cases are all constants.
 	elided map[*ast.CallExpr]bool
 }
 
@@ -57,6 +57,10 @@ func (sc *scanner) scanFunc() {
 			case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
 				sc.markElided(s.X)
 				sc.markElided(s.Y)
+			}
+		case *ast.SwitchStmt:
+			if s.Tag != nil && sc.constantCases(s) {
+				sc.markElided(s.Tag)
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range s.Lhs {
@@ -94,6 +98,19 @@ func (sc *scanner) markElided(e ast.Expr) {
 			sc.elided[call] = true
 		}
 	}
+}
+
+// constantCases reports whether every case expression of s is a constant:
+// the condition under which the compiler switches on string(b) in place.
+func (sc *scanner) constantCases(s *ast.SwitchStmt) bool {
+	for _, c := range s.Body.List {
+		for _, e := range c.(*ast.CaseClause).List {
+			if tv, ok := sc.pkg.TypesInfo.Types[e]; !ok || tv.Value == nil {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func appendCall(pkg *analysis.Package, e ast.Expr) *ast.CallExpr {

@@ -103,6 +103,24 @@ func storeKey(m map[string]int, b []byte) {
 	delete(m, string(b)) // want `hot-path allocation: \[\]byte→string conversion in //lint:hotpath function storeKey`
 }
 
+// switchKey switches on string(b) over constant cases: the compiler compares
+// the bytes in place. A case that is not a constant forfeits that.
+//
+//lint:hotpath
+func switchKey(b []byte, other string) int {
+	switch string(b) {
+	case "type":
+		return 1
+	case "row", "vec":
+		return 2
+	}
+	switch string(b) { // want `hot-path allocation: \[\]byte→string conversion in //lint:hotpath function switchKey`
+	case other:
+		return 3
+	}
+	return 0
+}
+
 // coldPath is not annotated and not hot-reachable: allocations are fine.
 func coldPath() []int {
 	return make([]int, 4)

@@ -6,7 +6,7 @@
 // and every deployed client depend on the exact bytes, so compatibility is
 // the contract here — proven by TestCodecWireByteIdentity and the
 // FuzzCodecDifferential target, which cross-check every path against the
-// encoding/json reference implementations kept in message.go.
+// encoding/json reference implementations kept in codec_test.go.
 //
 // Why hand-rolled: encoding/json costs ~30-50 heap allocations per message
 // (reflection machinery, intermediate field buffers, the decoder's state).
@@ -24,6 +24,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -329,14 +330,28 @@ func finiteFloats(m Message) bool {
 }
 
 // --- Decoder ---------------------------------------------------------------
+//
+// One parser, one pass over the input. Each struct has a loop that reads a
+// key, dispatches it — on its length, then a distinguishing byte, then one
+// exact compare: field's switch, as the compiler runs it; the Unicode fold
+// match only on a miss — and decodes the value in place. What the system
+// itself writes — no whitespace, exact keys, clean ASCII strings, plain
+// integers — takes the first branch everywhere; anything else encoding/json
+// would accept takes the neighbouring branch of the same parser.
+//
+// Failure is sticky (decoder.fail): the first one is recorded with its
+// offset and the cursor jumps to the end of input, where every token read
+// fails again and the loops unwind, so the value decoders return plain
+// values instead of (value, error) pairs.
 
 // maxNestingDepth mirrors encoding/json's scanner limit, so deeply nested
 // (adversarial) inputs are rejected instead of recursing unboundedly.
 const maxNestingDepth = 10000
 
-// errSyntax stands in for the whole family of encoding/json syntax errors.
-// Error identity is not part of the wire contract — only whether an input is
-// accepted — so one sentinel wrapped with position context suffices.
+// errSyntax stands in for the whole family of encoding/json errors, syntax
+// and type mismatch alike. Error identity is not part of the wire contract —
+// only whether an input is accepted — so one sentinel wrapped with position
+// context suffices.
 var errSyntax = errors.New("invalid JSON syntax")
 
 // DecodeMessageInto parses a JSON-encoded message into *m, resetting it
@@ -382,25 +397,32 @@ func (c *DecodeCache) DecodeMessageInto(data []byte, m *Message) error {
 	return decodeMessageInto(data, m, c)
 }
 
-// str returns b as a string the caller may retain.
-func (c *DecodeCache) str(b []byte) string {
+// str returns b, whose slot the string scan already computed, as a string
+// the caller may retain.
+func (c *DecodeCache) str(b []byte, slot uint32) string {
 	if c == nil || len(b) == 0 || len(b) > decodeCacheMaxLen {
-		return string(b)
+		return string(b) //lint:allow hotalloc the copy the message retains of a string no cache holds: a cache-less decode, or a string too long to cache
 	}
-	slot := &c.slots[decodeCacheSlot(b)]
-	if *slot != string(b) {
-		*slot = string(b)
+	s := &c.slots[slot]
+	if *s != string(b) {
+		*s = string(b) //lint:allow hotalloc a cache miss makes the one copy the message retains and leaves it in the slot
 	}
-	return *slot
+	return *s
 }
 
-// decodeCacheSlot maps a string's bytes to its slot (FNV-1a). The slot
-// depends on nothing but the bytes, so a link's allocation count repeats
-// from run to run.
+// FNV-1a, the cache's slot hash. decoder.string folds it into its scan.
+const (
+	fnvOffset = 2166136261
+	fnvPrime  = 16777619
+)
+
+// decodeCacheSlot maps a string's bytes to its slot. The slot depends on
+// nothing but the bytes, so a link's allocation count repeats from run to
+// run.
 func decodeCacheSlot(b []byte) uint32 {
-	h := uint32(2166136261)
+	h := uint32(fnvOffset)
 	for _, x := range b {
-		h = (h ^ uint32(x)) * 16777619
+		h = (h ^ uint32(x)) * fnvPrime
 	}
 	return h % decodeCacheSlots
 }
@@ -408,927 +430,722 @@ func decodeCacheSlot(b []byte) uint32 {
 func decodeMessageInto(data []byte, m *Message, cache *DecodeCache) error {
 	*m = Message{}
 	d := decoder{data: data, cache: cache}
-	d.skipSpace()
-	if d.eof() {
-		return d.fail("unexpected end of input")
+	switch d.tok() {
+	case '{':
+		d.message(m)
+	case 'n':
+		d.lit("null") // top-level null: json.Unmarshal leaves the target untouched
+	default:
+		d.fail("expected a message object")
 	}
-	if d.peek() == 'n' {
-		// Top-level null: json.Unmarshal leaves the target untouched.
-		if err := d.expectLiteral("null"); err != nil {
-			return err
-		}
-	} else if err := d.decodeMessage(m); err != nil {
-		return err
+	if d.tok(); d.pos < len(d.data) {
+		d.fail("trailing data after top-level value")
 	}
-	d.skipSpace()
-	if !d.eof() {
-		return d.fail("trailing data after top-level value")
-	}
-	return nil
+	return d.err
 }
 
 type decoder struct {
 	data  []byte
 	pos   int
-	depth int
 	cache *DecodeCache // nil: every decoded string is a fresh copy
+	err   error        // the first failure; see fail
 }
 
-func (d *decoder) eof() bool  { return d.pos >= len(d.data) }
-func (d *decoder) peek() byte { return d.data[d.pos] }
-func (d *decoder) fail(msg string) error {
-	return fmt.Errorf("sync: decode message: %w: %s at offset %d", errSyntax, msg, d.pos) //lint:allow hotalloc error construction happens only on malformed input
+// fail records the first failure, with the offset it was found at, and moves
+// the cursor to the end of input: every later token read then fails too, so
+// the decode loops end without checking an error after each call.
+func (d *decoder) fail(msg string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("sync: decode message: %w: %s at offset %d", errSyntax, msg, d.pos) //lint:allow hotalloc error construction happens only on malformed input
+	}
+	d.pos = len(d.data)
 }
 
-func (d *decoder) skipSpace() {
-	for d.pos < len(d.data) {
-		switch d.data[d.pos] {
+// tok returns the byte that starts the next token and leaves the cursor on
+// it; 0 at the end of input, which no caller accepts as a token. Whitespace
+// is looked for only when the byte under the cursor is not above ' '.
+func (d *decoder) tok() byte {
+	if d.pos < len(d.data) {
+		if c := d.data[d.pos]; c > ' ' {
+			return c
+		}
+		return d.tokAfterSpace()
+	}
+	return 0
+}
+
+// tokAfterSpace is tok from a byte that may be JSON whitespace.
+func (d *decoder) tokAfterSpace() byte {
+	for ; d.pos < len(d.data); d.pos++ {
+		switch c := d.data[d.pos]; c {
 		case ' ', '\t', '\n', '\r':
-			d.pos++
 		default:
-			return
+			return c
 		}
 	}
+	return 0
 }
 
-func (d *decoder) push() error {
-	d.depth++
-	if d.depth > maxNestingDepth {
-		return d.fail("exceeded max nesting depth")
+// at reports whether the byte under the cursor is c.
+func (d *decoder) at(c byte) bool { return d.pos < len(d.data) && d.data[d.pos] == c }
+
+// lit consumes the literal s, whose first byte the caller has seen.
+func (d *decoder) lit(s string) {
+	if len(d.data)-d.pos < len(s) || string(d.data[d.pos:d.pos+len(s)]) != s {
+		d.fail("invalid literal")
+		return
 	}
-	return nil
+	d.pos += len(s)
 }
 
-func (d *decoder) pop() { d.depth-- }
-
-func (d *decoder) expectLiteral(lit string) error {
-	if len(d.data)-d.pos < len(lit) || string(d.data[d.pos:d.pos+len(lit)]) != lit {
-		return d.fail("invalid literal")
-	}
-	d.pos += len(lit)
-	return nil
-}
-
-// next scans the byte starting the next value (after leading whitespace) and
-// returns it without consuming, or an error at EOF.
-func (d *decoder) next() (byte, error) {
-	d.skipSpace()
-	if d.eof() {
-		return 0, d.fail("unexpected end of input")
-	}
-	return d.peek(), nil
-}
-
-// decodeObject drives the shared object-decoding loop: it parses keys,
-// matches them against names (exact first, then Unicode-case-folded in
-// declaration order, as encoding/json does), and calls decodeField with the
-// matched index — or skips the value for unknown keys. decodeField must
-// consume exactly one value.
-func (d *decoder) decodeObject(names []string, decodeField func(i int) error) error {
-	c, err := d.next()
-	if err != nil {
-		return err
-	}
-	if c != '{' {
-		return d.fail("expected object")
-	}
-	if err := d.push(); err != nil {
-		return err
-	}
-	defer d.pop()
-	d.pos++
-	c, err = d.next()
-	if err != nil {
-		return err
-	}
-	if c == '}' {
-		d.pos++
-		return nil
-	}
-	for {
-		c, err = d.next()
-		if err != nil {
-			return err
-		}
-		if c != '"' {
-			return d.fail("expected object key")
-		}
-		key, err := d.decodeStringBytes()
-		if err != nil {
-			return err
-		}
-		idx := matchField(key, names)
-		c, err = d.next()
-		if err != nil {
-			return err
-		}
-		if c != ':' {
-			return d.fail("expected ':' after object key")
-		}
-		d.pos++
-		if idx >= 0 {
-			if err := decodeField(idx); err != nil { //lint:allow hotalloc non-escaping decode callback, the concrete field decoders are in this file
-				return err
-			}
-		} else if err := d.skipValue(); err != nil {
-			return err
-		}
-		c, err = d.next()
-		if err != nil {
-			return err
-		}
-		switch c {
-		case ',':
-			d.pos++
-		case '}':
-			d.pos++
-			return nil
-		default:
-			return d.fail("expected ',' or '}' in object")
-		}
-	}
-}
-
-// matchField resolves a decoded key against field names: exact match wins;
-// otherwise the first case-fold-equal name in declaration order (mirroring
-// encoding/json's byExactName/byFoldedName lookup). Returns -1 for unknown.
-func matchField(key []byte, names []string) int {
-	for i, n := range names {
-		if string(key) == n {
-			return i
-		}
-	}
-	for i, n := range names {
-		if foldEqual(key, n) {
-			return i
-		}
-	}
-	return -1
-}
-
-// foldEqual is bytes.EqualFold(key, name) without converting name; the
-// canonical names are ASCII so ASCII-folding the name side suffices, while
-// the key side folds full Unicode the way encoding/json's foldName does.
-func foldEqual(key []byte, name string) bool {
-	j := 0
-	for i := 0; i < len(key); {
-		if j >= len(name) {
-			return false
-		}
-		kr, size := rune(key[i]), 1
-		if key[i] >= utf8.RuneSelf {
-			kr, size = utf8.DecodeRune(key[i:])
-		}
-		nr := rune(name[j])
-		if !runeFoldEqual(kr, nr) {
-			return false
-		}
-		i += size
-		j++
-	}
-	return j == len(name)
-}
-
-// runeFoldEqual reports simple-case-fold equality, matching bytes.EqualFold.
-func runeFoldEqual(a, b rune) bool {
-	if a == b {
+// begin reads the start of a nullable container: true with the cursor on
+// opener, false after consuming a null (or failing on anything else).
+func (d *decoder) begin(opener byte) bool {
+	switch d.tok() {
+	case opener:
 		return true
+	case 'n':
+		d.lit("null")
+	default:
+		d.fail("wrong type of value for the field")
 	}
-	if a < b {
-		a, b = b, a
-	}
-	// Fast path for ASCII b (all canonical field-name runes are ASCII).
-	if a < utf8.RuneSelf {
-		return 'A' <= b && b <= 'Z' && a == b+'a'-'A'
-	}
-	// Slow path: walk a's fold orbit, as strings.EqualFold does.
-	r := simpleFold(a)
-	for r != a && r < a {
-		if r == b {
-			return true
-		}
-		r = simpleFold(r)
-	}
-	return r == b
+	return false
 }
 
-// simpleFold is unicode.SimpleFold, kept behind one name so the decode
-// path's dependency on the Unicode tables is explicit.
-func simpleFold(r rune) rune { return unicode.SimpleFold(r) }
-
-// decodeMessage decodes a JSON object (already vetted to start with '{' or
-// be reachable) into m.
-func (d *decoder) decodeMessage(m *Message) error {
-	return d.decodeObject(messageFields,
-		//lint:allow hotalloc non-escaping field callback, it never outlives the decode call
-		func(i int) error {
-			switch i {
-			case 0: // type
-				return d.decodeInt64(func(v int64) { m.Type = MsgType(v) })
-			case 1: // row
-				return d.decodeString(func(s string) { m.Row = model.RowID(s) })
-			case 2: // newRow
-				return d.decodeString(func(s string) { m.NewRow = model.RowID(s) })
-			case 3: // vec
-				return d.decodeVector(&m.Vec)
-			case 4: // origin
-				return d.decodeString(func(s string) { m.Origin = s })
-			case 5: // worker
-				return d.decodeString(func(s string) { m.Worker = s })
-			case 6: // seq
-				return d.decodeInt64(func(v int64) { m.Seq = v })
-			case 7: // ts
-				return d.decodeInt64(func(v int64) { m.TS = v })
-			case 8: // auto
-				return d.decodeBool(&m.Auto)
-			case 9: // col
-				return d.decodeInt64(func(v int64) { m.Col = int(v) })
-			case 10: // val
-				return d.decodeString(func(s string) { m.Val = s })
-			case 11: // snapshot
-				return d.decodeSnapshotPtr(&m.Snapshot)
-			case 12: // estimates
-				return d.decodeEstimatesPtr(&m.Estimates)
-			}
-			return d.fail("unreachable field index")
-		})
-}
-
-var messageFields = []string{
-	"type", "row", "newRow", "vec", "origin", "worker",
-	"seq", "ts", "auto", "col", "val", "snapshot", "estimates",
-}
-
-var snapshotFields = []string{"rows", "uh", "dh", "uhVecs", "dhVecs"}
-
-var rowFields = []string{"id", "vec", "up", "down"}
-
-var estimatesFields = []string{"perColumn", "upvote", "downvote"}
-
-func (d *decoder) decodeSnapshotPtr(p **Snapshot) error {
-	c, err := d.next()
-	if err != nil {
-		return err
+// open consumes a container's opening byte, which the caller has seen, and
+// reports whether an element follows; an empty container is consumed whole.
+// A container's loop is `for more := d.open(c); more; more = d.more(c)`.
+func (d *decoder) open(closer byte) bool {
+	d.pos++
+	if d.tok() == closer {
+		d.pos++
+		return false
 	}
-	if c == 'n' {
-		if err := d.expectLiteral("null"); err != nil {
-			return err
-		}
-		*p = nil
+	return true
+}
+
+// more consumes what follows an element — a comma or the closer — and
+// reports whether another element follows.
+func (d *decoder) more(closer byte) bool {
+	switch d.tok() {
+	case ',':
+		d.pos++
+		return true
+	case closer:
+		d.pos++
+		return false
+	}
+	d.fail("expected ',' or the end of the container")
+	return false
+}
+
+// key consumes an object key and its colon and returns the unescaped name.
+func (d *decoder) key() []byte {
+	if d.tok() != '"' {
+		d.fail("expected object key")
 		return nil
 	}
-	s := *p
+	k, _ := d.string(false)
+	d.colon()
+	return k
+}
+
+// colon consumes the ':' between a key and its value.
+func (d *decoder) colon() {
+	if d.tok() != ':' {
+		d.fail("expected ':' after object key")
+		return
+	}
+	d.pos++
+}
+
+// fieldID names a JSON field of Message, Snapshot, model.Row or Estimates.
+// The four structs share one space of ids ("vec" is in two of them): no two
+// names are equal under case folding, so resolving a key against all of them
+// and letting each struct's loop skip the ids it does not own decides exactly
+// what resolving it against that struct's own fields would.
+type fieldID int
+
+const (
+	fUnknown fieldID = iota
+	fType
+	fRow
+	fNewRow
+	fVec
+	fOrigin
+	fWorker
+	fSeq
+	fTS
+	fAuto
+	fCol
+	fVal
+	fSnapshot
+	fEstimates
+	fRows
+	fUH
+	fDH
+	fUHVecs
+	fDHVecs
+	fID
+	fUp
+	fDown
+	fPerColumn
+	fUpvote
+	fDownvote
+)
+
+// fieldNames is indexed by fieldID; the fold match walks it.
+var fieldNames = [...]string{
+	fType: "type", fRow: "row", fNewRow: "newRow", fVec: "vec", fOrigin: "origin", fWorker: "worker",
+	fSeq: "seq", fTS: "ts", fAuto: "auto", fCol: "col", fVal: "val", fSnapshot: "snapshot", fEstimates: "estimates",
+	fRows: "rows", fUH: "uh", fDH: "dh", fUHVecs: "uhVecs", fDHVecs: "dhVecs",
+	fID: "id", fUp: "up", fDown: "down",
+	fPerColumn: "perColumn", fUpvote: "upvote", fDownvote: "downvote",
+}
+
+// field consumes a struct's key and its colon and resolves it. The switch runs on the
+// key's bytes in place and compiles to a dispatch on their length, then on a
+// distinguishing byte (the first, except between vec and val), then one
+// exact compare; an exact match wins, as in encoding/json's lookup, and a
+// miss — upper case, a non-ASCII spelling, or a key no field has — falls to
+// the fold match.
+func (d *decoder) field() fieldID {
+	if d.tok() != '"' {
+		d.fail("expected object key")
+		return fUnknown
+	}
+	// Every field name is a run of ASCII letters: one test per byte finds
+	// the end of a key that is one, and the first byte of any other kind — a
+	// digit, an escape, a non-ASCII spelling — sends the rest through unquote.
+	data, start := d.data, d.pos+1
+	i := start
+	for i < len(data) && (data[i]|0x20)-'a' < 26 {
+		i++
+	}
+	var k []byte
+	if i < len(data) && data[i] == '"' {
+		k, d.pos = data[start:i], i+1
+	} else {
+		k, _ = d.unquote(start, i)
+	}
+	d.colon()
+	switch string(k) {
+	case "type":
+		return fType
+	case "row":
+		return fRow
+	case "newRow":
+		return fNewRow
+	case "vec":
+		return fVec
+	case "origin":
+		return fOrigin
+	case "worker":
+		return fWorker
+	case "seq":
+		return fSeq
+	case "ts":
+		return fTS
+	case "auto":
+		return fAuto
+	case "col":
+		return fCol
+	case "val":
+		return fVal
+	case "snapshot":
+		return fSnapshot
+	case "estimates":
+		return fEstimates
+	case "rows":
+		return fRows
+	case "uh":
+		return fUH
+	case "dh":
+		return fDH
+	case "uhVecs":
+		return fUHVecs
+	case "dhVecs":
+		return fDHVecs
+	case "id":
+		return fID
+	case "up":
+		return fUp
+	case "down":
+		return fDown
+	case "perColumn":
+		return fPerColumn
+	case "upvote":
+		return fUpvote
+	case "downvote":
+		return fDownvote
+	}
+	for id := fType; int(id) < len(fieldNames); id++ {
+		if foldEqual(k, fieldNames[id]) {
+			return id
+		}
+	}
+	return fUnknown
+}
+
+// foldEqual reports whether key equals name under Unicode simple case
+// folding, rune by rune — encoding/json's fallback for a key no field spells
+// exactly: "TYPE", or "wor\u212aer", whose Kelvin sign folds to k.
+func foldEqual(key []byte, name string) bool {
+	for len(key) > 0 && name != "" {
+		r, size := utf8.DecodeRune(key)
+		if foldRune(r) != foldRune(rune(name[0])) { // names are ASCII: one byte, one rune
+			return false
+		}
+		key, name = key[size:], name[1:]
+	}
+	return len(key) == 0 && name == ""
+}
+
+// foldRune returns the smallest rune of r's fold orbit (encoding/json's
+// foldRune): two runes fold together exactly when these agree.
+func foldRune(r rune) rune {
+	for {
+		r2 := unicode.SimpleFold(r)
+		if r2 <= r {
+			return r2
+		}
+		r = r2
+	}
+}
+
+// message decodes the object under the cursor into m. In every struct loop a
+// null value leaves the field as it was (the decoders take the old value and
+// return it), a duplicate key decodes again over the first, and an unknown
+// key's value is skipped — each as json.Unmarshal does.
+func (d *decoder) message(m *Message) {
+	for more := d.open('}'); more; more = d.more('}') {
+		switch d.field() {
+		case fType:
+			m.Type = MsgType(d.int64(int64(m.Type)))
+		case fRow:
+			m.Row = model.RowID(d.str(string(m.Row)))
+		case fNewRow:
+			m.NewRow = model.RowID(d.str(string(m.NewRow)))
+		case fVec:
+			m.Vec = d.vector()
+		case fOrigin:
+			m.Origin = d.str(m.Origin)
+		case fWorker:
+			m.Worker = d.str(m.Worker)
+		case fSeq:
+			m.Seq = d.int64(m.Seq)
+		case fTS:
+			m.TS = d.int64(m.TS)
+		case fAuto:
+			m.Auto = d.bool(m.Auto)
+		case fCol:
+			m.Col = int(d.int64(int64(m.Col)))
+		case fVal:
+			m.Val = d.str(m.Val)
+		case fSnapshot:
+			m.Snapshot = d.snapshot(m.Snapshot) //lint:allow hotalloc snapshot records are join-time private messages, not steady-state broadcasts
+		case fEstimates:
+			m.Estimates = d.estimates(m.Estimates) //lint:allow hotalloc an estimate payload allocates its struct and its column slice, which the message retains; its float literals convert on the stack
+		default:
+			d.skip(1)
+		}
+	}
+}
+
+func (d *decoder) snapshot(s *Snapshot) *Snapshot {
+	if !d.begin('{') {
+		return nil
+	}
 	if s == nil {
 		s = &Snapshot{}
 	}
-	err = d.decodeObject(snapshotFields, func(i int) error {
-		switch i {
-		case 0: // rows
-			return d.decodeRows(&s.Rows)
-		case 1: // uh
-			return d.decodeIntMap(&s.UH)
-		case 2: // dh
-			return d.decodeIntMap(&s.DH)
-		case 3: // uhVecs
-			return d.decodeVecMap(&s.UHVecs)
-		case 4: // dhVecs
-			return d.decodeVecMap(&s.DHVecs)
+	for more := d.open('}'); more; more = d.more('}') {
+		switch d.field() {
+		case fRows:
+			s.Rows = d.rows(s.Rows)
+		case fUH:
+			s.UH = d.intMap(s.UH)
+		case fDH:
+			s.DH = d.intMap(s.DH)
+		case fUHVecs:
+			s.UHVecs = d.vecMap(s.UHVecs)
+		case fDHVecs:
+			s.DHVecs = d.vecMap(s.DHVecs)
+		default:
+			d.skip(2)
 		}
-		return d.fail("unreachable field index")
-	})
-	if err != nil {
-		return err
 	}
-	*p = s
-	return nil
+	return s
 }
 
-func (d *decoder) decodeEstimatesPtr(p **Estimates) error {
-	c, err := d.next()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		if err := d.expectLiteral("null"); err != nil {
-			return err
-		}
-		*p = nil
+func (d *decoder) estimates(e *Estimates) *Estimates {
+	if !d.begin('{') {
 		return nil
 	}
-	e := *p
 	if e == nil {
 		e = &Estimates{}
 	}
-	err = d.decodeObject(estimatesFields, func(i int) error {
-		switch i {
-		case 0: // perColumn
-			return d.decodeFloatSlice(&e.PerColumn)
-		case 1: // upvote
-			return d.decodeFloat64(&e.Upvote)
-		case 2: // downvote
-			return d.decodeFloat64(&e.Downvote)
-		}
-		return d.fail("unreachable field index")
-	})
-	if err != nil {
-		return err
-	}
-	*p = e
-	return nil
-}
-
-func (d *decoder) decodeRows(rows *[]model.Row) error {
-	c, err := d.next()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		if err := d.expectLiteral("null"); err != nil {
-			return err
-		}
-		*rows = nil
-		return nil
-	}
-	if c != '[' {
-		return d.fail("expected array of rows")
-	}
-	if err := d.push(); err != nil {
-		return err
-	}
-	defer d.pop()
-	d.pos++
-	out := []model.Row{}
-	c, err = d.next()
-	if err != nil {
-		return err
-	}
-	if c == ']' {
-		d.pos++
-		*rows = out
-		return nil
-	}
-	for {
-		var r model.Row
-		if err := d.decodeRow(&r); err != nil {
-			return err
-		}
-		out = append(out, r)
-		c, err = d.next()
-		if err != nil {
-			return err
-		}
-		switch c {
-		case ',':
-			d.pos++
-		case ']':
-			d.pos++
-			*rows = out
-			return nil
+	for more := d.open('}'); more; more = d.more('}') {
+		switch d.field() {
+		case fPerColumn:
+			e.PerColumn = d.floats(e.PerColumn)
+		case fUpvote:
+			e.Upvote = d.float64(e.Upvote)
+		case fDownvote:
+			e.Downvote = d.float64(e.Downvote)
 		default:
-			return d.fail("expected ',' or ']' in array")
+			d.skip(2)
 		}
 	}
+	return e
 }
 
-func (d *decoder) decodeRow(r *model.Row) error {
-	c, err := d.next()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		// A null array element leaves the zero Row in place.
-		return d.expectLiteral("null")
-	}
-	return d.decodeObject(rowFields, func(i int) error {
-		switch i {
-		case 0: // id
-			return d.decodeString(func(s string) { r.ID = model.RowID(s) })
-		case 1: // vec
-			return d.decodeVector(&r.Vec)
-		case 2: // up
-			return d.decodeInt64(func(v int64) { r.Up = int(v) })
-		case 3: // down
-			return d.decodeInt64(func(v int64) { r.Down = int(v) })
-		}
-		return d.fail("unreachable field index")
-	})
-}
-
-// decodeVector mirrors Vector.UnmarshalJSON (array of string-or-null via
-// []*string): null and [] both produce a non-nil empty Vector, exactly as
-// make(Vector, 0) does there.
-func (d *decoder) decodeVector(v *model.Vector) error {
-	c, err := d.next()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		if err := d.expectLiteral("null"); err != nil {
-			return err
-		}
-		*v = make(model.Vector, 0)
+// rows decodes over the slice an earlier "rows" key left, element by
+// element, the way encoding/json reuses a slice: a duplicate key's row keeps
+// the fields its own object does not mention.
+func (d *decoder) rows(rows []model.Row) []model.Row {
+	if !d.begin('[') {
 		return nil
 	}
-	if c != '[' {
-		return d.fail("expected vector array")
-	}
-	if err := d.push(); err != nil {
-		return err
-	}
-	defer d.pop()
-	d.pos++
-	c, err = d.next()
-	if err != nil {
-		return err
-	}
-	if c == ']' {
-		d.pos++
-		*v = make(model.Vector, 0)
-		return nil
-	}
-	// Cells collect in a stack array (a wider vector spills to the heap) so
-	// the result is allocated once, at its exact length.
-	var buf [decodeStackElems]model.Cell
-	cells := buf[:0]
-	for {
-		c, err = d.next()
-		if err != nil {
-			return err
-		}
-		switch c {
-		case 'n':
-			if err := d.expectLiteral("null"); err != nil {
-				return err
-			}
-			cells = append(cells, model.Cell{})
-		case '"':
-			s, err := d.decodeStringBytes()
-			if err != nil {
-				return err
-			}
-			cells = append(cells, model.Cell{Set: true, Val: d.cache.str(s)})
-		default:
-			return d.fail("vector cell must be a string or null")
-		}
-		c, err = d.next()
-		if err != nil {
-			return err
-		}
-		switch c {
-		case ',':
-			d.pos++
-		case ']':
-			d.pos++
-			out := make(model.Vector, len(cells))
-			copy(out, cells)
-			*v = out
-			return nil
-		default:
-			return d.fail("expected ',' or ']' in array")
-		}
-	}
-}
-
-func (d *decoder) decodeIntMap(mp *map[string]int) error {
-	c, err := d.next()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		if err := d.expectLiteral("null"); err != nil {
-			return err
-		}
-		*mp = nil
-		return nil
-	}
-	out := *mp
-	if out == nil {
-		out = make(map[string]int)
-	}
-	err = d.decodeMapBody(func(key string) error {
-		// Null values store the zero, matching encoding/json's map decode
-		// (the element is decoded into a fresh zero value, then stored).
-		var v int64
-		if err := d.decodeInt64Nullable(func(n int64) { v = n }); err != nil {
-			return err
-		}
-		out[key] = int(v)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	*mp = out
-	return nil
-}
-
-func (d *decoder) decodeVecMap(mp *map[string]model.Vector) error {
-	c, err := d.next()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		if err := d.expectLiteral("null"); err != nil {
-			return err
-		}
-		*mp = nil
-		return nil
-	}
-	out := *mp
-	if out == nil {
-		out = make(map[string]model.Vector)
-	}
-	err = d.decodeMapBody(func(key string) error {
-		var v model.Vector
-		if err := d.decodeVector(&v); err != nil {
-			return err
-		}
-		out[key] = v
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	*mp = out
-	return nil
-}
-
-// decodeMapBody parses {"key": <value>, ...}, calling decodeValue for each
-// key with the cursor at the value.
-func (d *decoder) decodeMapBody(decodeValue func(key string) error) error {
-	c, err := d.next()
-	if err != nil {
-		return err
-	}
-	if c != '{' {
-		return d.fail("expected object")
-	}
-	if err := d.push(); err != nil {
-		return err
-	}
-	defer d.pop()
-	d.pos++
-	c, err = d.next()
-	if err != nil {
-		return err
-	}
-	if c == '}' {
-		d.pos++
-		return nil
-	}
-	for {
-		c, err = d.next()
-		if err != nil {
-			return err
-		}
-		if c != '"' {
-			return d.fail("expected object key")
-		}
-		key, err := d.decodeStringBytes()
-		if err != nil {
-			return err
-		}
-		keyStr := string(key)
-		c, err = d.next()
-		if err != nil {
-			return err
-		}
-		if c != ':' {
-			return d.fail("expected ':' after object key")
-		}
-		d.pos++
-		if err := decodeValue(keyStr); err != nil {
-			return err
-		}
-		c, err = d.next()
-		if err != nil {
-			return err
-		}
-		switch c {
-		case ',':
-			d.pos++
-		case '}':
-			d.pos++
-			return nil
-		default:
-			return d.fail("expected ',' or '}' in object")
-		}
-	}
-}
-
-func (d *decoder) decodeFloatSlice(p *[]float64) error {
-	c, err := d.next()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		if err := d.expectLiteral("null"); err != nil {
-			return err
-		}
-		*p = nil
-		return nil
-	}
-	if c != '[' {
-		return d.fail("expected array of numbers")
-	}
-	if err := d.push(); err != nil {
-		return err
-	}
-	defer d.pop()
-	d.pos++
-	c, err = d.next()
-	if err != nil {
-		return err
-	}
-	if c == ']' {
-		d.pos++
-		*p = []float64{}
-		return nil
-	}
-	// Same shape as decodeVector: collect on the stack, allocate once.
-	var buf [decodeStackElems]float64
-	out := buf[:0]
-	for {
-		c, err = d.next()
-		if err != nil {
-			return err
-		}
-		if c == 'n' {
-			// null array element decodes as the zero value.
-			if err := d.expectLiteral("null"); err != nil {
-				return err
-			}
-			out = append(out, 0)
+	rows = rows[:0]
+	for more := d.open(']'); more; more = d.more(']') {
+		if len(rows) < cap(rows) {
+			rows = rows[:len(rows)+1]
 		} else {
-			var f float64
-			if err := d.decodeFloat64(&f); err != nil {
-				return err
-			}
-			out = append(out, f)
+			rows = append(rows, model.Row{})
 		}
-		c, err = d.next()
-		if err != nil {
-			return err
-		}
-		switch c {
-		case ',':
-			d.pos++
-		case ']':
-			d.pos++
-			fs := make([]float64, len(out))
-			copy(fs, out)
-			*p = fs
-			return nil
+		d.row(&rows[len(rows)-1])
+	}
+	if len(rows) == 0 {
+		return []model.Row{}
+	}
+	return rows
+}
+
+func (d *decoder) row(r *model.Row) {
+	if !d.begin('{') {
+		return // a null element leaves the row as it is
+	}
+	for more := d.open('}'); more; more = d.more('}') {
+		switch d.field() {
+		case fID:
+			r.ID = model.RowID(d.str(string(r.ID)))
+		case fVec:
+			r.Vec = d.vector()
+		case fUp:
+			r.Up = int(d.int64(int64(r.Up)))
+		case fDown:
+			r.Down = int(d.int64(int64(r.Down)))
 		default:
-			return d.fail("expected ',' or ']' in array")
+			d.skip(4)
 		}
 	}
 }
 
-// decodeStackElems is how many elements decodeVector and decodeFloatSlice
-// collect on the stack before spilling: wider than any schema in the paper.
+// decodeStackElems is how many elements vector and floats collect on the
+// stack before spilling: wider than any schema in the paper.
 const decodeStackElems = 16
 
-// decodeInt64 parses a JSON number with integer syntax (strconv.ParseInt on
-// the literal, as encoding/json does for integer fields — "1.0" and "1e2"
-// are rejected). A null is a no-op, so set only fires on a real number.
-func (d *decoder) decodeInt64(set func(int64)) error {
-	return d.decodeInt64Nullable(set)
-}
-
-func (d *decoder) decodeInt64Nullable(set func(int64)) error {
-	c, err := d.next()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		return d.expectLiteral("null")
-	}
-	lit, err := d.numberLiteral()
-	if err != nil {
-		return err
-	}
-	v, perr := strconv.ParseInt(string(lit), 10, 64)
-	if perr != nil {
-		return fmt.Errorf("sync: decode message: cannot unmarshal number %s into integer field", lit)
-	}
-	set(v)
-	return nil
-}
-
-func (d *decoder) decodeFloat64(p *float64) error {
-	c, err := d.next()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		return d.expectLiteral("null")
-	}
-	lit, err := d.numberLiteral()
-	if err != nil {
-		return err
-	}
-	v, perr := strconv.ParseFloat(string(lit), 64)
-	if perr != nil {
-		return fmt.Errorf("sync: decode message: cannot unmarshal number %s into float field", lit)
-	}
-	*p = v
-	return nil
-}
-
-func (d *decoder) decodeBool(p *bool) error {
-	c, err := d.next()
-	if err != nil {
-		return err
-	}
-	switch c {
-	case 't':
-		if err := d.expectLiteral("true"); err != nil {
-			return err
+// vector mirrors Vector.UnmarshalJSON (an array of string-or-null): null and
+// [] both produce a non-nil empty Vector. Cells collect in a stack array (a
+// wider vector spills to the heap) so the result is allocated once, at its
+// exact length.
+func (d *decoder) vector() model.Vector {
+	var buf [decodeStackElems]model.Cell
+	cells := buf[:0]
+	if d.begin('[') {
+		for more := d.open(']'); more; more = d.more(']') {
+			switch d.tok() {
+			case '"':
+				cells = append(cells, model.Cell{Set: true, Val: d.cache.str(d.string(d.cache != nil))})
+			case 'n':
+				d.lit("null")
+				cells = append(cells, model.Cell{})
+			default:
+				d.fail("vector cell must be a string or null")
+			}
 		}
-		*p = true
+	}
+	out := make(model.Vector, len(cells)) //lint:allow hotalloc the vector the message retains, allocated once at its exact length
+	copy(out, cells)
+	return out
+}
+
+// floats has vector's shape: collect on the stack, allocate once. A null
+// element keeps what the slot held: zero, or under a duplicate key whatever
+// the earlier array left in the backing store encoding/json would reuse.
+func (d *decoder) floats(old []float64) []float64 {
+	if !d.begin('[') {
 		return nil
-	case 'f':
-		if err := d.expectLiteral("false"); err != nil {
-			return err
+	}
+	old = old[:cap(old)]
+	var buf [decodeStackElems]float64
+	vals := buf[:0]
+	for more := d.open(']'); more; more = d.more(']') {
+		var f float64
+		if len(vals) < len(old) {
+			f = old[len(vals)]
 		}
-		*p = false
+		vals = append(vals, d.float64(f))
+	}
+	if len(vals) == 0 || len(vals) > len(old) { // [] starts afresh, as encoding/json's empty array does
+		old = make([]float64, len(vals))
+	}
+	old = old[:len(vals)]
+	copy(old, vals)
+	return old
+}
+
+func (d *decoder) intMap(m map[string]int) map[string]int {
+	if !d.begin('{') {
 		return nil
+	}
+	if m == nil {
+		m = make(map[string]int)
+	}
+	for more := d.open('}'); more; more = d.more('}') {
+		k := string(d.key())
+		m[k] = int(d.int64(0)) // a null value stores the zero, as encoding/json's map decode does
+	}
+	return m
+}
+
+func (d *decoder) vecMap(m map[string]model.Vector) map[string]model.Vector {
+	if !d.begin('{') {
+		return nil
+	}
+	if m == nil {
+		m = make(map[string]model.Vector)
+	}
+	for more := d.open('}'); more; more = d.more('}') {
+		k := string(d.key())
+		m[k] = d.vector()
+	}
+	return m
+}
+
+// str decodes a string value into one that shares nothing with the input (a
+// fresh copy, or the link cache's earlier one); null keeps old.
+func (d *decoder) str(old string) string {
+	switch d.tok() {
+	case '"':
+		return d.cache.str(d.string(d.cache != nil))
 	case 'n':
-		return d.expectLiteral("null")
-	}
-	return d.fail("expected boolean")
-}
-
-// decodeString parses a JSON string into a Go string that shares nothing
-// with the input (a fresh copy, or the link cache's earlier one); null is a
-// no-op (set not called), any other value errors, mirroring encoding/json
-// decoding into a string field.
-func (d *decoder) decodeString(set func(string)) error {
-	c, err := d.next()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		return d.expectLiteral("null")
-	}
-	if c != '"' {
-		return d.fail("expected string")
-	}
-	b, err := d.decodeStringBytes()
-	if err != nil {
-		return err
-	}
-	set(d.cache.str(b))
-	return nil
-}
-
-// numberLiteral consumes a syntactically-valid JSON number and returns its
-// raw bytes.
-func (d *decoder) numberLiteral() ([]byte, error) {
-	start := d.pos
-	if !d.eof() && d.peek() == '-' {
-		d.pos++
-	}
-	switch {
-	case d.eof():
-		return nil, d.fail("truncated number")
-	case d.peek() == '0':
-		d.pos++
-	case d.peek() >= '1' && d.peek() <= '9':
-		for !d.eof() && d.peek() >= '0' && d.peek() <= '9' {
-			d.pos++
-		}
+		d.lit("null")
 	default:
-		return nil, d.fail("invalid number")
+		d.fail("expected string")
 	}
-	if !d.eof() && d.peek() == '.' {
-		d.pos++
-		if d.eof() || d.peek() < '0' || d.peek() > '9' {
-			return nil, d.fail("truncated fraction")
-		}
-		for !d.eof() && d.peek() >= '0' && d.peek() <= '9' {
-			d.pos++
-		}
-	}
-	if !d.eof() && (d.peek() == 'e' || d.peek() == 'E') {
-		d.pos++
-		if !d.eof() && (d.peek() == '+' || d.peek() == '-') {
-			d.pos++
-		}
-		if d.eof() || d.peek() < '0' || d.peek() > '9' {
-			return nil, d.fail("truncated exponent")
-		}
-		for !d.eof() && d.peek() >= '0' && d.peek() <= '9' {
-			d.pos++
-		}
-	}
-	return d.data[start:d.pos], nil
+	return old
 }
 
-// decodeStringBytes consumes a JSON string (cursor on the opening quote) and
-// returns its unescaped contents. When the string needs no unescaping the
-// returned slice aliases d.data — callers copy before retaining. Escape
-// handling matches encoding/json's unquote: \uXXXX with surrogate pairing,
-// lone surrogates and invalid UTF-8 become U+FFFD.
-func (d *decoder) decodeStringBytes() ([]byte, error) {
-	if d.eof() || d.peek() != '"' {
-		return nil, d.fail("expected string")
+func (d *decoder) bool(old bool) bool {
+	switch d.tok() {
+	case 't':
+		d.lit("true")
+		return true
+	case 'f':
+		d.lit("false")
+		return false
+	case 'n':
+		d.lit("null")
+	default:
+		d.fail("expected boolean")
 	}
-	d.pos++
+	return old
+}
+
+// int64 decodes a number of integer syntax — '-'? then 0 or a digit run
+// without a leading zero — accumulating it on the way; null keeps old. A
+// fraction or exponent is rejected as encoding/json rejects "1.0" and "1e2"
+// for an integer field, and so is a value outside int64: a run of more than
+// 19 digits, or a magnitude above 1<<63 - 1 (1<<63 behind a '-').
+func (d *decoder) int64(old int64) int64 {
+	c := d.tok()
+	if c == 'n' {
+		d.lit("null")
+		return old
+	}
+	data, pos := d.data, d.pos
+	var limit uint64 = 1<<63 - 1
+	if c == '-' {
+		limit++
+		pos++
+	}
+	start, u := pos, uint64(0)
+	for ; pos < len(data) && data[pos]-'0' <= 9; pos++ {
+		u = u*10 + uint64(data[pos]-'0') // wraps only past 19 digits, which are rejected below
+	}
+	d.pos = pos
+	var next byte // what follows the digits; 0 at the end of input
+	if pos < len(data) {
+		next = data[pos]
+	}
+	switch n := pos - start; {
+	case n == 0:
+		d.fail("expected integer")
+	case n > 1 && data[start] == '0':
+		d.pos = start + 1
+		d.fail("leading zero in number")
+	case next == '.' || next == 'e' || next == 'E':
+		d.fail("fraction or exponent in integer field")
+	case n > 19 || u > limit:
+		d.pos = start
+		d.fail("integer overflows int64")
+	case c == '-':
+		return -int64(u)
+	default:
+		return int64(u)
+	}
+	return old
+}
+
+// float64 decodes a number through strconv.ParseFloat on the validated
+// literal (a range error rejects, as in encoding/json); null keeps old.
+func (d *decoder) float64(old float64) float64 {
+	if d.tok() == 'n' {
+		d.lit("null")
+		return old
+	}
+	lit := d.number()
+	if d.err != nil {
+		return old
+	}
+	v, err := strconv.ParseFloat(string(lit), 64)
+	if err != nil {
+		d.pos -= len(lit)
+		d.fail("number out of range for a float field")
+	}
+	return v
+}
+
+// number consumes a number of JSON's grammar and returns its bytes.
+func (d *decoder) number() []byte {
 	start := d.pos
-	// Fast path: scan for a clean span (no escapes, no control bytes, valid
-	// UTF-8).
-	i := d.pos
-	for i < len(d.data) {
-		c := d.data[i]
-		if c == '"' {
-			out := d.data[start:i]
-			d.pos = i + 1
-			return out, nil
-		}
-		if c == '\\' || c < 0x20 {
-			break
-		}
-		if c < utf8.RuneSelf {
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRune(d.data[i:])
-		if r == utf8.RuneError && size == 1 {
-			break
-		}
-		i += size
+	if d.at('-') {
+		d.pos++
 	}
-	// Slow path: build the unescaped form.
-	out := append([]byte(nil), d.data[start:i]...) //lint:allow hotalloc unescape slow path, reached only by strings containing escapes
+	if n := d.digits(); n == 0 || n > 1 && d.data[d.pos-n] == '0' {
+		d.fail("invalid number")
+	}
+	if d.at('.') {
+		if d.pos++; d.digits() == 0 {
+			d.fail("truncated fraction")
+		}
+	}
+	if d.at('e') || d.at('E') {
+		if d.pos++; d.at('+') || d.at('-') {
+			d.pos++
+		}
+		if d.digits() == 0 {
+			d.fail("truncated exponent")
+		}
+	}
+	return d.data[start:d.pos]
+}
+
+// digits consumes a run of decimal digits and returns its length.
+func (d *decoder) digits() int {
+	start := d.pos
+	for d.pos < len(d.data) && d.data[d.pos]-'0' <= 9 {
+		d.pos++
+	}
+	return d.pos - start
+}
+
+// string consumes a JSON string (cursor on the opening quote) and returns
+// its unescaped contents with their DecodeCache slot, hashed in the same
+// scan that looks for the closing quote. Clean ASCII — everything this
+// system writes — never leaves the loop, and the result aliases d.data:
+// callers copy before retaining. The first escape, control byte or non-ASCII
+// byte hands the rest of the string to unquote.
+func (d *decoder) string(hash bool) ([]byte, uint32) {
+	data, start := d.data, d.pos+1
+	h := uint32(fnvOffset)
+	for i := start; i < len(data); i++ {
+		c := data[i]
+		if c == '"' {
+			d.pos = i + 1
+			return data[start:i], h % decodeCacheSlots
+		}
+		if c == '\\' || c < ' ' || c >= utf8.RuneSelf {
+			return d.unquote(start, i)
+		}
+		if hash {
+			h = (h ^ uint32(c)) * fnvPrime
+		}
+	}
+	return d.unquote(start, len(data))
+}
+
+// jsonEscapes are the single-letter escapes and, index for index, the bytes
+// they stand for.
+const (
+	jsonEscapes   = `"\/bfnrt`
+	jsonUnescaped = "\"\\/\b\f\n\r\t"
+)
+
+// unquote is string's branch for everything but clean ASCII, resumed at i.
+// It matches encoding/json's unquote: valid UTF-8 passes through, still
+// aliasing d.data; an escape or an invalid byte starts an unescaped copy —
+// \uXXXX with surrogate pairing, lone surrogates and invalid UTF-8 each
+// becoming U+FFFD; a raw control byte is an error.
+func (d *decoder) unquote(start, i int) ([]byte, uint32) {
+	var out []byte
+	copied := false // out holds the unescaped form of d.data[..start]
 	for i < len(d.data) {
 		c := d.data[i]
 		switch {
 		case c == '"':
 			d.pos = i + 1
-			return out, nil
-		case c < 0x20:
-			d.pos = i
-			return nil, d.fail("control character in string")
-		case c == '\\':
-			i++
-			if i >= len(d.data) {
-				d.pos = i
-				return nil, d.fail("truncated escape")
+			if copied {
+				out = append(out, d.data[start:i]...)
+			} else {
+				out = d.data[start:i]
 			}
-			switch d.data[i] {
-			case '"', '\\', '/':
-				out = append(out, d.data[i])
+			return out, decodeCacheSlot(out)
+		case c < ' ':
+			d.pos = i
+			d.fail("control character in string")
+			return nil, 0
+		case c == '\\':
+			out = append(out, d.data[start:i]...)
+			copied = true
+			if i++; i == len(d.data) {
+				break
+			}
+			if j := strings.IndexByte(jsonEscapes, d.data[i]); j >= 0 {
+				out = append(out, jsonUnescaped[j])
 				i++
-			case 'b':
-				out = append(out, '\b')
-				i++
-			case 'f':
-				out = append(out, '\f')
-				i++
-			case 'n':
-				out = append(out, '\n')
-				i++
-			case 'r':
-				out = append(out, '\r')
-				i++
-			case 't':
-				out = append(out, '\t')
-				i++
-			case 'u':
-				r := getu4(d.data[i-1:])
-				if r < 0 {
-					d.pos = i
-					return nil, d.fail("invalid \\u escape")
-				}
+			} else if r := getu4(d.data[i-1:]); r >= 0 {
 				i += 5
 				if utf16.IsSurrogate(r) {
-					r1 := getu4(d.data[i:])
-					if dec := utf16.DecodeRune(r, r1); dec != utf8.RuneError {
+					// A valid pair decodes to one rune; a lone half to U+FFFD.
+					if r = utf16.DecodeRune(r, getu4(d.data[i:])); r != utf8.RuneError {
 						i += 6
-						out = utf8.AppendRune(out, dec)
-						break
 					}
-					r = utf8.RuneError
 				}
 				out = utf8.AppendRune(out, r)
-			default:
+			} else {
 				d.pos = i
-				return nil, d.fail("invalid escape character")
+				d.fail("invalid escape")
+				return nil, 0
 			}
+			start = i
 		case c < utf8.RuneSelf:
-			out = append(out, c)
 			i++
 		default:
 			r, size := utf8.DecodeRune(d.data[i:])
-			// Invalid UTF-8 bytes each decode to U+FFFD (size 1).
-			out = utf8.AppendRune(out, r)
+			if r == utf8.RuneError && size == 1 {
+				out = append(out, d.data[start:i]...)
+				out = append(out, "\uFFFD"...)
+				copied, start = true, i+1
+			}
 			i += size
 		}
 	}
 	d.pos = len(d.data)
-	return nil, d.fail("unterminated string")
+	d.fail("unterminated string")
+	return nil, 0
 }
 
 // getu4 parses \uXXXX at the start of s, returning -1 on malformed input
@@ -1354,107 +1171,32 @@ func getu4(s []byte) rune {
 	return r
 }
 
-// skipValue consumes one syntactically-valid JSON value of any shape
-// (unknown fields), enforcing the same nesting-depth limit as the scanner.
-func (d *decoder) skipValue() error {
-	c, err := d.next()
-	if err != nil {
-		return err
-	}
-	switch c {
-	case '{':
-		if err := d.push(); err != nil {
-			return err
+// skip consumes one syntactically valid JSON value of any shape — an unknown
+// field's — holding it to encoding/json's nesting limit; depth is how many
+// containers are already open around it.
+func (d *decoder) skip(depth int) {
+	switch c := d.tok(); c {
+	case '{', '[':
+		if depth++; depth > maxNestingDepth {
+			d.fail("exceeded max nesting depth")
+			return
 		}
-		defer d.pop()
-		d.pos++
-		c, err = d.next()
-		if err != nil {
-			return err
-		}
-		if c == '}' {
-			d.pos++
-			return nil
-		}
-		for {
-			c, err = d.next()
-			if err != nil {
-				return err
+		closer := c + 2 // ']' and '}' each sit two above their opener
+		for more := d.open(closer); more; more = d.more(closer) {
+			if c == '{' {
+				d.key()
 			}
-			if c != '"' {
-				return d.fail("expected object key")
-			}
-			if _, err := d.decodeStringBytes(); err != nil {
-				return err
-			}
-			c, err = d.next()
-			if err != nil {
-				return err
-			}
-			if c != ':' {
-				return d.fail("expected ':' after object key")
-			}
-			d.pos++
-			if err := d.skipValue(); err != nil {
-				return err
-			}
-			c, err = d.next()
-			if err != nil {
-				return err
-			}
-			switch c {
-			case ',':
-				d.pos++
-			case '}':
-				d.pos++
-				return nil
-			default:
-				return d.fail("expected ',' or '}' in object")
-			}
-		}
-	case '[':
-		if err := d.push(); err != nil {
-			return err
-		}
-		defer d.pop()
-		d.pos++
-		c, err = d.next()
-		if err != nil {
-			return err
-		}
-		if c == ']' {
-			d.pos++
-			return nil
-		}
-		for {
-			if err := d.skipValue(); err != nil {
-				return err
-			}
-			c, err = d.next()
-			if err != nil {
-				return err
-			}
-			switch c {
-			case ',':
-				d.pos++
-			case ']':
-				d.pos++
-				return nil
-			default:
-				return d.fail("expected ',' or ']' in array")
-			}
+			d.skip(depth)
 		}
 	case '"':
-		_, err := d.decodeStringBytes()
-		return err
+		d.string(false)
 	case 't':
-		return d.expectLiteral("true")
+		d.lit("true")
 	case 'f':
-		return d.expectLiteral("false")
+		d.lit("false")
 	case 'n':
-		return d.expectLiteral("null")
+		d.lit("null")
 	default:
-		_, err := d.numberLiteral()
-		return err
+		d.number()
 	}
 }

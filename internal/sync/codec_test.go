@@ -2,13 +2,32 @@ package sync
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"crowdfill/internal/model"
 )
+
+// encodeMessageJSON and decodeMessageJSON are the encoding/json reference
+// implementations the hand-rolled codec is tested against (the wire-byte
+// identity and decode parity tests, FuzzMessageDecode and
+// FuzzCodecDifferential). They live with the tests: the shipped package
+// carries one codec.
+func encodeMessageJSON(m Message) ([]byte, error) { return json.Marshal(m) }
+
+func decodeMessageJSON(data []byte) (Message, error) {
+	var m Message
+	if err := json.Unmarshal(data, &m); err != nil {
+		return Message{}, fmt.Errorf("sync: decode message: %w", err)
+	}
+	return m, nil
+}
 
 // codecMessages is the shared table of messages exercising every field,
 // every omitempty boundary, string-escaping edge cases, and float rendering
@@ -216,9 +235,137 @@ func codecDecodeInputs() []string {
 		`{"seq":1e}`,
 		`{"seq":1e+}`,
 		// Deep nesting just under and over json's 10000-depth scanner limit
-		// (inside an unknown field, so only skipValue sees it).
+		// (inside an unknown field, so only skip sees it), at the top level
+		// and at a snapshot row's depth.
 		`{"x":` + strings.Repeat(`[`, 9998) + strings.Repeat(`]`, 9998) + `}`,
+		`{"x":` + strings.Repeat(`[`, 9999) + strings.Repeat(`]`, 9999) + `}`,
+		`{"x":` + strings.Repeat(`[`, 10000) + strings.Repeat(`]`, 10000) + `}`,
 		`{"x":` + strings.Repeat(`[`, 10001) + strings.Repeat(`]`, 10001) + `}`,
+		`{"snapshot":{"rows":[{"x":` + strings.Repeat(`[`, 9996) + strings.Repeat(`]`, 9996) + `}]}}`,
+		`{"snapshot":{"rows":[{"x":` + strings.Repeat(`[`, 9997) + strings.Repeat(`]`, 9997) + `}]}}`,
+		// Integers are accumulated inline: the int64 boundaries on both sides,
+		// digit runs that wrap a uint64 accumulator, signs and zeros, and the
+		// 19-digit wall-clock ts NetServer stamps.
+		`{"seq":-9223372036854775808}`,
+		`{"seq":-9223372036854775809}`,
+		`{"seq":12345678901234567890}`, // 20 digits: past int64, inside uint64
+		`{"seq":18446744073709551617}`, // 2^64 + 1: a wrapped accumulator reads 1
+		`{"seq":-18446744073709551617}`,
+		`{"seq":1234567890123456789012345}`, // 25 digits
+		`{"seq":99999999999999999999}`,      // 20 nines: the largest 20-digit run
+		`{"seq":9999999999999999999}`,       // 19 nines: fits uint64, not int64
+		`{"seq":-01}`,
+		`{"seq":00}`,
+		`{"seq":0}`,
+		`{"seq":-1}`,
+		`{"seq":+1}`,
+		`{"seq":--1}`,
+		`{"seq":0.0}`,
+		`{"seq":-0e0}`,
+		`{"seq":1E2}`,
+		`{"seq":1x}`,
+		`{"seq":1`,
+		`{"seq":-`,
+		`{"ts":1790996400123456789}`,
+		`{"type":4,"vec":["key-1",null],"origin":"net-00002","worker":"s1","seq":4711,"ts":1790996400123456789}`,
+		`{"col":9223372036854775808}`,
+		`{"col":-9223372036854775808}`,
+		`{"type":-9223372036854775809}`,
+		`{"type":9223372036854775807}`,
+		`{"snapshot":{"rows":[{"up":9223372036854775808}]}}`,
+		`{"snapshot":{"rows":[{"down":-9223372036854775809}]}}`,
+		`{"snapshot":{"rows":[{"up":9223372036854775807,"down":-9223372036854775808}]}}`,
+		`{"snapshot":{"uh":{"a":9223372036854775808}}}`,
+		`{"snapshot":{"dh":{"a":1.5}}}`,
+		// Floats keep strconv on the validated literal.
+		`{"estimates":{"upvote":-0}}`,
+		`{"estimates":{"upvote":01}}`,
+		`{"estimates":{"upvote":-}}`,
+		`{"estimates":{"upvote":.5}}`,
+		`{"estimates":{"upvote":5.}}`,
+		`{"estimates":{"upvote":1e}}`,
+		`{"estimates":{"upvote":1e-}}`,
+		`{"estimates":{"upvote":1E+2,"downvote":-1e-400}}`,
+		`{"estimates":{"upvote":"1"}}`,
+		`{"estimates":{"upvote":true}}`,
+		`{"estimates":{"perColumn":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17]}}`, // spills the stack buffer
+		// Keys are dispatched by length and first byte: look-alikes sharing
+		// both with a field, prefixes and extensions of one, the empty key,
+		// and the spellings only the fold match resolves — upper case, an
+		// escape, U+017F (folds to s), U+212A inside an escape, invalid UTF-8.
+		`{"tyqe":3}`,
+		`{"vex":["a"]}`,
+		`{"vel":"a"}`,
+		`{"tz":5}`,
+		`{"rox":"r"}`,
+		`{"typ":3}`,
+		`{"types":3}`,
+		`{"":3}`,
+		`{"":3,"type":4}`,
+		`{"\u0074ype":3}`,
+		`{"\u0054YPE":3}`,
+		`{"ty\pe":3}`,
+		"{\"\u017feq\":5}",
+		`{"\u017feq":5}`,
+		`{"wor\u212aer":"w"}`,
+		"{\"ty\xffe\":3}",
+		"{\"t\x01pe\":3}",
+		`{"tYpE":3,"VEC":["a"],"NewRow":"n","ORIGIN":"o","Worker":"w","SEQ":1,"Ts":2,"AUTO":true,"COL":3,"VAL":"v"}`,
+		`{"snapshot":{"ROWS":[{"ID":"r","VEC":["a"],"UP":1,"DOWN":2,"vec":["b"]}],"UH":{"a":1},"Dh":{"b":2},"UHVECS":{"a":["a"]},"dhvecs":{"b":["b"]}}}`,
+		`{"snapshot":{"type":1,"row":"r","id":"x","perColumn":[1]}}`, // other structs' names are unknown here
+		`{"estimates":{"PERCOLUMN":[1],"UPVOTE":2,"Downvote":3,"upvotes":4,"up":5}}`,
+		`{"snapshot":{"rows":[{"type":1,"uh":{"a":1},"i":"x","idx":"y"}]}}`,
+		// A full vote with whitespace between every pair of tokens.
+		" { \"type\" : 3 , \"vec\" : [ \"a\" , null , \"b\" ] , \"origin\" : \"net-00003\" , \"worker\" : \"w3\" , \"seq\" : 17 , \"ts\" : 1790996400123456789 , \"auto\" : true } ",
+		"\t{\n\t\"type\"\t:\r\n5 ,\n\"snapshot\" : { \"rows\" : [ { \"id\" : \"r\" , \"vec\" : [ ] , \"up\" : 1 } , null ] , \"uh\" : { \"a\" : 1 , \"b\" : null } , \"uhVecs\" : { } } ,\"estimates\": { \"perColumn\" : [ 1 , null ] } }\n",
+		"{\"type\":1\v}", // vertical tab is not JSON whitespace
+		"{\"type\":\f1}",
+		"{\u00a0\"type\":1}",
+		`{ }`,
+		`{"vec":[ ]}`,
+		// Strings: clean runs ending in each slow branch, escapes after
+		// multi-byte runes, a lone high surrogate before another escape,
+		// truncated escapes, and lengths around the cache's 64-byte limit.
+		`{"val":"é\n"}`,
+		"{\"val\":\"é\xff\"}",
+		"{\"val\":\"abc\xc3\"}",
+		"{\"val\":\"\xe2\x82\"}",
+		`{"val":"\u0000"}`,
+		`{"val":"\ud83d\u0041"}`,
+		`{"val":"\ud83d\ud83d\ude00"}`,
+		`{"val":"\uD83D\uDE00"}`,
+		`{"val":"\ud83d\n"}`,
+		`{"val":"abc\`,
+		`{"val":"abc\"`,
+		`{"val":"\u12`,
+		`{"val":"\ud83d\u12`,
+		`{"val":"\ud83d\`,
+		`{"val":"` + strings.Repeat("x", 64) + `"}`,
+		`{"val":"` + strings.Repeat("x", 65) + `"}`,
+		`{"val":"` + strings.Repeat("é", 32) + `"}`,
+		`{"val":"","row":"","origin":"","vec":[""]}`,
+		`{"vec":["a","b","c","d","e","f","g","h","i","j","k","l","m","n","o","p","q"]}`, // spills the stack buffer
+		// A duplicate key decodes over what the first left, slices included:
+		// encoding/json reuses the backing array element by element.
+		`{"vec":["a"],"vec":null}`,
+		`{"vec":["a","b"],"vec":[null]}`,
+		`{"snapshot":{"rows":[{"id":"a","up":3}],"rows":[{"id":"c"}]}}`,
+		`{"snapshot":{"rows":[{"id":"a","up":3},{"id":"b","down":2}],"rows":[{"id":"c"}],"rows":[null,{"vec":["x"]},{"up":1}]}}`,
+		`{"snapshot":{"rows":[{"id":"a","up":3}],"rows":[],"rows":[{"down":1}]}}`,
+		`{"snapshot":{"rows":[{"id":"a","up":3}],"rows":null,"rows":[{"down":1}]}}`,
+		`{"snapshot":{"uh":{"a":1}},"snapshot":{"uh":{"b":2},"dh":{}}}`,
+		`{"snapshot":{"uh":{"a":1}},"snapshot":null,"snapshot":{"dh":{"b":2}}}`,
+		`{"snapshot":{"uh":{"a":1,"a":null},"uhVecs":{"a":["x"],"a":null}}}`,
+		`{"estimates":{"perColumn":[1,2],"perColumn":[null]}}`,
+		`{"estimates":{"perColumn":[1,2,3],"perColumn":[9],"perColumn":[null,null,null,null]}}`,
+		`{"estimates":{"perColumn":[1,2],"perColumn":[],"perColumn":[null]}}`,
+		`{"estimates":{"perColumn":[1,2],"perColumn":null,"perColumn":[null,7]}}`,
+		`{"estimates":{"upvote":1},"estimates":{"downvote":2,"upvote":null}}`,
+		`{"auto":true,"auto":null}`,
+		`{"auto":true,"auto":false}`,
+		`{"auto":tru}`,
+		`{"auto":falsy}`,
+		`{"auto":1}`,
 	}
 }
 
@@ -406,9 +553,152 @@ func TestDecodeCacheOwnsItsStrings(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeMessage prices the decoder on the three payloads that make
-// up steady-state traffic, through the plain entry (cold: every string is a
-// fresh copy) and through a link cache that has seen them (warm).
+// TestDecoderCoversEveryTaggedField walks the json tags of the four structs
+// the decoder knows and decodes {"<tag>":<a valid value>} with the tag as
+// written, upper-cased and \u-escaped, requiring the encoding/json result
+// every time: a struct field added without teaching the decoder's dispatch
+// would be skipped as an unknown key, and fails here instead.
+func TestDecoderCoversEveryTaggedField(t *testing.T) {
+	structs := []struct {
+		typ  reflect.Type
+		wrap string // where an object of this struct sits in a message
+	}{
+		{reflect.TypeOf(Message{}), `%s`},
+		{reflect.TypeOf(Snapshot{}), `{"snapshot":%s}`},
+		{reflect.TypeOf(model.Row{}), `{"snapshot":{"rows":[%s]}}`},
+		{reflect.TypeOf(Estimates{}), `{"estimates":%s}`},
+	}
+	// A value of each field type that leaves the field visibly set.
+	valueFor := func(ft reflect.Type) string {
+		switch ft {
+		case reflect.TypeOf(model.Vector{}):
+			return `["a",null]`
+		case reflect.TypeOf(&Snapshot{}):
+			return `{"uh":{"k":1}}`
+		case reflect.TypeOf(&Estimates{}):
+			return `{"upvote":2}`
+		case reflect.TypeOf([]model.Row{}):
+			return `[{"id":"r"}]`
+		case reflect.TypeOf(map[string]int{}):
+			return `{"k":2}`
+		case reflect.TypeOf(map[string]model.Vector{}):
+			return `{"k":["a"]}`
+		case reflect.TypeOf([]float64{}):
+			return `[1.5,2]`
+		}
+		switch ft.Kind() {
+		case reflect.Int, reflect.Int64:
+			return `7`
+		case reflect.Float64:
+			return `1.5`
+		case reflect.String:
+			return `"x"`
+		case reflect.Bool:
+			return `true`
+		}
+		t.Fatalf("no sample value for a field of type %v: teach this test (and the decoder) the new type", ft)
+		return ""
+	}
+	escape := func(tag string) string {
+		var sb strings.Builder
+		for _, r := range tag {
+			fmt.Fprintf(&sb, `\u%04x`, r)
+		}
+		return sb.String()
+	}
+	for _, st := range structs {
+		for i := 0; i < st.typ.NumField(); i++ {
+			f := st.typ.Field(i)
+			tag, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if tag == "" || tag == "-" {
+				t.Fatalf("%v.%s has no json name", st.typ, f.Name)
+			}
+			for _, key := range []string{tag, strings.ToUpper(tag), escape(tag)} {
+				in := fmt.Sprintf(st.wrap, `{"`+key+`":`+valueFor(f.Type)+`}`)
+				want, err := decodeMessageJSON([]byte(in))
+				if err != nil {
+					t.Fatalf("%s: reference rejects the probe: %v", in, err)
+				}
+				empty, _ := decodeMessageJSON([]byte(fmt.Sprintf(st.wrap, `{}`)))
+				if reflect.DeepEqual(want, empty) {
+					t.Fatalf("%s: the probe sets nothing, so it cannot tell a decoded field from a skipped one", in)
+				}
+				got, err := DecodeMessage([]byte(in))
+				if err != nil {
+					t.Errorf("%s: %v", in, err)
+				} else if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: %v.%s not decoded\n got: %#v\nwant: %#v", in, st.typ, f.Name, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestStringScanSlotIsDecodeCacheSlot: the hash the string scan computes on
+// its way to the closing quote must select the slot decodeCacheSlot selects
+// for the decoded bytes — through the clean-ASCII loop and through every
+// unquote branch — so a string's slot keeps depending on its bytes alone.
+// Every quote of every corpus input is tried as the start of a string.
+func TestStringScanSlotIsDecodeCacheSlot(t *testing.T) {
+	inputs := codecDecodeInputs()
+	for _, m := range codecMessages() {
+		inputs = append(inputs, string(AppendMessage(nil, m)))
+	}
+	scanned := 0
+	for _, in := range inputs {
+		data := []byte(in)
+		for i := range data {
+			if data[i] != '"' {
+				continue
+			}
+			d := decoder{data: data, pos: i}
+			b, slot := d.string(true)
+			if d.err != nil {
+				continue
+			}
+			scanned++
+			if want := decodeCacheSlot(b); slot != want {
+				t.Fatalf("string at offset %d of %.60q decodes to %q: scan computed slot %d, decodeCacheSlot %d", i, in, b, slot, want)
+			}
+		}
+	}
+	if scanned < 500 {
+		t.Fatalf("only %d strings scanned: the corpus no longer exercises the scan", scanned)
+	}
+}
+
+// TestCodecDecodeErrorsCarryOffset: every rejection — a type mismatch or a
+// value out of range as much as broken syntax — wraps errSyntax and says
+// where the input broke, so a rejected inbound message can be located from
+// the log line.
+func TestCodecDecodeErrorsCarryOffset(t *testing.T) {
+	for in, offset := range map[string]string{
+		`{"seq":1.0}`:                    "offset 8",
+		`{"seq":9223372036854775808}`:    "offset 7",
+		`{"ts":01}`:                      "offset 7",
+		`{"type":"1"}`:                   "offset 8",
+		`{"estimates":{"upvote":1e400}}`: "offset 23",
+		`{"estimates":{"upvote":"x"}}`:   "offset 23",
+		`{"val":"a` + "\x01" + `"}`:      "offset 9",
+		`{"row":1}`:                      "offset 7",
+		`{"type":1} x`:                   "offset 11",
+	} {
+		_, err := DecodeMessage([]byte(in))
+		if !errors.Is(err, errSyntax) {
+			t.Errorf("%q: error %v does not wrap errSyntax", in, err)
+		} else if !strings.HasSuffix(err.Error(), offset) {
+			t.Errorf("%q: error %q, want it to end in %q", in, err, offset)
+		}
+	}
+}
+
+// BenchmarkDecodeMessage prices the decoder on the payloads that make up
+// steady-state traffic (vote, replace, estimate), on the toggle the fanout64
+// and burst64 workloads broadcast — a partial-row downvote stamped by
+// NetServer: null cells, a net-000NN origin, a 19-digit wall-clock ts — and
+// on the ≈ 250-row snapshot a late joiner of table200 loads; each through the
+// plain entry (cold: every string is a fresh copy) and through a link cache
+// that has seen it (warm).
 func BenchmarkDecodeMessage(b *testing.B) {
 	vec := model.VectorOf("Lionel Messi", "Argentina", "FW", "83", "37")
 	payloads := []struct {
@@ -420,6 +710,9 @@ func BenchmarkDecodeMessage(b *testing.B) {
 			Origin: "net-00003", Worker: "worker3", Seq: 18, TS: 123456790, Col: 4, Val: "37"}},
 		{"estimate", Message{Type: MsgEstimate, Estimates: &Estimates{
 			PerColumn: []float64{0.0123, 0.0456, 0.0789, 0.0101, 0.0202}, Upvote: 0.0033, Downvote: 0.0044}}},
+		{"fanout-toggle", Message{Type: MsgDownvote, Vec: model.VectorOf("key-1", ""),
+			Origin: "net-00002", Worker: "s1", Seq: 4711, TS: 1790996400123456789}},
+		{"snapshot", Message{Type: MsgSnapshot, Snapshot: benchSnapshot(250)}},
 	}
 	for _, p := range payloads {
 		data := AppendMessage(nil, p.m)
@@ -443,4 +736,28 @@ func BenchmarkDecodeMessage(b *testing.B) {
 			}
 		})
 	}
+}
+
+// benchSnapshot builds a join snapshot of n five-column rows drawn from a
+// small pool of values, a third of them voted on, with the vote histories
+// that go with them.
+func benchSnapshot(n int) *Snapshot {
+	s := &Snapshot{UH: map[string]int{}, DH: map[string]int{}, UHVecs: map[string]model.Vector{}, DHVecs: map[string]model.Vector{}}
+	countries := []string{"Argentina", "Brazil", "Germany", "Spain", "France", "Italy", "Portugal"}
+	positions := []string{"FW", "MF", "DF", "GK"}
+	for i := 0; i < n; i++ {
+		v := model.VectorOf("Player "+strconv.Itoa(i), countries[i%len(countries)], positions[i%len(positions)],
+			strconv.Itoa(40+i%60), strconv.Itoa(i%40))
+		r := model.Row{ID: model.RowID("net-0000" + strconv.Itoa(1+i%5) + "-" + strconv.Itoa(i)), Vec: v}
+		switch i % 3 {
+		case 0:
+			r.Up = 2
+			s.UH[v.Encode()], s.UHVecs[v.Encode()] = 2, v
+		case 1:
+			r.Down = 1
+			s.DH[v.Encode()], s.DHVecs[v.Encode()] = 1, v
+		}
+		s.Rows = append(s.Rows, r)
+	}
+	return s
 }

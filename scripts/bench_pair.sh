@@ -4,9 +4,9 @@
 # the run length BENCHMARK.json fixes, a fresh seed per pair, and the side
 # that goes first alternating from pair to pair. For each end-to-end metric
 # it prints both sides' median and quartiles, the pairs the change won (ties
-# count for neither), and whether the gain rule holds: the change wins at
-# least nine tenths of the pairs and the medians differ by more than the
-# distance between the parent's own quartiles.
+# count for neither), whether the gain rule holds — the change wins at least
+# nine tenths of the pairs and the medians differ by more than the distance
+# between the parent's own quartiles — and every run's value, pair by pair.
 #
 #   sh scripts/bench_pair.sh <parent-ref> <workload> [pairs=10]
 #
@@ -85,7 +85,7 @@ function sorted(side, m, out,    n, i, j, t) {
     return n
 }
 $3 == "FAILED" { failed[$1]++; next }
-{ val[$1, $2, $3] = $4 + 0; seeds[$2] = 1; if (!($3 in metric)) { metric[$3] = 1; order[++nm] = $3 } }
+{ val[$1, $2, $3] = $4 + 0; if (!($2 in seeds)) { seeds[$2] = 1; seedorder[++ns] = $2 }; if (!($3 in metric)) { metric[$3] = 1; order[++nm] = $3 } }
 END {
     printf "failed runs: parent %d, change %d\n", failed["parent"], failed["change"]
     for (x = 1; x <= nm; x++) {
@@ -105,6 +105,12 @@ END {
         gain = higher ? cmed - pmed : pmed - cmed
         printf "%-16s parent median %.4g [q1 %.4g, q3 %.4g]  change median %.4g [q1 %.4g, q3 %.4g]\n", m, pmed, pq1, pq3, cmed, cq1, cq3
         printf "%-16s change won %d, lost %d of %d pairs; medians differ by %.4g (%+.1f%%), parent quartile distance %.4g: %s\n", "", won, lost, pairs, gain, pmed ? 100 * (cmed - pmed) / pmed : 0, pq3 - pq1, (won * 10 >= 9 * pairs && gain > pq3 - pq1) ? "GAIN" : "no gain shown"
+        runs = ""
+        for (y = 1; y <= ns; y++) {
+            sd = seedorder[y]
+            runs = runs sprintf(" %s:%s/%s", sd, (("parent", sd, m) in val) ? sprintf("%.4g", val["parent", sd, m]) : "-", (("change", sd, m) in val) ? sprintf("%.4g", val["change", sd, m]) : "-")
+        }
+        printf "%-16s every run, seed:parent/change%s\n", "", runs
     }
 }
 ' "$RESULTS"
