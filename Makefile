@@ -4,7 +4,7 @@ GO ?= go
 # or local deep runs override, e.g. `make fuzz-smoke FUZZTIME=5m`.
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint fuzz-smoke verify bench bench-gate bench-pair bench-e2e
+.PHONY: build test race vet lint fuzz-smoke verify planes-loc bench bench-gate bench-pair bench-e2e
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,11 @@ fuzz-smoke:
 # verify is the tier-1 gate plus static analysis, the invariant suite, the
 # race detector, and a short fuzz smoke.
 verify: build vet lint test race fuzz-smoke
+
+# planes-loc prints the non-test line count of the four wire planes plus the
+# work queue they share — the "one path per job" figure ROADMAP tracks.
+planes-loc:
+	@find internal/wsock internal/transport internal/server internal/netpoll internal/parkq -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 # bench runs the hot-path benchmarks (server fan-out, e2e WebSocket latency,
 # broadcast publish, probable-row scan, PRI repair full-vs-incremental, an

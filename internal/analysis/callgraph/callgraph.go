@@ -79,7 +79,7 @@ type Event struct {
 	What string
 	// Callees holds candidate callee node keys (KCall).
 	Callees []string
-	// Display names the callee for messages: "flushQueue.push".
+	// Display names the callee for messages: "Queue.Push".
 	Display string
 	// Dynamic marks a call through a function value (unresolvable).
 	Dynamic bool

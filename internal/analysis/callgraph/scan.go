@@ -14,7 +14,7 @@ import (
 // hand-maintained blocking list left after the summary migration: everything
 // above these leaves is derived from the call graph.
 var blockingConnMethods = map[string]bool{
-	"Send": true, "SendPrepared": true, "SendPreparedBatch": true,
+	"Send": true, "SendPreparedBatch": true,
 	"Recv": true, "RecvBatch": true,
 	"Read": true, "Write": true, "ReadText": true, "WriteText": true,
 	"ReadTextLease": true, "WritePrepared": true, "WritePreparedBatch": true,

@@ -7,8 +7,8 @@
 // order makes that impossible, whatever the interleaving.
 //
 // On top of cycle detection, neverNested pins PR 6's collect-then-push
-// discipline as a checked invariant: bcastLog.mu and flushQueue.mu must not
-// nest in either direction — producers collect dirty connections under the
+// discipline as a checked invariant: bcastLog.mu and its work queue's mutex
+// (parkq.Queue.mu) must not nest in either direction — producers collect dirty connections under the
 // log lock, release it, then push to the queue; flushers claim work under
 // the queue lock and drain the log only after releasing it. A nesting in
 // only one direction is not yet a cycle, so the cycle check alone would
@@ -28,7 +28,7 @@ import (
 
 // neverNested lists owner pairs that must not nest in either direction.
 var neverNested = [][2]string{
-	{"bcastLog", "flushQueue"},
+	{"bcastLog", "Queue"},
 	// The flight recorder's ring lock must not nest with the broadcast
 	// log's either way: drop/evict notes are recorded only after bcastLog.mu
 	// is released (the single-noter teardown discipline), and the recorder
@@ -41,7 +41,7 @@ var neverNested = [][2]string{
 	// pushes to the dispatch queue; workers claim under the queue lock and
 	// run handlers after releasing it. Pinning the pair keeps epoll-side
 	// bookkeeping and dispatch parking from ever nesting.
-	{"Poller", "pollQueue"},
+	{"Poller", "Queue"},
 }
 
 // New returns the lockorder analyzer.
@@ -50,7 +50,7 @@ func New() *analysis.Analyzer {
 		Name: "lockorder",
 		Doc: "assembles the global lock-acquisition-order graph from call-graph " +
 			"summaries and reports cycles (potential deadlocks) and forbidden " +
-			"nestings (bcastLog.mu vs flushQueue.mu, the collect-then-push rule)",
+			"nestings (bcastLog.mu or Poller.mu vs Queue.mu, the collect-then-push rule)",
 		Run: run,
 	}
 }

@@ -1,6 +1,7 @@
 // Package lo exercises the lockorder analyzer: the global
-// lock-acquisition-order graph must be acyclic, and bcastLog.mu must never
-// nest with flushQueue.mu in either direction (the collect-then-push rule).
+// lock-acquisition-order graph must be acyclic, and neither bcastLog.mu nor
+// Poller.mu may nest with its work queue's Queue.mu in either direction (the
+// collect-then-push rule).
 package lo
 
 import "sync"
@@ -39,19 +40,22 @@ func (g *gamma) thenAlpha(a *alpha) {
 	g.mu.Unlock()
 }
 
-// bcastLog and flushQueue mirror the broadcast plane's pair: nesting them is
+// bcastLog and Queue mirror the broadcast plane's pair: nesting them is
 // forbidden in either direction even before a reverse edge closes a cycle.
+// Queue is generic like parkq.Queue, so every call below goes through an
+// instantiated method — a different object from the declaration whose
+// summary the edge must come from.
 type bcastLog struct {
 	mu   sync.Mutex
 	head uint64
 }
 
-type flushQueue struct {
+type Queue[T any] struct {
 	mu sync.Mutex
-	q  []int
+	q  []T
 }
 
-func (q *flushQueue) push(v int) {
+func (q *Queue[T]) push(v T) {
 	q.mu.Lock()
 	q.q = append(q.q, v)
 	q.mu.Unlock()
@@ -59,15 +63,15 @@ func (q *flushQueue) push(v int) {
 
 // pushUnderLogLock enqueues while still inside the log's critical section:
 // the forbidden nesting, observed through push's derived summary.
-func (l *bcastLog) pushUnderLogLock(q *flushQueue) {
+func (l *bcastLog) pushUnderLogLock(q *Queue[int]) {
 	l.mu.Lock()
-	q.push(1) // want `forbidden nesting: flushQueue.mu acquired while holding bcastLog.mu`
+	q.push(1) // want `forbidden nesting: Queue.mu acquired while holding bcastLog.mu`
 	l.mu.Unlock()
 }
 
 // collectThenPush is the sanctioned discipline: gather under the log lock,
 // release, then push — no edge, no finding.
-func (l *bcastLog) collectThenPush(q *flushQueue, dirty []int) {
+func (l *bcastLog) collectThenPush(q *Queue[int], dirty []int) {
 	var wake []int
 	l.mu.Lock()
 	wake = append(wake, dirty...)
@@ -79,15 +83,28 @@ func (l *bcastLog) collectThenPush(q *flushQueue, dirty []int) {
 
 // deferredPush runs at return time, after the explicit unlock: deferred
 // calls are not order edges.
-func (l *bcastLog) deferredPush(q *flushQueue) {
+func (l *bcastLog) deferredPush(q *Queue[int]) {
 	l.mu.Lock()
 	defer q.push(1)
 	l.mu.Unlock()
 }
 
 // goPush hands the work to a new goroutine that does not hold the log lock.
-func (l *bcastLog) goPush(q *flushQueue) {
+func (l *bcastLog) goPush(q *Queue[int]) {
 	l.mu.Lock()
 	go q.push(1)
 	l.mu.Unlock()
+}
+
+// Poller and its dispatch queue are the read plane's pair: a second
+// instantiation of the same Queue, pinned the same way.
+type Poller struct {
+	mu sync.Mutex
+	q  *Queue[string]
+}
+
+func (p *Poller) enqueueUnderTableLock(tok string) {
+	p.mu.Lock()
+	p.q.push(tok) // want `forbidden nesting: Queue.mu acquired while holding Poller.mu`
+	p.mu.Unlock()
 }

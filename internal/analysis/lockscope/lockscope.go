@@ -39,24 +39,26 @@ import (
 // serializing frame writers, marketplace ledgers) legitimately cover I/O and
 // are tracked only for ordering.
 var guardedOwners = map[string]bool{
-	"NetServer":  true,
-	"bcastLog":   true,
-	"Core":       true,
-	"Replica":    true,
-	"flushQueue": true,
+	"NetServer": true,
+	"bcastLog":  true,
+	"Core":      true,
+	"Replica":   true,
+	// parkq.Queue: the one cond-parked work queue under both worker pools
+	// (the flushers' dirty-connection queue, the poll workers' dispatch
+	// queue). Every instantiation shares the owner name.
+	"Queue": true,
 	// The readiness read plane (PR 10): the poller's descriptor-table lock
-	// and its dispatch queue follow the same collect-then-push discipline
-	// as the flusher pool — critical sections are map/slice operations
-	// only, epoll_ctl and handler dispatch happen outside them.
-	"Poller":    true,
-	"pollQueue": true,
+	// follows the same collect-then-push discipline as the flusher pool —
+	// critical sections are map/slice operations only, epoll_ctl and
+	// handler dispatch happen outside them.
+	"Poller": true,
 }
 
 // allowedOrder lists the sanctioned nested-acquisition pairs: outer → inner.
-// flushQueue.mu appears in no pair on purpose: the flusher pool's work queue
-// must never nest with bcastLog.mu in either order (producers collect dirty
-// connections under the log lock, release it, then push), so any nesting is
-// an ordering violation. lockorder independently checks this global relation
+// Queue.mu appears in no pair on purpose: a pool's work queue must never nest
+// with its owner's lock (bcastLog.mu, Poller.mu) in either order (producers
+// collect dirty connections under the owner's lock, release it, then push),
+// so any nesting is an ordering violation. lockorder independently checks this global relation
 // for cycles, so adding a pair here cannot silently sanction a deadlock.
 var allowedOrder = map[[2]string]bool{
 	{"NetServer", "bcastLog"}: true,

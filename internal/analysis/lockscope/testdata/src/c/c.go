@@ -247,62 +247,79 @@ func (g *ledger) record() {
 	g.mu.Unlock()
 }
 
-// flushQueue mirrors the flusher pool's dirty-connection work queue. Its mu
-// is a guarded owner with no allowedOrder entry: it must never nest with
-// bcastLog.mu in either direction.
-type flushQueue struct {
+// Queue mirrors parkq.Queue, the generic cond-parked work queue both worker
+// pools instantiate. Its mu is a guarded owner with no allowedOrder entry: it
+// must never nest with bcastLog.mu or Poller.mu in either direction. The
+// call sites below go through instantiated methods — distinct objects from
+// the generic declarations — and must still find the declaration's summary.
+type Queue[T any] struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	q    []*flushConn
+	q    []T
 }
 
 type flushConn struct {
 	conn Conn
 }
 
-func (q *flushQueue) push(fc *flushConn) {
+func (q *Queue[T]) push(item T) {
 	q.mu.Lock()
-	q.q = append(q.q, fc)
+	q.q = append(q.q, item)
 	q.mu.Unlock()
 }
 
-func (q *flushQueue) pop() *flushConn {
+func (q *Queue[T]) pop() T {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.q) == 0 {
 		q.cond.Wait()
 	}
-	fc := q.q[0]
+	item := q.q[0]
 	q.q = q.q[1:]
-	return fc
+	return item
+}
+
+// Poller mirrors the readiness poller: its descriptor-table lock and its
+// dispatch queue (another instantiation of Queue) never nest either.
+type Poller struct {
+	mu sync.Mutex
+	q  *Queue[int]
+}
+
+// enqueueUnderTableLock pushes a ready descriptor while still holding the
+// descriptor-table lock.
+func (p *Poller) enqueueUnderTableLock(tok int) {
+	p.mu.Lock()
+	p.q.push(tok) // want `lock ordering: acquiring Queue.mu while holding Poller.mu`
+	p.mu.Unlock()
 }
 
 // pushUnderLogLock enqueues dirty connections while still inside the
 // broadcast log's critical section: the classic flusher-pool deadlock shape.
-func (l *bcastLog) pushUnderLogLock(fq *flushQueue, fc *flushConn) {
+func (l *bcastLog) pushUnderLogLock(fq *Queue[*flushConn], fc *flushConn) {
 	l.mu.Lock()
-	fq.push(fc) // want `lock ordering: acquiring flushQueue.mu while holding bcastLog.mu`
+	fq.push(fc) // want `lock ordering: acquiring Queue.mu while holding bcastLog.mu`
 	l.mu.Unlock()
 }
 
 // popUnderLogLock parks on the work queue's condition variable with the log
 // lock held.
-func (l *bcastLog) popUnderLogLock(fq *flushQueue) *flushConn {
+func (l *bcastLog) popUnderLogLock(fq *Queue[*flushConn]) *flushConn {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return fq.pop() // want `lock ordering: acquiring flushQueue.mu while holding bcastLog.mu`
+	return fq.pop() // want `lock ordering: acquiring Queue.mu while holding bcastLog.mu`
 }
 
 // publishUnderQueueLock is the reverse nesting: also forbidden.
-func (q *flushQueue) publishUnderQueueLock(l *bcastLog) {
+func (q *Queue[T]) publishUnderQueueLock(l *bcastLog) {
 	q.mu.Lock()
-	l.publish() // want `lock ordering: acquiring bcastLog.mu while holding flushQueue.mu`
+	l.publish() // want `lock ordering: acquiring bcastLog.mu while holding Queue.mu`
 	q.mu.Unlock()
 }
 
 // collectThenPush is the sanctioned pattern: gather dirty connections under
 // the log lock, release it, then push to the queue lock-free.
-func (l *bcastLog) collectThenPush(fq *flushQueue, parked []*flushConn) {
+func (l *bcastLog) collectThenPush(fq *Queue[*flushConn], parked []*flushConn) {
 	var wake []*flushConn
 	l.mu.Lock()
 	wake = append(wake, parked...)
@@ -315,7 +332,7 @@ func (l *bcastLog) collectThenPush(fq *flushQueue, parked []*flushConn) {
 // batchSendUnderQueueLock performs coalesced transport I/O while holding the
 // work queue's mutex; flushers must claim the connection and release the
 // queue before writing.
-func (q *flushQueue) batchSendUnderQueueLock(fc *flushConn) {
+func (q *Queue[T]) batchSendUnderQueueLock(fc *flushConn) {
 	q.mu.Lock()
 	_ = fc.conn.SendPreparedBatch(1, 2) // want `transport SendPreparedBatch`
 	q.mu.Unlock()

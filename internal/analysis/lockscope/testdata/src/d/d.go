@@ -74,25 +74,27 @@ func (s *NetServer) goodOrderDeep() {
 	s.log.publishWrapped()
 }
 
-type flushQueue struct {
+// Queue mirrors the generic parkq.Queue; callers use an instantiation.
+type Queue[T any] struct {
 	mu sync.Mutex
-	q  []int
+	q  []T
 }
 
-func (q *flushQueue) push(v int) {
+func (q *Queue[T]) push(v T) {
 	q.mu.Lock()
 	q.q = append(q.q, v)
 	q.mu.Unlock()
 }
 
 // pushWrapped hides the queue acquisition one call deeper.
-func (q *flushQueue) pushWrapped(v int) { q.push(v) }
+func (q *Queue[T]) pushWrapped(v T) { q.push(v) }
 
-// pushDeepUnderLogLock nests flushQueue.mu under bcastLog.mu through the
-// wrapper: the ordering violation is derived from the callee's summary.
-func (l *bcastLog) pushDeepUnderLogLock(fq *flushQueue) {
+// pushDeepUnderLogLock nests Queue.mu under bcastLog.mu through the wrapper:
+// the ordering violation is derived from the callee's summary, two
+// instantiated methods deep.
+func (l *bcastLog) pushDeepUnderLogLock(fq *Queue[int]) {
 	l.mu.Lock()
-	fq.pushWrapped(1) // want `lock ordering: acquiring flushQueue.mu while holding bcastLog.mu`
+	fq.pushWrapped(1) // want `lock ordering: acquiring Queue.mu while holding bcastLog.mu`
 	l.mu.Unlock()
 }
 

@@ -34,8 +34,7 @@ var targetTypes = map[[2]string]bool{
 // broadcast plane.
 var sinkNames = map[string]bool{
 	"Publish": true, "publish": true,
-	"HandleBroadcast": true, "Handle": true,
-	"Send": true, "SendPrepared": true, "WriteText": true,
+	"HandleBroadcast": true, "Send": true, "WriteText": true,
 	"NewPrepared": true,
 }
 

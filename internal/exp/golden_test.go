@@ -85,9 +85,10 @@ func simDigest(res *SimResult) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestSimTraceGolden pins the simulation's output for two fixed seeds. The
-// digests were taken at the commit before the simulated crowd's lookups were
-// indexed (PR 20) and must survive any change that claims to leave behaviour
+// TestSimTraceGolden pins the simulation's output for fixed seeds. The first
+// two digests were taken at the commit before the simulated crowd's lookups
+// were indexed (PR 20), the latency one at the commit before the sim took over
+// the per-recipient fan-out from the core (PR 26), and all must survive any change that claims to leave behaviour
 // alone: a changed rng draw order, a different first match, a reordered map
 // walk all show up here.
 func TestSimTraceGolden(t *testing.T) {
@@ -108,6 +109,19 @@ func TestSimTraceGolden(t *testing.T) {
 			cfg:   func() SimConfig { return tableShapeConfig(t, 1, 500, 40, 200) },
 			trace: 1982, cc: 284,
 			digest: "9fc269099cb31c012c2b0d94bc388294ea9d122c5d2f44af2688d81c0e835cd9",
+		},
+		{
+			// E11's 5 s propagation latency on the paper seed: one jitter draw
+			// per delivered message, broadcast-major and in sorted client-id
+			// order, so the digest pins the fan-out order itself.
+			name: "paper-latency5s",
+			cfg: func() SimConfig {
+				cfg := RepresentativeConfig(20140622)
+				cfg.Latency = 5 * time.Second
+				return cfg
+			},
+			trace: 232, cc: 23,
+			digest: "34c4ee20395b82b50dc430f2f1e0d0720d56a9922c8626c1e682a3e3f0e5d35f",
 		},
 	}
 	for _, tc := range cases {

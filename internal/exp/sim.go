@@ -147,32 +147,29 @@ func Run(cfg SimConfig) (*SimResult, error) {
 	// lastDue keeps per-link FIFO delivery under jittered latency (the
 	// model's reliable in-order assumption, §2.4).
 	lastDue := make(map[string]int64)
-	deliver := func(out []server.Outbound) {
-		for _, o := range out {
-			c, ok := clients[o.To]
-			if !ok {
-				continue
+	deliver := func(to string, m sync.Message) {
+		c := clients[to]
+		if cfg.Latency <= 0 {
+			if err := c.HandleServer(m); err != nil {
+				panic(fmt.Sprintf("exp: deliver: %v", err))
 			}
-			if cfg.Latency <= 0 {
-				if err := c.HandleServer(o.Msg); err != nil {
-					panic(fmt.Sprintf("exp: deliver: %v", err))
-				}
-				continue
-			}
-			delay := time.Duration(float64(cfg.Latency) * (0.5 + rng.Float64()))
-			due := clk.Now() + int64(delay)
-			if due <= lastDue[o.To] {
-				due = lastDue[o.To] + 1
-			}
-			lastDue[o.To] = due
-			m := o.Msg
-			clk.At(due, func() {
-				if err := c.HandleServer(m); err != nil {
-					panic(fmt.Sprintf("exp: delayed deliver: %v", err))
-				}
-			})
+			return
 		}
+		delay := time.Duration(float64(cfg.Latency) * (0.5 + rng.Float64()))
+		due := clk.Now() + int64(delay)
+		if due <= lastDue[to] {
+			due = lastDue[to] + 1
+		}
+		lastDue[to] = due
+		clk.At(due, func() {
+			if err := c.HandleServer(m); err != nil {
+				panic(fmt.Sprintf("exp: delayed deliver: %v", err))
+			}
+		})
 	}
+	// ids is the fan-out order of every broadcast: sorted client ids, so the
+	// jitter draws above happen in one fixed order per seed.
+	ids := make([]string, len(cfg.Workers))
 	for i, spec := range cfg.Workers {
 		c, cerr := client.New(client.Config{
 			ID:             spec.Name,
@@ -185,8 +182,12 @@ func Run(cfg SimConfig) (*SimResult, error) {
 		}
 		clients[spec.Name] = c
 		workers[i] = crowd.NewWorker(spec, cfg.Truth)
-		deliver(core.AddClient(spec.Name, spec.Name))
+		ids[i] = spec.Name
+		for _, o := range core.AddClient(spec.Name, spec.Name) {
+			deliver(o.To, o.Msg)
+		}
 	}
+	sort.Strings(ids)
 
 	var doneAt int64 = -1
 	maxNs := int64(cfg.MaxVirtual)
@@ -243,11 +244,18 @@ func Run(cfg SimConfig) (*SimResult, error) {
 		// turn — the human analogue re-reads the table.
 		if aerr == nil {
 			for _, m := range msgs {
-				out, herr := core.Handle(cfg.Workers[i].Name, m)
+				bcasts, herr := core.HandleBroadcast(cfg.Workers[i].Name, m)
 				if herr != nil {
 					panic(fmt.Sprintf("exp: handle: %v", herr))
 				}
-				deliver(out)
+				for _, b := range bcasts {
+					msg := b.Prepared.Message()
+					for _, id := range ids {
+						if id != b.Exclude {
+							deliver(id, msg)
+						}
+					}
+				}
 			}
 		}
 		if core.Done() {

@@ -26,6 +26,8 @@ import (
 	gosync "sync"
 	"sync/atomic"
 	"syscall"
+
+	"crowdfill/internal/parkq"
 )
 
 // ErrUnsupported is returned by New on platforms without a readiness
@@ -87,7 +89,7 @@ type Poller struct {
 	next   uint64
 	closed bool
 
-	q       *pollQueue
+	q       *parkq.Queue[*Desc] // dispatch queue; never nests with mu
 	workers gosync.WaitGroup
 	waiter  gosync.WaitGroup
 	st      Stats
@@ -111,7 +113,11 @@ func New(workers int, st Stats) (*Poller, error) {
 		workers = 1
 	}
 	p := &Poller{descs: make(map[uint64]*Desc), next: wakeToken + 1, st: st}
-	p.q = newPollQueue(st)
+	var depth func(int)
+	if st != nil {
+		depth = st.PollQueueDelta
+	}
+	p.q = parkq.New[*Desc](depth)
 	if err := p.osInit(); err != nil {
 		return nil, err
 	}
@@ -189,7 +195,7 @@ func (p *Poller) Kick(d *Desc) {
 // ONESHOT).
 func (p *Poller) enqueue(d *Desc) {
 	if d.state.CompareAndSwap(descIdle, descQueued) {
-		p.q.push(d)
+		p.q.Push(d)
 	}
 }
 
@@ -210,7 +216,7 @@ func (d *Desc) Rearm() error {
 // than one dispatch's read budget. Same final-touch contract as Rearm.
 func (d *Desc) Requeue() {
 	if d.state.CompareAndSwap(descRunning, descQueued) {
-		d.p.q.push(d)
+		d.p.q.Push(d)
 	}
 }
 
@@ -254,7 +260,7 @@ func (p *Poller) Close() {
 	p.mu.Unlock()
 	p.osWake()
 	p.waiter.Wait()
-	p.q.close()
+	p.q.Close()
 	p.workers.Wait()
 	p.osDestroy()
 }
@@ -267,7 +273,7 @@ func (p *Poller) worker() {
 	defer p.workers.Done()
 	scratch := make([]byte, scratchBytes)
 	for {
-		d, ok := p.q.pop()
+		d, ok := p.q.Pop()
 		if !ok {
 			return
 		}
@@ -279,72 +285,4 @@ func (p *Poller) worker() {
 		}
 		d.run(scratch)
 	}
-}
-
-// pollQueue is the dispatch queue: the same cond-parked FIFO as the write
-// plane's flushQueue, so idle workers hold no CPU and a push wakes exactly
-// as many workers as there is work for.
-type pollQueue struct {
-	mu     gosync.Mutex
-	cond   *gosync.Cond
-	q      []*Desc
-	closed bool
-	st     Stats
-}
-
-func newPollQueue(st Stats) *pollQueue {
-	q := &pollQueue{st: st}
-	q.cond = gosync.NewCond(&q.mu)
-	return q
-}
-
-// push appends descriptors and wakes idle workers. Pushes after close are
-// dropped: shutdown tears every connection down anyway.
-func (q *pollQueue) push(ds ...*Desc) {
-	if len(ds) == 0 {
-		return
-	}
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
-	}
-	q.q = append(q.q, ds...)
-	if q.st != nil {
-		q.st.PollQueueDelta(len(ds))
-	}
-	if len(ds) == 1 {
-		q.cond.Signal()
-	} else {
-		q.cond.Broadcast()
-	}
-	q.mu.Unlock()
-}
-
-// pop blocks until a descriptor is available; ok is false once the queue is
-// closed (remaining entries are dropped).
-func (q *pollQueue) pop() (d *Desc, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.q) == 0 {
-		if q.closed {
-			return nil, false
-		}
-		q.cond.Wait()
-	}
-	d = q.q[0]
-	q.q[0] = nil
-	q.q = q.q[1:]
-	if q.st != nil {
-		q.st.PollQueueDelta(-1)
-	}
-	return d, true
-}
-
-// close wakes every worker with ok=false.
-func (q *pollQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
 }

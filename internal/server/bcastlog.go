@@ -6,65 +6,61 @@ import (
 	gosync "sync"
 	"time"
 
+	"crowdfill/internal/parkq"
 	"crowdfill/internal/sync"
 	"crowdfill/internal/transport"
 )
 
 // bcastLog is the server's sequenced broadcast plane: a bounded in-memory
 // ring of broadcast records. Publishing appends one record per broadcast —
-// O(1) regardless of how many clients are connected — and each connection's
-// writer goroutine advances its own cursor through the log, so the global
-// server mutex never pays per-recipient fan-out costs (the pre-log design
-// materialized one Outbound and one channel send per recipient under the
-// lock).
+// O(1) regardless of how many clients are connected — and each connection
+// follows the log through its own cursor, so the global server mutex never
+// pays per-recipient fan-out costs (the pre-log design materialized one
+// Outbound and one channel send per recipient under the lock).
 //
 // A client that cannot keep up is detected by cursor lag: once the log wraps
 // past a cursor the lost records are unrecoverable, so the cursor fails with
 // errCursorLagged and the connection is torn down (the model requires
 // per-link FIFO, not global blocking — dropping the slow link preserves
-// everyone else's delivery). Writers blocked inside a transport send are
+// everyone else's delivery). Flushers blocked inside a transport send are
 // evicted from the publishing side via an amortized scan (see evictLagged).
 //
-// Locking: the ring and cursor registry are guarded by an RWMutex. Only
-// publish/evict/stop/close take the write lock; followers drain under the
-// read lock, so hundreds of writers pulling one record cost overlapping
-// shared acquisitions instead of serialized exclusive ones — this is what
-// keeps publish latency flat as the client count grows. A cursor's position
-// is owned by its single follower goroutine (mutated under the read lock;
-// the evictor inspects it under the write lock, which excludes all readers).
+// Locking: the ring and connection registry are guarded by an RWMutex. Only
+// publish/evict/detach/close take the write lock; flushers drain under the
+// read lock, so many of them pulling one record cost overlapping shared
+// acquisitions instead of serialized exclusive ones — this is what keeps
+// publish latency flat as the client count grows. A cursor's position is
+// owned by the one flusher holding its connection in flight (mutated under
+// the read lock; the evictor inspects it under the write lock, which excludes
+// all readers).
 //
-// Wakeups are delegated to a dedicated dispatcher goroutine: publish posts a
-// token on a 1-buffered channel and returns, and the dispatcher performs the
-// O(waiters) work off the publisher's critical path.
-//
-// Delivery to network connections runs through a shared flusher pool instead
-// of per-connection writer goroutines (DESIGN.md §12): register attaches a
-// connection as a flushConn — a cursor plus the transport link — and a small
-// fixed set of flusher workers drain dirty connections from a work queue,
-// coalescing each drain into one SendPreparedBatch. A connection with
-// nothing pending is parked: it holds no goroutine and costs only its cursor
-// and flushConn structs; the dispatcher moves parked connections behind the
-// head back onto the queue after each publish. The blocking-cursor API
-// (nextBatch and friends) remains for tests and non-pooled followers.
+// Delivery runs through a shared flusher pool (DESIGN.md §12): register
+// attaches a connection as a flushConn — a cursor plus the transport link —
+// and a small fixed set of flusher workers drain dirty connections from a
+// work queue, coalescing each drain into one SendPreparedBatch. drainBatch is
+// the only way to follow the log: a flusher never waits on a cursor. A
+// connection with nothing pending is parked: it holds no goroutine and costs
+// only its flushConn struct. Wakeups are delegated to a dedicated dispatcher
+// goroutine: publish posts a token on a 1-buffered channel and returns, and
+// the dispatcher moves parked connections behind the head back onto the
+// queue, off the publisher's critical path.
 type bcastLog struct {
-	mu      gosync.RWMutex
-	cond    *gosync.Cond // waits on mu.RLocker()
-	buf     []bcastRecord
-	head    uint64 // sequence number of the next record to publish
-	closed  bool
-	cursors map[*logCursor]struct{}
+	mu     gosync.RWMutex
+	buf    []Broadcast
+	head   uint64 // sequence number of the next record to publish
+	closed bool
 
 	nextEvictScan uint64        // head value that triggers the next lag scan
 	notify        chan struct{} // 1-buffered dispatcher doorbell
 	dispatchDone  chan struct{}
 
-	// Flusher-pool state. conns is every registered flushConn (for
-	// shutdown); parked holds the subset whose cursor was at the head after
-	// their last flush. Both guarded by mu; the per-connection flush state
-	// machine (flushConn.state) is too.
+	// Flusher-pool state. conns is every registered flushConn (the lag scan
+	// and shutdown walk it); parked holds the subset whose cursor was at the
+	// head after their last flush. Both guarded by mu; the per-connection
+	// flush state machine (flushConn.state) is too.
 	conns    map[*flushConn]struct{}
 	parked   []*flushConn
-	fq       *flushQueue
+	fq       *parkq.Queue[*flushConn] // dirty connections; never nests with mu
 	flushers gosync.WaitGroup
 	logf     func(format string, args ...any)
 	metrics  *Metrics // nil disables instrumentation
@@ -103,88 +99,18 @@ const (
 )
 
 // flushConn is one pooled connection's write-side state: the transport link,
-// the log cursor, and the private join messages delivered before any log
-// record. Only the owning flusher touches conn and pending while the state
-// is in-flight.
+// its read position in the log, and the private join messages delivered
+// before any log record. Only the owning flusher touches conn, pending and
+// pos while the state is in-flight; lagged only flips under the write lock.
+// The cursor follows the log until it lags or the connection is gone.
 type flushConn struct {
 	conn    transport.Conn
-	id      string // client id, for exclude filtering and log lines
-	cur     *logCursor
+	id      string           // client id, for exclude filtering and log lines
 	pending []*sync.Prepared // join snapshot; nil after the first flush
 	state   int
-}
-
-// flushQueue is the pool's dirty-connection work queue: a FIFO of flushConns
-// with something to send. Its mutex is never nested with bcastLog.mu (in
-// either order) — producers collect under the log lock, release it, then
-// push — which keeps both critical sections trivially non-blocking.
-type flushQueue struct {
-	mu     gosync.Mutex
-	cond   *gosync.Cond
-	q      []*flushConn
-	closed bool
-	m      *Metrics // depth gauge; pure atomics, safe under q.mu
-}
-
-func newFlushQueue(m *Metrics) *flushQueue {
-	q := &flushQueue{m: m}
-	q.cond = gosync.NewCond(&q.mu)
-	return q
-}
-
-// push appends connections to the queue and wakes idle flushers. Pushes
-// after close are dropped: shutdown tears every connection down anyway.
-func (q *flushQueue) push(fcs ...*flushConn) {
-	if len(fcs) == 0 {
-		return
-	}
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
-	}
-	q.q = append(q.q, fcs...)
-	q.m.queueDelta(len(fcs))
-	if len(fcs) == 1 {
-		q.cond.Signal()
-	} else {
-		q.cond.Broadcast()
-	}
-	q.mu.Unlock()
-}
-
-// pop blocks until a connection is available and returns it; ok is false
-// once the queue is closed (remaining entries are dropped — close also
-// closes every registered transport).
-func (q *flushQueue) pop() (fc *flushConn, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.q) == 0 {
-		if q.closed {
-			return nil, false
-		}
-		q.cond.Wait()
-	}
-	fc = q.q[0]
-	q.q[0] = nil
-	q.q = q.q[1:]
-	q.m.queueDelta(-1)
-	return fc, true
-}
-
-// close wakes every flusher with ok=false.
-func (q *flushQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-// bcastRecord is one published broadcast: the shared once-encoded message and
-// the origin client to skip (every other connection delivers it).
-type bcastRecord struct {
-	prep    *sync.Prepared
-	exclude string
+	pos     uint64 // sequence number of the next record to deliver
+	lagged  bool   // the log wrapped past pos: the cursor has stopped for good
+	onEvict func() // run (own goroutine) when the publisher detects the lag
 }
 
 // defaultLogCapacity matches the depth of the per-connection channels the log
@@ -212,16 +138,14 @@ func newBcastLog(capacity int, logf func(string, ...any), m *Metrics) *bcastLog 
 		logf = func(string, ...any) {}
 	}
 	l := &bcastLog{
-		buf:          make([]bcastRecord, capacity),
-		cursors:      make(map[*logCursor]struct{}),
+		buf:          make([]Broadcast, capacity),
 		notify:       make(chan struct{}, 1),
 		dispatchDone: make(chan struct{}),
 		conns:        make(map[*flushConn]struct{}),
-		fq:           newFlushQueue(m),
+		fq:           parkq.New[*flushConn](m.queueDelta),
 		logf:         logf,
 		metrics:      m,
 	}
-	l.cond = gosync.NewCond(l.mu.RLocker())
 	l.nextEvictScan = uint64(capacity)
 	for i := 0; i < flusherCount(); i++ {
 		l.flushers.Add(1)
@@ -231,27 +155,22 @@ func newBcastLog(capacity int, logf func(string, ...any), m *Metrics) *bcastLog 
 	return l
 }
 
-// dispatch wakes consumers whenever records were published: a cond broadcast
-// for blocking cursor followers, and a parked→queued sweep for the flusher
-// pool. Taking the write lock first closes the check-then-wait race: a
-// follower either observes the new head under its read lock or is already
-// parked in Wait when the broadcast fires, and a flushConn either parks
-// before the sweep (and is swept) or re-checks the head before parking.
-// The sweep is O(parked), but every parked connection behind the head needs
-// exactly one wakeup per idle→dirty transition — the same work the cond
-// broadcast performed for the per-connection writer goroutines, minus their
-// stacks and scheduler load.
+// dispatch moves parked connections behind the head back onto the flush
+// queue whenever records were published. Taking the write lock closes the
+// check-then-park race: a flushConn either parks before the sweep (and is
+// swept) or re-checks the head before parking. The sweep is O(parked), but
+// every parked connection behind the head needs exactly one wakeup per
+// idle→dirty transition.
 func (l *bcastLog) dispatch() {
 	defer close(l.dispatchDone)
 	var wake []*flushConn
 	for range l.notify {
 		wake = wake[:0]
 		l.mu.Lock()
-		l.cond.Broadcast()
 		if len(l.parked) > 0 {
 			keep := l.parked[:0]
 			for _, fc := range l.parked {
-				if fc.cur.pos < l.head {
+				if fc.pos < l.head {
 					fc.state = fcQueued
 					wake = append(wake, fc)
 				} else {
@@ -265,13 +184,13 @@ func (l *bcastLog) dispatch() {
 			l.metrics.poolSized(len(l.conns), len(l.parked))
 		}
 		l.mu.Unlock()
-		l.fq.push(wake...)
+		l.fq.Push(wake...)
 	}
 }
 
 // publish appends records to the log and rings the dispatcher. O(len(recs))
 // plus an amortized-O(1) lag scan; never blocks on consumers.
-func (l *bcastLog) publish(recs ...bcastRecord) {
+func (l *bcastLog) publish(recs []Broadcast) {
 	if len(recs) == 0 {
 		return
 	}
@@ -298,12 +217,13 @@ func (l *bcastLog) publish(recs ...bcastRecord) {
 	l.metrics.publishDone(start, len(recs), head)
 }
 
-// evictLagged detaches cursors the log has wrapped past, invoking their
+// evictLagged stops the cursors the log has wrapped past, invoking their
 // eviction hooks (asynchronously — hooks close transport connections, which
-// unblocks writers stuck in a send). Scanning every capacity/2 publishes
-// keeps the amortized per-publish cost O(cursors/capacity), i.e. constant
-// for any log at least as large as the client count. Callers hold the write
-// lock.
+// unblocks flushers stuck in a send). The connection stays registered until
+// a teardown path detaches it and notes the drop. Scanning every capacity/2
+// publishes keeps the amortized per-publish cost O(conns/capacity), i.e.
+// constant for any log at least as large as the client count. Callers hold
+// the write lock.
 func (l *bcastLog) evictLagged() {
 	if l.head < l.nextEvictScan {
 		return
@@ -311,26 +231,18 @@ func (l *bcastLog) evictLagged() {
 	n := uint64(len(l.buf))
 	l.nextEvictScan = l.head + n/2 + 1
 	l.metrics.evictScanned()
-	for c := range l.cursors {
-		if l.head-c.pos > n {
-			c.stopped, c.lagged = true, true
-			delete(l.cursors, c)
-			if c.onEvict != nil {
-				go c.onEvict()
+	for fc := range l.conns {
+		if !fc.lagged && l.head-fc.pos > n {
+			fc.lagged = true
+			if fc.onEvict != nil {
+				go fc.onEvict()
 			}
 		}
 	}
 }
 
-// headSeq returns the sequence number the next published record will get.
-func (l *bcastLog) headSeq() uint64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.head
-}
-
-// close tears the whole write plane down: blocking followers wake with
-// errLogClosed, the flush queue wakes every flusher to exit, every
+// close tears the whole write plane down: the flush queue wakes every
+// flusher to exit, every
 // registered connection's transport is closed (unblocking flushers stuck
 // mid-send and failing the connections' reader loops), and the call returns
 // only after the flushers and the dispatcher have exited — the
@@ -346,9 +258,8 @@ func (l *bcastLog) close() {
 	for fc := range l.conns {
 		conns = append(conns, fc)
 	}
-	l.cond.Broadcast()
 	l.mu.Unlock()
-	l.fq.close()
+	l.fq.Close()
 	for _, fc := range conns {
 		fc.conn.Close()
 	}
@@ -357,146 +268,15 @@ func (l *bcastLog) close() {
 	<-l.dispatchDone
 }
 
-// logCursor is one connection's read position in the log. Exactly one
-// follower goroutine calls next/nextBatch/tryNext; stop and the publisher's
-// eviction may race with it safely (pos is only mutated by the owning
-// goroutine under the read lock and only inspected by the evictor under the
-// write lock; stopped/lagged only flip under the write lock).
-type logCursor struct {
-	log     *bcastLog
-	pos     uint64
-	stopped bool
-	lagged  bool
-	onEvict func()
-}
-
-// newCursor registers a cursor at the current head. onEvict, if non-nil, runs
-// (on its own goroutine) when the publishing side detects the cursor lagged.
-func (l *bcastLog) newCursor(onEvict func()) *logCursor {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	c := &logCursor{log: l, pos: l.head, onEvict: onEvict}
-	l.cursors[c] = struct{}{}
-	return c
-}
-
-// nextBatch blocks until at least one record past the cursor exists, then
-// copies up to len(out) of them and advances. Draining in batches keeps lock
-// acquisitions per wakeup O(1) instead of per record.
-func (c *logCursor) nextBatch(out []bcastRecord) (int, error) {
-	l := c.log
-	l.mu.RLock()
-	for {
-		if c.stopped {
-			lagged := c.lagged
-			l.mu.RUnlock()
-			if lagged {
-				return 0, errCursorLagged
-			}
-			return 0, errCursorStopped
-		}
-		n := uint64(len(l.buf))
-		if l.head-c.pos > n {
-			l.mu.RUnlock()
-			c.markLagged()
-			return 0, errCursorLagged
-		}
-		if c.pos < l.head {
-			k := 0
-			for k < len(out) && c.pos < l.head {
-				out[k] = l.buf[c.pos%n]
-				c.pos++
-				k++
-			}
-			l.mu.RUnlock()
-			return k, nil
-		}
-		if l.closed {
-			l.mu.RUnlock()
-			return 0, errLogClosed
-		}
-		l.cond.Wait()
-	}
-}
-
-// next returns the single next record (tests and simple followers).
-func (c *logCursor) next() (bcastRecord, error) {
-	var one [1]bcastRecord
-	_, err := c.nextBatch(one[:])
-	return one[0], err
-}
-
-// tryNext returns the next record without blocking; ok is false when the
-// cursor is at the head.
-func (c *logCursor) tryNext() (bcastRecord, bool, error) {
-	l := c.log
-	l.mu.RLock()
-	if c.stopped {
-		lagged := c.lagged
-		l.mu.RUnlock()
-		if lagged {
-			return bcastRecord{}, false, errCursorLagged
-		}
-		return bcastRecord{}, false, errCursorStopped
-	}
-	n := uint64(len(l.buf))
-	if l.head-c.pos > n {
-		l.mu.RUnlock()
-		c.markLagged()
-		return bcastRecord{}, false, errCursorLagged
-	}
-	if c.pos == l.head {
-		l.mu.RUnlock()
-		return bcastRecord{}, false, nil
-	}
-	rec := l.buf[c.pos%n]
-	c.pos++
-	l.mu.RUnlock()
-	return rec, true, nil
-}
-
-// markLagged detaches a cursor whose follower noticed the log wrapped past it
-// (needs the write lock; the publisher's evictor may have beaten it to the
-// detach, which is fine — the cursor still reports errCursorLagged).
-func (c *logCursor) markLagged() {
-	l := c.log
-	l.mu.Lock()
-	if !c.stopped {
-		c.stopped, c.lagged = true, true
-		delete(l.cursors, c)
-	}
-	l.mu.Unlock()
-}
-
-// stop detaches the cursor and wakes a blocked nextBatch.
-func (c *logCursor) stop() {
-	l := c.log
-	l.mu.Lock()
-	c.stopped = true
-	delete(l.cursors, c)
-	l.cond.Broadcast()
-	l.mu.Unlock()
-}
-
-// lag returns how many records the cursor is behind the head (tests).
-func (c *logCursor) lag() uint64 {
-	l := c.log
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.head - c.pos
-}
-
-// drainBatch copies up to len(out) records past the cursor and advances,
-// without blocking: at the head it returns 0, nil. The flusher pool's
-// non-blocking counterpart of nextBatch — a flusher never waits on a cursor,
-// it parks the connection instead.
+// drainBatch copies up to len(out) records past fc's cursor and advances it,
+// without blocking: at the head it returns 0, nil. It is the only way to
+// follow the log, and only the flusher holding fc in flight calls it.
 //
 //lint:hotpath
-func (c *logCursor) drainBatch(out []bcastRecord) (int, error) {
-	l := c.log
+func (l *bcastLog) drainBatch(fc *flushConn, out []Broadcast) (int, error) {
 	l.mu.RLock()
-	if c.stopped {
-		lagged := c.lagged
+	if fc.lagged || fc.state == fcGone {
+		lagged := fc.lagged
 		l.mu.RUnlock()
 		if lagged {
 			return 0, errCursorLagged
@@ -504,15 +284,22 @@ func (c *logCursor) drainBatch(out []bcastRecord) (int, error) {
 		return 0, errCursorStopped
 	}
 	n := uint64(len(l.buf))
-	if l.head-c.pos > n {
+	if l.head-fc.pos > n {
+		// The log wrapped past the cursor inside the publisher's scan window.
+		// Marking needs the write lock; the evictor may have beaten us to it,
+		// which is fine — the cursor reports errCursorLagged either way.
 		l.mu.RUnlock()
-		c.markLagged()
+		l.mu.Lock()
+		if fc.state != fcGone {
+			fc.lagged = true
+		}
+		l.mu.Unlock()
 		return 0, errCursorLagged
 	}
 	k := 0
-	for k < len(out) && c.pos < l.head {
-		out[k] = l.buf[c.pos%n]
-		c.pos++
+	for k < len(out) && fc.pos < l.head {
+		out[k] = l.buf[fc.pos%n]
+		fc.pos++
 		k++
 	}
 	closed := l.closed
@@ -523,8 +310,8 @@ func (c *logCursor) drainBatch(out []bcastRecord) (int, error) {
 	return k, nil
 }
 
-// register attaches a connection to the flusher pool: a cursor pinned at the
-// current head plus the private join messages to deliver before any log
+// register attaches a connection to the flusher pool: its cursor pinned at
+// the current head plus the private join messages to deliver before any log
 // record. Callers hold NetServer.mu so the join point is exact (the snapshot
 // in pending reflects every record before the cursor; the cursor sees every
 // record after it). The connection starts in the queued state — it has the
@@ -534,16 +321,13 @@ func (c *logCursor) drainBatch(out []bcastRecord) (int, error) {
 // publishing side detects cursor lag.
 func (l *bcastLog) register(conn transport.Conn, clientID string, pending []*sync.Prepared, onEvict func()) *flushConn {
 	l.mu.Lock()
-	fc := &flushConn{conn: conn, id: clientID, pending: pending, state: fcQueued}
-	fc.cur = &logCursor{log: l, pos: l.head, onEvict: onEvict}
+	fc := &flushConn{conn: conn, id: clientID, pending: pending, state: fcQueued, pos: l.head, onEvict: onEvict}
 	if l.closed {
 		fc.state = fcGone
-		fc.cur.stopped = true
 		l.mu.Unlock()
 		conn.Close()
 		return fc
 	}
-	l.cursors[fc.cur] = struct{}{}
 	l.conns[fc] = struct{}{}
 	l.metrics.poolSized(len(l.conns), len(l.parked))
 	l.mu.Unlock()
@@ -553,12 +337,12 @@ func (l *bcastLog) register(conn transport.Conn, clientID string, pending []*syn
 // enqueue hands a freshly-registered connection to the pool. Must be called
 // exactly once after register, outside any lock.
 func (l *bcastLog) enqueue(fc *flushConn) {
-	l.fq.push(fc)
+	l.fq.Push(fc)
 }
 
 // deregister detaches a connection (reader-side teardown). Safe to call
 // after an eviction already detached it; a queued or in-flight connection is
-// released by its flusher when it observes the gone state or the stopped
+// released by its flusher when it observes the gone state or the lagged
 // cursor. won reports whether this call performed the detach — exactly one
 // caller wins, and the winner owns the structured drop note (the
 // single-noter invariant behind the drop counters). lagged reports whether
@@ -568,13 +352,13 @@ func (l *bcastLog) enqueue(fc *flushConn) {
 func (l *bcastLog) deregister(fc *flushConn) (won, lagged bool) {
 	l.mu.Lock()
 	won = l.detachLocked(fc)
-	lagged = fc.cur.lagged
+	lagged = fc.lagged
 	l.mu.Unlock()
 	return won, lagged
 }
 
-// detachLocked moves a connection to the gone state and removes it from the
-// registry, the parked list, and the cursor table. Idempotent — reports
+// detachLocked moves a connection to the gone state — which stops its cursor
+// — and removes it from the registry and the parked list. Idempotent — reports
 // whether this call performed the transition; callers hold the write lock.
 func (l *bcastLog) detachLocked(fc *flushConn) bool {
 	if fc.state == fcGone {
@@ -592,10 +376,6 @@ func (l *bcastLog) detachLocked(fc *flushConn) bool {
 	}
 	fc.state = fcGone
 	delete(l.conns, fc)
-	if !fc.cur.stopped {
-		fc.cur.stopped = true
-		delete(l.cursors, fc.cur)
-	}
 	l.metrics.poolSized(len(l.conns), len(l.parked))
 	return true
 }
@@ -625,7 +405,7 @@ func (l *bcastLog) dropConn(fc *flushConn, cause dropCause, err error) {
 	fc.conn.Close()
 	l.mu.Lock()
 	won := l.detachLocked(fc)
-	lagged := fc.cur.lagged
+	lagged := fc.lagged
 	l.mu.Unlock()
 	if !won {
 		return
@@ -644,10 +424,10 @@ func (l *bcastLog) dropConn(fc *flushConn, cause dropCause, err error) {
 // flushes each one. Workers exit when the queue closes.
 func (l *bcastLog) flusher() {
 	defer l.flushers.Done()
-	recs := make([]bcastRecord, flushBudget)
+	recs := make([]Broadcast, flushBudget)
 	var preps []*sync.Prepared
 	for {
-		fc, ok := l.fq.pop()
+		fc, ok := l.fq.Pop()
 		if !ok {
 			return
 		}
@@ -663,7 +443,7 @@ func (l *bcastLog) flusher() {
 // grown prepared-batch scratch for reuse. Any send error, deadline included,
 // drops the connection: the stream may be mid-frame, and the model only
 // requires per-link FIFO for links that stay up.
-func (l *bcastLog) flushOne(fc *flushConn, recs []bcastRecord, preps []*sync.Prepared) []*sync.Prepared {
+func (l *bcastLog) flushOne(fc *flushConn, recs []Broadcast, preps []*sync.Prepared) []*sync.Prepared {
 	l.mu.Lock()
 	if fc.state == fcGone || l.closed {
 		l.mu.Unlock()
@@ -674,7 +454,7 @@ func (l *bcastLog) flushOne(fc *flushConn, recs []bcastRecord, preps []*sync.Pre
 	fc.pending = nil
 	l.mu.Unlock()
 
-	n, err := fc.cur.drainBatch(recs)
+	n, err := l.drainBatch(fc, recs)
 	if err != nil {
 		if err == errCursorLagged {
 			l.dropConn(fc, dropLag, err)
@@ -687,10 +467,10 @@ func (l *bcastLog) flushOne(fc *flushConn, recs []bcastRecord, preps []*sync.Pre
 	}
 	batch := append(preps, pending...)
 	for _, rec := range recs[:n] {
-		if rec.exclude != "" && rec.exclude == fc.id {
+		if rec.Exclude != "" && rec.Exclude == fc.id {
 			continue
 		}
-		batch = append(batch, rec.prep)
+		batch = append(batch, rec.Prepared)
 	}
 	if len(batch) > 0 {
 		fc.conn.SetWriteDeadline(time.Now().Add(flushWriteDeadline))
@@ -706,20 +486,20 @@ func (l *bcastLog) flushOne(fc *flushConn, recs []bcastRecord, preps []*sync.Pre
 	}
 
 	l.mu.Lock()
-	if fc.state != fcInFlight || l.closed || fc.cur.stopped {
+	if fc.state != fcInFlight || l.closed || fc.lagged {
 		// Deregistered, evicted, or shut down while we held it; whoever
 		// flipped the state owns the cleanup.
 		l.mu.Unlock()
 		return batch[:0]
 	}
-	lag := l.head - fc.cur.pos
+	lag := l.head - fc.pos
 	if lag > 0 {
 		fc.state = fcQueued
 		l.mu.Unlock()
 		if len(batch) > 0 {
 			l.metrics.flushDone(len(batch), lag)
 		}
-		l.fq.push(fc)
+		l.fq.Push(fc)
 		return batch[:0]
 	}
 	fc.state = fcParked

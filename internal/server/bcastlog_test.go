@@ -2,33 +2,37 @@ package server
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
-	"time"
 
 	"crowdfill/internal/sync"
 )
 
-func testRec(i int) bcastRecord {
-	return bcastRecord{prep: sync.NewPrepared(sync.Message{Type: sync.MsgDone, Val: fmt.Sprint(i)})}
+func testRec(i int) Broadcast {
+	return Broadcast{Prepared: sync.NewPrepared(sync.Message{Type: sync.MsgDone, Val: fmt.Sprint(i)})}
+}
+
+// follow registers a connection the test drains by hand: it is never handed
+// to the flusher pool (no enqueue), so the test owns its cursor the way one
+// flusher would.
+func follow(l *bcastLog, onEvict func()) *flushConn {
+	return l.register(newRecConn(), "follower", nil, onEvict)
 }
 
 func TestBcastLogOrderAndBatching(t *testing.T) {
 	l := newBcastLog(8, nil, nil)
 	defer l.close()
-	cur := l.newCursor(nil)
+	fc := follow(l, nil)
 	for i := 0; i < 6; i++ {
-		l.publish(testRec(i))
+		l.publish([]Broadcast{testRec(i)})
 	}
-	if got := l.headSeq(); got != 6 {
-		t.Fatalf("headSeq = %d, want 6", got)
+	if got := cursorLag(l, fc); got != 6 {
+		t.Fatalf("lag = %d after 6 publishes, want 6", got)
 	}
-	if got := cur.lag(); got != 6 {
-		t.Fatalf("lag = %d, want 6", got)
-	}
-	out := make([]bcastRecord, 4)
+	out := make([]Broadcast, 4)
 	seen := 0
-	for _, want := range []int{4, 2} {
-		n, err := cur.nextBatch(out)
+	for _, want := range []int{4, 2, 0} {
+		n, err := l.drainBatch(fc, out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,53 +40,37 @@ func TestBcastLogOrderAndBatching(t *testing.T) {
 			t.Fatalf("batch = %d records, want %d", n, want)
 		}
 		for _, rec := range out[:n] {
-			if got := rec.prep.Message().Val; got != fmt.Sprint(seen) {
+			if got := rec.Prepared.Message().Val; got != fmt.Sprint(seen) {
 				t.Fatalf("record %d carries %q (out of order)", seen, got)
 			}
 			seen++
 		}
 	}
-	if got := cur.lag(); got != 0 {
+	if got := cursorLag(l, fc); got != 0 {
 		t.Fatalf("drained cursor lag = %d", got)
-	}
-}
-
-func TestBcastLogStopWakesBlockedReader(t *testing.T) {
-	l := newBcastLog(4, nil, nil)
-	defer l.close()
-	cur := l.newCursor(nil)
-	errc := make(chan error, 1)
-	go func() {
-		_, err := cur.next()
-		errc <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let the reader park in Wait
-	cur.stop()
-	select {
-	case err := <-errc:
-		if err != errCursorStopped {
-			t.Fatalf("next after stop = %v, want errCursorStopped", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("stop did not wake the blocked reader")
 	}
 }
 
 func TestBcastLogCloseSemantics(t *testing.T) {
 	l := newBcastLog(4, nil, nil)
-	cur := l.newCursor(nil)
-	l.publish(testRec(0))
+	fc := follow(l, nil)
+	l.publish([]Broadcast{testRec(0)})
 	l.close()
-	l.close()             // idempotent
-	l.publish(testRec(1)) // dropped, no panic
+	l.close()                          // idempotent
+	l.publish([]Broadcast{testRec(1)}) // dropped, no panic
 	// Records published before close still drain...
-	rec, err := cur.next()
-	if err != nil || rec.prep.Message().Val != "0" {
-		t.Fatalf("pre-close record: %v, %v", rec.prep, err)
+	one := make([]Broadcast, 1)
+	if n, err := l.drainBatch(fc, one); err != nil || n != 1 || one[0].Prepared.Message().Val != "0" {
+		t.Fatalf("pre-close record: %d, %v, %v", n, one[0].Prepared, err)
 	}
 	// ...then followers observe closure.
-	if _, err := cur.next(); err != errLogClosed {
-		t.Fatalf("next after close = %v, want errLogClosed", err)
+	if _, err := l.drainBatch(fc, one); err != errLogClosed {
+		t.Fatalf("drain after close = %v, want errLogClosed", err)
+	}
+	// A connection registering after close is refused and its transport closed.
+	late := newRecConn()
+	if fc := l.register(late, "late", nil, nil); fc.state != fcGone || !late.closed() {
+		t.Fatalf("register after close: state %d, transport closed %v", fc.state, late.closed())
 	}
 }
 
@@ -96,25 +84,28 @@ func TestBcastLogConcurrentFollowers(t *testing.T) {
 	}
 	results := make(chan result, followers)
 	for f := 0; f < followers; f++ {
-		cur := l.newCursor(nil)
+		fc := follow(l, nil)
 		go func() {
 			var r result
-			buf := make([]bcastRecord, 16)
+			buf := make([]Broadcast, 16)
 			for len(r.vals) < records {
-				n, err := cur.nextBatch(buf)
+				n, err := l.drainBatch(fc, buf)
 				if err != nil {
 					r.err = err
 					break
 				}
+				if n == 0 {
+					runtime.Gosched() // at the head: a flusher would park here
+				}
 				for _, rec := range buf[:n] {
-					r.vals = append(r.vals, rec.prep.Message().Val)
+					r.vals = append(r.vals, rec.Prepared.Message().Val)
 				}
 			}
 			results <- r
 		}()
 	}
 	for i := 0; i < records; i++ {
-		l.publish(testRec(i))
+		l.publish([]Broadcast{testRec(i)})
 	}
 	for f := 0; f < followers; f++ {
 		r := <-results

@@ -120,17 +120,17 @@ func BenchmarkBroadcastHandlePublish(b *testing.B) {
 					l := ns.log
 					l.mu.Lock()
 					caughtUp := true
-					for c := range l.cursors {
-						if c.pos != l.head {
+					for fc := range l.conns {
+						if !fc.lagged && fc.pos != l.head {
 							caughtUp = false
 							break
 						}
 					}
 					l.mu.Unlock()
 					if caughtUp {
-						// One more scheduler round lets just-woken followers
-						// finish re-parking in cond.Wait, so their read-lock
-						// traffic is not charged to the next timed publish.
+						// One more scheduler round lets the flushers finish
+						// re-parking their connections, so their lock traffic
+						// is not charged to the next timed publish.
 						runtime.Gosched()
 						return
 					}

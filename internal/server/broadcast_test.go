@@ -15,10 +15,11 @@ import (
 )
 
 // TestLogDeliveryMatchesDirectOutbound is the delivery-equivalence check
-// between the two transport planes: the materialized per-recipient Outbound
-// expansion (Handle — the executable spec the simulation harness uses) and
-// the sequenced broadcast log with per-connection cursors (HandleBroadcast +
-// publish — what the network server runs). Two identical cores consume the
+// between the spec of delivery — every broadcast materialized per recipient
+// in sorted client order (handleExpanded, the fan-out the simulation harness
+// performs) — and the sequenced broadcast log with per-connection cursors
+// (HandleBroadcast + publish + drainBatch — what the network server runs).
+// Two identical cores consume the
 // same randomized op mix, one through each plane, and every client must
 // receive a byte-identical payload sequence, including clients that join
 // mid-stream.
@@ -64,26 +65,27 @@ func TestLogDeliveryMatchesDirectOutbound(t *testing.T) {
 
 	seqA := make(map[string][][]byte)
 	seqB := make(map[string][][]byte)
-	cursors := make(map[string]*logCursor)
+	cursors := make(map[string]*flushConn)
+	recs := make([]Broadcast, 8)
 	mirrors := make(map[string]*client.Client)
 	var active []string
 
 	drainB := func() {
 		t.Helper()
 		for _, id := range active {
-			cur := cursors[id]
 			for {
-				rec, ok, err := cur.tryNext()
+				n, err := logB.drainBatch(cursors[id], recs)
 				if err != nil {
 					t.Fatalf("cursor %s: %v", id, err)
 				}
-				if !ok {
+				if n == 0 {
 					break
 				}
-				if rec.exclude == id {
-					continue
+				for _, rec := range recs[:n] {
+					if rec.Exclude != id {
+						seqB[id] = append(seqB[id], payload(rec.Prepared))
+					}
 				}
-				seqB[id] = append(seqB[id], payload(rec.prep))
 			}
 		}
 	}
@@ -109,7 +111,7 @@ func TestLogDeliveryMatchesDirectOutbound(t *testing.T) {
 		// AddClient and cursor creation are one atomic step, so the private
 		// snapshot covers everything before the cursor and nothing after.
 		outB := coreB.AddClient(id, worker)
-		cursors[id] = logB.newCursor(nil)
+		cursors[id] = follow(logB, nil)
 		for _, o := range outB {
 			seqB[id] = append(seqB[id], outBytes(o))
 		}
@@ -170,7 +172,7 @@ func TestLogDeliveryMatchesDirectOutbound(t *testing.T) {
 		}
 		id := active[rng.Intn(len(active))]
 		for _, m := range genOp(mirrors[id]) {
-			outA, errA := coreA.Handle(id, m)
+			outA, errA := handleExpanded(coreA, id, m)
 			bcasts, errB := coreB.HandleBroadcast(id, m)
 			if (errA == nil) != (errB == nil) {
 				t.Fatalf("handle divergence: %v vs %v", errA, errB)
@@ -186,11 +188,7 @@ func TestLogDeliveryMatchesDirectOutbound(t *testing.T) {
 					}
 				}
 			}
-			recs := make([]bcastRecord, len(bcasts))
-			for i, b := range bcasts {
-				recs[i] = bcastRecord{prep: b.Prepared, exclude: b.Exclude}
-			}
-			logB.publish(recs...)
+			logB.publish(bcasts)
 			drainB()
 		}
 	}
@@ -266,7 +264,7 @@ func TestJoinStormSharesSnapshotEncoding(t *testing.T) {
 		}
 	}
 	for _, m := range msgs {
-		if _, err := core.Handle("c00", m); err != nil {
+		if _, err := core.HandleBroadcast("c00", m); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -102,7 +102,7 @@ func TestCompletionDecisionMatchesFromScratch(t *testing.T) {
 				continue // the client refused (already voted, empty row, ...): nothing was sent
 			}
 			for i, m := range msgs {
-				out, err := r.core.Handle(ids[ci], m)
+				out, err := handleExpanded(r.core, ids[ci], m)
 				if err != nil {
 					t.Fatalf("seed %d step %d: Handle: %v", seed, step, err)
 				}

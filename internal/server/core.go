@@ -12,7 +12,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"crowdfill/internal/constraint"
 	"crowdfill/internal/model"
@@ -68,10 +67,10 @@ type Config struct {
 	LogCapacity int
 }
 
-// Outbound is a message the caller must deliver to a client. Prepared, when
-// non-nil, is the shared once-encoded form of Msg: every Outbound of one
-// broadcast carries the same Prepared, so transports that serialize encode
-// once per broadcast instead of once per recipient.
+// Outbound is a private message the caller must deliver to one client — what
+// AddClient returns for a joiner. Prepared, when non-nil, is the shared
+// once-encoded form of Msg (the epoch-cached join snapshot), so transports
+// that serialize encode it once per epoch instead of once per joiner.
 type Outbound struct {
 	To       string // client id
 	Msg      sync.Message
@@ -101,9 +100,8 @@ type Core struct {
 	logf    func(format string, args ...any)
 	metrics *Metrics
 
-	clients   map[string]string // client id -> worker id
-	joinTime  map[string]int64  // worker -> first join timestamp
-	sortedIDs []string          // cached sorted client ids; nil = rebuild
+	clients  map[string]string // client id -> worker id
+	joinTime map[string]int64  // worker -> first join timestamp
 
 	trace []sync.Message // stamped worker messages (the set M)
 	ccLog []sync.Message // stamped Central Client messages
@@ -363,7 +361,6 @@ func (c *Core) checkDone() {
 // messages to send it: a full state snapshot plus the current estimates.
 func (c *Core) AddClient(clientID, workerID string) []Outbound {
 	c.clients[clientID] = workerID
-	c.sortedIDs = nil
 	now := c.stamp()
 	if _, ok := c.joinTime[workerID]; !ok {
 		c.joinTime[workerID] = now
@@ -390,7 +387,6 @@ func (c *Core) AddClient(clientID, workerID string) []Outbound {
 // RemoveClient unregisters a client connection.
 func (c *Core) RemoveClient(clientID string) {
 	delete(c.clients, clientID)
-	c.sortedIDs = nil
 	c.metrics.clientCount(len(c.clients))
 }
 
@@ -446,29 +442,6 @@ func (c *Core) HandleBroadcast(clientID string, m sync.Message) ([]Broadcast, er
 	return out, nil
 }
 
-// Handle processes one client message like HandleBroadcast and expands the
-// broadcasts into per-recipient Outbound values in sorted client order. This
-// materialized form is the executable spec of delivery — the simulation
-// harness consumes it directly, and tests assert the sequenced-log transport
-// delivers byte-identical per-client sequences.
-func (c *Core) Handle(clientID string, m sync.Message) ([]Outbound, error) {
-	bcasts, err := c.HandleBroadcast(clientID, m)
-	if err != nil || len(bcasts) == 0 {
-		return nil, err
-	}
-	ids := c.sortedClientIDs()
-	out := make([]Outbound, 0, len(bcasts)*len(ids))
-	for _, b := range bcasts {
-		msg := b.Prepared.Message()
-		for _, id := range ids {
-			if id != b.Exclude {
-				out = append(out, Outbound{To: id, Msg: msg, Prepared: b.Prepared})
-			}
-		}
-	}
-	return out, nil
-}
-
 // estimateBroadcast decides whether this message's estimate update goes out,
 // returning the shared prepared message or nil to skip. Skipping when the
 // payload matches the last broadcast is invisible to clients — they simply
@@ -498,21 +471,6 @@ func (c *Core) estimateBroadcast() *sync.Prepared {
 	c.sinceEstBcast = 0
 	c.metrics.estimateDecision(true, len(payload))
 	return p
-}
-
-// sortedClientIDs returns the connected client ids in stable order. The list
-// is cached and only rebuilt after membership changes; callers must not
-// modify it.
-func (c *Core) sortedClientIDs() []string {
-	if c.sortedIDs == nil {
-		ids := make([]string, 0, len(c.clients))
-		for id := range c.clients {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		c.sortedIDs = ids
-	}
-	return c.sortedIDs
 }
 
 // Done reports whether enough data has been collected.

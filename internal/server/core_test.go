@@ -4,6 +4,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -66,12 +67,37 @@ func (r *rig) deliver(out []Outbound) {
 func (r *rig) send(from string, msgs ...sync.Message) {
 	r.t.Helper()
 	for _, m := range msgs {
-		out, err := r.core.Handle(from, m)
+		out, err := handleExpanded(r.core, from, m)
 		if err != nil {
-			r.t.Fatalf("core.Handle(%s, %v): %v", from, m.Type, err)
+			r.t.Fatalf("HandleBroadcast(%s, %v): %v", from, m.Type, err)
 		}
 		r.deliver(out)
 	}
+}
+
+// handleExpanded is the spec of delivery: one handled message's broadcasts
+// expanded into per-recipient Outbound values, broadcast-major and in sorted
+// client order. The simulation harness fans out the same way, and
+// TestLogDeliveryMatchesDirectOutbound holds the sequenced log to it.
+func handleExpanded(c *Core, clientID string, m sync.Message) ([]Outbound, error) {
+	bcasts, err := c.HandleBroadcast(clientID, m)
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]string, 0, len(c.clients))
+	for id := range c.clients {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	var out []Outbound
+	for _, b := range bcasts {
+		for _, id := range ids {
+			if id != b.Exclude {
+				out = append(out, Outbound{To: id, Msg: b.Prepared.Message(), Prepared: b.Prepared})
+			}
+		}
+	}
+	return out, nil
 }
 
 func cardinalityConfig(t *testing.T, n int) Config {
@@ -215,7 +241,7 @@ func TestFullCollectionRun(t *testing.T) {
 	}
 
 	// Late messages after completion are dropped silently.
-	out, err := r.core.Handle("c2", sync.Message{Type: sync.MsgUpvote, Vec: model.VectorOf("a", "vala")})
+	out, err := handleExpanded(r.core, "c2", sync.Message{Type: sync.MsgUpvote, Vec: model.VectorOf("a", "vala")})
 	if err != nil || out != nil {
 		t.Fatalf("post-done handle = %v, %v", out, err)
 	}
@@ -283,14 +309,14 @@ func TestLateJoinGetsSnapshot(t *testing.T) {
 
 func TestHandleErrors(t *testing.T) {
 	r := newRig(t, cardinalityConfig(t, 1))
-	if _, err := r.core.Handle("ghost", sync.Message{Type: sync.MsgUpvote}); err == nil || !strings.Contains(err.Error(), "unknown client") {
+	if _, err := r.core.HandleBroadcast("ghost", sync.Message{Type: sync.MsgUpvote}); err == nil || !strings.Contains(err.Error(), "unknown client") {
 		t.Fatalf("unknown client err = %v", err)
 	}
 	r.join("c1", "w1")
-	if _, err := r.core.Handle("c1", sync.Message{Type: sync.MsgSnapshot}); err == nil {
+	if _, err := r.core.HandleBroadcast("c1", sync.Message{Type: sync.MsgSnapshot}); err == nil {
 		t.Fatalf("clients must not send snapshots")
 	}
-	if _, err := r.core.Handle("c1", sync.Message{Type: sync.MsgUpvote, Vec: model.VectorOf("a")}); err == nil {
+	if _, err := r.core.HandleBroadcast("c1", sync.Message{Type: sync.MsgUpvote, Vec: model.VectorOf("a")}); err == nil {
 		t.Fatalf("bad width should surface the replica error")
 	}
 	r.core.RemoveClient("c1")
@@ -484,15 +510,14 @@ func TestNetServerAccessorsAndSlowClient(t *testing.T) {
 	defer ns.log.close()
 
 	evicted := make(chan struct{})
-	slow := ns.log.newCursor(func() { close(evicted) })
-	fast := ns.log.newCursor(nil)
-	rec := bcastRecord{prep: sync.NewPrepared(sync.Message{Type: sync.MsgDone})}
+	slow := follow(ns.log, func() { close(evicted) })
+	fast := follow(ns.log, nil)
+	rec := []Broadcast{{Prepared: sync.NewPrepared(sync.Message{Type: sync.MsgDone})}}
+	out := make([]Broadcast, 4)
 	for i := 0; i < 16; i++ {
 		ns.log.publish(rec)
-		for {
-			if _, ok, err := fast.tryNext(); err != nil || !ok {
-				break
-			}
+		if n, err := ns.log.drainBatch(fast, out); err != nil || n != 1 {
+			t.Fatalf("fast cursor drain %d = %d, %v", i, n, err)
 		}
 	}
 	// The stalled cursor is evicted from the publishing side...
@@ -501,17 +526,17 @@ func TestNetServerAccessorsAndSlowClient(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatalf("stalled cursor was not evicted by the publisher")
 	}
-	// ...and its own next() reports the lag, while the fast cursor is fine.
-	if _, err := slow.next(); err != errCursorLagged {
-		t.Fatalf("lagged cursor next() = %v, want errCursorLagged", err)
+	// ...and its own drain reports the lag, while the fast cursor is fine.
+	if _, err := ns.log.drainBatch(slow, out); err != errCursorLagged {
+		t.Fatalf("lagged cursor drain = %v, want errCursorLagged", err)
 	}
-	if _, ok, err := fast.tryNext(); err != nil || ok {
-		t.Fatalf("fast cursor tryNext() = %v, %v; want drained and live", ok, err)
+	if n, err := ns.log.drainBatch(fast, out); err != nil || n != 0 {
+		t.Fatalf("fast cursor drain = %d, %v; want drained and live", n, err)
 	}
 	// Closing the log fails followers with errLogClosed.
 	ns.log.close()
-	if _, err := fast.next(); err != errLogClosed {
-		t.Fatalf("next() after close = %v, want errLogClosed", err)
+	if _, err := ns.log.drainBatch(fast, out); err != errLogClosed {
+		t.Fatalf("drain after close = %v, want errLogClosed", err)
 	}
 }
 

@@ -32,9 +32,6 @@ func newRecConn() *recConn { return &recConn{done: make(chan struct{})} }
 func (c *recConn) Send(m sync.Message) error {
 	return c.SendPreparedBatch([]*sync.Prepared{sync.NewPrepared(m)})
 }
-func (c *recConn) SendPrepared(p *sync.Prepared) error {
-	return c.SendPreparedBatch([]*sync.Prepared{p})
-}
 
 func (c *recConn) SendPreparedBatch(ps []*sync.Prepared) error {
 	c.mu.Lock()
@@ -65,7 +62,6 @@ func (c *recConn) SendPreparedBatch(ps []*sync.Prepared) error {
 }
 
 func (c *recConn) SetWriteDeadline(time.Time) error { return nil }
-func (c *recConn) SetReadDeadline(time.Time) error  { return nil }
 
 func (c *recConn) Recv() (sync.Message, error) {
 	<-c.done
@@ -99,6 +95,14 @@ func (c *recConn) snapshot() [][]*sync.Prepared {
 	return out
 }
 
+// cursorLag reports how many records fc's cursor is behind the log head. The
+// write lock excludes the flusher that owns the position.
+func cursorLag(l *bcastLog, fc *flushConn) uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.head - fc.pos
+}
+
 func prepSeq(seq int64) *sync.Prepared {
 	return sync.NewPrepared(sync.Message{Type: sync.MsgUpvote, Seq: seq})
 }
@@ -120,12 +124,12 @@ func TestFlusherCoalescesBurst(t *testing.T) {
 	waitFor(t, func() bool { _, parked := l.poolStats(); return parked == 1 })
 
 	const k = 5
-	recs := make([]bcastRecord, 0, k+1)
+	recs := make([]Broadcast, 0, k+1)
 	for i := 0; i < k; i++ {
-		recs = append(recs, bcastRecord{prep: prepSeq(int64(i))})
+		recs = append(recs, Broadcast{Prepared: prepSeq(int64(i))})
 	}
-	recs = append(recs, bcastRecord{prep: prepSeq(999), exclude: "self"})
-	l.publish(recs...)
+	recs = append(recs, Broadcast{Prepared: prepSeq(999), Exclude: "self"})
+	l.publish(recs)
 
 	waitFor(t, func() bool { return len(rc.snapshot()) == 1 })
 	got := rc.snapshot()[0]
@@ -159,12 +163,12 @@ func TestFlusherPoolOrdering(t *testing.T) {
 	seq := int64(0)
 	for seq < total {
 		burst := 1 + int(seq%7)
-		recs := make([]bcastRecord, 0, burst)
+		recs := make([]Broadcast, 0, burst)
 		for i := 0; i < burst && seq < total; i++ {
-			recs = append(recs, bcastRecord{prep: prepSeq(seq)})
+			recs = append(recs, Broadcast{Prepared: prepSeq(seq)})
 			seq++
 		}
-		l.publish(recs...)
+		l.publish(recs)
 	}
 
 	waitFor(t, func() bool {
@@ -205,7 +209,7 @@ func TestFlusherDetectsLagAndDrops(t *testing.T) {
 
 	// One record: the flusher claims the connection, drains to pos 1, and
 	// blocks in the gated send.
-	l.publish(bcastRecord{prep: prepSeq(0)})
+	l.publish([]Broadcast{{Prepared: prepSeq(0)}})
 	waitFor(t, func() bool {
 		rc.mu.Lock()
 		defer rc.mu.Unlock()
@@ -217,16 +221,16 @@ func TestFlusherDetectsLagAndDrops(t *testing.T) {
 	// the cursor 9 behind with no publisher eviction possible — only the
 	// flusher can notice.
 	for i := 1; i < 10; i++ {
-		l.publish(bcastRecord{prep: prepSeq(int64(i))})
+		l.publish([]Broadcast{{Prepared: prepSeq(int64(i))}})
 	}
-	if fc.cur.lag() != 9 {
-		t.Fatalf("setup: cursor lag = %d, want 9", fc.cur.lag())
+	if got := cursorLag(l, fc); got != 9 {
+		t.Fatalf("setup: cursor lag = %d, want 9", got)
 	}
 	close(gate)
 
 	waitFor(t, func() bool { return rc.closed() })
 	waitFor(t, func() bool { conns, _ := l.poolStats(); return conns == 0 })
-	if !fc.cur.lagged {
+	if !fc.lagged {
 		t.Fatalf("cursor not marked lagged")
 	}
 }
@@ -305,7 +309,7 @@ func TestPeerCloseBeforeFlushIsNotADrop(t *testing.T) {
 	waitFor(t, func() bool { _, parked := ns.log.poolStats(); return parked == 1 })
 
 	near.Close()
-	ns.log.publish(bcastRecord{prep: prepSeq(1)})
+	ns.log.publish([]Broadcast{{Prepared: prepSeq(1)}})
 	// The flusher's send hits the closed pipe and detaches the connection
 	// while the reader is still held back.
 	waitFor(t, func() bool { conns, _ := ns.log.poolStats(); return conns == 0 })

@@ -133,7 +133,7 @@ type Metrics struct {
 	pollConns      *metrics.Gauge     // descriptors registered with the poller
 	pollWakeups    *metrics.Counter   // epoll_wait returns with ready connections
 	pollReadyBatch *metrics.Histogram // ready connections per wakeup
-	pollQueueDepth *metrics.Gauge     // readiness dispatch-queue depth
+	pollDepth      *metrics.Gauge     // readiness dispatch-queue depth
 	pollDispatches *metrics.Counter   // handler dispatches to poll workers
 
 	// Estimator broadcast coalescing.
@@ -180,7 +180,7 @@ func NewMetrics(reg *metrics.Registry, rec *metrics.Recorder) *Metrics {
 		pollConns:      reg.Gauge("crowdfill_poll_conns", "connections registered with the readiness poller"),
 		pollWakeups:    reg.Counter("crowdfill_poll_wakeups_total", "poller wakeups that delivered ready connections"),
 		pollReadyBatch: reg.Histogram("crowdfill_poll_ready_batch", "ready connections per poller wakeup", metrics.CountBuckets),
-		pollQueueDepth: reg.Gauge("crowdfill_poll_queue_depth", "ready connections waiting for a poll worker"),
+		pollDepth:      reg.Gauge("crowdfill_poll_queue_depth", "ready connections waiting for a poll worker"),
 		pollDispatches: reg.Counter("crowdfill_poll_dispatch_total", "readiness handler dispatches to poll workers"),
 
 		estBcasts:  reg.Counter("crowdfill_estimate_bcasts_total", "estimate broadcasts sent"),
@@ -349,7 +349,7 @@ func (m *Metrics) PollQueueDelta(d int) {
 	if m == nil {
 		return
 	}
-	m.pollQueueDepth.Add(int64(d))
+	m.pollDepth.Add(int64(d))
 }
 
 // PollDispatch counts one readiness handler dispatch to a poll worker.

@@ -22,7 +22,7 @@ import (
 // (HandleBroadcast's result) and returns. Connections hold no writer
 // goroutine — the log's shared flusher pool drains each connection's cursor
 // and coalesces adjacent records into one batched write, and idle
-// connections park as bare cursor structs (DESIGN.md §12). A client that
+// connections park as bare flushConn structs (DESIGN.md §12). A client that
 // cannot keep up is detected by cursor lag — the log wrapping past it — and
 // disconnected, which preserves everyone else's per-link FIFO delivery
 // without per-recipient work on the hot path.
@@ -183,14 +183,7 @@ func (s *NetServer) handleAndPublish(clientID string, m sync.Message) error {
 	if err != nil {
 		return err
 	}
-	if len(bcasts) == 0 {
-		return nil
-	}
-	recs := make([]bcastRecord, len(bcasts))
-	for i, b := range bcasts {
-		recs[i] = bcastRecord{prep: b.Prepared, exclude: b.Exclude}
-	}
-	s.log.publish(recs...)
+	s.log.publish(bcasts)
 	return nil
 }
 

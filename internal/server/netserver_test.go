@@ -252,7 +252,7 @@ func TestSlowClientOverflowDisconnect(t *testing.T) {
 	ns := NewNetServer(core, quietLogf(t))
 
 	// The slow client connects and never reads: a tiny pipe buffer blocks
-	// its writer goroutine almost immediately, so its log cursor stops
+	// its flusher almost immediately, so its log cursor stops
 	// advancing while broadcasts keep being published.
 	slowSrv, slowCli := transport.Pipe(1)
 	go ns.ServeConn(slowSrv, "w-slow")
@@ -332,7 +332,7 @@ func TestSlowClientOverflowDisconnect(t *testing.T) {
 		defer ns.log.mu.Unlock()
 		for fc := range ns.log.conns {
 			if fc.id == w1ID {
-				return ns.log.head - fc.cur.pos
+				return ns.log.head - fc.pos
 			}
 		}
 		return 0

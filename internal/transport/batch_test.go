@@ -72,7 +72,7 @@ func TestPipeWriteDeadline(t *testing.T) {
 
 // TestWSSendPreparedBatch: over a real socket, a prepared batch arrives as
 // the identical ordered message sequence the per-record path would deliver,
-// and batches interleave cleanly with individual prepared sends.
+// and batches of one interleave cleanly with larger ones.
 func TestWSSendPreparedBatch(t *testing.T) {
 	cli, srv := wsPair(t)
 	ps := make([]*sync.Prepared, 6)
@@ -82,7 +82,7 @@ func TestWSSendPreparedBatch(t *testing.T) {
 	if err := srv.SendPreparedBatch(ps); err != nil {
 		t.Fatalf("SendPreparedBatch: %v", err)
 	}
-	if err := srv.SendPrepared(sync.NewPrepared(sync.Message{Type: sync.MsgDone, Seq: 99})); err != nil {
+	if err := srv.SendPreparedBatch([]*sync.Prepared{sync.NewPrepared(sync.Message{Type: sync.MsgDone, Seq: 99})}); err != nil {
 		t.Fatal(err)
 	}
 	// A second batch reusing the adapter's frame scratch.

@@ -20,29 +20,19 @@ type Conn interface {
 	// Send transmits one message. It must not be called concurrently with
 	// itself.
 	Send(m sync.Message) error
-	// SendPrepared transmits a message prepared once for many recipients:
+	// SendPreparedBatch transmits messages prepared once for many recipients:
 	// implementations reuse the shared encoding (and, where the wire format
-	// allows, the shared frame) instead of re-encoding per connection. Same
-	// concurrency contract as Send.
-	SendPrepared(p *sync.Prepared) error
-	// SendPreparedBatch transmits several prepared messages as one coalesced
-	// write where the wire format allows (writev-style: N frames, one
+	// allows, the shared frame) instead of re-encoding per connection, and
+	// emit the batch as one coalesced write (writev-style: N frames, one
 	// syscall), falling back to sequential sends otherwise. Delivery order
-	// and wire bytes are exactly those of N SendPrepared calls. Same
-	// concurrency contract as Send.
+	// and wire bytes are exactly those of N single sends. Same concurrency
+	// contract as Send.
 	SendPreparedBatch(ps []*sync.Prepared) error
 	// SetWriteDeadline bounds how long subsequent sends may block; the zero
 	// time clears the bound. A send that hits the deadline returns an error
 	// and may leave the link mid-message, so callers must drop the
 	// connection afterwards (the flusher pool's stalled-socket backstop).
 	SetWriteDeadline(t time.Time) error
-	// SetReadDeadline bounds how long subsequent receives may block; the
-	// zero time clears the bound. A receive that hits the deadline returns
-	// a timeout error (IsTimeout reports true). On the WebSocket transport
-	// the stream may be left mid-frame, so callers must drop the connection
-	// afterwards; on the pipe nothing is consumed and the link stays
-	// usable, letting poller timeout tests run against both transports.
-	SetReadDeadline(t time.Time) error
 	// Recv blocks until the next message arrives or the link closes.
 	Recv() (sync.Message, error)
 	// RecvBatch blocks until at least one message arrives, then fills dst
@@ -62,16 +52,13 @@ var ErrPipeClosed = errors.New("transport: pipe closed")
 // ErrWriteTimeout is returned by a pipe send that hit its write deadline.
 var ErrWriteTimeout = errors.New("transport: write deadline exceeded")
 
-// ErrReadTimeout is returned by a pipe receive that hit its read deadline.
-var ErrReadTimeout = errors.New("transport: read deadline exceeded")
-
 // IsTimeout reports whether an error means a deadline expired — across both
-// transports (the pipe's ErrWriteTimeout/ErrReadTimeout sentinels and the
-// net.Error timeout a deadline'd socket operation returns). The flusher
-// pool uses it to label the drop cause: a deadline hit is a stalled socket,
-// a plain send error is a broken one.
+// transports (the pipe's ErrWriteTimeout sentinel and the net.Error timeout
+// a deadline'd socket operation returns). The flusher pool uses it to label
+// the drop cause: a deadline hit is a stalled socket, a plain send error is
+// a broken one.
 func IsTimeout(err error) bool {
-	if errors.Is(err, ErrWriteTimeout) || errors.Is(err, ErrReadTimeout) {
+	if errors.Is(err, ErrWriteTimeout) {
 		return true
 	}
 	var ne net.Error
@@ -129,10 +116,8 @@ type pipeEnd struct {
 	out    chan sync.Message
 	shared *pipeShared
 	// wdeadline bounds Send; owned by the sending goroutine (the Send
-	// concurrency contract covers SetWriteDeadline too). rdeadline bounds
-	// Recv symmetrically, owned by the receiving goroutine.
+	// concurrency contract covers SetWriteDeadline too).
 	wdeadline time.Time
-	rdeadline time.Time
 }
 
 // Pipe returns the two endpoints of an in-process reliable in-order link
@@ -177,12 +162,9 @@ func (p *pipeEnd) Send(m sync.Message) error {
 	}
 }
 
-// SendPrepared delivers the message value directly: in-process pipes never
-// serialize, so a shared encoding has nothing to save.
-func (p *pipeEnd) SendPrepared(prep *sync.Prepared) error { return p.Send(prep.Message()) }
-
-// SendPreparedBatch delivers the message values in order; a pipe has no
-// frame layer, so there is nothing to coalesce beyond the sequential sends.
+// SendPreparedBatch delivers the message values in order: in-process pipes
+// never serialize, so a shared encoding has nothing to save, and there is no
+// frame layer to coalesce beyond the sequential sends.
 func (p *pipeEnd) SendPreparedBatch(ps []*sync.Prepared) error {
 	for _, prep := range ps {
 		if err := p.Send(prep.Message()); err != nil {
@@ -198,41 +180,7 @@ func (p *pipeEnd) SetWriteDeadline(t time.Time) error {
 	return nil
 }
 
-// SetReadDeadline bounds Recv; same concurrency contract as Recv. A
-// timed-out pipe receive consumes nothing, so the link stays usable.
-func (p *pipeEnd) SetReadDeadline(t time.Time) error {
-	p.rdeadline = t
-	return nil
-}
-
 func (p *pipeEnd) Recv() (sync.Message, error) {
-	if !p.rdeadline.IsZero() {
-		// Drain queued messages before the expiry check: data already on
-		// the link beats a deadline, mirroring the closure-drain below.
-		select {
-		case m := <-p.in:
-			return m, nil
-		default:
-		}
-		if !time.Now().Before(p.rdeadline) {
-			return sync.Message{}, ErrReadTimeout
-		}
-		t := time.NewTimer(time.Until(p.rdeadline))
-		defer t.Stop()
-		select {
-		case <-p.shared.done:
-			select {
-			case m := <-p.in:
-				return m, nil
-			default:
-				return sync.Message{}, ErrPipeClosed
-			}
-		case m := <-p.in:
-			return m, nil
-		case <-t.C:
-			return sync.Message{}, ErrReadTimeout
-		}
-	}
 	select {
 	case <-p.shared.done:
 		// Drain anything already queued before reporting closure.
@@ -315,23 +263,11 @@ func (w *wsConn) Send(m sync.Message) error {
 	return w.ws.WriteText(w.ebuf)
 }
 
-// SendPrepared writes the shared RFC 6455 frame built once per broadcast
-// (and cached inside the Prepared), so N recipients cost one JSON encode and
-// one frame build instead of N of each.
-func (w *wsConn) SendPrepared(p *sync.Prepared) error {
-	frame, err := p.Frame(func(payload []byte) (any, error) {
-		return wsock.NewPreparedText(payload), nil
-	})
-	if err != nil {
-		return err
-	}
-	return w.ws.WritePrepared(frame.(*wsock.PreparedFrame))
-}
-
 // SendPreparedBatch coalesces the batch's cached RFC 6455 frames into one
 // WebSocket-layer write: K adjacent broadcast records reaching one
-// connection cost one syscall instead of K. Frame building is shared across
-// recipients exactly as in SendPrepared.
+// connection cost one syscall instead of K. Each frame is built once per
+// broadcast and cached inside the Prepared, so N recipients cost one JSON
+// encode and one frame build instead of N of each.
 func (w *wsConn) SendPreparedBatch(ps []*sync.Prepared) error {
 	if len(ps) == 0 {
 		return nil
@@ -352,11 +288,6 @@ func (w *wsConn) SendPreparedBatch(ps []*sync.Prepared) error {
 
 // SetWriteDeadline bounds how long writes on the underlying socket may block.
 func (w *wsConn) SetWriteDeadline(t time.Time) error { return w.ws.SetWriteDeadline(t) }
-
-// SetReadDeadline bounds how long blocking reads on the underlying socket
-// may block. A deadline hit may leave the stream mid-frame, so the
-// connection must be dropped afterwards (same contract as write deadlines).
-func (w *wsConn) SetReadDeadline(t time.Time) error { return w.ws.SetReadDeadline(t) }
 
 // StartPoll switches the underlying WebSocket into non-blocking read mode
 // and installs the message delivery chain: wsock lease → decode → onMsg.

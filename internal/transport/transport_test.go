@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -244,72 +247,63 @@ func TestWSSendRecvAllocs(t *testing.T) {
 	<-done
 }
 
-// TestPipeReadDeadline: the receive side of the Send/Recv deadline symmetry.
-// A timed-out pipe receive consumes nothing; data already queued beats an
-// expired deadline; clearing the deadline restores indefinite blocking.
-func TestPipeReadDeadline(t *testing.T) {
-	a, b := Pipe(4)
-	defer a.Close()
-
-	// Expired deadline with an empty queue: immediate timeout.
-	if err := b.SetReadDeadline(time.Now().Add(-time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Recv(); !errors.Is(err, ErrReadTimeout) {
-		t.Fatalf("Recv past deadline err = %v, want ErrReadTimeout", err)
-	}
-	if !IsTimeout(ErrReadTimeout) {
-		t.Fatal("IsTimeout(ErrReadTimeout) = false")
-	}
-
-	// Queued data beats the expired deadline, and the timeout consumed
-	// nothing beforehand.
-	if err := a.Send(sync.Message{Seq: 7}); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := b.Recv(); err != nil || m.Seq != 7 {
-		t.Fatalf("queued message after timeout = %+v, %v", m, err)
-	}
-
-	// A future deadline blocks until it fires.
-	if err := b.SetReadDeadline(time.Now().Add(30 * time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if _, err := b.Recv(); !errors.Is(err, ErrReadTimeout) {
-		t.Fatalf("blocking Recv err = %v, want ErrReadTimeout", err)
-	}
-	if time.Since(start) < 20*time.Millisecond {
-		t.Fatal("Recv returned before the deadline")
-	}
-
-	// The link survives timeouts: clear the deadline and deliver.
-	if err := b.SetReadDeadline(time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		a.Send(sync.Message{Seq: 8})
-	}()
-	if m, err := b.Recv(); err != nil || m.Seq != 8 {
-		t.Fatalf("Recv after clearing deadline = %+v, %v", m, err)
-	}
+// hijackedPipe is the server half of an in-memory WebSocket upgrade: a
+// ResponseWriter whose Hijack hands wsock.Upgrade one end of a net.Pipe.
+type hijackedPipe struct {
+	http.ResponseWriter
+	nc net.Conn
 }
 
-// TestWSReadDeadline: the WebSocket adapter forwards read deadlines to the
-// socket, and the resulting error is classified by IsTimeout.
-func TestWSReadDeadline(t *testing.T) {
-	cli, srv := wsPair(t)
-	_ = cli
-	if err := srv.SetReadDeadline(time.Now().Add(30 * time.Millisecond)); err != nil {
+func (h hijackedPipe) Hijack() (net.Conn, *bufio.ReadWriter, error) {
+	return h.nc, bufio.NewReadWriter(bufio.NewReader(h.nc), bufio.NewWriter(h.nc)), nil
+}
+
+// TestWSRecvBatchDefersMidBatchError: a protocol violation sitting in the
+// read window behind two good messages does not cost the batch in hand —
+// RecvBatch returns both, and the next receive call reports the error. The
+// peer writes all three frames in one Write on a net.Pipe, so one window fill
+// holds them all.
+func TestWSRecvBatchDefersMidBatchError(t *testing.T) {
+	srvNC, peer := net.Pipe()
+	defer peer.Close()
+	var wire []byte
+	for seq := int64(1); seq <= 2; seq++ {
+		payload, err := sync.EncodeMessage(sync.Message{Type: sync.MsgUpvote, Seq: seq})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire = append(append(wire, 0x81, byte(len(payload))), payload...) // FIN text, 7-bit length
+	}
+	wire = append(wire, 0x82, 0x01, 'b') // a binary frame: refused by the text-only link
+	go func() {
+		br := bufio.NewReader(peer)
+		for { // the 101 response ends at the first empty line
+			if line, err := br.ReadString('\n'); err != nil || line == "\r\n" {
+				break
+			}
+		}
+		peer.Write(wire)
+		io.Copy(io.Discard, br) // a pipe write blocks until read: drain the close echo
+	}()
+
+	req := httptest.NewRequest(http.MethodGet, "/ws", nil)
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", "websocket")
+	req.Header.Set("Sec-WebSocket-Key", "dGhlIHNhbXBsZSBub25jZQ==")
+	ws, err := wsock.Upgrade(hijackedPipe{httptest.NewRecorder(), srvNC}, req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := srv.Recv()
-	if err == nil {
-		t.Fatal("Recv with no traffic returned a message")
+	srv := WrapWS(ws)
+	defer srv.Close()
+
+	dst := make([]sync.Message, 8)
+	n, err := srv.RecvBatch(dst)
+	if err != nil || n != 2 || dst[0].Seq != 1 || dst[1].Seq != 2 {
+		t.Fatalf("RecvBatch = %d messages (%+v), %v; want the two decoded before the bad frame", n, dst[:n], err)
 	}
-	if !IsTimeout(err) {
-		t.Fatalf("IsTimeout(%v) = false, want true", err)
+	if _, err := srv.Recv(); err == nil || !strings.Contains(err.Error(), "binary") {
+		t.Fatalf("receive after the batch err = %v, want the deferred binary-frame error", err)
 	}
 }
 

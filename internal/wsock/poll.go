@@ -3,9 +3,7 @@
 // no longer has a dedicated reader goroutine; instead a poller worker calls
 // PollRead whenever the kernel reports the socket readable, and PollRead
 // drains the socket with non-blocking raw reads, feeding the bytes through
-// an incremental frame-reassembly state machine that mirrors the blocking
-// reader byte for byte (the FuzzFrameReassembly differential holds the two
-// paths to identical decode + identical wire responses).
+// the same reassembly machine the blocking reader steps (reassembly.go).
 //
 // Ownership: at most one goroutine runs PollRead at a time (the poller's
 // ONESHOT dispatch discipline guarantees it), so the reassembly state and
@@ -15,11 +13,8 @@
 package wsock
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"syscall"
-	"time"
 )
 
 // ErrPollUnsupported is returned by StartPoll when the underlying connection
@@ -28,23 +23,13 @@ import (
 var ErrPollUnsupported = errors.New("wsock: connection does not support readiness polling")
 
 // errPollMode guards the blocking entry points once a connection has been
-// switched to poll mode: the two readers share reassembly state and must
-// never run together.
+// switched to poll mode: the two read modes share the reassembly state and
+// must never run together.
 var errPollMode = errors.New("wsock: connection is in non-blocking poll mode")
 
 // errWouldBlock is the internal rawRead sentinel for EAGAIN: the socket is
 // drained and the connection should be re-armed with the poller.
 var errWouldBlock = errors.New("wsock: read would block")
-
-// Frame-reassembly states. A frame arrives in up to four pieces — fixed
-// header, extended length, mask key, payload — and any piece may itself be
-// split across an arbitrary number of socket reads.
-const (
-	psHdr     = iota // collecting the 2 fixed header bytes
-	psExt            // collecting the 2- or 8-byte extended length
-	psMask           // collecting the 4-byte mask key
-	psPayload        // collecting payload bytes
-)
 
 // Shrink thresholds applied when a poll-mode connection parks (socket
 // drained, no partial frame): idle herd members must not pin oversized
@@ -60,9 +45,8 @@ const (
 // same budgeted-drain discipline the flusher pool applies to writes.
 const pollReadBudget = 8
 
-// pollReader is the per-connection incremental read state. It exists only
-// on connections switched into poll mode; a nil Conn.poll means the
-// connection is (still) a blocking reader.
+// pollReader is the raw non-blocking socket reader of a connection in poll
+// mode; a nil Conn.poll means the connection is (still) a blocking reader.
 type pollReader struct {
 	rc syscall.RawConn
 
@@ -73,30 +57,14 @@ type pollReader struct {
 	rdst   []byte
 	rn     int
 	rerr   error
-
-	// Reassembly state machine.
-	state      int
-	hdr        [8]byte // fixed-header / extended-length accumulator
-	hdrn       int     // bytes accumulated in the current hdr/ext piece
-	extn       int     // extended-length size for this frame (2 or 8)
-	fin        bool
-	opcode     byte
-	masked     bool
-	mask       [4]byte
-	maskOff    int // rolling payload offset mod 4 for incremental unmasking
-	length     int // this frame's payload length
-	remaining  int // payload bytes still missing
-	wireHdr    int // header wire bytes (for countRead parity with readFrameInto)
-	ctrl       bool
-	payStart   int  // payload start offset in rbuf (data frames)
-	assembling bool // between a non-fin text frame and its final continuation
 }
 
 // StartPoll switches the connection into non-blocking read mode and returns
 // the raw descriptor handle for poller registration. The socket stays owned
 // by the Go runtime (reads go through syscall.RawConn, which holds the fd
 // referenced), so deadlines, writes, and Close keep working unchanged. The
-// switch is one-way: blocking reads on this connection fail afterwards.
+// switch is one-way: blocking reads on this connection fail afterwards. A
+// frame the blocking reader had half consumed resumes where it stopped.
 func (c *Conn) StartPoll() (syscall.RawConn, error) {
 	if c.poll != nil {
 		return c.poll.rc, nil
@@ -111,10 +79,6 @@ func (c *Conn) StartPoll() (syscall.RawConn, error) {
 	}
 	pr := &pollReader{rc: rc}
 	pr.readFn = pr.makeReadFn()
-	// Any lease handed out by a blocking read expires at the mode switch:
-	// poll-mode payloads append to rbuf, so a leftover lease would prefix the
-	// first delivered message.
-	c.rbuf = c.rbuf[:0]
 	c.poll = pr
 	return rc, nil
 }
@@ -139,20 +103,9 @@ func (c *Conn) PollRead(scratch []byte, onMsg func([]byte) error) (more bool, er
 	// releasing its buffer — poll-mode connections read straight from the
 	// socket.
 	if c.br != nil {
-		for c.br.Buffered() > 0 {
-			n := c.br.Buffered()
-			if n > len(scratch) {
-				n = len(scratch)
-			}
-			m, rerr := c.br.Read(scratch[:n])
-			if m > 0 {
-				if ferr := c.feed(scratch[:m], onMsg); ferr != nil {
-					return false, ferr
-				}
-			}
-			if rerr != nil {
-				return false, rerr
-			}
+		window, _ := c.br.Peek(c.br.Buffered()) // exactly what is buffered: cannot block or fail
+		if err := c.feed(window, onMsg); err != nil {
+			return false, err
 		}
 		c.br = nil
 	}
@@ -195,8 +148,7 @@ func (c *Conn) rawRead(p []byte) (int, error) {
 // with no partial frame in flight, so an idle herd member's footprint is a
 // few hundred bytes of struct, not the high-water mark of its traffic.
 func (c *Conn) shrinkOnPark() {
-	pr := c.poll
-	if pr.state != psHdr || pr.hdrn != 0 || pr.assembling {
+	if !c.rd.idle() {
 		return // mid-frame or mid-message: the buffers are live
 	}
 	if cap(c.rbuf) > pollIdleDataBufMax {
@@ -207,190 +159,23 @@ func (c *Conn) shrinkOnPark() {
 	}
 }
 
-// feed runs buf through the reassembly state machine, delivering completed
-// text messages to onMsg and answering control frames exactly as the
-// blocking reader does. Any returned error is fatal to the connection.
+// feed steps buf through the reassembly machine to its end, delivering each
+// completed text message to onMsg. Any returned error is fatal to the
+// connection.
 //
 //lint:hotpath feed
 func (c *Conn) feed(buf []byte, onMsg func([]byte) error) error {
-	pr := c.poll
-	p := buf
-	for {
-		switch pr.state {
-		case psHdr:
-			if len(p) == 0 {
-				return nil
-			}
-			n := copy(pr.hdr[pr.hdrn:2], p)
-			pr.hdrn += n
-			p = p[n:]
-			if pr.hdrn < 2 {
-				return nil
-			}
-			h0, h1 := pr.hdr[0], pr.hdr[1]
-			if h0&0x70 != 0 {
-				return errors.New("wsock: nonzero RSV bits") //lint:allow hotalloc fatal protocol violation, connection is torn down
-			}
-			pr.fin = h0&0x80 != 0
-			pr.opcode = h0 & 0x0F
-			pr.masked = h1&0x80 != 0
-			pr.wireHdr = 2
-			pr.hdrn = 0
-			switch h1 & 0x7F {
-			case 126:
-				pr.extn = 2
-				pr.state = psExt
-			case 127:
-				pr.extn = 8
-				pr.state = psExt
-			default:
-				pr.length = int(h1 & 0x7F)
-				c.startPayload()
-			}
-		case psExt:
-			n := copy(pr.hdr[pr.hdrn:pr.extn], p)
-			pr.hdrn += n
-			p = p[n:]
-			if pr.hdrn < pr.extn {
-				return nil
-			}
-			var length uint64
-			if pr.extn == 2 {
-				length = uint64(binary.BigEndian.Uint16(pr.hdr[:2]))
-			} else {
-				length = binary.BigEndian.Uint64(pr.hdr[:8])
-			}
-			if length > maxFrame {
-				return fmt.Errorf("wsock: frame of %d bytes exceeds limit", length) //lint:allow hotalloc fatal protocol violation, connection is torn down
-			}
-			pr.wireHdr += pr.extn
-			pr.length = int(length)
-			pr.hdrn = 0
-			c.startPayload()
-		case psMask:
-			n := copy(pr.mask[pr.hdrn:4], p)
-			pr.hdrn += n
-			p = p[n:]
-			if pr.hdrn < 4 {
-				return nil
-			}
-			pr.wireHdr += 4
-			pr.hdrn = 0
-			c.beginPayload()
-		case psPayload:
-			if pr.remaining > 0 {
-				if len(p) == 0 {
-					return nil
-				}
-				var dst []byte
-				if pr.ctrl {
-					dst = c.cbuf
-				} else {
-					dst = c.rbuf
-				}
-				off := pr.payStart + pr.length - pr.remaining
-				n := copy(dst[off:pr.payStart+pr.length], p)
-				if pr.masked {
-					seg := dst[off : off+n]
-					for i := range seg {
-						seg[i] ^= pr.mask[(pr.maskOff+i)&3]
-					}
-				}
-				pr.maskOff = (pr.maskOff + n) & 3
-				pr.remaining -= n
-				p = p[n:]
-				if pr.remaining > 0 {
-					return nil
-				}
-			}
-			c.countRead(pr.wireHdr + pr.length)
-			pr.state = psHdr
-			pr.hdrn = 0
-			if err := c.finishFrame(onMsg); err != nil { //lint:allow hotalloc delivery callback is the message hot path's own gated root
+	for len(buf) > 0 {
+		rest, msg, err := c.step(buf)
+		if err != nil {
+			return err
+		}
+		if msg {
+			if err := onMsg(c.rbuf); err != nil { //lint:allow hotalloc delivery callback is the message hot path's own gated root
 				return err
 			}
 		}
-	}
-}
-
-// startPayload routes the frame after its length is known: mask key next if
-// the frame is masked, else straight to payload collection.
-func (c *Conn) startPayload() {
-	pr := c.poll
-	if pr.masked {
-		pr.hdrn = 0
-		pr.state = psMask
-		return
-	}
-	c.beginPayload()
-}
-
-// beginPayload sizes the destination buffer exactly as the blocking
-// readFrameInto does — control payloads into cbuf, data payloads appended
-// to rbuf so fragment assembly is consecutive — and enters payload
-// collection. Zero-length frames complete on the next loop iteration
-// without needing further input.
-func (c *Conn) beginPayload() {
-	pr := c.poll
-	if pr.opcode >= opClose {
-		if cap(c.cbuf) < pr.length {
-			c.countBufGrow()
-		}
-		c.cbuf = growLen(c.cbuf[:0], pr.length) //lint:allow hotalloc amortized pooled-buffer growth, shared shape with the blocking reader
-		pr.ctrl = true
-		pr.payStart = 0
-	} else {
-		start := len(c.rbuf)
-		if cap(c.rbuf)-start < pr.length {
-			c.countBufGrow()
-		}
-		c.rbuf = growLen(c.rbuf, pr.length) //lint:allow hotalloc amortized pooled-buffer growth, shared shape with the blocking reader
-		pr.ctrl = false
-		pr.payStart = start
-	}
-	pr.remaining = pr.length
-	pr.maskOff = 0
-	pr.state = psPayload
-}
-
-// finishFrame applies the completed frame with exactly the semantics of the
-// blocking ReadTextLease loop: same opcode dispatch, same error strings,
-// same pong/close echoes through the pooled write path.
-func (c *Conn) finishFrame(onMsg func([]byte) error) error {
-	pr := c.poll
-	switch pr.opcode {
-	case opText:
-		if pr.assembling {
-			return errors.New("wsock: new text frame during fragmented message")
-		}
-		if pr.fin {
-			c.countLease()
-			err := onMsg(c.rbuf)
-			c.rbuf = c.rbuf[:0]
-			return err
-		}
-		pr.assembling = true
-	case opContinuation:
-		if !pr.assembling {
-			return errors.New("wsock: continuation without start")
-		}
-		if pr.fin {
-			pr.assembling = false
-			c.countLease()
-			err := onMsg(c.rbuf)
-			c.rbuf = c.rbuf[:0]
-			return err
-		}
-	case opBinary:
-		return errors.New("wsock: unexpected binary frame")
-	case opPing:
-		return c.writeFrame(opPong, c.cbuf)
-	case opPong:
-		// ignore
-	case opClose:
-		return c.handleClose()
-	default:
-		return fmt.Errorf("wsock: unknown opcode %d", pr.opcode)
+		buf = rest
 	}
 	return nil
 }
@@ -428,11 +213,3 @@ func (c *Conn) Closed() bool {
 	c.wmu.Unlock()
 	return v
 }
-
-// SetReadDeadline bounds how long subsequent blocking reads may block; the
-// zero time clears the bound. A read that hits the deadline leaves the
-// stream position undefined mid-frame, so callers must treat the error as
-// fatal and drop the connection — the same contract as SetWriteDeadline.
-// Poll-mode connections never block on read, so the deadline only matters
-// for the blocking path.
-func (c *Conn) SetReadDeadline(t time.Time) error { return c.nc.SetReadDeadline(t) }

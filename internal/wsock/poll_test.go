@@ -11,32 +11,33 @@ import (
 	"time"
 )
 
-// newFeedConn returns a connection in poll mode whose reassembly machine can
-// be driven by hand with feed — no socket, no poller. Writes (pong and close
-// echoes) land in the returned fakeConn's buffer.
+// newFeedConn returns a connection whose reassembly machine can be driven by
+// hand with feed — no socket, no poller. Writes (pong and close echoes) land
+// in the returned fakeConn's buffer.
 func newFeedConn() (*Conn, *fakeConn) {
 	wire := &fakeConn{}
-	c := &Conn{nc: wire}
-	c.poll = &pollReader{}
-	return c, wire
+	return &Conn{nc: wire}, wire
 }
 
 // diffResult captures everything observable about one reader's run over a
-// wire stream: delivered messages, bytes written back, terminal error.
+// wire stream: delivered messages, bytes written back, terminal error, and
+// (feed runs) how many input bytes had been fed when the error surfaced.
 type diffResult struct {
-	msgs [][]byte
-	wire []byte
-	err  error
+	msgs  [][]byte
+	wire  []byte
+	err   error
+	errAt int
 }
 
-// runBlocking drives the blocking reader over data until it errors (EOF at
-// the latest).
-func runBlocking(data []byte) diffResult {
-	wire := &fakeConn{r: bytes.NewReader(data)}
-	c := &Conn{nc: wire, br: bufio.NewReader(wire)}
+// leaseReader is what a blocking run drives: the production Conn or the
+// reference reader.
+type leaseReader interface{ ReadTextLease() ([]byte, error) }
+
+// runLeases reads messages from r until it errors (EOF at the latest).
+func runLeases(r leaseReader, wire *fakeConn) diffResult {
 	var res diffResult
 	for {
-		m, err := c.ReadTextLease()
+		m, err := r.ReadTextLease()
 		if err != nil {
 			res.err = err
 			break
@@ -47,8 +48,22 @@ func runBlocking(data []byte) diffResult {
 	return res
 }
 
-// runPoll drives the non-blocking reassembly machine over data, delivering it
-// in chunks whose sizes come from next (clamped to what remains).
+// runBlocking drives the blocking ReadTextLease over data through a bufio
+// window, as a reader goroutine on a socket would.
+func runBlocking(data []byte) diffResult {
+	wire := &fakeConn{r: bytes.NewReader(data)}
+	return runLeases(&Conn{nc: wire, br: bufio.NewReader(wire)}, wire)
+}
+
+// runReference drives the pre-machine blocking reader (reference_test.go).
+func runReference(data []byte) diffResult {
+	r, wire := newRefReader(data)
+	return runLeases(r, wire)
+}
+
+// runPoll drives the reassembly machine over data the way readiness
+// dispatches do, in chunks whose sizes come from next (clamped to what
+// remains).
 func runPoll(data []byte, next func(remaining int) int) diffResult {
 	c, wire := newFeedConn()
 	var res diffResult
@@ -67,15 +82,17 @@ func runPoll(data []byte, next func(remaining int) int) diffResult {
 		}
 		res.err = c.feed(p[:n], onMsg)
 		p = p[n:]
+		res.errAt = len(data) - len(p)
 	}
 	res.wire = wire.w.Bytes()
 	return res
 }
 
-// compareReaders holds the two paths to the differential contract: identical
-// messages in order, identical echoed wire bytes, and compatible terminal
-// errors — the poll side reporting nothing on a truncated stream corresponds
-// to the blocking side's EOF (the socket would simply stay parked).
+// compareReaders holds a blocking run and a feed run to the differential
+// contract: identical messages in order, identical echoed wire bytes, and
+// compatible terminal errors — the feed side reporting nothing on a truncated
+// stream corresponds to the blocking side's EOF (the socket would simply stay
+// parked).
 func compareReaders(t *testing.T, label string, b, p diffResult) {
 	t.Helper()
 	if p.err == nil {
@@ -151,6 +168,7 @@ func TestFeedByteAtATimeMatchesBlocking(t *testing.T) {
 	compareReaders(t, "byte-at-a-time", blocking, runPoll(stream, func(int) int { return 1 }))
 	compareReaders(t, "whole-stream", blocking, runPoll(stream, func(r int) int { return r }))
 	compareReaders(t, "sevens", blocking, runPoll(stream, func(int) int { return 7 }))
+	compareReaders(t, "reference", runReference(stream), runPoll(stream, func(int) int { return 1 }))
 }
 
 // TestPollControlFrameInsideFragment is the readiness-path regression for a
@@ -389,12 +407,15 @@ func TestStartPollUnsupported(t *testing.T) {
 	}
 }
 
-// FuzzFrameReassembly is the differential fuzz between the two readers: any
-// byte stream, delivered byte-at-a-time and in seeded random splits, must
-// produce byte-identical messages, byte-identical echoed wire responses, and
-// a compatible terminal error versus the blocking reader consuming the same
-// stream (truncation surfaces as EOF on the blocking side and as a parked
-// connection on the poll side).
+// FuzzFrameReassembly holds the one parser to its spec on any byte stream:
+// (a) chunking invariance — delivered whole, byte-at-a-time and in seeded
+// random splits it yields identical messages, echoed wire bytes and terminal
+// error; (b) it equals the reference reader (reference_test.go), truncation
+// surfacing as EOF there and as a parked connection here — except that it
+// stops at the first control frame violating RFC 6455 §5.5, which the
+// reference accepts: there the offending header is checked by hand and the
+// reference must agree on everything before it; (c) the blocking
+// ReadTextLease over a bufio window equals feed.
 func FuzzFrameReassembly(f *testing.F) {
 	f.Add([]byte{0x81, 0x02, 'h', 'i'}, uint64(1))
 	f.Add([]byte{0x81, 0x82, 1, 2, 3, 4, 'h' ^ 1, 'i' ^ 2}, uint64(2))
@@ -404,13 +425,52 @@ func FuzzFrameReassembly(f *testing.F) {
 	f.Add([]byte{0x81, 0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, uint64(6))
 	f.Add([]byte{0x91, 0x01, 'z'}, uint64(7))
 	f.Add(append([]byte{0x81, 0x7E, 0x01, 0x2C}, bytes.Repeat([]byte("w"), 300)...), uint64(8))
+	for i, tc := range controlLimitCases {
+		f.Add(tc.wire(false), uint64(9+i))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
-		blocking := runBlocking(data)
-		compareReaders(t, "byte-at-a-time", blocking, runPoll(data, func(int) int { return 1 }))
+		whole := runPoll(data, func(r int) int { return r })
+		bytewise := runPoll(data, func(int) int { return 1 })
 		rng := seed | 1
-		compareReaders(t, "random-splits", blocking, runPoll(data, func(int) int {
+		random := runPoll(data, func(int) int {
 			rng = rng*6364136223846793005 + 1442695040888963407
 			return int((rng>>33)%17) + 1
-		}))
+		})
+		requireSameRun(t, "byte-at-a-time", whole, bytewise)
+		requireSameRun(t, "random-splits", whole, random)
+
+		if whole.err == errFragmentedControl || whole.err == errControlTooLong {
+			// Byte-at-a-time, the error surfaces on the header's second byte.
+			h0, h1 := data[bytewise.errAt-2], data[bytewise.errAt-1]
+			if h0&0x0F < opClose || (h0&0x80 != 0 && h1&0x7F <= maxControl) {
+				t.Fatalf("%v reported for header %02x %02x, which RFC 6455 §5.5 allows", whole.err, h0, h1)
+			}
+			accepted := whole
+			accepted.err = nil
+			compareReaders(t, "reference-before-violation", runReference(data[:bytewise.errAt-2]), accepted)
+		} else {
+			compareReaders(t, "reference", runReference(data), whole)
+		}
+		compareReaders(t, "bufio-window", runBlocking(data), whole)
 	})
+}
+
+// requireSameRun is chunking invariance: two feed runs over one stream agree
+// on everything observable.
+func requireSameRun(t *testing.T, label string, a, b diffResult) {
+	t.Helper()
+	if (a.err == nil) != (b.err == nil) || (a.err != nil && a.err.Error() != b.err.Error()) {
+		t.Fatalf("%s: terminal error depends on chunking: %v vs %v", label, a.err, b.err)
+	}
+	if len(a.msgs) != len(b.msgs) {
+		t.Fatalf("%s: message count depends on chunking: %d vs %d", label, len(a.msgs), len(b.msgs))
+	}
+	for i := range a.msgs {
+		if !bytes.Equal(a.msgs[i], b.msgs[i]) {
+			t.Fatalf("%s: message %d depends on chunking: %q vs %q", label, i, a.msgs[i], b.msgs[i])
+		}
+	}
+	if !bytes.Equal(a.wire, b.wire) {
+		t.Fatalf("%s: echoed wire bytes depend on chunking:\n%x\n%x", label, a.wire, b.wire)
+	}
 }

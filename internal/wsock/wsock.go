@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -44,7 +43,8 @@ var ErrClosed = errors.New("wsock: connection closed")
 //
 // Buffer ownership: the read side assembles every text message into rbuf,
 // which ReadTextLease hands to the caller as a lease — valid only until the
-// next ReadText/ReadTextLease/TryReadTextLease call on this connection.
+// next ReadText/ReadTextLease/TryReadTextLease call on this connection
+// (the bytes are reused once the next text message's first frame arrives).
 // Control-frame payloads land in the separate cbuf, so a ping interleaved
 // with a fragmented message can never clobber the partially-assembled data
 // (RFC 6455 §5.4 allows that interleaving). The write side assembles
@@ -56,10 +56,11 @@ type Conn struct {
 	br     *bufio.Reader
 	client bool // client connections mask outgoing frames
 
-	// Read-side state; owned by the single reader goroutine.
-	rbuf    []byte  // reusable message-assembly buffer, leased to the caller
-	cbuf    []byte  // control-frame payload buffer (ping/pong/close)
-	scratch [8]byte // header/mask scratch; a field so io.ReadFull's interface call can't force a per-frame heap escape
+	// Read-side state; owned by the single reader — the blocking reader
+	// goroutine, or whichever poller worker the connection is dispatched to.
+	rbuf []byte     // reusable message-assembly buffer, leased to the caller
+	cbuf []byte     // control-frame payload buffer (ping/pong/close)
+	rd   reassembly // the frame parser's state between inputs (reassembly.go)
 
 	wmu    gosync.Mutex
 	closed bool
@@ -75,9 +76,8 @@ type Conn struct {
 	stats     *Stats
 	statShard uint32
 
-	// poll, when non-nil, holds the incremental reassembly state of a
-	// connection switched into non-blocking read mode (see poll.go). Owned
-	// by whichever single poller worker the connection is dispatched to.
+	// poll, when non-nil, is the raw non-blocking socket reader of a
+	// connection switched into readiness-driven read mode (see poll.go).
 	poll *pollReader
 
 	// onClose, registered via OnClose and guarded by wmu, runs exactly once
@@ -324,246 +324,45 @@ func (c *Conn) ReadTextLease() ([]byte, error) {
 	if c.poll != nil {
 		return nil, errPollMode
 	}
-	c.rbuf = c.rbuf[:0]
-	assembling := false
 	for {
-		opcode, fin, err := c.readFrameInto()
-		if err != nil {
+		// Block until the window holds at least one byte, then parse what
+		// is there; a message split across window fills resumes mid-frame.
+		if _, err := c.br.Peek(1); err != nil {
 			return nil, err
 		}
-		switch opcode {
-		case opText:
-			if assembling {
-				return nil, errors.New("wsock: new text frame during fragmented message")
-			}
-			if fin {
-				c.countLease()
-				return c.rbuf, nil
-			}
-			assembling = true
-		case opContinuation:
-			if !assembling {
-				return nil, errors.New("wsock: continuation without start")
-			}
-			if fin {
-				c.countLease()
-				return c.rbuf, nil
-			}
-		case opBinary:
-			return nil, errors.New("wsock: unexpected binary frame")
-		case opPing:
-			// The pong echoes from cbuf through the pooled write buffer:
-			// no allocation, and no aliasing of the data being assembled
-			// in rbuf.
-			if err := c.writeFrame(opPong, c.cbuf); err != nil {
-				return nil, err
-			}
-		case opPong:
-			// ignore
-		case opClose:
-			return nil, c.handleClose()
-		default:
-			return nil, fmt.Errorf("wsock: unknown opcode %d", opcode)
+		if msg, err := c.stepWindow(); err != nil {
+			return nil, err
+		} else if msg {
+			return c.rbuf, nil
 		}
 	}
 }
 
-// TryReadTextLease returns the next text message without blocking, but only
-// if a complete unfragmented text frame is already sitting in the read
-// buffer. Fully-buffered control frames are processed transparently (pongs
-// answered, close handshake completed). ok is false when nothing complete
-// is buffered — including fragmented or protocol-violating frames, which
-// are deferred to the next blocking read. The same lease discipline as
-// ReadTextLease applies.
+// TryReadTextLease returns the next text message without blocking, if the
+// bytes already sitting in the read buffer complete one — fragmented or not.
+// Buffered control frames are processed on the way (pongs answered, close
+// handshake completed) and buffered protocol violations reported; a trailing
+// partial frame is consumed into the reassembly state, where the next read
+// in either mode resumes it. ok is false when no message is complete. The
+// same lease discipline as ReadTextLease applies.
 func (c *Conn) TryReadTextLease() (payload []byte, ok bool, err error) {
 	if c.poll != nil || c.br == nil {
 		return nil, false, nil
 	}
-	for {
-		opcode, fin, ready := c.peekFrame()
-		if !ready {
-			return nil, false, nil
-		}
-		switch {
-		case opcode == opText && fin:
-			c.rbuf = c.rbuf[:0]
-			// The frame is fully buffered, so this cannot block.
-			if _, _, err := c.readFrameInto(); err != nil {
-				return nil, false, err
-			}
-			c.countLease()
-			return c.rbuf, true, nil
-		case opcode == opPing, opcode == opPong, opcode == opClose:
-			if _, _, err := c.readFrameInto(); err != nil {
-				return nil, false, err
-			}
-			switch opcode {
-			case opPing:
-				if err := c.writeFrame(opPong, c.cbuf); err != nil {
-					return nil, false, err
-				}
-			case opClose:
-				return nil, false, c.handleClose()
-			}
-		default:
-			return nil, false, nil
-		}
+	if msg, err := c.stepWindow(); !msg || err != nil {
+		return nil, false, err
 	}
+	return c.rbuf, true, nil
 }
 
-// peekFrame inspects the buffered bytes for one complete frame without
-// consuming anything and without touching the underlying connection (Peek
-// is only called with lengths at or below Buffered, so it cannot block).
-// ready is false when the frame is incomplete, too large to ever buffer, or
-// malformed — malformed frames are left for the blocking path to turn into
-// errors.
-func (c *Conn) peekFrame() (opcode byte, fin bool, ready bool) {
-	buffered := c.br.Buffered()
-	if buffered < 2 {
-		return 0, false, false
-	}
-	h, err := c.br.Peek(2)
-	if err != nil {
-		return 0, false, false
-	}
-	if h[0]&0x70 != 0 {
-		return 0, false, false
-	}
-	opcode = h[0] & 0x0F
-	fin = h[0]&0x80 != 0
-	masked := h[1]&0x80 != 0
-	hdrLen := 2
-	switch h[1] & 0x7F {
-	case 126:
-		hdrLen += 2
-	case 127:
-		hdrLen += 8
-	}
-	if masked {
-		hdrLen += 4
-	}
-	if buffered < hdrLen {
-		return 0, false, false
-	}
-	full, err := c.br.Peek(hdrLen)
-	if err != nil {
-		return 0, false, false
-	}
-	var length uint64
-	switch h[1] & 0x7F {
-	case 126:
-		length = uint64(binary.BigEndian.Uint16(full[2:4]))
-	case 127:
-		length = binary.BigEndian.Uint64(full[2:10])
-	default:
-		length = uint64(h[1] & 0x7F)
-	}
-	if length > maxFrame {
-		return 0, false, false
-	}
-	if uint64(buffered-hdrLen) < length {
-		return 0, false, false
-	}
-	return opcode, fin, true
-}
-
-// handleClose completes the closing handshake after a close frame whose
-// payload is in cbuf, and always returns ErrClosed.
-func (c *Conn) handleClose() error {
-	c.wmu.Lock()
-	alreadyClosed := c.closed
-	c.closed = true
-	c.wmu.Unlock()
-	if !alreadyClosed {
-		// Echo the close to complete the handshake.
-		_ = c.writeFrame(opClose, c.cbuf)
-	}
-	c.nc.Close()
-	c.fireOnClose()
-	return ErrClosed
-}
-
-// maxFrame bounds a single frame's payload.
-const maxFrame = 64 << 20
-
-// readFrameInto reads one frame, appending data payloads (text,
-// continuation, binary) to rbuf — so fragment assembly is just consecutive
-// appends — and landing control payloads in cbuf. Both buffers are reused
-// across frames; the steady state allocates nothing.
-func (c *Conn) readFrameInto() (opcode byte, fin bool, err error) {
-	if _, err = io.ReadFull(c.br, c.scratch[:2]); err != nil {
-		return 0, false, err
-	}
-	h0, h1 := c.scratch[0], c.scratch[1]
-	fin = h0&0x80 != 0
-	if h0&0x70 != 0 {
-		return 0, false, errors.New("wsock: nonzero RSV bits")
-	}
-	opcode = h0 & 0x0F
-	masked := h1&0x80 != 0
-	length := uint64(h1 & 0x7F)
-	hdrBytes := 2
-	switch length {
-	case 126:
-		if _, err = io.ReadFull(c.br, c.scratch[:2]); err != nil {
-			return 0, false, err
-		}
-		length = uint64(binary.BigEndian.Uint16(c.scratch[:2]))
-		hdrBytes += 2
-	case 127:
-		if _, err = io.ReadFull(c.br, c.scratch[:8]); err != nil {
-			return 0, false, err
-		}
-		length = binary.BigEndian.Uint64(c.scratch[:8])
-		hdrBytes += 8
-	}
-	if length > maxFrame {
-		return 0, false, fmt.Errorf("wsock: frame of %d bytes exceeds limit", length)
-	}
-	var mask [4]byte
-	if masked {
-		if _, err = io.ReadFull(c.br, c.scratch[:4]); err != nil {
-			return 0, false, err
-		}
-		copy(mask[:], c.scratch[:4])
-		hdrBytes += 4
-	}
-	var payload []byte
-	if opcode >= opClose {
-		if cap(c.cbuf) < int(length) {
-			c.countBufGrow()
-		}
-		c.cbuf = growLen(c.cbuf[:0], int(length))
-		payload = c.cbuf
-	} else {
-		start := len(c.rbuf)
-		if cap(c.rbuf)-start < int(length) {
-			c.countBufGrow()
-		}
-		c.rbuf = growLen(c.rbuf, int(length))
-		payload = c.rbuf[start:]
-	}
-	if _, err = io.ReadFull(c.br, payload); err != nil {
-		return 0, false, err
-	}
-	if masked {
-		for i := range payload {
-			payload[i] ^= mask[i%4]
-		}
-	}
-	c.countRead(hdrBytes + int(length))
-	return opcode, fin, nil
-}
-
-// growLen extends b by n bytes (contents of the extension undefined),
-// reusing capacity when available.
-func growLen(b []byte, n int) []byte {
-	if cap(b)-len(b) >= n {
-		return b[:len(b)+n]
-	}
-	nb := make([]byte, len(b)+n, (len(b)+n)*2)
-	copy(nb, b)
-	return nb
+// stepWindow steps the machine over the bytes sitting in the bufio window —
+// parsing in place, never touching the connection — and discards what it
+// consumed. msg reports a complete message in rbuf.
+func (c *Conn) stepWindow() (msg bool, err error) {
+	window, _ := c.br.Peek(c.br.Buffered()) // exactly what is buffered: cannot block or fail
+	rest, msg, err := c.step(window)
+	_, _ = c.br.Discard(len(window) - len(rest)) // within the window: cannot fail either
+	return msg, err
 }
 
 // Ping sends a ping frame (liveness probes).
