@@ -4,7 +4,7 @@ GO ?= go
 # or local deep runs override, e.g. `make fuzz-smoke FUZZTIME=5m`.
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint fuzz-smoke verify planes-loc bench bench-gate bench-pair bench-e2e
+.PHONY: build test race vet lint fuzz-smoke verify planes-loc bench-pair bench-e2e
 
 build:
 	$(GO) build ./...
@@ -47,28 +47,12 @@ verify: build vet lint test race fuzz-smoke
 planes-loc:
 	@find internal/wsock internal/transport internal/server internal/netpoll internal/parkq -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
-# bench runs the hot-path benchmarks (server fan-out, e2e WebSocket latency,
-# broadcast publish, probable-row scan, PRI repair full-vs-incremental, an
-# entering probable row, connection-scale idle herd) and the paper's E1-E6
-# experiment benchmarks,
-# writing BENCH_fanout.json, BENCH_e2e.json, BENCH_broadcast.json,
-# BENCH_planner.json, and BENCH_conns.json — then diffs the fresh e2e and
-# connection-scale numbers against the committed baselines.
-bench:
-	sh scripts/bench.sh
-	sh scripts/bench_gate.sh
-
-# bench-gate re-checks existing BENCH_e2e.json, BENCH_conns.json and
-# BENCH_planner.json against the committed baselines (>20% regression fails,
-# 30% on planner ns/op; tolerances via
-# P99_TOL/ALLOC_TOL/CONNS_P99_TOL/CONNS_MEM_TOL/PLANNER_NS_TOL).
-bench-gate:
-	sh scripts/bench_gate.sh
-
 # bench-pair runs the repository benchmark (bench/run.sh, BENCHMARK.json) on
 # PARENT's committed tree and on the working tree in alternating pairs and
-# prints medians, quartiles, pairs won and the gain verdict per end-to-end
-# metric, e.g. `make bench-pair PARENT=HEAD~1 WORKLOAD=table200 PAIRS=10`.
+# prints medians, quartiles, pairs won, the gain verdict and the no-regression
+# verdict (within bound / REGRESSION / unresolved, against BENCHMARK.json's
+# bound) per end-to-end metric; a REGRESSION or extra failed runs fail the
+# target. E.g. `make bench-pair PARENT=HEAD~1 WORKLOAD=table200 PAIRS=10`.
 PARENT ?= HEAD
 WORKLOAD ?= table200
 PAIRS ?= 10

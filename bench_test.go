@@ -11,10 +11,8 @@
 package crowdfill
 
 import (
-	"fmt"
 	"testing"
 
-	"crowdfill/internal/constraint"
 	"crowdfill/internal/crowd"
 	"crowdfill/internal/exp"
 	"crowdfill/internal/microtask"
@@ -161,52 +159,6 @@ func BenchmarkEXMicrotaskBaseline(b *testing.B) {
 
 // --- Ablation benchmarks (design choices called out in DESIGN.md) ---
 
-// BenchmarkAblationPRIRepair measures the Central Client's incremental
-// matching repair (§4.2) against growing candidate tables.
-func BenchmarkAblationPRIRepair(b *testing.B) {
-	for _, size := range []int{10, 50, 200} {
-		b.Run(fmt.Sprintf("rows=%d", size), func(b *testing.B) {
-			s := crowd.SoccerSchema()
-			rep := csync.NewReplica(s)
-			g := csync.NewIDGen("w")
-			truth := crowd.SoccerPlayers(1, size+10)
-			for i := 0; i < size; i++ {
-				ins, _ := rep.Insert(g.Next())
-				cur := ins.Row
-				for col, cell := range truth.Rows[i] {
-					m, err := rep.Fill(cur, col, cell.Val, g.Next())
-					if err != nil {
-						b.Fatal(err)
-					}
-					cur = m.NewRow
-				}
-			}
-			p := constraint.NewPlanner(constraint.Cardinality(s, size), model.MajorityShortcut(3))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Repair(rep)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationEstimatorObserve measures the per-message estimator cost
-// (§5.3) on a realistic mid-run state.
-func BenchmarkAblationEstimatorObserve(b *testing.B) {
-	res := repBenchRun(b)
-	s := crowd.SoccerSchema()
-	tmpl := constraint.Cardinality(s, 20)
-	trace := res.Core.Trace()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := pay.NewEstimator(s, model.MajorityShortcut(3), pay.DualWeighted, 10, tmpl, 0)
-		for _, m := range trace {
-			e.Observe(m, res.Core.Master())
-		}
-	}
-	b.ReportMetric(float64(len(trace)), "msgs/op")
-}
-
 // BenchmarkAblationComputePay measures the full §5.2 compensation
 // calculation over the representative trace, per scheme.
 func BenchmarkAblationComputePay(b *testing.B) {
@@ -283,64 +235,5 @@ func BenchmarkAblationSpammer(b *testing.B) {
 	b.ReportMetric(res.Accuracy*100, "accuracy-%")
 	if totalPay > 0 {
 		b.ReportMetric(spamPay/totalPay*100, "spam-pay-share-%")
-	}
-}
-
-// BenchmarkAblationServerFanout measures end-to-end message handling as the
-// number of connected clients grows (§2.4's broadcast model): one iteration
-// creates a collection of 48 empty rows, connects the clients, and fills all
-// 48 keys round-robin through them.
-func BenchmarkAblationServerFanout(b *testing.B) {
-	for _, clients := range []int{2, 8, 32} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			const rows = 48
-			for i := 0; i < b.N; i++ {
-				coll, err := NewCollection(Spec{
-					Name:        "T",
-					Columns:     []Column{{Name: "k"}, {Name: "v"}},
-					Key:         []string{"k"},
-					Cardinality: rows,
-					Scoring:     Scoring{Kind: "majority", K: 3},
-					Budget:      1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				workers := make([]*Worker, clients)
-				for j := range workers {
-					w, err := coll.Connect(fmt.Sprintf("w%d", j))
-					if err != nil {
-						b.Fatal(err)
-					}
-					workers[j] = w
-				}
-				// Epoch-before-scan, wait-after-miss: the epoch is read
-				// before each inspection, so a batch applied between the scan
-				// and the wait wakes the waiter instead of being missed.
-				w0 := workers[0]
-				for ep := w0.Epoch(); len(w0.Rows()) < rows; ep = w0.WaitChange(ep) {
-				}
-				for n := 0; n < rows; n++ {
-					w := workers[n%clients]
-					filled := false
-					for !filled {
-						ep := w.Epoch()
-						for _, r := range w.Rows() {
-							if r.Cells[0] == "" {
-								if err := w.Fill(r.ID, "k", fmt.Sprintf("key-%d", n)); err == nil {
-									filled = true
-								}
-								break
-							}
-						}
-						if !filled {
-							w.WaitChange(ep)
-						}
-					}
-				}
-				coll.Close()
-			}
-			b.ReportMetric(rows, "fills/op")
-		})
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"crowdfill/internal/model"
 	"crowdfill/internal/netpoll"
 	csync "crowdfill/internal/sync"
+	"crowdfill/internal/transport"
 	"crowdfill/internal/wsock"
 )
 
@@ -42,7 +43,7 @@ import (
 // ladder's upper rungs need more descriptors than that cap allows — 19000 is
 // the largest rung that fits (herd + active pairs + listener under 20000 in
 // the server process); 20000 and 50000 skip here and run where the limit is
-// raisable, producing artifact rows only on such hosts.
+// raisable.
 func BenchmarkConnScale(b *testing.B) {
 	for _, n := range []int{1000, 5000, 10000, 19000, 20000, 50000} {
 		b.Run(fmt.Sprintf("conns=%d", n), func(b *testing.B) {
@@ -56,6 +57,11 @@ const (
 	herdAddrEnv = "CROWDFILL_CONN_ADDR"
 	herdNEnv    = "CROWDFILL_CONN_N"
 )
+
+// maxBytesPerConn1k is the server heap+stack ceiling per idle connection at
+// the conns=1000 rung on poller platforms: the 3 316 B measured when the read
+// plane went readiness-driven, plus 30 %.
+const maxBytesPerConn1k = 4311
 
 // TestMain re-executes into herd-child mode when the environment says so;
 // otherwise it runs the test binary normally.
@@ -130,6 +136,20 @@ func runConnHerd() {
 	fmt.Println("ready")
 	io.Copy(io.Discard, os.Stdin) // parent closing stdin = shut down
 	os.Exit(0)
+}
+
+// dialWorker joins a worker to the collection over a real WebSocket.
+func dialWorker(b *testing.B, coll *Collection, addr net.Addr, id string) *Worker {
+	b.Helper()
+	ws, err := wsock.Dial(fmt.Sprintf("ws://%s/?worker=%s", addr, id))
+	if err != nil {
+		b.Fatalf("dial %s: %v", id, err)
+	}
+	cl, err := client.New(client.Config{ID: id, Worker: id, Schema: coll.schema})
+	if err != nil {
+		b.Fatalf("client %s: %v", id, err)
+	}
+	return &Worker{id: id, schema: coll.schema, runner: client.NewRunner(cl, transport.WrapWS(ws))}
 }
 
 func benchConnScale(b *testing.B, n int) {
@@ -291,6 +311,11 @@ func benchConnScale(b *testing.B, n int) {
 	}
 	if goroutinesPerConn > limit {
 		b.Fatalf("goroutines/conn = %.3f > %.2f; per-connection goroutines are back", goroutinesPerConn, limit)
+	}
+	// The footprint gets the same treatment at the rung CI runs (the delta
+	// grows with N, so one constant does not fit the ladder).
+	if n == 1000 && netpoll.OSSupported() && bytesPerConn > maxBytesPerConn1k {
+		b.Fatalf("bytes/conn = %.0f > %d at 1000 conns; an idle connection grew", bytesPerConn, maxBytesPerConn1k)
 	}
 
 	// Publish ops: publishers rotate; the next publisher in the rotation is

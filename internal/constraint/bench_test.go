@@ -36,19 +36,15 @@ func BenchmarkProbable(b *testing.B) {
 // BenchmarkPlannerRepair measures one Central Client message round at steady
 // state: a vote flips one row out of the probable set, a repair runs, the vote
 // is undone, and a second repair settles. Votes travel the indexed per-value
-// path, so the replica's share of the cost is O(1); the difference between
-// modes is the repair itself. scripts/bench.sh extracts BENCH_planner.json
-// from this benchmark's output.
+// path, so the replica's share of the cost is O(1); the rest is the
+// delta-driven engine's repair. The repository benchmark holds the same cost
+// in situ as the constraint.repair_p50_ns ledger line.
 //
-//   - mode=full is the full-rebuild spec over the TableIndex (per-repair
-//     adjacency rebuild, O(|T|·|P|)). It stops at tmpl=16: at 200 one op is
-//     11 ms and 10 MB, noisier than any gate.
-//   - mode=incr is the delta-driven engine on the same rows. After the first
-//     round the toggled row is no longer one a template holds, so a steady
-//     round prices a repair with nothing dirty, and any term linear in |T| or
-//     |P| outside the augmenting searches shows up undiluted (the acceptance
-//     bars: 1000-row cost within 3× of the 10-row cost, rows=1000/tmpl=200
-//     within 2× of rows=1000/tmpl=4).
+//   - mode=incr: after the first round the toggled row is no longer one a
+//     template holds, so a steady round prices a repair with nothing dirty,
+//     and any term linear in |T| or |P| outside the augmenting searches shows
+//     up undiluted (the acceptance bars: 1000-row cost within 3× of the 10-row
+//     cost, rows=1000/tmpl=200 within 2× of rows=1000/tmpl=4).
 //   - mode=dirty is the engine when the toggled row is one a template holds,
 //     every round: two same-key pairs take turns, and each sits at the top of
 //     the matched id range, so the repair re-validates one template, unmatches
@@ -56,14 +52,11 @@ func BenchmarkProbable(b *testing.B) {
 //     holder of the class before it reaches the free row — the longest path a
 //     Cardinality template of that size has.
 func BenchmarkPlannerRepair(b *testing.B) {
-	for _, mode := range []string{"full", "incr", "dirty"} {
+	for _, mode := range []string{"incr", "dirty"} {
 		for _, n := range []int{10, 100, 1000} {
 			for _, tsize := range []int{4, 16, 200} {
 				if tsize+2 > n {
 					continue // not enough probable rows: repairs would plan inserts
-				}
-				if mode == "full" && tsize == 200 {
-					continue
 				}
 				b.Run(fmt.Sprintf("mode=%s/rows=%d/tmpl=%d", mode, n, tsize), func(b *testing.B) {
 					benchPlannerRepair(b, mode, n, tsize)
@@ -82,8 +75,8 @@ func benchPlannerRepair(b *testing.B, mode string, n, tsize int) {
 	// Same-key pairs among distinct-key filler rows. All score 0 → all
 	// probable (rule 2). Upvoting a pair's first row makes it positive,
 	// pushing its partner out of the probable set; undoing restores it — an
-	// O(1)-message toggle. The lowest tsize ids start matched: full and incr
-	// put one pair first; dirty puts two pairs last among them, so whichever
+	// O(1)-message toggle. The lowest tsize ids start matched: incr puts
+	// one pair first; dirty puts two pairs last among them, so whichever
 	// partner returned last is the first free row the other's search meets.
 	filler := 0
 	mkFiller := func(k int) {
@@ -112,11 +105,7 @@ func benchPlannerRepair(b *testing.B, mode string, n, tsize int) {
 	idx := model.NewTableIndex(rep.Table(), f)
 	rep.SetObserver(idx)
 	p := NewPlanner(Cardinality(s, tsize), f)
-	if mode == "full" {
-		p.UseIndex(idx)
-	} else {
-		p.UseIncremental(idx)
-	}
+	p.UseIncremental(idx)
 	if acts := p.Repair(rep); len(acts) != 0 {
 		b.Fatalf("setup repair planned actions: %v", acts)
 	}
@@ -191,7 +180,6 @@ func benchPredTemplate(b *testing.B, s *model.Schema, tsize int) Template {
 // clients would, so new ids land inside the sorted adjacency lists and not
 // only at their ends. The table is rebuilt every 1 200 messages (200 rows), off
 // the clock, to keep the lists at the length a 200-row collection has.
-// scripts/bench.sh records the rows in BENCH_planner.json.
 func BenchmarkPlannerProbableEnter(b *testing.B) {
 	s := soccerSchema(b)
 	for _, c := range []struct {
@@ -323,8 +311,8 @@ var satisfiedSink bool // keeps the measured call live
 // nationality, bound caps, bound goals — the rest are cardinality slots)
 // against a final table holding 50 % and 100 % of |T| rows. At 50 % the
 // answer follows from the row counts alone; at 100 % the matching is built
-// and the table satisfies the template. scripts/bench.sh records the rows in
-// BENCH_planner.json.
+// and the table satisfies the template. The repository benchmark holds the
+// in-situ cost as the constraint.satisfied_by_us ledger line.
 func BenchmarkSatisfiedBy(b *testing.B) {
 	s := soccerSchema(b)
 	for _, tsize := range []int{20, 200} {

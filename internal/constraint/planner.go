@@ -40,7 +40,7 @@ type Action struct {
 type Planner struct {
 	tmpl  Template
 	score model.ScoreFunc
-	idx   *model.TableIndex // optional: incremental probable-row source
+	idx   *model.TableIndex // the index eng listens to (UseIncremental); nil on the spec path
 	eng   *deltaAdj         // optional: delta-driven repair engine (UseIncremental)
 	debug bool              // cross-check incremental repairs against the spec
 
@@ -130,14 +130,6 @@ func (p *Planner) Assignment() []model.RowID {
 // ("" when unmatched or removed) without copying the whole assignment.
 func (p *Planner) AssignedRow(t int) model.RowID { return p.assigned[t] }
 
-// UseIndex makes Repair draw probable rows and same-key competition from an
-// incrementally maintained TableIndex instead of rescanning the candidate
-// table on every call. The index must be attached to the same replica Repair
-// is called with (e.g. via rep.SetObserver), so it reflects every applied
-// message. Repair still rebuilds the template×probable adjacency per call;
-// UseIncremental removes that cost too.
-func (p *Planner) UseIndex(idx *model.TableIndex) { p.idx = idx }
-
 // UseIncremental switches Repair to the delta-driven fast path: a listener
 // registered on the index maintains a persistent template×probable-row
 // adjacency (one list per class of identical template rows) and a matching
@@ -149,8 +141,9 @@ func (p *Planner) UseIndex(idx *model.TableIndex) { p.idx = idx }
 // executable spec (and stays selected when UseIncremental is not called);
 // both produce identical actions and assignments.
 //
-// Like UseIndex, the index must observe the same replica Repair is called
-// with. Call once, before the first Repair.
+// The index must be attached to the same replica Repair is called with (e.g.
+// via rep.SetObserver), so it reflects every applied message. Call once,
+// before the first Repair.
 func (p *Planner) UseIncremental(idx *model.TableIndex) {
 	p.idx = idx
 	p.eng = newDeltaAdj(p)
@@ -208,12 +201,7 @@ func (p *Planner) Repair(rep *sync.Replica) []Action {
 // planner's debug mode cross-check that.
 func (p *Planner) repairFull(rep *sync.Replica) []Action {
 	p.Repairs++
-	var prob []*model.Row
-	if p.idx != nil {
-		prob = p.idx.Probable()
-	} else {
-		prob = Probable(rep.Table(), p.score)
-	}
+	prob := Probable(rep.Table(), p.score)
 
 	// Index probable rows and build adjacency for active template rows.
 	rowIdx := make(map[model.RowID]int, len(prob))

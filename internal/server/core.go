@@ -43,13 +43,6 @@ type Config struct {
 	// TrackPerformance enables per-worker performance scaling of the
 	// displayed estimates (§5.3's noted refinement).
 	TrackPerformance bool
-	// EstimateInterval forces an estimate broadcast every N handled
-	// messages even when the estimates are unchanged (0 = default). Between
-	// forced broadcasts, MsgEstimate is only sent when the payload differs
-	// from the last broadcast, which is invisible to clients (they just
-	// store the latest estimates) but removes the dominant per-message
-	// fan-out cost.
-	EstimateInterval int
 	// DebugCrossCheck makes the incremental table index verify itself
 	// against a from-scratch recomputation after every flush (expensive;
 	// tests only).
@@ -136,9 +129,9 @@ type Core struct {
 // and logged rather than silently swallowed.
 const maxRepairIters = 1000
 
-// defaultEstimateInterval is the forced-broadcast period when
-// Config.EstimateInterval is zero.
-const defaultEstimateInterval = 64
+// estimateInterval is the forced-broadcast period: an estimate goes out
+// every estimateInterval handled messages even when it is unchanged.
+const estimateInterval = 64
 
 // New builds a Core, seeds the candidate table from the template via the
 // Central Client, and checks whether the constraint is (trivially) already
@@ -447,7 +440,7 @@ func (c *Core) HandleBroadcast(clientID string, m sync.Message) ([]Broadcast, er
 // payload matches the last broadcast is invisible to clients — they simply
 // replace their stored estimates — but eliminates the dominant fan-out cost
 // on workloads where estimates rarely move. A forced broadcast every
-// EstimateInterval messages bounds staleness for any client that somehow
+// estimateInterval messages bounds staleness for any client that somehow
 // missed one.
 func (c *Core) estimateBroadcast() *sync.Prepared {
 	c.sinceEstBcast++
@@ -455,13 +448,9 @@ func (c *Core) estimateBroadcast() *sync.Prepared {
 		Type:      sync.MsgEstimate,
 		Estimates: c.est.CurrentIndexed(),
 	})
-	interval := c.cfg.EstimateInterval
-	if interval <= 0 {
-		interval = defaultEstimateInterval
-	}
 	payload, err := p.Payload()
 	if err == nil && c.lastEstPayload != nil &&
-		string(payload) == string(c.lastEstPayload) && c.sinceEstBcast < interval {
+		string(payload) == string(c.lastEstPayload) && c.sinceEstBcast < estimateInterval {
 		c.metrics.estimateDecision(false, 0)
 		return nil
 	}

@@ -87,7 +87,8 @@ func loadCoreTrace() (*coreTrace, error) {
 // (b.N messages, wrapping onto a fresh core at the end of the trace — use a
 // -benchtime several traces long). Each replay must finish the collection,
 // so the benchmark doubles as a check that the lazy completion check still
-// fires. scripts/bench.sh records it in BENCH_planner.json.
+// fires. The repository benchmark holds the in-situ cost on table200 as the
+// server.core_handle_p50_us ledger line.
 func BenchmarkCoreHandle(b *testing.B) {
 	ct, err := loadCoreTrace()
 	if err != nil {

@@ -88,8 +88,7 @@ const msgTypeSlots = int(sync.MsgUndownvote) + 1
 // Metrics is the server's instrument set: one handle wiring the whole
 // serving stack (broadcast log, flusher pool, core, estimator, wire layer)
 // into a metrics.Registry and a flight recorder. A nil *Metrics disables
-// instrumentation — every observe method is a nil-receiver no-op — which is
-// how the metrics-off arm of the overhead bench runs.
+// instrumentation: every observe method is a nil-receiver no-op.
 //
 // The observe methods on the publish/flush paths are //lint:hotpath roots:
 // hotalloc proves them transitively allocation-free, so they may sit on the
@@ -234,9 +233,8 @@ func (m *Metrics) WireStats() *wsock.Stats {
 
 // ProcessMetrics returns the process-wide server metrics, registered against
 // metrics.Default() and metrics.DefaultRecorder(). Instrumentation defaults
-// to on; CROWDFILL_METRICS=off disables it (the metrics-off arm of the
-// overhead bench), in which case nil is returned and every observe call is a
-// no-op.
+// to on; CROWDFILL_METRICS=off is the operator's switch to disable it, in
+// which case nil is returned and every observe call is a no-op.
 func ProcessMetrics() *Metrics {
 	processMetricsOnce.Do(func() {
 		if os.Getenv("CROWDFILL_METRICS") == "off" {

@@ -408,3 +408,28 @@ func TestCompletionProgressSeries(t *testing.T) {
 		t.Fatalf("completion checks = %d, want %d", got, want)
 	}
 }
+
+// TestMetricsObserversAllocFree holds the metrics plane to what lets it sit
+// on the serving paths: with a live *Metrics, one round of every
+// //lint:hotpath observer allocates nothing.
+func TestMetricsObserversAllocFree(t *testing.T) {
+	m := NewMetrics(metrics.NewRegistry(), metrics.NewRecorder(16))
+	start := time.Now()
+	allocs := testing.AllocsPerRun(100, func() {
+		m.publishDone(start, 3, 42)
+		m.flushDone(3, 7)
+		m.poolSized(64, 8)
+		m.queueDelta(1)
+		m.evictScanned()
+		m.msgHandled(sync.MsgUpvote)
+		m.repairScoped(1, 0)
+		m.doneChecked(doneCheckShort, 10, 20)
+		m.PollRegistered(64)
+		m.PollWakeup(4)
+		m.PollQueueDelta(-1)
+		m.PollDispatch()
+	})
+	if allocs != 0 {
+		t.Fatalf("hot-path observers allocate %.0f times per round, want 0", allocs)
+	}
+}

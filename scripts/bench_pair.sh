@@ -6,7 +6,13 @@
 # it prints both sides' median and quartiles, the pairs the change won (ties
 # count for neither), whether the gain rule holds — the change wins at least
 # nine tenths of the pairs and the medians differ by more than the distance
-# between the parent's own quartiles — and every run's value, pair by pair.
+# between the parent's own quartiles — the no-regression verdict against the
+# bound BENCHMARK.json fixes for the metric, and every run's value, pair by
+# pair. The verdict is REGRESSION when the change's median is worse than the
+# parent's by more than the bound; otherwise unresolved when the parent's own
+# quartile distance exceeds the bound (unless every change run beats every
+# parent run); otherwise within bound. A REGRESSION, or more failed runs on
+# the change than on the parent, exits non-zero.
 #
 #   sh scripts/bench_pair.sh <parent-ref> <workload> [pairs=10]
 #
@@ -66,9 +72,12 @@ done
 
 # Metrics BENCHMARK.json marks as better when higher; the rest are better lower.
 HIGHER=$(awk -F'"' '$2 == "name" { name = $4 } $2 == "better" && $4 == "higher" { printf "%s ", name }' BENCHMARK.json)
+# The end-to-end metrics' no-regression bounds (fraction of the parent median), as "name=bound ...".
+BOUNDS=$(awk -F'"' '$2 == "name" { name = $4 } $2 == "bound" { gsub(/[^0-9.]/, "", $3); printf "%s=%s ", name, $3 }' BENCHMARK.json)
 
 echo "workload $WORKLOAD, parent $REF, $PAIRS pairs, $SECONDS_PER_RUN s per run"
-awk -v pairs="$PAIRS" -v higherlist="$HIGHER" '
+awk -v pairs="$PAIRS" -v higherlist="$HIGHER" -v boundlist="$BOUNDS" '
+BEGIN { nb = split(boundlist, kv, " "); for (i = 1; i <= nb; i++) { split(kv[i], nv, "="); bound[nv[1]] = nv[2] + 0 } }
 # Quartiles by linear interpolation between order statistics.
 function quantile(a, n, p,    h, lo) {
     h = (n - 1) * p + 1; lo = int(h)
@@ -105,6 +114,12 @@ END {
         gain = higher ? cmed - pmed : pmed - cmed
         printf "%-16s parent median %.4g [q1 %.4g, q3 %.4g]  change median %.4g [q1 %.4g, q3 %.4g]\n", m, pmed, pq1, pq3, cmed, cq1, cq3
         printf "%-16s change won %d, lost %d of %d pairs; medians differ by %.4g (%+.1f%%), parent quartile distance %.4g: %s\n", "", won, lost, pairs, gain, pmed ? 100 * (cmed - pmed) / pmed : 0, pq3 - pq1, (won * 10 >= 9 * pairs && gain > pq3 - pq1) ? "GAIN" : "no gain shown"
+        if (m in bound && pmed) {
+            allbeat = higher ? C[1] > P[np] : C[nc] < P[1]
+            if (-gain / pmed > bound[m]) { verdict = "REGRESSION"; regressed = 1 }
+            else verdict = ((pq3 - pq1) / pmed > bound[m] && !allbeat) ? "unresolved" : "within bound"
+            printf "%-16s bound %g%% of the parent median, parent quartile distance %.1f%%: %s\n", "", 100 * bound[m], 100 * (pq3 - pq1) / pmed, verdict
+        }
         runs = ""
         for (y = 1; y <= ns; y++) {
             sd = seedorder[y]
@@ -112,5 +127,6 @@ END {
         }
         printf "%-16s every run, seed:parent/change%s\n", "", runs
     }
+    if (regressed || failed["change"] > failed["parent"]) exit 1
 }
 ' "$RESULTS"
