@@ -7,6 +7,9 @@
 // Estimates) alias the published copy even though the struct itself is
 // passed by value, and NewPrepared's doc makes the whole struct immutable
 // after wrapping; this analyzer turns that comment into a diagnostic.
+// Replica.Apply is a sink for the same reason (DESIGN.md §17): it adopts the
+// message's vector into the row or vote-history entry it builds, so a write
+// to the message after Apply would rewrite replica state.
 //
 // The check is intraprocedural and position-ordered: a field or element
 // write that textually follows the value's escape in the same function body
@@ -31,11 +34,11 @@ var targetTypes = map[[2]string]bool{
 }
 
 // sinkNames are functions and methods through which a value escapes to the
-// broadcast plane.
+// broadcast plane, or into a replica that adopts its vector.
 var sinkNames = map[string]bool{
 	"Publish": true, "publish": true,
 	"HandleBroadcast": true, "Send": true, "WriteText": true,
-	"NewPrepared": true,
+	"NewPrepared": true, "Apply": true,
 }
 
 // New returns the publishedmut analyzer.
@@ -44,8 +47,9 @@ func New() *analysis.Analyzer {
 		Name: "publishedmut",
 		Doc: "flags writes through sync.Message/sync.Prepared/server.Broadcast/" +
 			"server.Outbound values after they escape to the publish side " +
-			"(NewPrepared, HandleBroadcast, transport Send, the broadcast log); " +
-			"published messages are immutable because every recipient aliases them",
+			"(NewPrepared, HandleBroadcast, transport Send, the broadcast log) " +
+			"or to Replica.Apply; published messages are immutable because every " +
+			"recipient aliases them, and Apply adopts the message's vector",
 		Run: run,
 	}
 }
@@ -130,7 +134,7 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 
 	for _, w := range writes {
 		if esc, ok := escaped[w.v]; ok && esc < w.pos {
-			pass.Reportf(w.pos, "write to field of %s after it escaped to the broadcast plane at line %d; published messages are shared by every recipient and must not be mutated",
+			pass.Reportf(w.pos, "write to field of %s after it escaped at line %d; published messages are shared by every recipient, Replica.Apply adopts their vectors, and neither may be mutated",
 				w.name, pass.Fset.Position(esc).Line)
 		}
 	}

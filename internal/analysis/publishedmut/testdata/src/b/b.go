@@ -36,6 +36,20 @@ func mutateBeforePrepare(m sync.Message) *sync.Prepared {
 	return sync.NewPrepared(m)
 }
 
+// mutateVecAfterApply writes into a vector the replica adopted: the row the
+// replace built now carries the tampered value.
+func mutateVecAfterApply(r *sync.Replica, m sync.Message) error {
+	err := r.Apply(m)
+	m.Vec[0].Val = "tampered" // want `write to field of m after it escaped`
+	return err
+}
+
+// buildThenApply is fine: the vector is complete before Apply adopts it.
+func buildThenApply(r *sync.Replica, m sync.Message) error {
+	m.Vec[1].Set = true
+	return r.Apply(m)
+}
+
 // Publish stands in for the broadcast log's publish side.
 func Publish(bs ...server.Broadcast) {}
 

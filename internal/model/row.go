@@ -37,10 +37,23 @@ func (r *Row) String() string {
 type Candidate struct {
 	schema *Schema
 	rows   map[RowID]*Row
-	// byValue indexes row ids by Vector.Encode. Callers must not mutate a
+	// byValue indexes rows by Vector.Encode. Callers must not mutate a
 	// stored row's vector in place (the operation model never does: fills
 	// replace rows wholesale).
-	byValue map[string]map[RowID]*Row
+	byValue map[string]valueSet
+}
+
+// valueSet is the rows sharing one value, stored by value in the index: its
+// key, one row inline and any others in an overflow map. A value is almost
+// always carried by one row, so a new value costs its key string and nothing
+// else; the overflow is a map, not a slice, because some values are carried
+// by many rows (every empty template row shares one) and a fill must remove
+// its row in O(1). The set keeps its own key, so removing its last row
+// re-derives nothing.
+type valueSet struct {
+	key   string
+	first *Row // nil once removed while the overflow still holds rows
+	more  map[RowID]*Row
 }
 
 // NewCandidate returns an empty candidate table over schema s.
@@ -48,7 +61,7 @@ func NewCandidate(s *Schema) *Candidate {
 	return &Candidate{
 		schema:  s,
 		rows:    make(map[RowID]*Row),
-		byValue: make(map[string]map[RowID]*Row),
+		byValue: make(map[string]valueSet),
 	}
 }
 
@@ -72,12 +85,21 @@ func (c *Candidate) Put(r *Row) {
 	c.rows[r.ID] = r
 	var buf [KeyScratch]byte
 	k := r.Vec.AppendKey(buf[:0])
-	bucket := c.byValue[string(k)]
-	if bucket == nil {
-		bucket = make(map[RowID]*Row)
-		c.byValue[string(k)] = bucket
+	set, ok := c.byValue[string(k)]
+	if !ok {
+		key := string(k) // the one allocation of a new value
+		c.byValue[key] = valueSet{key: key, first: r}
+		return
 	}
-	bucket[r.ID] = r
+	if set.first == nil {
+		set.first = r
+	} else {
+		if set.more == nil {
+			set.more = make(map[RowID]*Row)
+		}
+		set.more[r.ID] = r
+	}
+	c.byValue[set.key] = set
 }
 
 // Delete removes the row with the given id, if present.
@@ -88,15 +110,25 @@ func (c *Candidate) Delete(id RowID) {
 	}
 }
 
+// unindex removes r from its value's set: the lookup builds the key on the
+// stack, and every write back — or the delete of an emptied set — uses the
+// set's own key.
 func (c *Candidate) unindex(r *Row) {
 	var buf [KeyScratch]byte
-	k := r.Vec.AppendKey(buf[:0])
-	if bucket := c.byValue[string(k)]; bucket != nil {
-		delete(bucket, r.ID)
-		if len(bucket) == 0 {
-			delete(c.byValue, string(k))
-		}
+	set, ok := c.byValue[string(r.Vec.AppendKey(buf[:0]))]
+	if !ok {
+		return
 	}
+	if set.first == r {
+		set.first = nil
+	} else {
+		delete(set.more, r.ID)
+	}
+	if set.first == nil && len(set.more) == 0 {
+		delete(c.byValue, set.key)
+		return
+	}
+	c.byValue[set.key] = set
 }
 
 // EachWithValue calls fn for every row whose value equals v, using the value
@@ -106,7 +138,14 @@ func (c *Candidate) unindex(r *Row) {
 //lint:hotpath
 func (c *Candidate) EachWithValue(v Vector, fn func(*Row)) {
 	var buf [KeyScratch]byte
-	for _, r := range c.byValue[string(v.AppendKey(buf[:0]))] {
+	set, ok := c.byValue[string(v.AppendKey(buf[:0]))]
+	if !ok {
+		return
+	}
+	if set.first != nil {
+		fn(set.first) //lint:allow hotalloc the visitor is the caller's; the lookup is what this root guards
+	}
+	for _, r := range set.more {
 		fn(r) //lint:allow hotalloc the visitor is the caller's; the lookup is what this root guards
 	}
 }

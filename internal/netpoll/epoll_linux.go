@@ -3,6 +3,7 @@
 package netpoll
 
 import (
+	gosync "sync"
 	"syscall"
 )
 
@@ -63,19 +64,32 @@ func (p *Poller) osInit() error {
 // RawConn.Control callback, which pins the runtime's fd reference for the
 // duration — the descriptor cannot be closed and reused mid-call. An fd may
 // sit in both the runtime's netpoller and ours; readiness is not exclusive.
+// The callback is a pooled record's method value, bound once, so a re-arm
+// allocates nothing.
 func (p *Poller) epollCtl(rc syscall.RawConn, op int, tok uint64, events uint32) error {
-	var opErr error
-	cerr := rc.Control(func(fd uintptr) {
-		var ev syscall.EpollEvent
-		ev.Events = events
-		setToken(&ev, tok)
-		opErr = syscall.EpollCtl(p.os.epfd, op, int(fd), &ev)
-	})
-	if cerr != nil {
-		return cerr // connection already closed locally
+	c := ctlCalls.Get().(*ctlCall)
+	defer ctlCalls.Put(c)
+	c.epfd, c.op, c.ev.Events, c.err = p.os.epfd, op, events, nil
+	setToken(&c.ev, tok)
+	if err := rc.Control(c.run); err != nil {
+		return err // connection already closed locally
 	}
-	return opErr
+	return c.err
 }
+
+// ctlCall carries one epoll_ctl into Control. Records are per call, never
+// per Desc: whichever worker ran a descriptor re-arms it, so per-Desc
+// mutable state would race.
+type ctlCall struct {
+	epfd, op int
+	ev       syscall.EpollEvent
+	err      error
+	run      func(fd uintptr) // c.do, bound when the record is made
+}
+
+var ctlCalls = gosync.Pool{New: func() any { c := new(ctlCall); c.run = c.do; return c }}
+
+func (c *ctlCall) do(fd uintptr) { c.err = syscall.EpollCtl(c.epfd, c.op, int(fd), &c.ev) }
 
 // osAdd registers disarmed: ONESHOT with no interest bits, so nothing is
 // reported until the first Rearm. (EPOLLERR/EPOLLHUP still fire for a

@@ -296,3 +296,26 @@ func TestPollerDeregisterMidDispatch(t *testing.T) {
 	cli.Write([]byte("y"))
 	time.Sleep(20 * time.Millisecond)
 }
+
+// TestRearmAllocs: re-arming runs once per dispatch, so it allocates
+// nothing — the epoll_ctl callback is a pooled record's bound method value,
+// not a closure per call.
+func TestRearmAllocs(t *testing.T) {
+	p := newTestPoller(t, 1)
+	_, srv := tcpPair(t)
+	d, err := p.Register(rawConn(t, srv), func([]byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Deregister(d)
+	rearm := func() {
+		d.state.Store(descRunning) // as a worker holds it before its final touch
+		if err := d.Rearm(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rearm()
+	if n := testing.AllocsPerRun(100, rearm); n != 0 && !raceEnabled {
+		t.Errorf("Desc.Rearm: %v allocs/op, want 0", n)
+	}
+}

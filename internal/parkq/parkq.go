@@ -9,11 +9,15 @@ import gosync "sync"
 // Queue is a FIFO of work items with blocking Pop. Its mutex must never nest
 // with its owner's lock in either order — producers collect under their own
 // lock, release it, then Push — which keeps both critical sections trivially
-// non-blocking (the lockorder analyzer pins the pairs).
+// non-blocking (the lockorder analyzer pins the pairs). The items live in
+// q[head:]: Pop advances head, and a push that finds the array full and at
+// least half popped moves the items to its front, so the pools' steady state
+// reuses one array and a backlog still grows it in amortized O(1).
 type Queue[T any] struct {
 	mu     gosync.Mutex
 	cond   *gosync.Cond
 	q      []T
+	head   int // index of the next item to pop
 	closed bool
 	depth  func(delta int) // depth-gauge hook; pure atomics, safe under mu
 }
@@ -28,6 +32,8 @@ func New[T any](depth func(delta int)) *Queue[T] {
 
 // Push appends items and wakes idle workers. Pushes after Close are dropped:
 // shutdown tears every connection down anyway.
+//
+//lint:hotpath
 func (q *Queue[T]) Push(items ...T) {
 	if len(items) == 0 {
 		return
@@ -37,9 +43,14 @@ func (q *Queue[T]) Push(items ...T) {
 		q.mu.Unlock()
 		return
 	}
+	if len(q.q)+len(items) > cap(q.q) && 2*q.head >= len(q.q) {
+		n := copy(q.q, q.q[q.head:])
+		clear(q.q[n:])
+		q.q, q.head = q.q[:n], 0
+	}
 	q.q = append(q.q, items...)
 	if q.depth != nil {
-		q.depth(len(items))
+		q.depth(len(items)) //lint:allow hotalloc the depth hook is a gauge's atomic add
 	}
 	if len(items) == 1 {
 		q.cond.Signal()
@@ -51,21 +62,23 @@ func (q *Queue[T]) Push(items ...T) {
 
 // Pop blocks until an item is available and returns it; ok is false once the
 // queue is closed and empty.
+//
+//lint:hotpath
 func (q *Queue[T]) Pop() (item T, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.q) == 0 {
+	for q.head == len(q.q) {
 		if q.closed {
 			return item, false
 		}
 		q.cond.Wait()
 	}
 	var zero T
-	item = q.q[0]
-	q.q[0] = zero
-	q.q = q.q[1:]
+	item = q.q[q.head]
+	q.q[q.head] = zero
+	q.head++
 	if q.depth != nil {
-		q.depth(-1)
+		q.depth(-1) //lint:allow hotalloc the depth hook is a gauge's atomic add
 	}
 	return item, true
 }

@@ -1,6 +1,7 @@
 package parkq
 
 import (
+	"math/rand"
 	gosync "sync"
 	"sync/atomic"
 	"testing"
@@ -64,5 +65,49 @@ func TestQueueParkedWorkersShareAndClose(t *testing.T) {
 	q.Push(99)
 	if v, ok := q.Pop(); ok {
 		t.Fatalf("Pop after Close = %d, true; want closed", v)
+	}
+}
+
+// TestQueueHeadIndexFIFO: pops advance a head index, a drained queue rewinds
+// to the start of its array and a full one moves its live items down before
+// growing — through random interleavings of pushes and pops, items still
+// come out in push order and the depth hook still tracks the length.
+func TestQueueHeadIndexFIFO(t *testing.T) {
+	depth := 0
+	q := New[int](func(d int) { depth += d })
+	rng := rand.New(rand.NewSource(5))
+	var want []int
+	next := 0
+	for step := 0; step < 5000; step++ {
+		if len(want) == 0 || rng.Intn(2) == 0 {
+			items := make([]int, 1+rng.Intn(3))
+			for i := range items {
+				items[i] = next
+				next++
+			}
+			q.Push(items...)
+			want = append(want, items...)
+		} else {
+			got, ok := q.Pop()
+			if !ok || got != want[0] {
+				t.Fatalf("step %d: Pop = %d, %v; want %d", step, got, ok, want[0])
+			}
+			want = want[1:]
+		}
+		if depth != len(want) {
+			t.Fatalf("step %d: depth hook says %d, queue holds %d", step, depth, len(want))
+		}
+	}
+}
+
+// TestQueueAllocs: the steady state of both worker pools — one item pushed
+// to a drained queue, then popped — reuses the queue's array.
+func TestQueueAllocs(t *testing.T) {
+	q := New[*int](nil)
+	item := new(int)
+	q.Push(item)
+	q.Pop()
+	if n := testing.AllocsPerRun(100, func() { q.Push(item); q.Pop() }); n != 0 {
+		t.Errorf("Push + Pop on a drained queue: %v allocs/op, want 0", n)
 	}
 }

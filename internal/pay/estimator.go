@@ -552,30 +552,36 @@ func (e *Estimator) CurrentProb(prob []*model.Row) *sync.Estimates {
 	if e.inc != nil {
 		e.incIdx.Version()
 	}
-	return e.currentEstimates(prob)
+	out := new(sync.Estimates)
+	e.currentEstimates(prob, out)
+	return out
 }
 
 // CurrentIndexed is Current for an estimator attached to a TableIndex: the
 // denominator comes from the incrementally maintained tallies, so producing
-// the estimate payload is O(columns).
-func (e *Estimator) CurrentIndexed() *sync.Estimates {
+// the estimate payload is O(columns). It fills out in place, reusing its
+// column slice when it is wide enough, so a caller that keeps one scratch
+// payload to compare against allocates nothing.
+func (e *Estimator) CurrentIndexed(out *sync.Estimates) {
 	if e.inc == nil {
 		panic("pay: CurrentIndexed called without AttachIndex")
 	}
 	e.incIdx.Version()
-	return e.currentEstimates(nil)
+	e.currentEstimates(nil, out)
 }
 
 // currentEstimates derives the whole payload from one denominator: the
 // weights and tallies are the same for every figure in it, and each figure
 // is the arithmetic estimateFill/estimateVote would do on them.
-func (e *Estimator) currentEstimates(prob []*model.Row) *sync.Estimates {
+func (e *Estimator) currentEstimates(prob []*model.Row, out *sync.Estimates) {
 	col, up, down, y := e.denominator(prob)
-	out := &sync.Estimates{PerColumn: make([]float64, len(col))}
+	if out.PerColumn == nil || cap(out.PerColumn) < len(col) {
+		out.PerColumn = make([]float64, len(col))
+	}
+	out.PerColumn = out.PerColumn[:len(col)]
 	for i, w := range col {
 		out.PerColumn[i] = e.fillShare(i, w, y)
 	}
 	out.Upvote = e.voteShare(up, y)
 	out.Downvote = e.voteShare(down, y)
-	return out
 }

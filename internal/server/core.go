@@ -12,6 +12,8 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"crowdfill/internal/constraint"
 	"crowdfill/internal/model"
@@ -96,13 +98,15 @@ type Core struct {
 	clients  map[string]string // client id -> worker id
 	joinTime map[string]int64  // worker -> first join timestamp
 
-	trace []sync.Message // stamped worker messages (the set M)
-	ccLog []sync.Message // stamped Central Client messages
+	trace  []sync.Message // stamped worker messages (the set M)
+	ccLog  []sync.Message // stamped Central Client messages
+	bcasts []Broadcast    // HandleBroadcast's result, reused by the next call
 
-	// Estimate-broadcast coalescing state: the last broadcast payload and
-	// how many handled messages since it went out.
-	lastEstPayload []byte
-	sinceEstBcast  int
+	// Estimate-broadcast coalescing state: this decision's figures (filled
+	// in place), the last broadcast ones, and messages handled since then.
+	estNow        sync.Estimates
+	lastEst       *sync.Estimates
+	sinceEstBcast int
 
 	// Late-join snapshot cache: the encoded snapshot is rebuilt only when
 	// the master replica's epoch moved, so a join storm between mutations
@@ -148,6 +152,10 @@ func New(cfg Config) (*Core, error) {
 	}
 	if err := cfg.Template.Validate(); err != nil {
 		return nil, err
+	}
+	// Every estimate is a share of the budget; a non-finite one cannot be encoded.
+	if math.IsNaN(cfg.Budget) || math.IsInf(cfg.Budget, 0) || cfg.Budget < 0 {
+		return nil, fmt.Errorf("server: budget must be finite and non-negative, got %v", cfg.Budget)
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real{}
@@ -367,9 +375,11 @@ func (c *Core) AddClient(clientID, workerID string) []Outbound {
 		c.snapEpoch = c.master.Epoch()
 		c.snapPrep = sync.NewPrepared(sync.Message{Type: sync.MsgSnapshot, Snapshot: c.master.TakeSnapshot()})
 	}
+	est := new(sync.Estimates)
+	c.est.CurrentIndexed(est)
 	out := []Outbound{
 		{To: clientID, Msg: c.snapPrep.Message(), Prepared: c.snapPrep},
-		{To: clientID, Msg: sync.Message{Type: sync.MsgEstimate, Estimates: c.est.CurrentIndexed()}},
+		{To: clientID, Msg: sync.Message{Type: sync.MsgEstimate, Estimates: est}},
 	}
 	if c.done {
 		out = append(out, Outbound{To: clientID, Msg: sync.Message{Type: sync.MsgDone}})
@@ -390,7 +400,8 @@ func (c *Core) RemoveClient(clientID string) {
 // updated estimates to everyone, and MsgDone when collection finishes). The
 // result size depends only on the CC's repair work — never on the number of
 // connected clients — which is what lets the network layer publish in O(1)
-// into the sequenced log.
+// into the sequenced log. The returned slice is reused by the next call:
+// callers publish or fan it out first.
 func (c *Core) HandleBroadcast(clientID string, m sync.Message) ([]Broadcast, error) {
 	if c.done {
 		return nil, nil // late messages after completion are dropped
@@ -421,8 +432,7 @@ func (c *Core) HandleBroadcast(clientID string, m sync.Message) ([]Broadcast, er
 	ccMsgs := c.runCC()
 	c.checkDone()
 
-	out := make([]Broadcast, 0, 3+len(ccMsgs))
-	out = append(out, Broadcast{Prepared: sync.NewPrepared(m), Exclude: clientID})
+	out := append(c.bcasts[:0], Broadcast{Prepared: sync.NewPrepared(m), Exclude: clientID})
 	for _, cm := range ccMsgs {
 		out = append(out, Broadcast{Prepared: sync.NewPrepared(cm)})
 	}
@@ -432,6 +442,7 @@ func (c *Core) HandleBroadcast(clientID string, m sync.Message) ([]Broadcast, er
 	if c.done {
 		out = append(out, Broadcast{Prepared: sync.NewPrepared(sync.Message{Type: sync.MsgDone})})
 	}
+	c.bcasts = out
 	return out, nil
 }
 
@@ -441,25 +452,37 @@ func (c *Core) HandleBroadcast(clientID string, m sync.Message) ([]Broadcast, er
 // replace their stored estimates — but eliminates the dominant fan-out cost
 // on workloads where estimates rarely move. A forced broadcast every
 // estimateInterval messages bounds staleness for any client that somehow
-// missed one.
+// missed one. The figures land in core-owned scratch and are compared by
+// their bits, so a suppressed decision allocates and encodes nothing. A
+// payload that cannot be encoded is skipped and logged, never published:
+// every flusher would fail on it and drop its client.
 func (c *Core) estimateBroadcast() *sync.Prepared {
 	c.sinceEstBcast++
-	p := sync.NewPrepared(sync.Message{
-		Type:      sync.MsgEstimate,
-		Estimates: c.est.CurrentIndexed(),
-	})
-	payload, err := p.Payload()
-	if err == nil && c.lastEstPayload != nil &&
-		string(payload) == string(c.lastEstPayload) && c.sinceEstBcast < estimateInterval {
+	now := &c.estNow
+	c.est.CurrentIndexed(now)
+	if c.lastEst != nil && sameFigures(now, c.lastEst) && c.sinceEstBcast < estimateInterval {
 		c.metrics.estimateDecision(false, 0)
 		return nil
 	}
-	if err == nil {
-		c.lastEstPayload = payload
+	if err := sync.ValidateEncodable(sync.Message{Type: sync.MsgEstimate, Estimates: now}); err != nil {
+		c.logf("crowdfill: estimate not broadcast: %v", err)
+		return nil
 	}
+	c.lastEst = &sync.Estimates{PerColumn: slices.Clone(now.PerColumn), Upvote: now.Upvote, Downvote: now.Downvote}
 	c.sinceEstBcast = 0
+	p := sync.NewPrepared(sync.Message{Type: sync.MsgEstimate, Estimates: c.lastEst})
+	payload, _ := p.Payload() // validated above
 	c.metrics.estimateDecision(true, len(payload))
 	return p
+}
+
+// sameFigures reports whether two payloads encode to the same bytes:
+// shortest float text is injective on finite values, and −0 and 0 differ in
+// text and bits alike. (A NaN never matches the published figures, which
+// are finite, so it reaches the encodability check.)
+func sameFigures(a, b *sync.Estimates) bool {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return same(a.Upvote, b.Upvote) && same(a.Downvote, b.Downvote) && slices.EqualFunc(a.PerColumn, b.PerColumn, same)
 }
 
 // Done reports whether enough data has been collected.

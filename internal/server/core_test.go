@@ -338,6 +338,15 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Errorf("invalid scoring function should fail")
 	}
+	// Every estimate is a share of the budget; one that cannot be encoded
+	// would fail every client's send.
+	for _, budget := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		cfg := cardinalityConfig(t, 1)
+		cfg.Budget = budget
+		if _, err := New(cfg); err == nil {
+			t.Errorf("budget %v should fail", budget)
+		}
+	}
 }
 
 // TestValuesTemplateRun: workers complete a partially-specified template and

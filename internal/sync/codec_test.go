@@ -439,6 +439,35 @@ func TestCodecEncodeAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("AppendMessage: %v allocs/op, want 0", allocs)
 	}
+	var out []byte
+	allocs = testing.AllocsPerRun(200, func() {
+		out, _ = EncodeMessage(m)
+	})
+	if allocs != 1 && !raceEnabled {
+		t.Errorf("EncodeMessage: %v allocs/op, want 1 (the result, at its exact length)", allocs)
+	}
+	if want := AppendMessage(nil, m); !bytes.Equal(out, want) || cap(out) != len(out) {
+		t.Errorf("EncodeMessage = %q (cap %d), want %q at its exact length", out, cap(out), want)
+	}
+}
+
+// TestEncodeScratchNotPinned: a message larger than the pool's cap (a join
+// snapshot) is encoded correctly, and its scratch buffer does not go back to
+// the pool to pin its size there.
+func TestEncodeScratchNotPinned(t *testing.T) {
+	big := Message{Type: MsgInsert, Worker: strings.Repeat("w", maxPooledEncode+1)}
+	out, err := EncodeMessage(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, AppendMessage(nil, big)) {
+		t.Fatal("large message encoded differently from AppendMessage")
+	}
+	sp := encodeScratch.Get().(*[]byte)
+	defer encodeScratch.Put(sp)
+	if cap(*sp) > maxPooledEncode {
+		t.Fatalf("pool holds a %d-byte scratch buffer after a large encode, want <= %d", cap(*sp), maxPooledEncode)
+	}
 }
 
 // TestCodecDecodeAllocs: decoding a typical op message allocates only what

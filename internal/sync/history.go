@@ -40,13 +40,15 @@ func (h *VoteHist) Dec(v model.Vector) int {
 }
 
 // entry returns v's entry, creating it on first sight — the only time a key
-// string is allocated; a repeat vote finds it through a stack-built key.
+// string is allocated; a repeat vote finds it through a stack-built key. A
+// new entry adopts v, under Replica.Apply's contract: the caller never
+// writes the vector again.
 func (h *VoteHist) entry(v model.Vector) *histEntry {
 	var buf [model.KeyScratch]byte
 	k := v.AppendKey(buf[:0])
 	e, ok := h.m[string(k)]
 	if !ok {
-		e = &histEntry{vec: v.Clone()}
+		e = &histEntry{vec: v}
 		h.m[string(k)] = e
 	}
 	return e

@@ -212,6 +212,14 @@ func (r *Replica) ApplyAll(msgs []Message) error {
 // Apply processes a message received from the server or a client (paper
 // §2.4 "Processing received messages"). Snapshot, done and estimate messages
 // mutate nothing here.
+//
+// Apply adopts m.Vec: the row a replace builds, and the history entry a
+// vector's first vote creates, store the slice as received instead of a
+// copy. Nobody writes a message's vector after it is built — a decoded
+// vector is fresh per message, Fill builds its own with With, and a
+// published message is shared read-only by every recipient — so the caller
+// must not write m.Vec after Apply either (the publishedmut analyzer flags
+// a write that follows the call).
 func (r *Replica) Apply(m Message) error {
 	switch m.Type {
 	case MsgInsert, MsgReplace, MsgUpvote, MsgDownvote, MsgUnupvote, MsgUndownvote:
@@ -251,7 +259,7 @@ func (r *Replica) Apply(m Message) error {
 				r.obs.RowRemoved(old)
 			}
 		}
-		q := &model.Row{ID: m.NewRow, Vec: m.Vec.Clone()}
+		q := &model.Row{ID: m.NewRow, Vec: m.Vec} // adopted; see Apply's contract
 		if q.Vec.IsComplete() {
 			q.Up = r.uh.Get(q.Vec)
 		}

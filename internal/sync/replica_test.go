@@ -2,6 +2,7 @@ package sync
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -449,5 +450,49 @@ func TestUndoneHistorySnapshotCanonical(t *testing.T) {
 	if a.SnapshotText() != b.SnapshotText() {
 		t.Fatalf("undone vote should be canonically invisible:\n%s\nvs\n%s",
 			a.SnapshotText(), b.SnapshotText())
+	}
+}
+
+// TestReplicaApplyAllocs pins the replica's share of the message path's
+// allocation budget. Apply adopts the message's vector instead of copying
+// it, so a replace allocates the row it builds and its value's key, a
+// vector's first vote its history entry and key, and a repeat vote nothing.
+func TestReplicaApplyAllocs(t *testing.T) {
+	const runs = 100
+	vec := func(i int) model.Vector {
+		return model.VectorOf(fmt.Sprintf("player %d", i), "Argentina", "FW", "83", "37")
+	}
+	r := NewReplica(testSchema(t))
+	if err := r.Apply(Message{Type: MsgInsert, Row: "c-0"}); err != nil {
+		t.Fatal(err)
+	}
+	replaces := make([]Message, runs+1)
+	votes := make([]Message, runs+1)
+	for i := range replaces {
+		replaces[i] = Message{Type: MsgReplace, Row: model.RowID(fmt.Sprintf("c-%d", i)),
+			NewRow: model.RowID(fmt.Sprintf("c-%d", i+1)), Vec: vec(i)}
+		votes[i] = Message{Type: MsgUpvote, Vec: vec(-1 - i)}
+	}
+	apply := func(msgs []Message) func() {
+		i := 0
+		return func() {
+			if err := r.Apply(msgs[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+	}
+	if n := testing.AllocsPerRun(runs, apply(replaces)); n != 2 {
+		t.Errorf("Replica.Apply(replace): %v allocs/op, want 2 (the row and its value's key)", n)
+	}
+	if n := testing.AllocsPerRun(runs, apply(votes)); n != 2 {
+		t.Errorf("Replica.Apply(first vote on a vector): %v allocs/op, want 2 (the history entry and its key)", n)
+	}
+	repeat := Message{Type: MsgUpvote, Vec: replaces[runs].Vec}
+	if n := testing.AllocsPerRun(runs, func() { r.Apply(repeat) }); n != 0 {
+		t.Errorf("Replica.Apply(repeat vote): %v allocs/op, want 0", n)
+	}
+	if got := r.Table().Get(replaces[runs].NewRow); got == nil || got.Up != runs+1 {
+		t.Fatalf("repeat votes did not reach the row: %v", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdfill/internal/model"
 	"crowdfill/internal/sync"
 )
 
@@ -122,4 +123,31 @@ func TestWSBatchWriteDeadline(t *testing.T) {
 		}
 	}
 	t.Fatal("batched sends never failed on a stalled socket with a write deadline")
+}
+
+// TestWSSendPreparedBatchAllocs pins the broadcast's share of the message
+// path's allocation budget over a real socket. A broadcast costs its
+// Prepared record, one exact-size encoding and one frame record, however
+// many recipients it reaches; every recipient's send after the first builds
+// nothing.
+func TestWSSendPreparedBatchAllocs(t *testing.T) {
+	_, c := wsPair(t)
+	srv := c.(*wsConn)
+	m := sync.Message{Type: sync.MsgUpvote, Vec: model.VectorOf("Lionel Messi", "Argentina"),
+		Origin: "net-00003", Worker: "w3", Seq: 17, TS: 123456789}
+	batch := []*sync.Prepared{sync.NewPrepared(m)}
+	if err := srv.SendPreparedBatch(batch); err != nil { // encode, frame, warm the buffers
+		t.Fatal(err)
+	}
+	send := func() {
+		if err := srv.SendPreparedBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, send); n != 0 {
+		t.Errorf("warm SendPreparedBatch: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { batch[0] = sync.NewPrepared(m); send() }); n != 3 && !raceEnabled {
+		t.Errorf("a new broadcast's first send: %v allocs/op, want 3 (Prepared, encoding, frame)", n)
+	}
 }

@@ -86,3 +86,54 @@ func TestWritePreparedBatchClosed(t *testing.T) {
 		t.Fatalf("batch after close: err = %v, want ErrClosed", err)
 	}
 }
+
+// TestWritePreparedBatchAllocs: a prepared frame is its record alone — a
+// header beside the shared payload, never a second copy of it — and a batch
+// of them is assembled in the connection's write buffer without allocating.
+func TestWritePreparedBatchAllocs(t *testing.T) {
+	payload := bytes.Repeat([]byte("z"), 200)
+	var f *PreparedFrame
+	if n := testing.AllocsPerRun(100, func() { f = NewPreparedText(payload) }); n != 1 {
+		t.Errorf("NewPreparedText: %v allocs/op, want 1 (the frame record)", n)
+	}
+	frames := []*PreparedFrame{f, NewPreparedText(payload[:100])}
+	wire := &fakeConn{}
+	c := &Conn{nc: wire}
+	if err := c.WritePreparedBatch(frames); err != nil { // warm the write buffer
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		wire.w.Reset()
+		if err := c.WritePreparedBatch(frames); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("WritePreparedBatch: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestWriteBufferDropsLargeWrites: a connection does not keep the buffer of
+// one large write — a join snapshot must not pin its size on the connection
+// for life — through either write path, in either role.
+func TestWriteBufferDropsLargeWrites(t *testing.T) {
+	big, small := bytes.Repeat([]byte("b"), 100_000), bytes.Repeat([]byte("s"), 100)
+	for _, client := range []bool{false, true} {
+		c := &Conn{nc: &fakeConn{}, client: client}
+		writes := []func() error{
+			func() error { return c.WriteText(big) },
+			func() error { return c.WriteText(small) },
+			func() error { return c.WritePreparedBatch([]*PreparedFrame{NewPreparedText(big)}) },
+			func() error { return c.WritePreparedBatch([]*PreparedFrame{NewPreparedText(small)}) },
+		}
+		for i, write := range writes {
+			if err := write(); err != nil {
+				t.Fatal(err)
+			}
+			if i%2 == 1 && cap(c.wbuf) > maxKeptWbuf {
+				t.Errorf("client=%v: after a 100 KB write and a 100 B one, the write buffer keeps %d bytes, want <= %d",
+					client, cap(c.wbuf), maxKeptWbuf)
+			}
+		}
+	}
+}

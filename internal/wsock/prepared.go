@@ -1,74 +1,45 @@
 package wsock
 
-import "encoding/binary"
-
-// PreparedFrame is a text message assembled into its RFC 6455 server frame
-// exactly once, so a broadcast hub can write the same bytes to every
-// connection instead of re-framing per client. Server frames are unmasked,
-// which is what makes the byte-for-byte sharing possible; client connections
-// must mask with a fresh key per frame and fall back to normal framing.
+// PreparedFrame is a text message framed for broadcast exactly once, so a
+// hub can write the same bytes to every connection instead of re-framing per
+// client. Server frames are unmasked, which is what makes the byte-for-byte
+// sharing possible; client connections must mask with a fresh key per frame
+// and fall back to normal framing. The frame keeps only its header beside
+// the shared payload; writers append both into the connection's buffer.
 type PreparedFrame struct {
-	payload []byte // the text payload, for masked (client) fallback
-	frame   []byte // header + payload, FIN text frame, unmasked
+	payload []byte   // the text payload, shared by every recipient
+	hdr     [10]byte // the unmasked FIN text header
+	hlen    uint8    // bytes of hdr in use: 2, 4 or 10
 }
 
 // NewPreparedText builds the shared unmasked text frame for a payload. The
 // payload must not be modified afterwards.
 func NewPreparedText(payload []byte) *PreparedFrame {
-	var hdr [10]byte
-	hdr[0] = 0x80 | opText // FIN set
-	n := 2
-	switch {
-	case len(payload) < 126:
-		hdr[1] = byte(len(payload))
-	case len(payload) <= 0xFFFF:
-		hdr[1] = 126
-		binary.BigEndian.PutUint16(hdr[2:4], uint16(len(payload)))
-		n = 4
-	default:
-		hdr[1] = 127
-		binary.BigEndian.PutUint64(hdr[2:10], uint64(len(payload)))
-		n = 10
-	}
-	frame := make([]byte, 0, n+len(payload))
-	frame = append(frame, hdr[:n]...)
-	frame = append(frame, payload...)
-	return &PreparedFrame{payload: payload, frame: frame}
+	f := &PreparedFrame{payload: payload}
+	f.hlen = uint8(putHeader(f.hdr[:], opText, len(payload)))
+	return f
 }
 
 // Payload returns the text payload the frame carries.
 func (f *PreparedFrame) Payload() []byte { return f.payload }
 
-// WritePrepared sends a prepared text message. On server connections the
-// cached frame bytes are written as-is (one buffer, no per-client framing
-// work); client connections re-frame with a fresh mask, as RFC 6455 requires.
+// WritePrepared sends a prepared text message with one Write: the bytes a
+// batch of one puts on the wire (client connections mask with a fresh key).
 //
 //lint:hotpath
 func (c *Conn) WritePrepared(f *PreparedFrame) error {
-	if c.client {
-		return c.writeFrame(opText, f.payload)
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.closed {
-		return ErrClosed
-	}
-	_, err := c.nc.Write(f.frame)
-	if err == nil {
-		c.countWrite(1, len(f.frame))
-	}
-	return err
+	return c.writeFrame(opText, f.payload)
 }
 
 // WritePreparedBatch sends several prepared text messages in one Write: the
 // frames are assembled back to back into the connection's pooled write buffer
 // and emitted with a single syscall, so a burst of K adjacent broadcasts
-// costs one write instead of K (writev-style coalescing — the frames are
-// already contiguous server frames, so concatenation is the vector write).
-// The wire bytes are exactly what K individual WritePrepared calls would
-// have produced; client connections mask each frame with a fresh key while
-// copying into the shared buffer, still one Write. Same serialization as
-// every other writer (wmu).
+// costs one write instead of K (writev-style coalescing — server frames are
+// their cached header followed by the shared payload, so concatenation is the
+// vector write). The wire bytes are exactly what K individual WritePrepared
+// calls would have produced; client connections mask each frame with a fresh
+// key while copying into the shared buffer, still one Write. Same
+// serialization as every other writer (wmu).
 //
 //lint:hotpath
 func (c *Conn) WritePreparedBatch(frames []*PreparedFrame) error {
@@ -90,13 +61,9 @@ func (c *Conn) WritePreparedBatch(frames []*PreparedFrame) error {
 		}
 	} else {
 		for _, f := range frames {
-			buf = append(buf, f.frame...)
+			buf = append(buf, f.hdr[:f.hlen]...)
+			buf = append(buf, f.payload...)
 		}
 	}
-	c.wbuf = buf // retain grown capacity for the next batch
-	_, err := c.nc.Write(buf)
-	if err == nil {
-		c.countWrite(len(frames), len(buf))
-	}
-	return err
+	return c.send(buf, len(frames))
 }

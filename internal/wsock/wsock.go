@@ -234,12 +234,45 @@ func (c *Conn) writeFrame(opcode byte, p []byte) error {
 	if err != nil {
 		return err
 	}
-	c.wbuf = buf // retain grown capacity for the next frame
-	_, err = c.nc.Write(buf)
+	return c.send(buf, 1)
+}
+
+// maxKeptWbuf is the write-buffer capacity a connection keeps between
+// writes: every steady-state batch fits, and a larger one (a join snapshot)
+// is dropped after its write instead of pinning its size for life.
+const maxKeptWbuf = 16 << 10
+
+// send emits an assembled buffer of frames with one Write and keeps the
+// buffer for the next one, up to maxKeptWbuf. Callers hold wmu.
+func (c *Conn) send(buf []byte, frames int) error {
+	c.wbuf = buf
+	if cap(buf) > maxKeptWbuf {
+		c.wbuf = nil
+	}
+	_, err := c.nc.Write(buf)
 	if err == nil {
-		c.countWrite(1, len(buf))
+		c.countWrite(frames, len(buf))
 	}
 	return err
+}
+
+// putHeader writes the unmasked FIN frame header for an n-byte payload into
+// hdr (at least 10 bytes) and returns its length.
+func putHeader(hdr []byte, opcode byte, n int) int {
+	hdr[0] = 0x80 | opcode // FIN set
+	switch {
+	case n < 126:
+		hdr[1] = byte(n)
+		return 2
+	case n <= 0xFFFF:
+		hdr[1] = 126
+		binary.BigEndian.PutUint16(hdr[2:4], uint16(n))
+		return 4
+	default:
+		hdr[1] = 127
+		binary.BigEndian.PutUint64(hdr[2:10], uint64(n))
+		return 10
+	}
 }
 
 // appendFrame appends one assembled FIN frame (header, mask key for client
@@ -247,20 +280,7 @@ func (c *Conn) writeFrame(opcode byte, p []byte) error {
 // write path appends several frames into one buffer before a single Write.
 func (c *Conn) appendFrame(buf []byte, opcode byte, p []byte) ([]byte, error) {
 	var hdr [14]byte
-	hdr[0] = 0x80 | opcode // FIN set
-	n := 2
-	switch {
-	case len(p) < 126:
-		hdr[1] = byte(len(p))
-	case len(p) <= 0xFFFF:
-		hdr[1] = 126
-		binary.BigEndian.PutUint16(hdr[2:4], uint16(len(p)))
-		n = 4
-	default:
-		hdr[1] = 127
-		binary.BigEndian.PutUint64(hdr[2:10], uint64(len(p)))
-		n = 10
-	}
+	n := putHeader(hdr[:], opcode, len(p))
 	if c.client {
 		hdr[1] |= 0x80
 		mask, err := c.nextMask()
