@@ -1,7 +1,8 @@
 // Command crowdfill-lint runs the internal/analysis invariant suite over the
-// module: publishedmut, lockscope, bufown, msgfield, lockorder and hotalloc
-// on every package, simdet on the simulation packages. It is the static half
-// of `make verify`.
+// module: publishedmut, locks, bufown, msgfield and hotalloc on every
+// package, simdet on the simulation packages, and a check that every
+// //lint: directive is one the suite reads. TestModuleLintsClean runs the
+// same suite inside `go test ./...`.
 //
 // Usage:
 //
@@ -10,8 +11,8 @@
 // With no arguments every buildable package in the module is checked. The
 // run is two-phase: every package loads (and type-checks) first, then the
 // analyzers run with the whole module visible — the call-graph analyzers
-// (lockscope, lockorder, hotalloc) need cross-package summaries. With -tests
-// each package's in-package _test.go files are type-checked and analyzed
+// (locks, hotalloc) need cross-package summaries. With -tests each
+// package's in-package _test.go files are type-checked and analyzed
 // alongside its regular sources.
 //
 // Findings print as "file:line:col: [analyzer] message" by default, as a
@@ -32,8 +33,7 @@ import (
 	"crowdfill/internal/analysis"
 	"crowdfill/internal/analysis/bufown"
 	"crowdfill/internal/analysis/hotalloc"
-	"crowdfill/internal/analysis/lockorder"
-	"crowdfill/internal/analysis/lockscope"
+	"crowdfill/internal/analysis/locks"
 	"crowdfill/internal/analysis/msgfield"
 	"crowdfill/internal/analysis/publishedmut"
 	"crowdfill/internal/analysis/simdet"
@@ -51,15 +51,7 @@ func main() {
 	}
 	flag.Parse()
 
-	analyzers := []*analysis.Analyzer{
-		publishedmut.New(),
-		lockscope.New(),
-		bufown.New(),
-		msgfield.New(),
-		simdet.New(),
-		lockorder.New(),
-		hotalloc.New(),
-	}
+	analyzers := suite()
 	if *list {
 		for _, a := range analyzers {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
@@ -76,6 +68,19 @@ func main() {
 	if n > 0 {
 		fmt.Fprintf(os.Stderr, "crowdfill-lint: %d finding(s)\n", n)
 		os.Exit(1)
+	}
+}
+
+// suite returns fresh instances of every analyzer (msgfield accumulates
+// cross-package facts, so each run needs its own).
+func suite() []*analysis.Analyzer {
+	return []*analysis.Analyzer{
+		publishedmut.New(),
+		locks.New(),
+		bufown.New(),
+		msgfield.New(),
+		simdet.New(),
+		hotalloc.New(),
 	}
 }
 
@@ -147,8 +152,16 @@ func run(analyzers []*analysis.Analyzer, paths []string, opts options) (int, err
 	// Phase 2: analyze. Allow filtering runs per package with the shared
 	// directive instances, so suppressions consumed inside global analyses
 	// (hotalloc's pruned call edges) are already marked used by the time
-	// the stale-directive check sees them.
+	// the stale-directive check sees them. A directive the suite would not
+	// read is a finding of its own, outside any analyzer's allow.
+	names := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		names[a.Name] = true
+	}
 	for _, pkg := range pkgs {
+		for _, d := range analysis.CheckDirectives(pkg.Fset, pkg.Files, names) {
+			emit("directive", d)
+		}
 		allows := shared.AllowsFor(pkg.Path)
 		for _, a := range analyzers {
 			if a.Name == "simdet" && !simPkgs[pkg.Path] {

@@ -53,9 +53,9 @@ type Pass struct {
 // Shared is the whole-run state handed to every analyzer pass: the full set
 // of packages loaded for this lint/test invocation, their directives, and a
 // memo space for expensive cross-package artifacts (the call graph is built
-// once here and reused by lockscope, lockorder and hotalloc). The driver
-// builds one Shared after loading everything and before running anything, so
-// module-wide analyses see the whole program.
+// once here and reused by locks and hotalloc). The driver builds one Shared
+// after loading everything and before running anything, so module-wide
+// analyses see the whole program.
 type Shared struct {
 	Packages []*Package
 	allows   map[string][]*Allow // package path -> directives
@@ -89,6 +89,27 @@ func (s *Shared) Memo(key string, build func() any) any {
 	v := build()
 	s.memo[key] = v
 	return v
+}
+
+// Finding is one diagnostic of a module-wide pass, tagged with the package
+// its position belongs to.
+type Finding struct {
+	PkgPath string
+	Diagnostic
+}
+
+// ModuleRun is the Run of an analyzer whose findings come from one memoized
+// pass over the whole module (the call-graph analyzers): compute runs once
+// per run, and each package's pass reports the findings positioned in it.
+func ModuleRun(key string, compute func(*Shared) []Finding) func(*Pass) error {
+	return func(pass *Pass) error {
+		for _, f := range pass.Shared.Memo(key, func() any { return compute(pass.Shared) }).([]Finding) {
+			if f.PkgPath == pass.Pkg.Path() {
+				pass.Report(f.Diagnostic)
+			}
+		}
+		return nil
+	}
 }
 
 // UseAllow reports whether a //lint:allow directive for the named analyzer

@@ -5,9 +5,10 @@
 // sees the bytes of some later frame — a silent corruption, not a crash — so
 // the rule is enforced statically.
 //
-// The analysis is intraprocedural, mirroring lockscope's walk: it tracks
-// variables bound to lease-returning calls (and their aliases through plain
-// assignments, slicings, and append-with-lease-as-base), and flags
+// The analysis is intraprocedural, a branch-cloning walk like the call
+// graph's lock tracking: it tracks variables bound to lease-returning calls
+// (and their aliases through plain assignments, slicings, and
+// append-with-lease-as-base), and flags
 //
 //   - returning a lease (or a slice of one) from the function;
 //   - storing a lease in a struct field, package-level variable, or

@@ -1,6 +1,6 @@
 // Package callgraph builds a module-wide call graph with per-function
-// summaries, the interprocedural substrate under the lockscope, lockorder
-// and hotalloc analyzers (DESIGN.md §13).
+// summaries, the interprocedural substrate under the locks and hotalloc
+// analyzers (DESIGN.md §13).
 //
 // The graph covers every function declaration in the packages of one
 // analysis run (analysis.Shared). Call edges are static: direct calls and
@@ -11,17 +11,14 @@
 // values are recorded as dynamic and never resolved. Goroutine launches and
 // function literals are deliberately not edges: code spawned with `go` does
 // not run under the caller's locks, and a closure built somewhere does not
-// run there (both mirrors of lockscope's long-standing intraprocedural
-// policy).
+// run there.
 //
 // Each function gets a scanner pass (scan.go) that records events — lock
 // acquisitions by qualified mutex identity, blocking leaf operations,
 // allocation sites, call sites — each with a snapshot of the locks held at
-// that point, computed with lockscope's branch-cloning walker semantics. A
-// fixed point over call edges then derives per-function summaries: does the
-// function (transitively) block, and which locks does it (transitively)
-// acquire. Finally the global lock-acquisition-order graph is assembled
-// from held-set × acquire pairs; lockorder consumes it for cycle detection.
+// that point, computed by a branch-cloning walk. A fixed point over call
+// edges then derives per-function summaries: does the function
+// (transitively) block, and which locks does it (transitively) acquire.
 package callgraph
 
 import (
@@ -42,10 +39,14 @@ type Lock struct {
 	// Key is "pkgpath:Owner.field" for struct-field mutexes and
 	// "var@file:line:col" for local or package-level mutex variables.
 	Key string
-	// Owner is the name of the struct type owning the mutex ("" otherwise).
-	Owner string
 	// Name is the display name: "bcastLog.mu" or a bare variable name.
 	Name string
+}
+
+// LockKey is the Key of the mutex field named field of struct type owner
+// declared in package pkgPath.
+func LockKey(pkgPath, owner, field string) string {
+	return pkgPath + ":" + owner + "." + field
 }
 
 // Kind discriminates scanner events.
@@ -75,7 +76,7 @@ type Event struct {
 	// Lock is the acquired mutex (KAcquire only).
 	Lock Lock
 	// What describes the event: the blocking operation (KBlock, phrased
-	// exactly as lockscope reports it) or what allocates (KAlloc).
+	// exactly as locks reports it) or what allocates (KAlloc).
 	What string
 	// Callees holds candidate callee node keys (KCall).
 	Callees []string
@@ -92,9 +93,6 @@ type Event struct {
 // Acq is one (transitively) acquired lock in a summary.
 type Acq struct {
 	Lock Lock
-	// Pos is the witness position inside the summarized function (the
-	// literal Lock call, or the call site the acquisition came through).
-	Pos token.Pos
 	// Via is the call chain below this function ([] for a direct acquire).
 	Via []string
 }
@@ -103,7 +101,7 @@ type Acq struct {
 type Summary struct {
 	// Blocks is set when the function may block (transitively).
 	Blocks bool
-	// BlockWhat is the leaf blocking operation, lockscope-phrased.
+	// BlockWhat is the leaf blocking operation, phrased as Event.What.
 	BlockWhat string
 	// BlockVia is the call chain from this function down to the leaf's
 	// containing function ([] when the leaf is in this function).
@@ -128,25 +126,9 @@ type Node struct {
 	Sum    Summary
 }
 
-// OrderEdge is one observed lock-acquisition ordering: To was acquired while
-// From was held.
-type OrderEdge struct {
-	From, To Lock
-	// Pos is the witness acquisition (or call) site.
-	Pos token.Pos
-	// PkgPath is the package containing the witness, FnDisplay its function.
-	PkgPath   string
-	FnDisplay string
-	// Via is the call chain when the acquisition is transitive.
-	Via []string
-}
-
 // Graph is the module-wide call graph for one analysis run.
 type Graph struct {
 	Nodes map[string]*Node
-	// OrderEdges is the deduplicated global lock-order graph, one witness
-	// per (From.Key, To.Key) pair, deterministic across runs.
-	OrderEdges []OrderEdge
 
 	byPkg      map[string][]*Node
 	sortedKeys []string
@@ -169,15 +151,6 @@ func Get(shared *analysis.Shared) *Graph {
 // PkgNodes returns the graph nodes declared in the named package, in source
 // order.
 func (g *Graph) PkgNodes(pkgPath string) []*Node { return g.byPkg[pkgPath] }
-
-// Summary returns the summary for a node key, or nil for functions outside
-// the graph (stdlib, unresolved).
-func (g *Graph) Summary(key string) *Summary {
-	if n := g.Nodes[key]; n != nil {
-		return &n.Sum
-	}
-	return nil
-}
 
 // SortedAcquires returns a summary's acquisitions in deterministic (key)
 // order.
@@ -256,7 +229,6 @@ func build(shared *analysis.Shared) *Graph {
 	}
 
 	g.propagate()
-	g.buildOrderEdges()
 	return g
 }
 
@@ -434,7 +406,7 @@ func (g *Graph) propagate() {
 			switch ev.Kind {
 			case KAcquire:
 				if _, ok := n.Sum.Acquires[ev.Lock.Key]; !ok {
-					n.Sum.Acquires[ev.Lock.Key] = Acq{Lock: ev.Lock, Pos: ev.Pos}
+					n.Sum.Acquires[ev.Lock.Key] = Acq{Lock: ev.Lock}
 				}
 			case KBlock:
 				if !n.Sum.Blocks {
@@ -464,7 +436,7 @@ func (g *Graph) propagate() {
 							continue
 						}
 						via := append([]string{c.Display}, acq.Via...)
-						n.Sum.Acquires[lk] = Acq{Lock: acq.Lock, Pos: ev.Pos, Via: via}
+						n.Sum.Acquires[lk] = Acq{Lock: acq.Lock, Via: via}
 						changed = true
 					}
 					if c.Sum.Blocks && !n.Sum.Blocks {
@@ -476,58 +448,6 @@ func (g *Graph) propagate() {
 					if c.Sum.Allocates && !n.Sum.Allocates {
 						n.Sum.Allocates = true
 						changed = true
-					}
-				}
-			}
-		}
-	}
-}
-
-// buildOrderEdges assembles the global lock-order graph: a directed edge
-// From → To for every acquisition of To observed (directly, or through a
-// call's transitive acquire set) while From was held. One witness per pair,
-// chosen deterministically (node-key then event order).
-func (g *Graph) buildOrderEdges() {
-	seen := make(map[[2]string]bool)
-	add := func(from, to Lock, pos token.Pos, n *Node, via []string) {
-		if from.Key == "" || to.Key == "" || from.Key == to.Key {
-			return
-		}
-		pk := [2]string{from.Key, to.Key}
-		if seen[pk] {
-			return
-		}
-		seen[pk] = true
-		g.OrderEdges = append(g.OrderEdges, OrderEdge{
-			From: from, To: to, Pos: pos,
-			PkgPath: n.PkgPath, FnDisplay: n.Display, Via: via,
-		})
-	}
-	for _, key := range g.sortedKeys {
-		n := g.Nodes[key]
-		for _, ev := range n.Events {
-			switch ev.Kind {
-			case KAcquire:
-				for _, h := range ev.Held {
-					add(h, ev.Lock, ev.Pos, n, nil)
-				}
-			case KCall:
-				if ev.Deferred {
-					continue
-				}
-				if len(ev.Held) == 0 {
-					continue
-				}
-				for _, ck := range ev.Callees {
-					c := g.Nodes[ck]
-					if c == nil {
-						continue
-					}
-					for _, acq := range SortedAcquires(&c.Sum) {
-						for _, h := range ev.Held {
-							via := append([]string{c.Display}, acq.Via...)
-							add(h, acq.Lock, ev.Pos, n, via)
-						}
 					}
 				}
 			}

@@ -20,9 +20,9 @@ var blockingConnMethods = map[string]bool{
 	"ReadTextLease": true, "WritePrepared": true, "WritePreparedBatch": true,
 }
 
-// scanner walks one function body with lockscope's held-lock semantics
-// (branch analysis on cloned state, defer-Unlock holds to return, function
-// literals and go statements skipped) and records events on its node.
+// scanner walks one function body tracking the locks held (branch analysis
+// on cloned state, defer-Unlock holds to return, function literals and go
+// statements skipped) and records events on its node.
 type scanner struct {
 	pkg   *analysis.Package
 	graph *Graph
@@ -540,7 +540,7 @@ func (sc *scanner) mutexOp(call *ast.CallExpr, state *[]Lock) bool {
 		return false
 	}
 	recvType, ok := sc.pkg.TypesInfo.Types[sel.X]
-	if !ok || !isMutexType(recvType.Type) {
+	if !ok || !IsMutex(recvType.Type) {
 		return false
 	}
 	lk := sc.mutexIdentity(sel.X)
@@ -551,7 +551,7 @@ func (sc *scanner) mutexOp(call *ast.CallExpr, state *[]Lock) bool {
 	case "Unlock", "RUnlock":
 		for i := len(*state) - 1; i >= 0; i-- {
 			h := (*state)[i]
-			if (lk.Key != "" && h.Key == lk.Key) || (lk.Key == "" && h.Owner == lk.Owner) {
+			if h.Key == lk.Key {
 				*state = append((*state)[:i], (*state)[i+1:]...)
 				break
 			}
@@ -567,7 +567,7 @@ func (sc *scanner) isUnlockCall(call *ast.CallExpr) bool {
 		return false
 	}
 	tv, ok := sc.pkg.TypesInfo.Types[sel.X]
-	return ok && isMutexType(tv.Type)
+	return ok && IsMutex(tv.Type)
 }
 
 // mutexIdentity resolves a mutex expression (s.mu, l.mu, mu) to a Lock with
@@ -576,21 +576,19 @@ func (sc *scanner) mutexIdentity(expr ast.Expr) Lock {
 	info := sc.pkg.TypesInfo
 	switch e := ast.Unparen(expr).(type) {
 	case *ast.SelectorExpr:
-		owner := receiverTypeName(info, e.X)
 		if s, ok := info.Selections[e]; ok && s.Kind() == types.FieldVal {
 			obj := s.Obj()
 			pkgPath := ""
 			if obj.Pkg() != nil {
 				pkgPath = obj.Pkg().Path()
 			}
-			name := obj.Name()
+			owner, name := receiverTypeName(info, e.X), obj.Name()
 			display := name
 			if owner != "" {
 				display = owner + "." + name
 			}
-			return Lock{Key: pkgPath + ":" + owner + "." + name, Owner: owner, Name: display}
+			return Lock{Key: LockKey(pkgPath, owner, name), Name: display}
 		}
-		return Lock{Owner: owner}
 	case *ast.Ident:
 		if obj := info.Uses[e]; obj != nil {
 			pos := sc.pkg.Fset.Position(obj.Pos())
@@ -672,7 +670,7 @@ func stdTableHas(table map[string]map[string]bool, key, name string) bool {
 }
 
 // checkStdCall models a standard-library package-level call: the few
-// blocking ones lockscope has always flagged, plus the allocation table.
+// blocking ones (time.Sleep, JSON encoding), plus the allocation table.
 func (sc *scanner) checkStdCall(call *ast.CallExpr, pkg, name string, state *[]Lock, deferred bool) {
 	switch {
 	case pkg == "time" && name == "Sleep":
@@ -729,9 +727,9 @@ func receiverTypeName(info *types.Info, expr ast.Expr) string {
 	return ""
 }
 
-// isMutexType reports whether t is sync.Mutex or sync.RWMutex (or a pointer
-// to one).
-func isMutexType(t types.Type) bool {
+// IsMutex reports whether t is sync.Mutex or sync.RWMutex (or a pointer to
+// one).
+func IsMutex(t types.Type) bool {
 	if t == nil {
 		return false
 	}

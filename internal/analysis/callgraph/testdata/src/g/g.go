@@ -1,7 +1,8 @@
 // Package g exercises the call-graph builder directly: per-function
 // summaries (blocking with via chains, transitive lock acquisition,
 // may-allocate), hotpath annotation, interface resolution to module
-// implementers, and lock-order edge assembly.
+// implementers, and the held-lock snapshot at a call site that nests a
+// callee's acquisition.
 package g
 
 import "sync"
@@ -50,8 +51,8 @@ func (impl) Ping() {}
 
 func callIface(v pinger) { v.Ping() }
 
-// orderSite nests logT.mu under srvT.mu through two calls: one order edge
-// with a via chain.
+// orderSite nests logT.mu under srvT.mu through two calls: one nesting with
+// a via chain.
 func (s *srvT) orderSite() {
 	s.mu.Lock()
 	s.log.wrap()

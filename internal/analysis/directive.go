@@ -118,6 +118,40 @@ func Filter(fset *token.FileSet, allows []*Allow, analyzer string, diags []Diagn
 	return kept, extras
 }
 
+// directiveWords is the //lint: vocabulary: allow (suppressions), hotpath
+// (hotalloc's roots), nonblocking and before (the locks policy on mutex
+// fields). Any other word is a typo that would silently switch a rule off.
+var directiveWords = map[string]bool{"allow": true, "hotpath": true, "nonblocking": true, "before": true}
+
+// CheckDirectives reports the //lint: comments the suite would otherwise
+// ignore: an unknown directive word, and an allow naming no analyzer in
+// analyzers (a misspelt or retired analyzer suppresses nothing).
+func CheckDirectives(fset *token.FileSet, files []*ast.File, analyzers map[string]bool) []Diagnostic {
+	var out []Diagnostic
+	for _, f := range files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				rest, ok := strings.CutPrefix(c.Text, "//lint:")
+				if !ok {
+					continue
+				}
+				word, args := rest, ""
+				if i := strings.IndexAny(rest, " \t"); i >= 0 {
+					word, args = rest[:i], rest[i:]
+				}
+				if !directiveWords[word] {
+					out = append(out, Diagnostic{Pos: c.Pos(), Message: "unknown directive //lint:" + word})
+					continue
+				}
+				if fields := strings.Fields(args); word == "allow" && (len(fields) == 0 || !analyzers[fields[0]]) {
+					out = append(out, Diagnostic{Pos: c.Pos(), Message: "//lint:allow names no analyzer of this suite"})
+				}
+			}
+		}
+	}
+	return out
+}
+
 func lineKey(file string, line int) string {
 	return file + ":" + strconv.Itoa(line)
 }

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -30,7 +31,7 @@ func TestCollectAllowsCoverage(t *testing.T) {
 
 func a() {
 	_ = 1 //lint:allow simdet inline covers its own line
-	//lint:allow lockscope standalone covers the next line
+	//lint:allow bufown standalone covers the next line
 	_ = 2
 	_ = 3 //lint:allow hotalloc reason text // trailing comment is not justification
 }
@@ -47,7 +48,7 @@ func a() {
 	if a := byAnalyzer["simdet"]; a.Line != 4 {
 		t.Errorf("inline directive covers line %d, want its own line 4", a.Line)
 	}
-	if a := byAnalyzer["lockscope"]; a.Line != 6 {
+	if a := byAnalyzer["bufown"]; a.Line != 6 {
 		t.Errorf("standalone directive covers line %d, want the next line 6", a.Line)
 	}
 	if a := byAnalyzer["hotalloc"]; a.Justification != "reason text" {
@@ -66,7 +67,7 @@ func TestMultiAnalyzerSameLine(t *testing.T) {
 
 	allows := []*Allow{
 		{Analyzer: "simdet", Justification: "seeded", File: "f.go", Line: 3},
-		{Analyzer: "lockscope", Justification: "startup only", File: "f.go", Line: 3},
+		{Analyzer: "locks", Justification: "startup only", File: "f.go", Line: 3},
 	}
 	simdetDiags := []Diagnostic{{Pos: pos, Message: "wall clock"}}
 	lockDiags := []Diagnostic{{Pos: pos, Message: "send under lock"}}
@@ -75,9 +76,9 @@ func TestMultiAnalyzerSameLine(t *testing.T) {
 	if len(kept) != 0 || len(extras) != 0 {
 		t.Fatalf("simdet: kept=%v extras=%v, want both empty", kept, extras)
 	}
-	kept, extras = Filter(fset, allows, "lockscope", lockDiags)
+	kept, extras = Filter(fset, allows, "locks", lockDiags)
 	if len(kept) != 0 || len(extras) != 0 {
-		t.Fatalf("lockscope: kept=%v extras=%v, want both empty", kept, extras)
+		t.Fatalf("locks: kept=%v extras=%v, want both empty", kept, extras)
 	}
 	// A Filter run for an analyzer with no diagnostics must not consume or
 	// complain about the other analyzers' directives.
@@ -124,11 +125,54 @@ func TestUseAllowFeedsStaleCheck(t *testing.T) {
 	if s.UseAllow("hotalloc", "f.go", 4) {
 		t.Fatal("UseAllow matched an uncovered line")
 	}
-	if s.UseAllow("lockscope", "f.go", 3) {
+	if s.UseAllow("locks", "f.go", 3) {
 		t.Fatal("UseAllow matched a different analyzer's directive")
 	}
 	_, extras := Filter(fset, allows, "hotalloc", nil)
 	if len(extras) != 1 {
 		t.Fatalf("extras = %+v, want exactly the untouched directive stale", extras)
+	}
+}
+
+// TestCheckDirectives: every //lint: comment names a directive the suite
+// reads, and every allow names an analyzer it runs; anything else would be
+// ignored in silence — a misspelt nonblocking un-guards a lock, an allow for
+// a retired analyzer suppresses nothing and never goes stale.
+func TestCheckDirectives(t *testing.T) {
+	suite := map[string]bool{"locks": true, "hotalloc": true, "simdet": true}
+	cases := []struct {
+		name, line string
+		want       string // "" = no finding
+	}{
+		{"allow", "_ = 1 //lint:allow simdet seeded", ""},
+		{"allow with tab", "_ = 1 //lint:allow\tsimdet seeded", ""},
+		{"hotpath with argument", "//lint:hotpath feed", ""},
+		{"nonblocking", "//lint:nonblocking", ""},
+		{"before", "//lint:before bcastLog.mu", ""},
+		{"prose mentioning a directive", "// a //lint:nonblock in prose is not a directive", ""},
+		{"unknown analyzer", "_ = 1 //lint:allow nosuchanalyzer reason", "//lint:allow names no analyzer"},
+		{"retired lockscope", "_ = 1 //lint:allow lockscope reason", "//lint:allow names no analyzer"},
+		{"retired lockorder", "_ = 1 //lint:allow lockorder reason", "//lint:allow names no analyzer"},
+		{"allow without analyzer", "_ = 1 //lint:allow", "//lint:allow names no analyzer"},
+		{"misspelt nonblocking", "//lint:nonblock", "unknown directive //lint:nonblock"},
+		{"word run on", "_ = 1 //lint:allowed simdet", "unknown directive //lint:allowed"},
+		{"empty word", "//lint: allow simdet", "unknown directive //lint:"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src := "package p\n\nfunc f() {\n\t" + tc.line + "\n\t_ = 2\n}\n"
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, "f.go", src, parser.ParseComments)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diags := CheckDirectives(fset, []*ast.File{f}, suite)
+			switch {
+			case tc.want == "" && len(diags) != 0:
+				t.Fatalf("unexpected findings %+v", diags)
+			case tc.want != "" && (len(diags) != 1 || !strings.HasPrefix(diags[0].Message, tc.want)):
+				t.Fatalf("findings %+v, want one starting %q", diags, tc.want)
+			}
+		})
 	}
 }

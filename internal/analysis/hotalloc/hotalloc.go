@@ -32,26 +32,8 @@ func New() *analysis.Analyzer {
 		Doc: "requires //lint:hotpath-annotated functions to be transitively " +
 			"allocation-free (per call-graph summaries), apart from " +
 			"//lint:allow hotalloc sites and pruned call edges",
-		Run: run,
+		Run: analysis.ModuleRun("hotalloc.findings", compute),
 	}
-}
-
-// rec is one computed finding with the package that owns its position.
-type rec struct {
-	pkgPath string
-	diag    analysis.Diagnostic
-}
-
-func run(pass *analysis.Pass) error {
-	recs := pass.Shared.Memo("hotalloc.findings", func() any {
-		return compute(pass.Shared)
-	}).([]rec)
-	for _, r := range recs {
-		if r.pkgPath == pass.Pkg.Path() {
-			pass.Report(r.diag)
-		}
-	}
-	return nil
 }
 
 // visit records how a node became hot-reachable: the annotated root and the
@@ -67,7 +49,7 @@ type visit struct {
 // still an allocation) and reports the allocation sites and dynamic calls of
 // every reachable function. Call edges whose site carries
 // //lint:allow hotalloc are pruned, consuming the directive.
-func compute(shared *analysis.Shared) []rec {
+func compute(shared *analysis.Shared) []analysis.Finding {
 	g := callgraph.Get(shared)
 	fset := token.NewFileSet()
 	if len(shared.Packages) > 0 {
@@ -89,7 +71,7 @@ func compute(shared *analysis.Shared) []rec {
 		}
 	}
 
-	var recs []rec
+	var recs []analysis.Finding
 	seen := make(map[string]bool) // dedup (pos|message) across multi-edge reaches
 	report := func(n *callgraph.Node, pos token.Pos, msg string) {
 		dk := fset.Position(pos).String() + "|" + msg
@@ -97,7 +79,7 @@ func compute(shared *analysis.Shared) []rec {
 			return
 		}
 		seen[dk] = true
-		recs = append(recs, rec{pkgPath: n.PkgPath, diag: analysis.Diagnostic{Pos: pos, Message: msg}})
+		recs = append(recs, analysis.Finding{PkgPath: n.PkgPath, Diagnostic: analysis.Diagnostic{Pos: pos, Message: msg}})
 	}
 
 	for len(queue) > 0 {

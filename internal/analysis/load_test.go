@@ -118,7 +118,7 @@ func TestFilterAllows(t *testing.T) {
 		{Analyzer: "simdet", Justification: "covered by a seeded rand", File: "f.go", Line: 3},
 		{Analyzer: "simdet", Justification: "never fires", File: "f.go", Line: 9},
 		{Analyzer: "simdet", File: "f.go", Line: 5}, // used but unjustified
-		{Analyzer: "lockscope", Justification: "other analyzer", File: "f.go", Line: 3},
+		{Analyzer: "locks", Justification: "other analyzer", File: "f.go", Line: 3},
 	}
 	diags := []Diagnostic{
 		{Pos: posOnLine(3), Message: "suppressed"},

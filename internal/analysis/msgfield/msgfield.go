@@ -8,11 +8,12 @@
 //     (MsgType.String, Replica.Apply's kind tables, client dispatch). A
 //     switch that intentionally handles a subset marks that by carrying a
 //     default clause (possibly empty).
-//  2. Cross-package: every message type Core.HandleBroadcast accepts from
-//     clients lands in the stored trace, so it must also be accepted by
-//     replay.Rebuild's switch — otherwise the bookkeeping trace (paper
-//     §3.3) stops being replayable and crowdfill-replay/Audit break. The
-//     contract is checked after all packages are analyzed.
+//  2. Cross-package: every message type a HandleBroadcast method (the
+//     server core's) accepts from clients lands in the stored trace, so it
+//     must also be accepted by replay.Rebuild's switch — otherwise the
+//     bookkeeping trace (paper §3.3) stops being replayable and
+//     crowdfill-replay/Audit break. The contract is checked after all
+//     packages are analyzed.
 package msgfield
 
 import (
@@ -97,7 +98,7 @@ func (st *state) run(pass *analysis.Pass) error {
 // record captures the case sets of the two contract endpoints.
 func (st *state) record(pass *analysis.Pass, fd *ast.FuncDecl, sw *ast.SwitchStmt, cases map[string]bool) {
 	switch {
-	case fd.Name.Name == "HandleBroadcast" && receiverNamed(fd, "Core"):
+	case fd.Name.Name == "HandleBroadcast" && fd.Recv != nil:
 		if st.accepted == nil {
 			st.accepted = make(map[string]bool)
 			st.acceptedPos = sw.Pos()
@@ -208,17 +209,4 @@ func declaredConstants(msgType types.Type) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// receiverNamed reports whether fd's receiver base type is named name.
-func receiverNamed(fd *ast.FuncDecl, name string) bool {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return false
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	id, ok := t.(*ast.Ident)
-	return ok && id.Name == name
 }

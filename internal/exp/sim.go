@@ -248,6 +248,7 @@ func Run(cfg SimConfig) (*SimResult, error) {
 				if herr != nil {
 					panic(fmt.Sprintf("exp: handle: %v", herr))
 				}
+				core.TakeWarnings().Emit()
 				for _, b := range bcasts {
 					msg := b.Prepared.Message()
 					for _, id := range ids {

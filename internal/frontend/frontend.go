@@ -43,6 +43,11 @@ type traceDoc struct {
 
 // Frontend is the front-end server state.
 type Frontend struct {
+	// mu serializes the REST handlers' lifecycle transitions, which read
+	// and write the store, publish on the marketplace and start collections
+	// (whose instruments live in the flight recorder) while holding it.
+	//
+	//lint:before Marketplace.mu Store.mu Recorder.mu
 	mu      gosync.Mutex
 	store   *docstore.Store
 	market  *marketplace.Marketplace

@@ -84,6 +84,8 @@ type Desc struct {
 type Poller struct {
 	// mu guards descs, next, and closed; critical sections only touch the
 	// map (no I/O, no blocking calls) and epoll_ctl happens outside it.
+	//
+	//lint:nonblocking
 	mu     gosync.Mutex
 	descs  map[uint64]*Desc
 	next   uint64

@@ -45,7 +45,7 @@ import (
 // the dispatcher moves parked connections behind the head back onto the
 // queue, off the publisher's critical path.
 type bcastLog struct {
-	mu     gosync.RWMutex
+	mu     gosync.RWMutex //lint:nonblocking
 	buf    []Broadcast
 	head   uint64 // sequence number of the next record to publish
 	closed bool
@@ -318,20 +318,20 @@ func (l *bcastLog) drainBatch(fc *flushConn, out []Broadcast) (int, error) {
 // join messages to send — but is handed to the pool by a separate enqueue
 // call, made after NetServer.mu is released, so the flush queue's lock never
 // nests inside the server's. onEvict runs (on its own goroutine) if the
-// publishing side detects cursor lag.
-func (l *bcastLog) register(conn transport.Conn, clientID string, pending []*sync.Prepared, onEvict func()) *flushConn {
+// publishing side detects cursor lag. A closed log refuses the connection:
+// the flushConn comes back gone with open false, and the caller closes the
+// transport once it holds no lock (closing writes a close frame).
+func (l *bcastLog) register(conn transport.Conn, clientID string, pending []*sync.Prepared, onEvict func()) (fc *flushConn, open bool) {
 	l.mu.Lock()
-	fc := &flushConn{conn: conn, id: clientID, pending: pending, state: fcQueued, pos: l.head, onEvict: onEvict}
+	defer l.mu.Unlock()
+	fc = &flushConn{conn: conn, id: clientID, pending: pending, state: fcQueued, pos: l.head, onEvict: onEvict}
 	if l.closed {
 		fc.state = fcGone
-		l.mu.Unlock()
-		conn.Close()
-		return fc
+		return fc, false
 	}
 	l.conns[fc] = struct{}{}
 	l.metrics.poolSized(len(l.conns), len(l.parked))
-	l.mu.Unlock()
-	return fc
+	return fc, true
 }
 
 // enqueue hands a freshly-registered connection to the pool. Must be called

@@ -16,7 +16,8 @@ func testRec(i int) Broadcast {
 // to the flusher pool (no enqueue), so the test owns its cursor the way one
 // flusher would.
 func follow(l *bcastLog, onEvict func()) *flushConn {
-	return l.register(newRecConn(), "follower", nil, onEvict)
+	fc, _ := l.register(newRecConn(), "follower", nil, onEvict)
+	return fc
 }
 
 func TestBcastLogOrderAndBatching(t *testing.T) {
@@ -67,10 +68,11 @@ func TestBcastLogCloseSemantics(t *testing.T) {
 	if _, err := l.drainBatch(fc, one); err != errLogClosed {
 		t.Fatalf("drain after close = %v, want errLogClosed", err)
 	}
-	// A connection registering after close is refused and its transport closed.
+	// A connection registering after close is refused; closing its
+	// transport (a frame write) is left to the caller, outside its locks.
 	late := newRecConn()
-	if fc := l.register(late, "late", nil, nil); fc.state != fcGone || !late.closed() {
-		t.Fatalf("register after close: state %d, transport closed %v", fc.state, late.closed())
+	if fc, open := l.register(late, "late", nil, nil); open || fc.state != fcGone || late.closed() {
+		t.Fatalf("register after close: open %v, state %d, transport closed %v", open, fc.state, late.closed())
 	}
 }
 

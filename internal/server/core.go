@@ -16,6 +16,7 @@ import (
 	"slices"
 
 	"crowdfill/internal/constraint"
+	"crowdfill/internal/metrics"
 	"crowdfill/internal/model"
 	"crowdfill/internal/pay"
 	"crowdfill/internal/simclock"
@@ -116,6 +117,9 @@ type Core struct {
 
 	repairOverruns int // times runCC hit the iteration cap without converging
 
+	// warn holds the operational warnings raised since the last TakeWarnings.
+	warn Warnings
+
 	// Completion memo: the (final-winner counter, template removals) pair
 	// the completion condition was last decided on. The condition is a
 	// function of the final-table winners and the active template only, so
@@ -209,6 +213,7 @@ func New(cfg Config) (*Core, error) {
 	}
 	c.runCC()
 	c.checkDone()
+	c.TakeWarnings().Emit() // no driver holds a lock over the core yet
 	return c, nil
 }
 
@@ -280,22 +285,51 @@ func (c *Core) runCC() []sync.Message {
 	}
 	if !stable {
 		c.repairOverruns++
-		c.noteOverrun()
+		c.metrics.overrunCounted()
+		c.warn.overrun = c.repairOverruns
 	}
 	c.metrics.repairDone(start, len(c.ccLog)-before, c.RepairStats())
 	return c.ccLog[before:]
 }
 
-// noteOverrun reports a repair-iteration-cap overrun: through the metrics
-// set (counter + flight-recorder event, whose sink emits the log line) when
-// instrumentation is live, directly through logf otherwise.
-func (c *Core) noteOverrun() {
-	if c.metrics != nil {
-		c.metrics.noteOverrun("central client repair did not converge")
-		return
+// Warnings are the operational notes core calls raised: a repair loop that
+// hit its iteration cap, an estimate payload that could not be encoded.
+// Writing them to the log and the flight recorder may block, and the core
+// runs inside its driver's serving lock, so the core only holds them: the
+// driver takes them under its lock (TakeWarnings, which blocks on nothing)
+// and emits them after releasing it. A driver that holds no lock takes and
+// emits them after each call. The zero value emits nothing.
+type Warnings struct {
+	overrun  int   // the overrun's ordinal, 0 = none
+	estimate error // why the estimate was not broadcast, nil = none
+	logf     func(format string, args ...any)
+	metrics  *Metrics
+}
+
+// TakeWarnings hands over the warnings raised since the last call and
+// clears them.
+func (c *Core) TakeWarnings() Warnings {
+	w := c.warn
+	c.warn = Warnings{}
+	w.logf, w.metrics = c.logf, c.metrics
+	return w
+}
+
+// Emit writes each warning once: an overrun as a flight-recorder event
+// (whose sink logs the line), or as a log line when instrumentation is off;
+// a skipped estimate as a log line.
+func (w Warnings) Emit() {
+	if w.overrun > 0 {
+		if rec := w.metrics.Recorder(); rec != nil {
+			rec.Record(metrics.EvRepairOverrun, "cc", "central client repair did not converge")
+		} else {
+			w.logf("crowdfill: central client repair did not converge within %d iterations (overrun #%d)",
+				maxRepairIters, w.overrun)
+		}
 	}
-	c.logf("crowdfill: central client repair did not converge within %d iterations (overrun #%d)",
-		maxRepairIters, c.repairOverruns)
+	if w.estimate != nil {
+		w.logf("crowdfill: estimate not broadcast: %v", w.estimate)
+	}
 }
 
 // RepairOverruns returns how many times the Central Client's repair loop hit
@@ -454,7 +488,7 @@ func (c *Core) HandleBroadcast(clientID string, m sync.Message) ([]Broadcast, er
 // estimateInterval messages bounds staleness for any client that somehow
 // missed one. The figures land in core-owned scratch and are compared by
 // their bits, so a suppressed decision allocates and encodes nothing. A
-// payload that cannot be encoded is skipped and logged, never published:
+// payload that cannot be encoded is skipped with a warning, never published:
 // every flusher would fail on it and drop its client.
 func (c *Core) estimateBroadcast() *sync.Prepared {
 	c.sinceEstBcast++
@@ -465,7 +499,7 @@ func (c *Core) estimateBroadcast() *sync.Prepared {
 		return nil
 	}
 	if err := sync.ValidateEncodable(sync.Message{Type: sync.MsgEstimate, Estimates: now}); err != nil {
-		c.logf("crowdfill: estimate not broadcast: %v", err)
+		c.warn.estimate = err
 		return nil
 	}
 	c.lastEst = &sync.Estimates{PerColumn: slices.Clone(now.PerColumn), Upvote: now.Upvote, Downvote: now.Downvote}

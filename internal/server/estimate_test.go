@@ -36,7 +36,8 @@ func skipCounter(n *atomic.Int32) func(string, ...any) {
 
 // TestNonFiniteEstimateNotPublished: a decision that meets a payload it
 // cannot encode publishes nothing — every broadcast it returns encodes — and
-// says so through Config.Logf.
+// says so through Config.Logf, but only when the driver emits the warnings
+// it took: HandleBroadcast runs under the server lock and writes no log.
 func TestNonFiniteEstimateNotPublished(t *testing.T) {
 	var skipped atomic.Int32
 	cfg := cardinalityConfig(t, 2)
@@ -49,9 +50,21 @@ func TestNonFiniteEstimateNotPublished(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range msgs {
+		before := skipped.Load()
 		bcasts, err := r.core.HandleBroadcast("c1", m)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if skipped.Load() != before {
+			t.Fatal("HandleBroadcast logged the skipped estimate itself; the line belongs after the lock")
+		}
+		r.core.TakeWarnings().Emit()
+		if got := skipped.Load() - before; got != 1 {
+			t.Fatalf("emitting the taken warnings logged %d skipped estimates, want 1", got)
+		}
+		r.core.TakeWarnings().Emit()
+		if skipped.Load() != before+1 {
+			t.Fatal("a second take emitted the warning again")
 		}
 		for _, b := range bcasts {
 			if b.Prepared.Message().Type == sync.MsgEstimate {
@@ -160,6 +173,37 @@ func TestNonFiniteEstimateKeepsClients(t *testing.T) {
 	}
 	if conns, _ := ns.log.poolStats(); conns != 2 {
 		t.Errorf("%d connections registered, want both", conns)
+	}
+}
+
+// TestOverrunWarningEmittedOnce: a repair overrun reaches the flight
+// recorder (whose sink logs the line) only when the driver emits the
+// warnings it took after releasing its lock — once, however often it takes.
+func TestOverrunWarningEmittedOnce(t *testing.T) {
+	cfg := cardinalityConfig(t, 2)
+	cfg.Metrics = NewMetrics(metrics.NewRegistry(), metrics.NewRecorder(16))
+	r := newRig(t, cfg)
+	rec := cfg.Metrics.Recorder()
+	before := rec.Total()
+	r.core.warn.overrun = 1 // what runCC records when the loop hits its cap
+	w := r.core.TakeWarnings()
+	if rec.Total() != before {
+		t.Fatal("taking the warnings recorded an event under the caller's lock")
+	}
+	w.Emit()
+	r.core.TakeWarnings().Emit()
+	overruns := 0
+	for _, ev := range rec.Events() {
+		if ev.Kind == metrics.EvRepairOverrun {
+			overruns++
+		}
+	}
+	if overruns != 1 {
+		t.Fatalf("%d repair-overrun events recorded, want 1", overruns)
+	}
+	// The common case, a message that raised nothing, costs nothing.
+	if n := testing.AllocsPerRun(100, func() { r.core.TakeWarnings().Emit() }); n != 0 {
+		t.Errorf("taking and emitting no warnings: %v allocs/op, want 0", n)
 	}
 }
 

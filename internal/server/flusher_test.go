@@ -117,7 +117,7 @@ func TestFlusherCoalescesBurst(t *testing.T) {
 	l := newBcastLog(64, nil, nil)
 	defer l.close()
 	rc := newRecConn()
-	fc := l.register(rc, "self", nil, nil)
+	fc, _ := l.register(rc, "self", nil, nil)
 	l.enqueue(fc)
 
 	// The empty first flush parks the connection.
@@ -156,7 +156,7 @@ func TestFlusherPoolOrdering(t *testing.T) {
 	l := newBcastLog(4096, nil, nil)
 	defer l.close()
 	rc := newRecConn()
-	fc := l.register(rc, "c1", nil, nil)
+	fc, _ := l.register(rc, "c1", nil, nil)
 	l.enqueue(fc)
 
 	const total = 1000
@@ -203,7 +203,7 @@ func TestFlusherDetectsLagAndDrops(t *testing.T) {
 	rc.gate = gate
 	rc.mu.Unlock()
 
-	fc := l.register(rc, "c1", nil, nil)
+	fc, _ := l.register(rc, "c1", nil, nil)
 	l.enqueue(fc)
 	waitFor(t, func() bool { _, parked := l.poolStats(); return parked == 1 })
 

@@ -446,12 +446,11 @@ func (m *Metrics) noteDrop(cause dropCause, clientID, detail string) {
 	m.rec.Record(cause.eventKind(), clientID, detail)
 }
 
-// noteOverrun records a repair-iteration-cap overrun in the counter and the
-// flight recorder.
-func (m *Metrics) noteOverrun(detail string) {
+// overrunCounted counts a repair-iteration-cap overrun. Its flight-recorder
+// event is written by Warnings.Emit, after the serving lock is released.
+func (m *Metrics) overrunCounted() {
 	if m == nil {
 		return
 	}
 	m.overruns.Inc()
-	m.rec.Record(metrics.EvRepairOverrun, "cc", detail)
 }

@@ -27,6 +27,12 @@ import (
 // disconnected, which preserves everyone else's per-link FIFO delivery
 // without per-recipient work on the hot path.
 type NetServer struct {
+	// mu serializes the core and the join point in the log. Every client
+	// message and every Central Client repair runs under it, so nothing that
+	// may block — log or recorder I/O included — runs inside it.
+	//
+	//lint:nonblocking
+	//lint:before bcastLog.mu
 	mu     gosync.Mutex
 	core   *Core
 	log    *bcastLog
@@ -111,7 +117,7 @@ func (s *NetServer) serve(conn transport.Conn, worker string) {
 			pending[i] = sync.NewPrepared(o.Msg)
 		}
 	}
-	fc := s.log.register(conn, clientID, pending, func() {
+	fc, open := s.log.register(conn, clientID, pending, func() {
 		// Eviction hook (publisher side, own goroutine): closing the
 		// transport unblocks a flusher stuck mid-send and fails the reader's
 		// Recv, so both halves tear down even though the slow client never
@@ -120,6 +126,9 @@ func (s *NetServer) serve(conn transport.Conn, worker string) {
 		conn.Close()
 	})
 	s.mu.Unlock()
+	if !open {
+		conn.Close() // the log is shut down; the reader below sees the close
+	}
 	// Hand the connection to the pool outside both locks (the flush queue's
 	// mutex never nests with the server's or the log's).
 	s.log.enqueue(fc)
@@ -175,16 +184,19 @@ func (s *NetServer) noteReject(clientID string, herr error) {
 
 // handleAndPublish runs one inbound message through the core and publishes
 // the resulting broadcasts into the log. The lock is held for the core
-// transition plus an O(len(records)) append — no per-recipient work.
+// transition plus an O(len(records)) append — no per-recipient work. The
+// warnings the transition raised are taken under the lock and written to
+// the log and the flight recorder after it is released.
 func (s *NetServer) handleAndPublish(clientID string, m sync.Message) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	bcasts, err := s.core.HandleBroadcast(clientID, m)
-	if err != nil {
-		return err
+	if err == nil {
+		s.log.publish(bcasts)
 	}
-	s.log.publish(bcasts)
-	return nil
+	warn := s.core.TakeWarnings()
+	s.mu.Unlock()
+	warn.Emit()
+	return err
 }
 
 // Shutdown closes the broadcast plane and the readiness read plane: every
