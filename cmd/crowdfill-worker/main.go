@@ -114,8 +114,7 @@ func main() {
 				if row == nil {
 					return nil, nil
 				}
-				vec := row.Vec.Clone()
-				undo, err := c.UndoVote(vec)
+				undo, err := c.UndoVote(row.Vec)
 				if err != nil {
 					return nil, err
 				}

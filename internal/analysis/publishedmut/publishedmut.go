@@ -7,14 +7,21 @@
 // Estimates) alias the published copy even though the struct itself is
 // passed by value, and NewPrepared's doc makes the whole struct immutable
 // after wrapping; this analyzer turns that comment into a diagnostic.
-// Replica.Apply is a sink for the same reason (DESIGN.md §17): it adopts the
-// message's vector into the row or vote-history entry it builds, so a write
-// to the message after Apply would rewrite replica state.
 //
 // The check is intraprocedural and position-ordered: a field or element
 // write that textually follows the value's escape in the same function body
 // is flagged. Writes before the escape (stamping Origin/Worker/TS before
 // Apply+publish) are the sanctioned pattern and pass.
+//
+// A model.Vector is immutable from the moment it is built (DESIGN.md §17):
+// a link's decode cache hands one vector to every message that repeats it,
+// and rows, vote histories, snapshots and vote messages share vectors
+// instead of copying them. So a write into the cells of a vector reached
+// through the Vec field of a model.Row or a sync.Message — an assignment to
+// v.Vec[i] or one of its cell's fields, or a copy into v.Vec — is flagged
+// wherever it occurs. Only code that builds a vector of its own (NewVector,
+// VectorOf, With, a decoder) writes cells, before the vector reaches a Vec
+// field.
 package publishedmut
 
 import (
@@ -34,11 +41,17 @@ var targetTypes = map[[2]string]bool{
 }
 
 // sinkNames are functions and methods through which a value escapes to the
-// broadcast plane, or into a replica that adopts its vector.
+// broadcast plane.
 var sinkNames = map[string]bool{
 	"Publish": true, "publish": true,
 	"HandleBroadcast": true, "Send": true, "WriteText": true,
-	"NewPrepared": true, "Apply": true,
+	"NewPrepared": true,
+}
+
+// vecOwners are the types whose Vec field holds a shared model.Vector.
+var vecOwners = map[[2]string]bool{
+	{"crowdfill/internal/model", "Row"}:    true,
+	{"crowdfill/internal/sync", "Message"}: true,
 }
 
 // New returns the publishedmut analyzer.
@@ -47,9 +60,10 @@ func New() *analysis.Analyzer {
 		Name: "publishedmut",
 		Doc: "flags writes through sync.Message/sync.Prepared/server.Broadcast/" +
 			"server.Outbound values after they escape to the publish side " +
-			"(NewPrepared, HandleBroadcast, transport Send, the broadcast log) " +
-			"or to Replica.Apply; published messages are immutable because every " +
-			"recipient aliases them, and Apply adopts the message's vector",
+			"(NewPrepared, HandleBroadcast, transport Send, the broadcast log), " +
+			"and any write into the cells of a model.Row's or sync.Message's Vec; " +
+			"published messages are immutable because every recipient aliases " +
+			"them, and vectors because rows, histories and messages share them",
 		Run: run,
 	}
 }
@@ -91,6 +105,11 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 				checkBody(pass, n.Body)
 				return false
 			case *ast.CallExpr:
+				if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "copy" && len(n.Args) == 2 {
+					if _, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok {
+						reportVecWrite(pass, n.Args[0], true)
+					}
+				}
 				if calleeName(n) != "" && sinkNames[calleeName(n)] {
 					for _, arg := range n.Args {
 						if v := targetRoot(pass, arg); v != nil {
@@ -118,6 +137,7 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
+					reportVecWrite(pass, lhs, false)
 					if v, steps := rootVar(pass, lhs); v != nil && steps > 0 && isTargetType(v.Type()) {
 						writes = append(writes, write{v: v, pos: lhs.Pos(), name: v.Name()})
 					}
@@ -134,10 +154,69 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 
 	for _, w := range writes {
 		if esc, ok := escaped[w.v]; ok && esc < w.pos {
-			pass.Reportf(w.pos, "write to field of %s after it escaped at line %d; published messages are shared by every recipient, Replica.Apply adopts their vectors, and neither may be mutated",
+			pass.Reportf(w.pos, "write to field of %s after it escaped at line %d; published messages are shared by every recipient and may not be mutated",
 				w.name, pass.Fset.Position(esc).Line)
 		}
 	}
+}
+
+// reportVecWrite reports dst if it writes into the cells of a shared vector:
+// an assignment to owner.Vec[i] or to a field of it, or — byCopy — a copy
+// into owner.Vec or a slice of it, where owner is a model.Row or a
+// sync.Message. An assignment to owner.Vec itself rebinds the field, which
+// writes the owner, not the vector.
+func reportVecWrite(pass *analysis.Pass, dst ast.Expr, byCopy bool) {
+	e := ast.Unparen(dst)
+	if sel, ok := e.(*ast.SelectorExpr); ok && isCellField(pass, sel) {
+		e = ast.Unparen(sel.X)
+	}
+	switch x := e.(type) {
+	case *ast.IndexExpr:
+		e = ast.Unparen(x.X)
+	case *ast.SliceExpr:
+		if !byCopy {
+			return
+		}
+		e = ast.Unparen(x.X)
+	default:
+		if !byCopy {
+			return
+		}
+	}
+	if sel, ok := e.(*ast.SelectorExpr); ok && isSharedVec(pass, sel) {
+		pass.Reportf(dst.Pos(), "write into a cell of %s; a vector is immutable once built, and rows, vote histories, snapshots and messages share it: build a new one (With, VectorOf, NewVector) instead",
+			types.ExprString(sel))
+	}
+}
+
+// isCellField reports whether sel selects a field of a model.Cell.
+func isCellField(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
+	s, ok := pass.TypesInfo.Selections[sel]
+	return ok && s.Kind() == types.FieldVal && isNamed(s.Recv(), "crowdfill/internal/model", "Cell")
+}
+
+// isSharedVec reports whether sel is the Vec field of a vecOwners type.
+func isSharedVec(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
+	s, ok := pass.TypesInfo.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal || sel.Sel.Name != "Vec" {
+		return false
+	}
+	for owner := range vecOwners {
+		if isNamed(s.Recv(), owner[0], owner[1]) {
+			return true
+		}
+	}
+	return false
+}
+
+// isNamed reports whether t, or what it points to, is the named type
+// path.name.
+func isNamed(t types.Type, path, name string) bool {
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == path && named.Obj().Name() == name
 }
 
 // calleeName returns the called function or method name.
@@ -204,16 +283,10 @@ func isTargetType(t types.Type) bool {
 	if t == nil {
 		return false
 	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
+	for target := range targetTypes {
+		if isNamed(t, target[0], target[1]) {
+			return true
+		}
 	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return false
-	}
-	return targetTypes[[2]string{obj.Pkg().Path(), obj.Name()}]
+	return false
 }

@@ -1,8 +1,10 @@
 // Package b exercises the publishedmut analyzer: writes to broadcast-plane
-// values before and after they escape to the publish side.
+// values before and after they escape to the publish side, and writes into
+// the cells of the vectors rows and messages share.
 package b
 
 import (
+	"crowdfill/internal/model"
 	"crowdfill/internal/server"
 	"crowdfill/internal/sync"
 )
@@ -23,31 +25,59 @@ func mutateAfterHandle(core *server.Core, m sync.Message, ts int64) {
 }
 
 // mutateVecAfterPrepare mutates the message's shared slice after wrapping it
-// in a Prepared: every recipient aliases Vec.
+// in a Prepared: every recipient aliases Vec, and every row and message that
+// holds the vector sees the write.
 func mutateVecAfterPrepare(m sync.Message) *sync.Prepared {
 	p := sync.NewPrepared(m)
-	m.Vec[0].Val = "tampered" // want `write to field of m after it escaped`
+	m.Vec[0].Val = "tampered" // want `write to field of m after it escaped` `write into a cell of m\.Vec`
 	return p
 }
 
-// mutateBeforePrepare is fine: the write precedes the escape.
-func mutateBeforePrepare(m sync.Message) *sync.Prepared {
-	m.Vec[0].Val = "stamped"
+// mutateVecBeforePrepare precedes the escape, but the vector was shared
+// before the message was: a decoded vector is the link cache's, and a vote's
+// is its row's.
+func mutateVecBeforePrepare(m sync.Message) *sync.Prepared {
+	m.Vec[0].Val = "stamped" // want `write into a cell of m\.Vec`
 	return sync.NewPrepared(m)
 }
 
-// mutateVecAfterApply writes into a vector the replica adopted: the row the
+// mutateVecAfterApply writes into a vector the replica shares: the row the
 // replace built now carries the tampered value.
 func mutateVecAfterApply(r *sync.Replica, m sync.Message) error {
 	err := r.Apply(m)
-	m.Vec[0].Val = "tampered" // want `write to field of m after it escaped`
+	m.Vec[0].Val = "tampered" // want `write into a cell of m\.Vec`
 	return err
 }
 
-// buildThenApply is fine: the vector is complete before Apply adopts it.
+// stampAfterApply is fine: Apply keeps nothing of the message but its
+// vector.
+func stampAfterApply(r *sync.Replica, m sync.Message) error {
+	err := r.Apply(m)
+	m.TS = 7
+	return err
+}
+
+// buildThenApply is fine: the vector is its own until the message holds it.
 func buildThenApply(r *sync.Replica, m sync.Message) error {
-	m.Vec[1].Set = true
+	v := model.NewVector(2)
+	v[0] = model.Cell{Set: true, Val: "a"}
+	v[1].Set = true
+	m.Vec = v
 	return r.Apply(m)
+}
+
+// mutateRowVec writes into a row's vector: the value index, the vote
+// histories and every message that voted on the value share it.
+func mutateRowVec(row *model.Row, v model.Vector) {
+	row.Vec[0] = model.Cell{}  // want `write into a cell of row\.Vec`
+	(row.Vec)[1].Val = "x"     // want `write into a cell of row\.Vec`
+	copy(row.Vec[1:], v)       // want `write into a cell of row\.Vec`
+	row.Vec = v.With(0, "new") // rebinding the field writes the row, not the vector
+}
+
+// mutateSnapshotRow reaches a row's vector through a snapshot message.
+func mutateSnapshotRow(m sync.Message) {
+	m.Snapshot.Rows[0].Vec[1].Set = false // want `write into a cell of m\.Snapshot\.Rows\[0\]\.Vec`
 }
 
 // Publish stands in for the broadcast log's publish side.

@@ -310,7 +310,7 @@ func (c *Client) Modify(id model.RowID, col int, raw string) ([]sync.Message, er
 	if err != nil {
 		return nil, err
 	}
-	oldVec := row.Vec.Clone()
+	oldVec := row.Vec
 
 	var out []sync.Message
 	// If the worker previously upvoted this value (e.g. the automatic

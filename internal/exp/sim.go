@@ -221,9 +221,8 @@ func Run(cfg SimConfig) (*SimResult, error) {
 			if row == nil {
 				break
 			}
-			vec := row.Vec.Clone()
 			var undo, revote sync.Message
-			undo, aerr = c.UndoVote(vec)
+			undo, aerr = c.UndoVote(row.Vec)
 			if aerr != nil {
 				break
 			}

@@ -231,7 +231,7 @@ func TestCandidateBasics(t *testing.T) {
 		t.Fatalf("Delete/Clone aliasing wrong")
 	}
 	if clone.Get("x-1") == r {
-		t.Fatalf("Clone must deep-copy rows")
+		t.Fatalf("Clone must copy rows")
 	}
 }
 

@@ -19,9 +19,11 @@ type Row struct {
 	Down int    `json:"down"`
 }
 
-// Clone deep-copies the row.
+// Clone copies the row. The copy shares the vector: vectors are immutable,
+// and only the vote counts of a row change.
 func (r *Row) Clone() *Row {
-	return &Row{ID: r.ID, Vec: r.Vec.Clone(), Up: r.Up, Down: r.Down}
+	c := *r
+	return &c
 }
 
 // String renders the row for logs and test failures.
@@ -37,9 +39,9 @@ func (r *Row) String() string {
 type Candidate struct {
 	schema *Schema
 	rows   map[RowID]*Row
-	// byValue indexes rows by Vector.Encode. Callers must not mutate a
-	// stored row's vector in place (the operation model never does: fills
-	// replace rows wholesale).
+	// byValue indexes rows by Vector.Encode, which stays valid because a
+	// vector is never written after it is built (fills replace rows
+	// wholesale).
 	byValue map[string]valueSet
 }
 
@@ -170,7 +172,8 @@ func (c *Candidate) Each(fn func(*Row)) {
 	}
 }
 
-// Clone deep-copies the table (including the value index).
+// Clone copies the table's rows, sharing their vectors, and builds the
+// copy's own value index.
 func (c *Candidate) Clone() *Candidate {
 	out := NewCandidate(c.schema)
 	for _, r := range c.rows {

@@ -17,6 +17,12 @@ type Cell struct {
 // Vector is the value of a row: one cell per schema column. In the paper's
 // notation a Vector is the "value" r̄ of a row r, or a value-vector v over a
 // subset of columns (unset cells mark the columns outside the subset).
+//
+// A Vector is an immutable value: only the code that builds one writes its
+// cells (NewVector's caller, VectorOf, With, Project, a decoder), and from
+// then on rows, vote histories, snapshots and messages share it instead of
+// copying it. The publishedmut analyzer reports a write into the cells of a
+// vector reached through a Row's or a message's Vec field.
 type Vector []Cell
 
 // NewVector returns an all-empty vector of width n.

@@ -76,7 +76,7 @@ func (t *denomTracker) addDownvote(v model.Vector) bool {
 	k := v.AppendKey(buf[:0])
 	e, ok := t.cover[string(k)]
 	if !ok {
-		e = &coverEntry{vec: v.Clone()}
+		e = &coverEntry{vec: v}
 		for _, p := range t.probable {
 			if p.Vec.Superset(v) {
 				e.cover++

@@ -349,7 +349,7 @@ func (e *Estimator) registerDownvote(v model.Vector, prob []*model.Row) bool {
 	if e.inc != nil {
 		return e.inc.addDownvote(v)
 	}
-	e.downvoted = append(e.downvoted, v.Clone())
+	e.downvoted = append(e.downvoted, v)
 	for _, p := range prob {
 		if p.Vec.Superset(v) {
 			return false

@@ -402,7 +402,8 @@ func (c *Core) AddClient(clientID, workerID string) []Outbound {
 	}
 	c.est.Join(workerID, now)
 	c.metrics.clientCount(len(c.clients))
-	// Snapshots are immutable to receivers (LoadSnapshot deep-copies rows),
+	// Snapshots are immutable to receivers (LoadSnapshot copies the rows and
+	// shares their vectors, which nobody writes),
 	// so one epoch-tagged Prepared serves every joiner until the table moves
 	// again; a join storm encodes the table once, not once per joiner.
 	if c.snapPrep == nil || c.snapEpoch != c.master.Epoch() {

@@ -15,7 +15,9 @@
 // each vector or float slice once at its exact length) — never scratch, never
 // scanner state — which is what lets the transport layer decode straight out
 // of a leased read buffer. A link's read side decodes through a DecodeCache,
-// which also serves the short strings that link keeps repeating.
+// which also serves the short strings and the whole vectors that link keeps
+// repeating: a vote on a value the link has already decoded allocates
+// nothing.
 package sync
 
 import (
@@ -366,30 +368,42 @@ func DecodeMessageInto(data []byte, m *Message) error {
 	return decodeMessageInto(data, m, nil)
 }
 
-// DecodeCache is the string cache of one link's read side: a small
-// direct-mapped table of the short strings (row ids, worker and client ids,
-// cell values) the link has decoded, so a message that repeats one shares
-// the earlier copy instead of allocating its own. Crowd traffic repeats
-// heavily — every vote carries a whole vector of values that arrived before
-// — which makes the strings most of what a decoded message allocates.
+// DecodeCache is the interning cache of one link's read side: two small
+// direct-mapped tables, one of the short strings (row ids, worker and client
+// ids, cell values) and one of the whole vectors the link has decoded, so a
+// message that repeats one shares the earlier copy instead of allocating its
+// own. Crowd traffic repeats heavily — every vote carries a whole vector the
+// link already decoded in the replace that built the row (§2.4) — which
+// makes strings and vectors most of what a decoded message allocates.
+//
+// Sharing is safe because a model.Vector is immutable once built: the
+// vectors of every message decoded through one cache may alias each other.
 //
 // A cache belongs to exactly one reader (the transport's single-receiver
 // contract), so it needs no lock; the zero value is ready to use. A miss, or
 // a string over decodeCacheMaxLen, costs exactly the copy the cache-less
 // decode makes, and a cached string is always that private copy — never a
-// view of the buffer it was decoded from. Slot collisions overwrite: the
-// table holds at most decodeCacheSlots strings, whatever the link carries.
+// view of the buffer it was decoded from. A vector is interned only if it
+// has at most decodeStackElems cells, none of them a string over
+// decodeCacheMaxLen. Slot collisions overwrite: the tables hold at most
+// decodeCacheSlots strings and decodeVecSlots vectors, whatever the link
+// carries.
 type DecodeCache struct {
 	slots [decodeCacheSlots]string
+	vecs  [decodeVecSlots]model.Vector
 }
 
 const (
 	decodeCacheSlots  = 256
 	decodeCacheMaxLen = 64
+	// The vector table's slot is the top decodeVecSlotBits of the vector's
+	// hash.
+	decodeVecSlotBits = 6
+	decodeVecSlots    = 1 << decodeVecSlotBits
 )
 
 // DecodeMessageInto is the package-level DecodeMessageInto with the short
-// strings of the result served from c. The result is equal to the cache-less
+// strings and the vectors of the result served from c. The result is equal to the cache-less
 // one in every field, and the same inputs are rejected.
 //
 //lint:hotpath
@@ -397,34 +411,75 @@ func (c *DecodeCache) DecodeMessageInto(data []byte, m *Message) error {
 	return decodeMessageInto(data, m, c)
 }
 
-// str returns b, whose slot the string scan already computed, as a string
+// str returns b, whose hash the string scan already computed, as a string
 // the caller may retain.
-func (c *DecodeCache) str(b []byte, slot uint32) string {
+func (c *DecodeCache) str(b []byte, h uint32) string {
 	if c == nil || len(b) == 0 || len(b) > decodeCacheMaxLen {
 		return string(b) //lint:allow hotalloc the copy the message retains of a string no cache holds: a cache-less decode, or a string too long to cache
 	}
-	s := &c.slots[slot]
+	s := &c.slots[h%decodeCacheSlots]
 	if *s != string(b) {
 		*s = string(b) //lint:allow hotalloc a cache miss makes the one copy the message retains and leaves it in the slot
 	}
 	return *s
 }
 
-// FNV-1a, the cache's slot hash. decoder.string folds it into its scan.
+// vector returns a Vector equal to cells, whose hash decoder.vector folded
+// from the cells' string hashes. On a hit every cell equals the slot's —
+// the cell strings are the cache's own, so each comparison is a pointer
+// compare — and the slot's vector is shared; a miss allocates the vector
+// once at its exact length and leaves it in the slot. A nil cache, an empty
+// vector (which allocates nothing) and one the cache does not intern take
+// the miss path without touching a slot.
+func (c *DecodeCache) vector(cells []model.Cell, h uint32, intern bool) model.Vector {
+	if c == nil || !intern || len(cells) == 0 || len(cells) > decodeStackElems {
+		return newVector(cells)
+	}
+	v := &c.vecs[h>>(32-decodeVecSlotBits)]
+	if !sameCells(*v, cells) {
+		*v = newVector(cells)
+	}
+	return *v
+}
+
+// newVector copies cells into a vector of exactly their length.
+func newVector(cells []model.Cell) model.Vector {
+	out := make(model.Vector, len(cells)) //lint:allow hotalloc the vector the message retains, allocated once at its exact length
+	copy(out, cells)
+	return out
+}
+
+// sameCells reports whether v holds exactly cells.
+func sameCells(v model.Vector, cells []model.Cell) bool {
+	if len(v) != len(cells) {
+		return false
+	}
+	for i := range cells {
+		if v[i] != cells[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// FNV-1a, the cache's string hash. decoder.string folds it into its scan,
+// and decoder.vector folds the cells' hashes into the vector's the same way,
+// with nullCellHash standing for a null cell.
 const (
-	fnvOffset = 2166136261
-	fnvPrime  = 16777619
+	fnvOffset    = 2166136261
+	fnvPrime     = 16777619
+	nullCellHash = 0x9e3779b9
 )
 
-// decodeCacheSlot maps a string's bytes to its slot. The slot depends on
-// nothing but the bytes, so a link's allocation count repeats from run to
-// run.
-func decodeCacheSlot(b []byte) uint32 {
+// stringHash is the FNV-1a hash of a string's bytes, from which its slot is
+// taken. It depends on nothing but the bytes, so a link's allocation count
+// repeats from run to run.
+func stringHash(b []byte) uint32 {
 	h := uint32(fnvOffset)
 	for _, x := range b {
 		h = (h ^ uint32(x)) * fnvPrime
 	}
-	return h % decodeCacheSlots
+	return h
 }
 
 func decodeMessageInto(data []byte, m *Message, cache *DecodeCache) error {
@@ -848,27 +903,31 @@ const decodeStackElems = 16
 
 // vector mirrors Vector.UnmarshalJSON (an array of string-or-null): null and
 // [] both produce a non-nil empty Vector. Cells collect in a stack array (a
-// wider vector spills to the heap) so the result is allocated once, at its
-// exact length.
+// wider vector spills to the heap) while their string hashes fold into the
+// vector's, so the link cache can serve the whole vector; otherwise the
+// result is allocated once, at its exact length.
 func (d *decoder) vector() model.Vector {
 	var buf [decodeStackElems]model.Cell
 	cells := buf[:0]
+	h, intern := uint32(fnvOffset), true
 	if d.begin('[') {
 		for more := d.open(']'); more; more = d.more(']') {
 			switch d.tok() {
 			case '"':
-				cells = append(cells, model.Cell{Set: true, Val: d.cache.str(d.string(d.cache != nil))})
+				b, sh := d.string(d.cache != nil)
+				cells = append(cells, model.Cell{Set: true, Val: d.cache.str(b, sh)})
+				h = (h ^ sh) * fnvPrime
+				intern = intern && len(b) <= decodeCacheMaxLen
 			case 'n':
 				d.lit("null")
 				cells = append(cells, model.Cell{})
+				h = (h ^ nullCellHash) * fnvPrime
 			default:
 				d.fail("vector cell must be a string or null")
 			}
 		}
 	}
-	out := make(model.Vector, len(cells)) //lint:allow hotalloc the vector the message retains, allocated once at its exact length
-	copy(out, cells)
-	return out
+	return d.cache.vector(cells, h, intern)
 }
 
 // floats has vector's shape: collect on the stack, allocate once. A null
@@ -1053,11 +1112,11 @@ func (d *decoder) digits() int {
 }
 
 // string consumes a JSON string (cursor on the opening quote) and returns
-// its unescaped contents with their DecodeCache slot, hashed in the same
-// scan that looks for the closing quote. Clean ASCII — everything this
-// system writes — never leaves the loop, and the result aliases d.data:
-// callers copy before retaining. The first escape, control byte or non-ASCII
-// byte hands the rest of the string to unquote.
+// its unescaped contents with their stringHash, computed (when hash is set)
+// in the same scan that looks for the closing quote. Clean ASCII —
+// everything this system writes — never leaves the loop, and the result
+// aliases d.data: callers copy before retaining. The first escape, control
+// byte or non-ASCII byte hands the rest of the string to unquote.
 func (d *decoder) string(hash bool) ([]byte, uint32) {
 	data, start := d.data, d.pos+1
 	h := uint32(fnvOffset)
@@ -1065,7 +1124,7 @@ func (d *decoder) string(hash bool) ([]byte, uint32) {
 		c := data[i]
 		if c == '"' {
 			d.pos = i + 1
-			return data[start:i], h % decodeCacheSlots
+			return data[start:i], h
 		}
 		if c == '\\' || c < ' ' || c >= utf8.RuneSelf {
 			return d.unquote(start, i)
@@ -1102,7 +1161,7 @@ func (d *decoder) unquote(start, i int) ([]byte, uint32) {
 			} else {
 				out = d.data[start:i]
 			}
-			return out, decodeCacheSlot(out)
+			return out, stringHash(out)
 		case c < ' ':
 			d.pos = i
 			d.fail("control character in string")

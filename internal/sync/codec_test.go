@@ -487,10 +487,13 @@ func TestCodecDecodeAllocs(t *testing.T) {
 	}
 }
 
+// decodeCacheSlot is the string-table slot of a string's bytes.
+func decodeCacheSlot(b []byte) uint32 { return stringHash(b) % decodeCacheSlots }
+
 // TestDecodeCacheAllocs pins the decoder's share of the message path's
-// allocation budget: once a link's cache has seen a vote's strings, decoding
-// that vote allocates its vector and nothing else; and the vote histories
-// the replica then consults look a vector up for free.
+// allocation budget: once a link's cache has seen a vote's strings and
+// vector, decoding that vote allocates nothing; and the vote histories the
+// replica then consults look a vector up for free.
 func TestDecodeCacheAllocs(t *testing.T) {
 	vote := Message{Type: MsgUpvote, Vec: model.VectorOf("Lionel Messi", "Argentina", "FW", "83", "37"),
 		Origin: "net-00003", Worker: "worker3", Seq: 17, TS: 123456789}
@@ -505,8 +508,8 @@ func TestDecodeCacheAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 1 {
-		t.Errorf("warm cached decode of a vote: %v allocs/op, want 1 (the vector)", allocs)
+	if allocs != 0 {
+		t.Errorf("warm cached decode of a vote: %v allocs/op, want 0 (its strings and vector are the cache's)", allocs)
 	}
 	if !reflect.DeepEqual(m, vote) {
 		t.Fatalf("cached decode = %#v, want %#v", m, vote)
@@ -579,6 +582,116 @@ func TestDecodeCacheOwnsItsStrings(t *testing.T) {
 	decode(strings.Repeat("M", decodeCacheMaxLen)) // at the limit: cached
 	if got := cache.slots[decodeCacheSlot([]byte(strings.Repeat("M", decodeCacheMaxLen)))]; len(got) != decodeCacheMaxLen {
 		t.Fatalf("a %d-byte string was not cached (slot holds %q)", decodeCacheMaxLen, got)
+	}
+}
+
+// TestDecodeCacheVoteAfterReplace: a vote on a row the link saw built
+// decodes to the very vector the replace decoded — one backing array — and
+// allocates nothing.
+func TestDecodeCacheVoteAfterReplace(t *testing.T) {
+	vec := model.VectorOf("Lionel Messi", "Argentina", "FW", "83", "")
+	replace := AppendMessage(nil, Message{Type: MsgReplace, Row: "net-00001-4", NewRow: "net-00001-5", Vec: vec,
+		Origin: "net-00001", Worker: "w1", Seq: 5, TS: 1790996400123456789, Col: 3, Val: "83"})
+	vote := AppendMessage(nil, Message{Type: MsgDownvote, Vec: vec,
+		Origin: "net-00001", Worker: "w1", Seq: 6, TS: 1790996400123456790})
+	var cache DecodeCache
+	var built, voted Message
+	if err := cache.DecodeMessageInto(replace, &built); err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.DecodeMessageInto(vote, &voted); err != nil {
+		t.Fatal(err)
+	}
+	if &voted.Vec[0] != &built.Vec[0] {
+		t.Fatal("the vote decoded its own copy of the vector the replace left in the cache")
+	}
+	if !voted.Vec.Equal(vec) {
+		t.Fatalf("vote vector = %v, want %v", voted.Vec, vec)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := cache.DecodeMessageInto(vote, &voted); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("vote after its replace: %v allocs/op, want 0", n)
+	}
+}
+
+// TestDecodeCacheVectorCollisions: vectors that share a slot — two distinct
+// ones, two that differ only in which cell is null, two that differ only in
+// whether a cell is null or "", and one that is a prefix of the other —
+// decode through one cache, in
+// alternation, to exactly what the cache-less decoder returns; evicting a
+// vector changes no message that holds it, and a repeat is served from its
+// slot.
+func TestDecodeCacheVectorCollisions(t *testing.T) {
+	decode := func(c *DecodeCache, v model.Vector) model.Vector {
+		t.Helper()
+		data := AppendMessage(nil, Message{Type: MsgDownvote, Vec: v, Origin: "net-00002"})
+		var m, plain Message
+		if err := c.DecodeMessageInto(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeMessageInto(data, &plain); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(m, plain) {
+			t.Fatalf("cached decode of %v = %#v, cache-less %#v", v, m, plain)
+		}
+		return m.Vec
+	}
+	// slotOf is the vector-table slot v lands in.
+	slotOf := func(v model.Vector) int {
+		t.Helper()
+		var c DecodeCache
+		got := decode(&c, v)
+		for i, s := range c.vecs {
+			if len(s) > 0 && &s[0] == &got[0] {
+				return i
+			}
+		}
+		t.Fatalf("%v was not interned", v)
+		return -1
+	}
+	set := func(s string) model.Cell { return model.Cell{Set: true, Val: s} }
+	pairs := []struct {
+		name string
+		a, b func(x string) model.Vector
+	}{
+		{"distinct",
+			func(string) model.Vector { return model.Vector{set("alpha"), set("beta")} },
+			func(x string) model.Vector { return model.Vector{set(x), set("beta")} }},
+		{"null moved",
+			func(x string) model.Vector { return model.Vector{set(x), {}} },
+			func(x string) model.Vector { return model.Vector{{}, set(x)} }},
+		{"null or empty",
+			func(x string) model.Vector { return model.Vector{set(x), {}} },
+			func(x string) model.Vector { return model.Vector{set(x), set("")} }},
+		{"prefix",
+			func(x string) model.Vector { return model.Vector{set(x), set("b")} },
+			func(x string) model.Vector { return model.Vector{set(x)} }},
+	}
+	for _, p := range pairs {
+		var a, b model.Vector
+		for i := 0; ; i++ {
+			x := "v" + strconv.Itoa(i)
+			if a, b = p.a(x), p.b(x); !a.Equal(b) && slotOf(a) == slotOf(b) {
+				break
+			}
+		}
+		var c DecodeCache
+		first := decode(&c, a)
+		evictor := decode(&c, b)
+		again := decode(&c, a)
+		if !first.Equal(a) || !evictor.Equal(b) || !again.Equal(a) {
+			t.Fatalf("%s: decoded %v, %v, %v from %v, %v, %v", p.name, first, evictor, again, a, b, a)
+		}
+		if &again[0] == &first[0] {
+			t.Fatalf("%s: %v came back from a slot %v had taken", p.name, a, b)
+		}
+		if hit := decode(&c, a); &hit[0] != &again[0] {
+			t.Fatalf("%s: a repeat of %v missed its slot", p.name, a)
+		}
 	}
 }
 
@@ -664,10 +777,11 @@ func TestDecoderCoversEveryTaggedField(t *testing.T) {
 }
 
 // TestStringScanSlotIsDecodeCacheSlot: the hash the string scan computes on
-// its way to the closing quote must select the slot decodeCacheSlot selects
-// for the decoded bytes — through the clean-ASCII loop and through every
-// unquote branch — so a string's slot keeps depending on its bytes alone.
-// Every quote of every corpus input is tried as the start of a string.
+// its way to the closing quote must be stringHash of the decoded bytes —
+// through the clean-ASCII loop and through every unquote branch — so a
+// string's slot, and the hash of every vector it is a cell of, keep
+// depending on its bytes alone. Every quote of every corpus input is tried
+// as the start of a string.
 func TestStringScanSlotIsDecodeCacheSlot(t *testing.T) {
 	inputs := codecDecodeInputs()
 	for _, m := range codecMessages() {
@@ -681,13 +795,13 @@ func TestStringScanSlotIsDecodeCacheSlot(t *testing.T) {
 				continue
 			}
 			d := decoder{data: data, pos: i}
-			b, slot := d.string(true)
+			b, h := d.string(true)
 			if d.err != nil {
 				continue
 			}
 			scanned++
-			if want := decodeCacheSlot(b); slot != want {
-				t.Fatalf("string at offset %d of %.60q decodes to %q: scan computed slot %d, decodeCacheSlot %d", i, in, b, slot, want)
+			if want := stringHash(b); h != want {
+				t.Fatalf("string at offset %d of %.60q decodes to %q: scan computed hash %#x, stringHash %#x", i, in, b, h, want)
 			}
 		}
 	}
@@ -726,8 +840,11 @@ func TestCodecDecodeErrorsCarryOffset(t *testing.T) {
 // and burst64 workloads broadcast — a partial-row downvote stamped by
 // NetServer: null cells, a net-000NN origin, a 19-digit wall-clock ts — and
 // on the ≈ 250-row snapshot a late joiner of table200 loads; each through the
-// plain entry (cold: every string is a fresh copy) and through a link cache
-// that has seen it (warm).
+// plain entry (cold: every string and vector is a fresh copy) and through a
+// link cache that has seen it (warm). replace+vote is the hit a live link
+// sees: one op decodes a replace that builds a row with a value new to the
+// link and then a vote on that value, cycling through more values than the
+// cache has vector slots, so the replace's vector misses and the vote's hits.
 func BenchmarkDecodeMessage(b *testing.B) {
 	vec := model.VectorOf("Lionel Messi", "Argentina", "FW", "83", "37")
 	payloads := []struct {
@@ -742,6 +859,38 @@ func BenchmarkDecodeMessage(b *testing.B) {
 		{"fanout-toggle", Message{Type: MsgDownvote, Vec: model.VectorOf("key-1", ""),
 			Origin: "net-00002", Worker: "s1", Seq: 4711, TS: 1790996400123456789}},
 		{"snapshot", Message{Type: MsgSnapshot, Snapshot: benchSnapshot(250)}},
+	}
+	pairs := make([][2][]byte, 4*decodeVecSlots)
+	for i := range pairs {
+		v := model.VectorOf("Player "+strconv.Itoa(i), "Argentina", "FW", "83", strconv.Itoa(i%40))
+		pairs[i] = [2][]byte{
+			AppendMessage(nil, Message{Type: MsgReplace, Row: model.RowID("net-00003-" + strconv.Itoa(2*i)),
+				NewRow: model.RowID("net-00003-" + strconv.Itoa(2*i+1)), Vec: v,
+				Origin: "net-00003", Worker: "worker3", Seq: int64(2 * i), TS: 123456789, Col: 4, Val: v[4].Val}),
+			AppendMessage(nil, Message{Type: MsgUpvote, Vec: v, Origin: "net-00004", Worker: "worker4", Seq: int64(2*i + 1), TS: 123456790}),
+		}
+	}
+	for _, mode := range []string{"cold", "warm"} {
+		b.Run("replace+vote/"+mode, func(b *testing.B) {
+			decode := DecodeMessageInto
+			if mode == "warm" {
+				var cache DecodeCache
+				for _, p := range pairs {
+					_ = cache.DecodeMessageInto(p[0], new(Message))
+				}
+				decode = cache.DecodeMessageInto
+			}
+			var m Message
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, data := range pairs[i%len(pairs)] {
+					if err := decode(data, &m); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 	for _, p := range payloads {
 		data := AppendMessage(nil, p.m)

@@ -81,8 +81,15 @@ func FuzzCodecDifferential(f *testing.F) {
 	for _, in := range codecDecodeInputs() {
 		f.Add([]byte(in))
 	}
+	// Repeated vectors: rows and history entries that carry one value, the
+	// same cells with a null moved or turned into "", and a duplicate key.
+	f.Add([]byte(`{"type":5,"snapshot":{"rows":[{"id":"r1","vec":["a",null,"b"]},{"id":"r2","vec":["a",null,"b"]},` +
+		`{"id":"r3","vec":["a","b",null]},{"id":"r4","vec":["a","","b"]}],"uh":{"k":1},"dh":{"k":2},` +
+		`"uhVecs":{"k":["a",null,"b"]},"dhVecs":{"k":["a",null,"b"],"j":[null,"a","b"]}}}`))
+	f.Add([]byte(`{"type":4,"vec":["a",null,"b"],"vec":["a",null,"b"],"origin":"a"}`))
 	// One cache for the whole run, as on a link: later inputs meet the
-	// strings earlier ones left behind, in their slots or in the way.
+	// strings and vectors earlier ones left behind, in their slots or in the
+	// way.
 	var cache DecodeCache
 	f.Fuzz(func(t *testing.T, data []byte) {
 		jm, jerr := decodeMessageJSON(data)

@@ -41,8 +41,7 @@ func (h *VoteHist) Dec(v model.Vector) int {
 
 // entry returns v's entry, creating it on first sight — the only time a key
 // string is allocated; a repeat vote finds it through a stack-built key. A
-// new entry adopts v, under Replica.Apply's contract: the caller never
-// writes the vector again.
+// new entry shares v: vectors are immutable.
 func (h *VoteHist) entry(v model.Vector) *histEntry {
 	var buf [model.KeyScratch]byte
 	k := v.AppendKey(buf[:0])
@@ -87,11 +86,11 @@ func (h *VoteHist) Each(fn func(v model.Vector, n int)) {
 	}
 }
 
-// Clone deep-copies the history.
+// Clone copies the history's counts; the entries' vectors are shared.
 func (h *VoteHist) Clone() *VoteHist {
 	out := NewVoteHist()
 	for k, e := range h.m {
-		out.m[k] = &histEntry{vec: e.vec.Clone(), n: e.n}
+		out.m[k] = &histEntry{vec: e.vec, n: e.n}
 	}
 	return out
 }
@@ -116,21 +115,22 @@ func (h *VoteHist) Snapshot() string {
 	return b.String()
 }
 
-// export returns the wire form for snapshots.
+// export returns the wire form for snapshots, sharing the vectors.
 func (h *VoteHist) export() (counts map[string]int, vecs map[string]model.Vector) {
 	counts = make(map[string]int, len(h.m))
 	vecs = make(map[string]model.Vector, len(h.m))
 	for k, e := range h.m {
 		counts[k] = e.n
-		vecs[k] = e.vec.Clone()
+		vecs[k] = e.vec
 	}
 	return counts, vecs
 }
 
-// importFrom loads the wire form produced by export.
+// importFrom loads the wire form produced by export, sharing the vectors
+// and leaving both maps as they were.
 func (h *VoteHist) importFrom(counts map[string]int, vecs map[string]model.Vector) {
 	h.m = make(map[string]*histEntry, len(counts))
 	for k, n := range counts {
-		h.m[k] = &histEntry{vec: vecs[k].Clone(), n: n}
+		h.m[k] = &histEntry{vec: vecs[k], n: n}
 	}
 }

@@ -133,7 +133,7 @@ func (r *Replica) Upvote(id model.RowID) (Message, error) {
 	if !row.Vec.IsComplete() {
 		return Message{}, fmt.Errorf("%w: %s", ErrNotComplete, id)
 	}
-	m := Message{Type: MsgUpvote, Vec: row.Vec.Clone()}
+	m := Message{Type: MsgUpvote, Vec: row.Vec}
 	r.mustApply(m)
 	return m, nil
 }
@@ -148,7 +148,7 @@ func (r *Replica) Downvote(id model.RowID) (Message, error) {
 	if !row.Vec.IsPartial() {
 		return Message{}, fmt.Errorf("%w: %s", ErrNotPartial, id)
 	}
-	m := Message{Type: MsgDownvote, Vec: row.Vec.Clone()}
+	m := Message{Type: MsgDownvote, Vec: row.Vec}
 	r.mustApply(m)
 	return m, nil
 }
@@ -162,7 +162,7 @@ func (r *Replica) DownvoteValue(v model.Vector) (Message, error) {
 	if !v.IsPartial() {
 		return Message{}, ErrNotPartial
 	}
-	m := Message{Type: MsgDownvote, Vec: v.Clone()}
+	m := Message{Type: MsgDownvote, Vec: v}
 	r.mustApply(m)
 	return m, nil
 }
@@ -174,7 +174,7 @@ func (r *Replica) UndoUpvote(v model.Vector) (Message, error) {
 	if len(v) != r.schema.NumColumns() {
 		return Message{}, ErrWidthMismatch
 	}
-	m := Message{Type: MsgUnupvote, Vec: v.Clone()}
+	m := Message{Type: MsgUnupvote, Vec: v}
 	r.mustApply(m)
 	return m, nil
 }
@@ -185,7 +185,7 @@ func (r *Replica) UndoDownvote(v model.Vector) (Message, error) {
 	if len(v) != r.schema.NumColumns() {
 		return Message{}, ErrWidthMismatch
 	}
-	m := Message{Type: MsgUndownvote, Vec: v.Clone()}
+	m := Message{Type: MsgUndownvote, Vec: v}
 	r.mustApply(m)
 	return m, nil
 }
@@ -213,13 +213,13 @@ func (r *Replica) ApplyAll(msgs []Message) error {
 // §2.4 "Processing received messages"). Snapshot, done and estimate messages
 // mutate nothing here.
 //
-// Apply adopts m.Vec: the row a replace builds, and the history entry a
+// Apply shares m.Vec: the row a replace builds, and the history entry a
 // vector's first vote creates, store the slice as received instead of a
-// copy. Nobody writes a message's vector after it is built — a decoded
-// vector is fresh per message, Fill builds its own with With, and a
-// published message is shared read-only by every recipient — so the caller
-// must not write m.Vec after Apply either (the publishedmut analyzer flags
-// a write that follows the call).
+// copy. A model.Vector is immutable once built — Fill builds its own with
+// With, a link's decode cache hands one vector to every message that
+// repeats it, and a published message is shared read-only by every
+// recipient — so nobody writes m.Vec, before Apply or after (the
+// publishedmut analyzer flags any write into the cells of a Vec field).
 func (r *Replica) Apply(m Message) error {
 	switch m.Type {
 	case MsgInsert, MsgReplace, MsgUpvote, MsgDownvote, MsgUnupvote, MsgUndownvote:
@@ -259,7 +259,7 @@ func (r *Replica) Apply(m Message) error {
 				r.obs.RowRemoved(old)
 			}
 		}
-		q := &model.Row{ID: m.NewRow, Vec: m.Vec} // adopted; see Apply's contract
+		q := &model.Row{ID: m.NewRow, Vec: m.Vec} // shared; see Apply's contract
 		if q.Vec.IsComplete() {
 			q.Up = r.uh.Get(q.Vec)
 		}
@@ -347,24 +347,27 @@ func (r *Replica) mustApply(m Message) {
 	}
 }
 
-// TakeSnapshot serializes the replica for a late-joining client.
+// TakeSnapshot serializes the replica for a late-joining client. The
+// snapshot copies each row, whose vote counts keep changing, and shares its
+// vector, which never does.
 func (r *Replica) TakeSnapshot() *Snapshot {
 	s := &Snapshot{}
 	for _, row := range r.table.Rows() {
-		s.Rows = append(s.Rows, *row.Clone())
+		s.Rows = append(s.Rows, *row)
 	}
 	s.UH, s.UHVecs = r.uh.export()
 	s.DH, s.DHVecs = r.dh.export()
 	return s
 }
 
-// LoadSnapshot replaces the replica's entire state with the snapshot.
+// LoadSnapshot replaces the replica's entire state with the snapshot. It
+// copies the rows and shares their vectors, so s stays as it was: one
+// snapshot may serve every joiner.
 func (r *Replica) LoadSnapshot(s *Snapshot) {
 	r.epoch++
 	r.table = model.NewCandidate(r.schema)
 	for i := range s.Rows {
-		row := s.Rows[i].Clone()
-		r.table.Put(row)
+		r.table.Put(s.Rows[i].Clone())
 	}
 	r.uh.importFrom(s.UH, s.UHVecs)
 	r.dh.importFrom(s.DH, s.DHVecs)

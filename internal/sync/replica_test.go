@@ -1,6 +1,7 @@
 package sync
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -454,7 +455,7 @@ func TestUndoneHistorySnapshotCanonical(t *testing.T) {
 }
 
 // TestReplicaApplyAllocs pins the replica's share of the message path's
-// allocation budget. Apply adopts the message's vector instead of copying
+// allocation budget. Apply shares the message's vector instead of copying
 // it, so a replace allocates the row it builds and its value's key, a
 // vector's first vote its history entry and key, and a repeat vote nothing.
 func TestReplicaApplyAllocs(t *testing.T) {
@@ -494,5 +495,120 @@ func TestReplicaApplyAllocs(t *testing.T) {
 	}
 	if got := r.Table().Get(replaces[runs].NewRow); got == nil || got.Up != runs+1 {
 		t.Fatalf("repeat votes did not reach the row: %v", got)
+	}
+}
+
+// TestReplicaVoteAllocs: a local vote's message shares the row's vector, so
+// upvoting or downvoting a vector the histories already hold allocates
+// nothing.
+func TestReplicaVoteAllocs(t *testing.T) {
+	r := NewReplica(testSchema(t))
+	g := NewIDGen("c1")
+	ins, _ := r.Insert(g.Next())
+	full := fillAll(t, r, g, ins.Row, []string{"Messi", "Argentina", "FW", "83", "37"})
+	ins, _ = r.Insert(g.Next())
+	partial := fillAll(t, r, g, ins.Row, []string{"Neymar", "", "", "", ""})
+	up, err := r.Upvote(full) // first votes create the history entries
+	if err != nil {
+		t.Fatal(err)
+	}
+	down, err := r.Downvote(partial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &up.Vec[0] != &r.Table().Get(full).Vec[0] || &down.Vec[0] != &r.Table().Get(partial).Vec[0] {
+		t.Fatal("a vote message copied its row's vector instead of sharing it")
+	}
+	const runs = 100
+	if n := testing.AllocsPerRun(runs, func() { r.Upvote(full) }); n != 0 {
+		t.Errorf("Replica.Upvote of a known vector: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(runs, func() { r.Downvote(partial) }); n != 0 {
+		t.Errorf("Replica.Downvote of a known vector: %v allocs/op, want 0", n)
+	}
+	// AllocsPerRun adds one warm-up call to its runs.
+	if got := r.Table().Get(full).Up; got != runs+2 {
+		t.Errorf("upvotes = %d, want %d", got, runs+2)
+	}
+	if got := r.Table().Get(partial).Down; got != runs+2 {
+		t.Errorf("downvotes = %d, want %d", got, runs+2)
+	}
+	if err := r.CheckLemma3(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoadSnapshotSharesVectors: a joiner's rows and vote histories share
+// the snapshot's vectors instead of copying them, and whatever the joiner
+// does next leaves the snapshot — which still serves the next joiner —
+// encoding to the same bytes.
+func TestLoadSnapshotSharesVectors(t *testing.T) {
+	r := NewReplica(testSchema(t))
+	g := NewIDGen("c1")
+	ins, _ := r.Insert(g.Next())
+	full := fillAll(t, r, g, ins.Row, []string{"Messi", "Argentina", "FW", "83", "37"})
+	r.Upvote(full)
+	ins, _ = r.Insert(g.Next())
+	partial := fillAll(t, r, g, ins.Row, []string{"Neymar", "", "", "", ""})
+	r.Downvote(partial)
+	r.Insert(g.Next())
+
+	msg := Message{Type: MsgSnapshot, Snapshot: r.TakeSnapshot()}
+	snap := msg.Snapshot
+	before := AppendMessage(nil, msg)
+	joiner := NewReplica(r.Schema())
+	if err := joiner.Apply(msg); err != nil {
+		t.Fatal(err)
+	}
+	for i := range snap.Rows {
+		want := &snap.Rows[i]
+		got := joiner.Table().Get(want.ID)
+		if got == nil || got == want {
+			t.Fatalf("row %s: loaded %p from snapshot row %p, want a copy of the row", want.ID, got, want)
+		}
+		if &got.Vec[0] != &want.Vec[0] {
+			t.Errorf("row %s: the loaded row copied the snapshot's vector", want.ID)
+		}
+	}
+	for name, h := range map[string]*VoteHist{"uh": joiner.UH(), "dh": joiner.DH()} {
+		vecs := snap.UHVecs
+		if name == "dh" {
+			vecs = snap.DHVecs
+		}
+		n := 0
+		h.Each(func(v model.Vector, _ int) {
+			n++
+			if w := vecs[v.Encode()]; len(w) == 0 || &v[0] != &w[0] {
+				t.Errorf("%s entry %v: the loaded history copied the snapshot's vector", name, v)
+			}
+		})
+		if n != len(vecs) {
+			t.Errorf("%s: %d entries loaded from %d", name, n, len(vecs))
+		}
+	}
+
+	// Votes, undos and a fill on the loaded rows.
+	jg := NewIDGen("c2")
+	if _, err := joiner.Upvote(full); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := joiner.Downvote(full); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := joiner.UndoDownvote(joiner.Table().Get(partial).Vec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := joiner.Fill(partial, 1, "Brazil", jg.Next()); err != nil {
+		t.Fatal(err)
+	}
+	if after := AppendMessage(nil, msg); !bytes.Equal(after, before) {
+		t.Fatalf("the joiner's operations changed the shared snapshot:\nbefore: %s\n after: %s", before, after)
+	}
+	next := NewReplica(r.Schema())
+	if err := next.Apply(msg); err != nil {
+		t.Fatal(err)
+	}
+	if next.SnapshotText() != r.SnapshotText() {
+		t.Fatalf("the next joiner loaded a different state:\n%s\nvs\n%s", next.SnapshotText(), r.SnapshotText())
 	}
 }

@@ -227,14 +227,16 @@ func (p *pipeEnd) Close() error {
 // wsConn adapts a WebSocket connection to the message link interface. The
 // encode buffer and the wsock read lease make steady-state Send and Recv
 // allocation-free apart from what a decoded message itself retains: one
-// exact-size slice per vector or estimate payload, the estimates struct, and
-// a copy of each string the link's decode cache does not already hold (a
-// first sight, a collision victim, or a string over 64 bytes). The cache in
-// turn retains at most 256 such copies per link.
+// exact-size slice per vector the link's decode cache does not already hold
+// and per estimate payload, the estimates struct, and a copy of each string
+// the cache does not already hold (a first sight, a collision victim, or a
+// string over 64 bytes). A vote on a value the link has seen allocates
+// nothing. The cache in turn retains at most 256 such strings and 64 vectors
+// per link.
 type wsConn struct {
 	ws   *wsock.Conn
 	ebuf []byte // reusable encode buffer; safe because Send calls never overlap
-	// dec serves the short strings this link's messages repeat. It belongs
+	// dec serves the strings and vectors this link's messages repeat. It belongs
 	// to the read side — Recv, RecvBatch and PollRecv admit one receiver at
 	// a time, so it needs no lock — and is allocated by the first decode, so
 	// a connection that never receives a message never pays for it.
