@@ -41,8 +41,8 @@ type Client struct {
 	seq int64
 
 	// voted tracks value-vectors this worker has voted on (directly or
-	// indirectly, including auto-upvotes), keyed by Vector.Encode.
-	voted map[string]voteKind
+	// indirectly, including auto-upvotes).
+	voted *model.VecMap[voteKind]
 	// upvotedKeys tracks primary keys this worker has upvoted.
 	upvotedKeys map[string]bool
 
@@ -82,7 +82,7 @@ func New(cfg Config) (*Client, error) {
 		cfg:         cfg,
 		rep:         sync.NewReplica(cfg.Schema),
 		gen:         sync.NewIDGen(cfg.ID),
-		voted:       make(map[string]voteKind),
+		voted:       model.NewVecMap[voteKind](),
 		upvotedKeys: make(map[string]bool),
 	}, nil
 }
@@ -178,22 +178,21 @@ func (c *Client) FillByName(id model.RowID, column, raw string) ([]sync.Message,
 }
 
 func (c *Client) recordVote(v model.Vector, kind voteKind) {
-	c.voted[v.Encode()] = kind
+	c.voted.Set(v.Hashed(), kind)
 	if kind == votedUp {
 		c.upvotedKeys[v.KeyOf(c.cfg.Schema)] = true
 	}
 }
 
-// vote returns this worker's outstanding vote on exactly vector v. Like
-// keyUpvoted it builds the map key in a stack buffer, so the checks every
-// action and every rendered row make allocate nothing.
+// vote returns this worker's outstanding vote on exactly vector v. The
+// checks every action and every rendered row make allocate nothing.
 func (c *Client) vote(v model.Vector) voteKind {
-	var buf [model.KeyScratch]byte
-	return c.voted[string(v.AppendKey(buf[:0]))]
+	kind, _ := c.voted.Get(v.Hashed())
+	return kind
 }
 
 // keyUpvoted reports whether this worker has upvoted a row with v's primary
-// key.
+// key. It builds the key in a stack buffer, so the check allocates nothing.
 func (c *Client) keyUpvoted(v model.Vector) bool {
 	var buf [model.KeyScratch]byte
 	return c.upvotedKeys[string(v.AppendKeyOf(buf[:0], c.cfg.Schema))]
@@ -262,7 +261,8 @@ func (c *Client) UndoVote(v model.Vector) (sync.Message, error) {
 	if c.done {
 		return sync.Message{}, ErrDone
 	}
-	kind := c.vote(v)
+	k := v.Hashed()
+	kind, _ := c.voted.Get(k)
 	var m sync.Message
 	var err error
 	switch kind {
@@ -280,7 +280,7 @@ func (c *Client) UndoVote(v model.Vector) (sync.Message, error) {
 		return sync.Message{}, err
 	}
 	c.stamp(&m)
-	delete(c.voted, v.Encode())
+	c.voted.Delete(k)
 	return m, nil
 }
 

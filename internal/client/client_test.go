@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -175,8 +176,9 @@ func TestUndoVote(t *testing.T) {
 
 // TestVoteChecksAllocationFree: the interface asks VotedOn / VoteDirection
 // for every row it renders and every action re-checks the worker's votes;
-// the lookups build their map key on the stack, so they allocate nothing,
-// voted on or not.
+// the lookups hash the vector where it lies, so they allocate nothing, voted
+// on or not. Recording a downvote allocates nothing either (an upvote also
+// keeps its primary key's string).
 func TestVoteChecksAllocationFree(t *testing.T) {
 	c := newClient(t)
 	seedRow(t, c, "cc-1")
@@ -192,6 +194,17 @@ func TestVoteChecksAllocationFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { c.VotedOn(voted); c.VotedOn(fresh); c.VoteDirection(voted) }); n != 0 {
 		t.Errorf("Client.VotedOn/VoteDirection: %v allocs/op, want 0", n)
+	}
+	vecs := make([]model.Vector, 101)
+	for i := range vecs {
+		vecs[i] = model.VectorOf(fmt.Sprintf("value %d", i), "")
+	}
+	i := 0
+	if n := testing.AllocsPerRun(100, func() { c.recordVote(vecs[i], votedDown); i++ }); n != 0 {
+		t.Errorf("recording a vote: %v allocs/op, want 0", n)
+	}
+	if c.VoteDirection(vecs[50]) != -1 {
+		t.Fatalf("recorded vote on %v not found", vecs[50])
 	}
 }
 

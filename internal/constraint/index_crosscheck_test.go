@@ -52,7 +52,9 @@ func runIndexCrossCheck(t *testing.T, schema *model.Schema, score model.ScoreFun
 		if i%50 == 49 {
 			// Reload in place: every row is a fresh object, so the winners
 			// change exactly when there are any.
-			rep.LoadSnapshot(rep.TakeSnapshot())
+			if err := rep.LoadSnapshot(rep.TakeSnapshot()); err != nil {
+				t.Fatalf("seed %d op %d: reload: %v", seed, i, err)
+			}
 			castUp, castDown = nil, nil
 		} else {
 			doRandomOp(t, rep, gen, rng.Intn, &castUp, &castDown)
@@ -87,7 +89,9 @@ func runIndexCrossCheck(t *testing.T, schema *model.Schema, score model.ScoreFun
 	rep2 := sync.NewReplica(schema)
 	idx2 := model.NewTableIndex(rep2.Table(), score)
 	rep2.SetObserver(idx2)
-	rep2.LoadSnapshot(snap)
+	if err := rep2.LoadSnapshot(snap); err != nil {
+		t.Fatalf("seed %d: load: %v", seed, err)
+	}
 	assertIndexAgrees(t, idx2, rep2, score, seed, -1)
 }
 

@@ -110,7 +110,9 @@ func runEquivalence(t *testing.T, name string, tmpl Template, steps int, intn fu
 			// Snapshot reload: the index resets and rebuilds; the engine
 			// must survive losing every slot without perturbing the
 			// assignment.
-			rep.LoadSnapshot(rep.TakeSnapshot())
+			if err := rep.LoadSnapshot(rep.TakeSnapshot()); err != nil {
+				t.Fatalf("%s step %d: reload: %v", name, step, err)
+			}
 			castUp, castDown = nil, nil
 		case intn(4) == 0 && len(prob) > 0:
 			// Vote-only message on a probable row.
@@ -497,7 +499,9 @@ func TestPlannerIncrementalKeepsPairAcrossCompaction(t *testing.T) {
 // rebuilds the matching from the kept assignment, as the spec's seeding does.
 func TestPlannerIncrementalIndexResetBetweenRepairs(t *testing.T) {
 	fx := newGroupFixture(t)
-	fx.rep.LoadSnapshot(fx.rep.TakeSnapshot())
+	if err := fx.rep.LoadSnapshot(fx.rep.TakeSnapshot()); err != nil {
+		t.Fatal(err)
+	}
 	fx.repairKeeps(t, "after reload", 3, 0)
 	fx.repairKeeps(t, "settled", 0, 0)
 }

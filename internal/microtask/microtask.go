@@ -135,7 +135,7 @@ func Run(cfg Config, seed int64) (*Result, error) {
 				queue = append(queue, t)
 				return
 			}
-			key := truth.Project(kc).Encode()
+			key := truth.KeyOf(schema)
 			if seenKeys[key] {
 				// Blind duplicate — the microtask model's fundamental waste.
 				res.DuplicateKeys++
@@ -188,8 +188,7 @@ func Run(cfg Config, seed int64) (*Result, error) {
 					// entity from scratch (the microtask system cannot
 					// repair individual cells without another round-trip).
 					rs.dead = true
-					key := rs.truth.Project(kc).Encode()
-					delete(seenKeys, key)
+					delete(seenKeys, rs.truth.KeyOf(schema))
 					queue = append(queue, task{kind: taskNewEntity})
 				}
 			}

@@ -33,11 +33,17 @@ func BenchmarkFinalTable(b *testing.B) {
 	}
 }
 
-// BenchmarkVectorKey prices the three ways a vector becomes a map key: the
-// key string an insert keeps (Encode, one allocation), the stack-built key a
-// lookup uses (AppendKey, none), and a value-index read through it.
+// BenchmarkVectorKey prices a vector's two keyings side by side. By string:
+// the key an insert keeps (encode, one allocation), the stack-built key a
+// lookup uses (append, none), and a read of a 201-entry map through it
+// (lookup) — what primary-key maps still do. By hash: the cell hash (hash)
+// and a read of a 201-entry VecMap through it (vecmap-lookup) — what the
+// value index, the vote histories, the estimator's tallies and the client's
+// vote record do. The lookup cases read with a copy of the stored vector,
+// as a vote decoded on another link does.
 func BenchmarkVectorKey(b *testing.B) {
 	v := VectorOf("Lionel Messi", "Argentina", "FW", "83", "37")
+	others := benchCandidate(200).Rows()
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -52,19 +58,49 @@ func BenchmarkVectorKey(b *testing.B) {
 		}
 	})
 	b.Run("lookup", func(b *testing.B) {
-		c := benchCandidate(200)
-		c.Put(&Row{ID: "messi", Vec: v})
+		m := map[string]int{v.Encode(): 1}
+		for _, r := range others {
+			m[r.Vec.Encode()] = 0
+		}
+		q := v.Clone()
 		n := 0
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.EachWithValue(v, func(*Row) { n++ })
+			var buf [KeyScratch]byte
+			n += m[string(q.AppendKey(buf[:0]))]
 		}
 		if n != b.N {
-			b.Fatalf("visited %d rows in %d lookups", n, b.N)
+			b.Fatalf("found %d of %d", n, b.N)
+		}
+	})
+	b.Run("hash", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			hashSink = v.Hashed()
+		}
+	})
+	b.Run("vecmap-lookup", func(b *testing.B) {
+		m := NewVecMap[int]()
+		m.Set(v.Hashed(), 1)
+		for _, r := range others {
+			m.Set(r.Vec.Hashed(), 0)
+		}
+		q := v.Clone()
+		n := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			got, _ := m.Get(q.Hashed())
+			n += got
+		}
+		if n != b.N {
+			b.Fatalf("found %d of %d", n, b.N)
 		}
 	})
 }
+
+var hashSink HashedVec
 
 func BenchmarkVectorSubset(b *testing.B) {
 	full := VectorOf("Lionel Messi", "Argentina", "FW", "83", "37")

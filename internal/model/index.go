@@ -42,10 +42,10 @@ type TableIndex struct {
 	f ScoreFunc
 	s *Schema
 
-	byKey map[string]map[RowID]*Row // key-complete rows grouped by key
-	free  map[RowID]*Row            // rows with an incomplete primary key
+	byKey map[string]keyGroup // key-complete rows grouped by key
+	free  map[RowID]*Row      // rows with an incomplete primary key
 
-	stats    map[string]*KeyStat
+	stats    map[string]KeyStat
 	probable map[RowID]*Row
 	final    map[string]*Row // key -> final-table winner
 
@@ -73,6 +73,14 @@ type TableIndex struct {
 	debug       bool
 	dbgFinal    map[string]*Row
 	dbgFinalVer uint64
+}
+
+// keyGroup is the key-complete rows sharing one primary key. It keeps its
+// key string, so a vote or a removal that finds the group through a
+// stack-built key queues the group's string instead of building a new one.
+type keyGroup struct {
+	key  string
+	rows map[RowID]*Row
 }
 
 // ProbableDeltaListener observes probable-set changes as the index maintains
@@ -236,10 +244,7 @@ func (x *TableIndex) FinalTable() []*Row {
 func (x *TableIndex) KeyStat(key string) (KeyStat, bool) {
 	x.flush()
 	st, ok := x.stats[key]
-	if !ok {
-		return KeyStat{}, false
-	}
-	return *st, true
+	return st, ok
 }
 
 // markKeyDirty queues key k for recomputation at the next flush.
@@ -260,17 +265,26 @@ func (x *TableIndex) markFreeDirty(id RowID) {
 
 // --- observer surface (sync.Replica drives these) ---
 
+// groupOf finds a key-complete row's key group through a stack-built key,
+// for the events that reach a row already in the index.
+func (x *TableIndex) groupOf(r *Row) (keyGroup, bool) {
+	var buf [KeyScratch]byte
+	g, ok := x.byKey[string(r.Vec.AppendKeyOf(buf[:0], x.s))]
+	return g, ok
+}
+
 // RowAdded registers a row newly inserted into the table.
 func (x *TableIndex) RowAdded(r *Row) {
 	if r.Vec.KeyComplete(x.s) {
-		k := r.Vec.KeyOf(x.s)
-		g := x.byKey[k]
-		if g == nil {
-			g = make(map[RowID]*Row)
-			x.byKey[k] = g
+		var buf [KeyScratch]byte
+		k := r.Vec.AppendKeyOf(buf[:0], x.s)
+		g, ok := x.byKey[string(k)]
+		if !ok {
+			g = keyGroup{key: string(k), rows: make(map[RowID]*Row)}
+			x.byKey[g.key] = g
 		}
-		g[r.ID] = r
-		x.markKeyDirty(k)
+		g.rows[r.ID] = r
+		x.markKeyDirty(g.key)
 	} else {
 		x.free[r.ID] = r
 		x.markFreeDirty(r.ID)
@@ -286,14 +300,13 @@ func (x *TableIndex) RowRemoved(r *Row) {
 		x.notifyRemoved(r)
 	}
 	if r.Vec.KeyComplete(x.s) {
-		k := r.Vec.KeyOf(x.s)
-		if g := x.byKey[k]; g != nil {
-			delete(g, r.ID)
-			if len(g) == 0 {
-				delete(x.byKey, k)
+		if g, ok := x.groupOf(r); ok {
+			delete(g.rows, r.ID)
+			if len(g.rows) == 0 {
+				delete(x.byKey, g.key)
 			}
+			x.markKeyDirty(g.key)
 		}
-		x.markKeyDirty(k)
 	} else {
 		delete(x.free, r.ID)
 		// The queue may keep a stale entry; flush skips ids absent from the
@@ -305,7 +318,9 @@ func (x *TableIndex) RowRemoved(r *Row) {
 // RowVotesChanged registers a change to a row's vote counts.
 func (x *TableIndex) RowVotesChanged(r *Row) {
 	if r.Vec.KeyComplete(x.s) {
-		x.markKeyDirty(r.Vec.KeyOf(x.s))
+		if g, ok := x.groupOf(r); ok {
+			x.markKeyDirty(g.key)
+		}
 	} else {
 		x.markFreeDirty(r.ID)
 	}
@@ -317,9 +332,9 @@ func (x *TableIndex) TableReset(c *Candidate) {
 	x.c = c
 	x.s = c.Schema()
 	x.notifyReset()
-	x.byKey = make(map[string]map[RowID]*Row)
+	x.byKey = make(map[string]keyGroup)
 	x.free = make(map[RowID]*Row)
-	x.stats = make(map[string]*KeyStat)
+	x.stats = make(map[string]KeyStat)
 	x.probable = make(map[RowID]*Row)
 	if x.final == nil {
 		x.final = make(map[string]*Row)
@@ -397,7 +412,7 @@ func (x *TableIndex) flush() {
 // flushKey recomputes one key group's stats, probable membership, and final
 // winner; reports whether anything changed.
 func (x *TableIndex) flushKey(k string) bool {
-	group := x.byKey[k]
+	group := x.byKey[k].rows
 	changed := false
 
 	if len(group) == 0 {
@@ -412,7 +427,7 @@ func (x *TableIndex) flushKey(k string) bool {
 		return changed
 	}
 
-	st := &KeyStat{} //lint:allow hotalloc one small stat record per flushed dirty key, retained in the stats table
+	var st KeyStat
 	for _, r := range group {
 		score := x.f(r.Up, r.Down) //lint:allow hotalloc x.f is the configured probability scorer, a pure arithmetic function
 		if score <= 0 {

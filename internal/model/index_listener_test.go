@@ -279,3 +279,33 @@ func TestFinalVersionAcrossReset(t *testing.T) {
 		t.Fatalf("reset onto an empty table: version %d -> %d, rows %d", v1, got, idx.FinalRows())
 	}
 }
+
+// TestTableIndexVoteAllocs pins the index's share of the message path's
+// allocation budget: a vote on a key-complete row queues its key group's own
+// string, and the flush stores the group's KeyStat by value, so the vote and
+// the Version() that flushes it allocate nothing.
+func TestTableIndexVoteAllocs(t *testing.T) {
+	s := MustSchema("P", []Column{{Name: "name"}, {Name: "nat"}}, "name")
+	c := NewCandidate(s)
+	for i := 0; i < 20; i++ {
+		c.Put(&Row{ID: RowID(fmt.Sprintf("r%d", i)), Vec: VectorOf(fmt.Sprintf("player %d", i), "Argentina")})
+	}
+	x := NewTableIndex(c, DefaultScore)
+	l := &shadowListener{t: t, rows: map[RowID]*Row{}}
+	for _, p := range x.Probable() {
+		l.rows[p.ID] = p
+	}
+	x.AddDeltaListener(l)
+	r := c.Get("r3")
+	vote := func() {
+		r.Up++
+		x.RowVotesChanged(r)
+		x.Version()
+	}
+	if n := testing.AllocsPerRun(100, vote); n != 0 {
+		t.Errorf("a vote on a key-complete row, then Version: %v allocs/op, want 0", n)
+	}
+	if st, ok := x.KeyStat(r.Vec.KeyOf(s)); !ok || st.Best != r || st.BestScore != r.Up {
+		t.Fatalf("KeyStat after the votes = %+v, %v; want %s winning with %d", st, ok, r.ID, r.Up)
+	}
+}

@@ -39,21 +39,17 @@ func (r *Row) String() string {
 type Candidate struct {
 	schema *Schema
 	rows   map[RowID]*Row
-	// byValue indexes rows by Vector.Encode, which stays valid because a
-	// vector is never written after it is built (fills replace rows
-	// wholesale).
-	byValue map[string]valueSet
+	// byValue indexes rows by value, which stays valid because a vector is
+	// never written after it is built (fills replace rows wholesale).
+	byValue *VecMap[valueSet]
 }
 
-// valueSet is the rows sharing one value, stored by value in the index: its
-// key, one row inline and any others in an overflow map. A value is almost
-// always carried by one row, so a new value costs its key string and nothing
-// else; the overflow is a map, not a slice, because some values are carried
-// by many rows (every empty template row shares one) and a fill must remove
-// its row in O(1). The set keeps its own key, so removing its last row
-// re-derives nothing.
+// valueSet is the rows sharing one value, stored by value in the index: one
+// row inline and any others in an overflow map. A value is almost always
+// carried by one row, so a new value costs nothing of its own; the overflow
+// is a map, not a slice, because some values are carried by many rows (every
+// empty template row shares one) and a fill must remove its row in O(1).
 type valueSet struct {
-	key   string
 	first *Row // nil once removed while the overflow still holds rows
 	more  map[RowID]*Row
 }
@@ -63,7 +59,7 @@ func NewCandidate(s *Schema) *Candidate {
 	return &Candidate{
 		schema:  s,
 		rows:    make(map[RowID]*Row),
-		byValue: make(map[string]valueSet),
+		byValue: NewVecMap[valueSet](),
 	}
 }
 
@@ -85,23 +81,19 @@ func (c *Candidate) Put(r *Row) {
 		c.unindex(old)
 	}
 	c.rows[r.ID] = r
-	var buf [KeyScratch]byte
-	k := r.Vec.AppendKey(buf[:0])
-	set, ok := c.byValue[string(k)]
-	if !ok {
-		key := string(k) // the one allocation of a new value
-		c.byValue[key] = valueSet{key: key, first: r}
+	k := r.Vec.Hashed()
+	set, _ := c.byValue.Get(k)
+	switch {
+	case set.first == nil:
+		set.first = r
+	case set.more == nil:
+		set.more = map[RowID]*Row{r.ID: r}
+	default:
+		// The stored set shares this overflow map: adding to it is enough.
+		set.more[r.ID] = r
 		return
 	}
-	if set.first == nil {
-		set.first = r
-	} else {
-		if set.more == nil {
-			set.more = make(map[RowID]*Row)
-		}
-		set.more[r.ID] = r
-	}
-	c.byValue[set.key] = set
+	c.byValue.Set(k, set)
 }
 
 // Delete removes the row with the given id, if present.
@@ -112,35 +104,37 @@ func (c *Candidate) Delete(id RowID) {
 	}
 }
 
-// unindex removes r from its value's set: the lookup builds the key on the
-// stack, and every write back — or the delete of an emptied set — uses the
-// set's own key.
+// unindex removes r from its value's set, deleting a set it empties.
 func (c *Candidate) unindex(r *Row) {
-	var buf [KeyScratch]byte
-	set, ok := c.byValue[string(r.Vec.AppendKey(buf[:0]))]
+	k := r.Vec.Hashed()
+	set, ok := c.byValue.Get(k)
 	if !ok {
 		return
 	}
 	if set.first == r {
 		set.first = nil
 	} else {
+		// The stored set shares this overflow map: deleting from it is
+		// enough, unless that empties the set.
 		delete(set.more, r.ID)
+		if set.first != nil || len(set.more) > 0 {
+			return
+		}
 	}
 	if set.first == nil && len(set.more) == 0 {
-		delete(c.byValue, set.key)
+		c.byValue.Delete(k)
 		return
 	}
-	c.byValue[set.key] = set
+	c.byValue.Set(k, set)
 }
 
 // EachWithValue calls fn for every row whose value equals v, using the value
 // index (vote application's equality case, §2.4). The lookup itself is pure
-// and allocation-free: the key lives in a stack buffer.
+// and allocation-free.
 //
 //lint:hotpath
 func (c *Candidate) EachWithValue(v Vector, fn func(*Row)) {
-	var buf [KeyScratch]byte
-	set, ok := c.byValue[string(v.AppendKey(buf[:0]))]
+	set, ok := c.byValue.Get(v.Hashed())
 	if !ok {
 		return
 	}

@@ -41,14 +41,14 @@ func TestCandidateValueIndex(t *testing.T) {
 	for _, r := range c.Rows() {
 		c.Delete(r.ID)
 	}
-	if len(c.byValue) != 0 {
-		t.Fatalf("an emptied table keeps %d value sets", len(c.byValue))
+	if n := c.byValue.Len(); n != 0 {
+		t.Fatalf("an emptied table keeps %d value sets", n)
 	}
 }
 
 // TestCandidateAllocs pins the table's share of the message path's
-// allocation budget: a row with a new value costs the value's key string and
-// nothing else — no per-value map — and removing a row costs nothing.
+// allocation budget: a row with a new value costs nothing of the index's —
+// no key string, no per-value map — and removing a row costs nothing.
 func TestCandidateAllocs(t *testing.T) {
 	s := MustSchema("P", []Column{{Name: "name"}, {Name: "nat"}}, "name")
 	const runs = 100
@@ -58,8 +58,8 @@ func TestCandidateAllocs(t *testing.T) {
 	}
 	c := NewCandidate(s)
 	i := 0
-	if n := testing.AllocsPerRun(runs, func() { c.Put(rows[i]); c.Delete(rows[i].ID); i++ }); n != 1 {
-		t.Errorf("Candidate.Put of a new value, then Delete: %v allocs/op, want 1 (the key)", n)
+	if n := testing.AllocsPerRun(runs, func() { c.Put(rows[i]); c.Delete(rows[i].ID); i++ }); n != 0 {
+		t.Errorf("Candidate.Put of a new value, then Delete: %v allocs/op, want 0", n)
 	}
 	for _, r := range rows {
 		c.Put(r)

@@ -135,21 +135,21 @@ func (v Vector) KeyOf(s *Schema) string {
 }
 
 // Encode returns an opaque comparable key string uniquely identifying the
-// whole vector (used to index the upvote/downvote histories UH and DH).
+// whole vector: the key of a vote-history entry in a snapshot and in
+// canonical text. In-memory maps key vectors by hash instead (VecMap).
 func (v Vector) Encode() string {
 	var buf [KeyScratch]byte
 	return string(v.AppendKey(buf[:0]))
 }
 
-// KeyScratch sizes the stack buffer keyed lookups build a vector key in: it
-// holds the key of every vector the paper's tables produce, and a longer key
-// only costs the append growing onto the heap.
+// KeyScratch sizes the stack buffer keyed lookups build a key in: it holds
+// the key of every vector the paper's tables produce, and a longer key only
+// costs the append growing onto the heap.
 const KeyScratch = 128
 
 // AppendKey appends Encode's key bytes to dst and returns the extended
-// slice. A lookup builds the key in a stack buffer and indexes with
-// m[string(b)], which the compiler performs without materializing the
-// string; only inserting a new map entry needs a key string of its own.
+// slice, so a key can be built in a stack buffer and compared, or used to
+// index a map with m[string(b)], without materializing the string.
 //
 //lint:hotpath
 func (v Vector) AppendKey(dst []byte) []byte {

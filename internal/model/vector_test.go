@@ -165,7 +165,7 @@ var keySink string
 
 // TestVectorKeyAllocs pins the key paths' share of the message path's
 // allocation budget: a key string costs exactly one allocation, and a lookup
-// by value — the key built in a stack buffer — costs none.
+// by value — hashed where the cells lie — costs none.
 func TestVectorKeyAllocs(t *testing.T) {
 	s := MustSchema("P", []Column{{Name: "name"}, {Name: "nat"}, {Name: "pos"}}, "name", "nat")
 	v := VectorOf("Lionel Messi", "Argentina", "FW")

@@ -135,15 +135,18 @@ func Analyze(final []*model.Row, trace, ccLog []sync.Message) *Contributions {
 	})
 
 	// Vote contributions.
-	finalByVec := make(map[string]bool, len(final))
+	finalVecs := model.NewVecMap[struct{}]()
 	for _, s := range final {
-		finalByVec[s.Vec.Encode()] = true
+		finalVecs.Set(s.Vec.Hashed(), struct{}{})
 	}
 	for i, m := range trace {
 		switch m.Type {
 		case sync.MsgUpvote:
 			// Auto-upvotes from row-completing fills earn nothing (§5.2.1).
-			if !m.Auto && finalByVec[m.Vec.Encode()] {
+			if m.Auto {
+				break
+			}
+			if _, inFinal := finalVecs.Get(m.Vec.Hashed()); inFinal {
 				out.Upvotes = append(out.Upvotes, i)
 			}
 		case sync.MsgDownvote:

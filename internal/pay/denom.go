@@ -22,11 +22,15 @@ import "crowdfill/internal/model"
 type denomTracker struct {
 	umin     int
 	probable map[model.RowID]*model.Row
-	byVec    map[string]*vecCount // probable rows per exact vector encoding
+	byVec    *model.VecMap[int] // probable rows per exact vector
 	surplus  map[model.RowID]int
 	sumU     int
-	cover    map[string]*coverEntry
-	nCons    int
+	// covers holds one entry per distinct downvoted vector, in order of
+	// first sight, and coverOf its index there. Entries are never removed,
+	// so every probable-set delta walks a slice.
+	covers  []coverEntry
+	coverOf *model.VecMap[int]
+	nCons   int
 }
 
 // coverEntry aggregates every observed downvote of one exact vector: mult is
@@ -38,20 +42,13 @@ type coverEntry struct {
 	cover int
 }
 
-// vecCount is one byVec entry. It keeps its own map key so the last probable
-// row of a value can leave without re-deriving the key string.
-type vecCount struct {
-	key string
-	n   int
-}
-
 func newDenomTracker(umin int) *denomTracker {
 	return &denomTracker{
 		umin:     umin,
 		probable: make(map[model.RowID]*model.Row),
-		byVec:    make(map[string]*vecCount),
+		byVec:    model.NewVecMap[int](),
 		surplus:  make(map[model.RowID]int),
-		cover:    make(map[string]*coverEntry),
+		coverOf:  model.NewVecMap[int](),
 	}
 }
 
@@ -64,38 +61,34 @@ func (t *denomTracker) isProbable(id model.RowID) bool {
 //
 //lint:hotpath
 func (t *denomTracker) hasVec(v model.Vector) bool {
-	var buf [model.KeyScratch]byte
-	return t.byVec[string(v.AppendKey(buf[:0]))] != nil
+	_, ok := t.byVec.Get(v.Hashed())
+	return ok
 }
 
 // addDownvote registers one observed downvote of vector v, computing its
 // cover against the current probable rows on first sight (repeat downvotes
 // of the same vector are O(1)). Reports whether v is currently consistent.
 func (t *denomTracker) addDownvote(v model.Vector) bool {
-	var buf [model.KeyScratch]byte
-	k := v.AppendKey(buf[:0])
-	e, ok := t.cover[string(k)]
+	k := v.Hashed()
+	i, ok := t.coverOf.Get(k)
 	if !ok {
-		e = &coverEntry{vec: v}
+		e := coverEntry{vec: v}
 		for _, p := range t.probable {
 			if p.Vec.Superset(v) {
 				e.cover++
 			}
 		}
-		t.cover[string(k)] = e
+		i = len(t.covers)
+		t.covers = append(t.covers, e)
+		t.coverOf.Set(k, i)
 	}
+	e := &t.covers[i]
 	e.mult++
 	if e.cover == 0 {
 		t.nCons++
 		return true
 	}
 	return false
-}
-
-func (t *denomTracker) newVecCount(key []byte) *vecCount {
-	vc := &vecCount{key: string(key)}
-	t.byVec[vc.key] = vc
-	return vc
 }
 
 // setSurplus recomputes one row's contribution to the |U| surplus.
@@ -126,15 +119,12 @@ func (t *denomTracker) ProbableAdded(r *model.Row) {
 		return
 	}
 	t.probable[r.ID] = r
-	var buf [model.KeyScratch]byte
-	k := r.Vec.AppendKey(buf[:0])
-	vc := t.byVec[string(k)]
-	if vc == nil {
-		vc = t.newVecCount(k) //lint:allow hotalloc a value's first probable row inserts its entry: one key string and one counter
-	}
-	vc.n++
+	k := r.Vec.Hashed()
+	n, _ := t.byVec.Get(k)
+	t.byVec.Set(k, n+1)
 	t.setSurplus(r)
-	for _, e := range t.cover {
+	for i := range t.covers {
+		e := &t.covers[i]
 		if r.Vec.Superset(e.vec) {
 			if e.cover == 0 {
 				t.nCons -= e.mult
@@ -150,17 +140,20 @@ func (t *denomTracker) ProbableRemoved(r *model.Row) {
 		return
 	}
 	delete(t.probable, r.ID)
-	var buf [model.KeyScratch]byte
-	if vc := t.byVec[string(r.Vec.AppendKey(buf[:0]))]; vc != nil {
-		if vc.n--; vc.n <= 0 {
-			delete(t.byVec, vc.key)
+	k := r.Vec.Hashed()
+	if n, ok := t.byVec.Get(k); ok {
+		if n--; n <= 0 {
+			t.byVec.Delete(k)
+		} else {
+			t.byVec.Set(k, n)
 		}
 	}
 	if old := t.surplus[r.ID]; old != 0 {
 		t.sumU -= old
 		delete(t.surplus, r.ID)
 	}
-	for _, e := range t.cover {
+	for i := range t.covers {
+		e := &t.covers[i]
 		if r.Vec.Superset(e.vec) {
 			e.cover--
 			if e.cover == 0 {
@@ -180,14 +173,14 @@ func (t *denomTracker) ProbableUpdated(r *model.Row) {
 
 func (t *denomTracker) IndexReset() {
 	t.probable = make(map[model.RowID]*model.Row)
-	t.byVec = make(map[string]*vecCount)
+	t.byVec = model.NewVecMap[int]()
 	t.surplus = make(map[model.RowID]int)
 	t.sumU = 0
 	// With no probable rows every observed downvote is consistent; the
 	// rebuild's ProbableAdded stream restores the covers.
 	t.nCons = 0
-	for _, e := range t.cover {
-		e.cover = 0
-		t.nCons += e.mult
+	for i := range t.covers {
+		t.covers[i].cover = 0
+		t.nCons += t.covers[i].mult
 	}
 }

@@ -74,7 +74,9 @@ func TestIncrementalDenominatorMatchesScan(t *testing.T) {
 		// Occasionally reload the whole state: the index rebuilds from
 		// scratch and the tracker must resynchronize through IndexReset.
 		if step%97 == 96 {
-			rep.LoadSnapshot(rep.TakeSnapshot())
+			if err := rep.LoadSnapshot(rep.TakeSnapshot()); err != nil {
+				t.Fatalf("step %d: reload: %v", step, err)
+			}
 			compare(step)
 		}
 	}
@@ -207,6 +209,22 @@ func TestEstimatorHotPathAllocs(t *testing.T) {
 	var est sync.Estimates
 	if n := testing.AllocsPerRun(100, func() { e.CurrentIndexed(&est) }); n != 0 {
 		t.Errorf("Estimator.CurrentIndexed: %v allocs/op, want 0", n)
+	}
+
+	// A value's first probable row costs the tracker no entry of its own:
+	// its byVec count is keyed by the row's vector.
+	tr := newDenomTracker(2)
+	tr.addDownvote(model.VectorOf("", "1")) // one cover for every delta to walk
+	rows := make([]*model.Row, 101)
+	for i := range rows {
+		rows[i] = &model.Row{ID: model.RowID(fmt.Sprintf("p%d", i)), Vec: model.VectorOf(fmt.Sprintf("value %d", i), "1")}
+	}
+	i := 0
+	if n := testing.AllocsPerRun(100, func() { tr.ProbableAdded(rows[i]); i++ }); n != 0 {
+		t.Errorf("denomTracker.ProbableAdded of a new value: %v allocs/op, want 0", n)
+	}
+	if !tr.hasVec(rows[50].Vec) || tr.nCons != 0 {
+		t.Fatalf("after the adds: hasVec = %v, nCons = %d; want true, 0", tr.hasVec(rows[50].Vec), tr.nCons)
 	}
 }
 

@@ -56,7 +56,9 @@ func TestCompletionDecisionMatchesFromScratch(t *testing.T) {
 
 		for step := 0; step < 600 && !r.core.Done(); step++ {
 			if step%97 == 96 {
-				r.core.master.LoadSnapshot(r.core.master.TakeSnapshot())
+				if err := r.core.master.LoadSnapshot(r.core.master.TakeSnapshot()); err != nil {
+					t.Fatalf("seed %d step %d: reload: %v", seed, step, err)
+				}
 				reloads++
 			}
 			ci := rng.Intn(len(ids))

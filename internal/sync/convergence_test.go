@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	_ "unsafe" // go:linkname
 
 	"crowdfill/internal/model"
 )
@@ -234,6 +235,10 @@ func (ns *netSim) quiesce() {
 // property: for many random op streams and delivery schedules, at quiescence
 // the server and all clients hold identical candidate tables and identical
 // vote histories, and Lemma 3's invariants hold everywhere.
+//
+// One seed runs twice, the second time with model's vector hash narrowed to
+// four values, so that nearly every entry of the value indexes and the vote
+// histories sits on a collision chain: it must reach the same state.
 func TestConvergenceTheorem(t *testing.T) {
 	schema := model.MustSchema("T", []model.Column{
 		{Name: "a"}, {Name: "b"}, {Name: "c"},
@@ -243,29 +248,51 @@ func TestConvergenceTheorem(t *testing.T) {
 		seeds = 8
 	}
 	for seed := 0; seed < seeds; seed++ {
-		ns := newNetSim(schema, 2+seed%4, int64(seed))
-		ns.t = t
-		opBudget := 30 + seed*3
-		for step := 0; step < opBudget*10; step++ {
-			ns.step(opBudget)
-		}
-		ns.quiesce()
-		want := ns.server.SnapshotText()
-		for j, c := range ns.clients {
-			if got := c.SnapshotText(); got != want {
-				t.Fatalf("seed %d: client %d diverged from server\nserver:\n%s\nclient:\n%s",
-					seed, j, want, got)
-			}
-		}
-		if err := ns.server.CheckLemma3(); err != nil {
-			t.Fatalf("seed %d: server %v", seed, err)
-		}
-		for j, c := range ns.clients {
-			if err := c.CheckLemma3(); err != nil {
-				t.Fatalf("seed %d: client %d %v", seed, j, err)
-			}
+		checkConvergence(t, schema, seed)
+	}
+	const chained = 7
+	want := checkConvergence(t, schema, chained)
+	vecHashMask = 3
+	defer func() { vecHashMask = ^uint64(0) }()
+	if got := checkConvergence(t, schema, chained); got != want {
+		t.Fatalf("seed %d through collision chains reached another state:\n%s\nwant:\n%s", chained, got, want)
+	}
+}
+
+// vecHashMask is model's mask over every vector hash (see model.VecMap); a
+// test narrows it to force collisions.
+//
+//go:linkname vecHashMask crowdfill/internal/model.vecHashMask
+var vecHashMask uint64
+
+// checkConvergence runs one seed of the theorem to quiescence, checks that
+// every replica equals the server's and satisfies Lemma 3, and returns the
+// server's state.
+func checkConvergence(t *testing.T, schema *model.Schema, seed int) string {
+	t.Helper()
+	ns := newNetSim(schema, 2+seed%4, int64(seed))
+	ns.t = t
+	opBudget := 30 + seed*3
+	for step := 0; step < opBudget*10; step++ {
+		ns.step(opBudget)
+	}
+	ns.quiesce()
+	want := ns.server.SnapshotText()
+	for j, c := range ns.clients {
+		if got := c.SnapshotText(); got != want {
+			t.Fatalf("seed %d: client %d diverged from server\nserver:\n%s\nclient:\n%s",
+				seed, j, want, got)
 		}
 	}
+	if err := ns.server.CheckLemma3(); err != nil {
+		t.Fatalf("seed %d: server %v", seed, err)
+	}
+	for j, c := range ns.clients {
+		if err := c.CheckLemma3(); err != nil {
+			t.Fatalf("seed %d: client %d %v", seed, j, err)
+		}
+	}
+	return want
 }
 
 // TestConvergenceLateJoin extends the theorem to snapshot-initialized
@@ -282,7 +309,9 @@ func TestConvergenceLateJoin(t *testing.T) {
 		// messages the server processed so far are reflected in the
 		// snapshot; in-flight server->client queues don't concern it.
 		late := NewReplica(schema)
-		late.LoadSnapshot(ns.server.TakeSnapshot())
+		if err := late.LoadSnapshot(ns.server.TakeSnapshot()); err != nil {
+			t.Fatalf("seed %d: join: %v", seed, err)
+		}
 		ns.clients = append(ns.clients, late)
 		ns.gens = append(ns.gens, NewIDGen("late"))
 		ns.toServer = append(ns.toServer, nil)

@@ -2,135 +2,115 @@ package sync
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"crowdfill/internal/model"
 )
 
 // VoteHist is a vote history (UH or DH, paper §2.4): a map from value-vectors
-// to the number of votes cast for exactly that vector. It keeps the decoded
-// vector alongside each count so subset sums (Σ_{w⊆q} DH[w]) can be computed.
+// to the number of votes cast for exactly that vector. Each entry keeps its
+// vector so subset sums (Σ_{w⊆q} DH[w]) can be computed.
 type VoteHist struct {
-	m map[string]*histEntry
-}
-
-type histEntry struct {
-	vec model.Vector
-	n   int
+	m *model.VecMap[int]
 }
 
 // NewVoteHist returns an empty history.
-func NewVoteHist() *VoteHist { return &VoteHist{m: make(map[string]*histEntry)} }
+func NewVoteHist() *VoteHist { return &VoteHist{m: model.NewVecMap[int]()} }
 
-// Inc increments the count for vector v and returns the new count.
-func (h *VoteHist) Inc(v model.Vector) int {
-	e := h.entry(v)
-	e.n++
-	return e.n
-}
+// Inc increments the count for vector v and returns the new count. A
+// vector's first vote stores v itself: vectors are immutable.
+func (h *VoteHist) Inc(v model.Vector) int { return h.add(v, 1) }
 
 // Dec decrements the count for vector v (the §8 undo extension) and returns
 // the new count. Callers enforce that an undo follows a matching vote; the
 // structure itself tolerates any count.
-func (h *VoteHist) Dec(v model.Vector) int {
-	e := h.entry(v)
-	e.n--
-	return e.n
-}
+func (h *VoteHist) Dec(v model.Vector) int { return h.add(v, -1) }
 
-// entry returns v's entry, creating it on first sight — the only time a key
-// string is allocated; a repeat vote finds it through a stack-built key. A
-// new entry shares v: vectors are immutable.
-func (h *VoteHist) entry(v model.Vector) *histEntry {
-	var buf [model.KeyScratch]byte
-	k := v.AppendKey(buf[:0])
-	e, ok := h.m[string(k)]
-	if !ok {
-		e = &histEntry{vec: v}
-		h.m[string(k)] = e
-	}
-	return e
+func (h *VoteHist) add(v model.Vector, d int) int {
+	k := v.Hashed()
+	n, _ := h.m.Get(k)
+	n += d
+	h.m.Set(k, n)
+	return n
 }
 
 // Get returns the count for exactly vector v (0 if never voted).
 //
 //lint:hotpath
 func (h *VoteHist) Get(v model.Vector) int {
-	var buf [model.KeyScratch]byte
-	if e, ok := h.m[string(v.AppendKey(buf[:0]))]; ok {
-		return e.n
-	}
-	return 0
+	n, _ := h.m.Get(v.Hashed())
+	return n
 }
 
 // SubsetSum returns Σ over entries w ⊆ v of their counts — the downvote count
 // a newly-constructed row with value v must carry (paper §2.4).
 func (h *VoteHist) SubsetSum(v model.Vector) int {
 	total := 0
-	for _, e := range h.m {
-		if e.vec.Subset(v) {
-			total += e.n
+	h.m.Each(func(w model.Vector, n int) {
+		if w.Subset(v) {
+			total += n
 		}
-	}
+	})
 	return total
 }
 
 // Len returns the number of distinct voted vectors.
-func (h *VoteHist) Len() int { return len(h.m) }
+func (h *VoteHist) Len() int { return h.m.Len() }
 
 // Each calls fn for every (vector, count) entry.
-func (h *VoteHist) Each(fn func(v model.Vector, n int)) {
-	for _, e := range h.m {
-		fn(e.vec, e.n)
-	}
-}
+func (h *VoteHist) Each(fn func(v model.Vector, n int)) { h.m.Each(fn) }
 
 // Clone copies the history's counts; the entries' vectors are shared.
-func (h *VoteHist) Clone() *VoteHist {
-	out := NewVoteHist()
-	for k, e := range h.m {
-		out.m[k] = &histEntry{vec: e.vec, n: e.n}
-	}
-	return out
-}
+func (h *VoteHist) Clone() *VoteHist { return &VoteHist{m: h.m.Clone()} }
 
-// Snapshot renders a canonical textual form (sorted), for replica comparison
-// in convergence tests.
+// Snapshot renders a canonical textual form (sorted by Vector.Encode), for
+// replica comparison in convergence tests.
 func (h *VoteHist) Snapshot() string {
-	keys := make([]string, 0, len(h.m))
-	for k := range h.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
+	counts := make(map[string]int, h.m.Len())
+	h.m.Each(func(v model.Vector, n int) {
 		// Zero-count entries (a vote fully undone) are canonically identical
 		// to vectors never voted on.
-		if h.m[k].n == 0 {
-			continue
+		if n != 0 {
+			counts[v.Encode()] = n
 		}
-		fmt.Fprintf(&b, "%s=%d\n", k, h.m[k].n)
+	})
+	var b strings.Builder
+	for _, k := range sortedKeysInt(counts) {
+		fmt.Fprintf(&b, "%s=%d\n", k, counts[k])
 	}
 	return b.String()
 }
 
-// export returns the wire form for snapshots, sharing the vectors.
+// export returns the wire form for snapshots, keyed by Vector.Encode and
+// sharing the vectors.
 func (h *VoteHist) export() (counts map[string]int, vecs map[string]model.Vector) {
-	counts = make(map[string]int, len(h.m))
-	vecs = make(map[string]model.Vector, len(h.m))
-	for k, e := range h.m {
-		counts[k] = e.n
-		vecs[k] = e.vec
-	}
+	counts = make(map[string]int, h.m.Len())
+	vecs = make(map[string]model.Vector, h.m.Len())
+	h.m.Each(func(v model.Vector, n int) {
+		k := v.Encode()
+		counts[k] = n
+		vecs[k] = v
+	})
 	return counts, vecs
 }
 
-// importFrom loads the wire form produced by export, sharing the vectors
-// and leaving both maps as they were.
-func (h *VoteHist) importFrom(counts map[string]int, vecs map[string]model.Vector) {
-	h.m = make(map[string]*histEntry, len(counts))
+// importHist rebuilds a history's entries from the wire form export produces,
+// sharing the vectors and leaving both maps as they were. Every key must
+// carry a vector that encodes to it: a missing or mismatched vector is an
+// error, never an entry under a guessed vector, so two keys cannot merge into
+// one entry.
+func importHist(counts map[string]int, vecs map[string]model.Vector) (*model.VecMap[int], error) {
+	m := model.NewVecMap[int]()
+	var buf [model.KeyScratch]byte
 	for k, n := range counts {
-		h.m[k] = &histEntry{vec: vecs[k], n: n}
+		v, ok := vecs[k]
+		if !ok {
+			return nil, fmt.Errorf("history key %q has no vector", k)
+		}
+		if string(v.AppendKey(buf[:0])) != k {
+			return nil, fmt.Errorf("history key %q carries vector %v, which does not encode to it", k, v)
+		}
+		m.Set(v.Hashed(), n)
 	}
+	return m, nil
 }

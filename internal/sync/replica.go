@@ -330,8 +330,7 @@ func (r *Replica) Apply(m Message) error {
 		if m.Snapshot == nil {
 			return errors.New("sync: snapshot message without payload")
 		}
-		r.LoadSnapshot(m.Snapshot)
-		return nil
+		return r.LoadSnapshot(m.Snapshot)
 
 	case MsgDone, MsgEstimate:
 		return nil
@@ -362,18 +361,28 @@ func (r *Replica) TakeSnapshot() *Snapshot {
 
 // LoadSnapshot replaces the replica's entire state with the snapshot. It
 // copies the rows and shares their vectors, so s stays as it was: one
-// snapshot may serve every joiner.
-func (r *Replica) LoadSnapshot(s *Snapshot) {
+// snapshot may serve every joiner. A vote history whose key lacks a vector,
+// or carries one that does not encode to it, is an error, and the replica
+// is left as it was.
+func (r *Replica) LoadSnapshot(s *Snapshot) error {
+	uh, err := importHist(s.UH, s.UHVecs)
+	if err != nil {
+		return fmt.Errorf("sync: snapshot uh: %w", err)
+	}
+	dh, err := importHist(s.DH, s.DHVecs)
+	if err != nil {
+		return fmt.Errorf("sync: snapshot dh: %w", err)
+	}
 	r.epoch++
 	r.table = model.NewCandidate(r.schema)
 	for i := range s.Rows {
 		r.table.Put(s.Rows[i].Clone())
 	}
-	r.uh.importFrom(s.UH, s.UHVecs)
-	r.dh.importFrom(s.DH, s.DHVecs)
+	r.uh.m, r.dh.m = uh, dh
 	if r.obs != nil {
 		r.obs.TableReset(r.table)
 	}
+	return nil
 }
 
 // SnapshotText renders the full replica state canonically (rows + both

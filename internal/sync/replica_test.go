@@ -305,6 +305,45 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadSnapshotRejectsMismatchedHistory: a history key that carries no
+// vector, or one that does not encode to it, is an error that leaves the
+// replica as it was — never an entry under a guessed vector, so two keys can
+// never merge into one entry.
+func TestLoadSnapshotRejectsMismatchedHistory(t *testing.T) {
+	messi := model.VectorOf("Messi", "Argentina", "FW", "83", "37")
+	neymar := model.VectorOf("Neymar", "", "", "", "")
+	for name, s := range map[string]*Snapshot{
+		"uh key without vector": {
+			UH: map[string]int{messi.Encode(): 2}, UHVecs: map[string]model.Vector{},
+		},
+		"dh key without vector": {
+			DH:     map[string]int{neymar.Encode(): 1, messi.Encode(): 1},
+			DHVecs: map[string]model.Vector{neymar.Encode(): neymar},
+		},
+		"two keys, one vector": {
+			UH:     map[string]int{messi.Encode(): 2, neymar.Encode(): 1},
+			UHVecs: map[string]model.Vector{messi.Encode(): messi, neymar.Encode(): messi},
+		},
+		"a null cell keyed as empty string": {
+			DH:     map[string]int{model.VectorOf("Neymar", "").Encode(): 1},
+			DHVecs: map[string]model.Vector{model.VectorOf("Neymar", "").Encode(): {{Set: true, Val: "Neymar"}, {Set: true}}},
+		},
+	} {
+		r := NewReplica(testSchema(t))
+		g := NewIDGen("c1")
+		ins, _ := r.Insert(g.Next())
+		r.Upvote(fillAll(t, r, g, ins.Row, []string{"Messi", "Argentina", "FW", "83", "37"}))
+		before := r.SnapshotText()
+		epoch := r.Epoch()
+		if err := r.Apply(Message{Type: MsgSnapshot, Snapshot: s}); err == nil {
+			t.Errorf("%s: snapshot loaded", name)
+		}
+		if r.SnapshotText() != before || r.Epoch() != epoch {
+			t.Errorf("%s: a rejected snapshot changed the replica:\n%s\nwant:\n%s", name, r.SnapshotText(), before)
+		}
+	}
+}
+
 func TestMessageEncodeDecode(t *testing.T) {
 	m := Message{
 		Type: MsgReplace, Row: "a-1", NewRow: "a-2",
@@ -456,8 +495,9 @@ func TestUndoneHistorySnapshotCanonical(t *testing.T) {
 
 // TestReplicaApplyAllocs pins the replica's share of the message path's
 // allocation budget. Apply shares the message's vector instead of copying
-// it, so a replace allocates the row it builds and its value's key, a
-// vector's first vote its history entry and key, and a repeat vote nothing.
+// it, and the value index and the vote histories key it by hash, so a
+// replace allocates only the row it builds, and a vector's first vote, like
+// a repeat one, allocates nothing.
 func TestReplicaApplyAllocs(t *testing.T) {
 	const runs = 100
 	vec := func(i int) model.Vector {
@@ -483,11 +523,11 @@ func TestReplicaApplyAllocs(t *testing.T) {
 			i++
 		}
 	}
-	if n := testing.AllocsPerRun(runs, apply(replaces)); n != 2 {
-		t.Errorf("Replica.Apply(replace): %v allocs/op, want 2 (the row and its value's key)", n)
+	if n := testing.AllocsPerRun(runs, apply(replaces)); n != 1 {
+		t.Errorf("Replica.Apply(replace): %v allocs/op, want 1 (the row)", n)
 	}
-	if n := testing.AllocsPerRun(runs, apply(votes)); n != 2 {
-		t.Errorf("Replica.Apply(first vote on a vector): %v allocs/op, want 2 (the history entry and its key)", n)
+	if n := testing.AllocsPerRun(runs, apply(votes)); n != 0 {
+		t.Errorf("Replica.Apply(first vote on a vector): %v allocs/op, want 0", n)
 	}
 	repeat := Message{Type: MsgUpvote, Vec: replaces[runs].Vec}
 	if n := testing.AllocsPerRun(runs, func() { r.Apply(repeat) }); n != 0 {
