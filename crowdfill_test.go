@@ -1,6 +1,7 @@
 package crowdfill
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -117,6 +118,38 @@ func TestCollectionInProcess(t *testing.T) {
 	// Estimates were broadcast.
 	if _, _, _, ok := alice.Estimates(); !ok {
 		t.Fatalf("alice never received estimates")
+	}
+}
+
+// TestWorkerEstimatesIsACopy: the figures Worker.Estimates returns belong to
+// the caller. The client overwrites its own copy in place when a later
+// estimate arrives, and a slice returned before that must not change.
+func TestWorkerEstimatesIsACopy(t *testing.T) {
+	spec := kvSpec()
+	spec.Scheme = "column-weighted" // a fill moves the per-column figures
+	coll, err := NewCollection(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coll.Close()
+	alice, err := coll.Connect("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []float64
+	waitFor(t, func() bool {
+		var ok bool
+		first, _, _, ok = alice.Estimates()
+		return ok && len(first) == 2
+	})
+	kept := append([]float64(nil), first...)
+	fillRow(t, alice, "x", "1")
+	waitFor(t, func() bool {
+		now, _, _, _ := alice.Estimates()
+		return !slices.Equal(now, kept)
+	})
+	if !slices.Equal(first, kept) {
+		t.Fatalf("a later estimate changed an earlier Estimates result: %v, want %v", first, kept)
 	}
 }
 

@@ -46,8 +46,12 @@ type Client struct {
 	// upvotedKeys tracks primary keys this worker has upvoted.
 	upvotedKeys map[string]bool
 
-	done      bool
-	estimates *sync.Estimates
+	done bool
+	// est holds the latest figures the server broadcast, copied out of the
+	// received message: a link reuses the storage it decodes an estimate
+	// into. hasEst is false until the first arrives.
+	est    sync.Estimates
+	hasEst bool
 }
 
 type voteKind int
@@ -94,17 +98,30 @@ func (c *Client) Replica() *sync.Replica { return c.rep }
 func (c *Client) Done() bool { return c.done }
 
 // Estimates returns the latest per-action compensation estimates broadcast
-// by the server (nil before the first broadcast).
-func (c *Client) Estimates() *sync.Estimates { return c.estimates }
+// by the server (nil before the first broadcast). They are the client's own
+// copy, overwritten in place by the next estimate: read them under whatever
+// serializes HandleServer (a Runner's lock), and copy what must outlive it.
+func (c *Client) Estimates() *sync.Estimates {
+	if !c.hasEst {
+		return nil
+	}
+	return &c.est
+}
 
-// HandleServer processes a message received from the server.
+// HandleServer processes a message received from the server. It keeps
+// nothing of an estimate message but a copy of its figures, so the message
+// may be a transport's lease; one without a payload changes nothing.
 func (c *Client) HandleServer(m sync.Message) error {
 	switch m.Type {
 	case sync.MsgDone:
 		c.done = true
 		return nil
 	case sync.MsgEstimate:
-		c.estimates = m.Estimates
+		if e := m.Estimates; e != nil {
+			c.est.PerColumn = append(c.est.PerColumn[:0], e.PerColumn...)
+			c.est.Upvote, c.est.Downvote = e.Upvote, e.Downvote
+			c.hasEst = true
+		}
 		return nil
 	default:
 		return c.rep.Apply(m)

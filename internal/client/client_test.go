@@ -288,12 +288,52 @@ func TestDoneBlocksActions(t *testing.T) {
 	}
 }
 
+// TestEstimatesStored: the client keeps its own copy of the figures, so the
+// message it was handed — a link's decode storage, reused by the next
+// estimate — can change under it without changing Estimates().
 func TestEstimatesStored(t *testing.T) {
 	c := newClient(t)
-	est := &sync.Estimates{PerColumn: []float64{1, 2}, Upvote: 0.5, Downvote: 0.25}
-	c.HandleServer(sync.Message{Type: sync.MsgEstimate, Estimates: est})
-	if got := c.Estimates(); got == nil || got.PerColumn[1] != 2 {
-		t.Fatalf("Estimates = %+v", got)
+	if c.Estimates() != nil {
+		t.Fatal("Estimates before the first broadcast must be nil")
+	}
+	src := &sync.Estimates{PerColumn: []float64{1, 2}, Upvote: 0.5, Downvote: 0.25}
+	if err := c.HandleServer(sync.Message{Type: sync.MsgEstimate, Estimates: src}); err != nil {
+		t.Fatal(err)
+	}
+	src.PerColumn[0], src.PerColumn[1], src.Upvote, src.Downvote = 9, 9, 9, 9
+	got := c.Estimates()
+	if got == nil || got == src || got.PerColumn[0] != 1 || got.PerColumn[1] != 2 || got.Upvote != 0.5 || got.Downvote != 0.25 {
+		t.Fatalf("Estimates = %+v after the source changed, want {[1 2] 0.5 0.25}", got)
+	}
+}
+
+// TestEstimateWithoutPayloadKeepsFigures: an estimate message with no
+// payload — the server never sends one, a hostile or buggy peer can —
+// leaves the last figures in place instead of erasing them.
+func TestEstimateWithoutPayloadKeepsFigures(t *testing.T) {
+	c := newClient(t)
+	if err := c.HandleServer(sync.Message{Type: sync.MsgEstimate}); err != nil || c.Estimates() != nil {
+		t.Fatalf("an empty estimate before any figures: Estimates = %+v, err = %v; want nil", c.Estimates(), err)
+	}
+	c.HandleServer(sync.Message{Type: sync.MsgEstimate, Estimates: &sync.Estimates{PerColumn: []float64{3}, Upvote: 1}})
+	if err := c.HandleServer(sync.Message{Type: sync.MsgEstimate}); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Estimates(); got == nil || len(got.PerColumn) != 1 || got.PerColumn[0] != 3 || got.Upvote != 1 {
+		t.Fatalf("Estimates = %+v after an estimate without payload, want the last figures", got)
+	}
+}
+
+// TestHandleEstimateAllocs: after the first estimate sized the client's copy,
+// taking in another allocates nothing.
+func TestHandleEstimateAllocs(t *testing.T) {
+	c := newClient(t)
+	m := sync.Message{Type: sync.MsgEstimate, Estimates: &sync.Estimates{PerColumn: []float64{0.1, 0.2, 0.3}, Upvote: 0.05, Downvote: 0.04}}
+	if err := c.HandleServer(m); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.HandleServer(m) }); n != 0 {
+		t.Errorf("HandleServer of an estimate after the first: %v allocs/op, want 0", n)
 	}
 }
 

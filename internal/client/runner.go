@@ -29,6 +29,9 @@ type Runner struct {
 	stopped bool
 
 	// batch is the pump-owned receive buffer, reused across RecvBatch calls.
+	// Its messages are valid until the next call (an estimate's figures are
+	// the link's storage), which is why the pump applies a batch before it
+	// receives again and the client copies the figures it keeps.
 	batch []sync.Message
 }
 

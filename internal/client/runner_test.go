@@ -3,12 +3,16 @@ package client
 import (
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"crowdfill/internal/model"
 	"crowdfill/internal/sync"
 	"crowdfill/internal/transport"
+	"crowdfill/internal/wsock"
 )
 
 // fakeServer echoes a scripted behavior over the server side of a pipe.
@@ -104,6 +108,72 @@ func TestRunnerPumpStopsOnBadMessage(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatalf("pump never surfaced the apply error")
+	}
+}
+
+// TestRunnerEstimatesOverWebSocket: over a real link, where every estimate
+// decodes into storage the link reuses, View sees the client's own copy of
+// whole payloads. The pump decodes outside the runner's lock and View reads
+// under it, so a client that kept the decoded figures instead of copying
+// them is a reported race under -race, and a torn payload without it.
+func TestRunnerEstimatesOverWebSocket(t *testing.T) {
+	ready := make(chan transport.Conn, 1)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if ws, err := wsock.Upgrade(w, req); err == nil {
+			ready <- transport.WrapWS(ws)
+		}
+	}))
+	t.Cleanup(hs.Close)
+	ws, err := wsock.Dial("ws" + strings.TrimPrefix(hs.URL, "http"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{ID: "c1", Worker: "w1", Schema: kvSchema(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(c, transport.WrapWS(ws))
+	t.Cleanup(func() { r.Close() })
+	srv := <-ready
+	t.Cleanup(func() { srv.Close() })
+
+	const n = 300
+	sent := make(chan error, 1)
+	go func() {
+		for i := 1; i <= n; i++ {
+			f := float64(i)
+			est := &sync.Estimates{PerColumn: []float64{f, f}, Upvote: f, Downvote: f}
+			if err := srv.Send(sync.Message{Type: sync.MsgEstimate, Estimates: est}); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for epoch := r.Epoch(); ; epoch = r.WaitChange(epoch) {
+		var last float64
+		var torn string
+		r.View(func(c *Client) {
+			if e := c.Estimates(); e != nil {
+				last = e.Upvote
+				if e.Downvote != last || len(e.PerColumn) != 2 || e.PerColumn[0] != last || e.PerColumn[1] != last {
+					torn = fmt.Sprintf("%+v", *e)
+				}
+			}
+		})
+		if torn != "" {
+			t.Fatalf("View saw figures from two payloads: %s", torn)
+		}
+		if last == n {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("latest estimate %v, want %d", last, n)
+		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
 	}
 }
 

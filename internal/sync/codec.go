@@ -11,13 +11,14 @@
 // Why hand-rolled: encoding/json costs ~30-50 heap allocations per message
 // (reflection machinery, intermediate field buffers, the decoder's state).
 // AppendMessage allocates nothing beyond growing dst, and DecodeMessageInto
-// allocates only what the decoded message itself retains (its strings, and
-// each vector or float slice once at its exact length) — never scratch, never
-// scanner state — which is what lets the transport layer decode straight out
-// of a leased read buffer. A link's read side decodes through a DecodeCache,
+// allocates only what the decoded message itself retains (its strings, each
+// vector once at its exact length, an estimate's struct and figures once) —
+// never scratch, never scanner state — which is what lets the transport
+// layer decode straight out of a leased read buffer. A link's read side decodes through a DecodeCache,
 // which also serves the short strings and the whole vectors that link keeps
-// repeating: a vote on a value the link has already decoded allocates
-// nothing.
+// repeating, and owns the storage its estimates decode into: a vote on a
+// value the link has already decoded allocates nothing, and neither does an
+// estimate after the link's first.
 package sync
 
 import (
@@ -379,6 +380,12 @@ func DecodeMessageInto(data []byte, m *Message) error {
 // Sharing is safe because a model.Vector is immutable once built: the
 // vectors of every message decoded through one cache may alias each other.
 //
+// An estimate is not immutable, so it is leased instead: a message's
+// Estimates, and its PerColumn figures, live in storage the cache owns — one
+// struct, and a backing array that grows to the widest payload the link has
+// carried — and the next estimate decoded through the cache overwrites them.
+// A caller that keeps the figures past that copies them.
+//
 // A cache belongs to exactly one reader (the transport's single-receiver
 // contract), so it needs no lock; the zero value is ready to use. A miss, or
 // a string over decodeCacheMaxLen, costs exactly the copy the cache-less
@@ -391,6 +398,38 @@ func DecodeMessageInto(data []byte, m *Message) error {
 type DecodeCache struct {
 	slots [decodeCacheSlots]string
 	vecs  [decodeVecSlots]model.Vector
+	est   estimateStore
+}
+
+// estimateStore is the storage a decoded estimate lives in: its struct, and
+// the backing array its PerColumn figures are decoded into.
+type estimateStore struct {
+	Estimates
+	cols []float64
+}
+
+// estimates returns the storage an estimate payload decodes into, its
+// Estimates at the zero value: the cache's own, or without a cache a fresh
+// one that the message keeps.
+func (c *DecodeCache) estimates() *estimateStore {
+	if c == nil {
+		return new(estimateStore)
+	}
+	c.est.Estimates = Estimates{}
+	return &c.est
+}
+
+// columns copies vals into the store's backing array and returns the copy.
+// The array grows to the widest payload and is then reused, so everything
+// past vals is cleared: a later duplicate "perColumn" key of the same
+// message finds zeros there, as in the fresh array encoding/json would have
+// grown, not an earlier message's figures.
+func (s *estimateStore) columns(vals []float64) []float64 {
+	cols := s.cols[:0]
+	cols = append(cols, vals...)
+	clear(cols[len(cols):cap(cols)])
+	s.cols = cols
+	return cols
 }
 
 const (
@@ -403,8 +442,10 @@ const (
 )
 
 // DecodeMessageInto is the package-level DecodeMessageInto with the short
-// strings and the vectors of the result served from c. The result is equal to the cache-less
-// one in every field, and the same inputs are rejected.
+// strings and the vectors of the result served from c, and its Estimates
+// decoded into c's storage, valid until c decodes the next estimate. The
+// result is equal to the cache-less one in every field, and the same inputs
+// are rejected.
 //
 //lint:hotpath
 func (c *DecodeCache) DecodeMessageInto(data []byte, m *Message) error {
@@ -502,8 +543,9 @@ func decodeMessageInto(data []byte, m *Message, cache *DecodeCache) error {
 type decoder struct {
 	data  []byte
 	pos   int
-	cache *DecodeCache // nil: every decoded string is a fresh copy
-	err   error        // the first failure; see fail
+	cache *DecodeCache   // nil: every decoded string is a fresh copy
+	est   *estimateStore // the storage of the estimate being decoded
+	err   error          // the first failure; see fail
 }
 
 // fail records the first failure, with the offset it was found at, and moves
@@ -800,7 +842,7 @@ func (d *decoder) message(m *Message) {
 		case fSnapshot:
 			m.Snapshot = d.snapshot(m.Snapshot) //lint:allow hotalloc snapshot records are join-time private messages, not steady-state broadcasts
 		case fEstimates:
-			m.Estimates = d.estimates(m.Estimates) //lint:allow hotalloc an estimate payload allocates its struct and its column slice, which the message retains; its float literals convert on the stack
+			m.Estimates = d.estimates(m.Estimates) //lint:allow hotalloc only the cache-less decode allocates here, the struct and column slice its message keeps; through a link cache an estimate decodes into the cache's storage (TestDecodeCacheEstimateAllocs pins 0) and its float literals convert on the stack
 		default:
 			d.skip(1)
 		}
@@ -838,7 +880,8 @@ func (d *decoder) estimates(e *Estimates) *Estimates {
 		return nil
 	}
 	if e == nil {
-		e = &Estimates{}
+		d.est = d.cache.estimates()
+		e = &d.est.Estimates
 	}
 	for more := d.open('}'); more; more = d.more('}') {
 		switch d.field() {
@@ -930,9 +973,14 @@ func (d *decoder) vector() model.Vector {
 	return d.cache.vector(cells, h, intern)
 }
 
-// floats has vector's shape: collect on the stack, allocate once. A null
-// element keeps what the slot held: zero, or under a duplicate key whatever
-// the earlier array left in the backing store encoding/json would reuse.
+// noFigures is what [] decodes to: a non-nil empty slice with no capacity,
+// like the one encoding/json makes, so a later duplicate key starts afresh.
+var noFigures = make([]float64, 0)
+
+// floats has vector's shape: collect on the stack, then store the figures
+// once, in the estimate's storage. A null element keeps what the slot held:
+// zero, or under a duplicate key whatever the earlier array left in the
+// backing store encoding/json would reuse.
 func (d *decoder) floats(old []float64) []float64 {
 	if !d.begin('[') {
 		return nil
@@ -947,8 +995,11 @@ func (d *decoder) floats(old []float64) []float64 {
 		}
 		vals = append(vals, d.float64(f))
 	}
-	if len(vals) == 0 || len(vals) > len(old) { // [] starts afresh, as encoding/json's empty array does
-		old = make([]float64, len(vals))
+	switch {
+	case len(vals) == 0:
+		return noFigures
+	case len(vals) > len(old):
+		return d.est.columns(vals)
 	}
 	old = old[:len(vals)]
 	copy(old, vals)

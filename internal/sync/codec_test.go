@@ -617,6 +617,43 @@ func TestDecodeCacheVoteAfterReplace(t *testing.T) {
 	}
 }
 
+// TestDecodeCacheEstimateAllocs: an estimate decodes into storage the link
+// cache owns — the same struct, and a column array reused once it is as wide
+// as the payload — so after the link's first estimate one allocates nothing.
+// The cache-less entry still gives every message a fresh struct and slice.
+func TestDecodeCacheEstimateAllocs(t *testing.T) {
+	est := Message{Type: MsgEstimate, Estimates: &Estimates{
+		PerColumn: []float64{0.0123, 0.0456, 0.0789, 0.0101, 0.0202}, Upvote: 0.0033, Downvote: 0.0044}}
+	data := AppendMessage(nil, est)
+	var cache DecodeCache
+	var m Message
+	if err := cache.DecodeMessageInto(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	leased := m.Estimates
+	if n := testing.AllocsPerRun(200, func() {
+		if err := cache.DecodeMessageInto(data, &m); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("warm cached decode of an estimate: %v allocs/op, want 0", n)
+	}
+	if m.Estimates != leased || !reflect.DeepEqual(m, est) {
+		t.Fatalf("cached decode = %+v (estimates %p, first %p), want %+v in the cache's storage", m.Estimates, m.Estimates, leased, est.Estimates)
+	}
+
+	var a, b Message
+	if err := DecodeMessageInto(data, &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := DecodeMessageInto(data, &b); err != nil {
+		t.Fatal(err)
+	}
+	if a.Estimates == b.Estimates || &a.Estimates.PerColumn[0] == &b.Estimates.PerColumn[0] {
+		t.Fatal("two cache-less decodes share estimate storage")
+	}
+}
+
 // TestDecodeCacheVectorCollisions: vectors that share a slot — two distinct
 // ones, two that differ only in which cell is null, two that differ only in
 // whether a cell is null or "", and one that is a prefix of the other —

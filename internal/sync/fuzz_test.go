@@ -87,6 +87,17 @@ func FuzzCodecDifferential(f *testing.F) {
 		`{"id":"r3","vec":["a","b",null]},{"id":"r4","vec":["a","","b"]}],"uh":{"k":1},"dh":{"k":2},` +
 		`"uhVecs":{"k":["a",null,"b"]},"dhVecs":{"k":["a",null,"b"],"j":[null,"a","b"]}}}`))
 	f.Add([]byte(`{"type":4,"vec":["a",null,"b"],"vec":["a",null,"b"],"origin":"a"}`))
+	// Estimates in sequence through the one cache, each decoding into the
+	// storage the one before left: a wide payload, then narrower ones whose
+	// nulls and duplicate keys must read zeros where that one left figures,
+	// then [], an absent perColumn, and a duplicate "estimates" key.
+	f.Add([]byte(`{"type":7,"estimates":{"perColumn":[1,2,3,4,5,6],"upvote":7,"downvote":8}}`))
+	f.Add([]byte(`{"type":7,"estimates":{"perColumn":[null,9,null],"upvote":null}}`))
+	f.Add([]byte(`{"type":7,"estimates":{"perColumn":[9],"perColumn":[null,null,null,null]}}`))
+	f.Add([]byte(`{"type":7,"estimates":{"perColumn":[]}}`))
+	f.Add([]byte(`{"type":7,"estimates":{"downvote":3}}`))
+	f.Add([]byte(`{"type":7,"estimates":{"perColumn":[1,2],"upvote":1},"estimates":{"perColumn":[null,null,5],"downvote":2}}`))
+	f.Add([]byte(`{"type":7,"estimates":{"perColumn":[1,2,3]},"estimates":null,"estimates":{"perColumn":[null,null]}}`))
 	// One cache for the whole run, as on a link: later inputs meet the
 	// strings and vectors earlier ones left behind, in their slots or in the
 	// way.

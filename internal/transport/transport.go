@@ -7,6 +7,7 @@ package transport
 import (
 	"errors"
 	"net"
+	"slices"
 	gosync "sync"
 	"syscall"
 	"time"
@@ -33,14 +34,21 @@ type Conn interface {
 	// and may leave the link mid-message, so callers must drop the
 	// connection afterwards (the flusher pool's stalled-socket backstop).
 	SetWriteDeadline(t time.Time) error
-	// Recv blocks until the next message arrives or the link closes.
+	// Recv blocks until the next message arrives or the link closes. The
+	// message stays valid until the next receive call: its Estimates may be
+	// storage the link reuses for its next estimate, so a receiver that keeps
+	// the figures longer copies them. Everything else in it is the
+	// receiver's to keep.
 	Recv() (sync.Message, error)
 	// RecvBatch blocks until at least one message arrives, then fills dst
 	// with any further messages already available on the link without
 	// blocking, and returns how many were stored. A receiver draining
 	// bursts this way pays one wakeup for the whole burst instead of one
-	// per message. Same concurrency contract as Recv (no concurrent calls
-	// with Recv or itself); dst must be non-empty.
+	// per message. A batch ends at a message that carries Estimates, so no
+	// two messages of a batch share estimate storage and each one stays
+	// valid, as Recv's does, until the next receive call. Same concurrency
+	// contract as Recv (no concurrent calls with Recv or itself); dst must
+	// be non-empty.
 	RecvBatch(dst []sync.Message) (int, error)
 	// Close shuts the link down; pending and future Recv calls fail.
 	Close() error
@@ -92,6 +100,9 @@ type PollConn interface {
 	// means the read budget ran out with data still pending (re-queue the
 	// connection); a non-nil error is fatal and the caller must tear the
 	// connection down. At most one goroutine may be in PollRecv at a time.
+	// Unlike Recv's, a delivered message is the callback's to keep, its
+	// Estimates included: a poll handler may hold a read's messages past the
+	// callback and handle them together once PollRecv returns.
 	PollRecv(scratch []byte) (more bool, err error)
 	// OnClose registers fn to run exactly once when the connection closes
 	// from either side — including a local Close by the write plane, which
@@ -227,18 +238,20 @@ func (p *pipeEnd) Close() error {
 // wsConn adapts a WebSocket connection to the message link interface. The
 // encode buffer and the wsock read lease make steady-state Send and Recv
 // allocation-free apart from what a decoded message itself retains: one
-// exact-size slice per vector the link's decode cache does not already hold
-// and per estimate payload, the estimates struct, and a copy of each string
-// the cache does not already hold (a first sight, a collision victim, or a
-// string over 64 bytes). A vote on a value the link has seen allocates
-// nothing. The cache in turn retains at most 256 such strings and 64 vectors
-// per link.
+// exact-size slice per vector the link's decode cache does not already hold,
+// and a copy of each string the cache does not already hold (a first sight,
+// a collision victim, or a string over 64 bytes). A vote on a value the link
+// has seen allocates nothing, and an estimate decodes into storage the cache
+// owns (the lease Recv documents), so after the link's first it allocates
+// nothing either on the blocking path; PollRecv copies it. The cache in turn retains at most 256 such strings, 64
+// vectors and one estimate per link.
 type wsConn struct {
 	ws   *wsock.Conn
 	ebuf []byte // reusable encode buffer; safe because Send calls never overlap
-	// dec serves the strings and vectors this link's messages repeat. It belongs
-	// to the read side — Recv, RecvBatch and PollRecv admit one receiver at
-	// a time, so it needs no lock — and is allocated by the first decode, so
+	// dec serves the strings and vectors this link's messages repeat, and
+	// holds the estimate last decoded (Recv's lease). It belongs to the read
+	// side — Recv, RecvBatch and PollRecv admit one receiver at a time, so
+	// it needs no lock — and is allocated by the first decode, so
 	// a connection that never receives a message never pays for it.
 	dec *sync.DecodeCache
 	// fbuf collects the cached frames of one SendPreparedBatch call; reused
@@ -295,7 +308,10 @@ func (w *wsConn) SetWriteDeadline(t time.Time) error { return w.ws.SetWriteDeadl
 // and installs the message delivery chain: wsock lease → decode → onMsg.
 // The decoded Message is stack-scoped per delivery; decode copies what it
 // keeps out of the lease, so nothing aliases the read buffer past the
-// callback.
+// callback, and an estimate is copied out of the decode cache's storage
+// (PollRecv's messages are the callback's to keep). The server's readiness
+// plane, the only production poll receiver, is never sent an estimate by a
+// conforming client, so the copy costs it nothing.
 func (w *wsConn) StartPoll(onMsg func(m sync.Message) error) (syscall.RawConn, error) {
 	rc, err := w.ws.StartPoll()
 	if err != nil {
@@ -305,6 +321,9 @@ func (w *wsConn) StartPoll(onMsg func(m sync.Message) error) (syscall.RawConn, e
 		var m sync.Message
 		if derr := w.decode(data, &m); derr != nil {
 			return derr
+		}
+		if e := m.Estimates; e != nil {
+			m.Estimates = &sync.Estimates{PerColumn: slices.Clone(e.PerColumn), Upvote: e.Upvote, Downvote: e.Downvote}
 		}
 		return onMsg(m)
 	}
@@ -354,9 +373,10 @@ func (w *wsConn) recvInto(m *sync.Message) error {
 }
 
 // RecvBatch blocks for the first message, then decodes every further frame
-// already buffered on the connection via the non-blocking lease. Errors hit
-// after the first decode are deferred to the next receive call so the batch
-// in hand is not lost.
+// already buffered on the connection via the non-blocking lease, up to and
+// including the first that carries Estimates: the next one would decode into
+// the same storage. Errors hit after the first decode are deferred to the
+// next receive call so the batch in hand is not lost.
 func (w *wsConn) RecvBatch(dst []sync.Message) (int, error) {
 	if len(dst) == 0 {
 		return 0, errors.New("transport: RecvBatch with empty dst")
@@ -365,7 +385,7 @@ func (w *wsConn) RecvBatch(dst []sync.Message) (int, error) {
 		return 0, err
 	}
 	n := 1
-	for n < len(dst) {
+	for n < len(dst) && dst[n-1].Estimates == nil {
 		data, ok, err := w.ws.TryReadTextLease()
 		if err != nil {
 			w.pendingErr = err

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -258,23 +259,29 @@ func (h hijackedPipe) Hijack() (net.Conn, *bufio.ReadWriter, error) {
 	return h.nc, bufio.NewReadWriter(bufio.NewReader(h.nc), bufio.NewWriter(h.nc)), nil
 }
 
-// TestWSRecvBatchDefersMidBatchError: a protocol violation sitting in the
-// read window behind two good messages does not cost the batch in hand —
-// RecvBatch returns both, and the next receive call reports the error. The
-// peer writes all three frames in one Write on a net.Pipe, so one window fill
-// holds them all.
-func TestWSRecvBatchDefersMidBatchError(t *testing.T) {
-	srvNC, peer := net.Pipe()
-	defer peer.Close()
-	var wire []byte
-	for seq := int64(1); seq <= 2; seq++ {
-		payload, err := sync.EncodeMessage(sync.Message{Type: sync.MsgUpvote, Seq: seq})
+// textFrames appends each message to wire as one unmasked FIN text frame with
+// a 7-bit length, as a server writes it.
+func textFrames(t *testing.T, wire []byte, msgs ...sync.Message) []byte {
+	t.Helper()
+	for _, m := range msgs {
+		payload, err := sync.EncodeMessage(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wire = append(append(wire, 0x81, byte(len(payload))), payload...) // FIN text, 7-bit length
+		if len(payload) > 125 {
+			t.Fatalf("%d-byte payload needs an extended length", len(payload))
+		}
+		wire = append(append(wire, 0x81, byte(len(payload))), payload...)
 	}
-	wire = append(wire, 0x82, 0x01, 'b') // a binary frame: refused by the text-only link
+	return wire
+}
+
+// wireLink returns the server end of a WebSocket link whose peer writes wire
+// in one Write on a net.Pipe, so one window fill holds every frame of it.
+func wireLink(t *testing.T, wire []byte) Conn {
+	t.Helper()
+	srvNC, peer := net.Pipe()
+	t.Cleanup(func() { peer.Close() })
 	go func() {
 		br := bufio.NewReader(peer)
 		for { // the 101 response ends at the first empty line
@@ -295,7 +302,17 @@ func TestWSRecvBatchDefersMidBatchError(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := WrapWS(ws)
-	defer srv.Close()
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
+// TestWSRecvBatchDefersMidBatchError: a protocol violation sitting in the
+// read window behind two good messages does not cost the batch in hand —
+// RecvBatch returns both, and the next receive call reports the error.
+func TestWSRecvBatchDefersMidBatchError(t *testing.T) {
+	wire := textFrames(t, nil, sync.Message{Type: sync.MsgUpvote, Seq: 1}, sync.Message{Type: sync.MsgUpvote, Seq: 2})
+	wire = append(wire, 0x82, 0x01, 'b') // a binary frame: refused by the text-only link
+	srv := wireLink(t, wire)
 
 	dst := make([]sync.Message, 8)
 	n, err := srv.RecvBatch(dst)
@@ -307,10 +324,45 @@ func TestWSRecvBatchDefersMidBatchError(t *testing.T) {
 	}
 }
 
+// TestWSRecvBatchEndsAtEstimate: two estimates and a vote, written back to
+// back and read in one window fill, come out in order in batches that each
+// hold at most one estimate, as their last message. The link decodes every
+// estimate into the same storage, so each batch's figures must still be its
+// own estimate's when the batch is read.
+func TestWSRecvBatchEndsAtEstimate(t *testing.T) {
+	first := &sync.Estimates{PerColumn: []float64{1, 2, 3}, Upvote: 0.5, Downvote: 0.25}
+	second := &sync.Estimates{PerColumn: []float64{4, 5}, Upvote: 0.75}
+	sent := []sync.Message{
+		{Type: sync.MsgEstimate, Seq: 1, Estimates: first},
+		{Type: sync.MsgEstimate, Seq: 2, Estimates: second},
+		{Type: sync.MsgUpvote, Seq: 3},
+	}
+	srv := wireLink(t, textFrames(t, nil, sent...))
+
+	dst := make([]sync.Message, 8)
+	for next := 0; next < len(sent); {
+		n, err := srv.RecvBatch(dst)
+		if err != nil {
+			t.Fatalf("after %d messages: %v", next, err)
+		}
+		for i, m := range dst[:n] {
+			if m.Estimates != nil && i != n-1 {
+				t.Fatalf("a batch of %d messages holds an estimate at %d", n, i)
+			}
+			if want := sent[next]; m.Seq != want.Seq || !reflect.DeepEqual(m.Estimates, want.Estimates) {
+				t.Fatalf("message %d = %+v (estimates %+v), want %+v (estimates %+v)", next, m, m.Estimates, want, want.Estimates)
+			}
+			next++
+		}
+	}
+}
+
 // TestWSPollConn: the adapter-level readiness contract — StartPoll exposes a
 // descriptor, PollRecv delivers decoded messages through the registered
 // callback, blocking Recv is refused afterwards, and a peer close surfaces
-// as an error with the OnClose hook fired.
+// as an error with the OnClose hook fired. The messages are estimates the
+// callback keeps: each must still carry its own figures after later ones
+// decode through the same link.
 func TestWSPollConn(t *testing.T) {
 	cli, srv := wsPair(t)
 	pc, ok := srv.(PollConn)
@@ -335,7 +387,8 @@ func TestWSPollConn(t *testing.T) {
 	pc.OnClose(func() { close(fired) })
 
 	for i := 0; i < 3; i++ {
-		if err := cli.Send(sync.Message{Type: sync.MsgUpvote, Seq: int64(i)}); err != nil {
+		f := float64(i)
+		if err := cli.Send(sync.Message{Type: sync.MsgEstimate, Seq: int64(i), Estimates: &sync.Estimates{PerColumn: []float64{f, f}, Upvote: f}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -354,8 +407,10 @@ func TestWSPollConn(t *testing.T) {
 		}
 	}
 	for i, m := range got {
-		if m.Type != sync.MsgUpvote || m.Seq != int64(i) {
-			t.Fatalf("message %d = %+v", i, m)
+		f := float64(i)
+		want := &sync.Estimates{PerColumn: []float64{f, f}, Upvote: f}
+		if m.Type != sync.MsgEstimate || m.Seq != int64(i) || !reflect.DeepEqual(m.Estimates, want) {
+			t.Fatalf("message %d = %+v (estimates %+v), want estimates %+v", i, m, m.Estimates, want)
 		}
 	}
 
