@@ -44,10 +44,13 @@ fuzz-smoke:
 # static analysis, the race detector, and a short fuzz smoke.
 verify: build vet test race fuzz-smoke
 
-# planes-loc prints the non-test line count of the four wire planes plus the
-# work queue they share — the "one path per job" figure ROADMAP tracks.
+# planes-loc prints the "one path per job" figures ROADMAP tracks, one per
+# line: the non-test line count of the four wire planes plus the work queue
+# they share, then that of the three incremental engines (planner, table
+# index, estimator) and the packages they live in.
 planes-loc:
 	@find internal/wsock internal/transport internal/server internal/netpoll internal/parkq -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@find internal/constraint internal/model internal/pay -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 # bench-pair runs the repository benchmark (bench/run.sh, BENCHMARK.json) on
 # PARENT's committed tree and on the working tree in alternating pairs and

@@ -102,10 +102,7 @@ func benchPlannerRepair(b *testing.B, mode string, n, tsize int) {
 	}
 	mkFiller(n - 2*pairs - filler)
 
-	idx := model.NewTableIndex(rep.Table(), f)
-	rep.SetObserver(idx)
-	p := NewPlanner(Cardinality(s, tsize), f)
-	p.UseIncremental(idx)
+	p, _ := newPlanner(rep, Cardinality(s, tsize), f)
 	if acts := p.Repair(rep); len(acts) != 0 {
 		b.Fatalf("setup repair planned actions: %v", acts)
 	}
@@ -210,10 +207,7 @@ func benchProbableEnter(b *testing.B, s *model.Schema, tmpl Template) {
 	)
 	setup := func() {
 		rep = sync.NewReplica(s)
-		idx := model.NewTableIndex(rep.Table(), f)
-		rep.SetObserver(idx)
-		p = NewPlanner(tmpl, f)
-		p.UseIncremental(idx)
+		p, _ = newPlanner(rep, tmpl, f)
 		cc := sync.NewIDGen("cc")
 		for _, a := range p.InitActions() {
 			execAction(b, rep, cc, a)

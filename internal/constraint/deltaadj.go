@@ -15,12 +15,15 @@ type eqKey struct {
 	val string
 }
 
-// deltaAdj is the incremental-repair engine behind Planner.UseIncremental:
-// a persistent template×probable-row adjacency plus a matching that lives
-// across repairs, maintained from model.TableIndex probable-set deltas so one
-// PRI repair costs what the delta dirtied: no rebuild (O(|T|·|P|)) and no pass
-// over T, leaving the augmenting searches as the only term that can grow with
-// |T| — each is the spec's first-fit walk, up to one hop per holder of a class.
+// deltaAdj is the repair engine behind Planner.Repair: a persistent
+// template×probable-row adjacency plus a matching that lives across repairs,
+// maintained from model.TableIndex probable-set deltas so one PRI repair
+// costs what the delta dirtied: no rebuild (O(|T|·|P|)) and no pass over T,
+// leaving the augmenting searches as the only term that can grow with |T| —
+// each is the spec's first-fit walk, up to one hop per holder of a class.
+// The spec is the from-scratch repair kept in the package's tests
+// (specPlanner), which rebuilds the adjacency and re-seeds the matching on
+// every call; the equivalence tests hold this engine to it.
 //
 // Structure:
 //
@@ -44,9 +47,9 @@ type eqKey struct {
 //     re-entry. Dead slots are compacted away once they outnumber the live
 //     ones, keeping the amortized per-delta cost proportional to the delta.
 //   - Per-class adjacency lists are kept sorted by row id — exactly the
-//     exploration order the full-rebuild Repair uses (its probable rows
-//     arrive sorted by id) — so the incremental augmenting searches visit
-//     rows in the same order and reproduce the spec's assignments exactly.
+//     spec's exploration order (its probable rows arrive sorted by id) — so
+//     the augmenting searches visit rows in the same order and reproduce the
+//     spec's assignments exactly.
 //   - The matching persists: matchT/matchR hold it between repairs and
 //     Planner.assigned mirrors it (match writes assigned[t], unmatch clears
 //     it). A repair looks only at the dirty templates — see markDirty — so a
@@ -402,7 +405,7 @@ func (e *deltaAdj) revalidate(t int) bool {
 
 // augment searches for an augmenting path from free template t over the
 // persistent adjacency — the same alternating-path search, in the same
-// sorted-by-row-id exploration order, as the full-rebuild spec.
+// sorted-by-row-id exploration order, as the from-scratch spec.
 func (e *deltaAdj) augment(t int) bool {
 	e.augEp++
 	return e.kuhn(t, 0)

@@ -41,7 +41,6 @@ func runIndexCrossCheck(t *testing.T, schema *model.Schema, score model.ScoreFun
 	rng := rand.New(rand.NewSource(seed))
 	rep := sync.NewReplica(schema)
 	idx := model.NewTableIndex(rep.Table(), score)
-	idx.SetDebug(true) // panics inside flush on any divergence, with detail
 	rep.SetObserver(idx)
 	gen := sync.NewIDGen(fmt.Sprintf("s%d", seed))
 

@@ -11,16 +11,6 @@ import (
 	"crowdfill/internal/sync"
 )
 
-// newIncrementalPlanner wires a planner to a replica the way server.Core
-// does: a TableIndex observing the replica feeds the delta-driven engine.
-func newIncrementalPlanner(rep *sync.Replica, tmpl Template, score model.ScoreFunc) (*Planner, *model.TableIndex) {
-	idx := model.NewTableIndex(rep.Table(), score)
-	rep.SetObserver(idx)
-	p := NewPlanner(tmpl, score)
-	p.UseIncremental(idx)
-	return p, idx
-}
-
 // kvSchema3 is the three-column, two-key-column schema the equivalence runs
 // use; doRandomOp fills every column from {v0, v1, v2}.
 func kvSchema3() *model.Schema {
@@ -38,12 +28,14 @@ type equivalenceStats struct {
 	split             int // repairs run while exactly one of template rows 0 and 1 was removed
 }
 
-// runEquivalence is the incremental repair's property: a spec planner (full
-// rebuild, no index) and an incremental planner run side by side over up to
-// steps operations chosen by intn (fills, votes, undos, vote-only messages on
-// probable rows, snapshot reloads) and must emit identical action streams,
-// assignments, removal sets and counters at every repair — with CheckPRI
-// holding at every stable point. The run ends early when more() turns false.
+// runEquivalence is the incremental repair's property: the spec planner
+// (full rebuild, table scans) and the production planner run side by side
+// over up to steps operations chosen by intn (fills, votes, undos, vote-only
+// messages on probable rows, snapshot reloads) and must emit identical action
+// streams, assignments, removal sets and counters at every repair — with
+// CheckPRI holding at every stable point. Each production repair is also
+// replayed through a spec seeded with its own pre-repair state
+// (checkedRepair). The run ends early when more() turns false.
 func runEquivalence(t *testing.T, name string, tmpl Template, steps int, intn func(int) int, more func() bool) equivalenceStats {
 	t.Helper()
 	schema := tmpl.Schema
@@ -52,12 +44,8 @@ func runEquivalence(t *testing.T, name string, tmpl Template, steps int, intn fu
 	gen := sync.NewIDGen("s" + name)
 	cc := sync.NewIDGen("cc" + name)
 
-	spec := NewPlanner(tmpl, score)
-	incr, idx := newIncrementalPlanner(rep, tmpl, score)
-	incr.SetDebug(true) // panic with detail inside Repair on divergence
-	if incr.Mode() != "incremental" || spec.Mode() != "full-rebuild" {
-		t.Fatalf("modes = %s/%s", incr.Mode(), spec.Mode())
-	}
+	spec := newSpecPlanner(tmpl, score)
+	incr, idx := newPlanner(rep, tmpl, score)
 
 	var st equivalenceStats
 	repairBoth := func(step int) {
@@ -66,8 +54,8 @@ func runEquivalence(t *testing.T, name string, tmpl Template, steps int, intn fu
 			if iter > 50 {
 				t.Fatalf("%s step %d: repair did not stabilize", name, step)
 			}
-			specActs := spec.Repair(rep)
-			incrActs := incr.Repair(rep)
+			specActs := spec.repairFull(rep)
+			incrActs := checkedRepair(t, incr, rep)
 			if incr.LastDirty() == 0 {
 				st.nothingDirty++
 			}
@@ -78,7 +66,7 @@ func runEquivalence(t *testing.T, name string, tmpl Template, steps int, intn fu
 				t.Fatalf("%s step %d: actions diverge\n spec %v\n incr %v",
 					name, step, specActs, incrActs)
 			}
-			if sa, ia := spec.Assignment(), incr.Assignment(); !reflect.DeepEqual(sa, ia) {
+			if sa, ia := spec.assigned, incr.Assignment(); !reflect.DeepEqual(sa, ia) {
 				t.Fatalf("%s step %d: assignment diverges\n spec %v\n incr %v",
 					name, step, sa, ia)
 			}
@@ -222,7 +210,7 @@ func FuzzPlannerIncremental(f *testing.F) {
 }
 
 // TestPlannerIncrementalShuffle replays the §4.2 shuffle scenario through the
-// incremental path (with the debug cross-check on).
+// incremental path, checking every repair against the spec.
 func TestPlannerIncrementalShuffle(t *testing.T) {
 	s := soccerSchema(t)
 	f := model.MajorityShortcut(3)
@@ -238,9 +226,8 @@ func TestPlannerIncrementalShuffle(t *testing.T) {
 	sRow := mkRow(t, rep, g, "Messi", "Argentina", "FW", "83", "37")
 	rm := mkRow(t, rep, g, "Messi", "Argentina")
 
-	p, _ := newIncrementalPlanner(rep, tmpl, f)
-	p.SetDebug(true)
-	if acts := p.Repair(rep); len(acts) != 0 {
+	p, _ := newPlanner(rep, tmpl, f)
+	if acts := checkedRepair(t, p, rep); len(acts) != 0 {
 		t.Fatalf("both rows probable: no actions expected, got %v", acts)
 	}
 	if asg := p.Assignment(); asg[0] != rm || asg[1] != sRow {
@@ -249,7 +236,7 @@ func TestPlannerIncrementalShuffle(t *testing.T) {
 
 	rep.Upvote(sRow)
 	rep.Upvote(sRow)
-	acts := p.Repair(rep)
+	acts := checkedRepair(t, p, rep)
 	if len(acts) != 1 || acts[0].Kind != ActionInsert || acts[0].Template != 1 {
 		t.Fatalf("want one insert for template 1 via shuffle, got %v", acts)
 	}
@@ -262,7 +249,7 @@ func TestPlannerIncrementalShuffle(t *testing.T) {
 		t.Fatalf("after the shuffle: unmatched = %d, template 1 holds %q; want 1 and none", p.Unmatched(), p.AssignedRow(1))
 	}
 	inserted := execAction(t, rep, g, acts[0])
-	if acts := p.Repair(rep); len(acts) != 0 {
+	if acts := checkedRepair(t, p, rep); len(acts) != 0 {
 		t.Fatalf("post-shuffle repair should be clean, got %v", acts)
 	}
 	if p.LastDirty() != 1 || p.Unmatched() != 0 || p.AssignedRow(1) != inserted {
@@ -275,8 +262,9 @@ func TestPlannerIncrementalShuffle(t *testing.T) {
 }
 
 // TestPlannerIncrementalRemoveTemplate replays the template-removal scenario
-// through the incremental path: the removed template must also leave the
-// engine's inverted index, so later rows stop matching it.
+// through the incremental path, checking every repair against the spec: the
+// removed template must also leave the engine's inverted index, so later rows
+// stop matching it.
 func TestPlannerIncrementalRemoveTemplate(t *testing.T) {
 	s := soccerSchema(t)
 	f := model.MajorityShortcut(3)
@@ -287,29 +275,28 @@ func TestPlannerIncrementalRemoveTemplate(t *testing.T) {
 	rep := sync.NewReplica(s)
 	g := sync.NewIDGen("cc")
 
-	p, _ := newIncrementalPlanner(rep, tmpl, f)
-	p.SetDebug(true)
+	p, _ := newPlanner(rep, tmpl, f)
 	seeded := execAction(t, rep, g, p.InitActions()[0])
-	if acts := p.Repair(rep); len(acts) != 0 {
+	if acts := checkedRepair(t, p, rep); len(acts) != 0 {
 		t.Fatalf("seeded template should satisfy PRI, got %v", acts)
 	}
 
 	rep.Downvote(seeded)
 	rep.Downvote(seeded)
-	acts := p.Repair(rep)
+	acts := checkedRepair(t, p, rep)
 	if len(acts) != 1 || acts[0].Kind != ActionRemoveTemplate || acts[0].Template != 0 {
 		t.Fatalf("want template removal, got %v", acts)
 	}
 	if p.RemovedCount() != 1 {
 		t.Fatalf("RemovedCount = %d", p.RemovedCount())
 	}
-	if acts := p.Repair(rep); len(acts) != 0 {
+	if acts := checkedRepair(t, p, rep); len(acts) != 0 {
 		t.Fatalf("post-removal repair should be clean, got %v", acts)
 	}
 
 	// New rows matching the removed template must not grow its adjacency.
 	mkRow(t, rep, g, "Messi", "Brazil", "FW")
-	if acts := p.Repair(rep); len(acts) != 0 {
+	if acts := checkedRepair(t, p, rep); len(acts) != 0 {
 		t.Fatalf("removed template must stay removed, got %v", acts)
 	}
 }
@@ -341,9 +328,8 @@ func TestPlannerIncrementalClassOutlivesMember(t *testing.T) {
 	a := upvoted("Messi", "Argentina", "FW", "83", "37")
 	b := mkRow(t, rep, g, "Villa", "Spain", "FW")
 
-	p, _ := newIncrementalPlanner(rep, tmpl, model.MajorityShortcut(3))
-	p.SetDebug(true)
-	if acts := p.Repair(rep); len(acts) != 0 || p.AssignedRow(0) != b || p.AssignedRow(1) != a {
+	p, _ := newPlanner(rep, tmpl, model.MajorityShortcut(3))
+	if acts := checkedRepair(t, p, rep); len(acts) != 0 || p.AssignedRow(0) != b || p.AssignedRow(1) != a {
 		t.Fatalf("setup: actions %v, assignment %v", acts, p.Assignment())
 	}
 
@@ -355,7 +341,7 @@ func TestPlannerIncrementalClassOutlivesMember(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	acts := p.Repair(rep)
+	acts := checkedRepair(t, p, rep)
 	if len(acts) != 1 || acts[0].Kind != ActionRemoveTemplate || acts[0].Template != 0 || p.AssignedRow(1) != a {
 		t.Fatalf("want template 0 removed and template 1 still on %q, got %v, assignment %v", a, acts, p.Assignment())
 	}
@@ -368,7 +354,7 @@ func TestPlannerIncrementalClassOutlivesMember(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if acts := p.Repair(rep); len(acts) != 0 || p.AssignedRow(1) != c {
+	if acts := checkedRepair(t, p, rep); len(acts) != 0 || p.AssignedRow(1) != c {
 		t.Fatalf("want template 1 re-augmented onto %q with no action, got %v, assignment %v", c, acts, p.Assignment())
 	}
 	if !p.CheckPRI(rep) {
@@ -415,8 +401,7 @@ func newGroupFixture(t *testing.T) *groupFixture {
 			t.Fatal(err)
 		}
 	}
-	fx.p, fx.idx = newIncrementalPlanner(fx.rep, Cardinality(s, 3), model.DefaultScore)
-	fx.p.SetDebug(true)
+	fx.p, fx.idx = newPlanner(fx.rep, Cardinality(s, 3), model.DefaultScore)
 	fx.repairKeeps(t, "initial", 3, 3)
 	for i := range a[:5] {
 		if _, err := fx.rep.UndoDownvote(model.VectorOf("ka", fmt.Sprintf("v%d", i))); err != nil {
@@ -432,7 +417,7 @@ func newGroupFixture(t *testing.T) *groupFixture {
 func (fx *groupFixture) repairKeeps(t *testing.T, when string, dirty, searches int) {
 	t.Helper()
 	before := fx.p.Augments
-	if acts := fx.p.Repair(fx.rep); len(acts) != 0 {
+	if acts := checkedRepair(t, fx.p, fx.rep); len(acts) != 0 {
 		t.Fatalf("%s: repair planned %v", when, acts)
 	}
 	if got := fx.p.LastDirty(); got != dirty {
@@ -486,7 +471,7 @@ func TestPlannerIncrementalKeepsPairAcrossCompaction(t *testing.T) {
 	if _, err := fx.rep.Upvote(fx.toggleA); err != nil {
 		t.Fatal(err)
 	}
-	acts := fx.p.Repair(fx.rep)
+	acts := checkedRepair(t, fx.p, fx.rep)
 	want := []model.RowID{fx.toggleB, fx.toggleA, ""}
 	if asg := fx.p.Assignment(); !reflect.DeepEqual(asg, want) || fx.p.LastDirty() != 3 || fx.p.Unmatched() != 1 {
 		t.Fatalf("rows gone: assignment %v after re-validating %d, %d unmatched; want %v, 3, 1 (actions %v)",
@@ -534,7 +519,7 @@ func TestPlannerIncrementalRepairNoAllocs(t *testing.T) {
 	// probable set, undoing brings it back.
 	rows := []model.RowID{mkRow(t, rep, gen, "k", "x"), mkRow(t, rep, gen, "k", "y")}
 	vecs := []model.Vector{model.VectorOf("k", "x"), model.VectorOf("k", "y")}
-	p, idx := newIncrementalPlanner(rep, Cardinality(s, 1), model.DefaultScore)
+	p, idx := newPlanner(rep, Cardinality(s, 1), model.DefaultScore)
 	if acts := p.Repair(rep); len(acts) != 0 || p.AssignedRow(0) != rows[0] {
 		t.Fatalf("setup: actions %v, template 0 holds %q", acts, p.AssignedRow(0))
 	}
@@ -587,7 +572,7 @@ func TestProbableAddedAllocsIndependentOfClassSize(t *testing.T) {
 	s := model.MustSchema("A", []model.Column{{Name: "k"}, {Name: "v"}}, "k")
 	const runs = 512
 	for _, n := range []int{20, 200} {
-		p, _ := newIncrementalPlanner(sync.NewReplica(s), Cardinality(s, n), model.DefaultScore)
+		p, _ := newPlanner(sync.NewReplica(s), Cardinality(s, n), model.DefaultScore)
 		rows := make([]*model.Row, runs+1)
 		for i := range rows {
 			rows[i] = &model.Row{ID: model.RowID(fmt.Sprintf("r-%04d", i)), Vec: model.VectorOf(fmt.Sprintf("k%d", i), "x")}

@@ -47,7 +47,7 @@ func runPlannerFuzz(t *testing.T, seed int64) {
 	rep := sync.NewReplica(s)
 	g := sync.NewIDGen("w")
 	ccg := sync.NewIDGen("cc")
-	p := NewPlanner(tmpl, f)
+	p, _ := newPlanner(rep, tmpl, f)
 
 	exec := func(a Action) {
 		if a.Kind != ActionInsert {
@@ -156,7 +156,7 @@ func TestPlannerIncrementalMatchesScratch(t *testing.T) {
 
 	rep := sync.NewReplica(s)
 	g := sync.NewIDGen("w")
-	p := NewPlanner(tmpl, f)
+	p, _ := newPlanner(rep, tmpl, f)
 	for _, a := range p.InitActions() {
 		ins, _ := rep.Insert(g.Next())
 		_ = a

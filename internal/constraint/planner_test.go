@@ -7,6 +7,14 @@ import (
 	"crowdfill/internal/sync"
 )
 
+// newPlanner wires a planner to a replica the way server.Core does: a
+// TableIndex observing the replica feeds the planner's repair engine.
+func newPlanner(rep *sync.Replica, tmpl Template, score model.ScoreFunc) (*Planner, *model.TableIndex) {
+	idx := model.NewTableIndex(rep.Table(), score)
+	rep.SetObserver(idx)
+	return NewPlanner(tmpl, score, idx), idx
+}
+
 // execAction applies a planner action to the replica the way the Central
 // Client does: insert, then fill the seed's cells, then optionally upvote.
 // Returns the final row id (or "" for removals).
@@ -77,7 +85,7 @@ func TestPlannerFigure4(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p := NewPlanner(tmpl, f)
+	p, _ := newPlanner(rep, tmpl, f)
 	if acts := p.Repair(rep); len(acts) != 0 {
 		t.Fatalf("initial repair should need no actions, got %v", acts)
 	}
@@ -169,7 +177,7 @@ func TestPlannerShuffle(t *testing.T) {
 	sRow := mkRow(t, rep, g, "Messi", "Argentina", "FW", "83", "37")
 	rm := mkRow(t, rep, g, "Messi", "Argentina") // partial, matches t0
 
-	p := NewPlanner(tmpl, f)
+	p, _ := newPlanner(rep, tmpl, f)
 	if acts := p.Repair(rep); len(acts) != 0 {
 		t.Fatalf("both rows probable: no actions expected, got %v", acts)
 	}
@@ -213,7 +221,7 @@ func TestPlannerRemoveTemplate(t *testing.T) {
 	rep := sync.NewReplica(s)
 	g := sync.NewIDGen("cc")
 
-	p := NewPlanner(tmpl, f)
+	p, _ := newPlanner(rep, tmpl, f)
 	init := p.InitActions()
 	if len(init) != 1 || init[0].Upvote {
 		t.Fatalf("init actions = %v", init)
@@ -255,7 +263,8 @@ func TestPlannerInitActions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPlanner(tmpl, model.MajorityShortcut(3))
+	rep := sync.NewReplica(s)
+	p, _ := newPlanner(rep, tmpl, model.MajorityShortcut(3))
 	acts := p.InitActions()
 	if len(acts) != 2 {
 		t.Fatalf("init actions = %d, want 2", len(acts))
@@ -265,7 +274,6 @@ func TestPlannerInitActions(t *testing.T) {
 	}
 
 	// Executing the init actions satisfies the PRI immediately.
-	rep := sync.NewReplica(s)
 	g := sync.NewIDGen("cc")
 	for _, a := range acts {
 		execAction(t, rep, g, a)
@@ -284,8 +292,8 @@ func TestPlannerInitActions(t *testing.T) {
 func TestPlannerCardinalityGrowth(t *testing.T) {
 	s := soccerSchema(t)
 	f := model.MajorityShortcut(3)
-	p := NewPlanner(Cardinality(s, 4), f)
 	rep := sync.NewReplica(s)
+	p, _ := newPlanner(rep, Cardinality(s, 4), f)
 	cc := sync.NewIDGen("cc")
 	w := sync.NewIDGen("w")
 

@@ -14,58 +14,21 @@ import (
 //  3. r is complete with a positive score, no same-key row scores higher,
 //     and r wins the deterministic tie-break (lowest row id) among equals.
 //
-// The result is sorted by row id. This is the from-scratch path
-// (model.ProbableRows); servers on the hot path use an incrementally
-// maintained model.TableIndex instead and cross-check against this.
+// The result is sorted by row id. This is the from-scratch computation
+// (model.ProbableRows): the server maintains the same set incrementally in a
+// model.TableIndex, and the tests check the index against this.
 func Probable(c *model.Candidate, f model.ScoreFunc) []*model.Row {
 	return model.ProbableRows(c, f)
 }
 
-// WouldBeProbable reports whether a hypothetical new row with value v would
-// be probable if inserted into c right now, given the vote histories it
-// would inherit (up = uh if complete, down = subset sum of DH). The Central
-// Client uses this before inserting a template row's value (paper §4.2:
-// "inserting row q with value t does not always make q probable").
-func WouldBeProbable(c *model.Candidate, f model.ScoreFunc, v model.Vector, inheritedUp, inheritedDown int) bool {
-	s := c.Schema()
-	up := 0
-	if v.IsComplete() {
-		up = inheritedUp
-	}
-	score := f(up, inheritedDown)
-	if !v.KeyComplete(s) {
-		return score == 0
-	}
-	// Key complete: look at competing rows with the same key.
-	k := v.KeyOf(s)
-	positive := false
-	maxOther := 0
-	c.Each(func(r *model.Row) {
-		if !r.Vec.KeyComplete(s) || r.Vec.KeyOf(s) != k {
-			return
-		}
-		sc := f(r.Up, r.Down)
-		if sc > 0 {
-			positive = true
-			if sc > maxOther {
-				maxOther = sc
-			}
-		}
-	})
-	if score == 0 {
-		return !positive
-	}
-	if score > 0 && v.IsComplete() {
-		// New row must not be dominated; ties lose to the incumbent (the
-		// incumbent has the older id), so require strictly greater.
-		return score > maxOther
-	}
-	return false
-}
-
-// WouldBeProbableIndexed is WouldBeProbable evaluated against a maintained
-// TableIndex: the same-key competition comes from the index's per-key
-// statistics instead of a full table scan.
+// WouldBeProbableIndexed reports whether a hypothetical new row with value v
+// would be probable if inserted into the indexed table right now, given the
+// vote histories it would inherit (up = uh if complete, down = subset sum of
+// DH). The Central Client uses this before inserting a template row's value
+// (paper §4.2: "inserting row q with value t does not always make q
+// probable"). The same-key competition comes from the index's per-key
+// statistics; a new complete row must outscore every same-key row, since
+// ties lose to the incumbent's older id.
 func WouldBeProbableIndexed(idx *model.TableIndex, s *model.Schema, f model.ScoreFunc, v model.Vector, inheritedUp, inheritedDown int) bool {
 	up := 0
 	if v.IsComplete() {

@@ -59,42 +59,38 @@ func TestProbableSortedByID(t *testing.T) {
 	}
 }
 
+// TestWouldBeProbable runs each case through the scan spec and through
+// WouldBeProbableIndexed over a TableIndex of the same table.
 func TestWouldBeProbable(t *testing.T) {
 	s := soccerSchema(t)
 	f := model.MajorityShortcut(3)
 	c := model.NewCandidate(s)
 	c.Put(&model.Row{ID: "r-01", Vec: model.VectorOf("Pele", "Brazil", "FW", "92", "77"), Up: 3, Down: 0})
+	idx := model.NewTableIndex(c, f)
 
-	// Key-incomplete seed with no inherited downvotes: probable.
-	if !WouldBeProbable(c, f, model.VectorOf("", "", "FW", "", ""), 0, 0) {
-		t.Errorf("clean partial seed should be insertable")
+	check := func(want bool, v model.Vector, up, down int, what string) {
+		t.Helper()
+		if got := WouldBeProbable(c, f, v, up, down); got != want {
+			t.Errorf("%s: WouldBeProbable = %v, want %v", what, got, want)
+		}
+		if got := WouldBeProbableIndexed(idx, s, f, v, up, down); got != want {
+			t.Errorf("%s: WouldBeProbableIndexed = %v, want %v", what, got, want)
+		}
 	}
-	// Inherited downvotes give it a negative score: not probable.
-	if WouldBeProbable(c, f, model.VectorOf("", "", "FW", "", ""), 0, 2) {
-		t.Errorf("downvoted seed should not be insertable")
-	}
-	// Key-complete seed whose key already has a positive row: not probable.
-	if WouldBeProbable(c, f, model.VectorOf("Pele", "Brazil", "", "", ""), 0, 0) {
-		t.Errorf("seed whose key has a positive competitor should not be insertable")
-	}
-	// Key-complete seed with a fresh key: probable.
-	if !WouldBeProbable(c, f, model.VectorOf("Xavi", "Spain", "", "", ""), 0, 0) {
-		t.Errorf("fresh-key seed should be insertable")
-	}
-	// Complete seed with inherited positive score exceeding competitors.
-	if !WouldBeProbable(c, f, model.VectorOf("Zico", "Brazil", "MF", "71", "48"), 4, 0) {
-		t.Errorf("complete positively-voted seed should be insertable")
-	}
-	// Complete seed tied with an incumbent loses the tie-break.
-	c.Put(&model.Row{ID: "r-02", Vec: model.VectorOf("Zico", "Brazil", "MF", "71", "48"), Up: 4, Down: 0})
-	if WouldBeProbable(c, f, model.VectorOf("Zico", "Brazil", "MF", "71", "48"), 4, 0) {
-		t.Errorf("tied complete seed should lose to incumbent")
-	}
-	// Partial seed with positive inherited score: inherits only if complete,
-	// so up is ignored and score is 0; with a positive competitor -> no.
-	if WouldBeProbable(c, f, model.VectorOf("Zico", "Brazil", "", "", ""), 5, 0) {
-		t.Errorf("partial seed with positive same-key competitor should not be insertable")
-	}
+	check(true, model.VectorOf("", "", "FW", "", ""), 0, 0, "clean partial seed")
+	check(false, model.VectorOf("", "", "FW", "", ""), 0, 2, "seed with inherited downvotes")
+	check(false, model.VectorOf("Pele", "Brazil", "", "", ""), 0, 0, "seed whose key has a positive competitor")
+	check(true, model.VectorOf("Xavi", "Spain", "", "", ""), 0, 0, "fresh-key seed")
+	check(true, model.VectorOf("Zico", "Brazil", "MF", "71", "48"), 4, 0, "complete seed outscoring its competitors")
+
+	// A complete seed tied with an incumbent loses the tie-break.
+	r2 := &model.Row{ID: "r-02", Vec: model.VectorOf("Zico", "Brazil", "MF", "71", "48"), Up: 4, Down: 0}
+	c.Put(r2)
+	idx.RowAdded(r2)
+	check(false, model.VectorOf("Zico", "Brazil", "MF", "71", "48"), 4, 0, "complete seed tied with the incumbent")
+	// A partial seed inherits upvotes only if complete, so its score is 0;
+	// with a positive same-key competitor it is not probable.
+	check(false, model.VectorOf("Zico", "Brazil", "", "", ""), 5, 0, "partial seed with a positive competitor")
 }
 
 func TestMaxMatchingBasic(t *testing.T) {

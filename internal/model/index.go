@@ -1,9 +1,6 @@
 package model
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // KeyStat summarizes the rows sharing one complete primary key, as the
 // probable-rows rules need them (paper §4.1).
@@ -66,13 +63,6 @@ type TableIndex struct {
 	sortedFinal []*Row
 
 	listeners []ProbableDeltaListener
-
-	// Debug mode: the from-scratch final winners and the final-winner counter
-	// as of the previous cross-check, so the next one can assert the counter
-	// moved iff the winners did.
-	debug       bool
-	dbgFinal    map[string]*Row
-	dbgFinalVer uint64
 }
 
 // keyGroup is the key-complete rows sharing one primary key. It keeps its
@@ -116,24 +106,11 @@ type ProbableDeltaListener interface {
 //   - Pending index changes are flushed before registration, so a new
 //     listener observes only deltas applied after attachment; callers seed
 //     initial state from Probable().
-//   - Listeners must not register or remove listeners, and must not call
-//     back into the index's query methods, from inside a callback.
+//   - Listeners must not register listeners, and must not call back into
+//     the index's query methods, from inside a callback.
 func (x *TableIndex) AddDeltaListener(l ProbableDeltaListener) {
 	x.flush()
 	x.listeners = append(x.listeners, l)
-}
-
-// RemoveDeltaListener detaches a previously-registered listener (identified
-// by interface identity). Removing a listener that is not registered is a
-// no-op. Delivery order of the remaining listeners is preserved.
-func (x *TableIndex) RemoveDeltaListener(l ProbableDeltaListener) {
-	x.flush()
-	for i, have := range x.listeners {
-		if have == l {
-			x.listeners = append(x.listeners[:i], x.listeners[i+1:]...)
-			return
-		}
-	}
 }
 
 // --- multicast dispatch helpers ---
@@ -169,20 +146,6 @@ func NewTableIndex(c *Candidate, f ScoreFunc) *TableIndex {
 	x := &TableIndex{f: f}
 	x.TableReset(c)
 	return x
-}
-
-// SetDebug enables the opt-in cross-check mode: after every recompute the
-// incremental results are compared against the from-scratch ProbableRows and
-// FinalTable, panicking on divergence, and the final-winner counter is checked
-// to move exactly when the from-scratch winners do. For tests and debugging
-// only.
-func (x *TableIndex) SetDebug(on bool) {
-	x.flush()
-	x.debug = on
-	x.dbgFinal, x.dbgFinalVer = nil, x.finalVer
-	if on {
-		x.dbgFinal = finalByKey(x.s, FinalTable(x.c, x.f))
-	}
 }
 
 // Version returns a counter that increases whenever the probable set or the
@@ -404,9 +367,6 @@ func (x *TableIndex) flush() {
 		x.version++
 		x.sortedProb, x.sortedFinal = nil, nil
 	}
-	if x.debug {
-		x.crossCheck() //lint:allow hotalloc debug-only full recomputation, tests enable it
-	}
 }
 
 // flushKey recomputes one key group's stats, probable membership, and final
@@ -482,50 +442,4 @@ func (x *TableIndex) flushKey(k string) bool {
 		}
 	}
 	return changed
-}
-
-// crossCheck compares the maintained sets against the from-scratch reference
-// implementations, panicking on any divergence (debug mode only).
-func (x *TableIndex) crossCheck() {
-	ref := ProbableRows(x.c, x.f)
-	if len(ref) != len(x.probable) {
-		panic(fmt.Sprintf("model: TableIndex probable divergence: incremental %d rows, scratch %d", len(x.probable), len(ref)))
-	}
-	for _, r := range ref {
-		if x.probable[r.ID] != r {
-			panic(fmt.Sprintf("model: TableIndex probable divergence at row %s", r.ID))
-		}
-	}
-	refFinal := FinalTable(x.c, x.f)
-	if len(refFinal) != len(x.final) {
-		panic(fmt.Sprintf("model: TableIndex final divergence: incremental %d rows, scratch %d", len(x.final), len(refFinal)))
-	}
-	for _, r := range refFinal {
-		if x.final[r.Vec.KeyOf(x.s)] != r {
-			panic(fmt.Sprintf("model: TableIndex final divergence at row %s", r.ID))
-		}
-	}
-	// The final-winner counter must have moved since the previous cross-check
-	// iff the from-scratch winners did.
-	now := finalByKey(x.s, refFinal)
-	changed := len(now) != len(x.dbgFinal)
-	for k, r := range now {
-		if x.dbgFinal[k] != r {
-			changed = true
-		}
-	}
-	if moved := x.finalVer != x.dbgFinalVer; moved != changed {
-		panic(fmt.Sprintf("model: TableIndex final-winner counter moved=%v (%d -> %d) but from-scratch winners changed=%v",
-			moved, x.dbgFinalVer, x.finalVer, changed))
-	}
-	x.dbgFinal, x.dbgFinalVer = now, x.finalVer
-}
-
-// finalByKey indexes a final table by primary key.
-func finalByKey(s *Schema, final []*Row) map[string]*Row {
-	out := make(map[string]*Row, len(final))
-	for _, r := range final {
-		out[r.Vec.KeyOf(s)] = r
-	}
-	return out
 }

@@ -3,8 +3,49 @@ package model
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
+
+// scratchCheck holds a TableIndex to the from-scratch ProbableRows and
+// FinalTable of its table, and its final-winner counter to the from-scratch
+// winners: between two checks the counter must move exactly when the winners
+// changed.
+type scratchCheck struct {
+	x     *TableIndex
+	final []*Row // from-scratch final table at the previous check
+	ver   uint64 // FinalVersion at the previous check
+}
+
+func newScratchCheck(x *TableIndex) *scratchCheck {
+	return &scratchCheck{x: x, final: FinalTable(x.c, x.f), ver: x.FinalVersion()}
+}
+
+func (sc *scratchCheck) check(t *testing.T, step int) {
+	t.Helper()
+	x := sc.x
+	if got, want := x.Probable(), ProbableRows(x.c, x.f); !slices.Equal(got, want) {
+		t.Fatalf("step %d: index probable rows %v, from scratch %v", step, rowIDs(got), rowIDs(want))
+	}
+	final := FinalTable(x.c, x.f)
+	if got := x.FinalTable(); !slices.Equal(got, final) {
+		t.Fatalf("step %d: index final table %v, from scratch %v", step, rowIDs(got), rowIDs(final))
+	}
+	ver := x.FinalVersion()
+	if moved, changed := ver != sc.ver, !slices.Equal(final, sc.final); moved != changed {
+		t.Fatalf("step %d: final-winner counter moved=%v (%d -> %d) but from-scratch winners changed=%v",
+			step, moved, sc.ver, ver, changed)
+	}
+	sc.final, sc.ver = final, ver
+}
+
+func rowIDs(rows []*Row) []RowID {
+	out := make([]RowID, len(rows))
+	for i, r := range rows {
+		out[i] = r.ID
+	}
+	return out
+}
 
 // shadowListener reconstructs the probable set purely from delta callbacks,
 // so the test can prove the delta stream is sound (no duplicate adds, no
@@ -43,7 +84,7 @@ func (l *shadowListener) IndexReset() {
 // TestDeltaListenerTracksProbable drives a TableIndex through a randomized op
 // mix (adds, vote changes, removals, full resets) and checks after every
 // flush that the listener-reconstructed probable set matches the index's,
-// which debug mode in turn checks against the from-scratch recomputation.
+// and the index's the from-scratch recomputation.
 func TestDeltaListenerTracksProbable(t *testing.T) {
 	s := MustSchema("KV", []Column{
 		{Name: "k", Type: TypeString},
@@ -51,7 +92,7 @@ func TestDeltaListenerTracksProbable(t *testing.T) {
 	}, "k")
 	c := NewCandidate(s)
 	idx := NewTableIndex(c, MajorityShortcut(3))
-	idx.SetDebug(true)
+	sc := newScratchCheck(idx)
 	sh := &shadowListener{t: t, rows: make(map[RowID]*Row)}
 	idx.AddDeltaListener(sh)
 
@@ -61,6 +102,7 @@ func TestDeltaListenerTracksProbable(t *testing.T) {
 
 	check := func(step int) {
 		t.Helper()
+		sc.check(t, step)
 		prob := idx.Probable()
 		if len(prob) != len(sh.rows) {
 			t.Fatalf("step %d: listener holds %d rows, index %d", step, len(sh.rows), len(prob))
@@ -154,7 +196,7 @@ func TestTwoDeltaListeners(t *testing.T) {
 	}, "k")
 	c := NewCandidate(s)
 	idx := NewTableIndex(c, MajorityShortcut(3))
-	idx.SetDebug(true)
+	sc := newScratchCheck(idx)
 
 	var log []logEvent
 	a := &loggingListener{shadowListener: shadowListener{t: t, rows: make(map[RowID]*Row)}, name: "a", log: &log}
@@ -168,6 +210,7 @@ func TestTwoDeltaListeners(t *testing.T) {
 
 	check := func(step int) {
 		t.Helper()
+		sc.check(t, step)
 		prob := idx.Probable()
 		for _, sh := range []*loggingListener{a, b} {
 			if len(prob) != len(sh.rows) {
@@ -225,39 +268,22 @@ func TestTwoDeltaListeners(t *testing.T) {
 	if a.resets == 0 || b.resets == 0 {
 		t.Fatal("op mix never exercised IndexReset")
 	}
-
-	// RemoveDeltaListener detaches by identity: after removal only b keeps
-	// receiving deltas.
-	idx.RemoveDeltaListener(a)
-	aRows := len(a.rows)
-	nextID++
-	// Partial row with zero votes: probable by rule 1 (score 0), so both
-	// listeners would see it — but a has been detached.
-	r := &Row{ID: RowID(fmt.Sprintf("r-%03d", nextID)), Vec: VectorOf("z", "")}
-	c.Put(r)
-	idx.RowAdded(r)
-	idx.Version()
-	if len(a.rows) != aRows {
-		t.Fatal("removed listener still receives deltas")
-	}
-	if b.rows[r.ID] != r {
-		t.Fatal("remaining listener missed delta after RemoveDeltaListener")
-	}
 }
 
 // TestFinalVersionAcrossReset: the final-winner counter moves only when a
 // winner changes — a vote that keeps the winner, and a reset onto a table
 // with the very same winning rows, leave it alone; a reset onto a table
-// that lost the key moves it. (Debug mode re-derives each step from scratch.)
+// that lost the key moves it. Each step is also checked from scratch.
 func TestFinalVersionAcrossReset(t *testing.T) {
 	s := MustSchema("KV", []Column{{Name: "k"}, {Name: "v"}}, "k")
 	c := NewCandidate(s)
 	idx := NewTableIndex(c, DefaultScore)
-	idx.SetDebug(true)
+	sc := newScratchCheck(idx)
 
 	win := &Row{ID: "r-1", Vec: VectorOf("a", "x"), Up: 1}
 	c.Put(win)
 	idx.RowAdded(win)
+	sc.check(t, 0)
 	v1 := idx.FinalVersion()
 	if v1 == 0 || idx.FinalRows() != 1 {
 		t.Fatalf("a positive complete row must become the winner: version %d, rows %d", v1, idx.FinalRows())
@@ -265,16 +291,19 @@ func TestFinalVersionAcrossReset(t *testing.T) {
 
 	win.Up = 2
 	idx.RowVotesChanged(win)
+	sc.check(t, 1)
 	if got := idx.FinalVersion(); got != v1 {
 		t.Fatalf("vote on the standing winner moved the counter: %d -> %d", v1, got)
 	}
 
 	idx.TableReset(c)
+	sc.check(t, 2)
 	if got := idx.FinalVersion(); got != v1 {
 		t.Fatalf("reset onto the same winning rows moved the counter: %d -> %d", v1, got)
 	}
 
 	idx.TableReset(NewCandidate(s))
+	sc.check(t, 3)
 	if got := idx.FinalVersion(); got == v1 || idx.FinalRows() != 0 {
 		t.Fatalf("reset onto an empty table: version %d -> %d, rows %d", v1, got, idx.FinalRows())
 	}

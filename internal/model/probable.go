@@ -13,8 +13,8 @@ import "sort"
 //     and r wins the deterministic tie-break (lowest row id) among equals.
 //
 // The result is sorted by row id. This is the reference implementation the
-// incrementally-maintained TableIndex is cross-checked against; the
-// constraint package's Probable delegates here.
+// tests hold the incrementally maintained TableIndex to; the constraint
+// package's Probable delegates here.
 func ProbableRows(c *Candidate, f ScoreFunc) []*Row {
 	s := c.Schema()
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"crowdfill/internal/constraint"
@@ -11,50 +12,58 @@ import (
 	"crowdfill/internal/sync"
 )
 
-// TestIncrementalDenominatorMatchesScan cross-checks the two estimator modes
-// over a randomized op mix: one estimator attached to a TableIndex (tallies
-// maintained from probable-set deltas), one detached (denominator recomputed
-// by scanning the probable rows each time). Every per-action estimate and
-// every displayed estimate payload must agree, including across a snapshot
-// reload that forces an index rebuild.
+// TestIncrementalDenominatorMatchesScan holds the estimator's index-driven
+// bookkeeping to a scan over a randomized op mix. After every step the index's
+// probable rows must equal a from-scratch ProbableRows, and the |U| and |D|
+// tallies the estimator prices with must equal a scan of those rows and of
+// the downvotes observed so far. Each observed action must count as useful
+// exactly when the scan says it is. This includes a snapshot reload that
+// forces an index rebuild. Tallies and usefulness are the only inputs the
+// index supplies; the estimates are arithmetic on them (see
+// TestCurrentIndexedMatchesPerCallEstimates).
 func TestIncrementalDenominatorMatchesScan(t *testing.T) {
 	s := kvSchema(t)
-	tmpl := constraint.Cardinality(s, 4)
 	score := model.MajorityShortcut(3)
-	inc := NewEstimator(s, score, DualWeighted, 10, tmpl, 0)
-	ref := NewEstimator(s, score, DualWeighted, 10, tmpl, 0)
-	rep := sync.NewReplica(s)
-	idx := model.NewTableIndex(rep.Table(), score)
-	idx.SetDebug(true)
-	rep.SetObserver(idx)
-	inc.AttachIndex(idx)
+	e, rep := indexedEstimator(s, DualWeighted, 4)
 
 	workers := []string{"w1", "w2", "w3"}
 	for _, w := range workers {
-		inc.Join(w, 0)
-		ref.Join(w, 0)
+		e.Join(w, 0)
 	}
 
 	rng := rand.New(rand.NewSource(11))
 	gen := sync.NewIDGen("n")
 	vals := []string{"ada", "bob", "cyd"}
 	var ts int64
+	var downvoted []model.Vector // every downvote observed, repeats included
+	covered := func(prob []*model.Row, v model.Vector) bool {
+		return slices.ContainsFunc(prob, func(p *model.Row) bool { return p.Vec.Superset(v) })
+	}
 
 	compare := func(step int) {
 		t.Helper()
-		a := new(sync.Estimates)
-		inc.CurrentIndexed(a)
-		b := ref.CurrentProb(idx.Probable())
-		for i := range a.PerColumn {
-			if math.Abs(a.PerColumn[i]-b.PerColumn[i]) > 1e-9 {
-				t.Fatalf("step %d: PerColumn[%d] incremental %v, scan %v", step, i, a.PerColumn[i], b.PerColumn[i])
+		prob := e.idx.Probable()
+		if want := model.ProbableRows(rep.Table(), score); !slices.Equal(prob, want) {
+			t.Fatalf("step %d: index holds %d probable rows, from scratch %d", step, len(prob), len(want))
+		}
+		wantU := (e.umin - 1) * 4
+		for _, p := range prob {
+			if extra := p.Up - (e.umin - 1); p.Vec.IsComplete() && extra > 0 {
+				wantU += extra
 			}
 		}
-		if math.Abs(a.Upvote-b.Upvote) > 1e-9 || math.Abs(a.Downvote-b.Downvote) > 1e-9 {
-			t.Fatalf("step %d: votes incremental %v/%v, scan %v/%v", step, a.Upvote, a.Downvote, b.Upvote, b.Downvote)
+		wantD := 0
+		for _, v := range downvoted {
+			if !covered(prob, v) {
+				wantD++
+			}
+		}
+		if _, estU, estD := e.counts(); estU != wantU || estD != wantD {
+			t.Fatalf("step %d: |U| = %d, |D| = %d; scan %d, %d", step, estU, estD, wantU, wantD)
 		}
 	}
 
+	var useful, downvotes int
 	for step := 0; step < 300; step++ {
 		m, ok := randomOp(rep, rng, gen, vals)
 		if !ok {
@@ -64,10 +73,27 @@ func TestIncrementalDenominatorMatchesScan(t *testing.T) {
 		ts += int64(1+rng.Intn(5)) * 1e9
 		m.TS = ts
 
-		got := inc.ObserveIndexed(m)
-		want := ref.ObserveProb(m, idx.Probable())
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("step %d (%v): incremental estimate %v, scan %v", step, m.Type, got, want)
+		prob := e.idx.Probable()
+		var want bool
+		switch m.Type {
+		case sync.MsgReplace:
+			want = slices.ContainsFunc(prob, func(p *model.Row) bool { return p.ID == m.Row || p.ID == m.NewRow })
+		case sync.MsgUpvote:
+			want = slices.ContainsFunc(prob, func(p *model.Row) bool { return p.Vec.Equal(m.Vec) })
+		case sync.MsgDownvote:
+			want = !covered(prob, m.Vec)
+			downvoted = append(downvoted, m.Vec)
+			downvotes++
+		default:
+			// Inserts and undos are unpaid: never useful.
+		}
+		before := e.workerUseful[m.Worker]
+		e.Observe(m)
+		if got := e.workerUseful[m.Worker] != before; got != want {
+			t.Fatalf("step %d (%v): counted useful = %v, scan says %v", step, m.Type, got, want)
+		}
+		if want {
+			useful++
 		}
 		compare(step)
 
@@ -80,15 +106,8 @@ func TestIncrementalDenominatorMatchesScan(t *testing.T) {
 			compare(step)
 		}
 	}
-	if len(inc.Records) == 0 || len(inc.Records) != len(ref.Records) {
-		t.Fatalf("record streams diverged: %d vs %d", len(inc.Records), len(ref.Records))
-	}
-	// The usefulness decisions feed the weight medians; equal weights over a
-	// long mix is strong evidence the O(1) checks match the scans.
-	for i := range inc.Records {
-		if inc.Records[i] != ref.Records[i] {
-			t.Fatalf("record %d diverged: %+v vs %+v", i, inc.Records[i], ref.Records[i])
-		}
+	if useful == 0 || useful == len(e.Records) || downvotes == 0 {
+		t.Fatalf("op mix too tame: %d of %d paid actions useful, %d downvotes", useful, len(e.Records), downvotes)
 	}
 }
 
@@ -96,12 +115,10 @@ func TestIncrementalDenominatorMatchesScan(t *testing.T) {
 // replica, for a Cardinality(tmplRows) template on s.
 func indexedEstimator(s *model.Schema, scheme Scheme, tmplRows int) (*Estimator, *sync.Replica) {
 	score := model.MajorityShortcut(3)
-	e := NewEstimator(s, score, scheme, 10, constraint.Cardinality(s, tmplRows), 0)
 	rep := sync.NewReplica(s)
 	idx := model.NewTableIndex(rep.Table(), score)
 	rep.SetObserver(idx)
-	e.AttachIndex(idx)
-	return e, rep
+	return NewEstimator(s, score, scheme, 10, constraint.Cardinality(s, tmplRows), 0, idx), rep
 }
 
 // randomOp performs one random primitive operation on rep — insert, fill,
@@ -164,19 +181,19 @@ func TestCurrentIndexedMatchesPerCallEstimates(t *testing.T) {
 				m.Worker = workers[rng.Intn(len(workers))]
 				ts += int64(1+rng.Intn(5)) * 1e9
 				m.TS = ts
-				e.ObserveIndexed(m)
+				e.Observe(m)
 
 				got := new(sync.Estimates)
-				e.CurrentIndexed(got)
+				e.Current(got)
 				for ci, g := range got.PerColumn {
-					if want := e.estimateFill(ci, nil); math.Float64bits(g) != math.Float64bits(want) {
+					if want := e.estimateFill(ci); math.Float64bits(g) != math.Float64bits(want) {
 						t.Fatalf("step %d: PerColumn[%d] = %v, estimateFill = %v", step, ci, g, want)
 					}
 				}
-				if want := e.estimateVote(true, nil); math.Float64bits(got.Upvote) != math.Float64bits(want) {
+				if want := e.estimateVote(true); math.Float64bits(got.Upvote) != math.Float64bits(want) {
 					t.Fatalf("step %d: Upvote = %v, estimateVote = %v", step, got.Upvote, want)
 				}
-				if want := e.estimateVote(false, nil); math.Float64bits(got.Downvote) != math.Float64bits(want) {
+				if want := e.estimateVote(false); math.Float64bits(got.Downvote) != math.Float64bits(want) {
 					t.Fatalf("step %d: Downvote = %v, estimateVote = %v", step, got.Downvote, want)
 				}
 			}
@@ -198,7 +215,7 @@ func TestEstimatorHotPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill.Worker, fill.TS = "w1", 3e9
-	e.ObserveIndexed(fill)
+	e.Observe(fill)
 	if !e.inc.hasVec(fill.Vec) {
 		t.Fatalf("setup: %v is not probable", fill.Vec)
 	}
@@ -207,8 +224,8 @@ func TestEstimatorHotPathAllocs(t *testing.T) {
 		t.Errorf("denomTracker.hasVec: %v allocs/op, want 0", n)
 	}
 	var est sync.Estimates
-	if n := testing.AllocsPerRun(100, func() { e.CurrentIndexed(&est) }); n != 0 {
-		t.Errorf("Estimator.CurrentIndexed: %v allocs/op, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { e.Current(&est) }); n != 0 {
+		t.Errorf("Estimator.Current: %v allocs/op, want 0", n)
 	}
 
 	// A value's first probable row costs the tracker no entry of its own:
@@ -312,14 +329,14 @@ func BenchmarkCurrentIndexed(b *testing.B) {
 			}
 			ts += int64(2+col) * 1e9
 			m.Worker, m.TS = "w1", ts
-			e.ObserveIndexed(m)
+			e.Observe(m)
 			id = m.NewRow
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.CurrentIndexed(&estimatesSink)
+		e.Current(&estimatesSink)
 	}
 }
 

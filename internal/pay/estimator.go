@@ -24,14 +24,12 @@ type Record struct {
 // uniform weights and converge as latency observations accumulate.
 //
 // Estimates are displayed per handled message, so their cost is the server's
-// per-message hot path. Attached to a model.TableIndex (AttachIndex), the
-// estimator maintains its denominator incrementally from probable-set deltas
-// — upvote-surplus and consistent-downvote tallies, exact-vector lookups —
-// so computing an estimate never rescans the probable rows; detached, it
-// falls back to scanning the probable-row slice the caller supplies.
+// per-message hot path. The estimator follows a model.TableIndex and
+// maintains its denominator incrementally from the index's probable-set
+// deltas — upvote-surplus and consistent-downvote tallies, exact-vector
+// lookups — so computing an estimate never rescans the probable rows.
 type Estimator struct {
 	schema *model.Schema
-	score  model.ScoreFunc
 	scheme Scheme
 	budget float64
 	tmpl   constraint.Template
@@ -54,11 +52,6 @@ type Estimator struct {
 	zCache    []float64
 	zValid    []bool
 
-	// downvoted stores observed downvote vectors for the detached path;
-	// estD counts those still consistent with all probable rows. When a
-	// tracker is attached it owns this bookkeeping (deduplicated).
-	downvoted []model.Vector
-
 	// estC caches the per-column empty-cell counts |C_i| (template-static).
 	estC []int
 
@@ -68,10 +61,10 @@ type Estimator struct {
 	wCol  []float64
 	wHave []float64
 
-	// inc, when non-nil, maintains the denominator tallies from TableIndex
-	// deltas; incIdx is the index driving it.
-	inc    *denomTracker
-	incIdx *model.TableIndex
+	// inc maintains the denominator tallies and the usefulness lookups from
+	// the deltas of idx.
+	inc *denomTracker
+	idx *model.TableIndex
 
 	// Records holds one entry per paid observed worker action, in trace
 	// order. TraceIdx indexes the server's trace (Observe must be called
@@ -118,15 +111,17 @@ func (m *medianCache) value() float64 {
 }
 
 // NewEstimator returns an estimator for one data-collection run. start is
-// the collection start timestamp.
-func NewEstimator(schema *model.Schema, score model.ScoreFunc, scheme Scheme, budget float64, tmpl constraint.Template, start int64) *Estimator {
+// the collection start timestamp. idx must be attached to the replica whose
+// messages are observed (e.g. via rep.SetObserver); the estimator seeds its
+// tallies from idx's current probable set and follows its deltas from then on.
+func NewEstimator(schema *model.Schema, score model.ScoreFunc, scheme Scheme, budget float64, tmpl constraint.Template, start int64, idx *model.TableIndex) *Estimator {
+	umin := model.MinUpvotes(score, 64)
 	e := &Estimator{
 		schema:    schema,
-		score:     score,
 		scheme:    scheme,
 		budget:    budget,
 		tmpl:      tmpl,
-		umin:      model.MinUpvotes(score, 64),
+		umin:      umin,
 		start:     start,
 		lastTS:    make(map[string]int64),
 		joinTS:    make(map[string]int64),
@@ -138,6 +133,8 @@ func NewEstimator(schema *model.Schema, score model.ScoreFunc, scheme Scheme, bu
 		estC:      make([]int, schema.NumColumns()),
 		wCol:      make([]float64, schema.NumColumns()),
 		wHave:     make([]float64, 0, schema.NumColumns()),
+		inc:       newDenomTracker(umin),
+		idx:       idx,
 		PerWorker: make(map[string]float64),
 	}
 	for i := range e.firstSeen {
@@ -146,30 +143,16 @@ func NewEstimator(schema *model.Schema, score model.ScoreFunc, scheme Scheme, bu
 	}
 	e.workerActions = make(map[string]int)
 	e.workerUseful = make(map[string]int)
+	idx.AddDeltaListener(e.inc)
+	for _, r := range idx.Probable() {
+		e.inc.ProbableAdded(r)
+	}
 	return e
 }
 
 // TrackPerformance enables per-worker performance scaling of estimates
 // (§5.3's noted refinement). Call before observing any messages.
 func (e *Estimator) TrackPerformance(on bool) { e.trackPerformance = on }
-
-// AttachIndex switches the estimator to incremental denominator maintenance
-// driven by the index's probable-set deltas. Attach right after construction,
-// before any message is observed; the estimator seeds its tallies from the
-// index's current probable set and stays consistent through the deltas.
-func (e *Estimator) AttachIndex(idx *model.TableIndex) {
-	if e.incIdx != nil && e.inc != nil {
-		// Re-attachment: drop the old tracker's registration so the stale
-		// listener does not keep receiving (and double-counting) deltas.
-		e.incIdx.RemoveDeltaListener(e.inc)
-	}
-	e.inc = newDenomTracker(e.umin)
-	idx.AddDeltaListener(e.inc)
-	for _, r := range idx.Probable() {
-		e.inc.ProbableAdded(r)
-	}
-	e.incIdx = idx
-}
 
 // performanceFactor returns the worker's useful-action rate with a Laplace
 // prior, so new workers start near 1 and spam drags the factor down.
@@ -190,37 +173,13 @@ func (e *Estimator) Join(worker string, ts int64) {
 	}
 }
 
-// Observe computes the estimate displayed for message m (based on the state
-// before m is applied), records it, and folds m's latency into the weight
-// estimates. rep must be the replica state BEFORE applying m.
-func (e *Estimator) Observe(m sync.Message, rep *sync.Replica) float64 {
-	return e.observe(m, func() []*model.Row { return constraint.Probable(rep.Table(), e.score) })
-}
-
-// ObserveProb is Observe with the probable rows supplied by the caller —
-// typically from an incrementally maintained model.TableIndex — so observing
-// a message does not rescan the candidate table. prob must reflect the same
-// replica state Observe would have computed it from.
-func (e *Estimator) ObserveProb(m sync.Message, prob []*model.Row) float64 {
-	return e.observe(m, func() []*model.Row { return prob })
-}
-
-// ObserveIndexed is Observe for an estimator attached to a TableIndex via
-// AttachIndex: denominator tallies and usefulness checks come from the
-// incrementally maintained state, so nothing sorts or rescans the probable
-// rows per message.
-func (e *Estimator) ObserveIndexed(m sync.Message) float64 {
-	if e.inc == nil {
-		panic("pay: ObserveIndexed called without AttachIndex")
-	}
-	return e.observe(m, nil)
-}
-
-// observe implements Observe; probFn is called only on paths that need the
-// probable rows, so unpaid CC traffic stays free of table scans. With an
-// attached index probFn is never called (and may be nil).
-func (e *Estimator) observe(m sync.Message, probFn func() []*model.Row) float64 {
-	idx := e.observed
+// Observe computes the estimate displayed for message m, records it, and
+// folds m's latency into the weight estimates. Denominator tallies and
+// usefulness checks come from the index-driven tracker, so nothing sorts or
+// rescans the probable rows per message; unpaid CC traffic returns before
+// touching them.
+func (e *Estimator) Observe(m sync.Message) float64 {
+	traceIdx := e.observed
 	e.observed++
 	if m.Worker == "" || (m.Type == sync.MsgUpvote && m.Auto) {
 		// CC traffic and auto-upvotes are unpaid and show no estimate,
@@ -229,47 +188,43 @@ func (e *Estimator) observe(m sync.Message, probFn func() []*model.Row) float64 
 			return 0
 		}
 	}
-	var prob []*model.Row
-	if e.inc != nil {
-		e.incIdx.Version() // flush pending deltas into the tracker
-	} else {
-		prob = probFn()
-	}
+	e.idx.Version() // flush pending deltas into the tracker
 
 	var est float64
 	switch m.Type {
 	case sync.MsgReplace:
-		est = e.estimateFill(m.Col, prob)
+		est = e.estimateFill(m.Col)
 	case sync.MsgUpvote:
-		est = e.estimateVote(true, prob)
+		est = e.estimateVote(true)
 	case sync.MsgDownvote:
-		est = e.estimateVote(false, prob)
+		est = e.estimateVote(false)
 	default:
 		return 0
 	}
 	est *= e.performanceFactor(m.Worker)
-	e.Records = append(e.Records, Record{TraceIdx: idx, Worker: m.Worker, Estimate: est})
+	e.Records = append(e.Records, Record{TraceIdx: traceIdx, Worker: m.Worker, Estimate: est})
 	e.PerWorker[m.Worker] += est
 
-	e.absorb(m, prob)
+	e.absorb(m)
 	return est
 }
 
 // absorb folds one observed message into the latency statistics and the
 // per-worker performance counters.
-func (e *Estimator) absorb(m sync.Message, prob []*model.Row) {
+func (e *Estimator) absorb(m sync.Message) {
 	// An action is "useful" when it contributes under the same probable-row
 	// heuristics the weight statistics use (§5.3): a fill whose replaced or
-	// constructed row is probable, an upvote on a probable value, a downvote
-	// consistent with every probable row.
+	// constructed row is probable (the replica may be observed before or
+	// after the message applied), an upvote on a probable value, a downvote
+	// consistent with every probable row (registering it with the tracker).
 	var useful bool
 	switch m.Type {
 	case sync.MsgReplace:
-		useful = e.fillProbable(m, prob)
+		useful = e.inc.isProbable(m.Row) || e.inc.isProbable(m.NewRow)
 	case sync.MsgUpvote:
-		useful = e.upvoteProbable(m.Vec, prob)
+		useful = e.inc.hasVec(m.Vec)
 	case sync.MsgDownvote:
-		useful = e.registerDownvote(m.Vec, prob)
+		useful = e.inc.addDownvote(m.Vec)
 	default:
 		// Other kinds never count as useful work.
 	}
@@ -313,49 +268,6 @@ func (e *Estimator) absorb(m sync.Message, prob []*model.Row) {
 	default:
 		// Latency gaps track fills and votes only (§5.3).
 	}
-}
-
-// fillProbable reports whether a replace message touched a probable row (the
-// replaced id or the newly-constructed one — the replica may be observed
-// before or after the message applied).
-func (e *Estimator) fillProbable(m sync.Message, prob []*model.Row) bool {
-	if e.inc != nil {
-		return e.inc.isProbable(m.Row) || e.inc.isProbable(m.NewRow)
-	}
-	for _, p := range prob {
-		if p.ID == m.Row || p.ID == m.NewRow {
-			return true
-		}
-	}
-	return false
-}
-
-// upvoteProbable reports whether some probable row carries exactly vector v.
-func (e *Estimator) upvoteProbable(v model.Vector, prob []*model.Row) bool {
-	if e.inc != nil {
-		return e.inc.hasVec(v)
-	}
-	for _, p := range prob {
-		if p.Vec.Equal(v) {
-			return true
-		}
-	}
-	return false
-}
-
-// registerDownvote records one observed downvote vector and reports whether
-// it is consistent with every current probable row (no probable superset).
-func (e *Estimator) registerDownvote(v model.Vector, prob []*model.Row) bool {
-	if e.inc != nil {
-		return e.inc.addDownvote(v)
-	}
-	e.downvoted = append(e.downvoted, v)
-	for _, p := range prob {
-		if p.Vec.Superset(v) {
-			return false
-		}
-	}
-	return true
 }
 
 // noteFirstSeen records the earliest fill of val into col, keeping the
@@ -418,43 +330,17 @@ func (e *Estimator) weights() (col []float64, up, down float64) {
 	return col, up, down
 }
 
-// estimates of the denominators |C|, |U|, |D| (§5.3). With an attached index
-// the |U| surplus and |D| consistency tallies come from the tracker; the
-// detached path recomputes them from the supplied probable rows.
-func (e *Estimator) counts(prob []*model.Row) (estC []int, estU, estD int) {
-	estC = e.estC
-	// |U|: start with (umin−1)·|T| and grow as probable rows accumulate
-	// more upvotes than needed.
-	estU = (e.umin - 1) * len(e.tmpl.Rows)
-	if e.inc != nil {
-		return estC, estU + e.inc.sumU, e.inc.nCons
-	}
-	for _, p := range prob {
-		if p.Vec.IsComplete() {
-			if extra := p.Up - (e.umin - 1); extra > 0 {
-				estU += extra
-			}
-		}
-	}
-	// |D|: downvotes consistent with all current probable rows.
-	for _, v := range e.downvoted {
-		consistent := true
-		for _, p := range prob {
-			if p.Vec.Superset(v) {
-				consistent = false
-				break
-			}
-		}
-		if consistent {
-			estD++
-		}
-	}
-	return estC, estU, estD
+// counts returns the denominators |C|, |U|, |D| (§5.3): the template's
+// per-column empty cells; (umin−1)·|T| upvotes grown by the probable rows'
+// upvote surplus; and the downvotes consistent with every probable row. The
+// tallies come from the tracker.
+func (e *Estimator) counts() (estC []int, estU, estD int) {
+	return e.estC, (e.umin-1)*len(e.tmpl.Rows) + e.inc.sumU, e.inc.nCons
 }
 
-func (e *Estimator) denominator(prob []*model.Row) (col []float64, up, down, y float64) {
+func (e *Estimator) denominator() (col []float64, up, down, y float64) {
 	col, up, down = e.weights()
-	estC, estU, estD := e.counts(prob)
+	estC, estU, estD := e.counts()
 	for i, c := range estC {
 		y += col[i] * float64(c)
 	}
@@ -464,8 +350,8 @@ func (e *Estimator) denominator(prob []*model.Row) (col []float64, up, down, y f
 
 // estimateFill returns the estimated pay for filling a cell of column ci,
 // assuming both direct and indirect contribution (§5.3).
-func (e *Estimator) estimateFill(ci int, prob []*model.Row) float64 {
-	col, _, _, y := e.denominator(prob)
+func (e *Estimator) estimateFill(ci int) float64 {
+	col, _, _, y := e.denominator()
 	return e.fillShare(ci, col[ci], y)
 }
 
@@ -523,8 +409,8 @@ func (e *Estimator) fitColumnZ(ci int) float64 {
 }
 
 // estimateVote returns the estimated pay for an upvote or downvote.
-func (e *Estimator) estimateVote(up bool, prob []*model.Row) float64 {
-	_, wu, wd, y := e.denominator(prob)
+func (e *Estimator) estimateVote(up bool) float64 {
+	_, wu, wd, y := e.denominator()
 	if up {
 		return e.voteShare(wu, y)
 	}
@@ -540,41 +426,16 @@ func (e *Estimator) voteShare(w, y float64) float64 {
 	return w * e.budget / y
 }
 
-// Current returns the per-action estimates to display in clients' column
-// headers (Figure 1), based on the given replica state.
-func (e *Estimator) Current(rep *sync.Replica) *sync.Estimates {
-	return e.CurrentProb(constraint.Probable(rep.Table(), e.score))
-}
-
-// CurrentProb is Current with the probable rows supplied by the caller
-// (typically from an incrementally maintained model.TableIndex).
-func (e *Estimator) CurrentProb(prob []*model.Row) *sync.Estimates {
-	if e.inc != nil {
-		e.incIdx.Version()
-	}
-	out := new(sync.Estimates)
-	e.currentEstimates(prob, out)
-	return out
-}
-
-// CurrentIndexed is Current for an estimator attached to a TableIndex: the
-// denominator comes from the incrementally maintained tallies, so producing
-// the estimate payload is O(columns). It fills out in place, reusing its
-// column slice when it is wide enough, so a caller that keeps one scratch
-// payload to compare against allocates nothing.
-func (e *Estimator) CurrentIndexed(out *sync.Estimates) {
-	if e.inc == nil {
-		panic("pay: CurrentIndexed called without AttachIndex")
-	}
-	e.incIdx.Version()
-	e.currentEstimates(nil, out)
-}
-
-// currentEstimates derives the whole payload from one denominator: the
-// weights and tallies are the same for every figure in it, and each figure
-// is the arithmetic estimateFill/estimateVote would do on them.
-func (e *Estimator) currentEstimates(prob []*model.Row, out *sync.Estimates) {
-	col, up, down, y := e.denominator(prob)
+// Current fills out with the per-action estimates to display in clients'
+// column headers (Figure 1). The denominator comes from the incrementally
+// maintained tallies, so producing the payload is O(columns), and every
+// figure derives from that one denominator: each is the arithmetic
+// estimateFill/estimateVote would do on it. out's column slice is reused
+// when it is wide enough, so a caller that keeps one scratch payload to
+// compare against allocates nothing.
+func (e *Estimator) Current(out *sync.Estimates) {
+	e.idx.Version()
+	col, up, down, y := e.denominator()
 	if out.PerColumn == nil || cap(out.PerColumn) < len(col) {
 		out.PerColumn = make([]float64, len(col))
 	}

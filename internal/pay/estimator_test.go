@@ -5,18 +5,22 @@ import (
 	"math"
 	"testing"
 
-	"crowdfill/internal/constraint"
 	"crowdfill/internal/model"
 	"crowdfill/internal/sync"
 )
 
+// estimatorFixture is an estimator over an indexed replica of kvSchema with
+// a Cardinality(4) template.
 func estimatorFixture(t testing.TB, scheme Scheme) (*Estimator, *sync.Replica) {
 	t.Helper()
-	s := kvSchema(t)
-	tmpl := constraint.Cardinality(s, 4)
-	e := NewEstimator(s, model.MajorityShortcut(3), scheme, 10, tmpl, 0)
-	rep := sync.NewReplica(s)
-	return e, rep
+	return indexedEstimator(kvSchema(t), scheme, 4)
+}
+
+// current returns the estimates e displays now, in a fresh payload.
+func current(e *Estimator) *sync.Estimates {
+	out := new(sync.Estimates)
+	e.Current(out)
+	return out
 }
 
 func TestEstimatorUniform(t *testing.T) {
@@ -24,7 +28,7 @@ func TestEstimatorUniform(t *testing.T) {
 	e.Join("w1", 0)
 	// Before any activity: |C| = 8 empty template cells, |U| = (2-1)*4 = 4,
 	// |D| = 0, so each action is worth 10/12.
-	cur := e.Current(rep)
+	cur := current(e)
 	want := 10.0 / 12
 	for i, got := range cur.PerColumn {
 		if math.Abs(got-want) > 1e-9 {
@@ -39,7 +43,7 @@ func TestEstimatorUniform(t *testing.T) {
 	rep.Insert("cc-1")
 	m := sync.Message{Type: sync.MsgReplace, Row: "cc-1", NewRow: "a-1",
 		Vec: model.VectorOf("x", ""), Col: 0, Val: "x", Worker: "w1", TS: 5e9}
-	got := e.Observe(m, rep)
+	got := e.Observe(m)
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("Observe estimate = %v, want %v", got, want)
 	}
@@ -61,16 +65,16 @@ func TestEstimatorDownvoteGrowsDenominator(t *testing.T) {
 	}
 	fill.Worker = "w1"
 	fill.TS = 1e9
-	e.Observe(fill, rep)
+	e.Observe(fill)
 
-	before := e.Current(rep).Upvote
+	before := current(e).Upvote
 	dv := sync.Message{Type: sync.MsgDownvote, Vec: model.VectorOf("junk", ""), Worker: "w1", TS: 2e9}
-	e.Observe(dv, rep)
+	e.Observe(dv)
 	rep.Apply(dv)
 	// One more consistent downvote in the denominator lowers each estimate
 	// only after the downvoted row leaves the probable set; at minimum the
 	// estimate must not increase.
-	after := e.Current(rep).Upvote
+	after := current(e).Upvote
 	if after > before+1e-9 {
 		t.Errorf("estimate grew after a downvote: %v -> %v", before, after)
 	}
@@ -97,10 +101,9 @@ func TestEstimatorColumnWeightsConverge(t *testing.T) {
 			t.Fatal(err)
 		}
 		m1.Worker, m1.TS = "w1", int64(i+1)*2e9
-		// Observe wants the pre-apply replica, but Fill already applied; the
-		// estimator only reads probable rows, and the filled row remains
-		// probable, so this ordering keeps the test simple.
-		e.Observe(m1, rep)
+		// Fill already applied m1, as the server applies a message before
+		// observing it; the filled row is probable either way.
+		e.Observe(m1)
 		firstRows = append(firstRows, m1)
 	}
 	for i, m1 := range firstRows {
@@ -109,9 +112,9 @@ func TestEstimatorColumnWeightsConverge(t *testing.T) {
 			t.Fatal(err)
 		}
 		m2.Worker, m2.TS = "w2", 100e9+int64(i)*10e9
-		e.Observe(m2, rep)
+		e.Observe(m2)
 	}
-	cur := e.Current(rep)
+	cur := current(e)
 	if cur.PerColumn[1] <= cur.PerColumn[0] {
 		t.Errorf("slow column should be estimated higher: %v", cur.PerColumn)
 	}
@@ -119,9 +122,7 @@ func TestEstimatorColumnWeightsConverge(t *testing.T) {
 
 func TestEstimatorDualKeyPositioning(t *testing.T) {
 	s := kvSchema(t)
-	tmpl := constraint.Cardinality(s, 6)
-	e := NewEstimator(s, model.MajorityShortcut(3), DualWeighted, 10, tmpl, 0)
-	rep := sync.NewReplica(s)
+	e, rep := indexedEstimator(s, DualWeighted, 6)
 	e.Join("w1", 0)
 	g := sync.NewIDGen("w")
 	ccg := sync.NewIDGen("cc")
@@ -138,17 +139,16 @@ func TestEstimatorDualKeyPositioning(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Worker, m.TS = "w1", ts
-		e.Observe(m, rep)
+		e.Observe(m)
 	}
 	if z := e.fitColumnZ(0); z <= 0 {
 		t.Fatalf("z should be positive with accelerating gaps, got %v", z)
 	}
 	// The next key cell (k=4 of 6) sits above the column's flat estimate.
-	cur := e.Current(rep)
-	flatE := NewEstimator(s, model.MajorityShortcut(3), ColumnWeighted, 10, tmpl, 0)
+	cur := current(e)
+	flatE, rep2 := indexedEstimator(s, ColumnWeighted, 6)
 	flatE.Join("w1", 0)
 	// Feed the same observations for identical weights.
-	rep2 := sync.NewReplica(s)
 	g2 := sync.NewIDGen("w")
 	ccg2 := sync.NewIDGen("cc")
 	ts = 0
@@ -157,9 +157,9 @@ func TestEstimatorDualKeyPositioning(t *testing.T) {
 		ts += gap
 		m, _ := rep2.Fill(ins.Row, 0, string(rune('a'+i)), g2.Next())
 		m.Worker, m.TS = "w1", ts
-		flatE.Observe(m, rep2)
+		flatE.Observe(m)
 	}
-	flat := flatE.Current(rep2)
+	flat := current(flatE)
 	if cur.PerColumn[0] <= flat.PerColumn[0] {
 		t.Errorf("dual estimate for a late key (%v) should exceed flat (%v)",
 			cur.PerColumn[0], flat.PerColumn[0])
@@ -167,11 +167,11 @@ func TestEstimatorDualKeyPositioning(t *testing.T) {
 }
 
 func TestEstimatorIgnoresCCAndAuto(t *testing.T) {
-	e, rep := estimatorFixture(t, Uniform)
-	if got := e.Observe(sync.Message{Type: sync.MsgUpvote, Auto: true, Worker: "w1", Vec: model.NewVector(2)}, rep); got != 0 {
+	e, _ := estimatorFixture(t, Uniform)
+	if got := e.Observe(sync.Message{Type: sync.MsgUpvote, Auto: true, Worker: "w1", Vec: model.NewVector(2)}); got != 0 {
 		t.Errorf("auto-upvote estimate = %v, want 0", got)
 	}
-	if got := e.Observe(sync.Message{Type: sync.MsgInsert, Row: "cc-9"}, rep); got != 0 {
+	if got := e.Observe(sync.Message{Type: sync.MsgInsert, Row: "cc-9"}); got != 0 {
 		t.Errorf("insert estimate = %v, want 0", got)
 	}
 	if len(e.Records) != 0 {
@@ -204,7 +204,7 @@ func TestEstimatorTrackPerformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	goodFill.Worker, goodFill.TS = "good", 1e9
-	first := e.Observe(goodFill, rep)
+	first := e.Observe(goodFill)
 	if first <= 0 {
 		t.Fatalf("first estimate = %v", first)
 	}
@@ -215,7 +215,7 @@ func TestEstimatorTrackPerformance(t *testing.T) {
 			Vec: model.VectorOf("junk", ""), Col: 0, Val: "junk",
 			Worker: "spam", TS: int64(i+2) * 1e9,
 		}
-		spamEst = e.Observe(m, rep)
+		spamEst = e.Observe(m)
 	}
 	// After ten useless actions, the spammer's factor (2/12) cuts their
 	// estimate well below a fresh worker's.
@@ -224,7 +224,7 @@ func TestEstimatorTrackPerformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	goodFill2.Worker, goodFill2.TS = "good", 20e9
-	goodEst := e.Observe(goodFill2, rep)
+	goodEst := e.Observe(goodFill2)
 	if spamEst >= goodEst/2 {
 		t.Fatalf("spam estimate %v should be far below good estimate %v", spamEst, goodEst)
 	}

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"crowdfill/internal/client"
@@ -17,9 +19,8 @@ import (
 // undos, pinned template rows the crowd can vote out so the Central Client
 // drops them, and in-place snapshot reloads of the master so TableReset fires)
 // Core.Done must flip on exactly the message on which a from-scratch
-// Template.SatisfiedBy over a from-scratch final table does. DebugCrossCheck
-// is on, so every memoised or short-circuited check also re-derives itself
-// inside the core.
+// Template.SatisfiedBy over a from-scratch final table does, and after every
+// message the core's incremental state must match scratch (scratchMismatch).
 func TestCompletionDecisionMatchesFromScratch(t *testing.T) {
 	s := kvSchema(t)
 	score := model.MajorityShortcut(3)
@@ -40,7 +41,6 @@ func TestCompletionDecisionMatchesFromScratch(t *testing.T) {
 		reg := metrics.NewRegistry()
 		cfg := cardinalityConfig(t, 0)
 		cfg.Score, cfg.Template = score, tmpl
-		cfg.DebugCrossCheck = true
 		cfg.Metrics = NewMetrics(reg, metrics.NewRecorder(16))
 		r := newRig(t, cfg)
 		if r.core.Done() != scratchDone(r.core) {
@@ -113,6 +113,9 @@ func TestCompletionDecisionMatchesFromScratch(t *testing.T) {
 					t.Fatalf("seed %d step %d msg %d (%v): Done=%v, from-scratch says %v",
 						seed, step, i, m.Type, got, want)
 				}
+				if err := scratchMismatch(r.core); err != nil {
+					t.Fatalf("seed %d step %d msg %d (%v): %v", seed, step, i, m.Type, err)
+				}
 			}
 		}
 
@@ -133,5 +136,40 @@ func TestCompletionDecisionMatchesFromScratch(t *testing.T) {
 		if n == 0 {
 			t.Fatalf("no completion check was answered %q: %v", doneCheck(dc), checks)
 		}
+	}
+}
+
+// scratchMismatch re-derives from scratch what the core maintains
+// incrementally: the index's probable rows and final table must be
+// model.ProbableRows and model.FinalTable of the master, and the planner's
+// matching must keep the PRI. It reports the first difference, or nil.
+func scratchMismatch(c *Core) error {
+	ids := func(rows []*model.Row) []model.RowID {
+		out := make([]model.RowID, len(rows))
+		for i, r := range rows {
+			out[i] = r.ID
+		}
+		return out
+	}
+	table := c.master.Table()
+	if got, want := c.index.Probable(), model.ProbableRows(table, c.score); !slices.Equal(got, want) {
+		return fmt.Errorf("index probable rows %v, from scratch %v", ids(got), ids(want))
+	}
+	if got, want := c.index.FinalTable(), model.FinalTable(table, c.score); !slices.Equal(got, want) {
+		return fmt.Errorf("index final table %v, from scratch %v", ids(got), ids(want))
+	}
+	if !c.Planner().CheckPRI(c.master) {
+		return errors.New("the planner's matching violates the PRI")
+	}
+	return nil
+}
+
+// checkScratch runs scratchMismatch under the server's lock.
+func checkScratch(t *testing.T, ns *NetServer) {
+	t.Helper()
+	var err error
+	ns.WithCore(func(c *Core) { err = scratchMismatch(c) })
+	if err != nil {
+		t.Fatal(err)
 	}
 }

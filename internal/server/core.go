@@ -46,10 +46,6 @@ type Config struct {
 	// TrackPerformance enables per-worker performance scaling of the
 	// displayed estimates (§5.3's noted refinement).
 	TrackPerformance bool
-	// DebugCrossCheck makes the incremental table index verify itself
-	// against a from-scratch recomputation after every flush (expensive;
-	// tests only).
-	DebugCrossCheck bool
 	// Logf receives operational warnings (e.g. Central Client repair
 	// overruns); nil discards them.
 	Logf func(format string, args ...any)
@@ -175,11 +171,19 @@ func New(cfg Config) (*Core, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	// The index follows every mutation of the master. The planner's persistent
+	// adjacency and matching follow its probable-set deltas, so each repair
+	// costs O(delta), not table or template size; the estimator's denominator
+	// tallies follow the same deltas instead of rescanning probable rows.
+	master := sync.NewReplica(cfg.Schema)
+	index := model.NewTableIndex(master.Table(), score)
+	master.SetObserver(index)
 	c := &Core{
 		cfg:      cfg,
 		score:    score,
-		master:   sync.NewReplica(cfg.Schema),
-		planner:  constraint.NewPlanner(cfg.Template, score),
+		master:   master,
+		index:    index,
+		planner:  constraint.NewPlanner(cfg.Template, score, index),
 		ccGen:    sync.NewIDGen("cc"),
 		logf:     logf,
 		clients:  make(map[string]string),
@@ -189,22 +193,10 @@ func New(cfg Config) (*Core, error) {
 	if c.metrics == nil {
 		c.metrics = ProcessMetrics()
 	}
-	c.index = model.NewTableIndex(c.master.Table(), score)
-	c.index.SetDebug(cfg.DebugCrossCheck)
-	c.master.SetObserver(c.index)
-	// Delta-driven PRI repair: the planner's persistent adjacency and matching
-	// follow the index's probable-set deltas, so each repair costs O(delta),
-	// not table or template size. The full-rebuild path remains the executable
-	// spec; with DebugCrossCheck every repair is verified against it.
-	c.planner.UseIncremental(c.index)
-	c.planner.SetDebug(cfg.DebugCrossCheck)
 	c.start = cfg.Clock.Now()
 	c.lastTS = c.start
-	c.est = pay.NewEstimator(cfg.Schema, score, cfg.Scheme, cfg.Budget, cfg.Template, c.start)
+	c.est = pay.NewEstimator(cfg.Schema, score, cfg.Scheme, cfg.Budget, cfg.Template, c.start, index)
 	c.est.TrackPerformance(cfg.TrackPerformance)
-	// Incremental mode: the estimator's denominator tallies follow the
-	// index's probable-set deltas instead of rescanning probable rows.
-	c.est.AttachIndex(c.index)
 
 	// §4.2 initialization: populate the table with the template rows,
 	// upvoting complete ones, then repair until stable.
@@ -338,19 +330,17 @@ func (c *Core) RepairOverruns() int { return c.repairOverruns }
 
 // RepairStats summarizes the Central Client's PRI-repair work over the run.
 type RepairStats struct {
-	Mode     string // planner repair path: "incremental" or "full-rebuild"
-	Repairs  int    // Repair calls
-	Augments int    // augmenting-path searches run
-	Inserts  int    // row insertions planned
-	Removals int    // template rows dropped (§4.2 last resort)
-	Overruns int    // repair loops that hit the iteration cap
+	Repairs  int // Repair calls
+	Augments int // augmenting-path searches run
+	Inserts  int // row insertions planned
+	Removals int // template rows dropped (§4.2 last resort)
+	Overruns int // repair loops that hit the iteration cap
 }
 
 // RepairStats returns the Central Client's repair counters (for reports and
 // experiment summaries).
 func (c *Core) RepairStats() RepairStats {
 	return RepairStats{
-		Mode:     c.planner.Mode(),
 		Repairs:  c.planner.Repairs,
 		Augments: c.planner.Augments,
 		Inserts:  c.planner.Inserts,
@@ -365,8 +355,7 @@ func (c *Core) RepairStats() RepairStats {
 // two inputs moved since the last decision — the index's final-winner
 // counter or the planner's removal count — and not at all while the final
 // table has fewer rows than the template (an injective map needs |T|
-// targets). Under DebugCrossCheck every skipped or short-circuited check is
-// re-derived from scratch.
+// targets).
 func (c *Core) checkDone() {
 	if c.done {
 		return
@@ -384,12 +373,6 @@ func (c *Core) checkDone() {
 	}
 	c.doneDecided, c.doneFinalVer, c.doneRemovals = true, finalVer, removals
 	c.metrics.doneChecked(outcome, finalRows, tmplRows)
-	if c.cfg.DebugCrossCheck && outcome != doneCheckFull {
-		if c.planner.Template().SatisfiedBy(model.FinalTable(c.master.Table(), c.score)) {
-			panic(fmt.Sprintf("server: completion check %q said not done, from-scratch says done (final version %d, removals %d)",
-				outcome, finalVer, removals))
-		}
-	}
 }
 
 // AddClient registers a client connection for a worker and returns the
@@ -411,7 +394,7 @@ func (c *Core) AddClient(clientID, workerID string) []Outbound {
 		c.snapPrep = sync.NewPrepared(sync.Message{Type: sync.MsgSnapshot, Snapshot: c.master.TakeSnapshot()})
 	}
 	est := new(sync.Estimates)
-	c.est.CurrentIndexed(est)
+	c.est.Current(est)
 	out := []Outbound{
 		{To: clientID, Msg: c.snapPrep.Message(), Prepared: c.snapPrep},
 		{To: clientID, Msg: sync.Message{Type: sync.MsgEstimate, Estimates: est}},
@@ -462,7 +445,7 @@ func (c *Core) HandleBroadcast(clientID string, m sync.Message) ([]Broadcast, er
 	c.metrics.msgHandled(m.Type)
 	// The estimate shown for this action; observed post-apply (the worker
 	// computed theirs against an equally slightly-stale local view).
-	c.est.ObserveIndexed(m)
+	c.est.Observe(m)
 
 	ccMsgs := c.runCC()
 	c.checkDone()
@@ -494,7 +477,7 @@ func (c *Core) HandleBroadcast(clientID string, m sync.Message) ([]Broadcast, er
 func (c *Core) estimateBroadcast() *sync.Prepared {
 	c.sinceEstBcast++
 	now := &c.estNow
-	c.est.CurrentIndexed(now)
+	c.est.Current(now)
 	if c.lastEst != nil && sameFigures(now, c.lastEst) && c.sinceEstBcast < estimateInterval {
 		c.metrics.estimateDecision(false, 0)
 		return nil

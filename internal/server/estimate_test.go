@@ -21,8 +21,7 @@ import (
 // infinite budget — the non-finite payload New now refuses to configure, so
 // a test can reach the estimate decision with one.
 func infiniteBudget(c *Core) {
-	c.est = pay.NewEstimator(c.cfg.Schema, c.score, c.cfg.Scheme, math.Inf(1), c.cfg.Template, c.start)
-	c.est.AttachIndex(c.index)
+	c.est = pay.NewEstimator(c.cfg.Schema, c.score, c.cfg.Scheme, math.Inf(1), c.cfg.Template, c.start, c.index)
 }
 
 // skipCounter returns a Config.Logf that counts skipped estimate decisions.

@@ -239,12 +239,11 @@ func TestSlowClientOverflowDisconnect(t *testing.T) {
 	// each, which still leaves it short of the capacity.
 	const logCapacity = 1024
 	core, err := New(Config{
-		Schema:          s,
-		Score:           model.MajorityShortcut(3),
-		Template:        constraint.Cardinality(s, 1),
-		Budget:          1,
-		LogCapacity:     logCapacity,
-		DebugCrossCheck: true, // verify incremental index on every message
+		Schema:      s,
+		Score:       model.MajorityShortcut(3),
+		Template:    constraint.Cardinality(s, 1),
+		Budget:      1,
+		LogCapacity: logCapacity,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -372,6 +371,7 @@ func TestSlowClientOverflowDisconnect(t *testing.T) {
 		}
 	}
 	waitFor(t, dropped)
+	checkScratch(t, ns)
 
 	// The survivors converge: fresh workers push the row to a majority
 	// (the toggle loop always ends with w1's upvote cast, so one more vote
@@ -415,6 +415,7 @@ func TestSlowClientOverflowDisconnect(t *testing.T) {
 		}
 	}
 	waitFor(t, func() bool { return ns.Done() })
+	checkScratch(t, ns)
 
 	// Tear the slow connection down for real: its serve goroutine already
 	// ran the eviction teardown, so this second close must be a no-op
