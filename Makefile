@@ -4,7 +4,7 @@ GO ?= go
 # or local deep runs override, e.g. `make fuzz-smoke FUZZTIME=5m`.
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint fuzz-smoke verify planes-loc bench-pair bench-e2e
+.PHONY: build test race vet lint fuzz-smoke verify planes-loc loc bench-pair bench-e2e
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,16 @@ verify: build vet test race fuzz-smoke
 planes-loc:
 	@find internal/wsock internal/transport internal/server internal/netpoll internal/parkq -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@find internal/constraint internal/model internal/pay -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+
+# loc prints the non-test line count of every package outside the linter
+# (internal/analysis) and the benchmark (bench/), one "lines package" pair per
+# line, then their total: the per-package figure a change that deletes code
+# reports before and after.
+loc:
+	@$(GO) list -f '{{.Dir}} {{.ImportPath}}' ./... | grep -v -e '/internal/analysis' -e '/bench ' | \
+	while read dir pkg; do \
+		printf '%6d %s\n' $$(find "$$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) "$$pkg"; \
+	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
 
 # bench-pair runs the repository benchmark (bench/run.sh, BENCHMARK.json) on
 # PARENT's committed tree and on the working tree in alternating pairs and

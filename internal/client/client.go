@@ -2,9 +2,9 @@
 // replica of the candidate table, the fill/upvote/downvote worker actions
 // with their client-side restrictions (one vote per worker per row, one
 // upvote per primary key, automatic upvote on row completion, a cap on votes
-// per row), plus the §8 extensions: modify, vote undo, and cell
-// recommendation. The runtime is transport-agnostic: actions return the
-// messages to send to the server, and server traffic is fed to HandleServer.
+// per row), plus the §8 vote-undo extension. The runtime is
+// transport-agnostic: actions return the messages to send to the server, and
+// server traffic is fed to HandleServer.
 package client
 
 import (
@@ -28,9 +28,6 @@ type Config struct {
 	// MaxVotesPerRow caps up+down votes per row; 0 means unlimited
 	// (the paper's optional excessive-voting guard, §3.4).
 	MaxVotesPerRow int
-	// AllowModify enables the §8 "modify" extension, which needs the
-	// client to issue insert operations.
-	AllowModify bool
 }
 
 // Client is one worker client.
@@ -69,8 +66,6 @@ var (
 	ErrVoteCapReached = errors.New("client: row reached the maximum number of votes")
 	ErrNotVoted       = errors.New("client: no vote by this worker to undo")
 	ErrDone           = errors.New("client: data collection has finished")
-	ErrModifyDisabled = errors.New("client: modify extension not enabled")
-	ErrCellEmpty      = errors.New("client: modify requires a non-empty cell")
 )
 
 // New returns a worker client with an empty local table (the server sends a
@@ -128,9 +123,10 @@ func (c *Client) HandleServer(m sync.Message) error {
 	}
 }
 
-// HandleServerBatch processes a burst of server messages in order, stopping
-// at the first error. Replica mutations route through Replica.ApplyAll's
-// contract: the prefix before an error is applied.
+// HandleServerBatch processes a burst of server messages in order with
+// HandleServer, stopping at the first error, which it returns: the messages
+// before the failing one stay applied, the failing one and those after it
+// are not applied. An empty batch changes nothing.
 func (c *Client) HandleServerBatch(msgs []sync.Message) error {
 	for i := range msgs {
 		if err := c.HandleServer(msgs[i]); err != nil {
@@ -301,84 +297,6 @@ func (c *Client) UndoVote(v model.Vector) (sync.Message, error) {
 	return m, nil
 }
 
-// Modify implements the §8 "modify" worker action: overwrite the non-empty
-// cell col of row id with a new value. It translates to a downvote of the
-// row's current value, an insert of a fresh row, and fills copying every
-// other cell plus the new value — exactly the primitive-operation series the
-// paper sketches. Returns the messages to send, in order.
-func (c *Client) Modify(id model.RowID, col int, raw string) ([]sync.Message, error) {
-	if c.done {
-		return nil, ErrDone
-	}
-	if !c.cfg.AllowModify {
-		return nil, ErrModifyDisabled
-	}
-	row := c.rep.Table().Get(id)
-	if row == nil {
-		return nil, fmt.Errorf("%w: %s", sync.ErrNoSuchRow, id)
-	}
-	if col < 0 || col >= c.cfg.Schema.NumColumns() {
-		return nil, sync.ErrBadColumn
-	}
-	if !row.Vec[col].Set {
-		return nil, ErrCellEmpty
-	}
-	val, err := c.cfg.Schema.CheckValue(col, raw)
-	if err != nil {
-		return nil, err
-	}
-	oldVec := row.Vec
-
-	var out []sync.Message
-	// If the worker previously upvoted this value (e.g. the automatic
-	// upvote when they completed the row), retract it first so the
-	// corrective downvote is permitted.
-	if c.vote(oldVec) == votedUp {
-		undo, uerr := c.UndoVote(oldVec)
-		if uerr != nil {
-			return nil, uerr
-		}
-		out = append(out, undo)
-	}
-	// Downvote the value being corrected, unless this worker already
-	// downvoted it.
-	if c.vote(oldVec) == votedNone {
-		dv, derr := c.rep.Downvote(id)
-		if derr != nil {
-			return nil, derr
-		}
-		c.stamp(&dv)
-		c.recordVote(dv.Vec, votedDown)
-		out = append(out, dv)
-	}
-	// Insert a fresh row and fill it with the corrected values.
-	ins, err := c.rep.Insert(c.gen.Next())
-	if err != nil {
-		return nil, err
-	}
-	c.stamp(&ins)
-	out = append(out, ins)
-	cur := ins.Row
-	for i := range oldVec {
-		var v string
-		switch {
-		case i == col:
-			v = val
-		case oldVec[i].Set:
-			v = oldVec[i].Val
-		default:
-			continue
-		}
-		fills, ferr := c.Fill(cur, i, v)
-		if ferr != nil {
-			return nil, ferr
-		}
-		out = append(out, fills...)
-		cur = fills[0].NewRow
-	}
-	return out, nil
-}
-
 // VotedOn reports whether this worker has an outstanding vote on the value.
 //
 //lint:hotpath
@@ -405,31 +323,4 @@ func (c *Client) Rows(rng *rand.Rand) []*model.Row {
 		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
 	}
 	return rows
-}
-
-// Recommend suggests an empty cell for this worker to fill (§8's
-// recommendation extension). The strategy prefers the most-complete
-// non-complete row (fewest empty cells), breaking ties by row id, and
-// returns its first empty column. Returns ok=false when the table has no
-// empty cells.
-func (c *Client) Recommend() (id model.RowID, col int, ok bool) {
-	best := -1
-	for _, r := range c.rep.Table().Rows() {
-		n := r.Vec.CountSet()
-		if n == len(r.Vec) {
-			continue
-		}
-		if n > best {
-			best = n
-			id = r.ID
-			for i, cell := range r.Vec {
-				if !cell.Set {
-					col = i
-					break
-				}
-			}
-			ok = true
-		}
-	}
-	return id, col, ok
 }

@@ -224,52 +224,45 @@ func TestUndoUpvoteFreesKey(t *testing.T) {
 	}
 }
 
-func TestModify(t *testing.T) {
-	c := newClient(t, func(cfg *Config) { cfg.AllowModify = true })
-	seedRow(t, c, "cc-1")
-	m1, _ := c.Fill("cc-1", 0, "x")
-	m2, _ := c.Fill(m1[0].NewRow, 1, "1")
-	id := m2[0].NewRow
-
-	msgs, err := c.Modify(id, 1, "2")
-	if err != nil {
-		t.Fatalf("Modify: %v", err)
+// TestHandleServerBatch pins HandleServerBatch's contract: messages apply in
+// order, a failing message stops the batch with its error, the prefix before
+// it stays applied and the suffix after it is not applied.
+func TestHandleServerBatch(t *testing.T) {
+	insert := func(id model.RowID) sync.Message {
+		return sync.Message{Type: sync.MsgInsert, Row: id, Origin: "cc"}
 	}
-	// The worker auto-upvoted (x,1) when completing it, so modify first
-	// retracts that vote, then downvotes, inserts, and refills.
-	var kinds []sync.MsgType
-	for _, m := range msgs {
-		kinds = append(kinds, m.Type)
+	done := sync.Message{Type: sync.MsgDone}
+	cases := []struct {
+		name     string
+		batch    []sync.Message
+		wantErr  error
+		want     []model.RowID // rows in the replica afterwards, sorted
+		wantDone bool          // whether the trailing done message was applied
+	}{
+		{"valid", []sync.Message{insert("cc-1"), insert("cc-2"), done}, nil, []model.RowID{"cc-1", "cc-2"}, true},
+		// The second insert repeats a row id: the first stays, the third and
+		// the done message are never applied.
+		{"bad-middle", []sync.Message{insert("cc-1"), insert("cc-1"), insert("cc-3"), done}, sync.ErrRowExists, []model.RowID{"cc-1"}, false},
+		{"empty", nil, nil, nil, false},
 	}
-	if kinds[0] != sync.MsgUnupvote || kinds[1] != sync.MsgDownvote || kinds[2] != sync.MsgInsert {
-		t.Fatalf("modify sequence = %v", kinds)
-	}
-	// The corrected row exists with v=2.
-	found := false
-	for _, r := range c.Rows(nil) {
-		if r.Vec.Equal(model.VectorOf("x", "2")) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("corrected row missing: %v", c.Rows(nil))
-	}
-	// Old value was downvoted.
-	old := model.VectorOf("x", "1")
-	if got := c.Replica().DH().Get(old); got != 1 {
-		t.Fatalf("old value downvotes = %d", got)
-	}
-
-	// Modify requires the extension flag and a non-empty cell.
-	c2 := newClient(t)
-	seedRow(t, c2, "cc-1")
-	if _, err := c2.Modify("cc-1", 0, "x"); !errors.Is(err, ErrModifyDisabled) {
-		t.Fatalf("modify disabled err = %v", err)
-	}
-	c3 := newClient(t, func(cfg *Config) { cfg.AllowModify = true })
-	seedRow(t, c3, "cc-1")
-	if _, err := c3.Modify("cc-1", 0, "x"); !errors.Is(err, ErrCellEmpty) {
-		t.Fatalf("modify empty cell err = %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newClient(t)
+			err := c.HandleServerBatch(tc.batch)
+			if !errors.Is(err, tc.wantErr) || (tc.wantErr == nil) != (err == nil) {
+				t.Fatalf("HandleServerBatch error = %v, want %v", err, tc.wantErr)
+			}
+			var got []model.RowID
+			for _, r := range c.Rows(nil) {
+				got = append(got, r.ID)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Fatalf("rows after the batch = %v, want %v", got, tc.want)
+			}
+			if c.Done() != tc.wantDone {
+				t.Fatalf("Done = %v, want %v", c.Done(), tc.wantDone)
+			}
+		})
 	}
 }
 
@@ -354,37 +347,5 @@ func TestRowsShuffleDeterministic(t *testing.T) {
 		if sorted[i-1].ID > sorted[i].ID {
 			t.Fatalf("nil rng must give sorted rows")
 		}
-	}
-}
-
-func TestRecommendPrefersNearComplete(t *testing.T) {
-	c := newClient(t)
-	seedRow(t, c, "cc-1")
-	seedRow(t, c, "cc-2")
-	m, _ := c.Fill("cc-2", 0, "x") // cc-2's successor has 1 of 2 cells
-	id, col, ok := c.Recommend()
-	if !ok || id != m[0].NewRow || col != 1 {
-		t.Fatalf("Recommend = %v %d %v, want %v 1 true", id, col, ok, m[0].NewRow)
-	}
-	// Complete the row; recommendation falls back to the empty row.
-	c.Fill(m[0].NewRow, 1, "1")
-	id, col, ok = c.Recommend()
-	if !ok || id != "cc-1" || col != 0 {
-		t.Fatalf("Recommend fallback = %v %d %v", id, col, ok)
-	}
-	// No empty cells anywhere -> not ok.
-	c.Fill("cc-1", 0, "y")
-	rows := c.Rows(nil)
-	for _, r := range rows {
-		if !r.Vec.IsComplete() {
-			for i, cell := range r.Vec {
-				if !cell.Set {
-					c.Fill(r.ID, i, "9")
-				}
-			}
-		}
-	}
-	if _, _, ok := c.Recommend(); ok {
-		t.Fatalf("Recommend should fail with a complete table")
 	}
 }

@@ -15,10 +15,11 @@ func ExampleTemplate_SatisfiedBy() {
 		{Name: "caps", Type: model.TypeInt}, {Name: "goals", Type: model.TypeInt},
 	}, "name", "nationality")
 	// One forward from any country, one Brazilian, one Spaniard.
-	tmpl, _ := constraint.ValuesTemplate(s,
-		model.VectorOf("", "", "FW", "", ""),
-		model.VectorOf("", "Brazil", "", "", ""),
-		model.VectorOf("", "Spain", "", "", ""),
+	free, eq := constraint.Any, constraint.Eq
+	tmpl, _ := constraint.PredTemplate(s,
+		constraint.TemplateRow{free, free, eq("FW"), free, free},
+		constraint.TemplateRow{free, eq("Brazil"), free, free, free},
+		constraint.TemplateRow{free, eq("Spain"), free, free, free},
 	)
 	final := []*model.Row{
 		{ID: "r-1", Vec: model.VectorOf("Lionel Messi", "Argentina", "FW", "83", "37")},

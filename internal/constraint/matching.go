@@ -67,12 +67,3 @@ func (m *Matching) tryKuhn(adj [][]int, t int) bool {
 	}
 	return false
 }
-
-// Unmatch removes the pair containing left vertex t, if matched.
-func (m *Matching) Unmatch(t int) {
-	if p := m.Left[t]; p != -1 {
-		m.Left[t] = -1
-		m.Right[p] = -1
-		m.Size--
-	}
-}

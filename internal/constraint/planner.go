@@ -136,16 +136,6 @@ func (p *Planner) InitActions() []Action {
 	return out
 }
 
-// Assignment returns the current template→row correspondence (for tests and
-// introspection). Unmatched or removed templates map to "".
-func (p *Planner) Assignment() []model.RowID {
-	return append([]model.RowID(nil), p.assigned...)
-}
-
-// AssignedRow returns the probable row currently matched to template row t
-// ("" when unmatched or removed) without copying the whole assignment.
-func (p *Planner) AssignedRow(t int) model.RowID { return p.assigned[t] }
-
 // LastDirty reports how many template rows the last Repair re-validated: 0
 // means it returned without looking at the matching.
 func (p *Planner) LastDirty() int { return p.lastDirty }

@@ -337,7 +337,7 @@ func TestPlannerIncrementalClassOutlivesMember(t *testing.T) {
 	// upvoted one survives, and a fresh insert would be born dead — so the
 	// template row that held the dead row can only be removed.
 	for i := 0; i < 2; i++ {
-		if _, err := rep.DownvoteValue(model.VectorOf("", "", "FW", "", "")); err != nil {
+		if err := rep.Apply(sync.Message{Type: sync.MsgDownvote, Vec: model.VectorOf("", "", "FW", "", "")}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -53,18 +53,6 @@ func Eq(v string) Pred { return Pred{Op: OpEq, Val: v} }
 // Ge returns the ">=v" predicate.
 func Ge(v string) Pred { return Pred{Op: OpGe, Val: v} }
 
-// Le returns the "<=v" predicate.
-func Le(v string) Pred { return Pred{Op: OpLe, Val: v} }
-
-// Gt returns the ">v" predicate.
-func Gt(v string) Pred { return Pred{Op: OpGt, Val: v} }
-
-// Lt returns the "<v" predicate.
-func Lt(v string) Pred { return Pred{Op: OpLt, Val: v} }
-
-// Ne returns the "!=v" predicate.
-func Ne(v string) Pred { return Pred{Op: OpNe, Val: v} }
-
 // String renders the predicate in its parseable text form.
 func (p Pred) String() string {
 	if p.Op == OpAny {

@@ -7,6 +7,18 @@ import (
 	"crowdfill/internal/model"
 )
 
+// Le returns the "<=v" predicate.
+func Le(v string) Pred { return Pred{Op: OpLe, Val: v} }
+
+// Gt returns the ">v" predicate.
+func Gt(v string) Pred { return Pred{Op: OpGt, Val: v} }
+
+// Lt returns the "<v" predicate.
+func Lt(v string) Pred { return Pred{Op: OpLt, Val: v} }
+
+// Ne returns the "!=v" predicate.
+func Ne(v string) Pred { return Pred{Op: OpNe, Val: v} }
+
 func TestParsePred(t *testing.T) {
 	cases := []struct {
 		in   string

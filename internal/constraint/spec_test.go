@@ -9,6 +9,25 @@ import (
 	"crowdfill/internal/sync"
 )
 
+// Unmatch removes the pair containing left vertex t, if matched.
+func (m *Matching) Unmatch(t int) {
+	if p := m.Left[t]; p != -1 {
+		m.Left[t] = -1
+		m.Right[p] = -1
+		m.Size--
+	}
+}
+
+// Assignment returns the current template→row correspondence. Unmatched or
+// removed templates map to "".
+func (p *Planner) Assignment() []model.RowID {
+	return append([]model.RowID(nil), p.assigned...)
+}
+
+// AssignedRow returns the probable row currently matched to template row t
+// ("" when unmatched or removed) without copying the whole assignment.
+func (p *Planner) AssignedRow(t int) model.RowID { return p.assigned[t] }
+
 // specPlanner is the executable spec of one PRI repair (§4.2), kept beside
 // the tests that hold the production Planner to it: every repair scans the
 // table for its probable rows, rebuilds the template×probable adjacency from

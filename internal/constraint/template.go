@@ -11,27 +11,6 @@ import (
 // column. An all-Any row is an "empty" template row (a cardinality slot).
 type TemplateRow []Pred
 
-// IsValuesRow reports whether the row uses only OpAny/OpEq predicates (a
-// values-constraint row, which the Central Client can pre-fill).
-func (tr TemplateRow) IsValuesRow() bool {
-	for _, p := range tr {
-		if p.Op != OpAny && p.Op != OpEq {
-			return false
-		}
-	}
-	return true
-}
-
-// IsEmpty reports whether every predicate is Any.
-func (tr TemplateRow) IsEmpty() bool {
-	for _, p := range tr {
-		if p.Op != OpAny {
-			return false
-		}
-	}
-	return true
-}
-
 // EqVector returns the vector of the row's OpEq cells — the value the
 // Central Client seeds when inserting a row for this template row.
 func (tr TemplateRow) EqVector() model.Vector {
@@ -60,23 +39,6 @@ func Cardinality(s *model.Schema, n int) Template {
 		t.Rows = append(t.Rows, make(TemplateRow, s.NumColumns()))
 	}
 	return t
-}
-
-// ValuesTemplate builds a values constraint from partially-filled vectors
-// (set cells become OpEq predicates). Operands are canonicalised as
-// PredTemplate does.
-func ValuesTemplate(s *model.Schema, rows ...model.Vector) (Template, error) {
-	trs := make([]TemplateRow, len(rows))
-	for ri, v := range rows {
-		tr := make(TemplateRow, len(v))
-		for i, c := range v {
-			if c.Set {
-				tr[i] = Eq(c.Val)
-			}
-		}
-		trs[ri] = tr
-	}
-	return PredTemplate(s, trs...)
 }
 
 // PredTemplate builds a predicates constraint from explicit rows. Operands
@@ -221,20 +183,6 @@ func (t Template) SatisfiedBy(final []*model.Row) bool {
 	}
 	m := MaxMatching(adj, len(final))
 	return m.Size == len(t.Rows)
-}
-
-// EmptyCells returns the number of unpinned (non-OpEq) cells across the
-// template — the paper's estimate of |C| for compensation estimation (§5.3).
-func (t Template) EmptyCells() int {
-	n := 0
-	for _, tr := range t.Rows {
-		for _, p := range tr {
-			if p.Op != OpEq {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // EmptyCellsInColumn returns the number of unpinned cells in column ci.

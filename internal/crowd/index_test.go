@@ -18,7 +18,10 @@ func linearLookup(s *model.Schema, rows []model.Vector, v model.Vector) model.Ve
 	if !v.KeyComplete(s) {
 		return nil
 	}
-	want := v.Project(s.KeyColumns())
+	want := model.NewVector(len(v)) // v restricted to its key cells
+	for _, c := range s.KeyColumns() {
+		want[c] = v[c]
+	}
 	for _, row := range rows {
 		if want.Subset(row) {
 			return row

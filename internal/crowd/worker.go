@@ -281,7 +281,7 @@ func (w *Worker) Decide(c *client.Client) Decision {
 		return Decision{Kind: kind, Row: v.row.ID, Think: w.jitter(w.voteMean())}
 	case len(fills) > 0:
 		if w.Spec.FocusFill {
-			// Recommendation strategy (§8): complete the nearest-finished
+			// §8's recommendation strategy: complete the nearest-finished
 			// row first, accelerating verification.
 			best := fills[0]
 			bestSet := -1

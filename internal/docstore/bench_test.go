@@ -1,9 +1,6 @@
 package docstore
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func BenchmarkInsert(b *testing.B) {
 	s, _ := Open("") // memory-only: measures the data structure, not fsync
@@ -12,36 +9,6 @@ func BenchmarkInsert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Insert(map[string]any{"name": "x", "n": i}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFindEquality(b *testing.B) {
-	s, _ := Open("")
-	c := s.Collection("bench")
-	for i := 0; i < 1000; i++ {
-		c.Insert(map[string]any{"name": fmt.Sprintf("doc%d", i), "n": i})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		docs, err := c.Find(map[string]any{"name": "doc500"})
-		if err != nil || len(docs) != 1 {
-			b.Fatal("find broken")
-		}
-	}
-}
-
-func BenchmarkFindRange(b *testing.B) {
-	s, _ := Open("")
-	c := s.Collection("bench")
-	for i := 0; i < 1000; i++ {
-		c.Insert(map[string]any{"n": i})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		docs, err := c.Find(map[string]any{"n": map[string]any{"$gte": 900}})
-		if err != nil || len(docs) != 100 {
-			b.Fatal("range find broken")
 		}
 	}
 }

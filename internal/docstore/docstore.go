@@ -1,9 +1,8 @@
 // Package docstore is an embedded JSON document store — the stand-in for the
 // MongoDB/MongoLab database the paper's front-end server used (§3.2). It
-// provides named collections of JSON documents with generated ids, equality
-// and comparison filters, and atomic whole-store persistence to a single
-// file. Exactly what storing table specifications and collected results
-// needs; nothing more.
+// provides named collections of JSON documents with generated ids, CRUD by
+// id, and atomic whole-store persistence to a single file. Exactly what
+// storing table specifications and collected results needs; nothing more.
 package docstore
 
 import (
@@ -13,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	gosync "sync"
 )
 
@@ -76,18 +74,6 @@ func (s *Store) Collection(name string) *Collection {
 	return &Collection{store: s, name: name}
 }
 
-// Collections lists existing collection names, sorted.
-func (s *Store) Collections() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.colls))
-	for name := range s.colls {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // flushLocked writes the store to disk atomically (tmp file + rename).
 // Callers hold the write lock.
 func (s *Store) flushLocked() error {
@@ -109,13 +95,6 @@ func (s *Store) flushLocked() error {
 		return fmt.Errorf("docstore: rename: %w", err)
 	}
 	return nil
-}
-
-// Flush persists the store (no-op for memory-only stores).
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushLocked()
 }
 
 // Collection is a handle on one named collection.
@@ -193,131 +172,4 @@ func (c *Collection) All() []Doc {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// Find returns the documents whose top-level fields match the filter, sorted
-// by id. Filter values compare for equality; a nested map of the form
-// {"$gt": v} / {"$gte": v} / {"$lt": v} / {"$lte": v} / {"$ne": v} compares
-// (numbers numerically, everything else as strings).
-func (c *Collection) Find(filter map[string]any) ([]Doc, error) {
-	all := c.All()
-	if len(filter) == 0 {
-		return all, nil
-	}
-	var out []Doc
-	for _, doc := range all {
-		var fields map[string]any
-		if err := json.Unmarshal(doc.Body, &fields); err != nil {
-			continue // non-object documents never match field filters
-		}
-		ok, err := matches(fields, filter)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, doc)
-		}
-	}
-	return out, nil
-}
-
-func matches(fields, filter map[string]any) (bool, error) {
-	for key, want := range filter {
-		got, ok := fields[key]
-		if !ok {
-			return false, nil
-		}
-		if op, isOp := want.(map[string]any); isOp {
-			ok, err := matchOps(got, op)
-			if err != nil || !ok {
-				return false, err
-			}
-			continue
-		}
-		if !looseEqual(got, want) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-func matchOps(got any, ops map[string]any) (bool, error) {
-	for op, operand := range ops {
-		cmp, comparable := compareValues(got, operand)
-		switch op {
-		case "$ne":
-			if looseEqual(got, operand) {
-				return false, nil
-			}
-		case "$gt":
-			if !comparable || cmp <= 0 {
-				return false, nil
-			}
-		case "$gte":
-			if !comparable || cmp < 0 {
-				return false, nil
-			}
-		case "$lt":
-			if !comparable || cmp >= 0 {
-				return false, nil
-			}
-		case "$lte":
-			if !comparable || cmp > 0 {
-				return false, nil
-			}
-		default:
-			return false, fmt.Errorf("docstore: unknown filter operator %q", op)
-		}
-	}
-	return true, nil
-}
-
-// looseEqual compares JSON-decoded values, treating all numbers as float64.
-func looseEqual(a, b any) bool {
-	if fa, ok := toFloat(a); ok {
-		if fb, ok2 := toFloat(b); ok2 {
-			return fa == fb
-		}
-		return false
-	}
-	return fmt.Sprint(a) == fmt.Sprint(b)
-}
-
-// compareValues orders two values: numerically when both are numbers,
-// lexicographically when both are strings.
-func compareValues(a, b any) (int, bool) {
-	if fa, ok := toFloat(a); ok {
-		fb, ok2 := toFloat(b)
-		if !ok2 {
-			return 0, false
-		}
-		switch {
-		case fa < fb:
-			return -1, true
-		case fa > fb:
-			return 1, true
-		}
-		return 0, true
-	}
-	sa, aok := a.(string)
-	sb, bok := b.(string)
-	if aok && bok {
-		return strings.Compare(sa, sb), true
-	}
-	return 0, false
-}
-
-func toFloat(v any) (float64, bool) {
-	switch n := v.(type) {
-	case float64:
-		return n, true
-	case int:
-		return float64(n), true
-	case int64:
-		return float64(n), true
-	case json.Number:
-		f, err := n.Float64()
-		return f, err == nil
-	}
-	return 0, false
 }

@@ -6,22 +6,26 @@ import (
 	"crowdfill/internal/docstore"
 )
 
-// Example stores table-specification documents the way the front-end server
-// does, then filters them.
+// Example stores a table-specification document the way the front-end
+// server does, updates its status in place, then lists the collection.
 func Example() {
 	store, _ := docstore.Open("") // in-memory; pass a path to persist
 	specs := store.Collection("specs")
 
-	id, _ := specs.Insert(map[string]any{"name": "SoccerPlayer", "budget": 10.0})
-	specs.Insert(map[string]any{"name": "Gadget", "budget": 5.0})
+	id, _ := specs.Insert(map[string]any{"name": "SoccerPlayer", "status": "draft"})
+	specs.Insert(map[string]any{"name": "Gadget", "status": "draft"})
 
-	var got map[string]any
-	specs.Get(id, &got)
-	fmt.Println(got["name"])
+	var spec map[string]any
+	specs.Get(id, &spec)
+	spec["status"] = "running"
+	specs.Put(id, spec)
 
-	rich, _ := specs.Find(map[string]any{"budget": map[string]any{"$gte": 8.0}})
-	fmt.Println(len(rich), "spec(s) with budget >= 8")
+	for _, d := range specs.All() {
+		var got map[string]any
+		d.Decode(&got)
+		fmt.Println(d.ID, got["name"], got["status"])
+	}
 	// Output:
-	// SoccerPlayer
-	// 1 spec(s) with budget >= 8
+	// specs-000001 SoccerPlayer running
+	// specs-000002 Gadget draft
 }

@@ -54,7 +54,7 @@ func TestRepresentativeRunShape(t *testing.T) {
 	if !res.Core.Planner().CheckPRI(res.Core.Master()) {
 		t.Fatalf("PRI violated at end of run")
 	}
-	if !res.Core.Satisfied() {
+	if !res.Core.Planner().SatisfiedBy(res.Core.FinalTable()) {
 		t.Fatalf("constraint unsatisfied at end of run")
 	}
 }

@@ -451,24 +451,3 @@ func (f *Frontend) handleWS(w http.ResponseWriter, r *http.Request) {
 	}
 	ns.Handler().ServeHTTP(w, r)
 }
-
-// AcceptWorker simulates a marketplace worker accepting the spec's HIT,
-// returning the worker identity to connect with.
-func (f *Frontend) AcceptWorker(id string) (string, error) {
-	var sd specDoc
-	if err := f.specs().Get(id, &sd); err != nil {
-		return "", err
-	}
-	if sd.HITID == "" {
-		return "", errors.New("frontend: collection has no HIT")
-	}
-	return f.market.Accept(sd.HITID)
-}
-
-// Collection exposes the running back-end server for a spec id (nil if not
-// running), for in-process drivers and tests.
-func (f *Frontend) Collection(id string) *server.NetServer {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.running[id]
-}

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	gosync "sync"
 	"time"
 
@@ -106,17 +105,6 @@ func New(seed int64, poolSize int, sandbox bool) *Marketplace {
 	return m
 }
 
-// Sandbox reports whether payments are simulated-only.
-func (m *Marketplace) Sandbox() bool { return m.sandbox }
-
-// SetClock replaces the time source for HIT creation stamps. Deterministic
-// runs inject a simclock.Sim-backed clock; the default is the wall clock.
-func (m *Marketplace) SetClock(c simclock.Clock) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.clock = c
-}
-
 // CreateHIT publishes a task with an external question URL (§3.2: the
 // marketplace must allow externally-hosted questions and bonus payments).
 func (m *Marketplace) CreateHIT(title, externalURL string, maxAssignments int) (*HIT, error) {
@@ -136,19 +124,6 @@ func (m *Marketplace) CreateHIT(title, externalURL string, maxAssignments int) (
 	m.hits[h.ID] = h
 	m.stats.hits.Inc()
 	return h, nil
-}
-
-// GetHIT returns a copy of the HIT.
-func (m *Marketplace) GetHIT(id string) (HIT, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.hits[id]
-	if !ok {
-		return HIT{}, fmt.Errorf("%w: %s", ErrNoSuchHIT, id)
-	}
-	cp := *h
-	cp.Accepted = append([]string(nil), h.Accepted...)
-	return cp, nil
 }
 
 // Accept simulates the next pool worker accepting the HIT, returning the
@@ -216,41 +191,4 @@ func (m *Marketplace) PayBonus(worker string, amount float64, reason string) err
 	m.stats.payments.Inc()
 	m.stats.totalPaid.Add(amount)
 	return nil
-}
-
-// Balance returns the worker's accumulated bonuses.
-func (m *Marketplace) Balance(worker string) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.balance[worker]
-}
-
-// Ledger returns a copy of all payments, in order.
-func (m *Marketplace) Ledger() []Payment {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Payment(nil), m.ledger...)
-}
-
-// TotalPaid sums all recorded payments.
-func (m *Marketplace) TotalPaid() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var sum float64
-	for _, p := range m.ledger {
-		sum += p.Amount
-	}
-	return sum
-}
-
-// Workers lists workers who have accepted any task, sorted.
-func (m *Marketplace) Workers() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.balance))
-	for w := range m.balance {
-		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -7,7 +7,7 @@ import (
 
 func TestHITLifecycle(t *testing.T) {
 	m := New(1, 5, true)
-	if !m.Sandbox() {
+	if !m.sandbox {
 		t.Fatalf("sandbox flag lost")
 	}
 	h, err := m.CreateHIT("Collect soccer players", "/ws/abc", 3)
@@ -36,11 +36,10 @@ func TestHITLifecycle(t *testing.T) {
 	if _, err := m.Accept(h.ID); !errors.Is(err, ErrHITFull) {
 		t.Fatalf("full HIT err = %v", err)
 	}
-	got, err := m.GetHIT(h.ID)
-	if err != nil || len(got.Accepted) != 3 {
-		t.Fatalf("GetHIT = %+v, %v", got, err)
+	if got := m.hits[h.ID].Accepted; len(got) != 3 {
+		t.Fatalf("accepted = %v, want 3 workers", got)
 	}
-	if _, err := m.GetHIT("nope"); !errors.Is(err, ErrNoSuchHIT) {
+	if _, err := m.Accept("nope"); !errors.Is(err, ErrNoSuchHIT) {
 		t.Fatalf("missing HIT err = %v", err)
 	}
 }
@@ -72,14 +71,11 @@ func TestPayments(t *testing.T) {
 	if err := m.PayBonus(w, 1.0, "run 2"); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Balance(w); got != 3.5 {
-		t.Fatalf("Balance = %v", got)
+	if got := m.balance[w]; got != 3.5 {
+		t.Fatalf("balance = %v", got)
 	}
-	if got := m.TotalPaid(); got != 3.5 {
-		t.Fatalf("TotalPaid = %v", got)
-	}
-	if got := m.Ledger(); len(got) != 2 || got[0].Reason != "run 1" {
-		t.Fatalf("Ledger = %+v", got)
+	if got := m.ledger; len(got) != 2 || got[0].Reason != "run 1" || got[0].Amount+got[1].Amount != 3.5 {
+		t.Fatalf("ledger = %+v", got)
 	}
 	if err := m.PayBonus(w, 0, "zero"); !errors.Is(err, ErrBadAmount) {
 		t.Fatalf("zero payment err = %v", err)
@@ -87,8 +83,8 @@ func TestPayments(t *testing.T) {
 	if err := m.PayBonus("stranger", 1, "x"); !errors.Is(err, ErrUnknownWork) {
 		t.Fatalf("unknown worker err = %v", err)
 	}
-	if got := m.Workers(); len(got) != 1 || got[0] != w {
-		t.Fatalf("Workers = %v", got)
+	if _, ok := m.balance[w]; len(m.balance) != 1 || !ok {
+		t.Fatalf("workers = %v, want only %s", m.balance, w)
 	}
 }
 
@@ -128,7 +124,7 @@ func TestRegisterOutOfBandWorker(t *testing.T) {
 	}
 	// Register is idempotent and never clears a balance.
 	m.Register("local-volunteer")
-	if got := m.Balance("local-volunteer"); got != 1.5 {
-		t.Fatalf("Balance = %v", got)
+	if got := m.balance["local-volunteer"]; got != 1.5 {
+		t.Fatalf("balance = %v", got)
 	}
 }

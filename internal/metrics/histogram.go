@@ -48,9 +48,6 @@ func (h *Histogram) Observe(v int64) {
 	h.count.Add(1)
 }
 
-// Count returns the number of samples observed.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Sum returns the sum of all observed samples.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 

@@ -75,9 +75,6 @@ type FloatGauge struct {
 	bits atomic.Uint64
 }
 
-// Set stores v.
-func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
 // Add adjusts the value by delta.
 func (g *FloatGauge) Add(delta float64) {
 	for {
@@ -150,9 +147,6 @@ func (c *ShardedCounter) Value() uint64 {
 	}
 	return sum
 }
-
-// Shards returns the shard count (a power of two).
-func (c *ShardedCounter) Shards() int { return len(c.cells) }
 
 // Registry holds named instruments. The zero value is not usable; call
 // NewRegistry. Registration is get-or-create: the same name always returns

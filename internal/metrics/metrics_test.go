@@ -10,6 +10,12 @@ import (
 // gauge, and one histogram from many goroutines while snapshots run
 // concurrently, then checks exact totals. Run under -race this is the
 // data-race gate for the whole observe surface.
+// Count returns the number of samples observed.
+func (h *Histogram) Count() uint64 { return h.count.Load() }
+
+// Shards returns the shard count (a power of two).
+func (c *ShardedCounter) Shards() int { return len(c.cells) }
+
 func TestConcurrentInstruments(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_ops_total", "ops")
@@ -127,9 +133,9 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	hv := h.snapshot("x")
 	checks := []struct {
-		q          float64
-		truth      int64
-		loose, hi  int64 // acceptable range given bucket resolution
+		q         float64
+		truth     int64
+		loose, hi int64 // acceptable range given bucket resolution
 	}{
 		{0.50, 500, 256, 512},
 		{0.90, 900, 512, 1024},

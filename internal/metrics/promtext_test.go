@@ -15,7 +15,7 @@ func TestPrometheusGolden(t *testing.T) {
 	r.Counter(`crowdfill_drops_total{cause="cursor-lag"}`, "client drops by cause").Add(2)
 	r.Counter(`crowdfill_drops_total{cause="send-error"}`, "client drops by cause").Inc()
 	r.Gauge("crowdfill_conns", "registered connections").Set(7)
-	r.FloatGauge("crowdfill_paid_dollars", "bonuses paid").Set(1.5)
+	r.FloatGauge("crowdfill_paid_dollars", "bonuses paid").Add(1.5)
 	sc := r.ShardedCounter("crowdfill_bytes_total", "bytes out", 4)
 	sc.Add(0, 100)
 	sc.Add(1, 23)

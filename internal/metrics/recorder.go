@@ -8,11 +8,12 @@ import (
 // Event kinds recorded by the serving stack. Kinds are plain strings so
 // components may add their own; these are the ones the server emits.
 const (
-	EvEvictLag      = "evict-lag"      // client dropped: cursor lagged behind the broadcast log
-	EvSendError     = "send-error"     // client dropped: transport send failed
-	EvWriteDeadline = "write-deadline" // client dropped: send hit the flusher write deadline
-	EvReject        = "reject"         // inbound message rejected (connection stays up)
-	EvRepairOverrun = "repair-overrun" // central-client repair hit its iteration cap
+	EvEvictLag        = "evict-lag"        // client dropped: cursor lagged behind the broadcast log
+	EvSendError       = "send-error"       // client dropped: transport send failed
+	EvWriteDeadline   = "write-deadline"   // client dropped: send hit the flusher write deadline
+	EvReject          = "reject"           // inbound message rejected (connection stays up)
+	EvRepairOverrun   = "repair-overrun"   // central-client repair hit its iteration cap
+	EvEstimateSkipped = "estimate-skipped" // estimate payload could not be encoded, so not broadcast
 )
 
 // Event is one operational event: what happened, to whom, and when (At is

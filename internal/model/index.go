@@ -35,7 +35,6 @@ type KeyStat struct {
 // TableIndex is not safe for concurrent use; callers serialize access the
 // same way they serialize replica mutation.
 type TableIndex struct {
-	c *Candidate
 	f ScoreFunc
 	s *Schema
 
@@ -292,7 +291,6 @@ func (x *TableIndex) RowVotesChanged(r *Row) {
 // TableReset rebuilds the index from scratch over a (possibly new) table,
 // e.g. after a snapshot load replaces the replica state wholesale.
 func (x *TableIndex) TableReset(c *Candidate) {
-	x.c = c
 	x.s = c.Schema()
 	x.notifyReset()
 	x.byKey = make(map[string]keyGroup)

@@ -8,26 +8,27 @@ import (
 )
 
 // scratchCheck holds a TableIndex to the from-scratch ProbableRows and
-// FinalTable of its table, and its final-winner counter to the from-scratch
+// FinalTable of its table c, and its final-winner counter to the from-scratch
 // winners: between two checks the counter must move exactly when the winners
 // changed.
 type scratchCheck struct {
 	x     *TableIndex
-	final []*Row // from-scratch final table at the previous check
-	ver   uint64 // FinalVersion at the previous check
+	c     *Candidate // the table x indexes; follow a TableReset onto another
+	final []*Row     // from-scratch final table at the previous check
+	ver   uint64     // FinalVersion at the previous check
 }
 
-func newScratchCheck(x *TableIndex) *scratchCheck {
-	return &scratchCheck{x: x, final: FinalTable(x.c, x.f), ver: x.FinalVersion()}
+func newScratchCheck(x *TableIndex, c *Candidate) *scratchCheck {
+	return &scratchCheck{x: x, c: c, final: FinalTable(c, x.f), ver: x.FinalVersion()}
 }
 
 func (sc *scratchCheck) check(t *testing.T, step int) {
 	t.Helper()
 	x := sc.x
-	if got, want := x.Probable(), ProbableRows(x.c, x.f); !slices.Equal(got, want) {
+	if got, want := x.Probable(), ProbableRows(sc.c, x.f); !slices.Equal(got, want) {
 		t.Fatalf("step %d: index probable rows %v, from scratch %v", step, rowIDs(got), rowIDs(want))
 	}
-	final := FinalTable(x.c, x.f)
+	final := FinalTable(sc.c, x.f)
 	if got := x.FinalTable(); !slices.Equal(got, final) {
 		t.Fatalf("step %d: index final table %v, from scratch %v", step, rowIDs(got), rowIDs(final))
 	}
@@ -92,7 +93,7 @@ func TestDeltaListenerTracksProbable(t *testing.T) {
 	}, "k")
 	c := NewCandidate(s)
 	idx := NewTableIndex(c, MajorityShortcut(3))
-	sc := newScratchCheck(idx)
+	sc := newScratchCheck(idx, c)
 	sh := &shadowListener{t: t, rows: make(map[RowID]*Row)}
 	idx.AddDeltaListener(sh)
 
@@ -196,7 +197,7 @@ func TestTwoDeltaListeners(t *testing.T) {
 	}, "k")
 	c := NewCandidate(s)
 	idx := NewTableIndex(c, MajorityShortcut(3))
-	sc := newScratchCheck(idx)
+	sc := newScratchCheck(idx, c)
 
 	var log []logEvent
 	a := &loggingListener{shadowListener: shadowListener{t: t, rows: make(map[RowID]*Row)}, name: "a", log: &log}
@@ -278,7 +279,7 @@ func TestFinalVersionAcrossReset(t *testing.T) {
 	s := MustSchema("KV", []Column{{Name: "k"}, {Name: "v"}}, "k")
 	c := NewCandidate(s)
 	idx := NewTableIndex(c, DefaultScore)
-	sc := newScratchCheck(idx)
+	sc := newScratchCheck(idx, c)
 
 	win := &Row{ID: "r-1", Vec: VectorOf("a", "x"), Up: 1}
 	c.Put(win)
@@ -302,7 +303,8 @@ func TestFinalVersionAcrossReset(t *testing.T) {
 		t.Fatalf("reset onto the same winning rows moved the counter: %d -> %d", v1, got)
 	}
 
-	idx.TableReset(NewCandidate(s))
+	sc.c = NewCandidate(s)
+	idx.TableReset(sc.c)
 	sc.check(t, 3)
 	if got := idx.FinalVersion(); got == v1 || idx.FinalRows() != 0 {
 		t.Fatalf("reset onto an empty table: version %d -> %d, rows %d", v1, got, idx.FinalRows())

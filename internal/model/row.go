@@ -166,16 +166,6 @@ func (c *Candidate) Each(fn func(*Row)) {
 	}
 }
 
-// Clone copies the table's rows, sharing their vectors, and builds the
-// copy's own value index.
-func (c *Candidate) Clone() *Candidate {
-	out := NewCandidate(c.schema)
-	for _, r := range c.rows {
-		out.Put(r.Clone())
-	}
-	return out
-}
-
 // Snapshot renders a canonical textual form of the table (rows sorted by id),
 // used to compare replicas in convergence tests.
 func (c *Candidate) Snapshot() string {

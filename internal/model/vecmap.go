@@ -145,16 +145,3 @@ func (m *VecMap[V]) Each(fn func(Vector, V)) {
 		}
 	}
 }
-
-// Clone copies the map's entries; the copies share the vectors.
-func (m *VecMap[V]) Clone() *VecMap[V] {
-	out := &VecMap[V]{m: make(map[uint64]vecEntry[V], len(m.m)), n: m.n}
-	for h, e := range m.m {
-		for p := &e; p.next != nil; p = p.next {
-			next := *p.next
-			p.next = &next
-		}
-		out.m[h] = e
-	}
-	return out
-}

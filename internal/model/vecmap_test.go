@@ -117,9 +117,6 @@ func TestVecMapMatchesStringKeys(t *testing.T) {
 		}
 		if step%500 == 0 {
 			checkEach(t, m, ref)
-			c := m.Clone()
-			c.Set(degraded(v), -1) // a clone's writes stay in the clone
-			checkEach(t, m, ref)
 		}
 	}
 }

@@ -107,16 +107,6 @@ func (v Vector) Subset(w Vector) bool {
 // Superset reports v ⊇ w.
 func (v Vector) Superset(w Vector) bool { return w.Subset(v) }
 
-// Project returns the sub-vector of v restricted to the given column indexes:
-// cells outside cols are cleared.
-func (v Vector) Project(cols []int) Vector {
-	w := NewVector(len(v))
-	for _, c := range cols {
-		w[c] = v[c]
-	}
-	return w
-}
-
 // KeyComplete reports whether all primary-key cells (per the schema) are set.
 func (v Vector) KeyComplete(s *Schema) bool {
 	for _, k := range s.KeyColumns() {

@@ -113,9 +113,10 @@ func TestVectorEncodeInjectiveQuick(t *testing.T) {
 func TestVectorProjectAndKey(t *testing.T) {
 	s := soccerSchema(t)
 	v := VectorOf("Messi", "Argentina", "FW", "83", "37")
-	key := v.Project(s.KeyColumns())
-	if key.CountSet() != 2 || !key[0].Set || !key[1].Set {
-		t.Fatalf("Project(key) = %v", key)
+	// The key is v projected onto the key columns: the other cells do not
+	// enter it.
+	if got, want := v.KeyOf(s), VectorOf("Messi", "Argentina", "", "", "").KeyOf(s); got != want {
+		t.Fatalf("KeyOf = %q, want the key columns' projection %q", got, want)
 	}
 	if !v.KeyComplete(s) {
 		t.Fatalf("KeyComplete should hold")

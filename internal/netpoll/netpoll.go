@@ -50,9 +50,11 @@ const wakeToken = 0
 // cheap and safe for concurrent use (the server's metrics plane wires its
 // atomic instruments in here). A nil Stats disables instrumentation.
 type Stats interface {
-	// PollRegistered reports the new registered-descriptor count after a
-	// register or deregister.
-	PollRegistered(n int)
+	// PollRegisteredDelta reports a change in the registered-descriptor
+	// count: +1 after a register, -1 after a deregister. Deltas commute, so
+	// concurrent registrations sum to the count whatever order they report
+	// in.
+	PollRegisteredDelta(d int)
 	// PollWakeup reports one epoll_wait return that delivered ready
 	// readiness events for ready connections.
 	PollWakeup(ready int)
@@ -136,18 +138,6 @@ func New(workers int, st Stats) (*Poller, error) {
 // nil-safe so servers can hold a nil *Poller on fallback platforms.
 func (p *Poller) Supported() bool { return p != nil }
 
-// Registered returns the current registered-descriptor count (tests and
-// debug surfaces).
-func (p *Poller) Registered() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	n := len(p.descs)
-	p.mu.Unlock()
-	return n
-}
-
 // Register adds a connection to the interest set, disarmed: no readiness
 // event fires until the first Rearm. Callers Kick the descriptor once after
 // registration so a worker performs the initial drain (bytes that arrived
@@ -165,7 +155,6 @@ func (p *Poller) Register(rc syscall.RawConn, run func(scratch []byte)) (*Desc, 
 	p.next++
 	d := &Desc{p: p, tok: tok, rc: rc, run: run}
 	p.descs[tok] = d
-	n := len(p.descs)
 	p.mu.Unlock()
 	if err := p.osAdd(rc, tok); err != nil {
 		p.mu.Lock()
@@ -175,7 +164,7 @@ func (p *Poller) Register(rc syscall.RawConn, run func(scratch []byte)) (*Desc, 
 		return nil, err
 	}
 	if p.st != nil {
-		p.st.PollRegistered(n)
+		p.st.PollRegisteredDelta(1)
 	}
 	return d, nil
 }
@@ -235,7 +224,6 @@ func (p *Poller) Deregister(d *Desc) {
 	p.mu.Lock()
 	_, present := p.descs[d.tok]
 	delete(p.descs, d.tok)
-	n := len(p.descs)
 	p.mu.Unlock()
 	d.state.Store(descGone)
 	if !present {
@@ -243,7 +231,7 @@ func (p *Poller) Deregister(d *Desc) {
 	}
 	p.osDel(d.rc)
 	if p.st != nil {
-		p.st.PollRegistered(n)
+		p.st.PollRegisteredDelta(-1)
 	}
 }
 

@@ -73,8 +73,6 @@ type Input struct {
 	// SplitKey and SplitNonKey are the h_c splitting factors for key and
 	// non-key columns (§5.2.3); zero values default to 0.25 and 0.5.
 	SplitKey, SplitNonKey float64
-	// SplitByColumn optionally overrides h_c per column index.
-	SplitByColumn map[int]float64
 }
 
 // Allocation is the result of Compute: the paper's final per-worker
@@ -183,9 +181,6 @@ func Compute(in Input) (*Allocation, error) {
 	// Step 5: split each cell's pay between its direct and indirect
 	// contributors.
 	hFor := func(col int) float64 {
-		if h, ok := in.SplitByColumn[col]; ok {
-			return h
-		}
 		if in.Schema.IsKeyColumn(col) {
 			return hKey
 		}

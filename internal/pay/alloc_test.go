@@ -284,8 +284,8 @@ func TestComputeSplitOverride(t *testing.T) {
 	alloc, err := Compute(Input{
 		Schema: kvSchema(t), Budget: 10, Scheme: Uniform,
 		Final: final, Trace: trace, CCLog: ccLog,
-		JoinTime:      map[string]int64{"w1": 0, "w2": 0, "w3": 0},
-		SplitByColumn: map[int]float64{1: 1.0}, // direct takes all of column v
+		JoinTime:    map[string]int64{"w1": 0, "w2": 0, "w3": 0},
+		SplitNonKey: 1.0, // direct takes all of column v, the only non-key column
 	})
 	if err != nil {
 		t.Fatal(err)

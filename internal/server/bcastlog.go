@@ -511,10 +511,3 @@ func (l *bcastLog) flushOne(fc *flushConn, recs []Broadcast, preps []*sync.Prepa
 	}
 	return batch[:0]
 }
-
-// poolStats reports the number of registered and parked connections (tests).
-func (l *bcastLog) poolStats() (conns, parked int) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.conns), len(l.parked)
-}

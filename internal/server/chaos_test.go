@@ -113,7 +113,7 @@ func TestChaosDisconnectReconnect(t *testing.T) {
 		if len(final) < 6 {
 			t.Fatalf("final rows = %d, want >= 6", len(final))
 		}
-		if !c.Satisfied() {
+		if !c.Planner().SatisfiedBy(c.FinalTable()) {
 			t.Fatalf("constraint unsatisfied")
 		}
 		// Trace stays strictly ordered despite the churn.

@@ -24,7 +24,9 @@ import (
 func TestCompletionDecisionMatchesFromScratch(t *testing.T) {
 	s := kvSchema(t)
 	score := model.MajorityShortcut(3)
-	tmpl, err := constraint.ValuesTemplate(s, model.VectorOf("x", ""), model.VectorOf("", "v2"))
+	tmpl, err := constraint.PredTemplate(s,
+		constraint.TemplateRow{constraint.Eq("x"), constraint.Any},
+		constraint.TemplateRow{constraint.Any, constraint.Eq("v2")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +154,10 @@ func scratchMismatch(c *Core) error {
 		return out
 	}
 	table := c.master.Table()
-	if got, want := c.index.Probable(), model.ProbableRows(table, c.score); !slices.Equal(got, want) {
+	if got, want := c.index.Probable(), model.ProbableRows(table, c.cfg.Score); !slices.Equal(got, want) {
 		return fmt.Errorf("index probable rows %v, from scratch %v", ids(got), ids(want))
 	}
-	if got, want := c.index.FinalTable(), model.FinalTable(table, c.score); !slices.Equal(got, want) {
+	if got, want := c.index.FinalTable(), model.FinalTable(table, c.cfg.Score); !slices.Equal(got, want) {
 		return fmt.Errorf("index final table %v, from scratch %v", ids(got), ids(want))
 	}
 	if !c.Planner().CheckPRI(c.master) {

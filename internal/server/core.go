@@ -40,23 +40,15 @@ type Config struct {
 	MaxVotesPerRow int
 	// Clock provides timestamps; nil means the real clock.
 	Clock simclock.Clock
-	// SplitKey/SplitNonKey/SplitByColumn are the §5.2.3 splitting factors.
+	// SplitKey/SplitNonKey are the §5.2.3 splitting factors.
 	SplitKey, SplitNonKey float64
-	SplitByColumn         map[int]float64
 	// TrackPerformance enables per-worker performance scaling of the
 	// displayed estimates (§5.3's noted refinement).
 	TrackPerformance bool
-	// Logf receives operational warnings (e.g. Central Client repair
-	// overruns); nil discards them.
-	Logf func(format string, args ...any)
 	// Metrics is the instrument set the core (and any NetServer wrapping it)
 	// reports into. Nil selects the process-wide set (ProcessMetrics); tests
 	// and simulations pass their own registry-backed set for isolation.
 	Metrics *Metrics
-	// LogCapacity sizes the broadcast log a NetServer builds over this core
-	// (how many records a client may lag before eviction); 0 means
-	// defaultLogCapacity.
-	LogCapacity int
 }
 
 // Outbound is a private message the caller must deliver to one client — what
@@ -83,13 +75,11 @@ type Broadcast struct {
 // use; network frontends must serialize calls.
 type Core struct {
 	cfg     Config
-	score   model.ScoreFunc
 	master  *sync.Replica
 	planner *constraint.Planner
 	ccGen   *sync.IDGen
 	est     *pay.Estimator
 	index   *model.TableIndex // incremental probable/final maintenance
-	logf    func(format string, args ...any)
 	metrics *Metrics
 
 	clients  map[string]string // client id -> worker id
@@ -160,16 +150,12 @@ func New(cfg Config) (*Core, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real{}
 	}
-	score := cfg.Score
-	if score == nil {
-		score = model.DefaultScore
+	if cfg.Score == nil {
+		cfg.Score = model.DefaultScore
 	}
+	score := cfg.Score
 	if err := model.ValidateScore(score, 8); err != nil {
 		return nil, err
-	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
 	}
 	// The index follows every mutation of the master. The planner's persistent
 	// adjacency and matching follow its probable-set deltas, so each repair
@@ -180,12 +166,10 @@ func New(cfg Config) (*Core, error) {
 	master.SetObserver(index)
 	c := &Core{
 		cfg:      cfg,
-		score:    score,
 		master:   master,
 		index:    index,
 		planner:  constraint.NewPlanner(cfg.Template, score, index),
 		ccGen:    sync.NewIDGen("cc"),
-		logf:     logf,
 		clients:  make(map[string]string),
 		joinTime: make(map[string]int64),
 	}
@@ -286,15 +270,15 @@ func (c *Core) runCC() []sync.Message {
 
 // Warnings are the operational notes core calls raised: a repair loop that
 // hit its iteration cap, an estimate payload that could not be encoded.
-// Writing them to the log and the flight recorder may block, and the core
-// runs inside its driver's serving lock, so the core only holds them: the
-// driver takes them under its lock (TakeWarnings, which blocks on nothing)
-// and emits them after releasing it. A driver that holds no lock takes and
-// emits them after each call. The zero value emits nothing.
+// Recording them in the flight recorder may block (its sink logs a line),
+// and the core runs inside its driver's serving lock, so the core only
+// holds them: the driver takes them under its lock (TakeWarnings, which
+// blocks on nothing) and emits them after releasing it. A driver that holds
+// no lock takes and emits them after each call. The zero value emits
+// nothing.
 type Warnings struct {
 	overrun  int   // the overrun's ordinal, 0 = none
 	estimate error // why the estimate was not broadcast, nil = none
-	logf     func(format string, args ...any)
 	metrics  *Metrics
 }
 
@@ -303,30 +287,25 @@ type Warnings struct {
 func (c *Core) TakeWarnings() Warnings {
 	w := c.warn
 	c.warn = Warnings{}
-	w.logf, w.metrics = c.logf, c.metrics
+	w.metrics = c.metrics
 	return w
 }
 
-// Emit writes each warning once: an overrun as a flight-recorder event
-// (whose sink logs the line), or as a log line when instrumentation is off;
-// a skipped estimate as a log line.
+// Emit records each warning once as a flight-recorder event, whose sink
+// logs the line. With instrumentation off there is no recorder, and the
+// counters the core keeps (RepairStats) are the only trace.
 func (w Warnings) Emit() {
+	rec := w.metrics.Recorder()
+	if rec == nil {
+		return
+	}
 	if w.overrun > 0 {
-		if rec := w.metrics.Recorder(); rec != nil {
-			rec.Record(metrics.EvRepairOverrun, "cc", "central client repair did not converge")
-		} else {
-			w.logf("crowdfill: central client repair did not converge within %d iterations (overrun #%d)",
-				maxRepairIters, w.overrun)
-		}
+		rec.Record(metrics.EvRepairOverrun, "cc", "central client repair did not converge")
 	}
 	if w.estimate != nil {
-		w.logf("crowdfill: estimate not broadcast: %v", w.estimate)
+		rec.Record(metrics.EvEstimateSkipped, "cc", w.estimate.Error())
 	}
 }
-
-// RepairOverruns returns how many times the Central Client's repair loop hit
-// its iteration cap without converging.
-func (c *Core) RepairOverruns() int { return c.repairOverruns }
 
 // RepairStats summarizes the Central Client's PRI-repair work over the run.
 type RepairStats struct {
@@ -515,11 +494,6 @@ func (c *Core) FinalTable() []*model.Row {
 	return append([]*model.Row(nil), c.index.FinalTable()...)
 }
 
-// Satisfied reports whether the final table satisfies the active constraint.
-func (c *Core) Satisfied() bool {
-	return c.planner.SatisfiedBy(c.index.FinalTable())
-}
-
 // Trace returns the stamped worker-message trace (the set M of §5.2).
 func (c *Core) Trace() []sync.Message { return c.trace }
 
@@ -544,17 +518,16 @@ func (c *Core) Clients() int { return len(c.clients) }
 // ComputePay runs the §5.2 final-compensation calculation over the run.
 func (c *Core) ComputePay() (*pay.Allocation, error) {
 	return pay.Compute(pay.Input{
-		Schema:        c.cfg.Schema,
-		Budget:        c.cfg.Budget,
-		Scheme:        c.cfg.Scheme,
-		Final:         c.FinalTable(),
-		Trace:         c.trace,
-		CCLog:         c.ccLog,
-		JoinTime:      c.joinTime,
-		Start:         c.start,
-		SplitKey:      c.cfg.SplitKey,
-		SplitNonKey:   c.cfg.SplitNonKey,
-		SplitByColumn: c.cfg.SplitByColumn,
+		Schema:      c.cfg.Schema,
+		Budget:      c.cfg.Budget,
+		Scheme:      c.cfg.Scheme,
+		Final:       c.FinalTable(),
+		Trace:       c.trace,
+		CCLog:       c.ccLog,
+		JoinTime:    c.joinTime,
+		Start:       c.start,
+		SplitKey:    c.cfg.SplitKey,
+		SplitNonKey: c.cfg.SplitNonKey,
 	})
 }
 
@@ -562,16 +535,15 @@ func (c *Core) ComputePay() (*pay.Allocation, error) {
 // same trace (used by the §6 scheme-comparison experiments).
 func (c *Core) ComputePayWith(scheme pay.Scheme) (*pay.Allocation, error) {
 	return pay.Compute(pay.Input{
-		Schema:        c.cfg.Schema,
-		Budget:        c.cfg.Budget,
-		Scheme:        scheme,
-		Final:         c.FinalTable(),
-		Trace:         c.trace,
-		CCLog:         c.ccLog,
-		JoinTime:      c.joinTime,
-		Start:         c.start,
-		SplitKey:      c.cfg.SplitKey,
-		SplitNonKey:   c.cfg.SplitNonKey,
-		SplitByColumn: c.cfg.SplitByColumn,
+		Schema:      c.cfg.Schema,
+		Budget:      c.cfg.Budget,
+		Scheme:      scheme,
+		Final:       c.FinalTable(),
+		Trace:       c.trace,
+		CCLog:       c.ccLog,
+		JoinTime:    c.joinTime,
+		Start:       c.start,
+		SplitKey:    c.cfg.SplitKey,
+		SplitNonKey: c.cfg.SplitNonKey,
 	})
 }

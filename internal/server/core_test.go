@@ -128,9 +128,9 @@ func TestNewSeedsTemplateRows(t *testing.T) {
 
 func TestCompleteTemplateFinishesImmediately(t *testing.T) {
 	s := kvSchema(t)
-	tmpl, err := constraint.ValuesTemplate(s,
-		model.VectorOf("x", "1"),
-		model.VectorOf("y", "2"),
+	tmpl, err := constraint.PredTemplate(s,
+		constraint.TemplateRow{constraint.Eq("x"), constraint.Eq("1")},
+		constraint.TemplateRow{constraint.Eq("y"), constraint.Eq("2")},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestFullCollectionRun(t *testing.T) {
 	if got := len(r.core.FinalTable()); got != 3 {
 		t.Fatalf("final rows = %d, want 3", got)
 	}
-	if !r.core.Satisfied() {
+	if !r.core.Planner().SatisfiedBy(r.core.FinalTable()) {
 		t.Fatalf("constraint must be satisfied")
 	}
 
@@ -353,9 +353,9 @@ func TestNewValidation(t *testing.T) {
 // the run finishes exactly when the values constraint is met.
 func TestValuesTemplateRun(t *testing.T) {
 	s := kvSchema(t)
-	tmpl, err := constraint.ValuesTemplate(s,
-		model.VectorOf("x", ""), // value pinned for k
-		model.VectorOf("", ""),  // plus one free row
+	tmpl, err := constraint.PredTemplate(s,
+		constraint.TemplateRow{constraint.Eq("x"), constraint.Any}, // value pinned for k
+		constraint.TemplateRow{constraint.Any, constraint.Any},     // plus one free row
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +407,7 @@ func TestValuesTemplateRun(t *testing.T) {
 			r.send("c2", m)
 		}
 	}
-	if !r.core.Done() || !r.core.Satisfied() {
+	if !r.core.Done() || !r.core.Planner().SatisfiedBy(r.core.FinalTable()) {
 		t.Fatalf("values-template run should be done and satisfied")
 	}
 	final := r.core.FinalTable()
@@ -510,9 +510,6 @@ func TestNetServerAccessorsAndSlowClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	ns := NewNetServer(core, nil)
-	if ns.Core() != core {
-		t.Fatalf("Core accessor wrong")
-	}
 	// Swap in a tiny log so cursor lag triggers quickly.
 	ns.Shutdown()
 	ns.log = newBcastLog(4, nil, nil)

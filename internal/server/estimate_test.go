@@ -5,7 +5,6 @@ import (
 	"math"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,26 +20,29 @@ import (
 // infinite budget — the non-finite payload New now refuses to configure, so
 // a test can reach the estimate decision with one.
 func infiniteBudget(c *Core) {
-	c.est = pay.NewEstimator(c.cfg.Schema, c.score, c.cfg.Scheme, math.Inf(1), c.cfg.Template, c.start, c.index)
+	c.est = pay.NewEstimator(c.cfg.Schema, c.cfg.Score, c.cfg.Scheme, math.Inf(1), c.cfg.Template, c.start, c.index)
 }
 
-// skipCounter returns a Config.Logf that counts skipped estimate decisions.
-func skipCounter(n *atomic.Int32) func(string, ...any) {
-	return func(format string, _ ...any) {
-		if strings.HasPrefix(format, "crowdfill: estimate not broadcast") {
-			n.Add(1)
+// skippedEstimates counts the estimate-skipped events in rec's ring.
+func skippedEstimates(rec *metrics.Recorder) int {
+	n := 0
+	for _, ev := range rec.Events() {
+		if ev.Kind == metrics.EvEstimateSkipped {
+			n++
 		}
 	}
+	return n
 }
 
 // TestNonFiniteEstimateNotPublished: a decision that meets a payload it
 // cannot encode publishes nothing — every broadcast it returns encodes — and
-// says so through Config.Logf, but only when the driver emits the warnings
-// it took: HandleBroadcast runs under the server lock and writes no log.
+// says so as a flight-recorder event, but only when the driver emits the
+// warnings it took: HandleBroadcast runs under the server lock and records
+// nothing.
 func TestNonFiniteEstimateNotPublished(t *testing.T) {
-	var skipped atomic.Int32
 	cfg := cardinalityConfig(t, 2)
-	cfg.Logf = skipCounter(&skipped)
+	cfg.Metrics = NewMetrics(metrics.NewRegistry(), metrics.NewRecorder(16))
+	rec := cfg.Metrics.Recorder()
 	r := newRig(t, cfg)
 	c1 := r.join("c1", "w1")
 	infiniteBudget(r.core)
@@ -49,20 +51,20 @@ func TestNonFiniteEstimateNotPublished(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range msgs {
-		before := skipped.Load()
+		before := skippedEstimates(rec)
 		bcasts, err := r.core.HandleBroadcast("c1", m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if skipped.Load() != before {
-			t.Fatal("HandleBroadcast logged the skipped estimate itself; the line belongs after the lock")
+		if skippedEstimates(rec) != before {
+			t.Fatal("HandleBroadcast recorded the skipped estimate itself; the event belongs after the lock")
 		}
 		r.core.TakeWarnings().Emit()
-		if got := skipped.Load() - before; got != 1 {
-			t.Fatalf("emitting the taken warnings logged %d skipped estimates, want 1", got)
+		if got := skippedEstimates(rec) - before; got != 1 {
+			t.Fatalf("emitting the taken warnings recorded %d skipped estimates, want 1", got)
 		}
 		r.core.TakeWarnings().Emit()
-		if skipped.Load() != before+1 {
+		if skippedEstimates(rec) != before+1 {
 			t.Fatal("a second take emitted the warning again")
 		}
 		for _, b := range bcasts {
@@ -74,7 +76,7 @@ func TestNonFiniteEstimateNotPublished(t *testing.T) {
 			}
 		}
 	}
-	if skipped.Load() == 0 {
+	if skippedEstimates(rec) == 0 {
 		t.Fatal("no decision met a non-finite payload; the test did not exercise the skip")
 	}
 }
@@ -84,10 +86,9 @@ func TestNonFiniteEstimateNotPublished(t *testing.T) {
 // receiving broadcasts and no drop is counted. Publishing the payload would
 // fail that client's every send and drop it as a send error.
 func TestNonFiniteEstimateKeepsClients(t *testing.T) {
-	var skipped atomic.Int32
 	cfg := cardinalityConfig(t, 2)
-	cfg.Logf = skipCounter(&skipped)
 	cfg.Metrics = NewMetrics(metrics.NewRegistry(), metrics.NewRecorder(16))
+	rec := cfg.Metrics.Recorder()
 	core, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -121,12 +122,12 @@ func TestNonFiniteEstimateKeepsClients(t *testing.T) {
 	go func() {
 		defer close(msgs)
 		for {
-			raw, err := obs.ReadText()
+			raw, err := obs.ReadTextLease()
 			if err != nil {
 				return
 			}
-			m, err := sync.DecodeMessage(raw)
-			if err != nil {
+			var m sync.Message
+			if err := sync.DecodeMessageInto(append([]byte(nil), raw...), &m); err != nil {
 				return
 			}
 			msgs <- m
@@ -148,7 +149,7 @@ func TestNonFiniteEstimateKeepsClients(t *testing.T) {
 			select {
 			case m, ok := <-msgs:
 				if !ok {
-					t.Fatalf("fill %d: the observer's connection closed (skipped decisions: %d)", fill, skipped.Load())
+					t.Fatalf("fill %d: the observer's connection closed (skipped decisions: %d)", fill, skippedEstimates(rec))
 				}
 				replaced = m.Type == sync.MsgReplace
 				if m.Type == sync.MsgEstimate {
@@ -162,8 +163,8 @@ func TestNonFiniteEstimateKeepsClients(t *testing.T) {
 	if estimates != 1 {
 		t.Errorf("observer received %d estimates, want only its join estimate", estimates)
 	}
-	if skipped.Load() < 2 {
-		t.Errorf("%d skipped decisions, want one per fill", skipped.Load())
+	if n := skippedEstimates(rec); n < 2 {
+		t.Errorf("%d skipped decisions, want one per fill", n)
 	}
 	for cause, n := range snapshotDrops(cfg.Metrics) {
 		if n != 0 {

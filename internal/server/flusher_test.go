@@ -29,6 +29,13 @@ type recConn struct {
 
 func newRecConn() *recConn { return &recConn{done: make(chan struct{})} }
 
+// poolStats reports the number of registered and parked connections.
+func (l *bcastLog) poolStats() (conns, parked int) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return len(l.conns), len(l.parked)
+}
+
 func (c *recConn) Send(m sync.Message) error {
 	return c.SendPreparedBatch([]*sync.Prepared{sync.NewPrepared(m)})
 }

@@ -94,7 +94,6 @@ const msgTypeSlots = int(sync.MsgUndownvote) + 1
 // hotalloc proves them transitively allocation-free, so they may sit on the
 // zero-alloc serving paths.
 type Metrics struct {
-	reg *metrics.Registry
 	rec *metrics.Recorder
 
 	// Broadcast plane.
@@ -149,7 +148,6 @@ type Metrics struct {
 // recorder. Both must be non-nil.
 func NewMetrics(reg *metrics.Registry, rec *metrics.Recorder) *Metrics {
 	m := &Metrics{
-		reg:        reg,
 		rec:        rec,
 		pubCalls:   reg.Counter("crowdfill_bcast_publish_total", "broadcast-log publish calls"),
 		pubRecords: reg.Counter("crowdfill_bcast_records_total", "broadcast records published"),
@@ -204,14 +202,6 @@ func NewMetrics(reg *metrics.Registry, rec *metrics.Recorder) *Metrics {
 			"messages handled by type")
 	}
 	return m
-}
-
-// Registry returns the backing registry (nil-safe).
-func (m *Metrics) Registry() *metrics.Registry {
-	if m == nil {
-		return nil
-	}
-	return m.reg
 }
 
 // Recorder returns the flight recorder (nil-safe).
@@ -317,15 +307,15 @@ func (m *Metrics) evictScanned() {
 	m.evictScans.Inc()
 }
 
-// PollRegistered records the poller's registered-descriptor count; part of
-// the netpoll.Stats implementation.
+// PollRegisteredDelta adjusts the poller-registration gauge; part of the
+// netpoll.Stats implementation.
 //
 //lint:hotpath
-func (m *Metrics) PollRegistered(n int) {
+func (m *Metrics) PollRegisteredDelta(d int) {
 	if m == nil {
 		return
 	}
-	m.pollConns.Set(int64(n))
+	m.pollConns.Add(int64(d))
 }
 
 // PollWakeup records one poller wakeup that delivered ready readiness

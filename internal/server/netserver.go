@@ -47,9 +47,9 @@ type NetServer struct {
 }
 
 // NewNetServer wraps a Core for network serving. logf may be nil to discard
-// logs. The broadcast log inherits the core's instrument set and log
-// capacity (Config.Metrics / Config.LogCapacity), and logf becomes the
-// flight recorder's sink, so every structured drop event also emits one
+// logs. The broadcast log holds defaultLogCapacity records and inherits the
+// core's instrument set (Config.Metrics), and logf becomes the flight
+// recorder's sink, so every structured drop event also emits one
 // human-readable line.
 func NewNetServer(core *Core, logf func(string, ...any)) *NetServer {
 	if logf != nil {
@@ -59,11 +59,7 @@ func NewNetServer(core *Core, logf func(string, ...any)) *NetServer {
 	} else {
 		logf = func(string, ...any) {}
 	}
-	capacity := core.cfg.LogCapacity
-	if capacity <= 0 {
-		capacity = defaultLogCapacity
-	}
-	blog := newBcastLog(capacity, logf, core.metrics)
+	blog := newBcastLog(defaultLogCapacity, logf, core.metrics)
 	s := &NetServer{core: core, log: blog, logf: logf}
 	if p, err := netpoll.New(pollerCount(), pollStats(core.metrics)); err == nil {
 		s.poller = p
@@ -215,10 +211,6 @@ func (s *NetServer) Done() bool {
 	defer s.mu.Unlock()
 	return s.core.Done()
 }
-
-// Core returns the wrapped core; callers must not touch it while the server
-// is live except via WithCore.
-func (s *NetServer) Core() *Core { return s.core }
 
 // WithCore runs fn with the core under the server lock.
 func (s *NetServer) WithCore(fn func(*Core)) {

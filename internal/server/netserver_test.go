@@ -120,7 +120,7 @@ func TestNetworkCollection(t *testing.T) {
 		if len(final) < 4 {
 			t.Fatalf("final rows = %d, want >= 4", len(final))
 		}
-		if !c.Satisfied() {
+		if !c.Planner().SatisfiedBy(c.FinalTable()) {
 			t.Fatalf("constraint unsatisfied")
 		}
 		alloc, err := c.ComputePay()
@@ -239,16 +239,16 @@ func TestSlowClientOverflowDisconnect(t *testing.T) {
 	// each, which still leaves it short of the capacity.
 	const logCapacity = 1024
 	core, err := New(Config{
-		Schema:      s,
-		Score:       model.MajorityShortcut(3),
-		Template:    constraint.Cardinality(s, 1),
-		Budget:      1,
-		LogCapacity: logCapacity,
+		Schema:   s,
+		Score:    model.MajorityShortcut(3),
+		Template: constraint.Cardinality(s, 1),
+		Budget:   1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ns := NewNetServer(core, quietLogf(t))
+	withLogCapacity(ns, logCapacity)
 
 	// The slow client connects and never reads: a tiny pipe buffer blocks
 	// its flusher almost immediately, so its log cursor stops
@@ -424,7 +424,7 @@ func TestSlowClientOverflowDisconnect(t *testing.T) {
 	time.Sleep(50 * time.Millisecond) // give a would-be panic time to fire
 
 	ns.WithCore(func(c *Core) {
-		if n := c.RepairOverruns(); n != 0 {
+		if n := c.RepairStats().Overruns; n != 0 {
 			t.Fatalf("central client repair overran %d times", n)
 		}
 	})
@@ -483,13 +483,14 @@ func TestBroadcastWireBytesShared(t *testing.T) {
 
 	readReplace := func(ws *wsock.Conn) []byte {
 		for i := 0; i < 32; i++ {
-			raw, err := ws.ReadText()
+			lease, err := ws.ReadTextLease()
 			if err != nil {
-				t.Fatalf("ReadText: %v", err)
+				t.Fatalf("ReadTextLease: %v", err)
 			}
-			m, err := sync.DecodeMessage(raw)
-			if err != nil {
-				t.Fatalf("DecodeMessage(%q): %v", raw, err)
+			raw := append([]byte(nil), lease...)
+			var m sync.Message
+			if err := sync.DecodeMessageInto(raw, &m); err != nil {
+				t.Fatalf("DecodeMessageInto(%q): %v", raw, err)
 			}
 			if m.Type == sync.MsgReplace {
 				return raw
@@ -503,8 +504,8 @@ func TestBroadcastWireBytesShared(t *testing.T) {
 	if string(b1) != string(b2) {
 		t.Fatalf("broadcast bytes differ between clients:\n%q\n%q", b1, b2)
 	}
-	m, err := sync.DecodeMessage(b1)
-	if err != nil {
+	var m sync.Message
+	if err := sync.DecodeMessageInto(b1, &m); err != nil {
 		t.Fatal(err)
 	}
 	canonical, err := sync.EncodeMessage(m)
@@ -526,6 +527,14 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("condition not reached in time")
+}
+
+// withLogCapacity swaps ns's broadcast log for one of capacity records, so
+// a stalled client laps out after a few broadcasts instead of
+// defaultLogCapacity. Call it before any client connects.
+func withLogCapacity(ns *NetServer, capacity int) {
+	ns.log.close()
+	ns.log = newBcastLog(capacity, ns.logf, ns.core.metrics)
 }
 
 // quietLogf is t.Logf for handing to a NetServer: the server passes its log

@@ -54,12 +54,12 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	s := kvSchema(t)
 	cfg := cardinalityConfig(t, 50)
 	cfg.Metrics = m
-	cfg.LogCapacity = 16 // tiny log so the stalled client laps out quickly
 	core, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ns := NewNetServer(core, quietLogf(t))
+	withLogCapacity(ns, 16) // tiny log so the stalled client laps out quickly
 	defer ns.Shutdown()
 	hsrv := httptest.NewServer(ns.Handler())
 	defer hsrv.Close()
@@ -424,7 +424,7 @@ func TestMetricsObserversAllocFree(t *testing.T) {
 		m.msgHandled(sync.MsgUpvote)
 		m.repairScoped(1, 0)
 		m.doneChecked(doneCheckShort, 10, 20)
-		m.PollRegistered(64)
+		m.PollRegisteredDelta(1)
 		m.PollWakeup(4)
 		m.PollQueueDelta(-1)
 		m.PollDispatch()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"crowdfill/internal/constraint"
+	"crowdfill/internal/metrics"
 	"crowdfill/internal/model"
 	"crowdfill/internal/netpoll"
 	"crowdfill/internal/sync"
@@ -30,6 +31,7 @@ func pollTestServer(t *testing.T) (*NetServer, string) {
 		Score:    model.MajorityShortcut(3),
 		Template: constraint.Cardinality(s, 1),
 		Budget:   1,
+		Metrics:  NewMetrics(metrics.NewRegistry(), metrics.NewRecorder(16)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,6 +43,12 @@ func pollTestServer(t *testing.T) (*NetServer, string) {
 	hsrv := httptest.NewServer(ns.Handler())
 	t.Cleanup(hsrv.Close)
 	return ns, "ws" + strings.TrimPrefix(hsrv.URL, "http")
+}
+
+// pollRegistered reads the server's poller-registration gauge, which the
+// poller moves by one on every register and deregister.
+func pollRegistered(ns *NetServer) int {
+	return int(ns.core.metrics.pollConns.Value())
 }
 
 func clientCount(ns *NetServer) int {
@@ -77,7 +85,7 @@ func TestPollPlaneZeroGoroutinesPerConn(t *testing.T) {
 	// serve adds the core client first and registers with the poller after,
 	// so the two counts are reached one after the other.
 	waitFor(t, func() bool { return clientCount(ns) == conns })
-	waitFor(t, func() bool { return ns.poller.Registered() == conns })
+	waitFor(t, func() bool { return pollRegistered(ns) == conns })
 
 	// Drive traffic through the dispatch path: rejects exercise the full
 	// readable → PollRecv → handleAndPublish chain without finishing the
@@ -103,7 +111,7 @@ func TestPollPlaneZeroGoroutinesPerConn(t *testing.T) {
 		c.Close()
 	}
 	waitFor(t, func() bool { return clientCount(ns) == conns/2 })
-	waitFor(t, func() bool { return ns.poller.Registered() == conns/2 })
+	waitFor(t, func() bool { return pollRegistered(ns) == conns/2 })
 
 	// Shutdown with the other half still live, some mid-dispatch (they are
 	// sent fresh traffic right before): everything joins.
@@ -112,7 +120,7 @@ func TestPollPlaneZeroGoroutinesPerConn(t *testing.T) {
 	}
 	ns.Shutdown()
 	waitFor(t, func() bool { return clientCount(ns) == 0 })
-	waitFor(t, func() bool { return ns.poller.Registered() == 0 })
+	waitFor(t, func() bool { return pollRegistered(ns) == 0 })
 	waitFor(t, func() bool { return runtime.NumGoroutine() <= baseline })
 }
 
@@ -123,16 +131,16 @@ func TestPollPlaneServesTraffic(t *testing.T) {
 	ns, url := pollTestServer(t)
 	var wg gosync.WaitGroup
 	wg.Add(2)
-	s := ns.Core().cfg.Schema
+	s := ns.core.cfg.Schema
 	go netWorker(t, url, "w1", s, []string{"alpha"}, &wg)
 	go netWorker(t, url, "w2", s, nil, &wg)
 
 	// The upgrade path must actually register with the poller.
-	waitFor(t, func() bool { return ns.poller.Registered() > 0 })
+	waitFor(t, func() bool { return pollRegistered(ns) > 0 })
 	wg.Wait()
 	if !ns.Done() {
 		t.Fatal("collection did not finish over the poll plane")
 	}
-	waitFor(t, func() bool { return ns.poller.Registered() == 0 })
+	waitFor(t, func() bool { return pollRegistered(ns) == 0 })
 	ns.Shutdown()
 }

@@ -81,27 +81,3 @@ func (s *Sim) Step() bool {
 	e.fn()
 	return true
 }
-
-// Run executes events until none remain or the step budget is exhausted
-// (a guard against runaway simulations); it returns the number of events run.
-func (s *Sim) Run(maxSteps int) int {
-	n := 0
-	for n < maxSteps && s.Step() {
-		n++
-	}
-	return n
-}
-
-// RunUntil executes events with at-time ≤ t, then advances the clock to t.
-// Returns the number of events run.
-func (s *Sim) RunUntil(t int64) int {
-	n := 0
-	for len(s.events) > 0 && s.events[0].at <= t {
-		s.Step()
-		n++
-	}
-	if s.now < t {
-		s.now = t
-	}
-	return n
-}

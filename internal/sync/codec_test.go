@@ -29,6 +29,15 @@ func decodeMessageJSON(data []byte) (Message, error) {
 	return m, nil
 }
 
+// decodeMessage is DecodeMessageInto returning the message by value.
+func decodeMessage(data []byte) (Message, error) {
+	var m Message
+	if err := DecodeMessageInto(data, &m); err != nil {
+		return Message{}, err
+	}
+	return m, nil
+}
+
 // codecMessages is the shared table of messages exercising every field,
 // every omitempty boundary, string-escaping edge cases, and float rendering
 // edge cases. Both the encoder identity test and the decoder parity test run
@@ -374,7 +383,7 @@ func codecDecodeInputs() []string {
 func TestCodecDecodeParity(t *testing.T) {
 	for i, in := range codecDecodeInputs() {
 		want, wantErr := decodeMessageJSON([]byte(in))
-		got, gotErr := DecodeMessage([]byte(in))
+		got, gotErr := decodeMessage([]byte(in))
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Errorf("input %d %.60q: verdict mismatch: json err=%v, codec err=%v", i, in, wantErr, gotErr)
 			continue
@@ -802,7 +811,7 @@ func TestDecoderCoversEveryTaggedField(t *testing.T) {
 				if reflect.DeepEqual(want, empty) {
 					t.Fatalf("%s: the probe sets nothing, so it cannot tell a decoded field from a skipped one", in)
 				}
-				got, err := DecodeMessage([]byte(in))
+				got, err := decodeMessage([]byte(in))
 				if err != nil {
 					t.Errorf("%s: %v", in, err)
 				} else if !reflect.DeepEqual(got, want) {
@@ -863,7 +872,7 @@ func TestCodecDecodeErrorsCarryOffset(t *testing.T) {
 		`{"row":1}`:                      "offset 7",
 		`{"type":1} x`:                   "offset 11",
 	} {
-		_, err := DecodeMessage([]byte(in))
+		_, err := decodeMessage([]byte(in))
 		if !errors.Is(err, errSyntax) {
 			t.Errorf("%q: error %v does not wrap errSyntax", in, err)
 		} else if !strings.HasSuffix(err.Error(), offset) {

@@ -393,7 +393,7 @@ func BenchmarkReplicaApplyVote(b *testing.B) {
 func TestDecodeMessageNeverPanics(t *testing.T) {
 	f := func(data []byte) bool {
 		// Must not panic; errors are fine.
-		_, _ = DecodeMessage(data)
+		_, _ = decodeMessage(data)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -435,7 +435,7 @@ func TestEncodeDecodePropertyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeMessage(data)
+		got, err := decodeMessage(data)
 		if err != nil {
 			t.Fatal(err)
 		}

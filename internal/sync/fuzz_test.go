@@ -30,7 +30,7 @@ func FuzzMessageDecode(f *testing.F) {
 	f.Add([]byte(`{"type":99,"row":"?"}`))
 	f.Add([]byte(`not json`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeMessage(data)
+		m, err := decodeMessage(data)
 		if err != nil {
 			// Malformed input is rejected, not round-tripped — but the
 			// hand-rolled decoder must reject exactly what the reference
@@ -52,7 +52,7 @@ func FuzzMessageDecode(f *testing.F) {
 		if jenc, jerr := encodeMessageJSON(m); jerr != nil || !bytes.Equal(enc, jenc) {
 			t.Fatalf("codec and json encodings differ:\ncodec: %s\n json: %s (err=%v)", enc, jenc, jerr)
 		}
-		m2, err := DecodeMessage(enc)
+		m2, err := decodeMessage(enc)
 		if err != nil {
 			t.Fatalf("re-encoded message does not decode: %v", err)
 		}

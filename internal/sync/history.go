@@ -57,12 +57,6 @@ func (h *VoteHist) SubsetSum(v model.Vector) int {
 // Len returns the number of distinct voted vectors.
 func (h *VoteHist) Len() int { return h.m.Len() }
 
-// Each calls fn for every (vector, count) entry.
-func (h *VoteHist) Each(fn func(v model.Vector, n int)) { h.m.Each(fn) }
-
-// Clone copies the history's counts; the entries' vectors are shared.
-func (h *VoteHist) Clone() *VoteHist { return &VoteHist{m: h.m.Clone()} }
-
 // Snapshot renders a canonical textual form (sorted by Vector.Encode), for
 // replica comparison in convergence tests.
 func (h *VoteHist) Snapshot() string {

@@ -24,6 +24,3 @@ func (g *IDGen) Next() model.RowID {
 	g.n++
 	return model.RowID(fmt.Sprintf("%s-%08d", g.prefix, g.n))
 }
-
-// Count returns how many ids have been minted.
-func (g *IDGen) Count() int64 { return g.n }

@@ -157,13 +157,3 @@ func EncodeMessage(m Message) ([]byte, error) {
 const maxPooledEncode = 64 << 10
 
 var encodeScratch = gosync.Pool{New: func() any { return new([]byte) }}
-
-// DecodeMessage parses a JSON-encoded message via the hand-rolled scanner
-// decoder (codec.go), which accepts exactly the inputs json.Unmarshal does.
-func DecodeMessage(data []byte) (Message, error) {
-	var m Message
-	if err := DecodeMessageInto(data, &m); err != nil {
-		return Message{}, err
-	}
-	return m, nil
-}

@@ -153,20 +153,6 @@ func (r *Replica) Downvote(id model.RowID) (Message, error) {
 	return m, nil
 }
 
-// DownvoteValue downvotes an explicit value-vector (used by the worker-level
-// "modify" extension, which downvotes the old cell combination it replaces).
-func (r *Replica) DownvoteValue(v model.Vector) (Message, error) {
-	if len(v) != r.schema.NumColumns() {
-		return Message{}, ErrWidthMismatch
-	}
-	if !v.IsPartial() {
-		return Message{}, ErrNotPartial
-	}
-	m := Message{Type: MsgDownvote, Vec: v}
-	r.mustApply(m)
-	return m, nil
-}
-
 // UndoUpvote retracts one previously-cast upvote for value v (§8 extension).
 // The caller (the worker client) is responsible for ensuring the worker
 // actually cast a matching vote.
@@ -194,20 +180,6 @@ func (r *Replica) UndoDownvote(v model.Vector) (Message, error) {
 // changes (any applied mutating message or snapshot load). Cheap change
 // detection for snapshot caching: equal epochs imply identical state.
 func (r *Replica) Epoch() uint64 { return r.epoch }
-
-// ApplyAll applies a batch of messages in order, stopping at the first
-// error (the batch prefix before the error has been applied; convergence
-// only needs per-message atomicity). Batching exists so a receiver that
-// drained a burst of frames can apply them all under one lock acquisition
-// and wake downstream listeners once, instead of once per message.
-func (r *Replica) ApplyAll(msgs []Message) error {
-	for i := range msgs {
-		if err := r.Apply(msgs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // Apply processes a message received from the server or a client (paper
 // §2.4 "Processing received messages"). Snapshot, done and estimate messages

@@ -254,26 +254,6 @@ func TestApplyErrors(t *testing.T) {
 	}
 }
 
-func TestDownvoteValue(t *testing.T) {
-	r := NewReplica(testSchema(t))
-	g := NewIDGen("c1")
-	id, _ := r.Insert(g.Next())
-	full := fillAll(t, r, g, id.Row, []string{"Messi", "Argentina", "FW", "83", "37"})
-	v := model.VectorOf("Messi", "", "", "", "")
-	if _, err := r.DownvoteValue(v); err != nil {
-		t.Fatalf("DownvoteValue: %v", err)
-	}
-	if got := r.Table().Get(full).Down; got != 1 {
-		t.Fatalf("down = %d, want 1", got)
-	}
-	if _, err := r.DownvoteValue(model.NewVector(5)); !errors.Is(err, ErrNotPartial) {
-		t.Errorf("empty vector: %v", err)
-	}
-	if _, err := r.DownvoteValue(model.VectorOf("a")); !errors.Is(err, ErrWidthMismatch) {
-		t.Errorf("width: %v", err)
-	}
-}
-
 func TestSnapshotRoundTrip(t *testing.T) {
 	r := NewReplica(testSchema(t))
 	g := NewIDGen("c1")
@@ -354,7 +334,7 @@ func TestMessageEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	got, err := DecodeMessage(data)
+	got, err := decodeMessage(data)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -363,7 +343,7 @@ func TestMessageEncodeDecode(t *testing.T) {
 		got.Seq != m.Seq || got.TS != m.TS || got.Col != m.Col || got.Val != m.Val {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, m)
 	}
-	if _, err := DecodeMessage([]byte("{bad")); err == nil {
+	if _, err := decodeMessage([]byte("{bad")); err == nil {
 		t.Fatalf("decode of invalid JSON should fail")
 	}
 	for _, typ := range []MsgType{MsgInsert, MsgReplace, MsgUpvote, MsgDownvote, MsgSnapshot, MsgDone, MsgEstimate, MsgType(42)} {
@@ -384,9 +364,6 @@ func TestIDGen(t *testing.T) {
 	}
 	if a >= b {
 		t.Fatalf("ids not lexicographically increasing: %s >= %s", a, b)
-	}
-	if g.Count() != 2 {
-		t.Fatalf("Count = %d, want 2", g.Count())
 	}
 }
 
@@ -413,17 +390,14 @@ func TestVoteHist(t *testing.T) {
 	if h.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", h.Len())
 	}
-	clone := h.Clone()
+	before := h.Snapshot()
 	h.Inc(v1)
-	if clone.Get(v1) != 2 {
-		t.Fatalf("Clone aliased state")
-	}
 	n := 0
-	clone.Each(func(v model.Vector, c int) { n += c })
-	if n != 3 {
-		t.Fatalf("Each total = %d, want 3", n)
+	h.m.Each(func(v model.Vector, c int) { n += c })
+	if n != 4 {
+		t.Fatalf("entry total = %d, want 4", n)
 	}
-	if h.Snapshot() == clone.Snapshot() {
+	if h.Snapshot() == before {
 		t.Fatalf("snapshots should differ after Inc")
 	}
 }
@@ -616,7 +590,7 @@ func TestLoadSnapshotSharesVectors(t *testing.T) {
 			vecs = snap.DHVecs
 		}
 		n := 0
-		h.Each(func(v model.Vector, _ int) {
+		h.m.Each(func(v model.Vector, _ int) {
 			n++
 			if w := vecs[v.Encode()]; len(w) == 0 || &v[0] != &w[0] {
 				t.Errorf("%s entry %v: the loaded history copied the snapshot's vector", name, v)

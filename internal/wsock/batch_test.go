@@ -25,11 +25,11 @@ func TestWritePreparedBatchSingleWrite(t *testing.T) {
 			}
 			r := recv()
 			for i, f := range frames {
-				got, err := r.ReadText()
+				got, err := readText(r)
 				if err != nil {
 					t.Fatalf("client=%v k=%d frame %d: %v", client, k, i, err)
 				}
-				if !bytes.Equal(got, f.Payload()) {
+				if !bytes.Equal(got, f.payload) {
 					t.Fatalf("client=%v k=%d frame %d: payload mismatch", client, k, i)
 				}
 			}

@@ -16,7 +16,7 @@ func benchConn(b *testing.B) *Conn {
 		}
 		defer c.Close()
 		for {
-			msg, err := c.ReadText()
+			msg, err := readText(c)
 			if err != nil {
 				return
 			}
@@ -45,7 +45,7 @@ func BenchmarkEchoRoundTrip(b *testing.B) {
 		if err := c.WriteText(msg); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.ReadText(); err != nil {
+		if _, err := readText(c); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -88,7 +88,7 @@ func echoOnce(t *testing.T) (*httptest.Server, chan []byte) {
 		if err != nil {
 			return
 		}
-		msg, err := c.ReadText()
+		msg, err := readText(c)
 		if err != nil {
 			close(got)
 			return

@@ -49,7 +49,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 		rdConn := &fakeConn{r: bytes.NewReader(wire.w.Bytes())}
 		receiver := &Conn{nc: rdConn, br: bufio.NewReader(rdConn)}
-		got, err := receiver.ReadText()
+		got, err := readText(receiver)
 		if err != nil {
 			t.Fatalf("ReadText after %d-byte write: %v", len(payload), err)
 		}
@@ -76,7 +76,7 @@ func FuzzFrameParse(f *testing.F) {
 		wire := &fakeConn{r: bytes.NewReader(data)}
 		c := &Conn{nc: wire, br: bufio.NewReader(wire)}
 		for {
-			msg, err := c.ReadText()
+			msg, err := readText(c)
 			if err != nil {
 				if errors.Is(err, ErrClosed) && !c.closed {
 					t.Fatal("ErrClosed returned without marking the connection closed")

@@ -205,11 +205,3 @@ func (c *Conn) fireOnClose() {
 		c.onCloseOnce.Do(fn)
 	}
 }
-
-// Closed reports whether the closing handshake has begun on this side.
-func (c *Conn) Closed() bool {
-	c.wmu.Lock()
-	v := c.closed
-	c.wmu.Unlock()
-	return v
-}

@@ -285,7 +285,7 @@ func TestPollReadRealSocket(t *testing.T) {
 	}
 	// Read m1 the blocking way and wait until at least part of m2 is sitting
 	// in the bufio reader — the poll switch must not lose those bytes.
-	if m, err := srv.ReadText(); err != nil || string(m) != "m1" {
+	if m, err := readText(srv); err != nil || string(m) != "m1" {
 		t.Fatalf("blocking read before switch = %q, %v", m, err)
 	}
 	if _, err := srv.br.Peek(1); err != nil {
@@ -389,8 +389,11 @@ func TestOnCloseAfterClose(t *testing.T) {
 	if fired2 != 1 {
 		t.Fatalf("late-registered hook fired %d times, want 1 (immediately)", fired2)
 	}
-	if !c2.Closed() {
-		t.Fatal("Closed() = false after Close")
+	c2.wmu.Lock()
+	closed := c2.closed
+	c2.wmu.Unlock()
+	if !closed {
+		t.Fatal("closed = false after Close")
 	}
 }
 
@@ -402,7 +405,7 @@ func TestStartPollUnsupported(t *testing.T) {
 	if _, err := c.StartPoll(); !errors.Is(err, ErrPollUnsupported) {
 		t.Fatalf("StartPoll on fakeConn err = %v, want ErrPollUnsupported", err)
 	}
-	if m, err := c.ReadText(); err != nil || string(m) != "ok" {
+	if m, err := readText(c); err != nil || string(m) != "ok" {
 		t.Fatalf("blocking read after failed switch = %q, %v", m, err)
 	}
 }

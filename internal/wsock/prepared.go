@@ -20,9 +20,6 @@ func NewPreparedText(payload []byte) *PreparedFrame {
 	return f
 }
 
-// Payload returns the text payload the frame carries.
-func (f *PreparedFrame) Payload() []byte { return f.payload }
-
 // WritePrepared sends a prepared text message with one Write: the bytes a
 // batch of one puts on the wire (client connections mask with a fresh key).
 //

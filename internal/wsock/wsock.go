@@ -43,7 +43,7 @@ var ErrClosed = errors.New("wsock: connection closed")
 //
 // Buffer ownership: the read side assembles every text message into rbuf,
 // which ReadTextLease hands to the caller as a lease — valid only until the
-// next ReadText/ReadTextLease/TryReadTextLease call on this connection
+// next ReadTextLease/TryReadTextLease call on this connection
 // (the bytes are reused once the next text message's first frame arrives).
 // Control-frame payloads land in the separate cbuf, so a ping interleaved
 // with a fragmented message can never clobber the partially-assembled data
@@ -320,26 +320,12 @@ func (c *Conn) nextMask() ([4]byte, error) {
 	return m, nil
 }
 
-// ReadText reads the next text message, transparently answering pings and
-// assembling fragmented messages. It returns ErrClosed after the closing
-// handshake, and io.EOF-wrapped errors on abrupt connection loss. The
-// returned slice is the caller's to keep; allocation-sensitive readers use
-// ReadTextLease instead.
-func (c *Conn) ReadText() ([]byte, error) {
-	p, err := c.ReadTextLease()
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), p...), nil
-}
-
 // ReadTextLease reads the next text message into the connection's reusable
 // read buffer and returns it without copying. The returned slice is a
-// lease: it is valid only until the next ReadText, ReadTextLease, or
-// TryReadTextLease call on this connection, which reuses the same backing
-// buffer. Callers that need the bytes longer must copy them first (see
-// DESIGN.md §11 for the ownership protocol; the bufown analyzer enforces
-// it).
+// lease: it is valid only until the next ReadTextLease or TryReadTextLease
+// call on this connection, which reuses the same backing buffer. Callers
+// that need the bytes longer must copy them first (see DESIGN.md §11 for the
+// ownership protocol; the bufown analyzer enforces it).
 func (c *Conn) ReadTextLease() ([]byte, error) {
 	if c.poll != nil {
 		return nil, errPollMode
@@ -410,6 +396,3 @@ func (c *Conn) Close() error {
 	c.fireOnClose()
 	return err
 }
-
-// RemoteAddr returns the peer address.
-func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
