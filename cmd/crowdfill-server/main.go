@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"log"
+	"net"
 	"net/http"
 
 	"crowdfill/internal/docstore"
@@ -51,18 +52,30 @@ func main() {
 	market := marketplace.New(*seed, *pool, true)
 	fe := frontend.New(store, market, *maxWorkers)
 
+	// Both listeners are bound before either serves, so a taken port stops
+	// the start-up with its error instead of killing a server whose API is
+	// already up.
+	lis, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("crowdfill-server: %v", err)
+	}
+	var debugLis net.Listener
 	if *debugAddr != "" {
+		if debugLis, err = net.Listen("tcp", *debugAddr); err != nil {
+			log.Fatalf("crowdfill-server: debug listener: %v", err)
+		}
 		go func() {
-			log.Printf("crowdfill-server: debug endpoints (metrics, events, pprof) on %s", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, metrics.Handler(nil, nil)); err != nil {
-				log.Fatalf("crowdfill-server: debug listener: %v", err)
+			log.Printf("crowdfill-server: debug endpoints (metrics, events, pprof) on %s", debugLis.Addr())
+			// The operational plane stopping leaves the API serving.
+			if err := http.Serve(debugLis, metrics.Handler(nil, nil)); err != nil {
+				log.Printf("crowdfill-server: debug listener: %v", err)
 			}
 		}()
 	}
 
-	log.Printf("crowdfill-server: REST API and WebSocket endpoints on %s", *addr)
+	log.Printf("crowdfill-server: REST API and WebSocket endpoints on %s", lis.Addr())
 	log.Printf("crowdfill-server: marketplace sandbox with %d pooled workers", *pool)
-	if err := http.ListenAndServe(*addr, fe.Handler()); err != nil {
+	if err := http.Serve(lis, fe.Handler()); err != nil {
 		log.Fatalf("crowdfill-server: %v", err)
 	}
 }

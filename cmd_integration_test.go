@@ -196,6 +196,59 @@ func TestCommandBinariesEndToEnd(t *testing.T) {
 }
 
 // httpGetBody fetches a URL and returns its body, failing on any error.
+// TestServerTakenDebugPortFailsAtStartup: crowdfill-server binds its debug
+// listener before it serves the API, so a taken -debug-addr port ends the
+// process at start-up with a non-zero exit and the bind error, and the API
+// is never announced as serving.
+func TestServerTakenDebugPortFailsAtStartup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs a subprocess")
+	}
+	bin := t.TempDir()
+	build := exec.Command("go", "build", "-o", bin, "./cmd/crowdfill-server")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	free, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := free.Addr().String()
+	free.Close()
+
+	server := exec.Command(filepath.Join(bin, "crowdfill-server"),
+		"-addr", addr, "-debug-addr", taken.Addr().String())
+	var out strings.Builder
+	server.Stdout, server.Stderr = &out, &out
+	if err := server.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- server.Wait() }()
+	select {
+	case err = <-exited:
+	case <-time.After(10 * time.Second):
+		_ = server.Process.Kill()
+		<-exited
+		t.Fatalf("server still running with its debug port taken:\n%s", out.String())
+	}
+	if err == nil {
+		t.Fatalf("server exited 0 with its debug port taken:\n%s", out.String())
+	}
+	log := out.String()
+	if !strings.Contains(log, "debug listener") || !strings.Contains(log, taken.Addr().String()) {
+		t.Fatalf("exit log does not name the debug listener's bind error:\n%s", log)
+	}
+	if strings.Contains(log, "REST API and WebSocket endpoints on") {
+		t.Fatalf("server announced its API before failing on the debug port:\n%s", log)
+	}
+}
+
 func httpGetBody(t *testing.T, url string) string {
 	t.Helper()
 	resp, err := http.Get(url)

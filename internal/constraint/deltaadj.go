@@ -87,11 +87,15 @@ type deltaAdj struct {
 
 	// The matching. matchT[t] is the slot matched to template t and
 	// matchR[s] the template matched to slot s, -1 when unmatched. seenEp
-	// carries the augmenting searches' visited marks, stamped with augEp.
+	// carries the augmenting searches' visited marks, stamped with augEp;
+	// cur[c] is the search's scan position in adj[c], valid while curEp[c]
+	// equals augEp (see kuhn).
 	matchT []int
 	matchR []int
 	seenEp []uint64
 	augEp  uint64
+	cur    []int
+	curEp  []uint64
 
 	// dirty lists the templates the next repair must re-validate (isDirty
 	// dedups it); everything else is matched to a row that has been probable
@@ -133,6 +137,8 @@ func newDeltaAdj(p *Planner) *deltaAdj {
 		}
 	}
 	e.adj = make([][]int, len(e.classRow))
+	e.cur = make([]int, len(e.classRow))
+	e.curEp = make([]uint64, len(e.classRow))
 	for c := range e.classRow {
 		if e.classLive[c] > 0 {
 			e.indexClass(c)
@@ -408,33 +414,34 @@ func (e *deltaAdj) revalidate(t int) bool {
 // sorted-by-row-id exploration order, as the from-scratch spec.
 func (e *deltaAdj) augment(t int) bool {
 	e.augEp++
-	return e.kuhn(t, 0)
+	return e.kuhn(t)
 }
 
-// kuhn explores t's class list from index from on; the caller guarantees
-// every slot before from is dead or already seen by this search. That holds
-// for from = 0, and for the recursion into a holder of t's own class: the
-// loop below has stamped or skipped everything up to i in the very list the
-// holder would scan, so starting it at i+1 visits the same slots in the same
-// order as starting at the top, minus the skips.
-func (e *deltaAdj) kuhn(t, from int) bool {
+// kuhn explores t's class list from the class's cursor on. The cursor's
+// invariant: every entry before it is dead or already seen by this search,
+// so starting there visits the same slots in the same order as starting at
+// the top, minus skips the spec would have made too. A search enters a class
+// with its cursor at 0 and moves it past each entry it reads before recursing,
+// so the holder of a same-class slot resumes right after that slot and a
+// frame that regains control after a failed recursion resumes wherever the
+// recursion left the cursor; either way the skipped entries were seen. A
+// search therefore reads each adjacency entry at most once.
+func (e *deltaAdj) kuhn(t int) bool {
 	c := e.class[t]
+	if e.curEp[c] != e.augEp {
+		e.curEp[c], e.cur[c] = e.augEp, 0
+	}
 	lst := e.adj[c]
-	for i := from; i < len(lst); i++ {
-		s := lst[i]
+	for e.cur[c] < len(lst) {
+		s := lst[e.cur[c]]
+		e.cur[c]++
+		e.p.AugmentVisits++
 		if !e.live[s] || e.seenEp[s] == e.augEp {
 			continue
 		}
 		e.seenEp[s] = e.augEp
-		h := e.matchR[s]
-		if h != -1 {
-			next := 0
-			if e.class[h] == c {
-				next = i + 1
-			}
-			if !e.kuhn(h, next) {
-				continue
-			}
+		if h := e.matchR[s]; h != -1 && !e.kuhn(h) {
+			continue
 		}
 		e.match(t, s)
 		return true

@@ -50,11 +50,13 @@ type Planner struct {
 	// value (nil Schema), which activeTemplate takes as "rebuild".
 	active Template
 
-	// Stats for benchmarks and reports.
-	Repairs  int
-	Inserts  int
-	Removals int
-	Augments int
+	// Stats for benchmarks and reports. AugmentVisits counts the adjacency
+	// entries the augmenting searches read.
+	Repairs       int
+	Inserts       int
+	Removals      int
+	Augments      int
+	AugmentVisits int
 
 	// Scope of the last incremental repair (LastDirty, Unmatched).
 	lastDirty int

@@ -586,3 +586,70 @@ func TestProbableAddedAllocsIndependentOfClassSize(t *testing.T) {
 		}
 	}
 }
+
+// TestAugmentFailingSearchReadsEachEntryOnce: Cardinality(n) holds n rows,
+// one of them leaves the probable set and no free row is left, so the search
+// for its template fails after walking every holder of the one class. Each
+// holder resumes the class list where the search stands, so the failure reads
+// each of the n entries once: at most 2n visits, where restarting every level
+// after its own entry would read about n²/2.
+func TestAugmentFailingSearchReadsEachEntryOnce(t *testing.T) {
+	const n = 200
+	s := model.MustSchema("A", []model.Column{{Name: "k"}, {Name: "v"}}, "k")
+	rep := sync.NewReplica(s)
+	gen := sync.NewIDGen("w")
+	for i := 0; i < n; i++ {
+		mkRow(t, rep, gen, fmt.Sprintf("k%03d", i), "x")
+	}
+	p, _ := newPlanner(rep, Cardinality(s, n), model.DefaultScore)
+	if acts := checkedRepair(t, p, rep); len(acts) != 0 {
+		t.Fatalf("setup: repair planned %v", acts)
+	}
+	if _, err := rep.Downvote(p.AssignedRow(n / 2)); err != nil {
+		t.Fatal(err)
+	}
+	augs, visits := p.Augments, p.AugmentVisits
+	acts := checkedRepair(t, p, rep)
+	if len(acts) != 1 || acts[0].Kind != ActionInsert || p.Augments-augs != 1 {
+		t.Fatalf("repair planned %v after %d searches, want one insert after one failed search", acts, p.Augments-augs)
+	}
+	if got := p.AugmentVisits - visits; got > 2*n {
+		t.Fatalf("the failed search read %d adjacency entries, want at most %d", got, 2*n)
+	}
+}
+
+// TestPlannerIncrementalEquivalencePaddedPredicates runs the equivalence
+// property on table200's template shape at |T| = 200: a fifth of the rows
+// are predicates (OpEq on either key column, so several OpEq classes, and
+// OpGe on a key or the value column), the rest cardinality padding, one big
+// class. Every repair's actions and assignment must equal the spec's, so the
+// scan cursor of each class changes no search's exploration order.
+func TestPlannerIncrementalEquivalencePaddedPredicates(t *testing.T) {
+	const size = 200
+	vals := []string{"v0", "v1", "v2"}
+	rows := make([]TemplateRow, size/5)
+	for i := range rows {
+		tr := make(TemplateRow, 3)
+		v := vals[(i/4)%len(vals)]
+		switch i % 4 {
+		case 0:
+			tr[0] = Eq(v)
+		case 1:
+			tr[1] = Eq(v)
+		case 2:
+			tr[2] = Ge(v)
+		case 3:
+			tr[1] = Ge(v)
+		}
+		rows[i] = tr
+	}
+	tmpl, err := PredTemplate(kvSchema3(), rows...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl = tmpl.WithCardinality(size)
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		runEquivalence(t, fmt.Sprintf("padded%d", seed), tmpl, 150, rng.Intn, func() bool { return true })
+	}
+}

@@ -20,8 +20,13 @@ var decideSink crowd.Decision
 // row is one they have not voted on. rows= names the size of the finished
 // collection's table (≈ 1.3 × cardinality); the rungs vary the table and the
 // truth separately, because the claim is that a decision costs the rows it
-// reads and not rows × knowledge. The rng is re-seeded per iteration, off the
-// clock: every iteration makes the same decision.
+// reads and not rows × knowledge. A worker keeps what it looked up per row,
+// so the table is probed in two arms: memo=cold builds a fresh worker per
+// probe (off the clock) and times a decision that looks every row up, as on
+// a joiner's first view; memo=warm probes one worker again and again, its rng
+// re-seeded off the clock, and times a decision that finds every row looked
+// up, as on a view that changed by one fill. Every probe of an arm makes the
+// same decision.
 func BenchmarkWorkerDecide(b *testing.B) {
 	rungs := []struct {
 		rows, card int
@@ -32,6 +37,9 @@ func BenchmarkWorkerDecide(b *testing.B) {
 		{rows: 270, card: 200, prefix: 30 * time.Minute, truths: []int{500, 2500}},
 		{rows: 1300, card: 1000, prefix: 2 * time.Hour, truths: []int{2500}},
 	}
+	spec := crowd.Spec{Name: "late", Knowledge: 0.5, FillAccuracy: 0.95,
+		VoteAccuracy: 0.95, VotePreference: 0.6, ResearchProb: 0.4, ReconsiderProb: 0.15,
+		Seed: 7}
 	for _, r := range rungs {
 		for _, truthRows := range r.truths {
 			// Built on the rung's first invocation and kept for the b.N
@@ -40,14 +48,33 @@ func BenchmarkWorkerDecide(b *testing.B) {
 				truth *crowd.Dataset
 				c     *client.Client
 			)
-			b.Run(fmt.Sprintf("rows=%d/truth=%d", r.rows, truthRows), func(b *testing.B) {
+			fixture := func(b *testing.B) {
 				if c == nil {
 					truth, c = midCollection(b, truthRows, r.card, r.prefix)
+					crowd.NewWorker(spec, truth).Decide(c) // the truth builds its index on the first research lookup
 				}
-				w := crowd.NewWorker(crowd.Spec{Name: "late", Knowledge: 0.5, FillAccuracy: 0.95,
-					VoteAccuracy: 0.95, VotePreference: 0.6, ResearchProb: 0.4, ReconsiderProb: 0.15,
-					Seed: 7}, truth)
-				w.Decide(c) // the truth builds its index on the first research lookup
+			}
+			report := func(b *testing.B, w *crowd.Worker) {
+				b.ReportMetric(float64(c.Replica().Table().Len()), "rows")
+				b.ReportMetric(float64(w.KnownRows()), "known")
+			}
+			name := fmt.Sprintf("rows=%d/truth=%d", r.rows, truthRows)
+			b.Run(name+"/memo=cold", func(b *testing.B) {
+				fixture(b)
+				var w *crowd.Worker
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					w = crowd.NewWorker(spec, truth)
+					b.StartTimer()
+					decideSink = w.Decide(c)
+				}
+				report(b, w)
+			})
+			b.Run(name+"/memo=warm", func(b *testing.B) {
+				fixture(b)
+				w := crowd.NewWorker(spec, truth)
+				w.Decide(c)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer() // seeding costs as much as a small decision
@@ -55,8 +82,7 @@ func BenchmarkWorkerDecide(b *testing.B) {
 					b.StartTimer()
 					decideSink = w.Decide(c)
 				}
-				b.ReportMetric(float64(c.Replica().Table().Len()), "rows")
-				b.ReportMetric(float64(w.KnownRows()), "known")
+				report(b, w)
 			})
 		}
 	}

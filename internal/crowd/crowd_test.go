@@ -420,18 +420,18 @@ func TestTruthSupportsAndConflicts(t *testing.T) {
 	if w.truthSupports(fake) {
 		t.Fatalf("fabricated partial should not be supported")
 	}
-	// conflictsWithKnowledge needs a complete key.
-	if w.conflictsWithKnowledge(partial) {
+	// A conflict needs a complete key.
+	if w.lookupFacts(partial).conflict {
 		t.Fatalf("key-incomplete rows cannot conflict")
 	}
 	keyed := model.NewVector(6)
 	keyed[0], keyed[1] = truth[0], truth[1]
 	keyed[3] = model.Cell{Set: true, Val: "1"} // wrong caps
-	if !w.conflictsWithKnowledge(keyed) {
+	if !w.lookupFacts(keyed).conflict {
 		t.Fatalf("wrong caps should conflict with knowledge")
 	}
 	good := keyed.With(3, truth[3].Val)
-	if w.conflictsWithKnowledge(good) {
+	if w.lookupFacts(good).conflict {
 		t.Fatalf("consistent partial should not conflict")
 	}
 }
@@ -464,12 +464,12 @@ func TestMatchKnown(t *testing.T) {
 	partial := model.NewVector(6)
 	partial[1] = truth[1]
 	partial[2] = truth[2]
-	got := w.matchKnownFresh(partial, nil)
+	got := w.matchKnownFresh(partial, w.lookupFacts(partial).cands, nil)
 	if got == nil || !partial.Subset(got) {
 		t.Fatalf("matchKnownFresh = %v", got)
 	}
 	impossible := partial.With(0, "Nobody Real")
-	if w.matchKnownFresh(impossible, nil) != nil {
+	if w.matchKnownFresh(impossible, w.lookupFacts(impossible).cands, nil) != nil {
 		t.Fatalf("impossible vector matched")
 	}
 }

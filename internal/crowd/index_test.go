@@ -45,7 +45,7 @@ func linearMatchFresh(s *model.Schema, known []model.Vector, v model.Vector, tak
 	return nil
 }
 
-// linearConflicts is conflictsWithKnowledge.
+// linearConflicts is lookupFacts' conflict.
 func linearConflicts(s *model.Schema, known []model.Vector, v model.Vector) bool {
 	truth := linearLookup(s, known, v)
 	return truth != nil && !v.Subset(truth)
@@ -152,11 +152,12 @@ func TestLookupsMatchLinearSpec(t *testing.T) {
 			if got, want := w.lookupKnown(v), linearLookup(s, w.known, v); !sameRow(got, want) {
 				t.Fatalf("%s: lookupKnown = %v, scan says %v", at, got, want)
 			}
-			if got, want := w.matchKnownFresh(v, taken), linearMatchFresh(s, w.known, v, taken); !sameRow(got, want) {
+			facts := w.lookupFacts(v)
+			if got, want := w.matchKnownFresh(v, facts.cands, taken), linearMatchFresh(s, w.known, v, taken); !sameRow(got, want) {
 				t.Fatalf("%s: matchKnownFresh = %v, scan says %v", at, got, want)
 			}
-			if got, want := w.conflictsWithKnowledge(v), linearConflicts(s, w.known, v); got != want {
-				t.Fatalf("%s: conflictsWithKnowledge = %v, scan says %v", at, got, want)
+			if got, want := facts.conflict, linearConflicts(s, w.known, v); got != want {
+				t.Fatalf("%s: lookupFacts conflict = %v, scan says %v", at, got, want)
 			}
 			if got, want := w.truthSupports(v), linearSupports(d.Rows, v); got != want {
 				t.Fatalf("%s: truthSupports = %v, scan says %v", at, got, want)

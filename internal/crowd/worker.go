@@ -97,8 +97,11 @@ type Decision struct {
 //
 // What the worker knows is a shuffled sample of the truth plus an index over
 // it, built once; a decision looks rows up instead of scanning the sample, so
-// it costs the table it reads rather than table × knowledge. A Worker is not
-// safe for concurrent use.
+// it costs the table it reads rather than table × knowledge. What those
+// lookups say about a row depends only on its vector, which never changes
+// for the row's lifetime (a fill mints a new row), so each row is looked up
+// once and its answers kept in facts until the row leaves the view. A Worker
+// is not safe for concurrent use.
 type Worker struct {
 	Spec  Spec
 	truth *Dataset
@@ -107,11 +110,27 @@ type Worker struct {
 	ix    *rowIndex // over known
 	kc0   int       // the leading key column
 
+	// facts memoizes rowFacts per row of the view; views counts Decide
+	// calls, so that rows no view has shown since the last sweep can go.
+	facts map[*model.Row]*rowFacts
+	views uint64
+
 	// Decide's scratch, cleared per call.
 	taken       map[string]bool
 	votes       []voteOption
 	fills       []Decision
 	reconsiders []Decision
+}
+
+// rowFacts is what Decide derives from one row's vector: the lookups against
+// the worker's knowledge, made when the row is first seen, and the research
+// lookup against the whole truth, made the first time a draw asks for it.
+type rowFacts struct {
+	seen     uint64       // the last Decide whose view showed the row
+	known    model.Vector // lookupKnown(vec): the known truth row of its key
+	conflict bool         // the row contradicts known
+	cands    []int        // w.ix.candidates(vec)
+	support  int8         // truthSupports(vec): 0 not asked yet, 1 true, -1 false
 }
 
 // voteOption is a vote Decide could cast: the row and the worker's judgement.
@@ -129,6 +148,7 @@ func NewWorker(spec Spec, truth *Dataset) *Worker {
 		truth: truth,
 		rng:   rng,
 		kc0:   truth.Schema.KeyColumns()[0],
+		facts: make(map[*model.Row]*rowFacts),
 		taken: make(map[string]bool),
 	}
 	for _, row := range truth.Rows {
@@ -204,7 +224,9 @@ func (w *Worker) Decide(c *client.Client) Decision {
 	if decidedNet == 0 {
 		decidedNet = 2
 	}
+	w.views++
 	for _, r := range rows {
+		f := w.factsOf(r)
 		// Voting opportunities. Rows already clearly decided attract no
 		// further piling-on: an extra vote on a settled row earns nothing
 		// under contribution-based pay, and the displayed estimates steer
@@ -213,7 +235,7 @@ func (w *Worker) Decide(c *client.Client) Decision {
 		decidedDown := r.Down-r.Up >= decidedNet
 		if r.Vec.IsPartial() && !c.VotedOn(r.Vec) && !decidedDown {
 			if r.Vec.IsComplete() {
-				if truth := w.lookupKnown(r.Vec); truth != nil {
+				if truth := f.known; truth != nil {
 					up := truth.Equal(r.Vec)
 					if !(up && decidedUp) {
 						votes = append(votes, voteOption{row: r, up: up})
@@ -224,16 +246,16 @@ func (w *Worker) Decide(c *client.Client) Decision {
 					full := w.truth.LookupByKey(r.Vec)
 					votes = append(votes, voteOption{row: r, up: full != nil && full.Equal(r.Vec)})
 				}
-			} else if w.conflictsWithKnowledge(r.Vec) {
+			} else if f.conflict {
 				votes = append(votes, voteOption{row: r, up: false})
-			} else if w.rng.Float64() < w.Spec.ResearchProb && !w.truthSupports(r.Vec) {
+			} else if w.rng.Float64() < w.Spec.ResearchProb && !w.rowSupported(r.Vec, f) {
 				// Research a suspicious partial row (e.g. a typo'd name no
 				// search would confirm): downvote data no truth supports.
 				votes = append(votes, voteOption{row: r, up: false})
 			}
 		}
 		// Filling opportunities.
-		if d, ok := w.fillFor(r, fresh, taken); ok {
+		if d, ok := w.fillFor(r, f, fresh, taken); ok {
 			fills = append(fills, d)
 		}
 		// Reconsideration opportunities: a contested complete row this
@@ -256,6 +278,7 @@ func (w *Worker) Decide(c *client.Client) Decision {
 	}
 
 	w.votes, w.fills, w.reconsiders = votes, fills, reconsiders
+	w.sweepFacts(len(rows))
 
 	// VotePreference zero means the worker never votes (the paper's §6 run
 	// had such a worker); otherwise voting wins by preference, or by
@@ -303,10 +326,46 @@ func (w *Worker) Decide(c *client.Client) Decision {
 	}
 }
 
+// factsOf returns r's facts, looking its vector up on first sight, and marks
+// them shown by the current view.
+func (w *Worker) factsOf(r *model.Row) *rowFacts {
+	f := w.facts[r]
+	if f == nil {
+		f = w.lookupFacts(r.Vec)
+		w.facts[r] = f
+	}
+	f.seen = w.views
+	return f
+}
+
+// lookupFacts looks v up in the worker's knowledge: its known truth row,
+// whether it conflicts with that row — v's key is known but some set value
+// contradicts the truth, a downvoting opportunity on a partial row — and the
+// posting list matchKnownFresh searches.
+func (w *Worker) lookupFacts(v model.Vector) *rowFacts {
+	f := &rowFacts{known: w.lookupKnown(v), cands: w.ix.candidates(v)}
+	f.conflict = f.known != nil && !v.Subset(f.known)
+	return f
+}
+
+// sweepFacts drops the facts of rows the current view did not show (filled
+// or reloaded away) once they could outnumber the live ones, so the memo
+// stays proportional to the table at amortized O(1) per row.
+func (w *Worker) sweepFacts(shown int) {
+	if len(w.facts) <= 2*shown+64 {
+		return
+	}
+	for r, f := range w.facts {
+		if f.seen != w.views {
+			delete(w.facts, r)
+		}
+	}
+}
+
 // fillFor proposes a fill on row r, if this worker can contribute to it.
-// taken holds first-key-column values already present in the table; fresh is
-// pickFreshTruth(taken).
-func (w *Worker) fillFor(r *model.Row, fresh model.Vector, taken map[string]bool) (Decision, bool) {
+// f is r's facts; taken holds first-key-column values already present in
+// the table; fresh is pickFreshTruth(taken).
+func (w *Worker) fillFor(r *model.Row, f *rowFacts, fresh model.Vector, taken map[string]bool) (Decision, bool) {
 	if r.Vec.IsComplete() {
 		return Decision{}, false
 	}
@@ -326,7 +385,7 @@ func (w *Worker) fillFor(r *model.Row, fresh model.Vector, taken map[string]bool
 			Think: w.jitter(w.fillMean(col)),
 		}, true
 	}
-	truth := w.matchKnownFresh(r.Vec, taken)
+	truth := w.matchKnownFresh(r.Vec, f.cands, taken)
 	if truth == nil {
 		return Decision{}, false
 	}
@@ -386,13 +445,14 @@ func (w *Worker) lookupKnown(v model.Vector) model.Vector { return w.ix.lookup(v
 // matchKnownFresh finds the first known truth row consistent with v, avoiding
 // entities already visible in the table when v's leading key cell is still
 // open (otherwise the worker would keep re-entering the same entity into
-// every template-seeded row and thrash forever).
-func (w *Worker) matchKnownFresh(v model.Vector, taken map[string]bool) model.Vector {
+// every template-seeded row and thrash forever). cands is
+// w.ix.candidates(v).
+func (w *Worker) matchKnownFresh(v model.Vector, cands []int, taken map[string]bool) model.Vector {
 	if v.IsEmpty() {
 		return w.pickFreshTruth(taken)
 	}
 	keyPinned := v[w.kc0].Set
-	for _, p := range w.ix.candidates(v) {
+	for _, p := range cands {
 		row := w.known[p]
 		if v.Subset(row) && (keyPinned || !taken[row[w.kc0].Val]) {
 			return row
@@ -405,11 +465,16 @@ func (w *Worker) matchKnownFresh(v model.Vector, taken map[string]bool) model.Ve
 // of v's set cells (the research check for suspicious partial rows).
 func (w *Worker) truthSupports(v model.Vector) bool { return w.truth.index().supports(v) }
 
-// conflictsWithKnowledge reports whether v's key is known but some set value
-// contradicts the truth — a downvoting opportunity on a partial row.
-func (w *Worker) conflictsWithKnowledge(v model.Vector) bool {
-	truth := w.lookupKnown(v)
-	return truth != nil && !v.Subset(truth)
+// rowSupported is truthSupports for the row with vector v and facts f,
+// asked of the truth's index only the first time.
+func (w *Worker) rowSupported(v model.Vector, f *rowFacts) bool {
+	if f.support == 0 {
+		f.support = -1
+		if w.truthSupports(v) {
+			f.support = 1
+		}
+	}
+	return f.support > 0
 }
 
 // pickFreshTruth returns the first known truth row whose leading key value

@@ -1,7 +1,5 @@
 package model
 
-import "sort"
-
 // ProbableRows computes the set of probable rows of a candidate table (paper
 // §4.1) from scratch: rows that, given the current state, may still
 // contribute to the final table. A row r is probable iff one of:
@@ -69,6 +67,5 @@ func ProbableRows(c *Candidate, f ScoreFunc) []*Row {
 			out = append(out, r)
 		}
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return out // Each walks id order, so out is sorted by id
 }

@@ -39,6 +39,10 @@ func (r *Row) String() string {
 type Candidate struct {
 	schema *Schema
 	rows   map[RowID]*Row
+	// order holds the rows of rows sorted by id, kept in step by Put and
+	// Delete, so every deterministic walk (Rows, Each) reads it instead of
+	// sorting the map. A fill moves one id: a binary search and one copy.
+	order []*Row
 	// byValue indexes rows by value, which stays valid because a vector is
 	// never written after it is built (fills replace rows wholesale).
 	byValue *VecMap[valueSet]
@@ -77,8 +81,12 @@ func (c *Candidate) Has(id RowID) bool { _, ok := c.rows[id]; return ok }
 
 // Put inserts or replaces a row object.
 func (c *Candidate) Put(r *Row) {
-	if old, ok := c.rows[r.ID]; ok {
-		c.unindex(old)
+	i, found := c.search(r.ID)
+	if found {
+		c.unindex(c.order[i])
+		c.order[i] = r
+	} else {
+		c.order = slices.Insert(c.order, i, r)
 	}
 	c.rows[r.ID] = r
 	k := r.Vec.Hashed()
@@ -101,7 +109,16 @@ func (c *Candidate) Delete(id RowID) {
 	if old, ok := c.rows[id]; ok {
 		c.unindex(old)
 		delete(c.rows, id)
+		i, _ := c.search(id)
+		c.order = slices.Delete(c.order, i, i+1)
 	}
+}
+
+// search returns id's position in order, or where it would be inserted.
+func (c *Candidate) search(id RowID) (int, bool) {
+	return slices.BinarySearchFunc(c.order, id, func(r *Row, id RowID) int {
+		return strings.Compare(string(r.ID), string(id))
+	})
 }
 
 // unindex removes r from its value's set, deleting a set it empties.
@@ -146,22 +163,17 @@ func (c *Candidate) EachWithValue(v Vector, fn func(*Row)) {
 	}
 }
 
-// Rows returns all rows sorted by id (deterministic iteration order).
+// Rows returns all rows sorted by id (deterministic iteration order). The
+// slice is the caller's: reordering it leaves the table as it was.
 func (c *Candidate) Rows() []*Row {
-	out := make([]*Row, 0, len(c.rows))
-	for _, r := range c.rows {
-		out = append(out, r)
-	}
-	// slices.SortFunc, not sort.Slice: this runs on every table view, and
-	// the generic sort skips sort.Slice's reflect-based swapper.
-	slices.SortFunc(out, func(a, b *Row) int { return strings.Compare(string(a.ID), string(b.ID)) })
+	out := make([]*Row, len(c.order))
+	copy(out, c.order)
 	return out
 }
 
-// Each calls fn for every row in unspecified order; fn must not add or
-// delete rows.
+// Each calls fn for every row in id order; fn must not add or delete rows.
 func (c *Candidate) Each(fn func(*Row)) {
-	for _, r := range c.rows {
+	for _, r := range c.order {
 		fn(r)
 	}
 }

@@ -309,22 +309,24 @@ func (w Warnings) Emit() {
 
 // RepairStats summarizes the Central Client's PRI-repair work over the run.
 type RepairStats struct {
-	Repairs  int // Repair calls
-	Augments int // augmenting-path searches run
-	Inserts  int // row insertions planned
-	Removals int // template rows dropped (§4.2 last resort)
-	Overruns int // repair loops that hit the iteration cap
+	Repairs       int // Repair calls
+	Augments      int // augmenting-path searches run
+	AugmentVisits int // adjacency entries those searches read
+	Inserts       int // row insertions planned
+	Removals      int // template rows dropped (§4.2 last resort)
+	Overruns      int // repair loops that hit the iteration cap
 }
 
 // RepairStats returns the Central Client's repair counters (for reports and
 // experiment summaries).
 func (c *Core) RepairStats() RepairStats {
 	return RepairStats{
-		Repairs:  c.planner.Repairs,
-		Augments: c.planner.Augments,
-		Inserts:  c.planner.Inserts,
-		Removals: c.planner.Removals,
-		Overruns: c.repairOverruns,
+		Repairs:       c.planner.Repairs,
+		Augments:      c.planner.Augments,
+		AugmentVisits: c.planner.AugmentVisits,
+		Inserts:       c.planner.Inserts,
+		Removals:      c.planner.Removals,
+		Overruns:      c.repairOverruns,
 	}
 }
 

@@ -597,7 +597,7 @@ func TestRepairStats(t *testing.T) {
 	}
 
 	got := r.core.RepairStats()
-	if got.Repairs <= st.Repairs || got.Augments == 0 || got.Inserts <= st.Inserts {
+	if got.Repairs <= st.Repairs || got.Augments == 0 || got.AugmentVisits == 0 || got.Inserts <= st.Inserts {
 		t.Fatalf("stats did not advance: before %+v, after %+v", st, got)
 	}
 	if got.Overruns != 0 {

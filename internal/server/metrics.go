@@ -118,6 +118,7 @@ type Metrics struct {
 	unmatched   *metrics.Gauge                 // templates waiting behind a planned CC insert after the last Repair
 	repairs     *metrics.Gauge                 // planner Repair calls (RepairStats)
 	augments    *metrics.Gauge
+	augVisits   *metrics.Gauge // adjacency entries the augmenting searches read
 	inserts     *metrics.Gauge
 	removals    *metrics.Gauge
 	overruns    *metrics.Counter // repair loops that hit the iteration cap
@@ -167,6 +168,7 @@ func NewMetrics(reg *metrics.Registry, rec *metrics.Recorder) *Metrics {
 		unmatched:   reg.Gauge("crowdfill_core_unmatched_templates", "template rows the last planner Repair left waiting behind a planned central-client insert"),
 		repairs:     reg.Gauge("crowdfill_repair_calls", "planner Repair calls (RepairStats.Repairs)"),
 		augments:    reg.Gauge("crowdfill_repair_augments", "augmenting-path searches (RepairStats.Augments)"),
+		augVisits:   reg.Gauge("crowdfill_repair_augment_visits", "adjacency entries the augmenting searches read (RepairStats.AugmentVisits)"),
 		inserts:     reg.Gauge("crowdfill_repair_inserts", "row insertions planned (RepairStats.Inserts)"),
 		removals:    reg.Gauge("crowdfill_repair_removals", "template rows dropped (RepairStats.Removals)"),
 		overruns:    reg.Counter("crowdfill_repair_overruns_total", "repair loops that hit the iteration cap"),
@@ -385,6 +387,7 @@ func (m *Metrics) repairDone(start time.Time, actions int, rs RepairStats) {
 	m.repairDelta.Observe(int64(actions))
 	m.repairs.Set(int64(rs.Repairs))
 	m.augments.Set(int64(rs.Augments))
+	m.augVisits.Set(int64(rs.AugmentVisits))
 	m.inserts.Set(int64(rs.Inserts))
 	m.removals.Set(int64(rs.Removals))
 }
