@@ -4,38 +4,25 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"crowdfill/internal/pay"
 	"crowdfill/internal/replay"
 	"crowdfill/internal/server"
-	"crowdfill/internal/sync"
+	"crowdfill/internal/spec"
 )
 
-// traceExport is the JSON shape of an exported bookkeeping trace — the same
-// shape the front-end's /trace endpoint serves and crowdfill-replay reads.
-type traceExport struct {
-	Trace []sync.Message `json:"trace"`
-	CCLog []sync.Message `json:"ccLog"`
-}
-
-// ExportTrace serializes the collection's bookkeeping trace (paper §3.3):
-// every worker message plus the Central Client's log, in server order. The
-// bytes round-trip through Audit and cmd/crowdfill-replay.
+// ExportTrace serializes the collection's bookkeeping log (paper §3.3):
+// every worker message and the Central Client's log in server order, the
+// start and each worker's join time. The bytes round-trip through Audit and
+// cmd/crowdfill-replay.
 func (c *Collection) ExportTrace() ([]byte, error) {
-	var out traceExport
-	c.ns.WithCore(func(core *server.Core) {
-		out.Trace = append(out.Trace, core.Trace()...)
-		out.CCLog = append(out.CCLog, core.CCLog()...)
-	})
-	return json.Marshal(out)
+	var log replay.Log
+	c.ns.WithCore(func(core *server.Core) { log = core.Log() })
+	return json.Marshal(log)
 }
 
-// ExportSimTrace serializes a simulation's bookkeeping trace in the same
+// ExportSimTrace serializes a simulation's bookkeeping log in the same
 // format.
 func ExportSimTrace(res *SimResult) ([]byte, error) {
-	return json.Marshal(traceExport{
-		Trace: res.Core.Trace(),
-		CCLog: res.Core.CCLog(),
-	})
+	return json.Marshal(res.Core.Log())
 }
 
 // AuditResult is the outcome of replaying a trace offline.
@@ -55,32 +42,18 @@ type AuditResult struct {
 
 // Audit replays an exported trace against a spec and recomputes the final
 // table and compensation — answering "why did worker X earn $Y" without the
-// live system. scheme optionally overrides the spec's allocation scheme
-// ("" keeps it).
+// live system. Over a trace the collection exported, it pays exactly what
+// the collection pays. scheme optionally overrides the spec's allocation
+// scheme ("" keeps it).
 func Audit(s Spec, traceJSON []byte, scheme string) (*AuditResult, error) {
-	cfg, err := s.Build()
-	if err != nil {
-		return nil, err
-	}
-	var tf traceExport
-	if err := json.Unmarshal(traceJSON, &tf); err != nil {
+	var log replay.Log
+	if err := json.Unmarshal(traceJSON, &log); err != nil {
 		return nil, fmt.Errorf("crowdfill: parse trace: %w", err)
 	}
-	sch := cfg.Scheme
 	if scheme != "" {
-		sch, err = pay.ParseScheme(scheme)
-		if err != nil {
-			return nil, err
-		}
+		s.Scheme = scheme
 	}
-	audit, err := replay.Run(replay.Input{
-		Schema: cfg.Schema,
-		Score:  cfg.Score,
-		Budget: cfg.Budget,
-		Scheme: sch,
-		Trace:  tf.Trace,
-		CCLog:  tf.CCLog,
-	})
+	audit, err := spec.Audit(s, log)
 	if err != nil {
 		return nil, err
 	}
@@ -89,27 +62,10 @@ func Audit(s Spec, traceJSON []byte, scheme string) (*AuditResult, error) {
 		CandidateRows: audit.Replica.Table().Len(),
 		FinalRows:     len(audit.Final),
 		Pay:           audit.Alloc.PerWorker,
-		Statements:    make(map[string]string),
+		Statements:    audit.Statements(),
 	}
 	for _, r := range audit.Final {
-		row := make([]string, len(r.Vec))
-		for i, cell := range r.Vec {
-			if cell.Set {
-				row[i] = cell.Val
-			}
-		}
-		out.Final = append(out.Final, row)
-	}
-	cols := make([]string, cfg.Schema.NumColumns())
-	for i, c := range cfg.Schema.Columns {
-		cols[i] = c.Name
-	}
-	start := int64(0)
-	if len(tf.CCLog) > 0 {
-		start = tf.CCLog[0].TS
-	}
-	for worker := range audit.Alloc.PerWorker {
-		out.Statements[worker] = audit.Alloc.FormatStatement(worker, tf.Trace, cols, start)
+		out.Final = append(out.Final, r.Vec.Strings())
 	}
 	return out, nil
 }

@@ -1,8 +1,19 @@
 // Command crowdfill-replay audits a finished collection offline: it loads
-// the bookkeeping trace (as served by the front-end's /trace endpoint),
-// replays it through a fresh replica, re-derives the final table, and
-// recomputes compensation under any allocation scheme — answering "why did
-// worker X earn $Y" without the live system.
+// the bookkeeping log (as served by the front-end's /trace endpoint or
+// written by the library's ExportTrace), replays it through a fresh replica,
+// re-derives the final table, and recomputes compensation under any
+// allocation scheme — answering "why did worker X earn $Y" without the live
+// system.
+//
+// The log is one JSON object with four fields: "trace" (every worker
+// message in server order), "ccLog" (the Central Client's messages),
+// "start" (the collection start, Unix nanoseconds) and "joinTime" (each
+// worker's first-join timestamp). With all four, and no override, the
+// replay pays exactly what the collection paid. Logs exported before
+// "start" and "joinTime" were recorded still load: an absent start falls
+// back to the first message's timestamp and an absent join time to the
+// start; that moves each worker's first time gap, so such a replay can
+// differ from the live pay by cents.
 //
 // Usage:
 //
@@ -19,21 +30,13 @@ import (
 	"os"
 
 	"crowdfill/internal/model"
-	"crowdfill/internal/pay"
 	"crowdfill/internal/replay"
 	"crowdfill/internal/spec"
-	"crowdfill/internal/sync"
 )
-
-// traceFile matches the front-end's /trace payload.
-type traceFile struct {
-	Trace []sync.Message `json:"trace"`
-	CCLog []sync.Message `json:"ccLog"`
-}
 
 func main() {
 	specPath := flag.String("spec", "", "table specification JSON (schema + scoring)")
-	tracePath := flag.String("trace", "", "trace JSON ({trace, ccLog}, as served by /trace)")
+	tracePath := flag.String("trace", "", "log JSON ({trace, ccLog, start, joinTime}, as served by /trace)")
 	budget := flag.Float64("budget", 0, "budget override (default: the spec's)")
 	scheme := flag.String("scheme", "", "allocation scheme override (default: the spec's)")
 	statement := flag.String("statement", "", "print the itemized pay statement for one worker")
@@ -49,66 +52,43 @@ func main() {
 	} else if err := json.Unmarshal(data, &ts); err != nil {
 		log.Fatalf("crowdfill-replay: parse spec: %v", err)
 	}
-	cfg, err := ts.Build()
-	if err != nil {
-		log.Fatalf("crowdfill-replay: %v", err)
-	}
-	var tf traceFile
+	var lg replay.Log
 	if data, err := os.ReadFile(*tracePath); err != nil {
 		log.Fatalf("crowdfill-replay: %v", err)
-	} else if err := json.Unmarshal(data, &tf); err != nil {
+	} else if err := json.Unmarshal(data, &lg); err != nil {
 		log.Fatalf("crowdfill-replay: parse trace: %v", err)
 	}
-	b := cfg.Budget
 	if *budget > 0 {
-		b = *budget
+		ts.Budget = *budget
 	}
-	sch := cfg.Scheme
 	if *scheme != "" {
-		sch, err = pay.ParseScheme(*scheme)
-		if err != nil {
-			log.Fatalf("crowdfill-replay: %v", err)
-		}
+		ts.Scheme = *scheme
 	}
 
-	audit, err := replay.Run(replay.Input{
-		Schema: cfg.Schema,
-		Score:  cfg.Score,
-		Budget: b,
-		Scheme: sch,
-		Trace:  tf.Trace,
-		CCLog:  tf.CCLog,
-	})
+	audit, err := spec.Audit(ts, lg)
 	if err != nil {
 		log.Fatalf("crowdfill-replay: %v", err)
 	}
 
+	schema := audit.Replica.Schema()
 	fmt.Printf("replayed %d messages (%d worker, %d central-client)\n",
-		audit.Messages, len(tf.Trace), len(tf.CCLog))
+		audit.Messages, len(lg.Trace), len(lg.CCLog))
 	fmt.Printf("candidate rows: %d   final rows: %d\n",
 		audit.Replica.Table().Len(), len(audit.Final))
 	if *showTable {
 		fmt.Println()
-		fmt.Print(model.RenderTable(cfg.Schema, audit.Replica.Table().Rows()))
+		fmt.Print(model.RenderTable(schema, audit.Replica.Table().Rows()))
 	}
 	fmt.Println()
-	fmt.Print(model.RenderFinal(cfg.Schema, audit.Final))
+	fmt.Print(model.RenderFinal(schema, audit.Final))
 	fmt.Println()
 	fmt.Printf("compensation (%s, $%.2f budget, $%.2f allocated):\n",
-		sch, b, audit.Alloc.Allocated)
+		audit.Alloc.Scheme, ts.Budget, audit.Alloc.Allocated)
 	for worker, amount := range audit.Alloc.PerWorker {
 		fmt.Printf("  %-12s $%.2f\n", worker, amount)
 	}
 	if *statement != "" {
-		cols := make([]string, cfg.Schema.NumColumns())
-		for i, c := range cfg.Schema.Columns {
-			cols[i] = c.Name
-		}
-		start := int64(0)
-		if len(tf.CCLog) > 0 {
-			start = tf.CCLog[0].TS
-		}
 		fmt.Println()
-		fmt.Print(audit.Alloc.FormatStatement(*statement, tf.Trace, cols, start))
+		fmt.Print(audit.Statement(*statement))
 	}
 }

@@ -193,6 +193,20 @@ func TestCommandBinariesEndToEnd(t *testing.T) {
 	if !strings.Contains(string(replayOut), "pay statement for w1") {
 		t.Fatalf("replay statement missing:\n%s", replayOut)
 	}
+	var paid struct {
+		Pay map[string]float64 `json:"pay"`
+	}
+	if err := json.Unmarshal([]byte(pay[strings.Index(pay, "{"):]), &paid); err != nil {
+		t.Fatalf("parse pay output: %v\n%s", err, pay)
+	}
+	if len(paid.Pay) == 0 {
+		t.Fatalf("pay output names no worker:\n%s", pay)
+	}
+	for worker, amount := range paid.Pay {
+		if line := fmt.Sprintf("  %-12s $%.2f\n", worker, amount); !strings.Contains(string(replayOut), line) {
+			t.Errorf("replay does not pay %s the $%.2f /pay paid:\n%s", worker, amount, replayOut)
+		}
+	}
 }
 
 // httpGetBody fetches a URL and returns its body, failing on any error.

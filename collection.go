@@ -52,11 +52,7 @@ func (c *Collection) Done() bool { return c.ns.Done() }
 
 // Columns returns the schema's column names.
 func (c *Collection) Columns() []string {
-	out := make([]string, c.schema.NumColumns())
-	for i, col := range c.schema.Columns {
-		out[i] = col.Name
-	}
-	return out
+	return c.schema.ColumnNames()
 }
 
 // Result returns the current final table as rows of column values.
@@ -64,13 +60,7 @@ func (c *Collection) Result() [][]string {
 	var rows [][]string
 	c.ns.WithCore(func(core *server.Core) {
 		for _, r := range core.FinalTable() {
-			row := make([]string, len(r.Vec))
-			for i, cell := range r.Vec {
-				if cell.Set {
-					row[i] = cell.Val
-				}
-			}
-			rows = append(rows, row)
+			rows = append(rows, r.Vec.Strings())
 		}
 	})
 	return rows
@@ -204,19 +194,13 @@ func (w *Worker) Rows() []Row {
 	var out []Row
 	w.runner.View(func(c *client.Client) {
 		for _, r := range c.Rows(nil) {
-			row := Row{
+			out = append(out, Row{
 				ID:       string(r.ID),
-				Cells:    make([]string, len(r.Vec)),
+				Cells:    r.Vec.Strings(),
 				Up:       r.Up,
 				Down:     r.Down,
 				Complete: r.Vec.IsComplete(),
-			}
-			for i, cell := range r.Vec {
-				if cell.Set {
-					row.Cells[i] = cell.Val
-				}
-			}
-			out = append(out, row)
+			})
 		}
 	})
 	return out

@@ -103,19 +103,18 @@ func Simulate(opts SimOptions) (*SimResult, error) {
 	if len(workers) == 0 {
 		workers = exp.RepresentativeConfig(opts.Seed).Workers
 	}
-	scheme, err := opts.Spec.AllocScheme()
-	if err != nil {
-		return nil, err
-	}
 	return exp.Run(exp.SimConfig{
-		Truth:          truth,
-		Template:       cfg.Template,
-		Score:          cfg.Score,
-		Budget:         cfg.Budget,
-		Scheme:         scheme,
-		Workers:        workers,
-		MaxVotesPerRow: cfg.MaxVotesPerRow,
-		MaxVirtual:     opts.MaxVirtual,
+		Truth:            truth,
+		Template:         cfg.Template,
+		Score:            cfg.Score,
+		Budget:           cfg.Budget,
+		Scheme:           cfg.Scheme,
+		SplitKey:         cfg.SplitKey,
+		SplitNonKey:      cfg.SplitNonKey,
+		TrackPerformance: cfg.TrackPerformance,
+		Workers:          workers,
+		MaxVotesPerRow:   cfg.MaxVotesPerRow,
+		MaxVirtual:       opts.MaxVirtual,
 	})
 }
 

@@ -1,10 +1,13 @@
 package crowdfill
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"crowdfill/internal/pay"
 )
 
 func kvSpec() Spec {
@@ -237,6 +240,58 @@ func TestSimulateCustomSpec(t *testing.T) {
 	}
 	if res.FinalRows < 5 {
 		t.Fatalf("final rows = %d", res.FinalRows)
+	}
+}
+
+// TestSimulateKeepsSplitFactors: Simulate runs the spec's §5.2.3 split
+// factors, so its pay is pay.Compute's with those factors over the run's own
+// trace, not the default split's.
+func TestSimulateKeepsSplitFactors(t *testing.T) {
+	s := Spec{
+		Name:        "Gadget",
+		Columns:     []Column{{Name: "id"}, {Name: "kind", Domain: []string{"a", "b"}}},
+		Key:         []string{"id"},
+		Scoring:     Scoring{Kind: "majority", K: 3},
+		Cardinality: 5,
+		Budget:      5,
+		Scheme:      "dual-weighted",
+		SplitKey:    0.9,
+		SplitNonKey: 0.9,
+	}
+	res, err := Simulate(SimOptions{Spec: s, TruthRows: 60, Seed: 3})
+	if err != nil {
+		t.Fatalf("Simulate: %v", err)
+	}
+	core := res.Core
+	in := pay.Input{
+		Schema:   core.Master().Schema(),
+		Budget:   s.Budget,
+		Scheme:   pay.DualWeighted,
+		Final:    core.FinalTable(),
+		Trace:    core.Trace(),
+		CCLog:    core.CCLog(),
+		JoinTime: core.JoinTimes(),
+		Start:    core.StartTime(),
+	}
+	def, err := pay.Compute(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.SplitKey, in.SplitNonKey = 0.9, 0.9
+	split, err := pay.Compute(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	differs := false
+	for w, want := range split.PerWorker {
+		if got := res.Alloc.PerWorker[w]; math.Abs(got-want) > 1e-9 {
+			t.Errorf("Simulate paid %s %v, pay.Compute with split 0.9/0.9 %v", w, got, want)
+		}
+		differs = differs || math.Abs(def.PerWorker[w]-want) > 1e-6
+	}
+	if len(res.Alloc.PerWorker) != len(split.PerWorker) || !differs {
+		t.Fatalf("split pay %v, default pay %v: the factors must change the allocation",
+			split.PerWorker, def.PerWorker)
 	}
 }
 

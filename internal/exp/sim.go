@@ -36,6 +36,9 @@ type SimConfig struct {
 	// Scheme drives both the estimator during the run and the final
 	// allocation.
 	Scheme pay.Scheme
+	// SplitKey and SplitNonKey are the §5.2.3 splitting factors of the
+	// final allocation; zero values take pay's defaults.
+	SplitKey, SplitNonKey float64
 	// Workers are the simulated crowd.
 	Workers []crowd.Spec
 	// MaxVotesPerRow caps votes per row at the clients (0 = unlimited).
@@ -132,6 +135,8 @@ func Run(cfg SimConfig) (*SimResult, error) {
 		Template:         cfg.Template,
 		Budget:           cfg.Budget,
 		Scheme:           cfg.Scheme,
+		SplitKey:         cfg.SplitKey,
+		SplitNonKey:      cfg.SplitNonKey,
 		MaxVotesPerRow:   cfg.MaxVotesPerRow,
 		Clock:            clk,
 		TrackPerformance: cfg.TrackPerformance,

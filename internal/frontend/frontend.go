@@ -15,10 +15,9 @@ import (
 
 	"crowdfill/internal/docstore"
 	"crowdfill/internal/marketplace"
-	"crowdfill/internal/model"
+	"crowdfill/internal/replay"
 	"crowdfill/internal/server"
 	"crowdfill/internal/spec"
-	"crowdfill/internal/sync"
 )
 
 // specDoc is the stored form of a specification and its lifecycle state.
@@ -32,13 +31,6 @@ type specDoc struct {
 type resultDoc struct {
 	Rows [][]string         `json:"rows"`
 	Pay  map[string]float64 `json:"pay,omitempty"`
-}
-
-// traceDoc archives the complete worker-action trace the back-end keeps for
-// bookkeeping (§3.3), plus the Central Client's log.
-type traceDoc struct {
-	Trace []sync.Message `json:"trace"`
-	CCLog []sync.Message `json:"ccLog"`
 }
 
 // Frontend is the front-end server state.
@@ -79,6 +71,8 @@ func New(store *docstore.Store, market *marketplace.Marketplace, maxWorkers int)
 //	POST   /api/specs/{id}/start publish a HIT and start collection
 //	GET    /api/specs/{id}/status collection progress
 //	GET    /api/specs/{id}/result the final table (once done)
+//	GET    /api/specs/{id}/trace the bookkeeping log (archived or live)
+//	GET    /api/specs/{id}/statements per-worker pay statements
 //	POST   /api/specs/{id}/pay   compute compensation and pay bonuses
 //	GET    /ws/{id}?worker=W     worker WebSocket endpoint
 func (f *Frontend) Handler() http.Handler {
@@ -158,9 +152,9 @@ func (f *Frontend) handleSpec(w http.ResponseWriter, r *http.Request) {
 	case "result":
 		f.handleResult(w, r, id, sd)
 	case "trace":
-		f.handleTrace(w, r, id)
+		f.handleTrace(w, r, id, sd)
 	case "statements":
-		f.handleStatements(w, r, id)
+		f.handleStatements(w, r, id, sd)
 	case "pay":
 		f.handlePay(w, r, id, sd)
 	default:
@@ -251,11 +245,8 @@ func (f *Frontend) handleStatus(w http.ResponseWriter, r *http.Request, id strin
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
-	f.mu.Lock()
-	ns := f.running[id]
-	f.mu.Unlock()
-	out := map[string]any{"id": id, "status": sd.Status}
-	if ns != nil {
+	out := map[string]any{"id": id}
+	if ns := f.live(id, &sd); ns != nil {
 		ns.WithCore(func(c *server.Core) {
 			out["finalRows"] = len(c.FinalTable())
 			out["candidateRows"] = c.Master().Table().Len()
@@ -263,28 +254,40 @@ func (f *Frontend) handleStatus(w http.ResponseWriter, r *http.Request, id strin
 			out["clients"] = c.Clients()
 			out["messages"] = len(c.Trace())
 		})
-		if done, _ := out["done"].(bool); done && sd.Status == "running" {
-			f.finish(id, &sd, ns)
-			out["status"] = sd.Status
-		}
 	}
+	out["status"] = sd.Status
 	writeJSON(w, http.StatusOK, out)
 }
 
-// finish persists the final table and the action trace, then flips the spec
-// to done; idempotent.
+// live returns id's back-end server, or nil if it never ran here. A running
+// collection whose core is done is archived first, so whichever request
+// sees Done first — a status poll, /result, /trace, /statements or /pay —
+// reaches finish.
+func (f *Frontend) live(id string, sd *specDoc) *server.NetServer {
+	f.mu.Lock()
+	ns := f.running[id]
+	f.mu.Unlock()
+	if ns != nil && sd.Status == "running" && ns.Done() {
+		f.finish(id, sd, ns)
+	}
+	return ns
+}
+
+// finish archives a done collection once: it persists the final table and
+// the bookkeeping log, flips the spec to done and expires the HIT. sd is
+// re-read under the lock, so a request that lost the race leaves the
+// archive as the winner wrote it.
 func (f *Frontend) finish(id string, sd *specDoc, ns *server.NetServer) {
 	var rows [][]string
-	var td traceDoc
-	ns.WithCore(func(c *server.Core) {
-		for _, row := range c.FinalTable() {
-			rows = append(rows, vectorToStrings(row.Vec))
-		}
-		td.Trace = append(td.Trace, c.Trace()...)
-		td.CCLog = append(td.CCLog, c.CCLog()...)
-	})
+	var log replay.Log
+	ns.WithCore(func(c *server.Core) { rows, log = finalRows(c), c.Log() })
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.specs().Get(id, sd); err != nil || sd.Status != "running" {
+		return
+	}
 	_ = f.store.Collection("results").Put(id, resultDoc{Rows: rows})
-	_ = f.store.Collection("traces").Put(id, td)
+	_ = f.store.Collection("traces").Put(id, log)
 	sd.Status = "done"
 	_ = f.specs().Put(id, *sd)
 	if sd.HITID != "" {
@@ -292,14 +295,31 @@ func (f *Frontend) finish(id string, sd *specDoc, ns *server.NetServer) {
 	}
 }
 
-func vectorToStrings(v model.Vector) []string {
-	out := make([]string, len(v))
-	for i, c := range v {
-		if c.Set {
-			out[i] = c.Val
-		}
+// finalRows returns c's final table as rows of column values.
+func finalRows(c *server.Core) [][]string {
+	var rows [][]string
+	for _, row := range c.FinalTable() {
+		rows = append(rows, row.Vec.Strings())
 	}
-	return out
+	return rows
+}
+
+// archivedLog returns the bookkeeping log a finished collection archived.
+func (f *Frontend) archivedLog(id string) (replay.Log, error) {
+	var log replay.Log
+	err := f.store.Collection("traces").Get(id, &log)
+	return log, err
+}
+
+// logOf returns the collection's bookkeeping log: the archived one once it
+// finished, else a copy of ns's live one.
+func (f *Frontend) logOf(id string, ns *server.NetServer) (replay.Log, error) {
+	log, err := f.archivedLog(id)
+	if err != nil && ns != nil {
+		ns.WithCore(func(c *server.Core) { log = c.Log() })
+		err = nil
+	}
+	return log, err
 }
 
 func (f *Frontend) handleResult(w http.ResponseWriter, r *http.Request, id string, sd specDoc) {
@@ -307,55 +327,51 @@ func (f *Frontend) handleResult(w http.ResponseWriter, r *http.Request, id strin
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
+	ns := f.live(id, &sd)
 	var rd resultDoc
 	if err := f.store.Collection("results").Get(id, &rd); err != nil {
 		// Fall back to a live snapshot for running collections.
-		f.mu.Lock()
-		ns := f.running[id]
-		f.mu.Unlock()
 		if ns == nil {
 			writeErr(w, http.StatusNotFound, errors.New("no result yet"))
 			return
 		}
-		ns.WithCore(func(c *server.Core) {
-			for _, row := range c.FinalTable() {
-				rd.Rows = append(rd.Rows, vectorToStrings(row.Vec))
-			}
-		})
+		ns.WithCore(func(c *server.Core) { rd.Rows = finalRows(c) })
 	}
 	writeJSON(w, http.StatusOK, rd)
 }
 
+// handlePay pays a finished collection once: the amounts come from
+// replaying its archived log under its spec, so a collection archived
+// before a restart still pays.
 func (f *Frontend) handlePay(w http.ResponseWriter, r *http.Request, id string, sd specDoc) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
 		return
 	}
+	f.live(id, &sd)
+	// Paying is a lifecycle transition: serialize it and re-read the spec,
+	// so a collection pays once.
 	f.mu.Lock()
-	ns := f.running[id]
-	f.mu.Unlock()
-	if ns == nil {
-		writeErr(w, http.StatusConflict, errors.New("collection not running or already archived"))
+	defer f.mu.Unlock()
+	if err := f.specs().Get(id, &sd); err != nil {
+		writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	if !ns.Done() {
-		writeErr(w, http.StatusConflict, errors.New("collection not finished"))
+	if sd.Status != "done" {
+		writeErr(w, http.StatusConflict, fmt.Errorf("collection is %s, not done", sd.Status))
 		return
 	}
-	var perWorker map[string]float64
-	var payErr error
-	ns.WithCore(func(c *server.Core) {
-		alloc, err := c.ComputePay()
-		if err != nil {
-			payErr = err
-			return
-		}
-		perWorker = alloc.PerWorker
-	})
-	if payErr != nil {
-		writeErr(w, http.StatusInternalServerError, payErr)
+	log, err := f.archivedLog(id)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
+	audit, err := spec.Audit(sd.Spec, log)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	perWorker := audit.Alloc.PerWorker
 	for worker, amount := range perWorker {
 		if amount <= 0 {
 			continue
@@ -377,64 +393,39 @@ func (f *Frontend) handlePay(w http.ResponseWriter, r *http.Request, id string, 
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "status": "paid", "pay": perWorker})
 }
 
-// handleTrace serves the archived (or live) worker-action trace.
-func (f *Frontend) handleTrace(w http.ResponseWriter, r *http.Request, id string) {
+// handleTrace serves the archived (or live) bookkeeping log.
+func (f *Frontend) handleTrace(w http.ResponseWriter, r *http.Request, id string, sd specDoc) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
-	var td traceDoc
-	if err := f.store.Collection("traces").Get(id, &td); err != nil {
-		f.mu.Lock()
-		ns := f.running[id]
-		f.mu.Unlock()
-		if ns == nil {
-			writeErr(w, http.StatusNotFound, errors.New("no trace yet"))
-			return
-		}
-		ns.WithCore(func(c *server.Core) {
-			td.Trace = append(td.Trace, c.Trace()...)
-			td.CCLog = append(td.CCLog, c.CCLog()...)
-		})
+	log, err := f.logOf(id, f.live(id, &sd))
+	if err != nil {
+		writeErr(w, http.StatusNotFound, errors.New("no trace yet"))
+		return
 	}
-	writeJSON(w, http.StatusOK, td)
+	writeJSON(w, http.StatusOK, log)
 }
 
 // handleStatements renders per-worker pay statements (itemized §5.2
-// allocations) for a finished collection.
-func (f *Frontend) handleStatements(w http.ResponseWriter, r *http.Request, id string) {
+// allocations) by replaying the archived log, or the live one while the
+// collection runs.
+func (f *Frontend) handleStatements(w http.ResponseWriter, r *http.Request, id string, sd specDoc) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
-	f.mu.Lock()
-	ns := f.running[id]
-	f.mu.Unlock()
-	if ns == nil {
-		writeErr(w, http.StatusConflict, errors.New("collection not running or already archived"))
+	log, err := f.logOf(id, f.live(id, &sd))
+	if err != nil {
+		writeErr(w, http.StatusConflict, errors.New("collection not started"))
 		return
 	}
-	statements := map[string]string{}
-	var serr error
-	ns.WithCore(func(c *server.Core) {
-		alloc, err := c.ComputePay()
-		if err != nil {
-			serr = err
-			return
-		}
-		cols := make([]string, c.Master().Schema().NumColumns())
-		for i, col := range c.Master().Schema().Columns {
-			cols[i] = col.Name
-		}
-		for worker := range alloc.PerWorker {
-			statements[worker] = alloc.FormatStatement(worker, c.Trace(), cols, c.StartTime())
-		}
-	})
-	if serr != nil {
-		writeErr(w, http.StatusInternalServerError, serr)
+	audit, err := spec.Audit(sd.Spec, log)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "statements": statements})
+	writeJSON(w, http.StatusOK, map[string]any{"id": id, "statements": audit.Statements()})
 }
 
 // handleWS upgrades worker connections for a running collection. Workers

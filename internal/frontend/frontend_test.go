@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -163,12 +164,45 @@ func TestFullLifecycle(t *testing.T) {
 		t.Fatalf("double start = %d", code)
 	}
 
-	// Two marketplace workers accept the HIT and collect the table.
+	collect(t, f, srv.URL, id, wsPath)
+
+	// Status flips to done and archives the result.
+	code, out = doJSON(t, "GET", srv.URL+"/api/specs/"+id+"/status", nil)
+	if code != http.StatusOK || out["done"] != true {
+		t.Fatalf("status = %d %v", code, out)
+	}
+	code, out = doJSON(t, "GET", srv.URL+"/api/specs/"+id+"/result", nil)
+	if code != http.StatusOK {
+		t.Fatalf("result = %d %v", code, out)
+	}
+	rows := out["rows"].([]any)
+	if len(rows) != 2 {
+		t.Fatalf("result rows = %v", rows)
+	}
+
+	// Pay distributes the budget via marketplace bonuses, which the
+	// marketplace sums on its paid-total gauge.
+	paid := metrics.Default().FloatGauge("crowdfill_mkt_paid_total", "")
+	paidBefore := paid.Value()
+	code, out = doJSON(t, "POST", srv.URL+"/api/specs/"+id+"/pay", nil)
+	if code != http.StatusOK {
+		t.Fatalf("pay = %d %v", code, out)
+	}
+	if got := paid.Value() - paidBefore; got <= 0 || got > 4.0001 {
+		t.Fatalf("marketplace total paid = %v", got)
+	}
+}
+
+// collect has two marketplace workers accept the started spec's HIT and
+// finish its kvSpec table over WebSocket: worker 0 fills both rows, worker
+// 1 upvotes them. It returns once both clients saw Done.
+func collect(t *testing.T, f *Frontend, base, id, wsPath string) {
+	t.Helper()
 	cfg, err := kvSpec().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wsBase := "ws" + strings.TrimPrefix(srv.URL, "http") + wsPath
+	wsBase := "ws" + strings.TrimPrefix(base, "http") + wsPath
 	var runners []*client.Runner
 	for i := 0; i < 2; i++ {
 		worker, err := f.AcceptWorker(id)
@@ -185,11 +219,11 @@ func TestFullLifecycle(t *testing.T) {
 		}
 		runners = append(runners, client.NewRunner(c, transport.WrapWS(ws)))
 	}
-	defer func() {
+	t.Cleanup(func() {
 		for _, r := range runners {
 			r.Close()
 		}
-	}()
+	})
 
 	// Worker 0 fills both rows; worker 1 upvotes them.
 	fillAll := func(r *client.Runner, keys []string) {
@@ -239,31 +273,106 @@ func TestFullLifecycle(t *testing.T) {
 		})
 	}
 	waitFor(t, func() bool { return runners[0].Done() && runners[1].Done() })
+}
 
-	// Status flips to done and archives the result.
-	code, out = doJSON(t, "GET", srv.URL+"/api/specs/"+id+"/status", nil)
-	if code != http.StatusOK || out["done"] != true {
-		t.Fatalf("status = %d %v", code, out)
+// started creates a kvSpec spec and starts its collection, returning the
+// spec id and the WebSocket path.
+func started(t *testing.T, base string) (id, wsPath string) {
+	t.Helper()
+	code, out := doJSON(t, "POST", base+"/api/specs", kvSpec())
+	if code != http.StatusCreated {
+		t.Fatalf("create = %d %v", code, out)
+	}
+	id = out["id"].(string)
+	code, out = doJSON(t, "POST", base+"/api/specs/"+id+"/start", nil)
+	if code != http.StatusOK {
+		t.Fatalf("start = %d %v", code, out)
+	}
+	return id, out["ws"].(string)
+}
+
+// TestPayBeforeStatus: paying a finished collection that no status poll has
+// seen still archives it first, so /result keeps the whole final table, the
+// spec reads paid, and a second pay is refused.
+func TestPayBeforeStatus(t *testing.T) {
+	f, srv := testFrontend(t)
+	id, wsPath := started(t, srv.URL)
+	collect(t, f, srv.URL, id, wsPath)
+
+	code, out := doJSON(t, "POST", srv.URL+"/api/specs/"+id+"/pay", nil)
+	if code != http.StatusOK {
+		t.Fatalf("pay = %d %v", code, out)
 	}
 	code, out = doJSON(t, "GET", srv.URL+"/api/specs/"+id+"/result", nil)
 	if code != http.StatusOK {
 		t.Fatalf("result = %d %v", code, out)
 	}
-	rows := out["rows"].([]any)
-	if len(rows) != 2 {
-		t.Fatalf("result rows = %v", rows)
+	if rows, _ := out["rows"].([]any); len(rows) != 2 {
+		t.Fatalf("result after pay = %v, want both rows", out)
 	}
+	if _, out := doJSON(t, "GET", srv.URL+"/api/specs/"+id+"/status", nil); out["status"] != "paid" {
+		t.Fatalf("status after pay = %v", out)
+	}
+	if code, _ := doJSON(t, "POST", srv.URL+"/api/specs/"+id+"/pay", nil); code != http.StatusConflict {
+		t.Fatalf("second pay = %d", code)
+	}
+}
 
-	// Pay distributes the budget via marketplace bonuses, which the
-	// marketplace sums on its paid-total gauge.
-	paid := metrics.Default().FloatGauge("crowdfill_mkt_paid_total", "")
-	paidBefore := paid.Value()
-	code, out = doJSON(t, "POST", srv.URL+"/api/specs/"+id+"/pay", nil)
-	if code != http.StatusOK {
-		t.Fatalf("pay = %d %v", code, out)
+// TestFinishedCollectionPaysAfterRestart: a finished collection's log is
+// archived, so a new front-end over the same store, with no back-end
+// server for it, pays the collection's own amounts and renders its
+// statements from the archive.
+func TestFinishedCollectionPaysAfterRestart(t *testing.T) {
+	path := t.TempDir() + "/store.json"
+	store, err := docstore.Open(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := paid.Value() - paidBefore; got <= 0 || got > 4.0001 {
-		t.Fatalf("marketplace total paid = %v", got)
+	f := New(store, marketplace.New(1, 5, true), 5)
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+	id, wsPath := started(t, srv.URL)
+	collect(t, f, srv.URL, id, wsPath)
+	if _, out := doJSON(t, "GET", srv.URL+"/api/specs/"+id+"/status", nil); out["status"] != "done" {
+		t.Fatalf("status = %v", out)
+	}
+	var live map[string]float64
+	f.Collection(id).WithCore(func(c *server.Core) {
+		alloc, err := c.ComputePay()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		live = alloc.PerWorker
+	})
+
+	store2, err := docstore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2 := New(store2, marketplace.New(1, 5, true), 5)
+	srv2 := httptest.NewServer(f2.Handler())
+	defer srv2.Close()
+	code, out := doJSON(t, "GET", srv2.URL+"/api/specs/"+id+"/statements", nil)
+	if code != http.StatusOK {
+		t.Fatalf("statements after restart = %d %v", code, out)
+	}
+	statements, _ := out["statements"].(map[string]any)
+	code, out = doJSON(t, "POST", srv2.URL+"/api/specs/"+id+"/pay", nil)
+	if code != http.StatusOK {
+		t.Fatalf("pay after restart = %d %v", code, out)
+	}
+	paid, _ := out["pay"].(map[string]any)
+	if len(live) != 2 || len(paid) != len(live) {
+		t.Fatalf("paid %v after restart, live core pays %v", paid, live)
+	}
+	for w, want := range live {
+		if got, _ := paid[w].(float64); math.Abs(got-want) > 1e-9 {
+			t.Errorf("paid %s %v after restart, live core pays %v", w, got, want)
+		}
+		if st, _ := statements[w].(string); !strings.Contains(st, "total") {
+			t.Errorf("statement for %s after restart = %q", w, st)
+		}
 	}
 }
 

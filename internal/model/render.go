@@ -9,28 +9,39 @@ import (
 // style: one column per schema column plus ↑/↓ vote-count columns. Empty
 // cells print as "·". Intended for CLIs, examples, and debugging output.
 func RenderTable(s *Schema, rows []*Row) string {
-	headers := make([]string, 0, s.NumColumns()+2)
-	for _, c := range s.Columns {
-		headers = append(headers, c.Name)
-	}
-	headers = append(headers, "↑", "↓")
-
-	cells := make([][]string, 0, len(rows)+1)
-	cells = append(cells, headers)
+	cells := [][]string{append(s.ColumnNames(), "↑", "↓")}
 	for _, r := range rows {
-		line := make([]string, 0, len(headers))
-		for _, c := range r.Vec {
-			if c.Set {
-				line = append(line, c.Val)
-			} else {
-				line = append(line, "·")
-			}
-		}
-		line = append(line, fmt.Sprint(r.Up), fmt.Sprint(r.Down))
-		cells = append(cells, line)
+		cells = append(cells, append(displayCells(r.Vec), fmt.Sprint(r.Up), fmt.Sprint(r.Down)))
 	}
+	return renderCells(cells)
+}
 
-	widths := make([]int, len(headers))
+// RenderFinal renders a final table (no vote columns; final scores are
+// implied by membership).
+func RenderFinal(s *Schema, rows []*Row) string {
+	cells := [][]string{s.ColumnNames()}
+	for _, r := range rows {
+		cells = append(cells, displayCells(r.Vec))
+	}
+	return renderCells(cells)
+}
+
+// displayCells returns v's values for display, "·" for an empty cell.
+func displayCells(v Vector) []string {
+	out := make([]string, len(v))
+	for i, c := range v {
+		out[i] = "·"
+		if c.Set {
+			out[i] = c.Val
+		}
+	}
+	return out
+}
+
+// renderCells aligns a header line and its rows into columns, with a rule
+// under the header.
+func renderCells(cells [][]string) string {
+	widths := make([]int, len(cells[0]))
 	for _, line := range cells {
 		for i, cell := range line {
 			if w := displayWidth(cell); w > widths[i] {
@@ -38,7 +49,6 @@ func RenderTable(s *Schema, rows []*Row) string {
 			}
 		}
 	}
-
 	var b strings.Builder
 	for li, line := range cells {
 		for i, cell := range line {
@@ -65,54 +75,3 @@ func RenderTable(s *Schema, rows []*Row) string {
 
 // displayWidth counts runes (the vote arrows are multi-byte but single-width).
 func displayWidth(s string) int { return len([]rune(s)) }
-
-// RenderFinal renders a final table (no vote columns; final scores are
-// implied by membership).
-func RenderFinal(s *Schema, rows []*Row) string {
-	headers := make([]string, 0, s.NumColumns())
-	for _, c := range s.Columns {
-		headers = append(headers, c.Name)
-	}
-	cells := [][]string{headers}
-	for _, r := range rows {
-		line := make([]string, 0, len(headers))
-		for _, c := range r.Vec {
-			if c.Set {
-				line = append(line, c.Val)
-			} else {
-				line = append(line, "·")
-			}
-		}
-		cells = append(cells, line)
-	}
-	widths := make([]int, len(headers))
-	for _, line := range cells {
-		for i, cell := range line {
-			if w := displayWidth(cell); w > widths[i] {
-				widths[i] = w
-			}
-		}
-	}
-	var b strings.Builder
-	for li, line := range cells {
-		for i, cell := range line {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(cell)
-			if i < len(line)-1 {
-				b.WriteString(strings.Repeat(" ", widths[i]-displayWidth(cell)))
-			}
-		}
-		b.WriteByte('\n')
-		if li == 0 {
-			total := 0
-			for _, w := range widths {
-				total += w + 2
-			}
-			b.WriteString(strings.Repeat("-", total-2))
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
-}

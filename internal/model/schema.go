@@ -147,6 +147,15 @@ func (s *Schema) Validate() error {
 // NumColumns returns the number of columns.
 func (s *Schema) NumColumns() int { return len(s.Columns) }
 
+// ColumnNames returns the column names in schema order.
+func (s *Schema) ColumnNames() []string {
+	out := make([]string, len(s.Columns))
+	for i, c := range s.Columns {
+		out[i] = c.Name
+	}
+	return out
+}
+
 // ColumnIndex returns the index of the named column, or -1.
 func (s *Schema) ColumnIndex(name string) int {
 	for i, c := range s.Columns {

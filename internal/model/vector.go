@@ -47,6 +47,17 @@ func (v Vector) Clone() Vector {
 	return w
 }
 
+// Strings returns the cell values in column order, "" for an unset cell.
+func (v Vector) Strings() []string {
+	out := make([]string, len(v))
+	for i, c := range v {
+		if c.Set {
+			out[i] = c.Val
+		}
+	}
+	return out
+}
+
 // With returns a copy of v with column col filled in with val.
 func (v Vector) With(col int, val string) Vector {
 	w := v.Clone()
@@ -173,15 +184,7 @@ func appendCell(dst []byte, c Cell) []byte {
 
 // String renders v for logs and test failures, e.g. "(Messi, Argentina, ·, 83)".
 func (v Vector) String() string {
-	parts := make([]string, len(v))
-	for i, c := range v {
-		if c.Set {
-			parts[i] = c.Val
-		} else {
-			parts[i] = "·"
-		}
-	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	return "(" + strings.Join(displayCells(v), ", ") + ")"
 }
 
 // MarshalJSON encodes the vector as a compact array where null means empty.

@@ -17,6 +17,24 @@ import (
 	"crowdfill/internal/sync"
 )
 
+// Log is a collection's bookkeeping record as one self-contained artifact:
+// everything Run needs to rebuild the table and recompute the exact pay.
+// Its JSON form is what the front-end archives and serves on /trace, what
+// the root package's ExportTrace writes, and what crowdfill-replay reads.
+// Traces written before Start and JoinTime were recorded still load: an
+// absent start falls back to the first message's timestamp, and an absent
+// join time to the start.
+type Log struct {
+	// Trace holds every worker message in server order (the set M of §5.2).
+	Trace []sync.Message `json:"trace"`
+	// CCLog holds the Central Client's messages.
+	CCLog []sync.Message `json:"ccLog"`
+	// Start is the collection's start timestamp.
+	Start int64 `json:"start,omitempty"`
+	// JoinTime maps each worker to their first-join timestamp.
+	JoinTime map[string]int64 `json:"joinTime,omitempty"`
+}
+
 // Rebuild replays the interleaved CC log and worker trace (ordered by the
 // server-assigned timestamps) into a fresh replica.
 func Rebuild(schema *model.Schema, trace, ccLog []sync.Message) (*sync.Replica, error) {
@@ -52,6 +70,9 @@ type Audit struct {
 	Alloc *pay.Allocation
 	// Messages counts replayed messages (worker + CC).
 	Messages int
+
+	trace []sync.Message // for the statements
+	start int64
 }
 
 // Input configures an audit.
@@ -60,10 +81,16 @@ type Input struct {
 	Score  model.ScoreFunc
 	Budget float64
 	Scheme pay.Scheme
-	Trace  []sync.Message
-	CCLog  []sync.Message
+	// SplitKey and SplitNonKey are the §5.2.3 splitting factors; zero
+	// values take pay's defaults.
+	SplitKey, SplitNonKey float64
+	Trace                 []sync.Message
+	CCLog                 []sync.Message
+	// Start is the collection start; zero falls back to the first
+	// message's timestamp.
+	Start int64
 	// JoinTime optionally carries worker join times; absent entries fall
-	// back to the collection start (the first message's timestamp).
+	// back to the start.
 	JoinTime map[string]int64
 }
 
@@ -81,21 +108,23 @@ func Run(in Input) (*Audit, error) {
 		return nil, fmt.Errorf("replay: rebuilt replica inconsistent: %w", err)
 	}
 	final := model.FinalTable(rep.Table(), in.Score)
-	start := int64(0)
-	if len(in.CCLog) > 0 {
+	start := in.Start
+	if start == 0 && len(in.CCLog) > 0 {
 		start = in.CCLog[0].TS
-	} else if len(in.Trace) > 0 {
+	} else if start == 0 && len(in.Trace) > 0 {
 		start = in.Trace[0].TS
 	}
 	alloc, err := pay.Compute(pay.Input{
-		Schema:   in.Schema,
-		Budget:   in.Budget,
-		Scheme:   in.Scheme,
-		Final:    final,
-		Trace:    in.Trace,
-		CCLog:    in.CCLog,
-		JoinTime: in.JoinTime,
-		Start:    start,
+		Schema:      in.Schema,
+		Budget:      in.Budget,
+		Scheme:      in.Scheme,
+		Final:       final,
+		Trace:       in.Trace,
+		CCLog:       in.CCLog,
+		JoinTime:    in.JoinTime,
+		Start:       start,
+		SplitKey:    in.SplitKey,
+		SplitNonKey: in.SplitNonKey,
 	})
 	if err != nil {
 		return nil, err
@@ -105,5 +134,22 @@ func Run(in Input) (*Audit, error) {
 		Final:    final,
 		Alloc:    alloc,
 		Messages: len(in.Trace) + len(in.CCLog),
+		trace:    in.Trace,
+		start:    start,
 	}, nil
+}
+
+// Statement renders one worker's itemized pay statement: each paid action,
+// named by the schema's columns and timed from the collection start.
+func (a *Audit) Statement(worker string) string {
+	return a.Alloc.FormatStatement(worker, a.trace, a.Replica.Schema().ColumnNames(), a.start)
+}
+
+// Statements renders the statement of every worker the allocation pays.
+func (a *Audit) Statements() map[string]string {
+	out := make(map[string]string, len(a.Alloc.PerWorker))
+	for worker := range a.Alloc.PerWorker {
+		out[worker] = a.Statement(worker)
+	}
+	return out
 }

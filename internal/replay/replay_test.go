@@ -1,32 +1,43 @@
-package replay
+package replay_test
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
 	"crowdfill/internal/exp"
 	"crowdfill/internal/model"
 	"crowdfill/internal/pay"
+	"crowdfill/internal/replay"
 	"crowdfill/internal/sync"
 )
 
 // TestReplayReproducesRun is the audit guarantee: rebuilding a finished
-// collection from its trace reproduces the master replica byte-for-byte,
-// the same final table, and the same compensation.
+// collection from its exported log reproduces the master replica
+// byte-for-byte, the same final table, and the same compensation.
 func TestReplayReproducesRun(t *testing.T) {
 	res, err := exp.Run(exp.RepresentativeConfig(exp.DefaultSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	core := res.Core
-	audit, err := Run(Input{
+	data, err := json.Marshal(core.Log())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log replay.Log
+	if err := json.Unmarshal(data, &log); err != nil {
+		t.Fatal(err)
+	}
+	audit, err := replay.Run(replay.Input{
 		Schema:   core.Master().Schema(),
 		Score:    model.MajorityShortcut(3),
 		Budget:   10,
 		Scheme:   pay.DualWeighted,
-		Trace:    core.Trace(),
-		CCLog:    core.CCLog(),
-		JoinTime: core.JoinTimes(),
+		Trace:    log.Trace,
+		CCLog:    log.CCLog,
+		Start:    log.Start,
+		JoinTime: log.JoinTime,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -37,13 +48,9 @@ func TestReplayReproducesRun(t *testing.T) {
 	if len(audit.Final) != res.FinalRows {
 		t.Fatalf("rebuilt final rows = %d, want %d", len(audit.Final), res.FinalRows)
 	}
-	// Compensation recomputes — but the start baseline differs (the audit
-	// anchors on the first CC message rather than the server's construction
-	// time), which shifts only the first-action gap of each worker. Totals
-	// must still be close, and per-worker within a few cents.
 	for w, want := range res.Alloc.PerWorker {
 		got := audit.Alloc.PerWorker[w]
-		if math.Abs(got-want) > 0.1 {
+		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("worker %s pay %v, live run paid %v", w, got, want)
 		}
 	}
@@ -60,7 +67,7 @@ func TestReplayExactWithSameBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	core := res.Core
-	rep, err := Rebuild(core.Master().Schema(), core.Trace(), core.CCLog())
+	rep, err := replay.Rebuild(core.Master().Schema(), core.Trace(), core.CCLog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +93,12 @@ func TestReplayExactWithSameBaseline(t *testing.T) {
 }
 
 func TestReplayErrors(t *testing.T) {
-	if _, err := Rebuild(nil, nil, nil); err == nil {
+	if _, err := replay.Rebuild(nil, nil, nil); err == nil {
 		t.Errorf("nil schema should fail")
 	}
 	s := model.MustSchema("T", []model.Column{{Name: "a"}}, "a")
 	// Snapshot messages don't belong in traces.
-	if _, err := Rebuild(s, []sync.Message{{Type: sync.MsgSnapshot}}, nil); err == nil {
+	if _, err := replay.Rebuild(s, []sync.Message{{Type: sync.MsgSnapshot}}, nil); err == nil {
 		t.Errorf("snapshot in trace should fail")
 	}
 	// A duplicate insert makes the replay inconsistent.
@@ -99,7 +106,7 @@ func TestReplayErrors(t *testing.T) {
 		{Type: sync.MsgInsert, Row: "x", TS: 1},
 		{Type: sync.MsgInsert, Row: "x", TS: 2},
 	}
-	if _, err := Rebuild(s, bad, nil); err == nil {
+	if _, err := replay.Rebuild(s, bad, nil); err == nil {
 		t.Errorf("duplicate insert should fail")
 	}
 }
@@ -112,7 +119,7 @@ func TestReplaySchemeReinterpretation(t *testing.T) {
 		t.Fatal(err)
 	}
 	core := res.Core
-	uni, err := Run(Input{
+	uni, err := replay.Run(replay.Input{
 		Schema:   core.Master().Schema(),
 		Score:    model.MajorityShortcut(3),
 		Budget:   10,
@@ -129,7 +136,7 @@ func TestReplaySchemeReinterpretation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w, want := range liveUni.PerWorker {
-		if got := uni.Alloc.PerWorker[w]; math.Abs(got-want) > 0.1 {
+		if got := uni.Alloc.PerWorker[w]; math.Abs(got-want) > 1e-9 {
 			t.Fatalf("uniform reinterpretation differs for %s: %v vs %v", w, got, want)
 		}
 	}

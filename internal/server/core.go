@@ -12,6 +12,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 
@@ -19,6 +20,7 @@ import (
 	"crowdfill/internal/metrics"
 	"crowdfill/internal/model"
 	"crowdfill/internal/pay"
+	"crowdfill/internal/replay"
 	"crowdfill/internal/simclock"
 	"crowdfill/internal/sync"
 )
@@ -508,6 +510,18 @@ func (c *Core) JoinTimes() map[string]int64 { return c.joinTime }
 // StartTime returns the collection start timestamp.
 func (c *Core) StartTime() int64 { return c.start }
 
+// Log returns a copy of the bookkeeping log (§3.3): the worker trace, the
+// Central Client's log, the start and the join times — everything
+// replay.Run needs to rebuild the table and recompute the exact pay.
+func (c *Core) Log() replay.Log {
+	return replay.Log{
+		Trace:    slices.Clone(c.trace),
+		CCLog:    slices.Clone(c.ccLog),
+		Start:    c.start,
+		JoinTime: maps.Clone(c.joinTime),
+	}
+}
+
 // Estimator exposes the online estimator (for experiment reports).
 func (c *Core) Estimator() *pay.Estimator { return c.est }
 
@@ -518,20 +532,7 @@ func (c *Core) Planner() *constraint.Planner { return c.planner }
 func (c *Core) Clients() int { return len(c.clients) }
 
 // ComputePay runs the §5.2 final-compensation calculation over the run.
-func (c *Core) ComputePay() (*pay.Allocation, error) {
-	return pay.Compute(pay.Input{
-		Schema:      c.cfg.Schema,
-		Budget:      c.cfg.Budget,
-		Scheme:      c.cfg.Scheme,
-		Final:       c.FinalTable(),
-		Trace:       c.trace,
-		CCLog:       c.ccLog,
-		JoinTime:    c.joinTime,
-		Start:       c.start,
-		SplitKey:    c.cfg.SplitKey,
-		SplitNonKey: c.cfg.SplitNonKey,
-	})
-}
+func (c *Core) ComputePay() (*pay.Allocation, error) { return c.ComputePayWith(c.cfg.Scheme) }
 
 // ComputePayWith recomputes compensation under a different scheme over the
 // same trace (used by the §6 scheme-comparison experiments).

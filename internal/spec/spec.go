@@ -1,7 +1,8 @@
 // Package spec defines the JSON table specification a CrowdFill user submits
 // through the front-end (paper §3.2, Figure 3's table schema editor): the
 // schema, scoring function, constraint template, budget, and allocation
-// scheme — and builds the back-end server configuration from it.
+// scheme — and builds the back-end server configuration from it, or the
+// replay of a finished collection's log.
 package spec
 
 import (
@@ -11,6 +12,7 @@ import (
 	"crowdfill/internal/constraint"
 	"crowdfill/internal/model"
 	"crowdfill/internal/pay"
+	"crowdfill/internal/replay"
 	"crowdfill/internal/server"
 )
 
@@ -169,4 +171,28 @@ func (ts TableSpec) Build() (server.Config, error) {
 		SplitNonKey:      ts.SplitNonKey,
 		TrackPerformance: ts.TrackPerformance,
 	}, nil
+}
+
+// Audit replays a collection's bookkeeping log under spec ts (§3.3): it
+// rebuilds the table and recomputes pay with the spec's scoring, budget,
+// scheme and split factors, so a log the collection wrote gives back the
+// collection's own pay. Auditing under another scheme or budget is an edit
+// to the spec value before the call.
+func Audit(ts TableSpec, log replay.Log) (*replay.Audit, error) {
+	cfg, err := ts.Build()
+	if err != nil {
+		return nil, err
+	}
+	return replay.Run(replay.Input{
+		Schema:      cfg.Schema,
+		Score:       cfg.Score,
+		Budget:      cfg.Budget,
+		Scheme:      cfg.Scheme,
+		SplitKey:    cfg.SplitKey,
+		SplitNonKey: cfg.SplitNonKey,
+		Trace:       log.Trace,
+		CCLog:       log.CCLog,
+		Start:       log.Start,
+		JoinTime:    log.JoinTime,
+	})
 }

@@ -1,10 +1,17 @@
 package crowdfill
 
 import (
+	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"strings"
 	gosync "sync"
 	"testing"
+	"time"
+
+	"crowdfill/internal/model"
+	"crowdfill/internal/pay"
+	"crowdfill/internal/replay"
 )
 
 // paperOnce caches the representative run for the report tests.
@@ -178,7 +185,7 @@ func TestAuditRoundTrip(t *testing.T) {
 		t.Fatalf("audit final rows = %d, want %d", audit.FinalRows, res.FinalRows)
 	}
 	for w, want := range res.Alloc.PerWorker {
-		if got := audit.Pay[w]; got < want-0.1 || got > want+0.1 {
+		if got := audit.Pay[w]; math.Abs(got-want) > 1e-9 {
 			t.Fatalf("audit pay for %s = %v, live %v", w, got, want)
 		}
 		if st := audit.Statements[w]; !strings.Contains(st, "total") {
@@ -233,4 +240,136 @@ func TestCollectionExportTrace(t *testing.T) {
 		audit, err := Audit(s, data, "")
 		return err == nil && audit.Messages >= 3 // 1 CC insert + 2 fills (+ auto)
 	})
+}
+
+// lateJoinCollection runs spec s to completion with two in-process workers,
+// the second joining 250 ms after the first: alice fills row x, bob joins,
+// fills row y, and each upvotes the other's row.
+func lateJoinCollection(t *testing.T, s Spec) *Collection {
+	t.Helper()
+	coll, err := NewCollection(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coll.Close)
+	alice, err := coll.Connect("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return len(alice.Rows()) == 2 })
+	fillRow(t, alice, "x", "1")
+	time.Sleep(250 * time.Millisecond)
+	bob, err := coll.Connect("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillRow(t, bob, "y", "2")
+	upvote := func(w *Worker, key string) {
+		waitFor(t, func() bool {
+			for _, r := range w.Rows() {
+				if r.Complete && r.Cells[0] == key && w.Upvote(r.ID) == nil {
+					return true
+				}
+			}
+			return false
+		})
+	}
+	upvote(bob, "x")
+	upvote(alice, "y")
+	waitFor(t, coll.Done)
+	return coll
+}
+
+// TestAuditReproducesLivePay: the exported log carries the start and every
+// join time, and the spec carries the split factors, so auditing a live
+// collection whose second worker joined late pays exactly what the
+// collection pays.
+func TestAuditReproducesLivePay(t *testing.T) {
+	s := kvSpec()
+	s.Scheme = "dual-weighted"
+	s.SplitKey, s.SplitNonKey = 0.9, 0.9
+	coll := lateJoinCollection(t, s)
+	live, err := coll.ComputePay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := coll.ExportTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit, err := Audit(s, data, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(live) != 2 {
+		t.Fatalf("live pay = %v, want alice and bob", live)
+	}
+	for w, want := range live {
+		if got := audit.Pay[w]; math.Abs(got-want) > 1e-9 {
+			t.Errorf("audit pay for %s = %v, live %v", w, got, want)
+		}
+	}
+}
+
+// TestAuditLegacyTrace: a log without "start" and "joinTime", as exported
+// before they were recorded, still audits, and pays what the audit paid
+// then: the start taken from the first Central Client message, and every
+// worker joined at it.
+func TestAuditLegacyTrace(t *testing.T) {
+	s := kvSpec()
+	s.Scheme = "dual-weighted"
+	data, err := lateJoinCollection(t, s).ExportTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc["start"] == nil || doc["joinTime"] == nil {
+		t.Fatalf("exported log lacks start or joinTime: %s", data)
+	}
+	var log replay.Log
+	if err := json.Unmarshal(data, &log); err != nil {
+		t.Fatal(err)
+	}
+	delete(doc, "start")
+	delete(doc, "joinTime")
+	legacy, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit, err := Audit(s, legacy, "")
+	if err != nil {
+		t.Fatalf("Audit: %v", err)
+	}
+
+	cfg, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := replay.Rebuild(cfg.Schema, log.Trace, log.CCLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pay.Compute(pay.Input{
+		Schema: cfg.Schema,
+		Budget: cfg.Budget,
+		Scheme: cfg.Scheme,
+		Final:  model.FinalTable(rep.Table(), cfg.Score),
+		Trace:  log.Trace,
+		CCLog:  log.CCLog,
+		Start:  log.CCLog[0].TS,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(audit.Pay) != 2 || len(want.PerWorker) != 2 {
+		t.Fatalf("legacy audit pays %v, want %v", audit.Pay, want.PerWorker)
+	}
+	for w, amount := range want.PerWorker {
+		if got := audit.Pay[w]; got != amount {
+			t.Errorf("legacy audit pay for %s = %v, want %v", w, got, amount)
+		}
+	}
 }
