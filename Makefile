@@ -4,7 +4,7 @@ GO ?= go
 # or local deep runs override, e.g. `make fuzz-smoke FUZZTIME=5m`.
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint fuzz-smoke verify planes-loc loc bench-pair bench-e2e
+.PHONY: build test race vet lint lint-loc fuzz-smoke verify planes-loc loc bench-pair bench-e2e
 
 build:
 	$(GO) build ./...
@@ -20,12 +20,19 @@ race:
 
 # lint runs the crowdfill-lint invariant suite (internal/analysis) over the
 # whole module, with in-package _test.go files included: publishedmut,
-# locks, bufown, hotalloc, msgfield everywhere; simdet on the simulation
-# packages. -time prints load/analyze timing to stderr. `go test ./...` runs
-# the same suite (cmd/crowdfill-lint's TestModuleLintsClean); this target is
-# for the timing line and for reading findings in the linter's own format.
+# locks, bufown, msgfield everywhere; simdet on the simulation packages.
+# -time prints load/analyze timing to stderr. `go test ./...` runs the same
+# suite (cmd/crowdfill-lint's TestModuleLintsClean); this target is for the
+# timing line and for reading findings in the linter's own format. The
+# message path's allocation budget is held by testing.AllocsPerRun tests,
+# not by an analyzer.
 lint:
 	$(GO) run ./cmd/crowdfill-lint -tests -time
+
+# lint-loc prints the lint suite's non-test line count: internal/analysis
+# plus cmd/crowdfill-lint, analyzer testdata excluded.
+lint-loc:
+	@find internal/analysis cmd/crowdfill-lint -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
 
 # fuzz-smoke gives each native fuzz target a short budget on top of its
 # committed testdata/fuzz corpus (which plain `go test` already replays).

@@ -1,8 +1,9 @@
 // Command crowdfill-lint runs the internal/analysis invariant suite over the
-// module: publishedmut, locks, bufown, msgfield and hotalloc on every
-// package, simdet on the simulation packages, and a check that every
-// //lint: directive is one the suite reads. TestModuleLintsClean runs the
-// same suite inside `go test ./...`.
+// module: publishedmut, locks, bufown and msgfield on every package, simdet
+// on the simulation packages, and a check that every //lint: directive is
+// one the suite reads. TestModuleLintsClean runs the same suite inside
+// `go test ./...`. The message path's allocation budget is not a lint rule:
+// testing.AllocsPerRun tests in each package hold it.
 //
 // Usage:
 //
@@ -10,8 +11,8 @@
 //
 // With no arguments every buildable package in the module is checked. The
 // run is two-phase: every package loads (and type-checks) first, then the
-// analyzers run with the whole module visible — the call-graph analyzers
-// (locks, hotalloc) need cross-package summaries. With -tests each
+// analyzers run with the whole module visible — the call-graph analyzer
+// (locks) needs cross-package summaries. With -tests each
 // package's in-package _test.go files are type-checked and analyzed
 // alongside its regular sources.
 //
@@ -32,7 +33,6 @@ import (
 
 	"crowdfill/internal/analysis"
 	"crowdfill/internal/analysis/bufown"
-	"crowdfill/internal/analysis/hotalloc"
 	"crowdfill/internal/analysis/locks"
 	"crowdfill/internal/analysis/msgfield"
 	"crowdfill/internal/analysis/publishedmut"
@@ -80,7 +80,6 @@ func suite() []*analysis.Analyzer {
 		bufown.New(),
 		msgfield.New(),
 		simdet.New(),
-		hotalloc.New(),
 	}
 }
 
@@ -149,11 +148,10 @@ func run(analyzers []*analysis.Analyzer, paths []string, opts options) (int, err
 		findings = append(findings, finding{File: file, Line: pos.Line, Col: pos.Column, Analyzer: name, Message: d.Message})
 	}
 
-	// Phase 2: analyze. Allow filtering runs per package with the shared
-	// directive instances, so suppressions consumed inside global analyses
-	// (hotalloc's pruned call edges) are already marked used by the time
-	// the stale-directive check sees them. A directive the suite would not
-	// read is a finding of its own, outside any analyzer's allow.
+	// Phase 2: analyze. Allow filtering runs per package, after each
+	// analyzer, so a directive no finding used is reported stale. A
+	// directive the suite would not read is a finding of its own, outside
+	// any analyzer's allow.
 	names := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		names[a.Name] = true
@@ -162,7 +160,7 @@ func run(analyzers []*analysis.Analyzer, paths []string, opts options) (int, err
 		for _, d := range analysis.CheckDirectives(pkg.Fset, pkg.Files, names) {
 			emit("directive", d)
 		}
-		allows := shared.AllowsFor(pkg.Path)
+		allows := analysis.CollectAllows(pkg.Fset, pkg.Files)
 		for _, a := range analyzers {
 			if a.Name == "simdet" && !simPkgs[pkg.Path] {
 				continue

@@ -18,18 +18,24 @@
 // the flight-recorder dump (/debug/events), and net/http/pprof
 // (/debug/pprof/). Kept off the main listener so the serving port never
 // exposes profiling endpoints.
+//
+// Both listeners serve through server.NewHTTPServer, which closes a
+// connection that has not sent its request headers within
+// server.HTTPHeaderTimeout and a keep-alive connection idle for
+// server.HTTPIdleTimeout. A spec found running in the store at start-up is
+// marked interrupted: its collection did not survive the restart.
 package main
 
 import (
 	"flag"
 	"log"
 	"net"
-	"net/http"
 
 	"crowdfill/internal/docstore"
 	"crowdfill/internal/frontend"
 	"crowdfill/internal/marketplace"
 	"crowdfill/internal/metrics"
+	"crowdfill/internal/server"
 )
 
 func main() {
@@ -67,7 +73,7 @@ func main() {
 		go func() {
 			log.Printf("crowdfill-server: debug endpoints (metrics, events, pprof) on %s", debugLis.Addr())
 			// The operational plane stopping leaves the API serving.
-			if err := http.Serve(debugLis, metrics.Handler(nil, nil)); err != nil {
+			if err := server.NewHTTPServer(metrics.Handler(nil, nil)).Serve(debugLis); err != nil {
 				log.Printf("crowdfill-server: debug listener: %v", err)
 			}
 		}()
@@ -75,7 +81,7 @@ func main() {
 
 	log.Printf("crowdfill-server: REST API and WebSocket endpoints on %s", lis.Addr())
 	log.Printf("crowdfill-server: marketplace sandbox with %d pooled workers", *pool)
-	if err := http.Serve(lis, fe.Handler()); err != nil {
+	if err := server.NewHTTPServer(fe.Handler()).Serve(lis); err != nil {
 		log.Fatalf("crowdfill-server: %v", err)
 	}
 }

@@ -44,42 +44,25 @@ type Pass struct {
 	TypesInfo *types.Info
 	// Report records one finding.
 	Report func(Diagnostic)
-	// Shared carries whole-run state (every loaded package, their
-	// //lint:allow directives, memoized cross-package artifacts like the
-	// call graph). Never nil inside Run.
+	// Shared carries whole-run state (every loaded package, memoized
+	// cross-package artifacts like the call graph). Never nil inside Run.
 	Shared *Shared
 }
 
 // Shared is the whole-run state handed to every analyzer pass: the full set
-// of packages loaded for this lint/test invocation, their directives, and a
-// memo space for expensive cross-package artifacts (the call graph is built
-// once here and reused by locks and hotalloc). The driver builds one Shared
-// after loading everything and before running anything, so module-wide
-// analyses see the whole program.
+// of packages loaded for this lint/test invocation and a memo space for
+// expensive cross-package artifacts (the call graph locks walks is built
+// once here). The driver builds one Shared after loading everything and
+// before running anything, so module-wide analyses see the whole program.
 type Shared struct {
 	Packages []*Package
-	allows   map[string][]*Allow // package path -> directives
 	memo     map[string]any
 }
 
-// NewShared collects the //lint:allow directives of every package and
-// returns the run-wide state. The same Allow instances are returned by
-// AllowsFor and consumed by Filter, so Used marks set anywhere are visible
-// everywhere.
+// NewShared returns the run-wide state over pkgs.
 func NewShared(pkgs []*Package) *Shared {
-	s := &Shared{
-		Packages: pkgs,
-		allows:   make(map[string][]*Allow, len(pkgs)),
-		memo:     make(map[string]any),
-	}
-	for _, p := range pkgs {
-		s.allows[p.Path] = CollectAllows(p.Fset, p.Files)
-	}
-	return s
+	return &Shared{Packages: pkgs, memo: make(map[string]any)}
 }
-
-// AllowsFor returns the directives collected from one loaded package.
-func (s *Shared) AllowsFor(path string) []*Allow { return s.allows[path] }
 
 // Memo builds an artifact once per run and caches it under key.
 func (s *Shared) Memo(key string, build func() any) any {
@@ -99,7 +82,7 @@ type Finding struct {
 }
 
 // ModuleRun is the Run of an analyzer whose findings come from one memoized
-// pass over the whole module (the call-graph analyzers): compute runs once
+// pass over the whole module (locks, over the call graph): compute runs once
 // per run, and each package's pass reports the findings positioned in it.
 func ModuleRun(key string, compute func(*Shared) []Finding) func(*Pass) error {
 	return func(pass *Pass) error {
@@ -110,24 +93,6 @@ func ModuleRun(key string, compute func(*Shared) []Finding) func(*Pass) error {
 		}
 		return nil
 	}
-}
-
-// UseAllow reports whether a //lint:allow directive for the named analyzer
-// covers file:line, marking every matching directive used. Analyzers whose
-// suppression semantics act before diagnostics exist (hotalloc's pruned call
-// edges) consume directives through this instead of through Filter, so the
-// stale-directive check still accounts for them.
-func (s *Shared) UseAllow(analyzer, file string, line int) bool {
-	used := false
-	for _, list := range s.allows {
-		for _, a := range list {
-			if a.Analyzer == analyzer && a.File == file && a.Line == line {
-				a.Used = true
-				used = true
-			}
-		}
-	}
-	return used
 }
 
 // Reportf formats and reports a finding at pos.

@@ -47,8 +47,7 @@ func runOne(t *testing.T, dir, name string, a *analysis.Analyzer) {
 		t.Fatalf("%s: %v", name, err)
 	}
 	// One Shared per testdata package: interprocedural analyzers see just
-	// this package, and directives consumed via Shared.UseAllow (hotalloc's
-	// pruned call edges) stay visible to Filter's stale-directive check.
+	// this package.
 	shared := analysis.NewShared([]*analysis.Package{pkg})
 	raw, err := analysis.RunAnalyzer(a, pkg, shared)
 	if err != nil {
@@ -57,8 +56,7 @@ func runOne(t *testing.T, dir, name string, a *analysis.Analyzer) {
 	if a.Finish != nil {
 		a.Finish(func(d analysis.Diagnostic) { raw = append(raw, d) })
 	}
-	allows := shared.AllowsFor(pkg.Path)
-	kept, extras := analysis.Filter(pkg.Fset, allows, a.Name, raw)
+	kept, extras := analysis.Filter(pkg.Fset, analysis.CollectAllows(pkg.Fset, pkg.Files), a.Name, raw)
 	diags := append(kept, extras...)
 
 	wants := collectWants(t, pkg.Fset, pkg.Files)

@@ -1,6 +1,6 @@
 // Package callgraph builds a module-wide call graph with per-function
-// summaries, the interprocedural substrate under the locks and hotalloc
-// analyzers (DESIGN.md §13).
+// summaries, the interprocedural substrate under the locks analyzer
+// (DESIGN.md §13).
 //
 // The graph covers every function declaration in the packages of one
 // analysis run (analysis.Shared). Call edges are static: direct calls and
@@ -14,8 +14,8 @@
 // run there.
 //
 // Each function gets a scanner pass (scan.go) that records events — lock
-// acquisitions by qualified mutex identity, blocking leaf operations,
-// allocation sites, call sites — each with a snapshot of the locks held at
+// acquisitions by qualified mutex identity, blocking leaf operations, call
+// sites — each with a snapshot of the locks held at
 // that point, computed by a branch-cloning walk. A fixed point over call
 // edges then derives per-function summaries: does the function
 // (transitively) block, and which locks does it (transitively) acquire.
@@ -26,7 +26,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 
 	"crowdfill/internal/analysis"
 )
@@ -61,10 +60,6 @@ const (
 	// KCall is a call site with statically resolved candidate callees (or
 	// Dynamic when unresolvable).
 	KCall
-	// KAlloc is an allocation site: composite literal, make/new, fresh-slice
-	// append, closure, go statement, string conversion/concat, interface
-	// boxing, allocating stdlib call.
-	KAlloc
 )
 
 // Event is one scanner observation inside a function body.
@@ -75,8 +70,8 @@ type Event struct {
 	Held []Lock
 	// Lock is the acquired mutex (KAcquire only).
 	Lock Lock
-	// What describes the event: the blocking operation (KBlock, phrased
-	// exactly as locks reports it) or what allocates (KAlloc).
+	// What is the blocking operation (KBlock), phrased exactly as locks
+	// reports it.
 	What string
 	// Callees holds candidate callee node keys (KCall).
 	Callees []string
@@ -85,8 +80,8 @@ type Event struct {
 	// Dynamic marks a call through a function value (unresolvable).
 	Dynamic bool
 	// Deferred marks a deferred call: it runs at return time, so held-state
-	// checks do not apply, but its lock/alloc footprint still belongs to
-	// the function's summary.
+	// checks do not apply, but its lock footprint still belongs to the
+	// function's summary.
 	Deferred bool
 }
 
@@ -108,8 +103,6 @@ type Summary struct {
 	BlockVia []string
 	// Acquires maps lock key → acquisition info, transitively.
 	Acquires map[string]Acq
-	// Allocates is set when the function may allocate (transitively).
-	Allocates bool
 }
 
 // Node is one function declaration in the graph.
@@ -120,10 +113,8 @@ type Node struct {
 	Display string
 	PkgPath string
 	Decl    *ast.FuncDecl
-	// Hot is set when the declaration's doc comment carries //lint:hotpath.
-	Hot    bool
-	Events []Event
-	Sum    Summary
+	Events  []Event
+	Sum     Summary
 }
 
 // Graph is the module-wide call graph for one analysis run.
@@ -195,7 +186,6 @@ func build(shared *analysis.Shared) *Graph {
 					Display: displayName(fn),
 					PkgPath: pkg.Path,
 					Decl:    fd,
-					Hot:     hasHotpathDirective(fd),
 				}
 				g.Nodes[key] = n
 				g.byPkg[pkg.Path] = append(g.byPkg[pkg.Path], n)
@@ -224,7 +214,7 @@ func build(shared *analysis.Shared) *Graph {
 	for _, pkg := range shared.Packages {
 		for _, n := range g.byPkg[pkg.Path] {
 			sc := &scanner{pkg: pkg, graph: g, node: n}
-			sc.scanFunc()
+			sc.walkStmts(n.Decl.Body.List, &[]Lock{})
 		}
 	}
 
@@ -272,20 +262,6 @@ func namedName(t types.Type) string {
 		return named.Obj().Name()
 	}
 	return ""
-}
-
-const hotpathDirective = "//lint:hotpath"
-
-func hasHotpathDirective(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if c.Text == hotpathDirective || strings.HasPrefix(c.Text, hotpathDirective+" ") {
-			return true
-		}
-	}
-	return false
 }
 
 // implementers returns the node keys of the module methods satisfying an
@@ -413,8 +389,6 @@ func (g *Graph) propagate() {
 					n.Sum.Blocks = true
 					n.Sum.BlockWhat = ev.What
 				}
-			case KAlloc:
-				n.Sum.Allocates = true
 			}
 		}
 	}
@@ -443,10 +417,6 @@ func (g *Graph) propagate() {
 						n.Sum.Blocks = true
 						n.Sum.BlockWhat = c.Sum.BlockWhat
 						n.Sum.BlockVia = append([]string{c.Display}, c.Sum.BlockVia...)
-						changed = true
-					}
-					if c.Sum.Allocates && !n.Sum.Allocates {
-						n.Sum.Allocates = true
 						changed = true
 					}
 				}

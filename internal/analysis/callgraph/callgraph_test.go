@@ -73,29 +73,6 @@ func TestTransitiveAcquires(t *testing.T) {
 	}
 }
 
-func TestHotAnnotationAndAllocation(t *testing.T) {
-	g := loadG(t)
-	if !node(t, g, "g.hotRoot").Hot {
-		t.Error("hotRoot not marked Hot despite //lint:hotpath doc directive")
-	}
-	for _, key := range []string{"g.grow", "g.srvT.blockLeaf"} {
-		if n := node(t, g, key); n.Hot {
-			t.Errorf("%s marked Hot without a directive", key)
-		}
-	}
-	// Amortized self-append is not an allocation; a fresh slice literal is.
-	if n := node(t, g, "g.grow"); n.Sum.Allocates {
-		t.Errorf("grow (amortized append) marked allocating: %+v", n.Events)
-	}
-	if n := node(t, g, "g.fresh"); !n.Sum.Allocates {
-		t.Error("fresh (slice literal) not marked allocating")
-	}
-	// hotRoot inherits grow's (clean) footprint.
-	if n := node(t, g, "g.hotRoot"); n.Sum.Allocates {
-		t.Error("hotRoot marked allocating through amortized grow")
-	}
-}
-
 func TestInterfaceResolution(t *testing.T) {
 	g := loadG(t)
 	n := node(t, g, "g.callIface")

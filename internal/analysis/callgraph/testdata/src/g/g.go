@@ -1,8 +1,7 @@
 // Package g exercises the call-graph builder directly: per-function
-// summaries (blocking with via chains, transitive lock acquisition,
-// may-allocate), hotpath annotation, interface resolution to module
-// implementers, and the held-lock snapshot at a call site that nests a
-// callee's acquisition.
+// summaries (blocking with via chains, transitive lock acquisition),
+// interface resolution to module implementers, and the held-lock snapshot at
+// a call site that nests a callee's acquisition.
 package g
 
 import "sync"
@@ -29,19 +28,6 @@ func (l *logT) wrap() { l.acquireLeaf() }
 func (s *srvT) blockLeaf() { s.ch <- 1 }
 
 func (s *srvT) blockWrap() { s.blockLeaf() }
-
-//lint:hotpath
-func hotRoot(dst []byte) []byte { return grow(dst) }
-
-// grow is the amortized append shape: not an allocation.
-func grow(dst []byte) []byte { return append(dst, 0) }
-
-// fresh builds a new slice: allocates.
-func fresh(xs []int) []int {
-	out := []int{}
-	out = append(out, xs...)
-	return out
-}
 
 type pinger interface{ Ping() }
 

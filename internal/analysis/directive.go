@@ -118,10 +118,10 @@ func Filter(fset *token.FileSet, allows []*Allow, analyzer string, diags []Diagn
 	return kept, extras
 }
 
-// directiveWords is the //lint: vocabulary: allow (suppressions), hotpath
-// (hotalloc's roots), nonblocking and before (the locks policy on mutex
-// fields). Any other word is a typo that would silently switch a rule off.
-var directiveWords = map[string]bool{"allow": true, "hotpath": true, "nonblocking": true, "before": true}
+// directiveWords is the //lint: vocabulary: allow (suppressions),
+// nonblocking and before (the locks policy on mutex fields). Any other word
+// is a typo that would silently switch a rule off.
+var directiveWords = map[string]bool{"allow": true, "nonblocking": true, "before": true}
 
 // CheckDirectives reports the //lint: comments the suite would otherwise
 // ignore: an unknown directive word, and an allow naming no analyzer in

@@ -33,7 +33,7 @@ func a() {
 	_ = 1 //lint:allow simdet inline covers its own line
 	//lint:allow bufown standalone covers the next line
 	_ = 2
-	_ = 3 //lint:allow hotalloc reason text // trailing comment is not justification
+	_ = 3 //lint:allow locks reason text // trailing comment is not justification
 }
 `
 	fset, allows := parseSrc(t, src)
@@ -51,7 +51,7 @@ func a() {
 	if a := byAnalyzer["bufown"]; a.Line != 6 {
 		t.Errorf("standalone directive covers line %d, want the next line 6", a.Line)
 	}
-	if a := byAnalyzer["hotalloc"]; a.Justification != "reason text" {
+	if a := byAnalyzer["locks"]; a.Justification != "reason text" {
 		t.Errorf("justification = %q, want the nested // comment cut off", a.Justification)
 	}
 }
@@ -82,9 +82,9 @@ func TestMultiAnalyzerSameLine(t *testing.T) {
 	}
 	// A Filter run for an analyzer with no diagnostics must not consume or
 	// complain about the other analyzers' directives.
-	kept, extras = Filter(fset, allows, "hotalloc", nil)
+	kept, extras = Filter(fset, allows, "bufown", nil)
 	if len(kept) != 0 || len(extras) != 0 {
-		t.Fatalf("hotalloc: kept=%v extras=%v, want no cross-analyzer effects", kept, extras)
+		t.Fatalf("bufown: kept=%v extras=%v, want no cross-analyzer effects", kept, extras)
 	}
 }
 
@@ -109,44 +109,18 @@ func TestStaleWhenFindingMoves(t *testing.T) {
 	}
 }
 
-// TestUseAllowFeedsStaleCheck: a directive consumed through Shared.UseAllow
-// (hotalloc's pruned call edges act before diagnostics exist) is marked used
-// for the later Filter pass; untouched directives still go stale.
-func TestUseAllowFeedsStaleCheck(t *testing.T) {
-	fset := token.NewFileSet()
-	allows := []*Allow{
-		{Analyzer: "hotalloc", Justification: "pruned edge", File: "f.go", Line: 3},
-		{Analyzer: "hotalloc", Justification: "never consumed", File: "f.go", Line: 9},
-	}
-	s := &Shared{allows: map[string][]*Allow{"p": allows}, memo: map[string]any{}}
-	if !s.UseAllow("hotalloc", "f.go", 3) {
-		t.Fatal("UseAllow did not match the covering directive")
-	}
-	if s.UseAllow("hotalloc", "f.go", 4) {
-		t.Fatal("UseAllow matched an uncovered line")
-	}
-	if s.UseAllow("locks", "f.go", 3) {
-		t.Fatal("UseAllow matched a different analyzer's directive")
-	}
-	_, extras := Filter(fset, allows, "hotalloc", nil)
-	if len(extras) != 1 {
-		t.Fatalf("extras = %+v, want exactly the untouched directive stale", extras)
-	}
-}
-
 // TestCheckDirectives: every //lint: comment names a directive the suite
 // reads, and every allow names an analyzer it runs; anything else would be
 // ignored in silence — a misspelt nonblocking un-guards a lock, an allow for
 // a retired analyzer suppresses nothing and never goes stale.
 func TestCheckDirectives(t *testing.T) {
-	suite := map[string]bool{"locks": true, "hotalloc": true, "simdet": true}
+	suite := map[string]bool{"locks": true, "bufown": true, "simdet": true}
 	cases := []struct {
 		name, line string
 		want       string // "" = no finding
 	}{
 		{"allow", "_ = 1 //lint:allow simdet seeded", ""},
 		{"allow with tab", "_ = 1 //lint:allow\tsimdet seeded", ""},
-		{"hotpath with argument", "//lint:hotpath feed", ""},
 		{"nonblocking", "//lint:nonblocking", ""},
 		{"before", "//lint:before bcastLog.mu", ""},
 		{"prose mentioning a directive", "// a //lint:nonblock in prose is not a directive", ""},

@@ -298,8 +298,6 @@ func (c *Client) UndoVote(v model.Vector) (sync.Message, error) {
 }
 
 // VotedOn reports whether this worker has an outstanding vote on the value.
-//
-//lint:hotpath
 func (c *Client) VotedOn(v model.Vector) bool { return c.vote(v) != votedNone }
 
 // VoteDirection returns +1 (upvoted), -1 (downvoted), or 0 (no outstanding

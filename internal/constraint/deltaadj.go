@@ -201,14 +201,14 @@ func (e *deltaAdj) removeTemplate(t int) {
 // one bucket, so no class is visited twice.
 func (e *deltaAdj) candidateClasses(v model.Vector, visit func(c int)) {
 	for _, c := range e.always {
-		visit(c) //lint:allow hotalloc non-escaping visit callback over index buckets
+		visit(c)
 	}
 	for col, cell := range v {
 		if !cell.Set {
 			continue
 		}
 		for _, c := range e.byEq[eqKey{col: col, val: cell.Val}] {
-			visit(c) //lint:allow hotalloc non-escaping visit callback over index buckets
+			visit(c)
 		}
 	}
 }
@@ -253,7 +253,7 @@ func (e *deltaAdj) insertAdj(c, s int) {
 // it gets a new slot, and the repair's re-validation finds it by id — as the
 // spec's seeding would.
 func (e *deltaAdj) compact() {
-	dead := make([]bool, len(e.slots)) //lint:allow hotalloc compaction amortizes to O(1) per delta; the scratch bitmap is its one allocation
+	dead := make([]bool, len(e.slots))
 	for s, r := range e.slots {
 		if r != nil && !e.live[s] {
 			dead[s] = true
@@ -295,7 +295,6 @@ func (e *deltaAdj) ProbableAdded(r *model.Row) {
 	}
 	s := e.allocSlot(r)
 	e.candidateClasses(r.Vec,
-		//lint:allow hotalloc non-escaping visit callback
 		func(c int) {
 			if e.p.tmpl.MatchCandidate(e.classRow[c], r.Vec) {
 				e.insertAdj(c, s)

@@ -163,8 +163,6 @@ func (p *Planner) Unmatched() int { return p.unmatched }
 // and assignments. When nothing is dirty every active template still holds
 // a probable row: the spec would seed them all, augment nothing and plan
 // nothing, so the repair returns.
-//
-//lint:hotpath
 func (p *Planner) Repair(rep *sync.Replica) []Action {
 	p.Repairs++
 	// Flush the index so every delta up to the replica's current state has
@@ -209,15 +207,13 @@ func (p *Planner) Repair(rep *sync.Replica) []Action {
 	// repair, which augments it onto the inserted row.
 	var actions []Action
 	for _, t := range free {
-		//lint:allow hotalloc insertion planning runs only for freed template rows (the rare augment ladder), off the per-delta path
 		if p.insertable(rep, t) {
-			actions = append(actions, p.insertAction(t)) //lint:allow hotalloc seeding an insert action is rare-path work for a freed template row
+			actions = append(actions, p.insertAction(t))
 			e.markDirty(t)
 			continue
 		}
 		shuffled := false
 		for t2 := range p.tmpl.Rows {
-			//lint:allow hotalloc insertion planning runs only for freed template rows (the rare augment ladder), off the per-delta path
 			if t2 == t || p.removed[t2] || e.matchT[t2] == -1 || !p.insertable(rep, t2) {
 				continue
 			}
@@ -225,7 +221,7 @@ func (p *Planner) Repair(rep *sync.Replica) []Action {
 			e.unmatch(t2)
 			p.Augments++
 			if e.augment(t) {
-				actions = append(actions, p.insertAction(t2)) //lint:allow hotalloc seeding an insert action is rare-path work for a freed template row
+				actions = append(actions, p.insertAction(t2))
 				e.markDirty(t2)
 				shuffled = true
 				break
@@ -238,7 +234,7 @@ func (p *Planner) Repair(rep *sync.Replica) []Action {
 		p.removed[t] = true
 		p.active = Template{}
 		p.Removals++
-		e.removeTemplate(t) //lint:allow hotalloc template removal is the last-resort action (section 4.2), not the per-delta path
+		e.removeTemplate(t)
 		actions = append(actions, Action{Kind: ActionRemoveTemplate, Template: t})
 	}
 	p.unmatched = len(e.dirty)

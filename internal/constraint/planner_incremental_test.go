@@ -563,6 +563,25 @@ func TestPlannerIncrementalRepairNoAllocs(t *testing.T) {
 		}
 		unvote(other)
 	}
+
+	// The same budget as testing.AllocsPerRun reads it, over whole rounds:
+	// a repair with nothing dirty, then one that re-augments the template
+	// onto the other row, votes included.
+	held := 0
+	if n := testing.AllocsPerRun(100, func() {
+		p.Repair(rep)
+		vote(1 - held)
+		if acts := p.Repair(rep); len(acts) != 0 {
+			t.Fatalf("re-augment planned %v", acts)
+		}
+		unvote(1 - held)
+		held = 1 - held
+	}); n != 0 {
+		t.Errorf("Planner.Repair rounds: %v allocs/op, want 0", n)
+	}
+	if p.AssignedRow(0) != rows[held] {
+		t.Fatalf("after the rounds template 0 holds %q, want %q", p.AssignedRow(0), rows[held])
+	}
 }
 
 // TestProbableAddedAllocsIndependentOfClassSize: a new probable row that

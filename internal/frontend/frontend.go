@@ -23,7 +23,7 @@ import (
 // specDoc is the stored form of a specification and its lifecycle state.
 type specDoc struct {
 	Spec   spec.TableSpec `json:"spec"`
-	Status string         `json:"status"` // "draft", "running", "done", "paid"
+	Status string         `json:"status"` // "draft", "running", "interrupted", "done", "paid"
 	HITID  string         `json:"hitId,omitempty"`
 }
 
@@ -48,16 +48,39 @@ type Frontend struct {
 	maxWorkers int
 }
 
-// New builds a front-end over a document store and a marketplace.
+// New builds a front-end over a document store and a marketplace. A spec
+// the store holds as running is marked interrupted: its collection lived in
+// a process that is gone.
 func New(store *docstore.Store, market *marketplace.Marketplace, maxWorkers int) *Frontend {
 	if maxWorkers <= 0 {
 		maxWorkers = 10
 	}
-	return &Frontend{
+	f := &Frontend{
 		store:      store,
 		market:     market,
 		running:    make(map[string]*server.NetServer),
 		maxWorkers: maxWorkers,
+	}
+	f.interruptOrphans()
+	return f
+}
+
+// interruptOrphans flips every spec stored as running to interrupted and
+// persists it. No NetServer backs such a spec in this process, so left
+// running its status would never change, its socket would answer 404 and
+// DELETE would refuse it.
+func (f *Frontend) interruptOrphans() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, d := range f.specs().All() {
+		var sd specDoc
+		if err := d.Decode(&sd); err != nil || sd.Status != "running" {
+			continue
+		}
+		sd.Status = "interrupted"
+		// A failed write still flips the spec in this process; the file
+		// keeps it running, and the next start-up flips it again.
+		_ = f.specs().Put(d.ID, sd)
 	}
 }
 

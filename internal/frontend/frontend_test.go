@@ -429,6 +429,7 @@ func TestSpecsPersistAcrossRestart(t *testing.T) {
 		t.Fatalf("create: %d", code)
 	}
 	id := out["id"].(string)
+	runningID, wsPath := started(t, srv.URL)
 	srv.Close()
 
 	store2, err := docstore.Open(path)
@@ -444,6 +445,45 @@ func TestSpecsPersistAcrossRestart(t *testing.T) {
 	}
 	if out["status"] != "draft" {
 		t.Fatalf("status after restart = %v", out["status"])
+	}
+
+	// A spec that was running lost its collection with the process: the
+	// spec, its status and the spec list read interrupted, the store holds
+	// it so, and it can be deleted.
+	if code, out := doJSON(t, "GET", srv2.URL+"/api/specs/"+runningID, nil); code != http.StatusOK || out["status"] != "interrupted" {
+		t.Fatalf("running spec after restart = %d %v, want interrupted", code, out)
+	}
+	if code, out := doJSON(t, "GET", srv2.URL+"/api/specs/"+runningID+"/status", nil); code != http.StatusOK || out["status"] != "interrupted" {
+		t.Fatalf("status of the running spec after restart = %d %v, want interrupted", code, out)
+	}
+	resp, err := http.Get(srv2.URL + "/api/specs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list []map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	statuses := map[any]any{}
+	for _, s := range list {
+		statuses[s["id"]] = s["status"]
+	}
+	if statuses[id] != "draft" || statuses[runningID] != "interrupted" {
+		t.Fatalf("spec list after restart = %v, want %s draft and %s interrupted", list, id, runningID)
+	}
+	var sd specDoc
+	if err := store2.Collection("specs").Get(runningID, &sd); err != nil || sd.Status != "interrupted" {
+		t.Fatalf("stored spec after restart = %+v, %v; want interrupted", sd, err)
+	}
+	if resp, err := http.Get(srv2.URL + wsPath + "?worker=w1"); err != nil || resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("socket of the interrupted spec = %v, %v; want 404", resp, err)
+	} else {
+		resp.Body.Close()
+	}
+	if code, out := doJSON(t, "DELETE", srv2.URL+"/api/specs/"+runningID, nil); code != http.StatusOK {
+		t.Fatalf("delete interrupted spec = %d %v", code, out)
 	}
 }
 

@@ -8,11 +8,10 @@
 // Two disciplines shape the API:
 //
 //   - Observation is allocation-free. Counter.Inc/Add, Gauge.Set/Add, and
-//     Histogram.Observe are //lint:hotpath roots — the hotalloc analyzer
-//     proves they allocate nothing, so server hot paths (publish, flush,
-//     frame I/O) may call them freely. Registration (Registry.Counter and
-//     friends) allocates and locks; it happens once at construction time,
-//     never per event.
+//     Histogram.Observe allocate nothing (TestObserveAllocs), so server hot
+//     paths (publish, flush, frame I/O) may call them freely. Registration
+//     (Registry.Counter and friends) allocates and locks; it happens once
+//     at construction time, never per event.
 //
 //   - Instruments are process-shareable. Registering the same name twice
 //     returns the same instrument (get-or-create), so every collection in a
@@ -39,13 +38,9 @@ type Counter struct {
 }
 
 // Inc adds one.
-//
-//lint:hotpath
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n.
-//
-//lint:hotpath
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
@@ -57,13 +52,9 @@ type Gauge struct {
 }
 
 // Set stores v.
-//
-//lint:hotpath
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Add adjusts the gauge by delta (negative to decrease).
-//
-//lint:hotpath
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Value returns the current value.
@@ -124,15 +115,11 @@ func newShardedCounter(n int) *ShardedCounter {
 
 // Add adds n to the given shard. Any shard value is safe: it is masked into
 // range, so callers may use a free-running connection sequence number.
-//
-//lint:hotpath
 func (c *ShardedCounter) Add(shard uint32, n uint64) {
 	c.cells[shard&c.mask].v.Add(n)
 }
 
 // Inc adds one to the given shard.
-//
-//lint:hotpath
 func (c *ShardedCounter) Inc(shard uint32) {
 	c.cells[shard&c.mask].v.Add(1)
 }

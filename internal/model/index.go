@@ -336,7 +336,7 @@ func (x *TableIndex) flush() {
 		}
 		delete(x.dirtyFree, id)
 		r, ok := x.free[id]
-		want := ok && x.f(r.Up, r.Down) == 0 //lint:allow hotalloc x.f is the configured probability scorer, a pure arithmetic function
+		want := ok && x.f(r.Up, r.Down) == 0
 		if prev, in := x.probable[id]; in != want {
 			if want {
 				x.probable[id] = r
@@ -387,7 +387,7 @@ func (x *TableIndex) flushKey(k string) bool {
 
 	var st KeyStat
 	for _, r := range group {
-		score := x.f(r.Up, r.Down) //lint:allow hotalloc x.f is the configured probability scorer, a pure arithmetic function
+		score := x.f(r.Up, r.Down)
 		if score <= 0 {
 			continue
 		}
@@ -415,7 +415,7 @@ func (x *TableIndex) flushKey(k string) bool {
 	}
 
 	for _, r := range group {
-		score := x.f(r.Up, r.Down) //lint:allow hotalloc x.f is the configured probability scorer, a pure arithmetic function
+		score := x.f(r.Up, r.Down)
 		var want bool
 		switch {
 		case score == 0:

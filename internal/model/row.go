@@ -148,18 +148,16 @@ func (c *Candidate) unindex(r *Row) {
 // EachWithValue calls fn for every row whose value equals v, using the value
 // index (vote application's equality case, §2.4). The lookup itself is pure
 // and allocation-free.
-//
-//lint:hotpath
 func (c *Candidate) EachWithValue(v Vector, fn func(*Row)) {
 	set, ok := c.byValue.Get(v.Hashed())
 	if !ok {
 		return
 	}
 	if set.first != nil {
-		fn(set.first) //lint:allow hotalloc the visitor is the caller's; the lookup is what this root guards
+		fn(set.first)
 	}
 	for _, r := range set.more {
-		fn(r) //lint:allow hotalloc the visitor is the caller's; the lookup is what this root guards
+		fn(r)
 	}
 }
 

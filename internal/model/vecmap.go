@@ -50,8 +50,6 @@ const unsetCellHash = 0x6a09e667f3bcc908
 // folded in position order. Each step of the fold is a bijection of the
 // running hash, so two vectors of one width that differ in a single cell
 // share a hash only when those two cells do.
-//
-//lint:hotpath
 func (v Vector) Hashed() HashedVec {
 	h := uint64(len(v))
 	for _, c := range v {
@@ -106,7 +104,7 @@ func (m *VecMap[V]) Set(k HashedVec, val V) {
 			return
 		}
 	}
-	head.next = &vecEntry[V]{vec: k.vec, val: val, next: head.next} //lint:allow hotalloc a second vector under one hash chains a node; the seeded hash makes this chance, not traffic
+	head.next = &vecEntry[V]{vec: k.vec, val: val, next: head.next}
 	m.m[k.sum] = head
 	m.n++
 }

@@ -151,8 +151,6 @@ const KeyScratch = 128
 // AppendKey appends Encode's key bytes to dst and returns the extended
 // slice, so a key can be built in a stack buffer and compared, or used to
 // index a map with m[string(b)], without materializing the string.
-//
-//lint:hotpath
 func (v Vector) AppendKey(dst []byte) []byte {
 	for _, c := range v {
 		dst = appendCell(dst, c)

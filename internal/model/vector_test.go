@@ -165,11 +165,19 @@ func TestVectorString(t *testing.T) {
 var keySink string
 
 // TestVectorKeyAllocs pins the key paths' share of the message path's
-// allocation budget: a key string costs exactly one allocation, and a lookup
-// by value — hashed where the cells lie — costs none.
+// allocation budget: a key string costs exactly one allocation, its bytes
+// appended into a buffer that holds them cost none, and a lookup by value —
+// hashed where the cells lie — costs none.
 func TestVectorKeyAllocs(t *testing.T) {
 	s := MustSchema("P", []Column{{Name: "name"}, {Name: "nat"}, {Name: "pos"}}, "name", "nat")
 	v := VectorOf("Lionel Messi", "Argentina", "FW")
+	buf := make([]byte, 0, KeyScratch)
+	if n := testing.AllocsPerRun(100, func() { buf = v.AppendKey(buf[:0]) }); n != 0 {
+		t.Errorf("Vector.AppendKey: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { hashSink = v.Hashed() }); n != 0 {
+		t.Errorf("Vector.Hashed: %v allocs/op, want 0", n)
+	}
 	if n := testing.AllocsPerRun(100, func() { keySink = v.Encode() }); n != 1 {
 		t.Errorf("Vector.Encode: %v allocs/op, want 1", n)
 	}

@@ -195,8 +195,6 @@ func (p *Poller) enqueue(d *Desc) {
 // kernel is re-armed another worker may be dispatched. Returns a non-nil
 // error when the kernel refused (connection closed under us) — the handler
 // must tear the connection down then. A no-op on deregistered descriptors.
-//
-//lint:hotpath
 func (d *Desc) Rearm() error {
 	if !d.state.CompareAndSwap(descRunning, descIdle) {
 		return nil // deregistered mid-dispatch; teardown owns the conn now

@@ -33,8 +33,6 @@ func New[T any](depth func(delta int)) *Queue[T] {
 
 // Push appends items and wakes idle workers. Pushes after Close are dropped:
 // shutdown tears every connection down anyway.
-//
-//lint:hotpath
 func (q *Queue[T]) Push(items ...T) {
 	if len(items) == 0 {
 		return
@@ -51,7 +49,7 @@ func (q *Queue[T]) Push(items ...T) {
 	}
 	q.q = append(q.q, items...)
 	if q.depth != nil {
-		q.depth(len(items)) //lint:allow hotalloc the depth hook is a gauge's atomic add
+		q.depth(len(items))
 	}
 	if len(items) == 1 {
 		q.cond.Signal()
@@ -63,8 +61,6 @@ func (q *Queue[T]) Push(items ...T) {
 
 // Pop blocks until an item is available and returns it; ok is false once the
 // queue is closed and empty.
-//
-//lint:hotpath
 func (q *Queue[T]) Pop() (item T, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -79,7 +75,7 @@ func (q *Queue[T]) Pop() (item T, ok bool) {
 	q.q[q.head] = zero
 	q.head++
 	if q.depth != nil {
-		q.depth(-1) //lint:allow hotalloc the depth hook is a gauge's atomic add
+		q.depth(-1)
 	}
 	return item, true
 }

@@ -58,8 +58,6 @@ func (t *denomTracker) isProbable(id model.RowID) bool {
 }
 
 // hasVec reports whether some probable row carries exactly vector v.
-//
-//lint:hotpath
 func (t *denomTracker) hasVec(v model.Vector) bool {
 	_, ok := t.byVec.Get(v.Hashed())
 	return ok
@@ -113,7 +111,6 @@ func (t *denomTracker) setSurplus(r *model.Row) {
 
 // --- model.ProbableDeltaListener ---
 
-//lint:hotpath
 func (t *denomTracker) ProbableAdded(r *model.Row) {
 	if _, ok := t.probable[r.ID]; ok {
 		return
@@ -134,7 +131,6 @@ func (t *denomTracker) ProbableAdded(r *model.Row) {
 	}
 }
 
-//lint:hotpath
 func (t *denomTracker) ProbableRemoved(r *model.Row) {
 	if _, ok := t.probable[r.ID]; !ok {
 		return
@@ -163,7 +159,6 @@ func (t *denomTracker) ProbableRemoved(r *model.Row) {
 	}
 }
 
-//lint:hotpath
 func (t *denomTracker) ProbableUpdated(r *model.Row) {
 	if _, ok := t.probable[r.ID]; !ok {
 		return

@@ -243,6 +243,25 @@ func TestEstimatorHotPathAllocs(t *testing.T) {
 	if !tr.hasVec(rows[50].Vec) || tr.nCons != 0 {
 		t.Fatalf("after the adds: hasVec = %v, nCons = %d; want true, 0", tr.hasVec(rows[50].Vec), tr.nCons)
 	}
+
+	// A vote moving a probable row's |U| surplus in and out costs nothing,
+	// and neither does a probable row leaving.
+	r := rows[0]
+	if n := testing.AllocsPerRun(100, func() {
+		r.Up = tr.umin + 1
+		tr.ProbableUpdated(r)
+		r.Up = 0
+		tr.ProbableUpdated(r)
+	}); n != 0 {
+		t.Errorf("denomTracker.ProbableUpdated: %v allocs/op, want 0", n)
+	}
+	i = 0
+	if n := testing.AllocsPerRun(100, func() { tr.ProbableRemoved(rows[i]); i++ }); n != 0 {
+		t.Errorf("denomTracker.ProbableRemoved: %v allocs/op, want 0", n)
+	}
+	if tr.hasVec(rows[50].Vec) || tr.nCons != 1 {
+		t.Fatalf("after the removals: hasVec = %v, nCons = %d; want false, 1", tr.hasVec(rows[50].Vec), tr.nCons)
+	}
 }
 
 // TestDenomTrackerDownvoteCovers pins the |D| maintenance rules: a downvote

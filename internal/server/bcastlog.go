@@ -271,8 +271,6 @@ func (l *bcastLog) close() {
 // drainBatch copies up to len(out) records past fc's cursor and advances it,
 // without blocking: at the head it returns 0, nil. It is the only way to
 // follow the log, and only the flusher holding fc in flight calls it.
-//
-//lint:hotpath
 func (l *bcastLog) drainBatch(fc *flushConn, out []Broadcast) (int, error) {
 	l.mu.RLock()
 	if fc.lagged || fc.state == fcGone {

@@ -121,3 +121,29 @@ func TestBcastLogConcurrentFollowers(t *testing.T) {
 		}
 	}
 }
+
+// TestDrainBatchAllocs pins the flusher's read of the log: copying a record
+// past a cursor and advancing it allocates nothing.
+func TestDrainBatchAllocs(t *testing.T) {
+	const runs = 100
+	l := newBcastLog(2*runs, nil, nil)
+	defer l.close()
+	fc := follow(l, nil)
+	for i := 0; i < runs+1; i++ { // AllocsPerRun adds one warm-up call
+		l.publish([]Broadcast{testRec(i)})
+	}
+	out := make([]Broadcast, 1)
+	drained := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		k, err := l.drainBatch(fc, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drained += k
+	}); n != 0 {
+		t.Errorf("drainBatch: %v allocs/op, want 0", n)
+	}
+	if drained != runs+1 {
+		t.Fatalf("drained %d records, want %d", drained, runs+1)
+	}
+}

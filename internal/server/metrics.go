@@ -90,9 +90,9 @@ const msgTypeSlots = int(sync.MsgUndownvote) + 1
 // into a metrics.Registry and a flight recorder. A nil *Metrics disables
 // instrumentation: every observe method is a nil-receiver no-op.
 //
-// The observe methods on the publish/flush paths are //lint:hotpath roots:
-// hotalloc proves them transitively allocation-free, so they may sit on the
-// zero-alloc serving paths.
+// The observe methods on the publish/flush paths allocate nothing
+// (TestMetricsObserversAllocFree), so they may sit on the zero-alloc serving
+// paths.
 type Metrics struct {
 	rec *metrics.Recorder
 
@@ -253,8 +253,6 @@ func (m *Metrics) now() time.Time {
 
 // publishDone records one publish call: records appended, call latency, and
 // the new head position. Called after the log lock is released.
-//
-//lint:hotpath
 func (m *Metrics) publishDone(start time.Time, records int, head uint64) {
 	if m == nil {
 		return
@@ -267,8 +265,6 @@ func (m *Metrics) publishDone(start time.Time, records int, head uint64) {
 
 // flushDone records one flush round: the coalesced batch size and how far
 // the cursor still trails the head afterwards. Called outside the log lock.
-//
-//lint:hotpath
 func (m *Metrics) flushDone(batch int, lag uint64) {
 	if m == nil {
 		return
@@ -279,8 +275,6 @@ func (m *Metrics) flushDone(batch int, lag uint64) {
 }
 
 // poolSized records the pool gauges after registry/parked-list changes.
-//
-//lint:hotpath
 func (m *Metrics) poolSized(conns, parked int) {
 	if m == nil {
 		return
@@ -290,8 +284,6 @@ func (m *Metrics) poolSized(conns, parked int) {
 }
 
 // queueDelta adjusts the flush-queue depth gauge.
-//
-//lint:hotpath
 func (m *Metrics) queueDelta(d int) {
 	if m == nil {
 		return
@@ -300,8 +292,6 @@ func (m *Metrics) queueDelta(d int) {
 }
 
 // evictScanned counts one amortized publisher-side lag scan.
-//
-//lint:hotpath
 func (m *Metrics) evictScanned() {
 	if m == nil {
 		return
@@ -311,8 +301,6 @@ func (m *Metrics) evictScanned() {
 
 // PollRegisteredDelta adjusts the poller-registration gauge; part of the
 // netpoll.Stats implementation.
-//
-//lint:hotpath
 func (m *Metrics) PollRegisteredDelta(d int) {
 	if m == nil {
 		return
@@ -322,8 +310,6 @@ func (m *Metrics) PollRegisteredDelta(d int) {
 
 // PollWakeup records one poller wakeup that delivered ready readiness
 // events for ready connections.
-//
-//lint:hotpath
 func (m *Metrics) PollWakeup(ready int) {
 	if m == nil {
 		return
@@ -333,8 +319,6 @@ func (m *Metrics) PollWakeup(ready int) {
 }
 
 // PollQueueDelta adjusts the readiness dispatch-queue depth gauge.
-//
-//lint:hotpath
 func (m *Metrics) PollQueueDelta(d int) {
 	if m == nil {
 		return
@@ -343,8 +327,6 @@ func (m *Metrics) PollQueueDelta(d int) {
 }
 
 // PollDispatch counts one readiness handler dispatch to a poll worker.
-//
-//lint:hotpath
 func (m *Metrics) PollDispatch() {
 	if m == nil {
 		return
@@ -353,8 +335,6 @@ func (m *Metrics) PollDispatch() {
 }
 
 // msgHandled counts one successfully handled message by type.
-//
-//lint:hotpath
 func (m *Metrics) msgHandled(t sync.MsgType) {
 	if m == nil {
 		return
@@ -367,8 +347,6 @@ func (m *Metrics) msgHandled(t sync.MsgType) {
 // repairScoped records the scope of one planner Repair call: how many
 // template rows it re-validated, and how many it left unmatched behind the
 // inserts it planned.
-//
-//lint:hotpath
 func (m *Metrics) repairScoped(dirty, unmatched int) {
 	if m == nil {
 		return
@@ -395,8 +373,6 @@ func (m *Metrics) repairDone(start time.Time, actions int, rs RepairStats) {
 // doneChecked records one completion check: how it was answered, and the
 // two row counts an operator compares to see how far the collection is from
 // done.
-//
-//lint:hotpath
 func (m *Metrics) doneChecked(outcome doneCheck, finalRows, templateRows int) {
 	if m == nil {
 		return

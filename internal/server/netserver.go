@@ -6,6 +6,7 @@ import (
 	"net/http"
 	gosync "sync"
 	"sync/atomic"
+	"time"
 
 	"crowdfill/internal/netpoll"
 	"crowdfill/internal/sync"
@@ -220,8 +221,30 @@ func (s *NetServer) WithCore(fn func(*Core)) {
 }
 
 // ListenAndServe serves the WebSocket endpoint on addr until the listener
-// fails. Intended for cmd/crowdfill-server.
+// fails.
 func (s *NetServer) ListenAndServe(addr string) error {
-	srv := &http.Server{Addr: addr, Handler: s.Handler(), ErrorLog: log.Default()}
+	srv := NewHTTPServer(s.Handler())
+	srv.Addr = addr
 	return srv.ListenAndServe()
+}
+
+// Limits on a connection while it is plain HTTP: a client has
+// HTTPHeaderTimeout to send its request line and headers, and a keep-alive
+// connection idle between requests for HTTPIdleTimeout is closed. Neither
+// reaches a WebSocket: net/http clears a connection's deadlines when the
+// upgrade hijacks it.
+const (
+	HTTPHeaderTimeout = 10 * time.Second
+	HTTPIdleTimeout   = 2 * time.Minute
+)
+
+// NewHTTPServer returns the http.Server every listener of the stack serves
+// h through, with the limits above.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: HTTPHeaderTimeout,
+		IdleTimeout:       HTTPIdleTimeout,
+		ErrorLog:          log.Default(),
+	}
 }

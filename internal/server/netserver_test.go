@@ -3,6 +3,8 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http/httptest"
 	"strings"
 	gosync "sync"
@@ -135,6 +137,86 @@ func TestNetworkCollection(t *testing.T) {
 			t.Fatalf("fillers unpaid: %+v", alloc.PerWorker)
 		}
 	})
+}
+
+// TestHTTPServerLimits serves a collection through NewHTTPServer: a client
+// that sends half a request line and stalls is disconnected within
+// HTTPHeaderTimeout, while a WebSocket upgraded on the same server before
+// the stall, and idle for as long, still carries a fill to the core.
+func TestHTTPServerLimits(t *testing.T) {
+	t.Parallel()
+	s := kvSchema(t)
+	core, err := New(Config{Schema: s, Score: model.MajorityShortcut(3), Template: constraint.Cardinality(s, 2), Budget: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := NewNetServer(core, quietLogf(t))
+	defer ns.Shutdown()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := NewHTTPServer(ns.Handler())
+	go hs.Serve(lis)
+	defer hs.Close()
+
+	ws, err := wsock.Dial("ws://" + lis.Addr().String() + "/?worker=w1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.New(client.Config{ID: "w1", Worker: "w1", Schema: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := client.NewRunner(c, transport.WrapWS(ws))
+	defer r.Close()
+
+	stalled, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := stalled.Write([]byte("GET /?worker=w2 HT")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := stalled.SetReadDeadline(start.Add(HTTPHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(stalled); err != nil {
+		t.Fatalf("stalled request after %v: %v, want the server to close it", time.Since(start).Round(time.Millisecond), err)
+	}
+
+	traced := func() int {
+		n := 0
+		ns.WithCore(func(c *Core) { n = len(c.Trace()) })
+		return n
+	}
+	before := traced()
+	deadline := time.Now().Add(10 * time.Second)
+	for filled := false; !filled; {
+		if time.Now().After(deadline) {
+			t.Fatal("the WebSocket never saw the template rows")
+		}
+		if err := r.Do(func(c *client.Client) ([]sync.Message, error) {
+			for _, row := range c.Rows(nil) {
+				if row.Vec.IsEmpty() {
+					filled = true
+					return c.Fill(row.ID, 0, "alpha")
+				}
+			}
+			return nil, nil
+		}); err != nil {
+			t.Fatalf("fill over the idle WebSocket: %v", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for traced() == before {
+		if time.Now().After(deadline) {
+			t.Fatal("the fill sent over the idle WebSocket never reached the core")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // TestNetServerOverPipes runs the same flow over in-process pipes (no TCP),

@@ -41,8 +41,6 @@ import (
 // extended slice. The bytes are identical to json.Marshal(m). Float fields
 // (Estimates) must be finite; EncodeMessage performs that check and is the
 // error-returning entry point.
-//
-//lint:hotpath
 func AppendMessage(dst []byte, m Message) []byte {
 	dst = append(dst, `{"type":`...)
 	dst = strconv.AppendInt(dst, int64(m.Type), 10)
@@ -87,7 +85,7 @@ func AppendMessage(dst []byte, m Message) []byte {
 	}
 	if m.Snapshot != nil {
 		dst = append(dst, `,"snapshot":`...)
-		dst = appendSnapshot(dst, m.Snapshot) //lint:allow hotalloc snapshot records are join-time private messages, not steady-state broadcasts
+		dst = appendSnapshot(dst, m.Snapshot)
 	}
 	if m.Estimates != nil {
 		dst = append(dst, `,"estimates":`...)
@@ -363,8 +361,6 @@ var errSyntax = errors.New("invalid JSON syntax")
 // fallback, null is a field-level no-op — and produces an identical result,
 // without retaining any part of data (every string is copied out), so data
 // may be a transport-owned buffer that is reused immediately after.
-//
-//lint:hotpath
 func DecodeMessageInto(data []byte, m *Message) error {
 	return decodeMessageInto(data, m, nil)
 }
@@ -446,8 +442,6 @@ const (
 // decoded into c's storage, valid until c decodes the next estimate. The
 // result is equal to the cache-less one in every field, and the same inputs
 // are rejected.
-//
-//lint:hotpath
 func (c *DecodeCache) DecodeMessageInto(data []byte, m *Message) error {
 	return decodeMessageInto(data, m, c)
 }
@@ -456,11 +450,11 @@ func (c *DecodeCache) DecodeMessageInto(data []byte, m *Message) error {
 // the caller may retain.
 func (c *DecodeCache) str(b []byte, h uint32) string {
 	if c == nil || len(b) == 0 || len(b) > decodeCacheMaxLen {
-		return string(b) //lint:allow hotalloc the copy the message retains of a string no cache holds: a cache-less decode, or a string too long to cache
+		return string(b)
 	}
 	s := &c.slots[h%decodeCacheSlots]
 	if *s != string(b) {
-		*s = string(b) //lint:allow hotalloc a cache miss makes the one copy the message retains and leaves it in the slot
+		*s = string(b)
 	}
 	return *s
 }
@@ -485,7 +479,7 @@ func (c *DecodeCache) vector(cells []model.Cell, h uint32, intern bool) model.Ve
 
 // newVector copies cells into a vector of exactly their length.
 func newVector(cells []model.Cell) model.Vector {
-	out := make(model.Vector, len(cells)) //lint:allow hotalloc the vector the message retains, allocated once at its exact length
+	out := make(model.Vector, len(cells))
 	copy(out, cells)
 	return out
 }
@@ -553,7 +547,7 @@ type decoder struct {
 // the decode loops end without checking an error after each call.
 func (d *decoder) fail(msg string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("sync: decode message: %w: %s at offset %d", errSyntax, msg, d.pos) //lint:allow hotalloc error construction happens only on malformed input
+		d.err = fmt.Errorf("sync: decode message: %w: %s at offset %d", errSyntax, msg, d.pos)
 	}
 	d.pos = len(d.data)
 }
@@ -840,9 +834,9 @@ func (d *decoder) message(m *Message) {
 		case fVal:
 			m.Val = d.str(m.Val)
 		case fSnapshot:
-			m.Snapshot = d.snapshot(m.Snapshot) //lint:allow hotalloc snapshot records are join-time private messages, not steady-state broadcasts
+			m.Snapshot = d.snapshot(m.Snapshot)
 		case fEstimates:
-			m.Estimates = d.estimates(m.Estimates) //lint:allow hotalloc only the cache-less decode allocates here, the struct and column slice its message keeps; through a link cache an estimate decodes into the cache's storage (TestDecodeCacheEstimateAllocs pins 0) and its float literals convert on the stack
+			m.Estimates = d.estimates(m.Estimates)
 		default:
 			d.skip(1)
 		}

@@ -494,6 +494,16 @@ func TestCodecDecodeAllocs(t *testing.T) {
 	if allocs > maxAllocs {
 		t.Errorf("DecodeMessageInto: %v allocs/op, want <= %d", allocs, maxAllocs)
 	}
+	// The decoder itself allocates nothing: a message that retains no string
+	// or vector costs none.
+	bare := []byte(`{"type":3,"seq":123,"ts":456789,"col":1}`)
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := DecodeMessageInto(bare, &m); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("DecodeMessageInto of a string-free message: %v allocs/op, want 0", allocs)
+	}
 }
 
 // decodeCacheSlot is the string-table slot of a string's bytes.

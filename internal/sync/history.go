@@ -35,8 +35,6 @@ func (h *VoteHist) add(v model.Vector, d int) int {
 }
 
 // Get returns the count for exactly vector v (0 if never voted).
-//
-//lint:hotpath
 func (h *VoteHist) Get(v model.Vector) int {
 	n, _ := h.m.Get(v.Hashed())
 	return n

@@ -89,7 +89,8 @@ func TestWritePreparedBatchClosed(t *testing.T) {
 
 // TestWritePreparedBatchAllocs: a prepared frame is its record alone — a
 // header beside the shared payload, never a second copy of it — and a batch
-// of them is assembled in the connection's write buffer without allocating.
+// of them, or one alone, is written from the connection's write buffer
+// without allocating.
 func TestWritePreparedBatchAllocs(t *testing.T) {
 	payload := bytes.Repeat([]byte("z"), 200)
 	var f *PreparedFrame
@@ -110,6 +111,14 @@ func TestWritePreparedBatchAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("WritePreparedBatch: %v allocs/op, want 0", allocs)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		wire.w.Reset()
+		if err := c.WritePrepared(f); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("WritePrepared: %v allocs/op, want 0", n)
 	}
 }
 

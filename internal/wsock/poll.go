@@ -91,8 +91,6 @@ func (c *Conn) StartPoll() (syscall.RawConn, error) {
 // connection is finished (closed, protocol violation, peer gone); the
 // caller must tear the connection down then. A (false, nil) return means
 // the socket is drained and the connection should be re-armed.
-//
-//lint:hotpath PollRead
 func (c *Conn) PollRead(scratch []byte, onMsg func([]byte) error) (more bool, err error) {
 	if c.poll == nil {
 		return false, ErrPollUnsupported
@@ -162,8 +160,6 @@ func (c *Conn) shrinkOnPark() {
 // feed steps buf through the reassembly machine to its end, delivering each
 // completed text message to onMsg. Any returned error is fatal to the
 // connection.
-//
-//lint:hotpath feed
 func (c *Conn) feed(buf []byte, onMsg func([]byte) error) error {
 	for len(buf) > 0 {
 		rest, msg, err := c.step(buf)
@@ -171,7 +167,7 @@ func (c *Conn) feed(buf []byte, onMsg func([]byte) error) error {
 			return err
 		}
 		if msg {
-			if err := onMsg(c.rbuf); err != nil { //lint:allow hotalloc delivery callback is the message hot path's own gated root
+			if err := onMsg(c.rbuf); err != nil {
 				return err
 			}
 		}

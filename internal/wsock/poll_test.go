@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -359,6 +360,68 @@ func TestPollReadRealSocket(t *testing.T) {
 	}
 	if fired != 1 {
 		t.Fatalf("OnClose fired %d times, want 1", fired)
+	}
+}
+
+// TestPollReadAllocs pins the poll-mode read path once the connection's
+// buffers are warm: one frame stepped through the reassembly machine, a
+// window of frames with a ping to answer fed through it, and a PollRead
+// draining a message from a real socket allocate nothing.
+func TestPollReadAllocs(t *testing.T) {
+	one := frame(true, opText, "hello")
+	var window []byte
+	window = append(window, one...)
+	window = append(window, frame(true, opPing, "beat")...)
+	window = append(window, frame(true, opText, strings.Repeat("x", 300))...)
+	c, wire := newFeedConn()
+	got := 0
+	onMsg := func([]byte) error { got++; return nil }
+	if err := c.feed(window, onMsg); err != nil { // warm rbuf, cbuf and wbuf
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if rest, msg, err := c.step(one); err != nil || !msg || len(rest) != 0 {
+			t.Fatalf("step: rest %d, msg %v, err %v", len(rest), msg, err)
+		}
+	}); n != 0 {
+		t.Errorf("step: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		wire.w.Reset() // discard the pongs so the sink doesn't grow
+		if err := c.feed(window, onMsg); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("feed: %v allocs/op, want 0", n)
+	}
+
+	cliNC, srvNC := tcpPair(t)
+	cli := &Conn{nc: cliNC, client: true}
+	srv := &Conn{nc: srvNC}
+	if _, err := srv.StartPoll(); err != nil {
+		t.Fatalf("StartPoll: %v", err)
+	}
+	scratch := make([]byte, 4<<10)
+	payload := bytes.Repeat([]byte("p"), 64)
+	roundTrip := func() {
+		want := got + 1
+		if err := cli.WriteText(payload); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for got < want {
+			if _, err := srv.PollRead(scratch, onMsg); err != nil {
+				t.Fatal(err)
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the message never reached the poll-mode reader")
+			}
+			runtime.Gosched()
+		}
+	}
+	roundTrip() // warm both ends' buffers
+	if n := testing.AllocsPerRun(100, roundTrip); n != 0 {
+		t.Errorf("PollRead of a socket message: %v allocs/op, want 0", n)
 	}
 }
 

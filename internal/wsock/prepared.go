@@ -22,8 +22,6 @@ func NewPreparedText(payload []byte) *PreparedFrame {
 
 // WritePrepared sends a prepared text message with one Write: the bytes a
 // batch of one puts on the wire (client connections mask with a fresh key).
-//
-//lint:hotpath
 func (c *Conn) WritePrepared(f *PreparedFrame) error {
 	return c.writeFrame(opText, f.payload)
 }
@@ -37,8 +35,6 @@ func (c *Conn) WritePrepared(f *PreparedFrame) error {
 // calls would have produced; client connections mask each frame with a fresh
 // key while copying into the shared buffer, still one Write. Same
 // serialization as every other writer (wmu).
-//
-//lint:hotpath
 func (c *Conn) WritePreparedBatch(frames []*PreparedFrame) error {
 	if len(frames) == 0 {
 		return nil

@@ -69,8 +69,6 @@ func (r *reassembly) idle() bool {
 // empty unless msg or err is set. msg means rbuf holds a complete message: a
 // lease that stays valid until the first frame of the next text message
 // arrives. Any error is fatal to the connection.
-//
-//lint:hotpath step
 func (c *Conn) step(p []byte) (rest []byte, msg bool, err error) {
 	r := &c.rd
 	var done bool
@@ -116,7 +114,7 @@ func (c *Conn) step(p []byte) (rest []byte, msg bool, err error) {
 				length = binary.BigEndian.Uint64(r.hdr[:8])
 			}
 			if length > maxFrame {
-				return p, false, fmt.Errorf("wsock: frame of %d bytes exceeds limit", length) //lint:allow hotalloc fatal protocol violation, connection is torn down
+				return p, false, fmt.Errorf("wsock: frame of %d bytes exceeds limit", length)
 			}
 			r.wireHdr += r.extn
 			r.length = int(length)
@@ -178,7 +176,7 @@ func (c *Conn) step(p []byte) (rest []byte, msg bool, err error) {
 			case opClose:
 				return p, false, c.handleClose()
 			default:
-				return p, false, fmt.Errorf("wsock: unknown opcode %d", r.opcode) //lint:allow hotalloc fatal protocol violation, connection is torn down
+				return p, false, fmt.Errorf("wsock: unknown opcode %d", r.opcode)
 			}
 		}
 	}
@@ -216,7 +214,7 @@ func (c *Conn) beginPayload() {
 		if cap(c.cbuf) < r.length {
 			c.countBufGrow()
 		}
-		c.cbuf = growLen(c.cbuf[:0], r.length) //lint:allow hotalloc amortized pooled-buffer growth
+		c.cbuf = growLen(c.cbuf[:0], r.length)
 		r.payStart = 0
 	} else {
 		if r.opcode == opText {
@@ -226,7 +224,7 @@ func (c *Conn) beginPayload() {
 		if cap(c.rbuf)-r.payStart < r.length {
 			c.countBufGrow()
 		}
-		c.rbuf = growLen(c.rbuf, r.length) //lint:allow hotalloc amortized pooled-buffer growth
+		c.rbuf = growLen(c.rbuf, r.length)
 	}
 	r.remaining = r.length
 	r.maskOff = 0

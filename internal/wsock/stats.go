@@ -53,8 +53,6 @@ func (c *Conn) SetStats(s *Stats) {
 }
 
 // countRead records one inbound frame of the given total wire size.
-//
-//lint:hotpath
 func (c *Conn) countRead(wireBytes int) {
 	s := c.stats
 	if s == nil {
@@ -65,8 +63,6 @@ func (c *Conn) countRead(wireBytes int) {
 }
 
 // countWrite records frames outbound frames totalling wireBytes on the wire.
-//
-//lint:hotpath
 func (c *Conn) countWrite(frames, wireBytes int) {
 	s := c.stats
 	if s == nil {
@@ -77,8 +73,6 @@ func (c *Conn) countWrite(frames, wireBytes int) {
 }
 
 // countLease records one lease read.
-//
-//lint:hotpath
 func (c *Conn) countLease() {
 	if s := c.stats; s != nil {
 		s.LeaseReads.Inc(c.statShard)

@@ -310,7 +310,7 @@ func (c *Conn) nextMask() ([4]byte, error) {
 	var m [4]byte
 	if c.maskAvail < 4 {
 		if _, err := rand.Read(c.maskPool[:]); err != nil {
-			return m, fmt.Errorf("wsock: mask: %w", err) //lint:allow hotalloc crypto-rand failure is fatal connection teardown
+			return m, fmt.Errorf("wsock: mask: %w", err)
 		}
 		c.maskAvail = len(c.maskPool)
 		c.countMaskRefill()
