@@ -22,8 +22,13 @@
 // Both listeners serve through server.NewHTTPServer, which closes a
 // connection that has not sent its request headers within
 // server.HTTPHeaderTimeout and a keep-alive connection idle for
-// server.HTTPIdleTimeout. A spec found running in the store at start-up is
-// marked interrupted: its collection did not survive the restart.
+// server.HTTPIdleTimeout.
+//
+// A collection finishes by itself: once its table is complete the front-end
+// archives it and marks the spec done, then every worker hears MsgDone and
+// the back-end closes their sockets and stops (README, "Collection
+// lifecycle"). A spec found running in the store at start-up is marked
+// interrupted: its collection did not survive the restart.
 package main
 
 import (

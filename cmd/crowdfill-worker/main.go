@@ -86,6 +86,9 @@ func main() {
 		think := time.Duration(float64(d.Think) / *speedup)
 		select {
 		case err := <-runner.Err():
+			if runner.Done() {
+				break // the server closes every link after MsgDone
+			}
 			log.Printf("crowdfill-worker: connection: %v", err)
 			return
 		case <-time.After(think):

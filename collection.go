@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	gosync "sync"
 	"sync/atomic"
 
 	"crowdfill/internal/client"
@@ -16,13 +15,13 @@ import (
 
 // Collection is one live data-collection run: the back-end server (master
 // table, Central Client, trace, estimator) plus its network surface. Workers
-// join over WebSocket (Handler) or in-process (Connect).
+// join over WebSocket (Handler) or in-process (Connect). When the table is
+// complete every worker hears Done and is disconnected, and the server shuts
+// down; the collection's table, status and pay stay readable.
 type Collection struct {
-	ns      *server.NetServer
-	schema  *model.Schema
-	nextID  int64
-	mu      gosync.Mutex
-	workers []*Worker
+	ns     *server.NetServer
+	schema *model.Schema
+	nextID int64
 }
 
 // NewCollection validates the spec and starts a collection (the candidate
@@ -58,35 +57,16 @@ func (c *Collection) Columns() []string {
 // Result returns the current final table as rows of column values.
 func (c *Collection) Result() [][]string {
 	var rows [][]string
-	c.ns.WithCore(func(core *server.Core) {
-		for _, r := range core.FinalTable() {
-			rows = append(rows, r.Vec.Strings())
-		}
-	})
+	c.ns.WithCore(func(core *server.Core) { rows = core.ResultRows() })
 	return rows
 }
 
 // Status summarizes collection progress.
-type Status struct {
-	Done          bool
-	FinalRows     int
-	CandidateRows int
-	Clients       int
-	Messages      int
-}
+type Status = server.Status
 
 // Status returns a snapshot of collection progress.
-func (c *Collection) Status() Status {
-	var st Status
-	c.ns.WithCore(func(core *server.Core) {
-		st = Status{
-			Done:          core.Done(),
-			FinalRows:     len(core.FinalTable()),
-			CandidateRows: core.Master().Table().Len(),
-			Clients:       core.Clients(),
-			Messages:      len(core.Trace()),
-		}
-	})
+func (c *Collection) Status() (st Status) {
+	c.ns.WithCore(func(core *server.Core) { st = core.Status() })
 	return st
 }
 
@@ -106,21 +86,9 @@ func (c *Collection) ComputePay() (map[string]float64, error) {
 	return out, err
 }
 
-// Close shuts down every in-process worker connection and the server's
-// broadcast plane (its log dispatcher and any remaining connection writers).
-func (c *Collection) Close() {
-	// Detach the worker list under the lock, then tear down outside it:
-	// runner.Close and Shutdown both block on connection writers, and
-	// Shutdown takes the broadcast plane's locks.
-	c.mu.Lock()
-	workers := c.workers
-	c.workers = nil
-	c.mu.Unlock()
-	for _, w := range workers {
-		w.runner.Close()
-	}
-	c.ns.Shutdown()
-}
+// Close disconnects every worker and shuts the server down; a finished
+// collection has already done both.
+func (c *Collection) Close() { c.ns.Shutdown() }
 
 // Connect joins an in-process worker to the collection and returns its
 // action handle.
@@ -138,15 +106,11 @@ func (c *Collection) Connect(workerID string) (*Worker, error) {
 	}
 	serverSide, clientSide := transport.Pipe(1024)
 	go c.ns.ServeConn(serverSide, workerID)
-	w := &Worker{
+	return &Worker{
 		id:     workerID,
 		schema: c.schema,
 		runner: client.NewRunner(cl, clientSide),
-	}
-	c.mu.Lock()
-	c.workers = append(c.workers, w)
-	c.mu.Unlock()
-	return w, nil
+	}, nil
 }
 
 // Row is a worker-visible candidate-table row.

@@ -98,7 +98,7 @@ func TestSimMetricsMatchTrace(t *testing.T) {
 	}
 	// All clients left? No: the sim never removes clients, so the gauge
 	// still reports the full crowd.
-	if got := gauge("crowdfill_core_clients"); got != int64(res.Core.Clients()) {
-		t.Errorf("crowdfill_core_clients = %d, want %d", got, res.Core.Clients())
+	if got := gauge("crowdfill_core_clients"); got != int64(res.Core.Status().Clients) {
+		t.Errorf("crowdfill_core_clients = %d, want %d", got, res.Core.Status().Clients)
 	}
 }

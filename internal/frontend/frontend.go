@@ -29,8 +29,9 @@ type specDoc struct {
 
 // resultDoc is the stored form of a finished collection.
 type resultDoc struct {
-	Rows [][]string         `json:"rows"`
-	Pay  map[string]float64 `json:"pay,omitempty"`
+	Rows  [][]string         `json:"rows"`
+	Final server.Status      `json:"final"`
+	Pay   map[string]float64 `json:"pay,omitempty"`
 }
 
 // Frontend is the front-end server state.
@@ -40,9 +41,11 @@ type Frontend struct {
 	// (whose instruments live in the flight recorder) while holding it.
 	//
 	//lint:before Marketplace.mu Store.mu Recorder.mu
-	mu      gosync.Mutex
-	store   *docstore.Store
-	market  *marketplace.Marketplace
+	mu     gosync.Mutex
+	store  *docstore.Store
+	market *marketplace.Marketplace
+	// running holds each collection started here until it is paid or its
+	// spec deleted; a finished one is shut down but keeps its core.
 	running map[string]*server.NetServer
 	// maxWorkers caps assignments per published HIT.
 	maxWorkers int
@@ -118,6 +121,13 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 
 func (f *Frontend) specs() *docstore.Collection { return f.store.Collection("specs") }
 
+// server returns the back-end server id has in this process, or nil.
+func (f *Frontend) server(id string) *server.NetServer {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.running[id]
+}
+
 func (f *Frontend) handleSpecs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
@@ -152,7 +162,9 @@ func (f *Frontend) handleSpecs(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleSpec dispatches /api/specs/{id}[/{action}].
+// handleSpec dispatches /api/specs/{id}[/{action}]. A handler that changes
+// the spec re-reads it under f.mu: two racing transitions must not both act
+// on the stale copy read here.
 func (f *Frontend) handleSpec(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/api/specs/")
 	id, action, _ := strings.Cut(rest, "/")
@@ -190,10 +202,6 @@ func (f *Frontend) handleSpecCRUD(w http.ResponseWriter, r *http.Request, id str
 	case http.MethodGet:
 		writeJSON(w, http.StatusOK, map[string]any{"id": id, "spec": sd.Spec, "status": sd.Status})
 	case http.MethodPut:
-		if sd.Status != "draft" {
-			writeErr(w, http.StatusConflict, errors.New("only drafts can be updated"))
-			return
-		}
 		var ts spec.TableSpec
 		if err := json.NewDecoder(r.Body).Decode(&ts); err != nil {
 			writeErr(w, http.StatusBadRequest, err)
@@ -203,6 +211,16 @@ func (f *Frontend) handleSpecCRUD(w http.ResponseWriter, r *http.Request, id str
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		if err := f.specs().Get(id, &sd); err != nil {
+			writeErr(w, http.StatusNotFound, err)
+			return
+		}
+		if sd.Status != "draft" {
+			writeErr(w, http.StatusConflict, errors.New("only drafts can be updated"))
+			return
+		}
 		sd.Spec = ts
 		if err := f.specs().Put(id, sd); err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
@@ -210,6 +228,12 @@ func (f *Frontend) handleSpecCRUD(w http.ResponseWriter, r *http.Request, id str
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"id": id, "status": sd.Status})
 	case http.MethodDelete:
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		if err := f.specs().Get(id, &sd); err != nil {
+			writeErr(w, http.StatusNotFound, err)
+			return
+		}
 		if sd.Status == "running" {
 			writeErr(w, http.StatusConflict, errors.New("stop the collection first"))
 			return
@@ -218,6 +242,7 @@ func (f *Frontend) handleSpecCRUD(w http.ResponseWriter, r *http.Request, id str
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
+		delete(f.running, id)
 		writeJSON(w, http.StatusOK, map[string]string{"id": id, "status": "deleted"})
 	default:
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET, PUT or DELETE"))
@@ -231,6 +256,10 @@ func (f *Frontend) handleStart(w http.ResponseWriter, r *http.Request, id string
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if err := f.specs().Get(id, &sd); err != nil {
+		writeErr(w, http.StatusNotFound, err)
+		return
+	}
 	if sd.Status != "draft" {
 		writeErr(w, http.StatusConflict, fmt.Errorf("spec is %s", sd.Status))
 		return
@@ -251,94 +280,63 @@ func (f *Frontend) handleStart(w http.ResponseWriter, r *http.Request, id string
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	f.running[id] = server.NewNetServer(core, nil)
 	sd.Status = "running"
 	sd.HITID = hit.ID
 	if err := f.specs().Put(id, sd); err != nil {
+		_ = f.market.Expire(hit.ID)
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
+	f.running[id] = server.NewNetServer(core, func(fin server.Final) { f.archive(id, fin) })
 	writeJSON(w, http.StatusOK, map[string]string{
 		"id": id, "status": "running", "hit": hit.ID, "ws": wsPath,
 	})
 }
 
+// archive is the frontend's part of a collection's Done transition, run
+// before any worker hears MsgDone.
+func (f *Frontend) archive(id string, fin server.Final) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var sd specDoc
+	if err := f.specs().Get(id, &sd); err != nil || sd.Status != "running" {
+		return
+	}
+	_ = f.store.Collection("results").Put(id, resultDoc{Rows: fin.Rows, Final: fin.Status})
+	_ = f.store.Collection("traces").Put(id, fin.Log)
+	sd.Status = "done"
+	_ = f.specs().Put(id, sd)
+	_ = f.market.Expire(sd.HITID)
+}
+
+// handleStatus reports a collection's progress: from its archive once it
+// is done, also after a restart, and live while it runs.
 func (f *Frontend) handleStatus(w http.ResponseWriter, r *http.Request, id string, sd specDoc) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
-	out := map[string]any{"id": id}
-	if ns := f.live(id, &sd); ns != nil {
-		ns.WithCore(func(c *server.Core) {
-			out["finalRows"] = len(c.FinalTable())
-			out["candidateRows"] = c.Master().Table().Len()
-			out["done"] = c.Done()
-			out["clients"] = c.Clients()
-			out["messages"] = len(c.Trace())
-		})
+	out := struct {
+		ID string `json:"id"`
+		*server.Status
+		State string `json:"status"`
+	}{ID: id, State: sd.Status}
+	var rd resultDoc
+	if err := f.store.Collection("results").Get(id, &rd); err == nil {
+		out.Status = &rd.Final
+	} else if ns := f.server(id); ns != nil {
+		out.Status = new(server.Status)
+		ns.WithCore(func(c *server.Core) { *out.Status = c.Status() })
 	}
-	out["status"] = sd.Status
 	writeJSON(w, http.StatusOK, out)
 }
 
-// live returns id's back-end server, or nil if it never ran here. A running
-// collection whose core is done is archived first, so whichever request
-// sees Done first — a status poll, /result, /trace, /statements or /pay —
-// reaches finish.
-func (f *Frontend) live(id string, sd *specDoc) *server.NetServer {
-	f.mu.Lock()
-	ns := f.running[id]
-	f.mu.Unlock()
-	if ns != nil && sd.Status == "running" && ns.Done() {
-		f.finish(id, sd, ns)
-	}
-	return ns
-}
-
-// finish archives a done collection once: it persists the final table and
-// the bookkeeping log, flips the spec to done and expires the HIT. sd is
-// re-read under the lock, so a request that lost the race leaves the
-// archive as the winner wrote it.
-func (f *Frontend) finish(id string, sd *specDoc, ns *server.NetServer) {
-	var rows [][]string
-	var log replay.Log
-	ns.WithCore(func(c *server.Core) { rows, log = finalRows(c), c.Log() })
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.specs().Get(id, sd); err != nil || sd.Status != "running" {
-		return
-	}
-	_ = f.store.Collection("results").Put(id, resultDoc{Rows: rows})
-	_ = f.store.Collection("traces").Put(id, log)
-	sd.Status = "done"
-	_ = f.specs().Put(id, *sd)
-	if sd.HITID != "" {
-		_ = f.market.Expire(sd.HITID)
-	}
-}
-
-// finalRows returns c's final table as rows of column values.
-func finalRows(c *server.Core) [][]string {
-	var rows [][]string
-	for _, row := range c.FinalTable() {
-		rows = append(rows, row.Vec.Strings())
-	}
-	return rows
-}
-
-// archivedLog returns the bookkeeping log a finished collection archived.
-func (f *Frontend) archivedLog(id string) (replay.Log, error) {
+// logOf returns the collection's bookkeeping log: the archived one once it
+// finished, else a copy of its live one.
+func (f *Frontend) logOf(id string) (replay.Log, error) {
 	var log replay.Log
 	err := f.store.Collection("traces").Get(id, &log)
-	return log, err
-}
-
-// logOf returns the collection's bookkeeping log: the archived one once it
-// finished, else a copy of ns's live one.
-func (f *Frontend) logOf(id string, ns *server.NetServer) (replay.Log, error) {
-	log, err := f.archivedLog(id)
-	if err != nil && ns != nil {
+	if ns := f.server(id); err != nil && ns != nil {
 		ns.WithCore(func(c *server.Core) { log = c.Log() })
 		err = nil
 	}
@@ -350,28 +348,28 @@ func (f *Frontend) handleResult(w http.ResponseWriter, r *http.Request, id strin
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
-	ns := f.live(id, &sd)
 	var rd resultDoc
 	if err := f.store.Collection("results").Get(id, &rd); err != nil {
 		// Fall back to a live snapshot for running collections.
+		ns := f.server(id)
 		if ns == nil {
 			writeErr(w, http.StatusNotFound, errors.New("no result yet"))
 			return
 		}
-		ns.WithCore(func(c *server.Core) { rd.Rows = finalRows(c) })
+		ns.WithCore(func(c *server.Core) { rd.Rows = c.ResultRows() })
 	}
 	writeJSON(w, http.StatusOK, rd)
 }
 
 // handlePay pays a finished collection once: the amounts come from
 // replaying its archived log under its spec, so a collection archived
-// before a restart still pays.
+// before a restart still pays. A paid collection's back-end server, shut
+// down since Done, is released.
 func (f *Frontend) handlePay(w http.ResponseWriter, r *http.Request, id string, sd specDoc) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
 		return
 	}
-	f.live(id, &sd)
 	// Paying is a lifecycle transition: serialize it and re-read the spec,
 	// so a collection pays once.
 	f.mu.Lock()
@@ -384,8 +382,8 @@ func (f *Frontend) handlePay(w http.ResponseWriter, r *http.Request, id string, 
 		writeErr(w, http.StatusConflict, fmt.Errorf("collection is %s, not done", sd.Status))
 		return
 	}
-	log, err := f.archivedLog(id)
-	if err != nil {
+	var log replay.Log
+	if err := f.store.Collection("traces").Get(id, &log); err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -413,6 +411,7 @@ func (f *Frontend) handlePay(w http.ResponseWriter, r *http.Request, id string, 
 	_ = f.store.Collection("results").Put(id, rd)
 	sd.Status = "paid"
 	_ = f.specs().Put(id, sd)
+	delete(f.running, id)
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "status": "paid", "pay": perWorker})
 }
 
@@ -422,7 +421,7 @@ func (f *Frontend) handleTrace(w http.ResponseWriter, r *http.Request, id string
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
-	log, err := f.logOf(id, f.live(id, &sd))
+	log, err := f.logOf(id)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, errors.New("no trace yet"))
 		return
@@ -438,7 +437,7 @@ func (f *Frontend) handleStatements(w http.ResponseWriter, r *http.Request, id s
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
 		return
 	}
-	log, err := f.logOf(id, f.live(id, &sd))
+	log, err := f.logOf(id)
 	if err != nil {
 		writeErr(w, http.StatusConflict, errors.New("collection not started"))
 		return
@@ -451,15 +450,12 @@ func (f *Frontend) handleStatements(w http.ResponseWriter, r *http.Request, id s
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "statements": audit.Statements()})
 }
 
-// handleWS upgrades worker connections for a running collection. Workers
-// normally arrive by accepting the HIT; the worker query parameter carries
-// the marketplace identity.
+// handleWS upgrades worker connections for a running collection; once it is
+// done the path answers 404. Workers normally arrive by accepting the HIT;
+// the worker query parameter carries the marketplace identity.
 func (f *Frontend) handleWS(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/ws/")
-	f.mu.Lock()
-	ns := f.running[id]
-	f.mu.Unlock()
-	if ns == nil {
+	ns := f.server(strings.TrimPrefix(r.URL.Path, "/ws/"))
+	if ns == nil || ns.Done() {
 		writeErr(w, http.StatusNotFound, errors.New("no running collection"))
 		return
 	}

@@ -15,8 +15,7 @@ import (
 // ring of broadcast records. Publishing appends one record per broadcast —
 // O(1) regardless of how many clients are connected — and each connection
 // follows the log through its own cursor, so the global server mutex never
-// pays per-recipient fan-out costs (the pre-log design materialized one
-// Outbound and one channel send per recipient under the lock).
+// pays per-recipient fan-out costs.
 //
 // A client that cannot keep up is detected by cursor lag: once the log wraps
 // past a cursor the lost records are unrecoverable, so the cursor fails with
@@ -62,7 +61,6 @@ type bcastLog struct {
 	parked   []*flushConn
 	fq       *parkq.Queue[*flushConn] // dirty connections; never nests with mu
 	flushers gosync.WaitGroup
-	logf     func(format string, args ...any)
 	metrics  *Metrics // nil disables instrumentation
 }
 
@@ -77,9 +75,10 @@ const (
 	flushWriteDeadline = 5 * time.Second
 )
 
-// flusherCount sizes the shared pool: one flusher per CPU, with a floor of
-// two so a single stalled write can never serialize all delivery.
-func flusherCount() int {
+// poolSize sizes both worker pools, the flushers and the poll workers: one
+// per CPU, with a floor of two so a single stalled write or slow core
+// transition can never serialize all delivery or all inbound processing.
+func poolSize() int {
 	if n := runtime.GOMAXPROCS(0); n > 2 {
 		return n
 	}
@@ -113,9 +112,8 @@ type flushConn struct {
 	onEvict func() // run (own goroutine) when the publisher detects the lag
 }
 
-// defaultLogCapacity matches the depth of the per-connection channels the log
-// replaces: a client may fall this many broadcasts behind before it is
-// considered dead.
+// defaultLogCapacity is how many broadcasts a client may fall behind before
+// it is considered dead.
 const defaultLogCapacity = 4096
 
 var (
@@ -124,18 +122,12 @@ var (
 	errCursorStopped = errors.New("server: cursor stopped")
 )
 
-// newBcastLog builds the broadcast plane with its operational log sink and
-// instrument set fixed at construction. Both may be nil (no-op); taking them
-// here — rather than via a post-construction setter — means the flusher and
-// dispatcher goroutines started below can never observe a half-installed
-// sink (the old setLogf had to be called before the first registration, an
-// ordering the compiler could not check).
-func newBcastLog(capacity int, logf func(string, ...any), m *Metrics) *bcastLog {
+// newBcastLog builds the broadcast plane with its instrument set fixed at
+// construction (nil is a no-op): the flusher and dispatcher goroutines
+// started below can never observe a half-installed one.
+func newBcastLog(capacity int, m *Metrics) *bcastLog {
 	if capacity < 1 {
 		capacity = 1
-	}
-	if logf == nil {
-		logf = func(string, ...any) {}
 	}
 	l := &bcastLog{
 		buf:          make([]Broadcast, capacity),
@@ -143,11 +135,10 @@ func newBcastLog(capacity int, logf func(string, ...any), m *Metrics) *bcastLog 
 		dispatchDone: make(chan struct{}),
 		conns:        make(map[*flushConn]struct{}),
 		fq:           parkq.New[*flushConn](m.queueDelta),
-		logf:         logf,
 		metrics:      m,
 	}
 	l.nextEvictScan = uint64(capacity)
-	for i := 0; i < flusherCount(); i++ {
+	for i := 0; i < poolSize(); i++ {
 		l.flushers.Add(1)
 		go l.flusher()
 	}
@@ -268,6 +259,22 @@ func (l *bcastLog) close() {
 	<-l.dispatchDone
 }
 
+// drained reports whether every registered connection has flushed the
+// whole log — parked with its cursor at the head — or the log is closed.
+func (l *bcastLog) drained() bool {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	if l.closed {
+		return true
+	}
+	for fc := range l.conns {
+		if fc.state != fcParked || fc.pos != l.head {
+			return false
+		}
+	}
+	return true
+}
+
 // drainBatch copies up to len(out) records past fc's cursor and advances it,
 // without blocking: at the head it returns 0, nil. It is the only way to
 // follow the log, and only the flusher holding fc in flight calls it.
@@ -378,19 +385,6 @@ func (l *bcastLog) detachLocked(fc *flushConn) bool {
 	return true
 }
 
-// noteDrop emits the structured record of one client teardown (or reject):
-// drop counter by cause, flight-recorder event, and — through the recorder's
-// sink, or directly when metrics are off — the one human-readable log line.
-// Exactly one call per connection (the detach winner makes it); callers hold
-// no locks, because the log sink may block.
-func (l *bcastLog) noteDrop(cause dropCause, clientID, detail string) {
-	if l.metrics != nil {
-		l.metrics.noteDrop(cause, clientID, detail)
-		return
-	}
-	l.logf("crowdfill: client %s dropped: %s (%s)", clientID, cause.String(), detail)
-}
-
 // dropConn is the flusher-side eviction: close the transport (failing the
 // connection's reader loop so both halves tear down), detach, and — if this
 // call won the detach — note the drop. A send error on a cursor the
@@ -409,13 +403,13 @@ func (l *bcastLog) dropConn(fc *flushConn, cause dropCause, err error) {
 		return
 	}
 	if lagged {
-		l.noteDrop(dropLag, fc.id, "cursor lagged behind broadcast log")
+		l.metrics.noteDrop(dropLag, fc.id, "cursor lagged behind broadcast log")
 		return
 	}
 	if cause == dropSendError && transport.IsClosed(err) {
 		return
 	}
-	l.noteDrop(cause, fc.id, err.Error())
+	l.metrics.noteDrop(cause, fc.id, err.Error())
 }
 
 // flusher is one pool worker: it pulls dirty connections off the queue and

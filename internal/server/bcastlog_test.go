@@ -21,7 +21,7 @@ func follow(l *bcastLog, onEvict func()) *flushConn {
 }
 
 func TestBcastLogOrderAndBatching(t *testing.T) {
-	l := newBcastLog(8, nil, nil)
+	l := newBcastLog(8, nil)
 	defer l.close()
 	fc := follow(l, nil)
 	for i := 0; i < 6; i++ {
@@ -53,7 +53,7 @@ func TestBcastLogOrderAndBatching(t *testing.T) {
 }
 
 func TestBcastLogCloseSemantics(t *testing.T) {
-	l := newBcastLog(4, nil, nil)
+	l := newBcastLog(4, nil)
 	fc := follow(l, nil)
 	l.publish([]Broadcast{testRec(0)})
 	l.close()
@@ -78,7 +78,7 @@ func TestBcastLogCloseSemantics(t *testing.T) {
 
 func TestBcastLogConcurrentFollowers(t *testing.T) {
 	const records, followers = 500, 8
-	l := newBcastLog(records+1, nil, nil) // nobody can lag out
+	l := newBcastLog(records+1, nil) // nobody can lag out
 	defer l.close()
 	type result struct {
 		vals []string
@@ -126,7 +126,7 @@ func TestBcastLogConcurrentFollowers(t *testing.T) {
 // past a cursor and advancing it allocates nothing.
 func TestDrainBatchAllocs(t *testing.T) {
 	const runs = 100
-	l := newBcastLog(2*runs, nil, nil)
+	l := newBcastLog(2*runs, nil)
 	defer l.close()
 	fc := follow(l, nil)
 	for i := 0; i < runs+1; i++ { // AllocsPerRun adds one warm-up call

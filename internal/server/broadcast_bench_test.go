@@ -59,7 +59,7 @@ func BenchmarkBroadcastHandlePublish(b *testing.B) {
 			}
 			for {
 				n := 0
-				ns.WithCore(func(c *Core) { n = c.Clients() })
+				ns.WithCore(func(c *Core) { n = c.Status().Clients })
 				if n == clients {
 					break
 				}

@@ -40,7 +40,7 @@ func TestLogDeliveryMatchesDirectOutbound(t *testing.T) {
 		return core
 	}
 	coreA, coreB := mkCore(), mkCore()
-	logB := newBcastLog(defaultLogCapacity, nil, nil)
+	logB := newBcastLog(defaultLogCapacity, nil)
 	defer logB.close()
 
 	payload := func(p *sync.Prepared) []byte {

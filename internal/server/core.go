@@ -54,9 +54,8 @@ type Config struct {
 }
 
 // Outbound is a private message the caller must deliver to one client — what
-// AddClient returns for a joiner. Prepared, when non-nil, is the shared
-// once-encoded form of Msg (the epoch-cached join snapshot), so transports
-// that serialize encode it once per epoch instead of once per joiner.
+// AddClient returns for a joiner. Prepared is the once-encoded form of Msg;
+// the join snapshot's is cached per epoch, so a join storm encodes it once.
 type Outbound struct {
 	To       string // client id
 	Msg      sync.Message
@@ -378,14 +377,11 @@ func (c *Core) AddClient(clientID, workerID string) []Outbound {
 	}
 	est := new(sync.Estimates)
 	c.est.Current(est)
-	out := []Outbound{
+	estMsg := sync.Message{Type: sync.MsgEstimate, Estimates: est}
+	return []Outbound{
 		{To: clientID, Msg: c.snapPrep.Message(), Prepared: c.snapPrep},
-		{To: clientID, Msg: sync.Message{Type: sync.MsgEstimate, Estimates: est}},
+		{To: clientID, Msg: estMsg, Prepared: sync.NewPrepared(estMsg)},
 	}
-	if c.done {
-		out = append(out, Outbound{To: clientID, Msg: sync.Message{Type: sync.MsgDone}})
-	}
-	return out
 }
 
 // RemoveClient unregisters a client connection.
@@ -398,8 +394,8 @@ func (c *Core) RemoveClient(clientID string) {
 // it to the master table, records it in the trace, lets the Central Client
 // repair the PRI, recomputes estimates, checks completion, and returns the
 // broadcasts to publish (the message to all other clients, CC messages and
-// updated estimates to everyone, and MsgDone when collection finishes). The
-// result size depends only on the CC's repair work — never on the number of
+// updated estimates to everyone; MsgDone is NetServer's Done transition's
+// to send). The result size depends only on the CC's repair work — never on the number of
 // connected clients — which is what lets the network layer publish in O(1)
 // into the sequenced log. The returned slice is reused by the next call:
 // callers publish or fan it out first.
@@ -439,9 +435,6 @@ func (c *Core) HandleBroadcast(clientID string, m sync.Message) ([]Broadcast, er
 	}
 	if estP := c.estimateBroadcast(); estP != nil {
 		out = append(out, Broadcast{Prepared: estP})
-	}
-	if c.done {
-		out = append(out, Broadcast{Prepared: sync.NewPrepared(sync.Message{Type: sync.MsgDone})})
 	}
 	c.bcasts = out
 	return out, nil
@@ -489,6 +482,36 @@ func sameFigures(a, b *sync.Estimates) bool {
 // Done reports whether enough data has been collected.
 func (c *Core) Done() bool { return c.done }
 
+// Status summarizes a collection's progress, live or archived.
+type Status struct {
+	Done          bool `json:"done"`
+	FinalRows     int  `json:"finalRows"`
+	CandidateRows int  `json:"candidateRows"`
+	Clients       int  `json:"clients"`
+	Messages      int  `json:"messages"`
+}
+
+// Status returns the collection's progress.
+func (c *Core) Status() Status {
+	return Status{
+		Done:          c.done,
+		FinalRows:     c.index.FinalRows(),
+		CandidateRows: c.master.Table().Len(),
+		Clients:       len(c.clients),
+		Messages:      len(c.trace),
+	}
+}
+
+// ResultRows returns the final table as rows of column values.
+func (c *Core) ResultRows() [][]string {
+	final := c.index.FinalTable()
+	rows := make([][]string, len(final))
+	for i, row := range final {
+		rows[i] = row.Vec.Strings()
+	}
+	return rows
+}
+
 // Master exposes the master replica (read-only for callers).
 func (c *Core) Master() *sync.Replica { return c.master }
 
@@ -527,9 +550,6 @@ func (c *Core) Estimator() *pay.Estimator { return c.est }
 
 // Planner exposes the Central Client's planner (for stats and PRI checks).
 func (c *Core) Planner() *constraint.Planner { return c.planner }
-
-// Clients returns the number of connected clients.
-func (c *Core) Clients() int { return len(c.clients) }
 
 // ComputePay runs the §5.2 final-compensation calculation over the run.
 func (c *Core) ComputePay() (*pay.Allocation, error) { return c.ComputePayWith(c.cfg.Scheme) }

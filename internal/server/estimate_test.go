@@ -93,7 +93,7 @@ func TestNonFiniteEstimateKeepsClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNetServer(core, quietLogf(t))
+	ns := NewNetServer(core, nil)
 	defer ns.Shutdown()
 	hsrv := httptest.NewServer(ns.Handler())
 	defer hsrv.Close()

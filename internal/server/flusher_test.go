@@ -121,7 +121,7 @@ func prepSeq(seq int64) *sync.Prepared {
 // (byte-level frame identity of a batch vs K individual sends is proven in
 // wsock's TestWritePreparedBatchBytesIdentical).
 func TestFlusherCoalescesBurst(t *testing.T) {
-	l := newBcastLog(64, nil, nil)
+	l := newBcastLog(64, nil)
 	defer l.close()
 	rc := newRecConn()
 	fc, _ := l.register(rc, "self", nil, nil)
@@ -160,7 +160,7 @@ func TestFlusherCoalescesBurst(t *testing.T) {
 // many flush rounds — the concatenation of delivered batches is exactly the
 // publish sequence, no gaps, no duplicates, no reordering.
 func TestFlusherPoolOrdering(t *testing.T) {
-	l := newBcastLog(4096, nil, nil)
+	l := newBcastLog(4096, nil)
 	defer l.close()
 	rc := newRecConn()
 	fc, _ := l.register(rc, "c1", nil, nil)
@@ -202,7 +202,7 @@ func TestFlusherPoolOrdering(t *testing.T) {
 // drainBatch — not the publishing side's evictor — that detects the lag and
 // drops the connection (closing the transport so the reader half fails too).
 func TestFlusherDetectsLagAndDrops(t *testing.T) {
-	l := newBcastLog(8, nil, nil) // first publisher lag scan at head 8, next at 13
+	l := newBcastLog(8, nil) // first publisher lag scan at head 8, next at 13
 	defer l.close()
 	rc := newRecConn()
 	gate := make(chan struct{})
@@ -257,7 +257,7 @@ func TestFlusherSendErrorTearsDownBothHalves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNetServer(core, quietLogf(t))
+	ns := NewNetServer(core, nil)
 	defer ns.Shutdown()
 
 	rc := newRecConn()
@@ -270,7 +270,7 @@ func TestFlusherSendErrorTearsDownBothHalves(t *testing.T) {
 	// unregistered, and the pool forgets the connection.
 	waitFor(t, func() bool {
 		n := 0
-		ns.WithCore(func(c *Core) { n = c.Clients() })
+		ns.WithCore(func(c *Core) { n = c.Status().Clients })
 		return n == 0
 	})
 	waitFor(t, func() bool { conns, _ := ns.log.poolStats(); return conns == 0 })
@@ -324,7 +324,7 @@ func TestPeerCloseBeforeFlushIsNotADrop(t *testing.T) {
 	close(held.release)
 	<-served
 	n := -1
-	ns.WithCore(func(c *Core) { n = c.Clients() })
+	ns.WithCore(func(c *Core) { n = c.Status().Clients })
 	if n != 0 {
 		t.Fatalf("clients after disconnect = %d, want 0 (the reader half owns RemoveClient)", n)
 	}
@@ -351,7 +351,7 @@ func TestShutdownNoGoroutineLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNetServer(core, quietLogf(t))
+	ns := NewNetServer(core, nil)
 
 	// Three live pipe connections whose client halves drain (they will park
 	// between publishes), plus one connection wedged mid-flush behind a gate.
@@ -380,7 +380,7 @@ func TestShutdownNoGoroutineLeak(t *testing.T) {
 	// snapshot, the others have flushed theirs and parked.
 	waitFor(t, func() bool {
 		n := 0
-		ns.WithCore(func(c *Core) { n = c.Clients() })
+		ns.WithCore(func(c *Core) { n = c.Status().Clients })
 		return n == 4
 	})
 	waitFor(t, func() bool { _, parked := ns.log.poolStats(); return parked >= 3 })

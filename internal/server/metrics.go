@@ -11,11 +11,10 @@ import (
 )
 
 // dropCause labels why the serving plane tore down — or refused work from —
-// a client connection. The four previously ad-hoc logf sites (flusher lag
-// drop, flusher send failure, publisher-side eviction, handler reject) all
-// funnel through one structured note path (bcastLog.noteDrop /
-// NetServer.noteReject) that feeds the drop counters, the flight recorder,
-// and the log sink together.
+// a client connection. Every drop site (flusher lag drop, flusher send
+// failure, publisher-side eviction, handler reject) funnels through one
+// structured note path (Metrics.noteDrop) that feeds the drop counters and
+// the flight recorder, whose sink logs the line.
 type dropCause int
 
 const (
@@ -406,7 +405,8 @@ func (m *Metrics) estimateDecision(sent bool, bytes int) {
 
 // noteDrop is the single structured client-drop note: it bumps the cause's
 // counter and records a flight-recorder event (whose log sink emits the one
-// human-readable line). Callers hold no locks — the recorder sink may block.
+// human-readable line). One note per dropped connection, made by the detach
+// winner; callers hold no locks — the recorder sink may block.
 func (m *Metrics) noteDrop(cause dropCause, clientID, detail string) {
 	if m == nil {
 		return

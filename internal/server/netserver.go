@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"crowdfill/internal/netpoll"
+	"crowdfill/internal/replay"
 	"crowdfill/internal/sync"
 	"crowdfill/internal/transport"
 	"crowdfill/internal/wsock"
@@ -26,7 +27,9 @@ import (
 // connections park as bare flushConn structs (DESIGN.md §12). A client that
 // cannot keep up is detected by cursor lag — the log wrapping past it — and
 // disconnected, which preserves everyone else's per-link FIFO delivery
-// without per-recipient work on the hot path.
+// without per-recipient work on the hot path. The first time the core is
+// found done, the server runs its collection's one Done transition (finish,
+// DESIGN.md §18).
 type NetServer struct {
 	// mu serializes the core and the join point in the log. Every client
 	// message and every Central Client repair runs under it, so nothing that
@@ -38,34 +41,43 @@ type NetServer struct {
 	core   *Core
 	log    *bcastLog
 	nextID int64
-	logf   func(format string, args ...any)
+	done   bool // the Done transition has fired; joins after it are refused
+
+	onDone   func(Final)   // the host's part of the Done transition, or nil
+	archived chan struct{} // closed once onDone has returned
+	shutdown gosync.Once
 
 	// poller is the readiness read plane (DESIGN.md §15): on Linux,
 	// WebSocket connections are read by a fixed worker pool driven by
 	// epoll instead of one blocking goroutine each. nil where unsupported
-	// — serve falls back to the blocking loop per connection.
+	// or refused — serve falls back to the blocking loop per connection.
 	poller *netpoll.Poller
 }
 
-// NewNetServer wraps a Core for network serving. logf may be nil to discard
-// logs. The broadcast log holds defaultLogCapacity records and inherits the
-// core's instrument set (Config.Metrics), and logf becomes the flight
-// recorder's sink, so every structured drop event also emits one
-// human-readable line.
-func NewNetServer(core *Core, logf func(string, ...any)) *NetServer {
-	if logf != nil {
-		if rec := core.metrics.Recorder(); rec != nil {
-			rec.SetLogf(logf)
-		}
-	} else {
-		logf = func(string, ...any) {}
+// Final is what a finished collection hands its host: its final status, the
+// final table as rows of column values, and the bookkeeping log.
+type Final struct {
+	Status Status
+	Rows   [][]string
+	Log    replay.Log
+}
+
+// NewNetServer wraps a Core for network serving. onDone, which may be nil,
+// receives the finished collection once, before any link hears MsgDone; a
+// core that is already done finishes at once. The broadcast log holds
+// defaultLogCapacity records and inherits the core's instrument set.
+func NewNetServer(core *Core, onDone func(Final)) *NetServer {
+	s := &NetServer{
+		core:     core,
+		log:      newBcastLog(defaultLogCapacity, core.metrics),
+		onDone:   onDone,
+		archived: make(chan struct{}),
 	}
-	blog := newBcastLog(defaultLogCapacity, logf, core.metrics)
-	s := &NetServer{core: core, log: blog, logf: logf}
-	if p, err := netpoll.New(pollerCount(), pollStats(core.metrics)); err == nil {
+	if p, err := netpoll.New(poolSize(), core.metrics); err == nil {
 		s.poller = p
-	} else if err != netpoll.ErrUnsupported {
-		logf("crowdfill: readiness poller unavailable, using blocking reads: %v", err)
+	}
+	if s.done = core.Done(); s.done {
+		go s.finish()
 	}
 	return s
 }
@@ -105,14 +117,20 @@ func (s *NetServer) serve(conn transport.Conn, worker string) {
 	// it — no gap, no duplicate. The snapshot travels with the flushConn as
 	// its pending batch, delivered by the pool before any log record.
 	s.mu.Lock()
+	if s.done {
+		// A join after Done is never registered, so the finished core does
+		// not move: once the host has archived, it hears MsgDone alone.
+		s.mu.Unlock()
+		<-s.archived
+		conn.SetWriteDeadline(time.Now().Add(flushWriteDeadline))
+		_ = conn.Send(sync.Message{Type: sync.MsgDone}) // a peer already gone needs no answer
+		conn.Close()
+		return
+	}
 	private := s.core.AddClient(clientID, worker)
 	pending := make([]*sync.Prepared, len(private))
 	for i, o := range private {
-		if o.Prepared != nil {
-			pending[i] = o.Prepared
-		} else {
-			pending[i] = sync.NewPrepared(o.Msg)
-		}
+		pending[i] = o.Prepared
 	}
 	fc, open := s.log.register(conn, clientID, pending, func() {
 		// Eviction hook (publisher side, own goroutine): closing the
@@ -145,7 +163,7 @@ func (s *NetServer) serve(conn transport.Conn, worker string) {
 			break
 		}
 		if herr := s.handleAndPublish(clientID, m); herr != nil {
-			s.noteReject(clientID, herr)
+			s.core.metrics.noteDrop(dropReject, clientID, herr.Error())
 		}
 	}
 	s.finishConn(conn, clientID, fc)
@@ -162,28 +180,18 @@ func (s *NetServer) finishConn(conn transport.Conn, clientID string, fc *flushCo
 	// detach on an evicted cursor (the flusher never touched it again after
 	// the evictor closed the transport), the lag drop is noted here.
 	if won, lagged := s.log.deregister(fc); won && lagged {
-		s.log.noteDrop(dropLag, clientID, "cursor lagged behind broadcast log")
+		s.core.metrics.noteDrop(dropLag, clientID, "cursor lagged behind broadcast log")
 	}
 	conn.Close()
-}
-
-// noteReject records one rejected inbound message: reject counter,
-// flight-recorder event (whose sink logs the line), or plain logf when
-// instrumentation is off. Rejects share the drop-cause funnel but are not
-// teardowns — the connection stays up.
-func (s *NetServer) noteReject(clientID string, herr error) {
-	if m := s.core.metrics; m != nil {
-		m.noteDrop(dropReject, clientID, herr.Error())
-		return
-	}
-	s.logf("crowdfill: client %s message rejected: %v", clientID, herr)
 }
 
 // handleAndPublish runs one inbound message through the core and publishes
 // the resulting broadcasts into the log. The lock is held for the core
 // transition plus an O(len(records)) append — no per-recipient work. The
 // warnings the transition raised are taken under the lock and written to
-// the log and the flight recorder after it is released.
+// the log and the flight recorder after it is released. Rejects are noted
+// by the caller and are not teardowns. The message that completes the
+// collection starts the Done transition.
 func (s *NetServer) handleAndPublish(clientID string, m sync.Message) error {
 	s.mu.Lock()
 	bcasts, err := s.core.HandleBroadcast(clientID, m)
@@ -191,19 +199,47 @@ func (s *NetServer) handleAndPublish(clientID string, m sync.Message) error {
 		s.log.publish(bcasts)
 	}
 	warn := s.core.TakeWarnings()
+	finished := !s.done && s.core.Done()
+	s.done = s.done || finished
 	s.mu.Unlock()
 	warn.Emit()
+	if finished {
+		go s.finish()
+	}
 	return err
+}
+
+// finish is the collection's one Done transition, on its own goroutine
+// because Shutdown joins the pools the completing message ran on. The host
+// archives first, so a worker that hears MsgDone can rely on the archive;
+// then MsgDone is published, every link is given flushWriteDeadline to
+// flush past it, and Shutdown closes the links and both planes.
+func (s *NetServer) finish() {
+	if s.onDone != nil {
+		var fin Final
+		s.WithCore(func(c *Core) { fin = Final{Status: c.Status(), Rows: c.ResultRows(), Log: c.Log()} })
+		s.onDone(fin)
+	}
+	close(s.archived)
+	s.mu.Lock()
+	s.log.publish([]Broadcast{{Prepared: sync.NewPrepared(sync.Message{Type: sync.MsgDone})}})
+	s.mu.Unlock()
+	for deadline := time.Now().Add(flushWriteDeadline); !s.log.drained() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	s.Shutdown()
 }
 
 // Shutdown closes the broadcast plane and the readiness read plane: every
 // registered connection's transport is closed — failing blocking reader
 // loops and firing poller close hooks — the flusher pool, the log's
 // dispatcher, and the poll workers exit, and the call returns only once
-// they all have. Further publishes are dropped.
+// they all have (whichever caller ran it). Further publishes are dropped.
 func (s *NetServer) Shutdown() {
-	s.log.close()
-	s.poller.Close()
+	s.shutdown.Do(func() {
+		s.log.close()
+		s.poller.Close()
+	})
 }
 
 // Done reports whether the collection finished (thread-safe).

@@ -102,7 +102,7 @@ func TestNetworkCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNetServer(core, quietLogf(t))
+	ns := NewNetServer(core, nil)
 	hsrv := httptest.NewServer(ns.Handler())
 	defer hsrv.Close()
 	url := "ws" + strings.TrimPrefix(hsrv.URL, "http")
@@ -150,7 +150,7 @@ func TestHTTPServerLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNetServer(core, quietLogf(t))
+	ns := NewNetServer(core, nil)
 	defer ns.Shutdown()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -329,7 +329,7 @@ func TestSlowClientOverflowDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNetServer(core, quietLogf(t))
+	ns := NewNetServer(core, nil)
 	withLogCapacity(ns, logCapacity)
 
 	// The slow client connects and never reads: a tiny pipe buffer blocks
@@ -349,7 +349,7 @@ func TestSlowClientOverflowDisconnect(t *testing.T) {
 
 	waitFor(t, func() bool {
 		n := 0
-		ns.WithCore(func(c *Core) { n = c.Clients() })
+		ns.WithCore(func(c *Core) { n = c.Status().Clients })
 		return n == 2
 	})
 	waitFor(t, func() bool {
@@ -457,7 +457,9 @@ func TestSlowClientOverflowDisconnect(t *testing.T) {
 
 	// The survivors converge: fresh workers push the row to a majority
 	// (the toggle loop always ends with w1's upvote cast, so one more vote
-	// finishes; extra workers may find the run already done).
+	// finishes; extra workers may find the run already done — w2's upvote
+	// may still be in flight when w3 dials, and a join after Done hears
+	// MsgDone alone, without the table).
 	for _, w := range []string{"w2", "w3"} {
 		if ns.Done() {
 			break
@@ -479,8 +481,11 @@ func TestSlowClientOverflowDisconnect(t *testing.T) {
 					}
 				}
 			})
-			return ok
+			return ok || rN.Done()
 		})
+		if rN.Done() {
+			break
+		}
 		if err := rN.Do(func(c *client.Client) ([]sync.Message, error) {
 			for _, row := range c.Rows(nil) {
 				if row.Vec.IsComplete() {
@@ -526,7 +531,7 @@ func TestBroadcastWireBytesShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNetServer(core, quietLogf(t))
+	ns := NewNetServer(core, nil)
 	hsrv := httptest.NewServer(ns.Handler())
 	defer hsrv.Close()
 	url := "ws" + strings.TrimPrefix(hsrv.URL, "http")
@@ -616,28 +621,5 @@ func waitFor(t *testing.T, cond func() bool) {
 // defaultLogCapacity. Call it before any client connects.
 func withLogCapacity(ns *NetServer, capacity int) {
 	ns.log.close()
-	ns.log = newBcastLog(capacity, ns.logf, ns.core.metrics)
-}
-
-// quietLogf is t.Logf for handing to a NetServer: the server passes its log
-// function on to goroutines the test does not own and cannot join — pool
-// flushers, the recorder's sink, a serve loop still in its epilogue — and a
-// t.Logf from one of them after the test has returned panics the whole
-// binary. Lines logged once the test's cleanups have run are dropped; the
-// mutex keeps a line in flight from straddling that moment.
-func quietLogf(t testing.TB) func(format string, args ...any) {
-	var mu gosync.Mutex
-	done := false
-	t.Cleanup(func() {
-		mu.Lock()
-		done = true
-		mu.Unlock()
-	})
-	return func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !done {
-			t.Logf(format, args...)
-		}
-	}
+	ns.log = newBcastLog(capacity, ns.core.metrics)
 }

@@ -58,7 +58,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNetServer(core, quietLogf(t))
+	ns := NewNetServer(core, nil)
 	withLogCapacity(ns, 16) // tiny log so the stalled client laps out quickly
 	defer ns.Shutdown()
 	hsrv := httptest.NewServer(ns.Handler())

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"crowdfill/internal/netpoll"
@@ -9,27 +8,7 @@ import (
 	"crowdfill/internal/transport"
 )
 
-// pollerCount sizes the readiness worker pool exactly like the flusher
-// pool: one worker per CPU with a floor of two, so one handler stuck in a
-// slow core transition can never serialize all inbound processing.
-func pollerCount() int {
-	if n := runtime.GOMAXPROCS(0); n > 2 {
-		return n
-	}
-	return 2
-}
-
-// pollStats adapts the server instrument set for the poller without handing
-// it a typed-nil interface when instrumentation is off.
-func pollStats(m *Metrics) netpoll.Stats {
-	if m == nil {
-		return nil
-	}
-	return m
-}
-
-// pollConn is the reader-side state of one poller-owned connection: what
-// the per-connection serve goroutine used to keep on its stack. It is
+// pollConn is the reader-side state of one poller-owned connection. It is
 // touched by exactly one poll worker at a time (the poller's dispatch
 // protocol), plus the idempotent teardown, which may race in from the
 // write plane's close hook.
@@ -111,7 +90,7 @@ func (st *pollConn) readable(scratch []byte) {
 // as the blocking loop.
 func (st *pollConn) onMsg(m sync.Message) error {
 	if herr := st.s.handleAndPublish(st.clientID, m); herr != nil {
-		st.s.noteReject(st.clientID, herr)
+		st.s.core.metrics.noteDrop(dropReject, st.clientID, herr.Error())
 	}
 	return nil
 }

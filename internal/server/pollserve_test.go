@@ -36,7 +36,7 @@ func pollTestServer(t *testing.T) (*NetServer, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNetServer(core, quietLogf(t))
+	ns := NewNetServer(core, nil)
 	if !ns.poller.Supported() {
 		t.Fatal("poller did not start on a supported platform")
 	}
@@ -53,7 +53,7 @@ func pollRegistered(ns *NetServer) int {
 
 func clientCount(ns *NetServer) int {
 	n := 0
-	ns.WithCore(func(c *Core) { n = c.Clients() })
+	ns.WithCore(func(c *Core) { n = c.Status().Clients })
 	return n
 }
 

@@ -2,17 +2,23 @@
 # Paired parent-vs-working-tree runs of the repository benchmark (choosing-
 # metrics §8): both sides run bench/run.sh exactly as the driver does, with
 # the run length BENCHMARK.json fixes, a fresh seed per pair, and the side
-# that goes first alternating from pair to pair. For each end-to-end metric
-# it prints both sides' median and quartiles, the pairs the change won (ties
-# count for neither), whether the gain rule holds — the change wins at least
-# nine tenths of the pairs and the medians differ by more than the distance
-# between the parent's own quartiles — the no-regression verdict against the
-# bound BENCHMARK.json fixes for the metric, and every run's value, pair by
-# pair. The verdict is REGRESSION when the change's median is worse than the
-# parent's by more than the bound; otherwise unresolved when the parent's own
-# quartile distance exceeds the bound (unless every change run beats every
-# parent run); otherwise within bound. A REGRESSION, or more failed runs on
-# the change than on the parent, exits non-zero.
+# that goes first alternating from pair to pair. Both runs of a pair share a
+# seed and run back to back, so the verdicts are taken from the per-pair
+# ratio change/parent, which cancels the spread between seeds and host drift
+# slower than a pair: its median and the interval between its order
+# statistics k and n+1-k, k = 0.3n (3 and 8 of 10 ratios, the ~89 %
+# sign-test interval). For each end-to-end metric it prints both sides'
+# median and quartiles, the pairs the change won (ties count for neither),
+# the ratio's median and interval, whether the gain rule holds — the change
+# wins at least nine tenths of the pairs, the whole interval lies on the
+# better side of 1, and the medians differ by more than the distance between
+# the parent's own quartiles, so that a consistent but negligible difference
+# reads no gain — the no-regression verdict against the bound BENCHMARK.json
+# fixes for the metric, and every run's value, pair by pair.
+# The verdict is REGRESSION when the interval lies wholly past the bound,
+# within bound when it lies wholly inside it, and unresolved only when it
+# straddles the bound. A REGRESSION, or more failed runs on the change than
+# on the parent, exits non-zero.
 #
 #   sh scripts/bench_pair.sh <parent-ref> <workload> [pairs=10]
 #
@@ -102,23 +108,31 @@ END {
         higher = index(" " higherlist, " " m " ") > 0
         np = sorted("parent", m, P); nc = sorted("change", m, C)
         if (np == 0 || nc == 0) continue
-        won = lost = 0
+        won = lost = nr = 0; split("", R)
         for (sd in seeds) {
-            if (!(("parent", sd, m) in val) || !(("change", sd, m) in val)) continue
-            d = val["change", sd, m] - val["parent", sd, m]
-            if (higher) d = -d
-            if (d < 0) won++; else if (d > 0) lost++
+            if (!(("parent", sd, m) in val) || !(("change", sd, m) in val) || val["parent", sd, m] == 0) continue
+            r = val["change", sd, m] / val["parent", sd, m]
+            R[++nr] = r
+            if (higher ? r > 1 : r < 1) won++; else if (higher ? r < 1 : r > 1) lost++
         }
+        for (i = 2; i <= nr; i++) for (j = i; j > 1 && R[j - 1] > R[j]; j--) { t = R[j]; R[j] = R[j - 1]; R[j - 1] = t }
         pq1 = quantile(P, np, 0.25); pmed = quantile(P, np, 0.5); pq3 = quantile(P, np, 0.75)
         cq1 = quantile(C, nc, 0.25); cmed = quantile(C, nc, 0.5); cq3 = quantile(C, nc, 0.75)
         gain = higher ? cmed - pmed : pmed - cmed
         printf "%-16s parent median %.4g [q1 %.4g, q3 %.4g]  change median %.4g [q1 %.4g, q3 %.4g]\n", m, pmed, pq1, pq3, cmed, cq1, cq3
-        printf "%-16s change won %d, lost %d of %d pairs; medians differ by %.4g (%+.1f%%), parent quartile distance %.4g: %s\n", "", won, lost, pairs, gain, pmed ? 100 * (cmed - pmed) / pmed : 0, pq3 - pq1, (won * 10 >= 9 * pairs && gain > pq3 - pq1) ? "GAIN" : "no gain shown"
-        if (m in bound && pmed) {
-            allbeat = higher ? C[1] > P[np] : C[nc] < P[1]
-            if (-gain / pmed > bound[m]) { verdict = "REGRESSION"; regressed = 1 }
-            else verdict = ((pq3 - pq1) / pmed > bound[m] && !allbeat) ? "unresolved" : "within bound"
-            printf "%-16s bound %g%% of the parent median, parent quartile distance %.1f%%: %s\n", "", 100 * bound[m], 100 * (pq3 - pq1) / pmed, verdict
+        if (nr > 0) {
+            o = int(0.3 * nr); if (o < 1) o = 1
+            lo = R[o]; hi = R[nr + 1 - o]; rmed = quantile(R, nr, 0.5)
+            # Each ratio as its distance past 1 in the worse direction, so that the
+            # upper end of the interval is always its worse one.
+            worse = higher ? 2 - lo : hi; better = higher ? 2 - hi : lo
+            printf "%-16s change won %d, lost %d of %d pairs; ratio change/parent median %.4f, interval [%.4f, %.4f] (order statistics %d and %d of %d)\n", "", won, lost, pairs, rmed, lo, hi, o, nr + 1 - o, nr
+            printf "%-16s medians differ by %.4g (%+.1f%%), parent quartile distance %.4g: %s\n", "", gain, pmed ? 100 * (cmed - pmed) / pmed : 0, pq3 - pq1, (won * 10 >= 9 * pairs && worse < 1 && gain > pq3 - pq1) ? "GAIN" : "no gain shown"
+            if (m in bound) {
+                if (better > 1 + bound[m]) { verdict = "REGRESSION"; regressed = 1 }
+                else verdict = (worse <= 1 + bound[m]) ? "within bound" : "unresolved"
+                printf "%-16s bound %g%% of the parent: %s\n", "", 100 * bound[m], verdict
+            }
         }
         runs = ""
         for (y = 1; y <= ns; y++) {
