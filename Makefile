@@ -19,18 +19,26 @@ race:
 	$(GO) test -race ./...
 
 # lint runs the crowdfill-lint invariant suite (internal/analysis) over the
-# whole module, with in-package _test.go files included: publishedmut,
-# locks, bufown, msgfield everywhere; simdet on the simulation packages.
+# whole module, with in-package _test.go files included: the locks analyzer
+# over the module call graph, which sees what no run-time test can (a
+# lock-order cycle, a blocking call under NetServer.mu on an undriven path).
 # -time prints load/analyze timing to stderr. `go test ./...` runs the same
 # suite (cmd/crowdfill-lint's TestModuleLintsClean); this target is for the
-# timing line and for reading findings in the linter's own format. The
-# message path's allocation budget is held by testing.AllocsPerRun tests,
-# not by an analyzer.
+# timing line and for reading findings in the linter's own format. The other
+# invariants are held by tests that fail on their breach: seed determinism
+# (TestSimTraceGolden, TestSimTraceDeterministic,
+# TestRepresentativeDeterminism), read-lease ownership (TestWSRecvBatch),
+# immutable vectors (TestLoadSnapshotSharesVectors,
+# TestConcurrentFillSameRow), the accepted-versus-replayed message set
+# (TestMsgType, TestMsgTypeAcceptedIsReplayed), a join's private messages
+# (TestJoinCarriesMasterState), and the message path's allocation budget
+# (testing.AllocsPerRun pins).
 lint:
 	$(GO) run ./cmd/crowdfill-lint -tests -time
 
 # lint-loc prints the lint suite's non-test line count: internal/analysis
-# plus cmd/crowdfill-lint, analyzer testdata excluded.
+# (the framework, the call graph and locks) plus cmd/crowdfill-lint,
+# analyzer testdata excluded.
 lint-loc:
 	@find internal/analysis cmd/crowdfill-lint -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
 

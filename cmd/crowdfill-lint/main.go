@@ -1,13 +1,21 @@
 // Command crowdfill-lint runs the internal/analysis invariant suite over the
-// module: publishedmut, locks, bufown and msgfield on every package, simdet
-// on the simulation packages, and a check that every //lint: directive is
-// one the suite reads. TestModuleLintsClean runs the same suite inside
-// `go test ./...`. The message path's allocation budget is not a lint rule:
-// testing.AllocsPerRun tests in each package hold it.
+// module: locks, over the module-wide call graph, and a check that every
+// //lint: directive is one the suite reads. TestModuleLintsClean runs the
+// same suite inside `go test ./...`. The suite is what no run-time test can
+// see: a lock-order cycle, or a blocking call under a //lint:nonblocking
+// lock on a path no test happens to drive. The other invariants the code
+// relies on are held by tests that fail on their breach: seed determinism
+// by TestSimTraceGolden, TestSimTraceDeterministic and
+// TestRepresentativeDeterminism, read-lease ownership by TestWSRecvBatch,
+// immutable vectors by TestLoadSnapshotSharesVectors and
+// TestConcurrentFillSameRow, the accepted-versus-replayed message set by
+// TestMsgType and TestMsgTypeAcceptedIsReplayed, a join's immutable
+// private messages by TestJoinCarriesMasterState, and the message path's
+// allocation budget by testing.AllocsPerRun pins.
 //
 // Usage:
 //
-//	crowdfill-lint [-list] [-tests] [-json] [-github] [-time] [import-path ...]
+//	crowdfill-lint [-list] [-tests] [-github] [-time] [import-path ...]
 //
 // With no arguments every buildable package in the module is checked. The
 // run is two-phase: every package loads (and type-checks) first, then the
@@ -16,14 +24,13 @@
 // package's in-package _test.go files are type-checked and analyzed
 // alongside its regular sources.
 //
-// Findings print as "file:line:col: [analyzer] message" by default, as a
-// JSON array with -json, and as GitHub Actions workflow commands
-// ("::error file=...") with -github so CI findings annotate PR diffs. The
-// exit status is 1 if any finding survives //lint:allow filtering.
+// Findings print as "file:line:col: [analyzer] message" by default, and as
+// GitHub Actions workflow commands ("::error file=...") with -github so CI
+// findings annotate PR diffs. The exit status is 1 if any finding survives
+// //lint:allow filtering.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -32,21 +39,16 @@ import (
 	"time"
 
 	"crowdfill/internal/analysis"
-	"crowdfill/internal/analysis/bufown"
 	"crowdfill/internal/analysis/locks"
-	"crowdfill/internal/analysis/msgfield"
-	"crowdfill/internal/analysis/publishedmut"
-	"crowdfill/internal/analysis/simdet"
 )
 
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	tests := flag.Bool("tests", false, "also analyze in-package _test.go files")
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array (file/line/col/analyzer/message)")
 	github := flag.Bool("github", false, "emit findings as GitHub Actions ::error workflow commands")
 	timing := flag.Bool("time", false, "report load/analyze wall times to stderr")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: crowdfill-lint [-list] [-tests] [-json] [-github] [-time] [import-path ...]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: crowdfill-lint [-list] [-tests] [-github] [-time] [import-path ...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -59,7 +61,7 @@ func main() {
 		return
 	}
 
-	opts := options{tests: *tests, json: *jsonOut, github: *github, timing: *timing}
+	opts := options{tests: *tests, github: *github, timing: *timing}
 	n, err := run(analyzers, flag.Args(), opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crowdfill-lint:", err)
@@ -71,32 +73,15 @@ func main() {
 	}
 }
 
-// suite returns fresh instances of every analyzer (msgfield accumulates
-// cross-package facts, so each run needs its own).
+// suite returns the analyzers a run applies.
 func suite() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		publishedmut.New(),
-		locks.New(),
-		bufown.New(),
-		msgfield.New(),
-		simdet.New(),
-	}
+	return []*analysis.Analyzer{locks.New()}
 }
 
 type options struct {
 	tests  bool
-	json   bool
 	github bool
 	timing bool
-}
-
-// finding is one emitted diagnostic, shaped for the -json output mode.
-type finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
 }
 
 // run analyzes the requested packages (all module packages when paths is
@@ -132,20 +117,22 @@ func run(analyzers []*analysis.Analyzer, paths []string, opts options) (int, err
 	shared := analysis.NewShared(pkgs)
 	loaded := time.Now()
 
-	// simdet's determinism rules only bind inside the simulation harness.
-	simPkgs := make(map[string]bool, len(simdet.DefaultPackages))
-	for _, p := range simdet.DefaultPackages {
-		simPkgs[p] = true
-	}
-
-	var findings []finding
+	n := 0
 	emit := func(name string, d analysis.Diagnostic) {
+		n++
 		pos := loader.Fset.Position(d.Pos)
 		file := pos.Filename
 		if rel, err := filepath.Rel(loader.ModRoot(), file); err == nil && !strings.HasPrefix(rel, "..") {
 			file = rel
 		}
-		findings = append(findings, finding{File: file, Line: pos.Line, Col: pos.Column, Analyzer: name, Message: d.Message})
+		if opts.github {
+			// GitHub's workflow-command parser terminates the message at a
+			// newline; findings are single-line by construction.
+			fmt.Printf("::error file=%s,line=%d,col=%d,title=crowdfill-lint %s::%s\n",
+				file, pos.Line, pos.Column, name, d.Message)
+		} else {
+			fmt.Printf("%s:%d:%d: [%s] %s\n", file, pos.Line, pos.Column, name, d.Message)
+		}
 	}
 
 	// Phase 2: analyze. Allow filtering runs per package, after each
@@ -162,9 +149,6 @@ func run(analyzers []*analysis.Analyzer, paths []string, opts options) (int, err
 		}
 		allows := analysis.CollectAllows(pkg.Fset, pkg.Files)
 		for _, a := range analyzers {
-			if a.Name == "simdet" && !simPkgs[pkg.Path] {
-				continue
-			}
 			diags, err := analysis.RunAnalyzer(a, pkg, shared)
 			if err != nil {
 				return 0, err
@@ -178,45 +162,13 @@ func run(analyzers []*analysis.Analyzer, paths []string, opts options) (int, err
 			}
 		}
 	}
-
-	// Cross-package contracts (msgfield's accept-vs-replay comparison) fire
-	// once the whole module has been seen. Finish findings are contract
-	// breaks between packages and have no //lint:allow escape hatch.
-	for _, a := range analyzers {
-		if a.Finish != nil {
-			a.Finish(func(d analysis.Diagnostic) { emit(a.Name, d) })
-		}
-	}
 	analyzed := time.Now()
 
-	switch {
-	case opts.json:
-		out := findings
-		if out == nil {
-			out = []finding{} // emit [] rather than null
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return 0, err
-		}
-		fmt.Println(string(data))
-	case opts.github:
-		for _, f := range findings {
-			// GitHub's workflow-command parser terminates the message at a
-			// newline; findings are single-line by construction.
-			fmt.Printf("::error file=%s,line=%d,col=%d,title=crowdfill-lint %s::%s\n",
-				f.File, f.Line, f.Col, f.Analyzer, f.Message)
-		}
-	default:
-		for _, f := range findings {
-			fmt.Printf("%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
-		}
-	}
 	if opts.timing {
 		fmt.Fprintf(os.Stderr, "crowdfill-lint: %d pkgs, load %s, analyze %s, total %s\n",
 			len(pkgs), loaded.Sub(start).Round(time.Millisecond),
 			analyzed.Sub(loaded).Round(time.Millisecond),
 			time.Since(start).Round(time.Millisecond))
 	}
-	return len(findings), nil
+	return n, nil
 }

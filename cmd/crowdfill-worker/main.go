@@ -20,7 +20,6 @@ import (
 	"crowdfill/internal/client"
 	"crowdfill/internal/crowd"
 	"crowdfill/internal/spec"
-	"crowdfill/internal/sync"
 	"crowdfill/internal/transport"
 	"crowdfill/internal/wsock"
 )
@@ -96,44 +95,7 @@ func main() {
 		if runner.Done() {
 			break
 		}
-		err := runner.Do(func(c *client.Client) ([]sync.Message, error) {
-			switch d.Kind {
-			case crowd.ActFill:
-				return c.Fill(d.Row, d.Col, d.Value)
-			case crowd.ActUpvote:
-				m, err := c.Upvote(d.Row)
-				if err != nil {
-					return nil, err
-				}
-				return []sync.Message{m}, nil
-			case crowd.ActDownvote:
-				m, err := c.Downvote(d.Row)
-				if err != nil {
-					return nil, err
-				}
-				return []sync.Message{m}, nil
-			case crowd.ActReconsider:
-				row := c.Replica().Table().Get(d.Row)
-				if row == nil {
-					return nil, nil
-				}
-				undo, err := c.UndoVote(row.Vec)
-				if err != nil {
-					return nil, err
-				}
-				var re sync.Message
-				if d.Up {
-					re, err = c.Upvote(d.Row)
-				} else {
-					re, err = c.Downvote(d.Row)
-				}
-				if err != nil {
-					return []sync.Message{undo}, nil
-				}
-				return []sync.Message{undo, re}, nil
-			}
-			return nil, nil
-		})
+		err := runner.Do(d.Act)
 		if err == nil && d.Kind != crowd.ActIdle {
 			actions++
 			if actions%10 == 0 {

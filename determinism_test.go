@@ -8,10 +8,12 @@ import (
 )
 
 // TestSimTraceDeterministic runs the paper-representative simulation twice
-// with the same seed and requires byte-identical exported traces — the
-// property the simdet analyzer guards statically: all time comes from the
-// simulated clock and all randomness from the seeded source, so a trace is
-// fully reproducible from its seed.
+// with the same seed and requires byte-identical exported traces: all time
+// comes from the simulated clock and all randomness from the seeded source,
+// so a trace is fully reproducible from its seed. TestSimTraceGolden pins
+// fixed seeds' traces to committed digests across processes, and
+// TestRepresentativeDeterminism holds the reports built from map iteration
+// to one order.
 func TestSimTraceDeterministic(t *testing.T) {
 	const seed = 20140622 // SIGMOD'14
 

@@ -7,14 +7,14 @@
 // standard library's source importer.
 //
 // The shape mirrors x/tools on purpose — Analyzer{Name, Doc, Run},
-// Pass{Fset, Files, Pkg, TypesInfo, Report} — so the suite could be ported
-// to the real framework by swapping imports if a vendored x/tools ever
-// lands.
+// Pass{Pkg, Report} — so the suite could be ported to the real framework
+// by swapping imports if a vendored x/tools ever lands. The one analyzer
+// left, locks, reads the whole module through Shared rather than one
+// package's syntax, so Pass carries no more than it uses.
 package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
@@ -29,19 +29,11 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one package and reports findings through pass.Report.
 	Run func(pass *Pass) error
-	// Finish, if non-nil, runs once after every package has been analyzed.
-	// Cross-package contracts (e.g. msgfield's server↔replay message-set
-	// comparison) report their findings here.
-	Finish func(report func(Diagnostic))
 }
 
-// Pass carries one package's parsed and type-checked state to an analyzer.
+// Pass hands one package to an analyzer.
 type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
+	Pkg *types.Package
 	// Report records one finding.
 	Report func(Diagnostic)
 	// Shared carries whole-run state (every loaded package, memoized
@@ -95,11 +87,6 @@ func ModuleRun(key string, compute func(*Shared) []Finding) func(*Pass) error {
 	}
 }
 
-// Reportf formats and reports a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
 // Diagnostic is one finding.
 type Diagnostic struct {
 	Pos     token.Pos
@@ -116,13 +103,9 @@ func RunAnalyzer(a *Analyzer, pkg *Package, shared *Shared) ([]Diagnostic, error
 	}
 	var diags []Diagnostic
 	pass := &Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.TypesInfo,
-		Report:    func(d Diagnostic) { diags = append(diags, d) },
-		Shared:    shared,
+		Pkg:    pkg.Types,
+		Report: func(d Diagnostic) { diags = append(diags, d) },
+		Shared: shared,
 	}
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)

@@ -53,9 +53,6 @@ func runOne(t *testing.T, dir, name string, a *analysis.Analyzer) {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if a.Finish != nil {
-		a.Finish(func(d analysis.Diagnostic) { raw = append(raw, d) })
-	}
 	kept, extras := analysis.Filter(pkg.Fset, analysis.CollectAllows(pkg.Fset, pkg.Files), a.Name, raw)
 	diags := append(kept, extras...)
 

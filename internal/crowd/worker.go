@@ -8,6 +8,7 @@ import (
 
 	"crowdfill/internal/client"
 	"crowdfill/internal/model"
+	"crowdfill/internal/sync"
 )
 
 // Spec parameterizes one simulated worker.
@@ -88,6 +89,49 @@ type Decision struct {
 	Value string
 	Up    bool // ActReconsider: the new vote direction
 	Think time.Duration
+}
+
+// Act carries d out against c and returns the messages the client calls
+// generated, for the caller to send. An idle decision sends nothing, and so
+// does a reconsider whose row has left the view; a reconsider whose re-vote
+// fails sends its undo alone, which still counts.
+func (d Decision) Act(c *client.Client) ([]sync.Message, error) {
+	switch d.Kind {
+	case ActFill:
+		return c.Fill(d.Row, d.Col, d.Value)
+	case ActUpvote:
+		m, err := c.Upvote(d.Row)
+		if err != nil {
+			return nil, err
+		}
+		return []sync.Message{m}, nil
+	case ActDownvote:
+		m, err := c.Downvote(d.Row)
+		if err != nil {
+			return nil, err
+		}
+		return []sync.Message{m}, nil
+	case ActReconsider:
+		row := c.Replica().Table().Get(d.Row)
+		if row == nil {
+			return nil, nil
+		}
+		undo, err := c.UndoVote(row.Vec)
+		if err != nil {
+			return nil, err
+		}
+		var revote sync.Message
+		if d.Up {
+			revote, err = c.Upvote(d.Row)
+		} else {
+			revote, err = c.Downvote(d.Row)
+		}
+		if err != nil {
+			return []sync.Message{undo}, nil
+		}
+		return []sync.Message{undo, revote}, nil
+	}
+	return nil, nil
 }
 
 // Worker is the behavior model bound to one worker identity. It is driven by

@@ -203,47 +203,7 @@ func Run(cfg SimConfig) (*SimResult, error) {
 		if core.Done() || clk.Now() > maxNs {
 			return
 		}
-		c := clients[cfg.Workers[i].Name]
-		var msgs []sync.Message
-		var aerr error
-		switch d.Kind {
-		case crowd.ActFill:
-			msgs, aerr = c.Fill(d.Row, d.Col, d.Value)
-		case crowd.ActUpvote:
-			var m sync.Message
-			m, aerr = c.Upvote(d.Row)
-			if aerr == nil {
-				msgs = []sync.Message{m}
-			}
-		case crowd.ActDownvote:
-			var m sync.Message
-			m, aerr = c.Downvote(d.Row)
-			if aerr == nil {
-				msgs = []sync.Message{m}
-			}
-		case crowd.ActReconsider:
-			row := c.Replica().Table().Get(d.Row)
-			if row == nil {
-				break
-			}
-			var undo, revote sync.Message
-			undo, aerr = c.UndoVote(row.Vec)
-			if aerr != nil {
-				break
-			}
-			if d.Up {
-				revote, aerr = c.Upvote(d.Row)
-			} else {
-				revote, aerr = c.Downvote(d.Row)
-			}
-			if aerr != nil {
-				// The undo alone still counts; send it.
-				msgs = []sync.Message{undo}
-				aerr = nil
-				break
-			}
-			msgs = []sync.Message{undo, revote}
-		}
+		msgs, aerr := d.Act(clients[cfg.Workers[i].Name])
 		// Stale decisions (the row changed while thinking) just lose the
 		// turn — the human analogue re-reads the table.
 		if aerr == nil {
@@ -330,7 +290,7 @@ func Run(cfg SimConfig) (*SimResult, error) {
 }
 
 // workerReports builds per-worker aggregates from the trace, the allocation,
-// and the estimator records.
+// and the estimator records, sorted by worker name.
 func workerReports(cfg SimConfig, core *server.Core, alloc *pay.Allocation) []WorkerReport {
 	byName := make(map[string]*WorkerReport)
 	for _, spec := range cfg.Workers {

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	gosync "sync"
 	"testing"
@@ -113,6 +114,15 @@ func TestRepresentativeDeterminism(t *testing.T) {
 	for i := range a.Workers {
 		if a.Workers[i] != b.Workers[i] {
 			t.Fatalf("worker report differs: %+v vs %+v", a.Workers[i], b.Workers[i])
+		}
+	}
+	// The reports are gathered in a map. Two runs can iterate it in the same
+	// order by chance, so rebuild them from one run many times: every build
+	// must come out in name order.
+	for i := 0; i < 32; i++ {
+		got := workerReports(RepresentativeConfig(7), a.Core, a.Alloc)
+		if !slices.Equal(got, a.Workers) || !slices.IsSortedFunc(got, func(x, y WorkerReport) int { return strings.Compare(x.Name, y.Name) }) {
+			t.Fatalf("worker reports not in name order on build %d: %+v", i, got)
 		}
 	}
 }

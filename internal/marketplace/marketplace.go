@@ -66,8 +66,8 @@ type Marketplace struct {
 
 // mktStats is the marketplace's slice of the process metrics: HIT lifecycle
 // and payment activity, visible on the same /debug endpoints as the serving
-// plane. Counters and gauges only — the marketplace is simdet-scoped, so it
-// takes no clock or randomness from the instruments.
+// plane. Counters and gauges only — the marketplace runs inside seeded
+// simulations, so it takes no clock or randomness from the instruments.
 type mktStats struct {
 	hits      *metrics.Counter
 	accepts   *metrics.Counter

@@ -21,8 +21,8 @@ type Cell struct {
 // A Vector is an immutable value: only the code that builds one writes its
 // cells (NewVector's caller, VectorOf, With, Project, a decoder), and from
 // then on rows, vote histories, snapshots and messages share it instead of
-// copying it. The publishedmut analyzer reports a write into the cells of a
-// vector reached through a Row's or a message's Vec field.
+// copying it. TestLoadSnapshotSharesVectors and TestConcurrentFillSameRow
+// fail when a replica writes into the cells of a vector it shares.
 type Vector []Cell
 
 // NewVector returns an all-empty vector of width n.

@@ -47,14 +47,11 @@ func Rebuild(schema *model.Schema, trace, ccLog []sync.Message) (*sync.Replica, 
 	sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].TS < msgs[j].TS })
 	rep := sync.NewReplica(schema)
 	for i, m := range msgs {
-		switch m.Type {
-		case sync.MsgInsert, sync.MsgReplace, sync.MsgUpvote, sync.MsgDownvote,
-			sync.MsgUnupvote, sync.MsgUndownvote:
-			if err := rep.Apply(m); err != nil {
-				return nil, fmt.Errorf("replay: message %d (%v at ts %d): %w", i, m.Type, m.TS, err)
-			}
-		default:
+		if !m.Type.IsOp() {
 			return nil, fmt.Errorf("replay: unexpected %v message in trace", m.Type)
+		}
+		if err := rep.Apply(m); err != nil {
+			return nil, fmt.Errorf("replay: message %d (%v at ts %d): %w", i, m.Type, m.TS, err)
 		}
 	}
 	return rep, nil

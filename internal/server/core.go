@@ -407,10 +407,7 @@ func (c *Core) HandleBroadcast(clientID string, m sync.Message) ([]Broadcast, er
 	if !ok {
 		return nil, fmt.Errorf("server: unknown client %q", clientID)
 	}
-	switch m.Type {
-	case sync.MsgReplace, sync.MsgUpvote, sync.MsgDownvote, sync.MsgInsert,
-		sync.MsgUnupvote, sync.MsgUndownvote:
-	default:
+	if !m.Type.IsOp() {
 		return nil, fmt.Errorf("server: clients may not send %v messages", m.Type)
 	}
 	m.Origin = clientID

@@ -13,6 +13,7 @@ import (
 	"crowdfill/internal/constraint"
 	"crowdfill/internal/model"
 	"crowdfill/internal/pay"
+	"crowdfill/internal/replay"
 	"crowdfill/internal/simclock"
 	"crowdfill/internal/sync"
 )
@@ -319,6 +320,47 @@ func TestHandleErrors(t *testing.T) {
 	r.core.RemoveClient("c1")
 	if got := r.core.Status().Clients; got != 0 {
 		t.Fatalf("clients = %d", got)
+	}
+}
+
+// TestMsgTypeAcceptedIsReplayed holds the bookkeeping trace's contract
+// (§3.3): the core accepts from a client exactly the types MsgType.IsOp
+// names, and everything it accepted replays into the master's state. Each
+// type, declared or not, is offered as a well-formed message of its kind,
+// so a rejection is the type's and not its payload's.
+func TestMsgTypeAcceptedIsReplayed(t *testing.T) {
+	for typ := sync.MsgType(0); typ <= sync.MsgUndownvote+1; typ++ {
+		r := newRig(t, cardinalityConfig(t, 2))
+		c1 := r.join("c1", "w1")
+		m := sync.Message{Type: typ}
+		switch typ {
+		case sync.MsgInsert:
+			m.Row = "probe-row"
+		case sync.MsgReplace:
+			m.Row, m.NewRow, m.Vec = c1.Rows(nil)[0].ID, "probe-new", model.NewVector(2).With(0, "a")
+		case sync.MsgUpvote, sync.MsgDownvote, sync.MsgUnupvote, sync.MsgUndownvote:
+			m.Vec = model.VectorOf("a", "b")
+		case sync.MsgSnapshot:
+			m.Snapshot = r.core.Master().TakeSnapshot()
+		case sync.MsgEstimate:
+			m.Estimates = &sync.Estimates{PerColumn: []float64{1, 1}, Upvote: 1, Downvote: 1}
+		}
+		_, err := r.core.HandleBroadcast("c1", m)
+		if accepted := err == nil; accepted != typ.IsOp() {
+			t.Errorf("%v: core accepted = %v (err %v), IsOp = %v", typ, accepted, err, typ.IsOp())
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		rep, err := replay.Rebuild(r.core.Master().Schema(), r.core.Trace(), r.core.CCLog())
+		if err != nil {
+			t.Errorf("%v: the core accepted it, but its trace does not replay: %v", typ, err)
+			continue
+		}
+		if got, want := rep.SnapshotText(), r.core.Master().SnapshotText(); got != want {
+			t.Errorf("%v: replayed state differs from the master:\n%s\n%s", typ, got, want)
+		}
 	}
 }
 

@@ -70,6 +70,19 @@ func (t MsgType) String() string {
 	return fmt.Sprintf("msgtype(%d)", int(t))
 }
 
+// IsOp reports whether t is a table operation: a message that changes a
+// replica (insert, replace and the four vote kinds). These are exactly the
+// types the server core accepts from clients, records in the bookkeeping
+// trace (§3.3) and replay re-applies; snapshot, done and estimate messages
+// travel only from server to client and change no replica.
+func (t MsgType) IsOp() bool {
+	switch t {
+	case MsgInsert, MsgReplace, MsgUpvote, MsgDownvote, MsgUnupvote, MsgUndownvote:
+		return true
+	}
+	return false
+}
+
 // Message is the unit of propagation between clients and server. Exactly the
 // fields relevant to Type are populated. The bookkeeping fields (Origin,
 // Worker, Seq, TS, Auto, Col, Val) exist for the trace the back-end server

@@ -190,16 +190,14 @@ func (r *Replica) Epoch() uint64 { return r.epoch }
 // copy. A model.Vector is immutable once built — Fill builds its own with
 // With, a link's decode cache hands one vector to every message that
 // repeats it, and a published message is shared read-only by every
-// recipient — so nobody writes m.Vec, before Apply or after (the
-// publishedmut analyzer flags any write into the cells of a Vec field).
+// recipient — so nobody writes m.Vec, before Apply or after
+// (TestLoadSnapshotSharesVectors and TestConcurrentFillSameRow fail when
+// Fill writes a cell of the row's own vector).
 func (r *Replica) Apply(m Message) error {
-	switch m.Type {
-	case MsgInsert, MsgReplace, MsgUpvote, MsgDownvote, MsgUnupvote, MsgUndownvote:
+	if m.Type.IsOp() {
 		// Votes on vectors no row carries still mutate the histories, so any
-		// message reaching the switch below dirties the state.
+		// table operation dirties the state.
 		r.epoch++
-	default:
-		// Snapshot, done and estimate messages leave the replica unchanged.
 	}
 	switch m.Type {
 	case MsgInsert:

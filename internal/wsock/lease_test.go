@@ -119,8 +119,8 @@ func TestLeaseInvalidatedByNextRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same length, same backing buffer: the old lease now shows new bytes.
-	if string(lease) != "burst" { //lint:allow bufown this test pins the invalidation contract: the stale lease must observe the reused buffer
-		t.Fatalf("lease not backed by the reused buffer: %q", lease) //lint:allow bufown deliberate stale-lease read, the assertion above explains it
+	if string(lease) != "burst" {
+		t.Fatalf("lease not backed by the reused buffer: %q", lease)
 	}
 }
 

@@ -325,7 +325,8 @@ func (c *Conn) nextMask() ([4]byte, error) {
 // lease: it is valid only until the next ReadTextLease or TryReadTextLease
 // call on this connection, which reuses the same backing buffer. Callers
 // that need the bytes longer must copy them first (see DESIGN.md §11 for the
-// ownership protocol; the bufown analyzer enforces it).
+// ownership protocol; TestLeaseInvalidatedByNextRead pins the reuse, and the
+// transport's TestWSRecvBatch fails when a caller keeps a lease too long).
 func (c *Conn) ReadTextLease() ([]byte, error) {
 	if c.poll != nil {
 		return nil, errPollMode

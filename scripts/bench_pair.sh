@@ -22,12 +22,17 @@
 #
 #   sh scripts/bench_pair.sh <parent-ref> <workload> [pairs=10]
 #
-# The parent is the committed tree of <parent-ref>, unpacked with git archive
-# into a temp dir (honours TMPDIR; removed on exit) — the same "committed
-# files in a new directory" the driver measures, and nothing is registered in
-# .git. The change is the working tree, uncommitted edits included. Each
-# side's bench/run.sh builds into its own .bench_build/ on first use and
-# hits its build cache afterwards. Nothing under bench/ is touched.
+# Both sides are fresh sibling directories of one temp dir (honours TMPDIR;
+# removed on exit), unpacked with git archive — the same "committed files in
+# a new directory" the driver measures. The parent is the committed tree of
+# <parent-ref>. The change is a snapshot of the working tree: tracked files
+# with their uncommitted edits, plus untracked files .gitignore does not
+# exclude, staged into a throwaway index (the blobs land in the object
+# store, as with `git stash`; no ref and not the real index moves). Neither
+# side runs from the checkout, so neither has a warmer directory, build
+# cache or page cache than the other. Each side's bench/run.sh builds into
+# its own .bench_build/ on first use and hits its build cache afterwards.
+# Nothing under bench/ is touched.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -38,12 +43,15 @@ PAIRS=${3:-10}
 SECONDS_PER_RUN=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)
 [ -n "$SECONDS_PER_RUN" ] || { echo "bench_pair: no run_seconds in BENCHMARK.json" >&2; exit 2; }
 
-CHANGE=$(pwd)
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 PARENT=$TMP/parent
-mkdir "$PARENT"
+CHANGE=$TMP/change
+mkdir "$PARENT" "$CHANGE"
 git archive "$REF" | tar -x -C "$PARENT"
+cp "$(git rev-parse --git-path index)" "$TMP/index"
+GIT_INDEX_FILE=$TMP/index git add -A
+git archive "$(GIT_INDEX_FILE=$TMP/index git write-tree)" | tar -x -C "$CHANGE"
 RESULTS=$TMP/results.tsv
 
 # run <side> <dir> <seed>: one untraced run; appends "side seed metric value"
