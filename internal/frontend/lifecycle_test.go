@@ -120,3 +120,137 @@ func TestFinishedCollectionsReleaseResources(t *testing.T) {
 		}
 	}
 }
+
+// lifecycleFrontend serves a front-end over the store in dir, with a
+// marketplace pool large enough for every collection the table finishes.
+func lifecycleFrontend(t *testing.T, dir string) (*Frontend, *httptest.Server) {
+	t.Helper()
+	store, err := docstore.Open(dir + "/store.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := New(store, marketplace.New(1, 100, true), 5)
+	srv := httptest.NewServer(f.Handler())
+	t.Cleanup(srv.Close)
+	return f, srv
+}
+
+// lifecycleVerb sends one verb of the REST API, or a worker's WebSocket
+// upgrade, to spec id and returns the HTTP code.
+func lifecycleVerb(t *testing.T, base, verb, id string) int {
+	t.Helper()
+	var req *http.Request
+	var err error
+	switch verb {
+	case "GET", "DELETE":
+		req, err = http.NewRequest(verb, base+"/api/specs/"+id, nil)
+	case "PUT":
+		body, _ := json.Marshal(kvSpec())
+		req, err = http.NewRequest(verb, base+"/api/specs/"+id, bytes.NewReader(body))
+	case "start", "pay":
+		req, err = http.NewRequest("POST", base+"/api/specs/"+id+"/"+verb, nil)
+	case "status", "result", "trace", "statements":
+		req, err = http.NewRequest("GET", base+"/api/specs/"+id+"/"+verb, nil)
+	case "ws":
+		req, err = http.NewRequest("GET", base+"/ws/"+id+"?worker=table", nil)
+		if err == nil {
+			req.Header.Set("Connection", "Upgrade")
+			req.Header.Set("Upgrade", "websocket")
+			req.Header.Set("Sec-WebSocket-Key", "dGhlIHNhbXBsZSBub25jZQ==")
+			req.Header.Set("Sec-WebSocket-Version", "13")
+		}
+	default:
+		t.Fatalf("unknown verb %q", verb)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestSpecLifecycleTable sends every verb to a spec in every status and
+// checks the HTTP code. Each cell acts on a spec of its own. Interrupted
+// specs were started by a front-end that a second one over the same store
+// replaced; every other spec lives in the second.
+func TestSpecLifecycleTable(t *testing.T) {
+	verbs := []string{"GET", "PUT", "DELETE", "start", "status", "result", "trace", "statements", "pay", "ws"}
+	testCases := []struct {
+		status string
+		want   map[string]int
+	}{
+		{
+			status: "draft",
+			want: map[string]int{"GET": 200, "PUT": 200, "DELETE": 200, "start": 200, "status": 200,
+				"result": 404, "trace": 404, "statements": 409, "pay": 409, "ws": 404},
+		},
+		{
+			status: "running",
+			want: map[string]int{"GET": 200, "PUT": 409, "DELETE": 409, "start": 409, "status": 200,
+				"result": 200, "trace": 200, "statements": 200, "pay": 409, "ws": 101},
+		},
+		{
+			status: "interrupted",
+			want: map[string]int{"GET": 200, "PUT": 409, "DELETE": 200, "start": 409, "status": 200,
+				"result": 404, "trace": 404, "statements": 409, "pay": 409, "ws": 404},
+		},
+		{
+			status: "done",
+			want: map[string]int{"GET": 200, "PUT": 409, "DELETE": 200, "start": 409, "status": 200,
+				"result": 200, "trace": 200, "statements": 200, "pay": 200, "ws": 404},
+		},
+		{
+			status: "paid",
+			want: map[string]int{"GET": 200, "PUT": 409, "DELETE": 200, "start": 409, "status": 200,
+				"result": 200, "trace": 200, "statements": 200, "pay": 409, "ws": 404},
+		},
+	}
+
+	dir := t.TempDir()
+	_, before := lifecycleFrontend(t, dir)
+	interrupted := map[string]string{}
+	for _, verb := range verbs {
+		interrupted[verb], _ = started(t, before.URL)
+	}
+	before.Close()
+
+	f, srv := lifecycleFrontend(t, dir)
+	for _, tc := range testCases {
+		for _, verb := range verbs {
+			t.Run(tc.status+"/"+verb, func(t *testing.T) {
+				var id string
+				switch tc.status {
+				case "draft":
+					code, out := doJSON(t, "POST", srv.URL+"/api/specs", kvSpec())
+					if code != http.StatusCreated {
+						t.Fatalf("create = %d %v", code, out)
+					}
+					id = out["id"].(string)
+				case "interrupted":
+					id = interrupted[verb]
+				default:
+					var wsPath string
+					id, wsPath = started(t, srv.URL)
+					if tc.status != "running" {
+						collect(t, f, srv.URL, id, wsPath)
+					}
+					if tc.status == "paid" {
+						if code, out := doJSON(t, "POST", srv.URL+"/api/specs/"+id+"/pay", nil); code != http.StatusOK {
+							t.Fatalf("pay = %d %v", code, out)
+						}
+					}
+				}
+				if _, out := doJSON(t, "GET", srv.URL+"/api/specs/"+id, nil); out["status"] != tc.status {
+					t.Fatalf("spec %s reads %v, want %s", id, out["status"], tc.status)
+				}
+				if got := lifecycleVerb(t, srv.URL, verb, id); got != tc.want[verb] {
+					t.Errorf("%s on a %s spec = %d, want %d", verb, tc.status, got, tc.want[verb])
+				}
+			})
+		}
+	}
+}
