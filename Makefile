@@ -68,11 +68,11 @@ planes-loc:
 	@find internal/constraint internal/model internal/pay -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 # loc prints the non-test line count of every package outside the linter
-# (internal/analysis) and the benchmark (bench/), one "lines package" pair per
-# line, then their total: the per-package figure a change that deletes code
-# reports before and after.
+# (internal/analysis and cmd/crowdfill-lint, which lint-loc counts) and the
+# benchmark (bench/), one "lines package" pair per line, then their total:
+# the per-package figure a change that deletes code reports before and after.
 loc:
-	@$(GO) list -f '{{.Dir}} {{.ImportPath}}' ./... | grep -v -e '/internal/analysis' -e '/bench ' | \
+	@$(GO) list -f '{{.Dir}} {{.ImportPath}}' ./... | grep -v -e '/internal/analysis' -e '/cmd/crowdfill-lint ' -e '/bench ' | \
 	while read dir pkg; do \
 		printf '%6d %s\n' $$(find "$$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) "$$pkg"; \
 	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'

@@ -1,11 +1,11 @@
 // Command crowdfill-server runs the full CrowdFill server stack: the
 // front-end REST API (table specifications, collection control, results,
-// payment) backed by the embedded document store and the simulated
-// marketplace, plus the per-collection back-end WebSocket endpoints.
+// payment) over a store directory and the simulated marketplace, plus the
+// per-collection back-end WebSocket endpoints.
 //
 // Usage:
 //
-//	crowdfill-server -addr :8080 -db crowdfill.json
+//	crowdfill-server -addr :8080 -db crowdfill-db
 //
 // Then drive it with cmd/crowdfill-ctl (or plain curl):
 //
@@ -29,14 +29,19 @@
 // the back-end closes their sockets and stops (README, "Collection
 // lifecycle"). A spec found running in the store at start-up is marked
 // interrupted: its collection did not survive the restart.
+//
+// The -db directory holds one directory per collection, named by its spec
+// id: spec.json, and result.json and log.json once it is done. Without -db
+// the server makes a fresh directory under the system temp directory and
+// logs its path.
 package main
 
 import (
 	"flag"
 	"log"
 	"net"
+	"os"
 
-	"crowdfill/internal/docstore"
 	"crowdfill/internal/frontend"
 	"crowdfill/internal/marketplace"
 	"crowdfill/internal/metrics"
@@ -46,7 +51,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	debugAddr := flag.String("debug-addr", "", "debug listen address for /debug/metrics, /debug/events, /debug/pprof (empty = disabled)")
-	db := flag.String("db", "", "document store path (empty = in-memory)")
+	db := flag.String("db", "", "store directory, one directory per collection (empty = a fresh temp directory)")
 	pool := flag.Int("pool", 100, "simulated marketplace worker pool size")
 	maxWorkers := flag.Int("max-workers", 10, "max workers per collection HIT")
 	seed := flag.Int64("seed", 1, "marketplace arrival seed")
@@ -56,12 +61,19 @@ func main() {
 	// log through the flight recorder's sink.
 	metrics.DefaultRecorder().SetLogf(log.Printf)
 
-	store, err := docstore.Open(*db)
+	dir := *db
+	if dir == "" {
+		var err error
+		if dir, err = os.MkdirTemp("", "crowdfill-db-"); err != nil {
+			log.Fatalf("crowdfill-server: %v", err)
+		}
+	}
+	log.Printf("crowdfill-server: store directory %s", dir)
+	market := marketplace.New(*seed, *pool, true)
+	fe, err := frontend.New(dir, market, *maxWorkers)
 	if err != nil {
 		log.Fatalf("crowdfill-server: %v", err)
 	}
-	market := marketplace.New(*seed, *pool, true)
-	fe := frontend.New(store, market, *maxWorkers)
 
 	// Both listeners are bound before either serves, so a taken port stops
 	// the start-up with its error instead of killing a server whose API is

@@ -47,6 +47,9 @@ func TestCommandBinariesEndToEnd(t *testing.T) {
 
 	server := exec.Command(filepath.Join(bin, "crowdfill-server"),
 		"-addr", addr, "-debug-addr", debugAddr)
+	// Without -db the server stores under a fresh temp directory; keep it
+	// inside the test's.
+	server.Env = append(os.Environ(), "TMPDIR="+bin)
 	server.Stdout = os.Stderr
 	server.Stderr = os.Stderr
 	if err := server.Start(); err != nil {
@@ -237,6 +240,7 @@ func TestServerTakenDebugPortFailsAtStartup(t *testing.T) {
 
 	server := exec.Command(filepath.Join(bin, "crowdfill-server"),
 		"-addr", addr, "-debug-addr", taken.Addr().String())
+	server.Env = append(os.Environ(), "TMPDIR="+bin)
 	var out strings.Builder
 	server.Stdout, server.Stderr = &out, &out
 	if err := server.Start(); err != nil {

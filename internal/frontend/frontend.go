@@ -2,19 +2,21 @@
 // REST API applications use to create, update, and delete table
 // specifications, launch data collection (publishing a task on the
 // marketplace and starting a back-end collection), retrieve collected data,
-// and pay workers. Metadata and results live in the embedded document store.
+// and pay workers. Each collection's spec, result and bookkeeping log are
+// files in its own directory of the store directory (store.go).
 package frontend
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
-	"strings"
+	"os"
 	gosync "sync"
 
-	"crowdfill/internal/docstore"
 	"crowdfill/internal/marketplace"
+	"crowdfill/internal/metrics"
 	"crowdfill/internal/replay"
 	"crowdfill/internal/server"
 	"crowdfill/internal/spec"
@@ -27,6 +29,10 @@ type specDoc struct {
 	HITID  string         `json:"hitId,omitempty"`
 }
 
+// archived reports whether the collection's log and result are on disk:
+// archive writes both before it marks the spec done.
+func (sd specDoc) archived() bool { return sd.Status == "done" || sd.Status == "paid" }
+
 // resultDoc is the stored form of a finished collection.
 type resultDoc struct {
 	Rows  [][]string         `json:"rows"`
@@ -34,15 +40,22 @@ type resultDoc struct {
 	Pay   map[string]float64 `json:"pay,omitempty"`
 }
 
+// evStoreWrite is the flight-recorder event of a store write that failed in
+// a lifecycle transition, which therefore did not happen.
+const evStoreWrite = "store-write"
+
 // Frontend is the front-end server state.
 type Frontend struct {
 	// mu serializes the REST handlers' lifecycle transitions, which read
 	// and write the store, publish on the marketplace and start collections
 	// (whose instruments live in the flight recorder) while holding it.
 	//
-	//lint:before Marketplace.mu Store.mu Recorder.mu
-	mu     gosync.Mutex
-	store  *docstore.Store
+	//lint:before Marketplace.mu Recorder.mu
+	mu gosync.Mutex
+	// dir holds one directory per collection, named by its spec id.
+	dir string
+	// lastID numbers the last spec id handed out; guarded by mu.
+	lastID int
 	market *marketplace.Marketplace
 	// running holds each collection started here until it is paid or its
 	// spec deleted; a finished one is shut down but keeps its core.
@@ -51,40 +64,54 @@ type Frontend struct {
 	maxWorkers int
 }
 
-// New builds a front-end over a document store and a marketplace. A spec
-// the store holds as running is marked interrupted: its collection lived in
-// a process that is gone.
-func New(store *docstore.Store, market *marketplace.Marketplace, maxWorkers int) *Frontend {
+// New builds a front-end over the store directory dir, made if missing, and
+// a marketplace. A spec the store holds as running is marked interrupted:
+// its collection lived in a process that is gone.
+func New(dir string, market *marketplace.Marketplace, maxWorkers int) (*Frontend, error) {
 	if maxWorkers <= 0 {
 		maxWorkers = 10
 	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	ids, err := specIDs(dir)
+	if err != nil {
+		return nil, err
+	}
 	f := &Frontend{
-		store:      store,
+		dir:        dir,
 		market:     market,
 		running:    make(map[string]*server.NetServer),
 		maxWorkers: maxWorkers,
 	}
-	f.interruptOrphans()
-	return f
+	for _, id := range ids {
+		n, _ := specNumber(id)
+		f.lastID = max(f.lastID, n)
+	}
+	return f, f.interruptOrphans(ids)
 }
 
 // interruptOrphans flips every spec stored as running to interrupted and
 // persists it. No NetServer backs such a spec in this process, so left
 // running its status would never change, its socket would answer 404 and
 // DELETE would refuse it.
-func (f *Frontend) interruptOrphans() {
+func (f *Frontend) interruptOrphans(ids []string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, d := range f.specs().All() {
-		var sd specDoc
-		if err := d.Decode(&sd); err != nil || sd.Status != "running" {
+	for _, id := range ids {
+		sd, err := f.readSpec(id)
+		if errors.Is(err, fs.ErrNotExist) || (err == nil && sd.Status != "running") {
 			continue
 		}
+		if err != nil {
+			return err
+		}
 		sd.Status = "interrupted"
-		// A failed write still flips the spec in this process; the file
-		// keeps it running, and the next start-up flips it again.
-		_ = f.specs().Put(d.ID, sd)
+		// A failed write leaves the file running: this process serves the
+		// spec so, and the next start-up flips it again.
+		_ = f.writeSpec(id, sd)
 	}
+	return nil
 }
 
 // Handler returns the REST API plus the per-collection WebSocket endpoints:
@@ -101,11 +128,20 @@ func (f *Frontend) interruptOrphans() {
 //	GET    /api/specs/{id}/statements per-worker pay statements
 //	POST   /api/specs/{id}/pay   compute compensation and pay bonuses
 //	GET    /ws/{id}?worker=W     worker WebSocket endpoint
+//
+// A known path asked with another method answers 405.
 func (f *Frontend) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/api/specs", f.handleSpecs)
-	mux.HandleFunc("/api/specs/", f.handleSpec)
-	mux.HandleFunc("/ws/", f.handleWS)
+	mux.HandleFunc("POST /api/specs", f.handleCreate)
+	mux.HandleFunc("GET /api/specs", f.handleList)
+	mux.HandleFunc("/api/specs/{id}", f.withSpec(f.handleSpecCRUD))
+	mux.HandleFunc("POST /api/specs/{id}/start", f.withSpec(f.handleStart))
+	mux.HandleFunc("GET /api/specs/{id}/status", f.withSpec(f.handleStatus))
+	mux.HandleFunc("GET /api/specs/{id}/result", f.withSpec(f.handleResult))
+	mux.HandleFunc("GET /api/specs/{id}/trace", f.withSpec(f.handleTrace))
+	mux.HandleFunc("GET /api/specs/{id}/statements", f.withSpec(f.handleStatements))
+	mux.HandleFunc("POST /api/specs/{id}/pay", f.withSpec(f.handlePay))
+	mux.HandleFunc("GET /ws/{id}", f.handleWS)
 	return mux
 }
 
@@ -119,8 +155,6 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func (f *Frontend) specs() *docstore.Collection { return f.store.Collection("specs") }
-
 // server returns the back-end server id has in this process, or nil.
 func (f *Frontend) server(id string) *server.NetServer {
 	f.mu.Lock()
@@ -128,72 +162,56 @@ func (f *Frontend) server(id string) *server.NetServer {
 	return f.running[id]
 }
 
-func (f *Frontend) handleSpecs(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		var ts spec.TableSpec
-		if err := json.NewDecoder(r.Body).Decode(&ts); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if _, err := ts.Build(); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		id, err := f.specs().Insert(specDoc{Spec: ts, Status: "draft"})
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, map[string]string{"id": id, "status": "draft"})
-	case http.MethodGet:
-		docs := f.specs().All()
-		out := make([]map[string]any, 0, len(docs))
-		for _, d := range docs {
-			var sd specDoc
-			if err := d.Decode(&sd); err != nil {
-				continue
-			}
-			out = append(out, map[string]any{"id": d.ID, "name": sd.Spec.Name, "status": sd.Status})
-		}
-		writeJSON(w, http.StatusOK, out)
-	default:
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET or POST"))
+func (f *Frontend) handleCreate(w http.ResponseWriter, r *http.Request) {
+	var ts spec.TableSpec
+	if err := json.NewDecoder(r.Body).Decode(&ts); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
+	if _, err := ts.Build(); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	f.mu.Lock()
+	id, err := f.createSpec(specDoc{Spec: ts, Status: "draft"})
+	f.mu.Unlock()
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeJSON(w, http.StatusCreated, map[string]string{"id": id, "status": "draft"})
 }
 
-// handleSpec dispatches /api/specs/{id}[/{action}]. A handler that changes
-// the spec re-reads it under f.mu: two racing transitions must not both act
-// on the stale copy read here.
-func (f *Frontend) handleSpec(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/api/specs/")
-	id, action, _ := strings.Cut(rest, "/")
-	if id == "" {
-		writeErr(w, http.StatusNotFound, errors.New("missing spec id"))
+func (f *Frontend) handleList(w http.ResponseWriter, r *http.Request) {
+	ids, err := specIDs(f.dir)
+	out := make([]map[string]any, 0, len(ids))
+	for _, id := range ids {
+		sd, rerr := f.readSpec(id)
+		if errors.Is(rerr, fs.ErrNotExist) {
+			continue // deleted, or still being created
+		}
+		err = errors.Join(err, rerr)
+		out = append(out, map[string]any{"id": id, "name": sd.Spec.Name, "status": sd.Status})
+	}
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	var sd specDoc
-	if err := f.specs().Get(id, &sd); err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	switch action {
-	case "":
-		f.handleSpecCRUD(w, r, id, sd)
-	case "start":
-		f.handleStart(w, r, id, sd)
-	case "status":
-		f.handleStatus(w, r, id, sd)
-	case "result":
-		f.handleResult(w, r, id, sd)
-	case "trace":
-		f.handleTrace(w, r, id, sd)
-	case "statements":
-		f.handleStatements(w, r, id, sd)
-	case "pay":
-		f.handlePay(w, r, id, sd)
-	default:
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown action %q", action))
+	writeJSON(w, http.StatusOK, out)
+}
+
+// withSpec serves /api/specs/{id}[/...] with the spec the path names, or
+// answers 404. A handler that changes the spec re-reads it under f.mu: two
+// racing transitions must not both act on the stale copy read here.
+func (f *Frontend) withSpec(h func(w http.ResponseWriter, r *http.Request, id string, sd specDoc)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		sd, err := f.readSpec(id)
+		if err != nil {
+			writeErr(w, http.StatusNotFound, err)
+			return
+		}
+		h(w, r, id, sd)
 	}
 }
 
@@ -213,7 +231,8 @@ func (f *Frontend) handleSpecCRUD(w http.ResponseWriter, r *http.Request, id str
 		}
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		if err := f.specs().Get(id, &sd); err != nil {
+		sd, err := f.readSpec(id)
+		if err != nil {
 			writeErr(w, http.StatusNotFound, err)
 			return
 		}
@@ -222,7 +241,7 @@ func (f *Frontend) handleSpecCRUD(w http.ResponseWriter, r *http.Request, id str
 			return
 		}
 		sd.Spec = ts
-		if err := f.specs().Put(id, sd); err != nil {
+		if err := f.writeSpec(id, sd); err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
@@ -230,7 +249,8 @@ func (f *Frontend) handleSpecCRUD(w http.ResponseWriter, r *http.Request, id str
 	case http.MethodDelete:
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		if err := f.specs().Get(id, &sd); err != nil {
+		sd, err := f.readSpec(id)
+		if err != nil {
 			writeErr(w, http.StatusNotFound, err)
 			return
 		}
@@ -238,7 +258,7 @@ func (f *Frontend) handleSpecCRUD(w http.ResponseWriter, r *http.Request, id str
 			writeErr(w, http.StatusConflict, errors.New("stop the collection first"))
 			return
 		}
-		if err := f.specs().Delete(id); err != nil {
+		if err := f.deleteSpec(id); err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
@@ -250,13 +270,10 @@ func (f *Frontend) handleSpecCRUD(w http.ResponseWriter, r *http.Request, id str
 }
 
 func (f *Frontend) handleStart(w http.ResponseWriter, r *http.Request, id string, sd specDoc) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.specs().Get(id, &sd); err != nil {
+	sd, err := f.readSpec(id)
+	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
@@ -282,7 +299,7 @@ func (f *Frontend) handleStart(w http.ResponseWriter, r *http.Request, id string
 	}
 	sd.Status = "running"
 	sd.HITID = hit.ID
-	if err := f.specs().Put(id, sd); err != nil {
+	if err := f.writeSpec(id, sd); err != nil {
 		_ = f.market.Expire(hit.ID)
 		writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -294,35 +311,45 @@ func (f *Frontend) handleStart(w http.ResponseWriter, r *http.Request, id string
 }
 
 // archive is the frontend's part of a collection's Done transition, run
-// before any worker hears MsgDone.
+// before any worker hears MsgDone. It writes the log, then the result, then
+// the spec as done, so a spec that reads done has both on disk. A failed
+// write leaves the spec running and is recorded. The HIT expires either
+// way: the collection takes no more work.
 func (f *Frontend) archive(id string, fin server.Final) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var sd specDoc
-	if err := f.specs().Get(id, &sd); err != nil || sd.Status != "running" {
-		return
+	sd, err := f.readSpec(id)
+	if err == nil {
+		dir := f.collDir(id)
+		err = writeRecord(dir, logFile, fin.Log)
+		if err == nil {
+			err = writeRecord(dir, resultFile, resultDoc{Rows: fin.Rows, Final: fin.Status})
+		}
+		if err == nil {
+			sd.Status = "done"
+			err = f.writeSpec(id, sd)
+		}
+		err = errors.Join(err, f.market.Expire(sd.HITID))
 	}
-	_ = f.store.Collection("results").Put(id, resultDoc{Rows: fin.Rows, Final: fin.Status})
-	_ = f.store.Collection("traces").Put(id, fin.Log)
-	sd.Status = "done"
-	_ = f.specs().Put(id, sd)
-	_ = f.market.Expire(sd.HITID)
+	if err != nil {
+		metrics.DefaultRecorder().Record(evStoreWrite, id, "archive: "+err.Error())
+	}
 }
 
 // handleStatus reports a collection's progress: from its archive once it
 // is done, also after a restart, and live while it runs.
 func (f *Frontend) handleStatus(w http.ResponseWriter, r *http.Request, id string, sd specDoc) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	out := struct {
 		ID string `json:"id"`
 		*server.Status
 		State string `json:"status"`
 	}{ID: id, State: sd.Status}
-	var rd resultDoc
-	if err := f.store.Collection("results").Get(id, &rd); err == nil {
+	if sd.archived() {
+		var rd resultDoc
+		if err := readRecord(f.collDir(id), resultFile, &rd); err != nil {
+			writeErr(w, http.StatusInternalServerError, err)
+			return
+		}
 		out.Status = &rd.Final
 	} else if ns := f.server(id); ns != nil {
 		out.Status = new(server.Status)
@@ -332,49 +359,54 @@ func (f *Frontend) handleStatus(w http.ResponseWriter, r *http.Request, id strin
 }
 
 // logOf returns the collection's bookkeeping log: the archived one once it
-// finished, else a copy of its live one.
-func (f *Frontend) logOf(id string) (replay.Log, error) {
+// finished, else a copy of its live one. A collection with neither is
+// answered with notStarted, and false returned.
+func (f *Frontend) logOf(w http.ResponseWriter, id string, sd specDoc, notStarted int) (replay.Log, bool) {
 	var log replay.Log
-	err := f.store.Collection("traces").Get(id, &log)
-	if ns := f.server(id); err != nil && ns != nil {
+	if sd.archived() {
+		if err := readRecord(f.collDir(id), logFile, &log); err != nil {
+			writeErr(w, http.StatusInternalServerError, err)
+			return log, false
+		}
+	} else if ns := f.server(id); ns != nil {
 		ns.WithCore(func(c *server.Core) { log = c.Log() })
-		err = nil
+	} else {
+		writeErr(w, notStarted, errors.New("collection not started"))
+		return log, false
 	}
-	return log, err
+	return log, true
 }
 
 func (f *Frontend) handleResult(w http.ResponseWriter, r *http.Request, id string, sd specDoc) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
 	var rd resultDoc
-	if err := f.store.Collection("results").Get(id, &rd); err != nil {
-		// Fall back to a live snapshot for running collections.
-		ns := f.server(id)
-		if ns == nil {
-			writeErr(w, http.StatusNotFound, errors.New("no result yet"))
+	if sd.archived() {
+		if err := readRecord(f.collDir(id), resultFile, &rd); err != nil {
+			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
+	} else if ns := f.server(id); ns != nil {
+		// A running collection's live table.
 		ns.WithCore(func(c *server.Core) { rd.Rows = c.ResultRows() })
+	} else {
+		writeErr(w, http.StatusNotFound, errors.New("no result yet"))
+		return
 	}
 	writeJSON(w, http.StatusOK, rd)
 }
 
 // handlePay pays a finished collection once: the amounts come from
 // replaying its archived log under its spec, so a collection archived
-// before a restart still pays. A paid collection's back-end server, shut
-// down since Done, is released.
+// before a restart still pays. It answers 200 once the result with the
+// amounts and the spec as paid are on disk; a failed write answers 500 and
+// is recorded. A paid collection's back-end server, shut down since Done,
+// is released.
 func (f *Frontend) handlePay(w http.ResponseWriter, r *http.Request, id string, sd specDoc) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
-	}
 	// Paying is a lifecycle transition: serialize it and re-read the spec,
 	// so a collection pays once.
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.specs().Get(id, &sd); err != nil {
+	sd, err := f.readSpec(id)
+	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
@@ -382,8 +414,10 @@ func (f *Frontend) handlePay(w http.ResponseWriter, r *http.Request, id string, 
 		writeErr(w, http.StatusConflict, fmt.Errorf("collection is %s, not done", sd.Status))
 		return
 	}
+	dir := f.collDir(id)
 	var log replay.Log
-	if err := f.store.Collection("traces").Get(id, &log); err != nil {
+	var rd resultDoc
+	if err := errors.Join(readRecord(dir, logFile, &log), readRecord(dir, resultFile, &rd)); err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -405,41 +439,34 @@ func (f *Frontend) handlePay(w http.ResponseWriter, r *http.Request, id string, 
 			return
 		}
 	}
-	var rd resultDoc
-	_ = f.store.Collection("results").Get(id, &rd)
 	rd.Pay = perWorker
-	_ = f.store.Collection("results").Put(id, rd)
-	sd.Status = "paid"
-	_ = f.specs().Put(id, sd)
+	err = writeRecord(dir, resultFile, rd)
+	if err == nil {
+		sd.Status = "paid"
+		err = f.writeSpec(id, sd)
+	}
+	if err != nil {
+		metrics.DefaultRecorder().Record(evStoreWrite, id, "pay: "+err.Error())
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
 	delete(f.running, id)
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "status": "paid", "pay": perWorker})
 }
 
 // handleTrace serves the archived (or live) bookkeeping log.
 func (f *Frontend) handleTrace(w http.ResponseWriter, r *http.Request, id string, sd specDoc) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
+	if log, ok := f.logOf(w, id, sd, http.StatusNotFound); ok {
+		writeJSON(w, http.StatusOK, log)
 	}
-	log, err := f.logOf(id)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, errors.New("no trace yet"))
-		return
-	}
-	writeJSON(w, http.StatusOK, log)
 }
 
 // handleStatements renders per-worker pay statements (itemized §5.2
 // allocations) by replaying the archived log, or the live one while the
 // collection runs.
 func (f *Frontend) handleStatements(w http.ResponseWriter, r *http.Request, id string, sd specDoc) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
-	log, err := f.logOf(id)
-	if err != nil {
-		writeErr(w, http.StatusConflict, errors.New("collection not started"))
+	log, ok := f.logOf(w, id, sd, http.StatusConflict)
+	if !ok {
 		return
 	}
 	audit, err := spec.Audit(sd.Spec, log)
@@ -454,7 +481,7 @@ func (f *Frontend) handleStatements(w http.ResponseWriter, r *http.Request, id s
 // done the path answers 404. Workers normally arrive by accepting the HIT;
 // the worker query parameter carries the marketplace identity.
 func (f *Frontend) handleWS(w http.ResponseWriter, r *http.Request) {
-	ns := f.server(strings.TrimPrefix(r.URL.Path, "/ws/"))
+	ns := f.server(r.PathValue("id"))
 	if ns == nil || ns.Done() {
 		writeErr(w, http.StatusNotFound, errors.New("no running collection"))
 		return

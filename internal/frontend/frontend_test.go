@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"crowdfill/internal/client"
-	"crowdfill/internal/docstore"
 	"crowdfill/internal/marketplace"
 	"crowdfill/internal/metrics"
 	"crowdfill/internal/server"
@@ -25,12 +24,11 @@ import (
 
 func testFrontend(t *testing.T) (*Frontend, *httptest.Server) {
 	t.Helper()
-	store, err := docstore.Open("")
+	market := marketplace.New(1, 20, true)
+	f, err := New(t.TempDir(), market, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	market := marketplace.New(1, 20, true)
-	f := New(store, market, 5)
 	srv := httptest.NewServer(f.Handler())
 	t.Cleanup(srv.Close)
 	return f, srv
@@ -39,8 +37,8 @@ func testFrontend(t *testing.T) (*Frontend, *httptest.Server) {
 // AcceptWorker simulates a marketplace worker accepting the spec's HIT,
 // returning the worker identity to connect with.
 func (f *Frontend) AcceptWorker(id string) (string, error) {
-	var sd specDoc
-	if err := f.specs().Get(id, &sd); err != nil {
+	sd, err := f.readSpec(id)
+	if err != nil {
 		return "", err
 	}
 	if sd.HITID == "" {
@@ -323,12 +321,11 @@ func TestPayBeforeStatus(t *testing.T) {
 // server for it, pays the collection's own amounts and renders its
 // statements from the archive.
 func TestFinishedCollectionPaysAfterRestart(t *testing.T) {
-	path := t.TempDir() + "/store.json"
-	store, err := docstore.Open(path)
+	dir := t.TempDir()
+	f, err := New(dir, marketplace.New(1, 5, true), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := New(store, marketplace.New(1, 5, true), 5)
 	srv := httptest.NewServer(f.Handler())
 	defer srv.Close()
 	id, wsPath := started(t, srv.URL)
@@ -346,11 +343,10 @@ func TestFinishedCollectionPaysAfterRestart(t *testing.T) {
 		live = alloc.PerWorker
 	})
 
-	store2, err := docstore.Open(path)
+	f2, err := New(dir, marketplace.New(1, 5, true), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2 := New(store2, marketplace.New(1, 5, true), 5)
 	srv2 := httptest.NewServer(f2.Handler())
 	defer srv2.Close()
 	code, out := doJSON(t, "GET", srv2.URL+"/api/specs/"+id+"/statements", nil)
@@ -416,13 +412,11 @@ func waitFor(t *testing.T, cond func() bool) {
 // document store, so a new front-end over the same file sees them.
 func TestSpecsPersistAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	path := dir + "/store.json"
-	store, err := docstore.Open(path)
+	market := marketplace.New(1, 5, true)
+	f, err := New(dir, market, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	market := marketplace.New(1, 5, true)
-	f := New(store, market, 5)
 	srv := httptest.NewServer(f.Handler())
 	code, out := doJSON(t, "POST", srv.URL+"/api/specs", kvSpec())
 	if code != http.StatusCreated {
@@ -432,11 +426,10 @@ func TestSpecsPersistAcrossRestart(t *testing.T) {
 	runningID, wsPath := started(t, srv.URL)
 	srv.Close()
 
-	store2, err := docstore.Open(path)
+	f2, err := New(dir, marketplace.New(1, 5, true), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2 := New(store2, marketplace.New(1, 5, true), 5)
 	srv2 := httptest.NewServer(f2.Handler())
 	defer srv2.Close()
 	code, out = doJSON(t, "GET", srv2.URL+"/api/specs/"+id, nil)
@@ -473,8 +466,7 @@ func TestSpecsPersistAcrossRestart(t *testing.T) {
 	if statuses[id] != "draft" || statuses[runningID] != "interrupted" {
 		t.Fatalf("spec list after restart = %v, want %s draft and %s interrupted", list, id, runningID)
 	}
-	var sd specDoc
-	if err := store2.Collection("specs").Get(runningID, &sd); err != nil || sd.Status != "interrupted" {
+	if sd, err := f2.readSpec(runningID); err != nil || sd.Status != "interrupted" {
 		t.Fatalf("stored spec after restart = %+v, %v; want interrupted", sd, err)
 	}
 	if resp, err := http.Get(srv2.URL + wsPath + "?worker=w1"); err != nil || resp.StatusCode != http.StatusNotFound {
@@ -563,19 +555,13 @@ func TestSpecCRUDEdgeCases(t *testing.T) {
 		t.Fatalf("pay before done = %d", code)
 	}
 	// Default maxWorkers path in New.
-	f2 := New(mustStore(t), marketplace.New(2, 3, true), 0)
-	if f2.maxWorkers != 10 {
-		t.Fatalf("default maxWorkers = %d", f2.maxWorkers)
-	}
-}
-
-func mustStore(t *testing.T) *docstore.Store {
-	t.Helper()
-	s, err := docstore.Open("")
+	f2, err := New(t.TempDir(), marketplace.New(2, 3, true), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	if f2.maxWorkers != 10 {
+		t.Fatalf("default maxWorkers = %d", f2.maxWorkers)
+	}
 }
 
 // TestTraceEndpoint: the §3.3 bookkeeping trace is available live and stays

@@ -3,12 +3,15 @@ package frontend
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
+	gosync "sync"
 	"testing"
 
-	"crowdfill/internal/docstore"
 	"crowdfill/internal/marketplace"
 	"crowdfill/internal/metrics"
 )
@@ -24,8 +27,8 @@ func TestStaleSpecTransitionsConflict(t *testing.T) {
 		t.Fatalf("create = %d %v", code, out)
 	}
 	id := out["id"].(string)
-	var stale specDoc
-	if err := f.specs().Get(id, &stale); err != nil || stale.Status != "draft" {
+	stale, err := f.readSpec(id)
+	if err != nil || stale.Status != "draft" {
 		t.Fatalf("spec before start = %+v, %v", stale, err)
 	}
 	hits := metrics.Default().Counter("crowdfill_mkt_hits_total", "")
@@ -58,8 +61,7 @@ func TestStaleSpecTransitionsConflict(t *testing.T) {
 	if servers != 1 {
 		t.Errorf("%d back-end servers, want 1", servers)
 	}
-	var sd specDoc
-	if err := f.specs().Get(id, &sd); err != nil || sd.Status != "running" {
+	if sd, err := f.readSpec(id); err != nil || sd.Status != "running" {
 		t.Errorf("spec after the stale transitions = %+v, %v; want running", sd, err)
 	}
 }
@@ -71,12 +73,11 @@ func TestStaleSpecTransitionsConflict(t *testing.T) {
 // its final counts, also from a front-end restarted over the same store;
 // and its worker socket answers 404.
 func TestFinishedCollectionsReleaseResources(t *testing.T) {
-	path := t.TempDir() + "/store.json"
-	store, err := docstore.Open(path)
+	dir := t.TempDir()
+	f, err := New(dir, marketplace.New(1, 20, true), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := New(store, marketplace.New(1, 20, true), 5)
 	srv := httptest.NewServer(f.Handler())
 	defer srv.Close()
 	pollConns := metrics.Default().Gauge("crowdfill_poll_conns", "")
@@ -96,11 +97,11 @@ func TestFinishedCollectionsReleaseResources(t *testing.T) {
 		return runtime.NumGoroutine() <= goroutines && pollConns.Value() == polled
 	})
 
-	store2, err := docstore.Open(path)
+	f2, err := New(dir, marketplace.New(1, 20, true), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := httptest.NewServer(New(store2, marketplace.New(1, 20, true), 5).Handler())
+	srv2 := httptest.NewServer(f2.Handler())
 	defer srv2.Close()
 	for i, id := range ids {
 		for _, base := range []string{srv.URL, srv2.URL} {
@@ -125,11 +126,10 @@ func TestFinishedCollectionsReleaseResources(t *testing.T) {
 // marketplace pool large enough for every collection the table finishes.
 func lifecycleFrontend(t *testing.T, dir string) (*Frontend, *httptest.Server) {
 	t.Helper()
-	store, err := docstore.Open(dir + "/store.json")
+	f, err := New(dir, marketplace.New(1, 100, true), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := New(store, marketplace.New(1, 100, true), 5)
 	srv := httptest.NewServer(f.Handler())
 	t.Cleanup(srv.Close)
 	return f, srv
@@ -253,4 +253,138 @@ func TestSpecLifecycleTable(t *testing.T) {
 			})
 		}
 	}
+}
+
+// blockRecord makes path a non-empty directory, so a record written there
+// fails: creating it as a file and renaming a file over it both fail, also
+// for root.
+func blockRecord(t *testing.T, path string) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Join(path, "block"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// storeWriteEvents counts the process flight recorder's failed-write events
+// for id, which every test's store hands out.
+func storeWriteEvents(id string) int {
+	n := 0
+	for _, ev := range metrics.DefaultRecorder().Events() {
+		if ev.Kind == evStoreWrite && ev.Actor == id {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDoneWithFailedWrite: a collection whose log cannot be written at Done
+// is not marked done. Its spec reads running in this process and
+// interrupted after a restart, it cannot be paid, its HIT takes no more
+// workers, and the flight recorder holds the failure once.
+func TestDoneWithFailedWrite(t *testing.T) {
+	dir := t.TempDir()
+	f, srv := lifecycleFrontend(t, dir)
+	id, wsPath := started(t, srv.URL)
+	blockRecord(t, filepath.Join(dir, id, logFile))
+	events := storeWriteEvents(id)
+	collect(t, f, srv.URL, id, wsPath)
+
+	if _, out := doJSON(t, "GET", srv.URL+"/api/specs/"+id, nil); out["status"] != "running" {
+		t.Errorf("spec after a failed archive = %v, want running", out["status"])
+	}
+	if code, out := doJSON(t, "POST", srv.URL+"/api/specs/"+id+"/pay", nil); code != http.StatusConflict {
+		t.Errorf("pay after a failed archive = %d %v, want 409", code, out)
+	}
+	if _, err := f.AcceptWorker(id); !errors.Is(err, marketplace.ErrHITExpired) {
+		t.Errorf("accepting the HIT after Done = %v, want it expired", err)
+	}
+	if n := storeWriteEvents(id) - events; n != 1 {
+		t.Errorf("%d failed-write events for %s, want 1", n, id)
+	}
+
+	_, srv2 := lifecycleFrontend(t, dir)
+	if _, out := doJSON(t, "GET", srv2.URL+"/api/specs/"+id, nil); out["status"] != "interrupted" {
+		t.Errorf("spec after a restart = %v, want interrupted", out["status"])
+	}
+}
+
+// TestPayWithFailedWrite: a payment whose result cannot be written answers
+// 500, leaves the spec done, and the flight recorder holds the failure once.
+func TestPayWithFailedWrite(t *testing.T) {
+	dir := t.TempDir()
+	f, srv := lifecycleFrontend(t, dir)
+	id, wsPath := started(t, srv.URL)
+	collect(t, f, srv.URL, id, wsPath)
+	// The result is rewritten through its temp file, so blocking that
+	// fails the write and leaves the archived result readable.
+	blockRecord(t, filepath.Join(dir, id, resultFile+".tmp"))
+	events := storeWriteEvents(id)
+
+	if code, out := doJSON(t, "POST", srv.URL+"/api/specs/"+id+"/pay", nil); code != http.StatusInternalServerError {
+		t.Errorf("pay with a failed write = %d %v, want 500", code, out)
+	}
+	if _, out := doJSON(t, "GET", srv.URL+"/api/specs/"+id, nil); out["status"] != "done" {
+		t.Errorf("spec after a failed pay = %v, want done", out["status"])
+	}
+	if n := storeWriteEvents(id) - events; n != 1 {
+		t.Errorf("%d failed-write events for %s, want 1", n, id)
+	}
+}
+
+// TestSpecIDsNeverReused: concurrent creates get an id each, and deleting
+// the newest spec does not free its id, in the same process or after a
+// restart over the same store.
+func TestSpecIDsNeverReused(t *testing.T) {
+	dir := t.TempDir()
+	_, srv := lifecycleFrontend(t, dir)
+	body, err := json.Marshal(kvSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	concurrent := make([]string, 8)
+	var wg gosync.WaitGroup
+	for i := range concurrent {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(srv.URL+"/api/specs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var out map[string]string
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Error(err)
+			}
+			concurrent[i] = out["id"]
+		}()
+	}
+	wg.Wait()
+	taken := map[string]bool{}
+	for _, id := range concurrent {
+		if id == "" || taken[id] {
+			t.Fatalf("concurrent creates got ids %v", concurrent)
+		}
+		taken[id] = true
+	}
+	createAndDelete := func(base string) {
+		t.Helper()
+		code, out := doJSON(t, "POST", base+"/api/specs", kvSpec())
+		if code != http.StatusCreated {
+			t.Fatalf("create = %d %v", code, out)
+		}
+		id := out["id"].(string)
+		if taken[id] {
+			t.Fatalf("id %s handed out twice", id)
+		}
+		taken[id] = true
+		if code, out := doJSON(t, "DELETE", base+"/api/specs/"+id, nil); code != http.StatusOK {
+			t.Fatalf("delete = %d %v", code, out)
+		}
+	}
+	createAndDelete(srv.URL)
+	createAndDelete(srv.URL)
+	_, srv2 := lifecycleFrontend(t, dir)
+	createAndDelete(srv2.URL)
 }

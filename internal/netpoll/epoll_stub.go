@@ -12,11 +12,11 @@ const osSupported = false
 // leg keeps this path honest).
 type osPoller struct{}
 
-func (p *Poller) osInit() error                                 { return ErrUnsupported }
-func (p *Poller) osAdd(rc syscall.RawConn, tok uint64) error    { return ErrUnsupported }
-func (p *Poller) osArm(rc syscall.RawConn, tok uint64) error    { return ErrUnsupported }
-func (p *Poller) osDel(rc syscall.RawConn)                      {}
-func (p *Poller) osWake()                                       {}
-func (p *Poller) osDestroy()                                    {}
+func (p *Poller) osInit() error                              { return ErrUnsupported }
+func (p *Poller) osAdd(rc syscall.RawConn, tok uint64) error { return ErrUnsupported }
+func (p *Poller) osArm(rc syscall.RawConn, tok uint64) error { return ErrUnsupported }
+func (p *Poller) osDel(rc syscall.RawConn)                   {}
+func (p *Poller) osWake()                                    {}
+func (p *Poller) osDestroy()                                 {}
 
 func (p *Poller) wait() { p.waiter.Done() }

@@ -371,12 +371,8 @@ func (r *Replica) CheckLemma3() error {
 		if err != nil {
 			return
 		}
-		wantUp := 0
-		if row.Vec.IsComplete() {
-			wantUp = r.uh.Get(row.Vec)
-		} else {
-			wantUp = r.uh.Get(row.Vec) // partial rows are never upvoted; stays 0
-		}
+		// A partial row is never upvoted, so UH holds 0 for its value.
+		wantUp := r.uh.Get(row.Vec)
 		if row.Up != wantUp {
 			err = fmt.Errorf("sync: lemma3 upvote invariant violated on %s: u=%d UH=%d", row.ID, row.Up, wantUp)
 			return
