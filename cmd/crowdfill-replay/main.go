@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 
 	"crowdfill/internal/model"
 	"crowdfill/internal/replay"
@@ -84,8 +85,13 @@ func main() {
 	fmt.Println()
 	fmt.Printf("compensation (%s, $%.2f budget, $%.2f allocated):\n",
 		audit.Alloc.Scheme, ts.Budget, audit.Alloc.Allocated)
-	for worker, amount := range audit.Alloc.PerWorker {
-		fmt.Printf("  %-12s $%.2f\n", worker, amount)
+	workers := make([]string, 0, len(audit.Alloc.PerWorker))
+	for worker := range audit.Alloc.PerWorker {
+		workers = append(workers, worker)
+	}
+	sort.Strings(workers)
+	for _, worker := range workers {
+		fmt.Printf("  %-12s $%.2f\n", worker, audit.Alloc.PerWorker[worker])
 	}
 	if *statement != "" {
 		fmt.Println()

@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -205,10 +206,21 @@ func TestCommandBinariesEndToEnd(t *testing.T) {
 	if len(paid.Pay) == 0 {
 		t.Fatalf("pay output names no worker:\n%s", pay)
 	}
-	for worker, amount := range paid.Pay {
-		if line := fmt.Sprintf("  %-12s $%.2f\n", worker, amount); !strings.Contains(string(replayOut), line) {
-			t.Errorf("replay does not pay %s the $%.2f /pay paid:\n%s", worker, amount, replayOut)
+	names := make([]string, 0, len(paid.Pay))
+	for worker := range paid.Pay {
+		names = append(names, worker)
+	}
+	sort.Strings(names)
+	last := -1
+	for _, worker := range names {
+		line := fmt.Sprintf("  %-12s $%.2f\n", worker, paid.Pay[worker])
+		at := strings.Index(string(replayOut), line)
+		if at < 0 {
+			t.Errorf("replay does not pay %s the $%.2f /pay paid:\n%s", worker, paid.Pay[worker], replayOut)
+		} else if at < last {
+			t.Errorf("replay prints %s's pay before a worker whose name sorts first:\n%s", worker, replayOut)
 		}
+		last = max(last, at)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -63,8 +64,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for worker, amount := range pay {
-		fmt.Printf("pay: %-10s $%.2f\n", worker, amount)
+	workers := make([]string, 0, len(pay))
+	for worker := range pay {
+		workers = append(workers, worker)
+	}
+	sort.Strings(workers)
+	for _, worker := range workers {
+		fmt.Printf("pay: %-10s $%.2f\n", worker, pay[worker])
 	}
 }
 

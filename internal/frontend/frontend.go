@@ -13,6 +13,7 @@ import (
 	"io/fs"
 	"net/http"
 	"os"
+	"slices"
 	gosync "sync"
 
 	"crowdfill/internal/marketplace"
@@ -40,25 +41,39 @@ type resultDoc struct {
 	Pay   map[string]float64 `json:"pay,omitempty"`
 }
 
-// evStoreWrite is the flight-recorder event of a store write that failed in
-// a lifecycle transition, which therefore did not happen.
-const evStoreWrite = "store-write"
+// liveResult is the result of a collection's core as it stands.
+func liveResult(c *server.Core) resultDoc {
+	return resultDoc{Rows: c.ResultRows(), Final: c.Status()}
+}
+
+// Flight-recorder events of a lifecycle step: a store write that failed, so
+// the step did not happen; and a bonus the marketplace refused after the
+// payment was recorded, which is not paid again.
+const (
+	evStoreWrite = "store-write"
+	evBonus      = "bonus"
+)
 
 // Frontend is the front-end server state.
 type Frontend struct {
-	// mu serializes the REST handlers' lifecycle transitions, which read
-	// and write the store, publish on the marketplace and start collections
-	// (whose instruments live in the flight recorder) while holding it.
+	// mu serializes the lifecycle steps (step), which read and write the
+	// store, start collections (whose instruments live in the flight
+	// recorder) and read a finished collection's core while holding it.
+	// The steps' own bodies also publish HITs and pay bonuses under it
+	// (Marketplace.mu); they run as function values, which the lock
+	// analyzer's call graph does not follow.
 	//
-	//lint:before Marketplace.mu Recorder.mu
+	//lint:before Recorder.mu NetServer.mu
 	mu gosync.Mutex
 	// dir holds one directory per collection, named by its spec id.
 	dir string
 	// lastID numbers the last spec id handed out; guarded by mu.
 	lastID int
 	market *marketplace.Marketplace
-	// running holds each collection started here until it is paid or its
-	// spec deleted; a finished one is shut down but keeps its core.
+	// running holds each collection started here until archive has stored
+	// it at Done, which releases its server and core. An entry outlives Done
+	// only when its archive failed, and the next step retries it. Guarded
+	// by mu.
 	running map[string]*server.NetServer
 	// maxWorkers caps assignments per published HIT.
 	maxWorkers int
@@ -88,30 +103,22 @@ func New(dir string, market *marketplace.Marketplace, maxWorkers int) (*Frontend
 		n, _ := specNumber(id)
 		f.lastID = max(f.lastID, n)
 	}
-	return f, f.interruptOrphans(ids)
+	f.interruptOrphans(ids)
+	return f, nil
 }
 
-// interruptOrphans flips every spec stored as running to interrupted and
-// persists it. No NetServer backs such a spec in this process, so left
-// running its status would never change, its socket would answer 404 and
-// DELETE would refuse it.
-func (f *Frontend) interruptOrphans(ids []string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+// interruptOrphans flips every spec stored as running to interrupted. No
+// NetServer backs such a spec in this process, so left running its status
+// would never change, its socket would answer 404 and DELETE would refuse
+// it. A failed write is recorded and leaves the file running: this process
+// serves the spec so, and the next start-up flips it again.
+func (f *Frontend) interruptOrphans(ids []string) {
 	for _, id := range ids {
-		sd, err := f.readSpec(id)
-		if errors.Is(err, fs.ErrNotExist) || (err == nil && sd.Status != "running") {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		sd.Status = "interrupted"
-		// A failed write leaves the file running: this process serves the
-		// spec so, and the next start-up flips it again.
-		_ = f.writeSpec(id, sd)
+		f.step(id, "interrupt", []string{"running"}, func(sd *specDoc) (int, any, error) {
+			sd.Status = "interrupted"
+			return http.StatusOK, nil, f.writeSpec(id, *sd)
+		})
 	}
-	return nil
 }
 
 // Handler returns the REST API plus the per-collection WebSocket endpoints:
@@ -120,7 +127,7 @@ func (f *Frontend) interruptOrphans(ids []string) error {
 //	GET    /api/specs            list specifications
 //	GET    /api/specs/{id}       fetch one
 //	PUT    /api/specs/{id}       update a draft
-//	DELETE /api/specs/{id}       delete a draft
+//	DELETE /api/specs/{id}       delete a spec whose collection is not running
 //	POST   /api/specs/{id}/start publish a HIT and start collection
 //	GET    /api/specs/{id}/status collection progress
 //	GET    /api/specs/{id}/result the final table (once done)
@@ -134,13 +141,15 @@ func (f *Frontend) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/specs", f.handleCreate)
 	mux.HandleFunc("GET /api/specs", f.handleList)
-	mux.HandleFunc("/api/specs/{id}", f.withSpec(f.handleSpecCRUD))
-	mux.HandleFunc("POST /api/specs/{id}/start", f.withSpec(f.handleStart))
+	mux.HandleFunc("GET /api/specs/{id}", f.withSpec(f.handleGet))
+	mux.HandleFunc("PUT /api/specs/{id}", f.handleUpdate)
+	mux.HandleFunc("DELETE /api/specs/{id}", f.handleDelete)
+	mux.HandleFunc("POST /api/specs/{id}/start", f.handleStart)
 	mux.HandleFunc("GET /api/specs/{id}/status", f.withSpec(f.handleStatus))
 	mux.HandleFunc("GET /api/specs/{id}/result", f.withSpec(f.handleResult))
 	mux.HandleFunc("GET /api/specs/{id}/trace", f.withSpec(f.handleTrace))
 	mux.HandleFunc("GET /api/specs/{id}/statements", f.withSpec(f.handleStatements))
-	mux.HandleFunc("POST /api/specs/{id}/pay", f.withSpec(f.handlePay))
+	mux.HandleFunc("POST /api/specs/{id}/pay", f.handlePay)
 	mux.HandleFunc("GET /ws/{id}", f.handleWS)
 	return mux
 }
@@ -151,9 +160,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
+func errBody(err error) map[string]string { return map[string]string{"error": err.Error()} }
+
+func writeErr(w http.ResponseWriter, status int, err error) { writeJSON(w, status, errBody(err)) }
 
 // server returns the back-end server id has in this process, or nil.
 func (f *Frontend) server(id string) *server.NetServer {
@@ -162,13 +171,20 @@ func (f *Frontend) server(id string) *server.NetServer {
 	return f.running[id]
 }
 
-func (f *Frontend) handleCreate(w http.ResponseWriter, r *http.Request) {
+// decodeSpec reads a table specification from r's body and checks that it
+// builds.
+func decodeSpec(r *http.Request) (spec.TableSpec, error) {
 	var ts spec.TableSpec
 	if err := json.NewDecoder(r.Body).Decode(&ts); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return ts, err
 	}
-	if _, err := ts.Build(); err != nil {
+	_, err := ts.Build()
+	return ts, err
+}
+
+func (f *Frontend) handleCreate(w http.ResponseWriter, r *http.Request) {
+	ts, err := decodeSpec(r)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -200,276 +216,259 @@ func (f *Frontend) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// withSpec serves /api/specs/{id}[/...] with the spec the path names, or
-// answers 404. A handler that changes the spec re-reads it under f.mu: two
-// racing transitions must not both act on the stale copy read here.
-func (f *Frontend) withSpec(h func(w http.ResponseWriter, r *http.Request, id string, sd specDoc)) http.HandlerFunc {
+// step runs one lifecycle step of spec id under f.mu and returns the answer.
+// It re-reads the spec, answering 404 if it is missing. A spec that reads
+// running while its collection here is done (the Done callback has not run
+// yet, or its archive failed) is archived first. A status not in from
+// answers 409; any other runs do on the spec, which returns the answer or
+// the error of a failed store write. That error is recorded as one
+// store-write event for id and answered 500.
+func (f *Frontend) step(id, verb string, from []string, do func(*specDoc) (int, any, error)) (int, any) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	sd, err := f.readSpec(id)
+	if err != nil {
+		return http.StatusNotFound, errBody(err)
+	}
+	if ns := f.running[id]; ns != nil && sd.Status == "running" && ns.Done() {
+		err = f.archive(id, &sd, ns)
+	}
+	code, body := http.StatusConflict, any(errBody(fmt.Errorf("spec is %s", sd.Status)))
+	if err == nil && slices.Contains(from, sd.Status) {
+		code, body, err = do(&sd)
+	}
+	if err != nil {
+		metrics.DefaultRecorder().Record(evStoreWrite, id, verb+": "+err.Error())
+		return http.StatusInternalServerError, errBody(err)
+	}
+	return code, body
+}
+
+func (f *Frontend) handleUpdate(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	ts, err := decodeSpec(r)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	code, body := f.step(id, "update", []string{"draft"}, func(sd *specDoc) (int, any, error) {
+		sd.Spec = ts
+		return http.StatusOK, map[string]string{"id": id, "status": sd.Status}, f.writeSpec(id, *sd)
+	})
+	writeJSON(w, code, body)
+}
+
+// handleDelete deletes a spec whose collection does not run; nothing stops
+// a running one.
+func (f *Frontend) handleDelete(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	code, body := f.step(id, "delete", []string{"draft", "interrupted", "done", "paid"}, func(*specDoc) (int, any, error) {
+		return http.StatusOK, map[string]string{"id": id, "status": "deleted"}, f.deleteSpec(id)
+	})
+	writeJSON(w, code, body)
+}
+
+func (f *Frontend) handleStart(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	code, body := f.step(id, "start", []string{"draft"}, func(sd *specDoc) (int, any, error) {
+		cfg, err := sd.Spec.Build()
+		var core *server.Core
+		if err == nil {
+			core, err = server.New(cfg)
+		}
+		if err != nil {
+			return http.StatusBadRequest, errBody(err), nil
+		}
+		wsPath := "/ws/" + id
+		hit, err := f.market.CreateHIT("CrowdFill: "+sd.Spec.Name, wsPath, f.maxWorkers)
+		if err != nil {
+			return http.StatusInternalServerError, errBody(err), nil
+		}
+		sd.Status, sd.HITID = "running", hit.ID
+		if err := f.writeSpec(id, *sd); err != nil {
+			_ = f.market.Expire(hit.ID)
+			return 0, nil, err
+		}
+		f.running[id] = server.NewNetServer(core, func(server.Final) { f.finished(id, hit.ID) })
+		return http.StatusOK, map[string]string{"id": id, "status": "running", "hit": hit.ID, "ws": wsPath}, nil
+	})
+	writeJSON(w, code, body)
+}
+
+// finished is the front-end's part of collection id's Done transition, run
+// before any worker hears MsgDone. It expires the HIT (start made it, so
+// Expire cannot fail): the collection takes no more work. Then it runs a
+// step, which archives the collection before it finds the spec done and
+// has nothing left to do. A request whose step archived the collection
+// first leaves this one nothing to write; a failed archive is recorded
+// once and retried by the next step.
+func (f *Frontend) finished(id, hitID string) {
+	_ = f.market.Expire(hitID)
+	f.step(id, "done", []string{"done"}, func(*specDoc) (int, any, error) { return http.StatusOK, nil, nil })
+}
+
+// archive stores collection id, finished in this process, from its core:
+// the log, then the result, then the spec as done, so a spec that reads
+// done has both on disk. Then it drops the collection from running, which
+// releases its shut-down server and core. A failed write leaves the spec
+// running and the entry in place. The caller holds f.mu.
+func (f *Frontend) archive(id string, sd *specDoc, ns *server.NetServer) error {
+	var log replay.Log
+	var rd resultDoc
+	ns.WithCore(func(c *server.Core) { log, rd = c.Log(), liveResult(c) })
+	dir := f.collDir(id)
+	err := writeRecord(dir, logFile, log)
+	if err == nil {
+		err = writeRecord(dir, resultFile, rd)
+	}
+	if err == nil {
+		sd.Status = "done"
+		err = f.writeSpec(id, *sd)
+	}
+	if err != nil {
+		return fmt.Errorf("archive: %w", err)
+	}
+	delete(f.running, id)
+	return nil
+}
+
+// handlePay pays a finished collection once: the amounts come from
+// replaying its archived log under its spec, so a collection archived
+// before a restart still pays. The result with the amounts and the spec as
+// paid are written before any bonus is paid, so a failed write pays nothing
+// and a retry pays once. A bonus the marketplace refuses after that answers
+// 500, is recorded, and is not paid again (DESIGN.md §18).
+func (f *Frontend) handlePay(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	code, body := f.step(id, "pay", []string{"done"}, func(sd *specDoc) (int, any, error) {
+		dir := f.collDir(id)
+		var log replay.Log
+		var rd resultDoc
+		err := errors.Join(readRecord(dir, logFile, &log), readRecord(dir, resultFile, &rd))
+		var audit *replay.Audit
+		if err == nil {
+			audit, err = spec.Audit(sd.Spec, log)
+		}
+		if err != nil {
+			return http.StatusInternalServerError, errBody(err), nil
+		}
+		rd.Pay = audit.Alloc.PerWorker
+		if err := writeRecord(dir, resultFile, rd); err != nil {
+			return 0, nil, err
+		}
+		sd.Status = "paid"
+		if err := f.writeSpec(id, *sd); err != nil {
+			return 0, nil, err
+		}
+		for worker, amount := range rd.Pay {
+			if amount <= 0 {
+				continue
+			}
+			// Workers may have been recruited out-of-band (the paper's own
+			// experiments did exactly that) rather than through a HIT.
+			f.market.Register(worker)
+			if err := f.market.PayBonus(worker, amount, "CrowdFill "+id); err != nil {
+				metrics.DefaultRecorder().Record(evBonus, id, worker+": "+err.Error())
+				return http.StatusInternalServerError, errBody(err), nil
+			}
+		}
+		return http.StatusOK, map[string]any{"id": id, "status": "paid", "pay": rd.Pay}, nil
+	})
+	writeJSON(w, code, body)
+}
+
+// withSpec serves a read of /api/specs/{id}[/...] with the spec the path
+// names, or answers 404, and the back-end server the collection has in this
+// process, if any. It looks the server up before it reads the spec: archive
+// writes the spec done before it drops the server, so a collection that
+// finishes meanwhile is read from its archive.
+func (f *Frontend) withSpec(h func(w http.ResponseWriter, id string, sd specDoc, ns *server.NetServer)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
+		ns := f.server(id)
 		sd, err := f.readSpec(id)
 		if err != nil {
 			writeErr(w, http.StatusNotFound, err)
 			return
 		}
-		h(w, r, id, sd)
+		h(w, id, sd, ns)
 	}
 }
 
-func (f *Frontend) handleSpecCRUD(w http.ResponseWriter, r *http.Request, id string, sd specDoc) {
-	switch r.Method {
-	case http.MethodGet:
-		writeJSON(w, http.StatusOK, map[string]any{"id": id, "spec": sd.Spec, "status": sd.Status})
-	case http.MethodPut:
-		var ts spec.TableSpec
-		if err := json.NewDecoder(r.Body).Decode(&ts); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if _, err := ts.Build(); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		sd, err := f.readSpec(id)
-		if err != nil {
-			writeErr(w, http.StatusNotFound, err)
-			return
-		}
-		if sd.Status != "draft" {
-			writeErr(w, http.StatusConflict, errors.New("only drafts can be updated"))
-			return
-		}
-		sd.Spec = ts
-		if err := f.writeSpec(id, sd); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"id": id, "status": sd.Status})
-	case http.MethodDelete:
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		sd, err := f.readSpec(id)
-		if err != nil {
-			writeErr(w, http.StatusNotFound, err)
-			return
-		}
-		if sd.Status == "running" {
-			writeErr(w, http.StatusConflict, errors.New("stop the collection first"))
-			return
-		}
-		if err := f.deleteSpec(id); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		delete(f.running, id)
-		writeJSON(w, http.StatusOK, map[string]string{"id": id, "status": "deleted"})
-	default:
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("use GET, PUT or DELETE"))
+// record reads the collection's record name: its file once the spec reads
+// archived, else live(core) of its server ns. It returns nil for a
+// collection with neither, which never started or was interrupted.
+func record[T any](f *Frontend, id string, sd specDoc, ns *server.NetServer, name string, live func(*server.Core) T) (*T, error) {
+	v := new(T)
+	switch {
+	case sd.archived():
+		return v, readRecord(f.collDir(id), name, v)
+	case ns != nil:
+		ns.WithCore(func(c *server.Core) { *v = live(c) })
+		return v, nil
 	}
+	return nil, nil
 }
 
-func (f *Frontend) handleStart(w http.ResponseWriter, r *http.Request, id string, sd specDoc) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	sd, err := f.readSpec(id)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	if sd.Status != "draft" {
-		writeErr(w, http.StatusConflict, fmt.Errorf("spec is %s", sd.Status))
-		return
-	}
-	cfg, err := sd.Spec.Build()
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	core, err := server.New(cfg)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	wsPath := "/ws/" + id
-	hit, err := f.market.CreateHIT("CrowdFill: "+sd.Spec.Name, wsPath, f.maxWorkers)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	sd.Status = "running"
-	sd.HITID = hit.ID
-	if err := f.writeSpec(id, sd); err != nil {
-		_ = f.market.Expire(hit.ID)
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	f.running[id] = server.NewNetServer(core, func(fin server.Final) { f.archive(id, fin) })
-	writeJSON(w, http.StatusOK, map[string]string{
-		"id": id, "status": "running", "hit": hit.ID, "ws": wsPath,
-	})
-}
-
-// archive is the frontend's part of a collection's Done transition, run
-// before any worker hears MsgDone. It writes the log, then the result, then
-// the spec as done, so a spec that reads done has both on disk. A failed
-// write leaves the spec running and is recorded. The HIT expires either
-// way: the collection takes no more work.
-func (f *Frontend) archive(id string, fin server.Final) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	sd, err := f.readSpec(id)
-	if err == nil {
-		dir := f.collDir(id)
-		err = writeRecord(dir, logFile, fin.Log)
-		if err == nil {
-			err = writeRecord(dir, resultFile, resultDoc{Rows: fin.Rows, Final: fin.Status})
-		}
-		if err == nil {
-			sd.Status = "done"
-			err = f.writeSpec(id, sd)
-		}
-		err = errors.Join(err, f.market.Expire(sd.HITID))
-	}
-	if err != nil {
-		metrics.DefaultRecorder().Record(evStoreWrite, id, "archive: "+err.Error())
-	}
+func (f *Frontend) handleGet(w http.ResponseWriter, id string, sd specDoc, _ *server.NetServer) {
+	writeJSON(w, http.StatusOK, map[string]any{"id": id, "spec": sd.Spec, "status": sd.Status})
 }
 
 // handleStatus reports a collection's progress: from its archive once it
 // is done, also after a restart, and live while it runs.
-func (f *Frontend) handleStatus(w http.ResponseWriter, r *http.Request, id string, sd specDoc) {
+func (f *Frontend) handleStatus(w http.ResponseWriter, id string, sd specDoc, ns *server.NetServer) {
+	rd, err := record(f, id, sd, ns, resultFile, liveResult)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
 	out := struct {
 		ID string `json:"id"`
 		*server.Status
 		State string `json:"status"`
 	}{ID: id, State: sd.Status}
-	if sd.archived() {
-		var rd resultDoc
-		if err := readRecord(f.collDir(id), resultFile, &rd); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
+	if rd != nil {
 		out.Status = &rd.Final
-	} else if ns := f.server(id); ns != nil {
-		out.Status = new(server.Status)
-		ns.WithCore(func(c *server.Core) { *out.Status = c.Status() })
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
-// logOf returns the collection's bookkeeping log: the archived one once it
-// finished, else a copy of its live one. A collection with neither is
-// answered with notStarted, and false returned.
-func (f *Frontend) logOf(w http.ResponseWriter, id string, sd specDoc, notStarted int) (replay.Log, bool) {
-	var log replay.Log
-	if sd.archived() {
-		if err := readRecord(f.collDir(id), logFile, &log); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return log, false
-		}
-	} else if ns := f.server(id); ns != nil {
-		ns.WithCore(func(c *server.Core) { log = c.Log() })
-	} else {
-		writeErr(w, notStarted, errors.New("collection not started"))
-		return log, false
-	}
-	return log, true
-}
-
-func (f *Frontend) handleResult(w http.ResponseWriter, r *http.Request, id string, sd specDoc) {
-	var rd resultDoc
-	if sd.archived() {
-		if err := readRecord(f.collDir(id), resultFile, &rd); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-	} else if ns := f.server(id); ns != nil {
-		// A running collection's live table.
-		ns.WithCore(func(c *server.Core) { rd.Rows = c.ResultRows() })
-	} else {
-		writeErr(w, http.StatusNotFound, errors.New("no result yet"))
-		return
-	}
-	writeJSON(w, http.StatusOK, rd)
-}
-
-// handlePay pays a finished collection once: the amounts come from
-// replaying its archived log under its spec, so a collection archived
-// before a restart still pays. It answers 200 once the result with the
-// amounts and the spec as paid are on disk; a failed write answers 500 and
-// is recorded. A paid collection's back-end server, shut down since Done,
-// is released.
-func (f *Frontend) handlePay(w http.ResponseWriter, r *http.Request, id string, sd specDoc) {
-	// Paying is a lifecycle transition: serialize it and re-read the spec,
-	// so a collection pays once.
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	sd, err := f.readSpec(id)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	if sd.Status != "done" {
-		writeErr(w, http.StatusConflict, fmt.Errorf("collection is %s, not done", sd.Status))
-		return
-	}
-	dir := f.collDir(id)
-	var log replay.Log
-	var rd resultDoc
-	if err := errors.Join(readRecord(dir, logFile, &log), readRecord(dir, resultFile, &rd)); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	audit, err := spec.Audit(sd.Spec, log)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	perWorker := audit.Alloc.PerWorker
-	for worker, amount := range perWorker {
-		if amount <= 0 {
-			continue
-		}
-		// Workers may have been recruited out-of-band (the paper's own
-		// experiments did exactly that) rather than through a HIT.
-		f.market.Register(worker)
-		if err := f.market.PayBonus(worker, amount, "CrowdFill "+id); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-	}
-	rd.Pay = perWorker
-	err = writeRecord(dir, resultFile, rd)
-	if err == nil {
-		sd.Status = "paid"
-		err = f.writeSpec(id, sd)
-	}
-	if err != nil {
-		metrics.DefaultRecorder().Record(evStoreWrite, id, "pay: "+err.Error())
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	delete(f.running, id)
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "status": "paid", "pay": perWorker})
+// handleResult serves the archived result, or a running collection's live
+// table and status.
+func (f *Frontend) handleResult(w http.ResponseWriter, id string, sd specDoc, ns *server.NetServer) {
+	rd, err := record(f, id, sd, ns, resultFile, liveResult)
+	serveRecord(w, rd, err, http.StatusNotFound, "no result yet")
 }
 
 // handleTrace serves the archived (or live) bookkeeping log.
-func (f *Frontend) handleTrace(w http.ResponseWriter, r *http.Request, id string, sd specDoc) {
-	if log, ok := f.logOf(w, id, sd, http.StatusNotFound); ok {
-		writeJSON(w, http.StatusOK, log)
+func (f *Frontend) handleTrace(w http.ResponseWriter, id string, sd specDoc, ns *server.NetServer) {
+	log, err := record(f, id, sd, ns, logFile, (*server.Core).Log)
+	serveRecord(w, log, err, http.StatusNotFound, "collection not started")
+}
+
+// serveRecord answers v, a read error with 500, or a collection with no
+// record with notStarted.
+func serveRecord[T any](w http.ResponseWriter, v *T, err error, notStarted int, why string) {
+	switch {
+	case err != nil:
+		writeErr(w, http.StatusInternalServerError, err)
+	case v == nil:
+		writeErr(w, notStarted, errors.New(why))
+	default:
+		writeJSON(w, http.StatusOK, v)
 	}
 }
 
 // handleStatements renders per-worker pay statements (itemized §5.2
 // allocations) by replaying the archived log, or the live one while the
 // collection runs.
-func (f *Frontend) handleStatements(w http.ResponseWriter, r *http.Request, id string, sd specDoc) {
-	log, ok := f.logOf(w, id, sd, http.StatusConflict)
-	if !ok {
+func (f *Frontend) handleStatements(w http.ResponseWriter, id string, sd specDoc, ns *server.NetServer) {
+	log, err := record(f, id, sd, ns, logFile, (*server.Core).Log)
+	if err != nil || log == nil {
+		serveRecord(w, log, err, http.StatusConflict, "collection not started")
 		return
 	}
-	audit, err := spec.Audit(sd.Spec, log)
+	audit, err := spec.Audit(sd.Spec, *log)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return

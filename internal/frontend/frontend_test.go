@@ -329,12 +329,15 @@ func TestFinishedCollectionPaysAfterRestart(t *testing.T) {
 	srv := httptest.NewServer(f.Handler())
 	defer srv.Close()
 	id, wsPath := started(t, srv.URL)
+	// Done releases the collection, so its core is reached through the
+	// handle taken while it runs.
+	ns := f.Collection(id)
 	collect(t, f, srv.URL, id, wsPath)
 	if _, out := doJSON(t, "GET", srv.URL+"/api/specs/"+id+"/status", nil); out["status"] != "done" {
 		t.Fatalf("status = %v", out)
 	}
 	var live map[string]float64
-	f.Collection(id).WithCore(func(c *server.Core) {
+	ns.WithCore(func(c *server.Core) {
 		alloc, err := c.ComputePay()
 		if err != nil {
 			t.Error(err)

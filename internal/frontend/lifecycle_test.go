@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,9 +18,9 @@ import (
 	"crowdfill/internal/metrics"
 )
 
-// TestStaleSpecTransitionsConflict: a start and an update that read the spec
-// while it was a draft, and reach their handlers after another request
-// started it, both answer 409. The collection keeps its one HIT and its one
+// TestStaleSpecTransitionsConflict: a start and an update of a spec that was
+// a draft, which reach their entry points after another request started it,
+// both answer 409. The collection keeps its one HIT and its one
 // back-end server, and the spec stays running.
 func TestStaleSpecTransitionsConflict(t *testing.T) {
 	f, srv := testFrontend(t)
@@ -38,7 +40,9 @@ func TestStaleSpecTransitionsConflict(t *testing.T) {
 	}
 
 	w := httptest.NewRecorder()
-	f.handleStart(w, httptest.NewRequest("POST", "/api/specs/"+id+"/start", nil), id, stale)
+	req := httptest.NewRequest("POST", "/api/specs/"+id+"/start", nil)
+	req.SetPathValue("id", id)
+	f.handleStart(w, req)
 	if w.Code != http.StatusConflict {
 		t.Errorf("start from a stale draft = %d %s, want 409", w.Code, w.Body)
 	}
@@ -47,7 +51,9 @@ func TestStaleSpecTransitionsConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	w = httptest.NewRecorder()
-	f.handleSpecCRUD(w, httptest.NewRequest("PUT", "/api/specs/"+id, bytes.NewReader(body)), id, stale)
+	req = httptest.NewRequest("PUT", "/api/specs/"+id, bytes.NewReader(body))
+	req.SetPathValue("id", id)
+	f.handleUpdate(w, req)
 	if w.Code != http.StatusConflict {
 		t.Errorf("update from a stale draft = %d %s, want 409", w.Code, w.Body)
 	}
@@ -67,9 +73,9 @@ func TestStaleSpecTransitionsConflict(t *testing.T) {
 }
 
 // TestFinishedCollectionsReleaseResources finishes three collections. Each
-// one's Done transition archives it and shuts its back-end server down, so
-// afterwards the process holds as many goroutines and poller registrations
-// as before the first started; every finished spec's status still reports
+// one's Done transition archives it, drops it from running and shuts its
+// back-end server down, so afterwards the process holds as many goroutines
+// and poller registrations as before the first started; every finished spec's status still reports
 // its final counts, also from a front-end restarted over the same store;
 // and its worker socket answers 404.
 func TestFinishedCollectionsReleaseResources(t *testing.T) {
@@ -96,6 +102,12 @@ func TestFinishedCollectionsReleaseResources(t *testing.T) {
 		settle()
 		return runtime.NumGoroutine() <= goroutines && pollConns.Value() == polled
 	})
+	f.mu.Lock()
+	held := len(f.running)
+	f.mu.Unlock()
+	if held != 0 {
+		t.Errorf("%d finished collections still held in running, want 0", held)
+	}
 
 	f2, err := New(dir, marketplace.New(1, 20, true), 5)
 	if err != nil {
@@ -279,37 +291,76 @@ func storeWriteEvents(id string) int {
 
 // TestDoneWithFailedWrite: a collection whose log cannot be written at Done
 // is not marked done. Its spec reads running in this process and
-// interrupted after a restart, it cannot be paid, its HIT takes no more
-// workers, and the flight recorder holds the failure once.
+// interrupted after a restart, its HIT takes no more workers, and every
+// failed attempt to archive it is recorded once: the Done callback's, and
+// that of a /pay, which answers 500. Once the log can be written, the next
+// /pay archives the collection from its finished core and pays it, and its
+// statements are served from the archive.
 func TestDoneWithFailedWrite(t *testing.T) {
 	dir := t.TempDir()
 	f, srv := lifecycleFrontend(t, dir)
 	id, wsPath := started(t, srv.URL)
-	blockRecord(t, filepath.Join(dir, id, logFile))
+	logPath := filepath.Join(dir, id, logFile)
+	blockRecord(t, logPath)
 	events := storeWriteEvents(id)
 	collect(t, f, srv.URL, id, wsPath)
 
 	if _, out := doJSON(t, "GET", srv.URL+"/api/specs/"+id, nil); out["status"] != "running" {
 		t.Errorf("spec after a failed archive = %v, want running", out["status"])
 	}
-	if code, out := doJSON(t, "POST", srv.URL+"/api/specs/"+id+"/pay", nil); code != http.StatusConflict {
-		t.Errorf("pay after a failed archive = %d %v, want 409", code, out)
+	if code, out := doJSON(t, "POST", srv.URL+"/api/specs/"+id+"/pay", nil); code != http.StatusInternalServerError {
+		t.Errorf("pay while the archive fails = %d %v, want 500", code, out)
 	}
 	if _, err := f.AcceptWorker(id); !errors.Is(err, marketplace.ErrHITExpired) {
 		t.Errorf("accepting the HIT after Done = %v, want it expired", err)
 	}
-	if n := storeWriteEvents(id) - events; n != 1 {
-		t.Errorf("%d failed-write events for %s, want 1", n, id)
+	if n := storeWriteEvents(id) - events; n != 2 {
+		t.Errorf("%d failed-write events for %s, want 2", n, id)
 	}
 
-	_, srv2 := lifecycleFrontend(t, dir)
+	// The restart runs over a copy of the spec, so this process keeps the
+	// collection.
+	restarted := t.TempDir()
+	stored, err := os.ReadFile(filepath.Join(dir, id, specFile))
+	if err == nil {
+		err = os.Mkdir(filepath.Join(restarted, id), 0o755)
+	}
+	if err == nil {
+		err = os.WriteFile(filepath.Join(restarted, id, specFile), stored, 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, srv2 := lifecycleFrontend(t, restarted)
 	if _, out := doJSON(t, "GET", srv2.URL+"/api/specs/"+id, nil); out["status"] != "interrupted" {
 		t.Errorf("spec after a restart = %v, want interrupted", out["status"])
+	}
+
+	if err := os.RemoveAll(logPath); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := doJSON(t, "POST", srv.URL+"/api/specs/"+id+"/pay", nil); code != http.StatusOK {
+		t.Errorf("pay once the log can be written = %d %v, want 200", code, out)
+	}
+	if _, out := doJSON(t, "GET", srv.URL+"/api/specs/"+id, nil); out["status"] != "paid" {
+		t.Errorf("spec after the pay = %v, want paid", out["status"])
+	}
+	if f.Collection(id) != nil {
+		t.Errorf("the archived collection is still held in running")
+	}
+	code, out := doJSON(t, "GET", srv.URL+"/api/specs/"+id+"/statements", nil)
+	if statements, _ := out["statements"].(map[string]any); code != http.StatusOK || len(statements) != 2 {
+		t.Errorf("statements from the archive = %d %v, want one per worker", code, out)
+	}
+	if n := storeWriteEvents(id) - events; n != 2 {
+		t.Errorf("%d failed-write events for %s after the pay, want 2", n, id)
 	}
 }
 
 // TestPayWithFailedWrite: a payment whose result cannot be written answers
-// 500, leaves the spec done, and the flight recorder holds the failure once.
+// 500, leaves the spec done, pays nothing, and the flight recorder holds the
+// failure once. Once the result can be written, a retried payment pays the
+// budget once.
 func TestPayWithFailedWrite(t *testing.T) {
 	dir := t.TempDir()
 	f, srv := lifecycleFrontend(t, dir)
@@ -317,8 +368,11 @@ func TestPayWithFailedWrite(t *testing.T) {
 	collect(t, f, srv.URL, id, wsPath)
 	// The result is rewritten through its temp file, so blocking that
 	// fails the write and leaves the archived result readable.
-	blockRecord(t, filepath.Join(dir, id, resultFile+".tmp"))
+	tmpPath := filepath.Join(dir, id, resultFile+".tmp")
+	blockRecord(t, tmpPath)
 	events := storeWriteEvents(id)
+	paid := metrics.Default().FloatGauge("crowdfill_mkt_paid_total", "")
+	paidBefore := paid.Value()
 
 	if code, out := doJSON(t, "POST", srv.URL+"/api/specs/"+id+"/pay", nil); code != http.StatusInternalServerError {
 		t.Errorf("pay with a failed write = %d %v, want 500", code, out)
@@ -328,6 +382,78 @@ func TestPayWithFailedWrite(t *testing.T) {
 	}
 	if n := storeWriteEvents(id) - events; n != 1 {
 		t.Errorf("%d failed-write events for %s, want 1", n, id)
+	}
+	if got := paid.Value() - paidBefore; got != 0 {
+		t.Errorf("a pay whose write failed paid %.2f, want 0", got)
+	}
+
+	if err := os.RemoveAll(tmpPath); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := doJSON(t, "POST", srv.URL+"/api/specs/"+id+"/pay", nil); code != http.StatusOK {
+		t.Errorf("retried pay = %d %v, want 200", code, out)
+	}
+	if got, want := paid.Value()-paidBefore, kvSpec().Budget; math.Abs(got-want) > 1e-9 {
+		t.Errorf("paid %.2f after a failed and a retried pay, want the budget %.2f", got, want)
+	}
+}
+
+// TestPayRacesDone: /pay requests sent back to back while a collection
+// completes each answer 200 or 409, never 500: whichever of the Done
+// callback and a pay's step archives the collection, the other finds it
+// done. The HIT is expired once, no store write fails, and the marketplace
+// pays the budget at most once.
+func TestPayRacesDone(t *testing.T) {
+	f, srv := lifecycleFrontend(t, t.TempDir())
+	id, wsPath := started(t, srv.URL)
+	expiries := metrics.Default().Counter("crowdfill_mkt_expiries_total", "")
+	paid := metrics.Default().FloatGauge("crowdfill_mkt_paid_total", "")
+	expiredBefore, paidBefore, events := expiries.Value(), paid.Value(), storeWriteEvents(id)
+
+	stop, codes := make(chan struct{}), make(chan []int)
+	go func() {
+		var got []int
+		for {
+			select {
+			case <-stop:
+				codes <- got
+				return
+			default:
+			}
+			resp, err := http.Post(srv.URL+"/api/specs/"+id+"/pay", "application/json", nil)
+			if err != nil {
+				got = append(got, 0)
+				continue
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			got = append(got, resp.StatusCode)
+		}
+	}()
+	collect(t, f, srv.URL, id, wsPath)
+	close(stop)
+
+	payments := 0
+	for _, code := range <-codes {
+		switch code {
+		case http.StatusOK:
+			payments++
+		case http.StatusConflict:
+		default:
+			t.Errorf("pay racing Done = %d, want 200 or 409", code)
+		}
+	}
+	if payments > 1 {
+		t.Errorf("%d pays answered 200, want at most 1", payments)
+	}
+	if n := expiries.Value() - expiredBefore; n != 1 {
+		t.Errorf("HIT expired %d times, want once", n)
+	}
+	if n := storeWriteEvents(id) - events; n != 0 {
+		t.Errorf("%d failed-write events for %s, want 0", n, id)
+	}
+	if got, want := paid.Value()-paidBefore, float64(payments)*kvSpec().Budget; math.Abs(got-want) > 1e-9 {
+		t.Errorf("paid %.2f with %d pays answered 200, want %.2f", got, payments, want)
 	}
 }
 
