@@ -31,8 +31,9 @@ race:
 # immutable vectors (TestLoadSnapshotSharesVectors,
 # TestConcurrentFillSameRow), the accepted-versus-replayed message set
 # (TestMsgType, TestMsgTypeAcceptedIsReplayed), a join's private messages
-# (TestJoinCarriesMasterState), and the message path's allocation budget
-# (testing.AllocsPerRun pins).
+# (TestJoinCarriesMasterState), estimates settled on every quiet link with
+# no periodic re-send (TestEstimatesSettleOnEveryLink), and the message
+# path's allocation budget (testing.AllocsPerRun pins).
 lint:
 	$(GO) run ./cmd/crowdfill-lint -tests -time
 

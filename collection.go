@@ -171,8 +171,9 @@ func (w *Worker) Rows() []Row {
 }
 
 // Estimates returns the latest per-action compensation estimates the server
-// broadcast: one value per column (for fills) plus upvote/downvote values.
-// Nil before the first broadcast.
+// broadcast, in budget units rounded to the cent (pay.Resolution): one value
+// per column (for fills) plus upvote/downvote values. ok is false before the
+// first broadcast.
 func (w *Worker) Estimates() (perColumn []float64, upvote, downvote float64, ok bool) {
 	w.runner.View(func(c *client.Client) {
 		if est := c.Estimates(); est != nil {

@@ -120,8 +120,8 @@ func TestSimTraceGolden(t *testing.T) {
 				cfg.Latency = 5 * time.Second
 				return cfg
 			},
-			trace: 232, cc: 23,
-			digest: "34c4ee20395b82b50dc430f2f1e0d0720d56a9922c8626c1e682a3e3f0e5d35f",
+			trace: 273, cc: 26,
+			digest: "8d5bfa468dc163e5d3ce7937575f06ebc5ce9990d3f7b94ef63cc0ff50e11413",
 		},
 	}
 	for _, tc := range cases {

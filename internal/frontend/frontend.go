@@ -289,7 +289,7 @@ func (f *Frontend) handleStart(w http.ResponseWriter, r *http.Request) {
 			_ = f.market.Expire(hit.ID)
 			return 0, nil, err
 		}
-		f.running[id] = server.NewNetServer(core, func(server.Final) { f.finished(id, hit.ID) })
+		f.running[id] = server.NewNetServer(core, func() { f.finished(id, hit.ID) })
 		return http.StatusOK, map[string]string{"id": id, "status": "running", "hit": hit.ID, "ws": wsPath}, nil
 	})
 	writeJSON(w, code, body)

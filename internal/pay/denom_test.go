@@ -161,8 +161,9 @@ func randomOp(rep *sync.Replica, rng *rand.Rand, gen *sync.IDGen, vals []string)
 // TestCurrentIndexedMatchesPerCallEstimates: the displayed payload derives
 // every figure from one denominator; the per-action estimators still
 // compute theirs per call. Over random fills, votes and undos, under every
-// scheme, each payload figure must equal the per-call one bit for bit — the
-// payload's wire bytes and the simulator's traces depend on it.
+// scheme, each Exact figure must equal the per-call one bit for bit, and
+// each Current figure the per-call one rounded — the payload's wire bytes
+// and the simulator's traces depend on it.
 func TestCurrentIndexedMatchesPerCallEstimates(t *testing.T) {
 	for _, scheme := range []Scheme{Uniform, ColumnWeighted, DualWeighted} {
 		t.Run(scheme.String(), func(t *testing.T) {
@@ -183,18 +184,24 @@ func TestCurrentIndexedMatchesPerCallEstimates(t *testing.T) {
 				m.TS = ts
 				e.Observe(m)
 
-				got := new(sync.Estimates)
-				e.Current(got)
-				for ci, g := range got.PerColumn {
-					if want := e.estimateFill(ci); math.Float64bits(g) != math.Float64bits(want) {
-						t.Fatalf("step %d: PerColumn[%d] = %v, estimateFill = %v", step, ci, g, want)
+				for _, fig := range []struct {
+					name   string
+					fill   func(*sync.Estimates)
+					render func(float64) float64
+				}{{"Exact", e.Exact, func(x float64) float64 { return x }}, {"Current", e.Current, round}} {
+					got := new(sync.Estimates)
+					fig.fill(got)
+					for ci, g := range got.PerColumn {
+						if want := fig.render(e.estimateFill(ci)); math.Float64bits(g) != math.Float64bits(want) {
+							t.Fatalf("step %d: %s PerColumn[%d] = %v, estimateFill gives %v", step, fig.name, ci, g, want)
+						}
 					}
-				}
-				if want := e.estimateVote(true); math.Float64bits(got.Upvote) != math.Float64bits(want) {
-					t.Fatalf("step %d: Upvote = %v, estimateVote = %v", step, got.Upvote, want)
-				}
-				if want := e.estimateVote(false); math.Float64bits(got.Downvote) != math.Float64bits(want) {
-					t.Fatalf("step %d: Downvote = %v, estimateVote = %v", step, got.Downvote, want)
+					if want := fig.render(e.estimateVote(true)); math.Float64bits(got.Upvote) != math.Float64bits(want) {
+						t.Fatalf("step %d: %s Upvote = %v, estimateVote gives %v", step, fig.name, got.Upvote, want)
+					}
+					if want := fig.render(e.estimateVote(false)); math.Float64bits(got.Downvote) != math.Float64bits(want) {
+						t.Fatalf("step %d: %s Downvote = %v, estimateVote gives %v", step, fig.name, got.Downvote, want)
+					}
 				}
 			}
 		})

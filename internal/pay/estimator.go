@@ -1,6 +1,7 @@
 package pay
 
 import (
+	"math"
 	"sort"
 
 	"crowdfill/internal/constraint"
@@ -426,14 +427,39 @@ func (e *Estimator) voteShare(w, y float64) float64 {
 	return w * e.budget / y
 }
 
+// Resolution is the granularity of the displayed estimates: one cent of a
+// budget in dollars, the unit MTurk pays in. Current rounds every figure to
+// it, so a figure under half a cent reads 0; Observe and Records keep full
+// precision, so the estimate-accuracy comparison (Figure 5) does not move.
+const Resolution = 0.01
+
+// round returns x rounded to the nearest multiple of Resolution, halves away
+// from zero. It divides by the exact integer 1/Resolution, so the result is
+// the double nearest that decimal and prints as it (1.11, not
+// 1.1100000000000001).
+func round(x float64) float64 {
+	return math.Round(x*(1/Resolution)) / (1 / Resolution)
+}
+
 // Current fills out with the per-action estimates to display in clients'
-// column headers (Figure 1). The denominator comes from the incrementally
-// maintained tallies, so producing the payload is O(columns), and every
-// figure derives from that one denominator: each is the arithmetic
-// estimateFill/estimateVote would do on it. out's column slice is reused
-// when it is wide enough, so a caller that keeps one scratch payload to
-// compare against allocates nothing.
+// column headers (Figure 1): Exact's figures, each rounded to Resolution.
+// out's column slice is reused when it is wide enough, so a caller that
+// keeps one scratch payload to compare against allocates nothing.
 func (e *Estimator) Current(out *sync.Estimates) {
+	e.Exact(out)
+	for i, x := range out.PerColumn {
+		out.PerColumn[i] = round(x)
+	}
+	out.Upvote = round(out.Upvote)
+	out.Downvote = round(out.Downvote)
+}
+
+// Exact fills out with the figures Current displays, at full precision. The
+// denominator comes from the incrementally maintained tallies, so producing
+// the payload is O(columns), and every figure derives from that one
+// denominator: each is the arithmetic estimateFill/estimateVote would do on
+// it. out's column slice is reused as in Current.
+func (e *Estimator) Exact(out *sync.Estimates) {
 	e.idx.Version()
 	col, up, down, y := e.denominator()
 	if out.PerColumn == nil || cap(out.PerColumn) < len(col) {

@@ -16,11 +16,44 @@ func estimatorFixture(t testing.TB, scheme Scheme) (*Estimator, *sync.Replica) {
 	return indexedEstimator(kvSchema(t), scheme, 4)
 }
 
-// current returns the estimates e displays now, in a fresh payload.
-func current(e *Estimator) *sync.Estimates {
+// exact returns the full-precision figures e displays now (rounded by
+// Current), in a fresh payload.
+func exact(e *Estimator) *sync.Estimates {
 	out := new(sync.Estimates)
-	e.Current(out)
+	e.Exact(out)
 	return out
+}
+
+// TestCurrentRoundsToResolution: the displayed figures are Exact's rounded
+// to the cent — halves away from zero, a figure under half a cent reads 0 —
+// and each is the double its decimal names, so it prints as two decimals.
+func TestCurrentRoundsToResolution(t *testing.T) {
+	for _, tc := range []struct{ x, want float64 }{
+		{10.0 / 12, 0.83}, {10.0 / 9, 1.11}, {0.0049, 0}, {0.005, 0.01}, {0, 0},
+		{2.675, 2.68}, {1234.5678, 1234.57}, {0.1 + 0.2, 0.3},
+	} {
+		if got := round(tc.x); math.Float64bits(got) != math.Float64bits(tc.want) {
+			t.Errorf("round(%v) = %v, want %v", tc.x, got, tc.want)
+		}
+	}
+	for c := 0; c <= 100000; c++ {
+		x := float64(c) / 100
+		if got := round(x); got != x || fmt.Sprint(got) != fmt.Sprint(x) {
+			t.Fatalf("round(%v) = %v, want the cent unchanged", x, got)
+		}
+	}
+
+	e, _ := estimatorFixture(t, Uniform)
+	ex, cur := exact(e), new(sync.Estimates)
+	e.Current(cur)
+	for i, x := range ex.PerColumn {
+		if cur.PerColumn[i] != round(x) {
+			t.Errorf("PerColumn[%d] = %v, want round(%v)", i, cur.PerColumn[i], x)
+		}
+	}
+	if cur.Upvote != round(ex.Upvote) || cur.Downvote != round(ex.Downvote) {
+		t.Errorf("votes = %v/%v, want round of %v/%v", cur.Upvote, cur.Downvote, ex.Upvote, ex.Downvote)
+	}
 }
 
 func TestEstimatorUniform(t *testing.T) {
@@ -28,7 +61,7 @@ func TestEstimatorUniform(t *testing.T) {
 	e.Join("w1", 0)
 	// Before any activity: |C| = 8 empty template cells, |U| = (2-1)*4 = 4,
 	// |D| = 0, so each action is worth 10/12.
-	cur := current(e)
+	cur := exact(e)
 	want := 10.0 / 12
 	for i, got := range cur.PerColumn {
 		if math.Abs(got-want) > 1e-9 {
@@ -67,14 +100,14 @@ func TestEstimatorDownvoteGrowsDenominator(t *testing.T) {
 	fill.TS = 1e9
 	e.Observe(fill)
 
-	before := current(e).Upvote
+	before := exact(e).Upvote
 	dv := sync.Message{Type: sync.MsgDownvote, Vec: model.VectorOf("junk", ""), Worker: "w1", TS: 2e9}
 	e.Observe(dv)
 	rep.Apply(dv)
 	// One more consistent downvote in the denominator lowers each estimate
 	// only after the downvoted row leaves the probable set; at minimum the
 	// estimate must not increase.
-	after := current(e).Upvote
+	after := exact(e).Upvote
 	if after > before+1e-9 {
 		t.Errorf("estimate grew after a downvote: %v -> %v", before, after)
 	}
@@ -114,7 +147,7 @@ func TestEstimatorColumnWeightsConverge(t *testing.T) {
 		m2.Worker, m2.TS = "w2", 100e9+int64(i)*10e9
 		e.Observe(m2)
 	}
-	cur := current(e)
+	cur := exact(e)
 	if cur.PerColumn[1] <= cur.PerColumn[0] {
 		t.Errorf("slow column should be estimated higher: %v", cur.PerColumn)
 	}
@@ -145,7 +178,7 @@ func TestEstimatorDualKeyPositioning(t *testing.T) {
 		t.Fatalf("z should be positive with accelerating gaps, got %v", z)
 	}
 	// The next key cell (k=4 of 6) sits above the column's flat estimate.
-	cur := current(e)
+	cur := exact(e)
 	flatE, rep2 := indexedEstimator(s, ColumnWeighted, 6)
 	flatE.Join("w1", 0)
 	// Feed the same observations for identical weights.
@@ -159,7 +192,7 @@ func TestEstimatorDualKeyPositioning(t *testing.T) {
 		m.Worker, m.TS = "w1", ts
 		flatE.Observe(m)
 	}
-	flat := current(flatE)
+	flat := exact(flatE)
 	if cur.PerColumn[0] <= flat.PerColumn[0] {
 		t.Errorf("dual estimate for a late key (%v) should exceed flat (%v)",
 			cur.PerColumn[0], flat.PerColumn[0])

@@ -91,10 +91,9 @@ type Core struct {
 	bcasts []Broadcast    // HandleBroadcast's result, reused by the next call
 
 	// Estimate-broadcast coalescing state: this decision's figures (filled
-	// in place), the last broadcast ones, and messages handled since then.
-	estNow        sync.Estimates
-	lastEst       *sync.Estimates
-	sinceEstBcast int
+	// in place) and the last broadcast ones.
+	estNow  sync.Estimates
+	lastEst *sync.Estimates
 
 	// Late-join snapshot cache: the encoded snapshot is rebuilt only when
 	// the master replica's epoch moved, so a join storm between mutations
@@ -123,10 +122,6 @@ type Core struct {
 // maxRepairIters bounds one runCC convergence loop; hitting it is counted
 // and logged rather than silently swallowed.
 const maxRepairIters = 1000
-
-// estimateInterval is the forced-broadcast period: an estimate goes out
-// every estimateInterval handled messages even when it is unchanged.
-const estimateInterval = 64
 
 // New builds a Core, seeds the candidate table from the template via the
 // Central Client, and checks whether the constraint is (trivially) already
@@ -358,7 +353,8 @@ func (c *Core) checkDone() {
 }
 
 // AddClient registers a client connection for a worker and returns the
-// messages to send it: a full state snapshot plus the current estimates.
+// messages to send it: a full state snapshot plus the current estimates, the
+// same rounded figures the estimate broadcasts carry.
 func (c *Core) AddClient(clientID, workerID string) []Outbound {
 	c.clients[clientID] = workerID
 	now := c.stamp()
@@ -438,20 +434,21 @@ func (c *Core) HandleBroadcast(clientID string, m sync.Message) ([]Broadcast, er
 }
 
 // estimateBroadcast decides whether this message's estimate update goes out,
-// returning the shared prepared message or nil to skip. Skipping when the
-// payload matches the last broadcast is invisible to clients — they simply
-// replace their stored estimates — but eliminates the dominant fan-out cost
-// on workloads where estimates rarely move. A forced broadcast every
-// estimateInterval messages bounds staleness for any client that somehow
-// missed one. The figures land in core-owned scratch and are compared by
+// returning the shared prepared message or nil to skip. The figures are the
+// estimator's display figures, rounded to the cent (pay.Resolution), and go
+// out only when one of them differs from the last broadcast: clients simply
+// replace their stored estimates, so an unchanged payload tells them
+// nothing. No periodic re-send is needed: the figures move only when a
+// handled message moves them, and this decision follows every handled
+// message, while a joiner is sent the current figures with its snapshot
+// (AddClient). The figures land in core-owned scratch and are compared by
 // their bits, so a suppressed decision allocates and encodes nothing. A
 // payload that cannot be encoded is skipped with a warning, never published:
 // every flusher would fail on it and drop its client.
 func (c *Core) estimateBroadcast() *sync.Prepared {
-	c.sinceEstBcast++
 	now := &c.estNow
 	c.est.Current(now)
-	if c.lastEst != nil && sameFigures(now, c.lastEst) && c.sinceEstBcast < estimateInterval {
+	if c.lastEst != nil && sameFigures(now, c.lastEst) {
 		c.metrics.estimateDecision(false, 0)
 		return nil
 	}
@@ -460,7 +457,6 @@ func (c *Core) estimateBroadcast() *sync.Prepared {
 		return nil
 	}
 	c.lastEst = &sync.Estimates{PerColumn: slices.Clone(now.PerColumn), Upvote: now.Upvote, Downvote: now.Downvote}
-	c.sinceEstBcast = 0
 	p := sync.NewPrepared(sync.Message{Type: sync.MsgEstimate, Estimates: c.lastEst})
 	payload, _ := p.Payload() // validated above
 	c.metrics.estimateDecision(true, len(payload))

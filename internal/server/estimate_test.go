@@ -2,14 +2,20 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"crowdfill/internal/client"
+	"crowdfill/internal/constraint"
 	"crowdfill/internal/metrics"
+	"crowdfill/internal/model"
 	"crowdfill/internal/pay"
 	"crowdfill/internal/sync"
 	"crowdfill/internal/transport"
@@ -219,7 +225,6 @@ func TestEstimateDecisionAllocs(t *testing.T) {
 	}
 	r.send("c1", msgs...)
 	n := testing.AllocsPerRun(100, func() {
-		r.core.sinceEstBcast = 0 // never the forced broadcast
 		if p := r.core.estimateBroadcast(); p != nil {
 			t.Fatalf("an unchanged estimate was published: %+v", p.Message().Estimates)
 		}
@@ -283,4 +288,249 @@ func TestHandleBroadcastReusesResult(t *testing.T) {
 	if second[0].Prepared.Message().Type != sync.MsgUpvote {
 		t.Fatalf("the reused slice does not hold the second message's broadcasts: %v", second[0].Prepared.Message().Type)
 	}
+}
+
+// settleLink is one worker connection of TestEstimatesSettleOnEveryLink,
+// with the counts that tell when it is quiet: messages the worker sent, the
+// server handled, the server sent down the link, and the worker applied.
+type settleLink struct {
+	runner   *client.Runner
+	upstream int
+	handled  atomic.Int64
+	sent     atomic.Int64
+	applied  atomic.Int64
+}
+
+// settleServerEnd is a link's server end. The serve loop handles a message
+// before it receives the next one, so a message counts as handled at the
+// next Recv.
+type settleServerEnd struct {
+	transport.Conn
+	l    *settleLink
+	last int64
+}
+
+func (c *settleServerEnd) Recv() (sync.Message, error) {
+	c.l.handled.Add(c.last)
+	m, err := c.Conn.Recv()
+	c.last = 0
+	if err == nil {
+		c.last = 1
+	}
+	return m, err
+}
+
+func (c *settleServerEnd) Send(m sync.Message) error {
+	err := c.Conn.Send(m)
+	if err == nil {
+		c.l.sent.Add(1)
+	}
+	return err
+}
+
+func (c *settleServerEnd) SendPreparedBatch(ps []*sync.Prepared) error {
+	for _, p := range ps {
+		if err := c.Send(p.Message()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// settleClientEnd is a link's worker end. A Runner applies a batch before
+// it receives the next one, so a batch counts as applied at the next
+// RecvBatch.
+type settleClientEnd struct {
+	transport.Conn
+	l    *settleLink
+	last int
+}
+
+func (c *settleClientEnd) RecvBatch(dst []sync.Message) (int, error) {
+	c.l.applied.Add(int64(c.last))
+	n, err := c.Conn.RecvBatch(dst)
+	c.last = n
+	return n, err
+}
+
+// TestEstimatesSettleOnEveryLink: an estimate is published only when its
+// rounded figures change, with no periodic re-send, so a link holds the
+// current figures only if every change was published and every join was
+// sent the current figures. Over seeded random schedules under each scheme
+// — fills, votes and undos from workers that join late, and one that leaves
+// and rejoins as a fresh client — whenever every link is quiet its figures
+// must equal the estimator's current (rounded) figures bit for bit, and each
+// must lie within half a cent of the full-precision one. A worker that joins
+// after the last action is checked too.
+func TestEstimatesSettleOnEveryLink(t *testing.T) {
+	const steps, every = 120, 10
+	keys, vals := []string{"a", "b", "c", "d", "e"}, []string{"1", "2", "3"}
+	moves := 0
+	for seed := int64(0); seed < 12; seed++ {
+		s := kvSchema(t)
+		// Five keys can never fill a twelve-row table, so the collection
+		// stays open for the whole schedule.
+		core, err := New(Config{
+			Schema:   s,
+			Score:    model.MajorityShortcut(3),
+			Template: constraint.Cardinality(s, 12),
+			Budget:   5,
+			Scheme:   []pay.Scheme{pay.Uniform, pay.ColumnWeighted, pay.DualWeighted}[seed%3],
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ns := NewNetServer(core, nil)
+		rng := rand.New(rand.NewSource(seed))
+		live := map[string]*settleLink{}
+		sessions := 0
+		join := func(worker string) {
+			sessions++
+			l := &settleLink{}
+			srv, cli := transport.Pipe(256)
+			go ns.ServeConn(&settleServerEnd{Conn: srv, l: l}, worker)
+			c, err := client.New(client.Config{ID: fmt.Sprintf("%s-%d", worker, sessions), Worker: worker, Schema: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.runner = client.NewRunner(c, &settleClientEnd{Conn: cli, l: l})
+			live[worker] = l
+			// Registered and past its snapshot and estimate.
+			waitFor(t, func() bool { return l.applied.Load() >= 2 })
+		}
+		quiet := func() bool {
+			for _, l := range live {
+				if l.handled.Load() != int64(l.upstream) {
+					return false
+				}
+			}
+			if !ns.log.drained() {
+				return false
+			}
+			for _, l := range live {
+				if l.sent.Load() != l.applied.Load() {
+					return false
+				}
+			}
+			return true
+		}
+		var last sync.Estimates
+		check := func(when string) {
+			t.Helper()
+			waitFor(t, quiet)
+			var want, exact sync.Estimates
+			ns.WithCore(func(c *Core) {
+				c.Estimator().Current(&want)
+				c.Estimator().Exact(&exact)
+			})
+			if !sameFigures(&want, &last) {
+				moves++
+			}
+			last = sync.Estimates{PerColumn: slices.Clone(want.PerColumn), Upvote: want.Upvote, Downvote: want.Downvote}
+			for w, l := range live {
+				var got sync.Estimates
+				l.runner.View(func(c *client.Client) {
+					if e := c.Estimates(); e != nil {
+						got = sync.Estimates{PerColumn: slices.Clone(e.PerColumn), Upvote: e.Upvote, Downvote: e.Downvote}
+					}
+				})
+				if !sameFigures(&got, &want) {
+					t.Fatalf("seed %d, %s: %s's link holds %+v, the estimator's current figures are %+v", seed, when, w, got, want)
+				}
+				near := func(g, x float64) bool { return math.Abs(g-x) <= pay.Resolution/2*(1+1e-9) }
+				if !near(got.Upvote, exact.Upvote) || !near(got.Downvote, exact.Downvote) ||
+					!slices.EqualFunc(got.PerColumn, exact.PerColumn, near) {
+					t.Fatalf("seed %d, %s: %s's link holds %+v, more than half a cent from %+v", seed, when, w, got, exact)
+				}
+			}
+		}
+
+		join("w1")
+		join("w2")
+		voted := map[string][]model.Vector{}
+		for step := 1; step <= steps; step++ {
+			switch step {
+			case 20:
+				join("w3")
+			case 50:
+				join("w4")
+			case 80:
+				join("w1") // w1 comes back as a fresh client
+			}
+			workers := make([]string, 0, len(live))
+			for w := range live {
+				workers = append(workers, w)
+			}
+			slices.Sort(workers)
+			w := workers[rng.Intn(len(workers))]
+			l := live[w]
+			_ = l.runner.Do(func(c *client.Client) ([]sync.Message, error) {
+				rows := c.Rows(nil)
+				if len(rows) == 0 {
+					return nil, nil
+				}
+				row := rows[rng.Intn(len(rows))]
+				var msgs []sync.Message
+				var err error
+				switch k := rng.Intn(10); {
+				case k < 5:
+					col := rng.Intn(2)
+					if row.Vec[col].Set {
+						return nil, nil
+					}
+					pool := [][]string{keys, vals}[col]
+					msgs, err = c.Fill(row.ID, col, pool[rng.Intn(len(pool))])
+				case k < 8:
+					var m sync.Message
+					if row.Vec.IsComplete() {
+						m, err = c.Upvote(row.ID)
+					} else {
+						m, err = c.Downvote(row.ID)
+					}
+					if err == nil {
+						voted[w] = append(voted[w], m.Vec.Clone())
+						msgs = []sync.Message{m}
+					}
+				default:
+					if len(voted[w]) == 0 {
+						return nil, nil
+					}
+					j := rng.Intn(len(voted[w]))
+					v := voted[w][j]
+					voted[w] = slices.Delete(voted[w], j, j+1)
+					var m sync.Message
+					if m, err = c.UndoVote(v); err == nil {
+						msgs = []sync.Message{m}
+					}
+				}
+				if err != nil {
+					return nil, nil // the client refused: nothing was sent
+				}
+				l.upstream += len(msgs)
+				return msgs, nil
+			})
+			if step%every == 0 {
+				check(fmt.Sprintf("step %d", step))
+			}
+			if step == 60 {
+				live["w1"].runner.Close()
+				delete(live, "w1")
+				delete(voted, "w1")
+			}
+		}
+		join("late")
+		check("after a join at the end")
+		if ns.Done() {
+			t.Fatalf("seed %d: the collection finished; the schedule assumes it stays open", seed)
+		}
+		for _, l := range live {
+			l.runner.Close()
+		}
+		ns.Shutdown()
+	}
+	// Not vacuous: the figures moved between checks.
+	if moves < 30 {
+		t.Fatalf("the current figures moved between only %d checks", moves)
+	}
+	t.Logf("figures moved between %d checks", moves)
 }

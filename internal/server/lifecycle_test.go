@@ -20,15 +20,15 @@ import (
 type doneHost struct {
 	calls    atomic.Int32
 	returned atomic.Bool
-	final    chan Final
+	ran      chan struct{}
 }
 
-func newDoneHost() *doneHost { return &doneHost{final: make(chan Final, 4)} }
+func newDoneHost() *doneHost { return &doneHost{ran: make(chan struct{}, 4)} }
 
-func (h *doneHost) onDone(fin Final) {
+func (h *doneHost) onDone() {
 	h.calls.Add(1)
 	time.Sleep(20 * time.Millisecond)
-	h.final <- fin
+	h.ran <- struct{}{}
 	h.returned.Store(true)
 }
 
@@ -130,10 +130,10 @@ func connect(t *testing.T, ns *NetServer, h *doneHost, dial dialer, worker strin
 // TestDoneTransition finishes a one-row majority-of-3 collection over each
 // transport: one worker fills the row, and two workers' upvotes, each of
 // which completes the collection if handled first, race. The host callback
-// runs exactly once, with the final status, table and log; every link,
-// including one that never acts, hears MsgDone exactly once, last, only
-// after the callback returned, and is then closed; a worker that joins
-// after Done hears MsgDone alone and is not registered.
+// runs exactly once, on a core holding the final status, table and log;
+// every link, including one that never acts, hears MsgDone exactly once,
+// last, only after the callback returned, and is then closed; a worker that
+// joins after Done hears MsgDone alone and is not registered.
 func TestDoneTransition(t *testing.T) {
 	for _, d := range dialers {
 		t.Run(d.name, func(t *testing.T) {
@@ -186,17 +186,20 @@ func TestDoneTransition(t *testing.T) {
 				if n := h.calls.Load(); n != 1 {
 					t.Fatalf("host callback ran %d times, want once", n)
 				}
-				fin := <-h.final
-				if !fin.Status.Done || fin.Status.FinalRows != 1 || len(fin.Rows) != 1 || fin.Rows[0][0] != "k0" {
-					t.Fatalf("final = %+v, want done with the one filled row", fin)
-				}
-				if len(fin.Log.Trace) != fin.Status.Messages || len(fin.Log.Trace) < 3 {
-					t.Fatalf("final log holds %d messages, status %d", len(fin.Log.Trace), fin.Status.Messages)
-				}
-
+				<-h.ran
 				status := func() (st Status) {
 					ns.WithCore(func(c *Core) { st = c.Status() })
 					return st
+				}
+				var rows [][]string
+				var trace int
+				ns.WithCore(func(c *Core) { rows, trace = c.ResultRows(), len(c.Log().Trace) })
+				final := status()
+				if !final.Done || final.FinalRows != 1 || len(rows) != 1 || rows[0][0] != "k0" {
+					t.Fatalf("final status %+v, rows %v: want done with the one filled row", final, rows)
+				}
+				if trace != final.Messages || trace < 3 {
+					t.Fatalf("final log holds %d messages, status %d", trace, final.Messages)
 				}
 				waitFor(t, func() bool { return status().Clients == 0 })
 				late := connect(t, ns, h, d.dial, "late")
@@ -206,8 +209,8 @@ func TestDoneTransition(t *testing.T) {
 					t.Errorf("a join after Done received %v, want MsgDone alone", got)
 				}
 				late.rec.mu.Unlock()
-				if st := status(); st.Clients != 0 || st.Messages != fin.Status.Messages {
-					t.Errorf("status after a join after Done = %+v, want the final one %+v", st, fin.Status)
+				if st := status(); st.Clients != 0 || st.Messages != final.Messages {
+					t.Errorf("status after a join after Done = %+v, want the final one %+v", st, final)
 				}
 				if n := h.calls.Load(); n != 1 {
 					t.Fatalf("host callback ran %d times after a late join, want once", n)
@@ -253,9 +256,12 @@ func TestDoneAtConstruction(t *testing.T) {
 			h := newDoneHost()
 			ns := NewNetServer(core, h.onDone)
 			select {
-			case fin := <-h.final:
-				if !fin.Status.Done || fin.Status.Clients != 0 || len(fin.Rows) != 0 {
-					t.Fatalf("final = %+v, want done and empty", fin)
+			case <-h.ran:
+				var st Status
+				var rows [][]string
+				ns.WithCore(func(c *Core) { st, rows = c.Status(), c.ResultRows() })
+				if !st.Done || st.Clients != 0 || len(rows) != 0 {
+					t.Fatalf("final status %+v, rows %v: want done and empty", st, rows)
 				}
 			case <-time.After(10 * time.Second):
 				t.Fatal("the host callback never ran")

@@ -182,7 +182,7 @@ func NewMetrics(reg *metrics.Registry, rec *metrics.Recorder) *Metrics {
 		pollDispatches: reg.Counter("crowdfill_poll_dispatch_total", "readiness handler dispatches to poll workers"),
 
 		estBcasts:  reg.Counter("crowdfill_estimate_bcasts_total", "estimate broadcasts sent"),
-		estSkipped: reg.Counter("crowdfill_estimate_skipped_total", "estimate broadcasts suppressed (payload unchanged)"),
+		estSkipped: reg.Counter("crowdfill_estimate_skipped_total", "estimate broadcasts suppressed (rounded figures unchanged)"),
 		estBytes:   reg.Histogram("crowdfill_estimate_payload_bytes", "estimate payload size when broadcast", metrics.SizeBuckets),
 
 		wire: wsock.NewStats(reg),

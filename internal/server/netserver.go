@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"crowdfill/internal/netpoll"
-	"crowdfill/internal/replay"
 	"crowdfill/internal/sync"
 	"crowdfill/internal/transport"
 	"crowdfill/internal/wsock"
@@ -43,7 +42,7 @@ type NetServer struct {
 	nextID int64
 	done   bool // the Done transition has fired; joins after it are refused
 
-	onDone   func(Final)   // the host's part of the Done transition, or nil
+	onDone   func()        // the host's part of the Done transition, or nil
 	archived chan struct{} // closed once onDone has returned
 	shutdown gosync.Once
 
@@ -54,19 +53,12 @@ type NetServer struct {
 	poller *netpoll.Poller
 }
 
-// Final is what a finished collection hands its host: its final status, the
-// final table as rows of column values, and the bookkeeping log.
-type Final struct {
-	Status Status
-	Rows   [][]string
-	Log    replay.Log
-}
-
 // NewNetServer wraps a Core for network serving. onDone, which may be nil,
-// receives the finished collection once, before any link hears MsgDone; a
-// core that is already done finishes at once. The broadcast log holds
+// runs once when the collection finishes, before any link hears MsgDone; a
+// core that is already done finishes at once. The host reads what it keeps
+// from the core itself (WithCore). The broadcast log holds
 // defaultLogCapacity records and inherits the core's instrument set.
-func NewNetServer(core *Core, onDone func(Final)) *NetServer {
+func NewNetServer(core *Core, onDone func()) *NetServer {
 	s := &NetServer{
 		core:     core,
 		log:      newBcastLog(defaultLogCapacity, core.metrics),
@@ -216,9 +208,7 @@ func (s *NetServer) handleAndPublish(clientID string, m sync.Message) error {
 // flush past it, and Shutdown closes the links and both planes.
 func (s *NetServer) finish() {
 	if s.onDone != nil {
-		var fin Final
-		s.WithCore(func(c *Core) { fin = Final{Status: c.Status(), Rows: c.ResultRows(), Log: c.Log()} })
-		s.onDone(fin)
+		s.onDone()
 	}
 	close(s.archived)
 	s.mu.Lock()
