@@ -58,7 +58,7 @@ func Audit(s Spec, traceJSON []byte, scheme string) (*AuditResult, error) {
 		return nil, err
 	}
 	out := &AuditResult{
-		Messages:      audit.Messages,
+		Messages:      len(audit.Trace) + len(audit.CCLog),
 		CandidateRows: audit.Replica.Table().Len(),
 		FinalRows:     len(audit.Final),
 		Pay:           audit.Alloc.PerWorker,

@@ -65,7 +65,7 @@ func BenchmarkE2WorkerCompensation(b *testing.B) {
 	var r exp.E2Report
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		alloc, err := res.Core.ComputePayWith(pay.DualWeighted)
+		alloc, err := res.Audit.Price(pay.DualWeighted)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -160,13 +160,13 @@ func BenchmarkEXMicrotaskBaseline(b *testing.B) {
 // --- Ablation benchmarks (design choices called out in DESIGN.md) ---
 
 // BenchmarkAblationComputePay measures the full §5.2 compensation
-// calculation over the representative trace, per scheme.
+// calculation over the representative trace's rebuilt table, per scheme.
 func BenchmarkAblationComputePay(b *testing.B) {
 	res := repBenchRun(b)
 	for _, scheme := range []pay.Scheme{pay.Uniform, pay.ColumnWeighted, pay.DualWeighted} {
 		b.Run(scheme.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := res.Core.ComputePayWith(scheme); err != nil {
+				if _, err := res.Audit.Price(scheme); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,10 +10,10 @@
 // "start" (the collection start, Unix nanoseconds) and "joinTime" (each
 // worker's first-join timestamp). With all four, and no override, the
 // replay pays exactly what the collection paid. Logs exported before
-// "start" and "joinTime" were recorded still load: an absent start falls
-// back to the first message's timestamp and an absent join time to the
-// start; that moves each worker's first time gap, so such a replay can
-// differ from the live pay by cents.
+// "start" and "joinTime" were recorded still load: no "start" means the
+// first message's timestamp and no join time the start; that moves each
+// worker's first time gap, so such a replay can differ from the live pay
+// by cents.
 //
 // Usage:
 //
@@ -73,7 +73,7 @@ func main() {
 
 	schema := audit.Replica.Schema()
 	fmt.Printf("replayed %d messages (%d worker, %d central-client)\n",
-		audit.Messages, len(lg.Trace), len(lg.CCLog))
+		len(lg.Trace)+len(lg.CCLog), len(lg.Trace), len(lg.CCLog))
 	fmt.Printf("candidate rows: %d   final rows: %d\n",
 		audit.Replica.Table().Len(), len(audit.Final))
 	if *showTable {

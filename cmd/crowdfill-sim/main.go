@@ -156,7 +156,7 @@ func main() {
 		fmt.Printf("    %-28s %11.0f%% %11.0f%%\n", "accuracy", res.Accuracy*100, mt.Accuracy*100)
 		fmt.Printf("    %-28s %12d %12d\n", "worker messages / tasks", len(res.Core.Trace()), mt.Tasks)
 		fmt.Printf("    %-28s %12d %12d\n", "duplicate-entity waste", 0, mt.DuplicateKeys)
-		fmt.Printf("    %-28s %12.2f %12.2f\n", "cost ($)", res.Alloc.Allocated, mt.Cost)
+		fmt.Printf("    %-28s %12.2f %12.2f\n", "cost ($)", res.Audit.Alloc.Allocated, mt.Cost)
 		fmt.Println()
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"crowdfill/internal/client"
 	"crowdfill/internal/model"
+	"crowdfill/internal/replay"
 	"crowdfill/internal/server"
 	"crowdfill/internal/sync"
 	"crowdfill/internal/transport"
@@ -20,7 +21,7 @@ import (
 // down; the collection's table, status and pay stay readable.
 type Collection struct {
 	ns     *server.NetServer
-	schema *model.Schema
+	cfg    server.Config
 	nextID int64
 }
 
@@ -35,7 +36,7 @@ func NewCollection(s Spec) (*Collection, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Collection{ns: server.NewNetServer(core, nil), schema: cfg.Schema}, nil
+	return &Collection{ns: server.NewNetServer(core, nil), cfg: cfg}, nil
 }
 
 // Handler returns the WebSocket endpoint workers connect to
@@ -51,7 +52,7 @@ func (c *Collection) Done() bool { return c.ns.Done() }
 
 // Columns returns the schema's column names.
 func (c *Collection) Columns() []string {
-	return c.schema.ColumnNames()
+	return c.cfg.Schema.ColumnNames()
 }
 
 // Result returns the current final table as rows of column values.
@@ -71,19 +72,17 @@ func (c *Collection) Status() (st Status) {
 }
 
 // ComputePay runs the compensation calculation (§5.2) over the run so far
-// and returns per-worker amounts.
+// and returns per-worker amounts. It copies the log under the serving lock
+// and prices the copy (server.Audit) after releasing it, so workers' messages
+// wait only for the copy.
 func (c *Collection) ComputePay() (map[string]float64, error) {
-	var out map[string]float64
-	var err error
-	c.ns.WithCore(func(core *server.Core) {
-		alloc, aerr := core.ComputePay()
-		if aerr != nil {
-			err = aerr
-			return
-		}
-		out = alloc.PerWorker
-	})
-	return out, err
+	var log replay.Log
+	c.ns.WithCore(func(core *server.Core) { log = core.Log() })
+	audit, err := server.Audit(c.cfg, log)
+	if err != nil {
+		return nil, err
+	}
+	return audit.Alloc.PerWorker, nil
 }
 
 // Close disconnects every worker and shuts the server down; a finished
@@ -99,7 +98,7 @@ func (c *Collection) Connect(workerID string) (*Worker, error) {
 	cl, err := client.New(client.Config{
 		ID:     fmt.Sprintf("%s#%d", workerID, atomic.AddInt64(&c.nextID, 1)),
 		Worker: workerID,
-		Schema: c.schema,
+		Schema: c.cfg.Schema,
 	})
 	if err != nil {
 		return nil, err
@@ -108,7 +107,7 @@ func (c *Collection) Connect(workerID string) (*Worker, error) {
 	go c.ns.ServeConn(serverSide, workerID)
 	return &Worker{
 		id:     workerID,
-		schema: c.schema,
+		schema: c.cfg.Schema,
 		runner: client.NewRunner(cl, clientSide),
 	}, nil
 }

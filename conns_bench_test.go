@@ -145,11 +145,11 @@ func dialWorker(b *testing.B, coll *Collection, addr net.Addr, id string) *Worke
 	if err != nil {
 		b.Fatalf("dial %s: %v", id, err)
 	}
-	cl, err := client.New(client.Config{ID: id, Worker: id, Schema: coll.schema})
+	cl, err := client.New(client.Config{ID: id, Worker: id, Schema: coll.cfg.Schema})
 	if err != nil {
 		b.Fatalf("client %s: %v", id, err)
 	}
-	return &Worker{id: id, schema: coll.schema, runner: client.NewRunner(cl, transport.WrapWS(ws))}
+	return &Worker{id: id, schema: coll.cfg.Schema, runner: client.NewRunner(cl, transport.WrapWS(ws))}
 }
 
 func benchConnScale(b *testing.B, n int) {

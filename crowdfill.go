@@ -19,9 +19,9 @@
 // in-process workers (Worker), and deterministic crowd simulations
 // (Simulate) that regenerate the paper's evaluation. The building blocks
 // live under internal/: the formal model, the synchronization layer and its
-// convergence machinery, constraint maintenance, compensation, the WebSocket
-// stack, the simulated crowd, marketplace, document store, and the
-// experiment harness.
+// convergence machinery, constraint maintenance, compensation and log
+// replay, the WebSocket stack, the simulated crowd, marketplace, front-end
+// and its file store, and the experiment harness.
 package crowdfill
 
 import (
@@ -142,7 +142,7 @@ const Version = "1.0.0"
 // the paper's, as a typical well-behaved session).
 const PaperSeed = exp.DefaultSeed
 
-// String renders a short human-readable description of a simulation result.
+// ResultSummary renders a one-line description of a simulation result.
 func ResultSummary(res *SimResult) string {
 	return fmt.Sprintf("done=%v rows=%d candidate=%d accuracy=%.0f%% duration=%v",
 		res.Done, res.FinalRows, res.CandidateRows, res.Accuracy*100,

@@ -262,16 +262,16 @@ func TestSimulateKeepsSplitFactors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
-	core := res.Core
+	core, log := res.Core, res.Core.Log()
 	in := pay.Input{
 		Schema:   core.Master().Schema(),
 		Budget:   s.Budget,
 		Scheme:   pay.DualWeighted,
 		Final:    core.FinalTable(),
-		Trace:    core.Trace(),
-		CCLog:    core.CCLog(),
-		JoinTime: core.JoinTimes(),
-		Start:    core.StartTime(),
+		Trace:    log.Trace,
+		CCLog:    log.CCLog,
+		JoinTime: log.JoinTime,
+		Start:    log.Start,
 	}
 	def, err := pay.Compute(in)
 	if err != nil {
@@ -284,12 +284,12 @@ func TestSimulateKeepsSplitFactors(t *testing.T) {
 	}
 	differs := false
 	for w, want := range split.PerWorker {
-		if got := res.Alloc.PerWorker[w]; math.Abs(got-want) > 1e-9 {
+		if got := res.Audit.Alloc.PerWorker[w]; math.Abs(got-want) > 1e-9 {
 			t.Errorf("Simulate paid %s %v, pay.Compute with split 0.9/0.9 %v", w, got, want)
 		}
 		differs = differs || math.Abs(def.PerWorker[w]-want) > 1e-6
 	}
-	if len(res.Alloc.PerWorker) != len(split.PerWorker) || !differs {
+	if len(res.Audit.Alloc.PerWorker) != len(split.PerWorker) || !differs {
 		t.Fatalf("split pay %v, default pay %v: the factors must change the allocation",
 			split.PerWorker, def.PerWorker)
 	}

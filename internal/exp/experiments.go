@@ -114,11 +114,12 @@ type E2Report struct {
 func E2(res *SimResult) E2Report {
 	ws := append([]WorkerReport(nil), res.Workers...)
 	sort.Slice(ws, func(i, j int) bool { return ws[i].Actual < ws[j].Actual })
+	alloc := res.Audit.Alloc
 	var z float64
-	if res.Alloc != nil && len(res.Alloc.Weights.Z) > 0 {
-		z = res.Alloc.Weights.Z[0]
+	if len(alloc.Weights.Z) > 0 {
+		z = alloc.Weights.Z[0]
 	}
-	return E2Report{Scheme: res.Alloc.Scheme, Budget: 10, Workers: ws, ZKey: z}
+	return E2Report{Scheme: alloc.Scheme, Budget: 10, Workers: ws, ZKey: z}
 }
 
 // String renders the report.
@@ -177,7 +178,7 @@ type E4Report struct {
 
 // E4 recomputes the run's compensation uniformly and reports the deltas.
 func E4(res *SimResult) (E4Report, error) {
-	uni, err := res.Core.ComputePayWith(pay.Uniform)
+	uni, err := res.Audit.Price(pay.Uniform)
 	if err != nil {
 		return E4Report{}, err
 	}
@@ -335,7 +336,7 @@ type E6Report struct {
 
 // E6 extracts earning-rate curves for the two busiest workers.
 func E6(res *SimResult) (E6Report, error) {
-	uni, err := res.Core.ComputePayWith(pay.Uniform)
+	uni, err := res.Audit.Price(pay.Uniform)
 	if err != nil {
 		return E6Report{}, err
 	}
@@ -345,12 +346,11 @@ func E6(res *SimResult) (E6Report, error) {
 		return E6Report{}, fmt.Errorf("exp: E6 needs at least two workers")
 	}
 	r := E6Report{Duration: res.Duration}
-	trace := res.Core.Trace()
-	start := res.Core.StartTime()
+	trace, start := res.Audit.Trace, res.Audit.Start
 	for i := 0; i < 2; i++ {
 		name := ws[i].Name
 		r.Workers[i] = name
-		r.Weighted[i] = EarningCurve(trace, res.Alloc.PerMessage, name, start)
+		r.Weighted[i] = EarningCurve(trace, res.Audit.Alloc.PerMessage, name, start)
 		r.Uniform[i] = EarningCurve(trace, uni.PerMessage, name, start)
 		r.StabilityWeighted[i] = curveDeviation(r.Weighted[i], res.Duration)
 		r.StabilityUniform[i] = curveDeviation(r.Uniform[i], res.Duration)

@@ -70,34 +70,33 @@ func simDigest(res *SimResult) string {
 	for _, r := range res.Core.FinalTable() {
 		fmt.Fprintf(h, "%s %s %d %d\n", r.ID, r.Vec.Encode(), r.Up, r.Down)
 	}
-	names := make([]string, 0, len(res.Alloc.PerWorker))
-	for w := range res.Alloc.PerWorker {
+	names := make([]string, 0, len(res.Audit.Alloc.PerWorker))
+	for w := range res.Audit.Alloc.PerWorker {
 		names = append(names, w)
 	}
 	sort.Strings(names)
 	for _, w := range names {
-		fmt.Fprintf(h, "%s %s\n", w, strconv.FormatFloat(res.Alloc.PerWorker[w], 'g', -1, 64))
+		fmt.Fprintf(h, "%s %s\n", w, strconv.FormatFloat(res.Audit.Alloc.PerWorker[w], 'g', -1, 64))
 	}
-	for _, amt := range res.Alloc.PerMessage {
+	for _, amt := range res.Audit.Alloc.PerMessage {
 		buf = append(strconv.AppendFloat(buf[:0], amt, 'g', -1, 64), '\n')
 		h.Write(buf)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestSimTraceGolden pins the simulation's output for fixed seeds. The first
-// two digests were taken at the commit before the simulated crowd's lookups
-// were indexed (PR 20), the latency one at the commit before the sim took over
-// the per-recipient fan-out from the core (PR 26), and all must survive any change that claims to leave behaviour
-// alone: a changed rng draw order, a different first match, a reordered map
-// walk all show up here.
-func TestSimTraceGolden(t *testing.T) {
-	cases := []struct {
-		name      string
-		cfg       func() SimConfig
-		trace, cc int // worker messages, Central Client messages
-		digest    string
-	}{
+// goldenCase is one configuration TestSimTraceGolden pins.
+type goldenCase struct {
+	name      string
+	cfg       func() SimConfig
+	trace, cc int // worker messages, Central Client messages
+	digest    string
+}
+
+// goldenCases are the paper run, the benchmark's table200 shape and the
+// paper run under 5 s propagation latency.
+func goldenCases(tb testing.TB) []goldenCase {
+	return []goldenCase{
 		{
 			name:  "paper",
 			cfg:   func() SimConfig { return RepresentativeConfig(20140622) },
@@ -106,7 +105,7 @@ func TestSimTraceGolden(t *testing.T) {
 		},
 		{
 			name:  "table200",
-			cfg:   func() SimConfig { return tableShapeConfig(t, 1, 500, 40, 200) },
+			cfg:   func() SimConfig { return tableShapeConfig(tb, 1, 500, 40, 200) },
 			trace: 1982, cc: 284,
 			digest: "9fc269099cb31c012c2b0d94bc388294ea9d122c5d2f44af2688d81c0e835cd9",
 		},
@@ -124,7 +123,16 @@ func TestSimTraceGolden(t *testing.T) {
 			digest: "8d5bfa468dc163e5d3ce7937575f06ebc5ce9990d3f7b94ef63cc0ff50e11413",
 		},
 	}
-	for _, tc := range cases {
+}
+
+// TestSimTraceGolden pins the simulation's output for fixed seeds. The first
+// two digests were taken at the commit before the simulated crowd's lookups
+// were indexed (PR 20), the latency one at the commit before the sim took over
+// the per-recipient fan-out from the core (PR 26), and all must survive any change that claims to leave behaviour
+// alone: a changed rng draw order, a different first match, a reordered map
+// walk all show up here.
+func TestSimTraceGolden(t *testing.T) {
+	for _, tc := range goldenCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := Run(tc.cfg())
 			if err != nil {

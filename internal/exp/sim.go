@@ -18,6 +18,7 @@ import (
 	"crowdfill/internal/metrics"
 	"crowdfill/internal/model"
 	"crowdfill/internal/pay"
+	"crowdfill/internal/replay"
 	"crowdfill/internal/server"
 	"crowdfill/internal/simclock"
 	"crowdfill/internal/sync"
@@ -92,8 +93,10 @@ type SimResult struct {
 	// reports "two rows were downvoted twice or more").
 	DownvotedRows int
 	Workers       []WorkerReport
-	Alloc         *pay.Allocation
-	Core          *server.Core
+	// Audit prices the run from its log (server.Audit); the reports use
+	// its allocation, and Audit.Price reprices it under another scheme.
+	Audit *replay.Audit
+	Core  *server.Core
 	// Metrics is the run's private registry: every simulated run reports
 	// through the same instrument set as the live server (message-type
 	// counters, repair histograms, estimate-coalescing counters), so
@@ -129,7 +132,7 @@ func Run(cfg SimConfig) (*SimResult, error) {
 	// not simulation state).
 	reg := metrics.NewRegistry()
 	rec := metrics.NewRecorder(256)
-	core, err := server.New(server.Config{
+	scfg := server.Config{
 		Schema:           cfg.Truth.Schema,
 		Score:            cfg.Score,
 		Template:         cfg.Template,
@@ -141,7 +144,8 @@ func Run(cfg SimConfig) (*SimResult, error) {
 		Clock:            clk,
 		TrackPerformance: cfg.TrackPerformance,
 		Metrics:          server.NewMetrics(reg, rec),
-	})
+	}
+	core, err := server.New(scfg)
 	if err != nil {
 		return nil, err
 	}
@@ -247,23 +251,24 @@ func Run(cfg SimConfig) (*SimResult, error) {
 	for clk.Pending() > 0 && !core.Done() && clk.Now() <= maxNs {
 		clk.Step()
 	}
-	if core.Done() && doneAt < 0 {
+	if doneAt < 0 {
 		doneAt = clk.Now()
 	}
 
+	audit, err := server.Audit(scfg, core.Log())
+	if err != nil {
+		return nil, err
+	}
 	res := &SimResult{
 		Done:          core.Done(),
 		CandidateRows: core.Master().Table().Len(),
+		Audit:         audit,
 		Core:          core,
 		Metrics:       reg,
 		Recorder:      rec,
 	}
-	if doneAt >= 0 {
-		res.Duration = time.Duration(doneAt - core.StartTime())
-	} else {
-		res.Duration = time.Duration(clk.Now() - core.StartTime())
-	}
-	final := core.FinalTable()
+	res.Duration = time.Duration(doneAt - audit.Start)
+	final := audit.Final
 	res.FinalRows = len(final)
 	correct := 0
 	for _, r := range final {
@@ -279,13 +284,7 @@ func Run(cfg SimConfig) (*SimResult, error) {
 			res.DownvotedRows++
 		}
 	})
-
-	alloc, err := core.ComputePay()
-	if err != nil {
-		return nil, err
-	}
-	res.Alloc = alloc
-	res.Workers = workerReports(cfg, core, alloc)
+	res.Workers = workerReports(cfg, core, audit.Alloc)
 	return res, nil
 }
 

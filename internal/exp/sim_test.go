@@ -62,11 +62,11 @@ func TestRepresentativeRunShape(t *testing.T) {
 
 func TestRepresentativeCompensationShape(t *testing.T) {
 	res := representative(t)
-	if res.Alloc.Allocated > 10+1e-9 {
-		t.Fatalf("allocated %.3f exceeds the $10 budget", res.Alloc.Allocated)
+	if res.Audit.Alloc.Allocated > 10+1e-9 {
+		t.Fatalf("allocated %.3f exceeds the $10 budget", res.Audit.Alloc.Allocated)
 	}
-	if res.Alloc.Allocated < 7 {
-		t.Fatalf("allocated %.3f — most of the budget should be distributable", res.Alloc.Allocated)
+	if res.Audit.Alloc.Allocated < 7 {
+		t.Fatalf("allocated %.3f — most of the budget should be distributable", res.Audit.Alloc.Allocated)
 	}
 	// The paper's headline: wide pay range tracking contribution.
 	var minPay, maxPay float64 = 1e9, 0
@@ -120,7 +120,7 @@ func TestRepresentativeDeterminism(t *testing.T) {
 	// order by chance, so rebuild them from one run many times: every build
 	// must come out in name order.
 	for i := 0; i < 32; i++ {
-		got := workerReports(RepresentativeConfig(7), a.Core, a.Alloc)
+		got := workerReports(RepresentativeConfig(7), a.Core, a.Audit.Alloc)
 		if !slices.Equal(got, a.Workers) || !slices.IsSortedFunc(got, func(x, y WorkerReport) int { return strings.Compare(x.Name, y.Name) }) {
 			t.Fatalf("worker reports not in name order on build %d: %+v", i, got)
 		}
@@ -141,7 +141,7 @@ func TestRunValidation(t *testing.T) {
 func TestEarningCurveShape(t *testing.T) {
 	res := representative(t)
 	for _, w := range res.Workers {
-		curve := EarningCurve(res.Core.Trace(), res.Alloc.PerMessage, w.Name, res.Core.StartTime())
+		curve := EarningCurve(res.Audit.Trace, res.Audit.Alloc.PerMessage, w.Name, res.Audit.Start)
 		if len(curve) == 0 || curve[0].Frac != 0 {
 			t.Fatalf("%s: curve must start at 0: %+v", w.Name, curve[:1])
 		}
@@ -158,7 +158,7 @@ func TestEarningCurveShape(t *testing.T) {
 		}
 	}
 	// Unknown worker: just the origin point.
-	if got := EarningCurve(res.Core.Trace(), res.Alloc.PerMessage, "ghost", 0); len(got) != 1 {
+	if got := EarningCurve(res.Core.Trace(), res.Audit.Alloc.PerMessage, "ghost", 0); len(got) != 1 {
 		t.Fatalf("ghost curve = %v", got)
 	}
 }
@@ -215,8 +215,8 @@ func TestWorkerReportsConsistency(t *testing.T) {
 			t.Fatalf("%s: corrected estimate exceeds raw", w.Name)
 		}
 	}
-	if diff := sumPay - res.Alloc.Allocated; diff > 1e-6 || diff < -1e-6 {
-		t.Fatalf("worker pay sum %.6f != allocated %.6f", sumPay, res.Alloc.Allocated)
+	if diff := sumPay - res.Audit.Alloc.Allocated; diff > 1e-6 || diff < -1e-6 {
+		t.Fatalf("worker pay sum %.6f != allocated %.6f", sumPay, res.Audit.Alloc.Allocated)
 	}
 }
 
@@ -295,7 +295,7 @@ func TestSoakLargeCollection(t *testing.T) {
 	if !res.Core.Planner().CheckPRI(res.Core.Master()) {
 		t.Fatalf("PRI violated at scale")
 	}
-	if res.Alloc.Allocated > 10+1e-9 {
+	if res.Audit.Alloc.Allocated > 10+1e-9 {
 		t.Fatalf("budget exceeded at scale")
 	}
 }

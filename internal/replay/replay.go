@@ -8,6 +8,7 @@
 package replay
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -21,22 +22,44 @@ import (
 // everything Run needs to rebuild the table and recompute the exact pay.
 // Its JSON form is what the front-end archives and serves on /trace, what
 // the root package's ExportTrace writes, and what crowdfill-replay reads.
-// Traces written before Start and JoinTime were recorded still load: an
-// absent start falls back to the first message's timestamp, and an absent
-// join time to the start.
+// It always carries its start, also a start of 0 (a simulation's).
 type Log struct {
 	// Trace holds every worker message in server order (the set M of §5.2).
 	Trace []sync.Message `json:"trace"`
 	// CCLog holds the Central Client's messages.
 	CCLog []sync.Message `json:"ccLog"`
 	// Start is the collection's start timestamp.
-	Start int64 `json:"start,omitempty"`
+	Start int64 `json:"start"`
 	// JoinTime maps each worker to their first-join timestamp.
 	JoinTime map[string]int64 `json:"joinTime,omitempty"`
 }
 
+// UnmarshalJSON decodes a log. One with no "start" key, written before the
+// start was recorded, starts at its first message, Central Client first.
+func (l *Log) UnmarshalJSON(data []byte) error {
+	type plain Log // without this method
+	var doc struct {
+		plain
+		Start *int64 `json:"start"` // shadows plain.Start: nil when absent
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return err
+	}
+	*l = Log(doc.plain)
+	switch {
+	case doc.Start != nil:
+		l.Start = *doc.Start
+	case len(l.CCLog) > 0:
+		l.Start = l.CCLog[0].TS
+	case len(l.Trace) > 0:
+		l.Start = l.Trace[0].TS
+	}
+	return nil
+}
+
 // Rebuild replays the interleaved CC log and worker trace (ordered by the
-// server-assigned timestamps) into a fresh replica.
+// server-assigned timestamps) into a fresh replica. The core never stamps
+// two messages alike; on a tie in a hand-built log the worker's goes first.
 func Rebuild(schema *model.Schema, trace, ccLog []sync.Message) (*sync.Replica, error) {
 	if schema == nil {
 		return nil, errors.New("replay: schema required")
@@ -61,15 +84,10 @@ func Rebuild(schema *model.Schema, trace, ccLog []sync.Message) (*sync.Replica, 
 type Audit struct {
 	// Replica is the rebuilt end-of-run state.
 	Replica *sync.Replica
-	// Final is the re-derived final table.
-	Final []*model.Row
-	// Alloc is the recomputed compensation.
+	// Alloc is the compensation computed from the embedded input: the
+	// re-derived final table (Final), the log and the pricing parameters.
 	Alloc *pay.Allocation
-	// Messages counts replayed messages (worker + CC).
-	Messages int
-
-	trace []sync.Message // for the statements
-	start int64
+	pay.Input
 }
 
 // Input configures an audit.
@@ -83,8 +101,8 @@ type Input struct {
 	SplitKey, SplitNonKey float64
 	Trace                 []sync.Message
 	CCLog                 []sync.Message
-	// Start is the collection start; zero falls back to the first
-	// message's timestamp.
+	// Start is the collection start, the origin of every time the
+	// allocation measures.
 	Start int64
 	// JoinTime optionally carries worker join times; absent entries fall
 	// back to the start.
@@ -92,7 +110,8 @@ type Input struct {
 }
 
 // Run replays the trace, re-derives the final table, checks the Lemma 3
-// invariants on the rebuilt replica, and recomputes compensation.
+// invariants on the rebuilt replica, and recomputes compensation. Its
+// pay.Input is the only one a collection is priced from.
 func Run(in Input) (*Audit, error) {
 	if in.Score == nil {
 		in.Score = model.DefaultScore
@@ -104,42 +123,36 @@ func Run(in Input) (*Audit, error) {
 	if err := rep.CheckLemma3(); err != nil {
 		return nil, fmt.Errorf("replay: rebuilt replica inconsistent: %w", err)
 	}
-	final := model.FinalTable(rep.Table(), in.Score)
-	start := in.Start
-	if start == 0 && len(in.CCLog) > 0 {
-		start = in.CCLog[0].TS
-	} else if start == 0 && len(in.Trace) > 0 {
-		start = in.Trace[0].TS
-	}
-	alloc, err := pay.Compute(pay.Input{
+	a := &Audit{Replica: rep, Input: pay.Input{
 		Schema:      in.Schema,
 		Budget:      in.Budget,
 		Scheme:      in.Scheme,
-		Final:       final,
+		Final:       model.FinalTable(rep.Table(), in.Score),
 		Trace:       in.Trace,
 		CCLog:       in.CCLog,
 		JoinTime:    in.JoinTime,
-		Start:       start,
+		Start:       in.Start,
 		SplitKey:    in.SplitKey,
 		SplitNonKey: in.SplitNonKey,
-	})
-	if err != nil {
+	}}
+	if a.Alloc, err = pay.Compute(a.Input); err != nil {
 		return nil, err
 	}
-	return &Audit{
-		Replica:  rep,
-		Final:    final,
-		Alloc:    alloc,
-		Messages: len(in.Trace) + len(in.CCLog),
-		trace:    in.Trace,
-		start:    start,
-	}, nil
+	return a, nil
+}
+
+// Price recomputes compensation for the rebuilt table under another
+// allocation scheme (the §6 scheme comparisons), without replaying again.
+func (a *Audit) Price(scheme pay.Scheme) (*pay.Allocation, error) {
+	in := a.Input
+	in.Scheme = scheme
+	return pay.Compute(in)
 }
 
 // Statement renders one worker's itemized pay statement: each paid action,
 // named by the schema's columns and timed from the collection start.
 func (a *Audit) Statement(worker string) string {
-	return a.Alloc.FormatStatement(worker, a.trace, a.Replica.Schema().ColumnNames(), a.start)
+	return a.Alloc.FormatStatement(worker, a.Trace, a.Schema.ColumnNames(), a.Start)
 }
 
 // Statements renders the statement of every worker the allocation pays.

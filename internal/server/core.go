@@ -83,12 +83,9 @@ type Core struct {
 	index   *model.TableIndex // incremental probable/final maintenance
 	metrics *Metrics
 
-	clients  map[string]string // client id -> worker id
-	joinTime map[string]int64  // worker -> first join timestamp
-
-	trace  []sync.Message // stamped worker messages (the set M)
-	ccLog  []sync.Message // stamped Central Client messages
-	bcasts []Broadcast    // HandleBroadcast's result, reused by the next call
+	clients map[string]string // client id -> worker id
+	log     replay.Log        // the bookkeeping record (§3.3), pay's only input
+	bcasts  []Broadcast       // HandleBroadcast's result, reused by the next call
 
 	// Estimate-broadcast coalescing state: this decision's figures (filled
 	// in place) and the last broadcast ones.
@@ -114,7 +111,6 @@ type Core struct {
 	doneFinalVer uint64
 	doneRemovals int
 
-	start  int64
 	lastTS int64
 	done   bool
 }
@@ -161,21 +157,20 @@ func New(cfg Config) (*Core, error) {
 	index := model.NewTableIndex(master.Table(), score)
 	master.SetObserver(index)
 	c := &Core{
-		cfg:      cfg,
-		master:   master,
-		index:    index,
-		planner:  constraint.NewPlanner(cfg.Template, score, index),
-		ccGen:    sync.NewIDGen("cc"),
-		clients:  make(map[string]string),
-		joinTime: make(map[string]int64),
+		cfg:     cfg,
+		master:  master,
+		index:   index,
+		planner: constraint.NewPlanner(cfg.Template, score, index),
+		ccGen:   sync.NewIDGen("cc"),
+		clients: make(map[string]string),
+		log:     replay.Log{Start: cfg.Clock.Now(), JoinTime: make(map[string]int64)},
 	}
 	c.metrics = cfg.Metrics
 	if c.metrics == nil {
 		c.metrics = ProcessMetrics()
 	}
-	c.start = cfg.Clock.Now()
-	c.lastTS = c.start
-	c.est = pay.NewEstimator(cfg.Schema, score, cfg.Scheme, cfg.Budget, cfg.Template, c.start, index)
+	c.lastTS = c.log.Start
+	c.est = pay.NewEstimator(cfg.Schema, score, cfg.Scheme, cfg.Budget, cfg.Template, c.log.Start, index)
 	c.est.TrackPerformance(cfg.TrackPerformance)
 
 	// §4.2 initialization: populate the table with the template rows,
@@ -189,7 +184,8 @@ func New(cfg Config) (*Core, error) {
 	return c, nil
 }
 
-// stamp returns a fresh unique timestamp (monotone even if the clock stalls).
+// stamp returns a timestamp above every earlier one, even if the clock
+// stalls: no two messages of the log, worker or Central Client, tie.
 func (c *Core) stamp() int64 {
 	now := c.cfg.Clock.Now()
 	if now <= c.lastTS {
@@ -208,7 +204,7 @@ func (c *Core) execAction(a constraint.Action) {
 	record := func(m sync.Message) {
 		m.Origin = "cc"
 		m.TS = c.stamp()
-		c.ccLog = append(c.ccLog, m)
+		c.log.CCLog = append(c.log.CCLog, m)
 	}
 	ins, err := c.master.Insert(c.ccGen.Next())
 	if err != nil {
@@ -242,7 +238,7 @@ func (c *Core) execAction(a constraint.Action) {
 // the PRI may be violated until a later message shakes things loose).
 func (c *Core) runCC() []sync.Message {
 	start := c.metrics.now()
-	before := len(c.ccLog)
+	before := len(c.log.CCLog)
 	stable := false
 	for iter := 0; iter < maxRepairIters; iter++ {
 		actions := c.planner.Repair(c.master)
@@ -260,8 +256,8 @@ func (c *Core) runCC() []sync.Message {
 		c.metrics.overrunCounted()
 		c.warn.overrun = c.repairOverruns
 	}
-	c.metrics.repairDone(start, len(c.ccLog)-before, c.RepairStats())
-	return c.ccLog[before:]
+	c.metrics.repairDone(start, len(c.log.CCLog)-before, c.RepairStats())
+	return c.log.CCLog[before:]
 }
 
 // Warnings are the operational notes core calls raised: a repair loop that
@@ -358,8 +354,8 @@ func (c *Core) checkDone() {
 func (c *Core) AddClient(clientID, workerID string) []Outbound {
 	c.clients[clientID] = workerID
 	now := c.stamp()
-	if _, ok := c.joinTime[workerID]; !ok {
-		c.joinTime[workerID] = now
+	if _, ok := c.log.JoinTime[workerID]; !ok {
+		c.log.JoinTime[workerID] = now
 	}
 	c.est.Join(workerID, now)
 	c.metrics.clientCount(len(c.clients))
@@ -413,7 +409,7 @@ func (c *Core) HandleBroadcast(clientID string, m sync.Message) ([]Broadcast, er
 	if err := c.master.Apply(m); err != nil {
 		return nil, err
 	}
-	c.trace = append(c.trace, m)
+	c.log.Trace = append(c.log.Trace, m)
 	c.metrics.msgHandled(m.Type)
 	// The estimate shown for this action; observed post-apply (the worker
 	// computed theirs against an equally slightly-stale local view).
@@ -491,7 +487,7 @@ func (c *Core) Status() Status {
 		FinalRows:     c.index.FinalRows(),
 		CandidateRows: c.master.Table().Len(),
 		Clients:       len(c.clients),
-		Messages:      len(c.trace),
+		Messages:      len(c.log.Trace),
 	}
 }
 
@@ -515,26 +511,23 @@ func (c *Core) FinalTable() []*model.Row {
 }
 
 // Trace returns the stamped worker-message trace (the set M of §5.2).
-func (c *Core) Trace() []sync.Message { return c.trace }
+func (c *Core) Trace() []sync.Message { return c.log.Trace }
 
 // CCLog returns the Central Client's stamped messages.
-func (c *Core) CCLog() []sync.Message { return c.ccLog }
+func (c *Core) CCLog() []sync.Message { return c.log.CCLog }
 
 // JoinTimes returns each worker's first-join timestamp.
-func (c *Core) JoinTimes() map[string]int64 { return c.joinTime }
-
-// StartTime returns the collection start timestamp.
-func (c *Core) StartTime() int64 { return c.start }
+func (c *Core) JoinTimes() map[string]int64 { return c.log.JoinTime }
 
 // Log returns a copy of the bookkeeping log (§3.3): the worker trace, the
-// Central Client's log, the start and the join times — everything
-// replay.Run needs to rebuild the table and recompute the exact pay.
+// Central Client's log, the start and the join times — everything Audit
+// needs to rebuild the table and recompute the exact pay.
 func (c *Core) Log() replay.Log {
 	return replay.Log{
-		Trace:    slices.Clone(c.trace),
-		CCLog:    slices.Clone(c.ccLog),
-		Start:    c.start,
-		JoinTime: maps.Clone(c.joinTime),
+		Trace:    slices.Clone(c.log.Trace),
+		CCLog:    slices.Clone(c.log.CCLog),
+		Start:    c.log.Start,
+		JoinTime: maps.Clone(c.log.JoinTime),
 	}
 }
 
@@ -544,22 +537,29 @@ func (c *Core) Estimator() *pay.Estimator { return c.est }
 // Planner exposes the Central Client's planner (for stats and PRI checks).
 func (c *Core) Planner() *constraint.Planner { return c.planner }
 
-// ComputePay runs the §5.2 final-compensation calculation over the run.
-func (c *Core) ComputePay() (*pay.Allocation, error) { return c.ComputePayWith(c.cfg.Scheme) }
+// ComputePay prices the run so far: Audit over the core's own log.
+func (c *Core) ComputePay() (*pay.Allocation, error) {
+	a, err := Audit(c.cfg, c.log)
+	if err != nil {
+		return nil, err
+	}
+	return a.Alloc, nil
+}
 
-// ComputePayWith recomputes compensation under a different scheme over the
-// same trace (used by the §6 scheme-comparison experiments).
-func (c *Core) ComputePayWith(scheme pay.Scheme) (*pay.Allocation, error) {
-	return pay.Compute(pay.Input{
-		Schema:      c.cfg.Schema,
-		Budget:      c.cfg.Budget,
-		Scheme:      scheme,
-		Final:       c.FinalTable(),
-		Trace:       c.trace,
-		CCLog:       c.ccLog,
-		JoinTime:    c.joinTime,
-		Start:       c.start,
-		SplitKey:    c.cfg.SplitKey,
-		SplitNonKey: c.cfg.SplitNonKey,
+// Audit prices a collection from its bookkeeping log under cfg's scoring,
+// budget, scheme and split factors (§3.3, §5.2): the one pricing path, so
+// a live collection, its archive and an offline replay pay alike.
+func Audit(cfg Config, log replay.Log) (*replay.Audit, error) {
+	return replay.Run(replay.Input{
+		Schema:      cfg.Schema,
+		Score:       cfg.Score,
+		Budget:      cfg.Budget,
+		Scheme:      cfg.Scheme,
+		SplitKey:    cfg.SplitKey,
+		SplitNonKey: cfg.SplitNonKey,
+		Trace:       log.Trace,
+		CCLog:       log.CCLog,
+		Start:       log.Start,
+		JoinTime:    log.JoinTime,
 	})
 }

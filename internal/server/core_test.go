@@ -535,11 +535,11 @@ func TestCoreAccessors(t *testing.T) {
 	if got := r.core.JoinTimes(); len(got) != 1 || got["w1"] == 0 {
 		t.Fatalf("JoinTimes = %v", got)
 	}
-	if r.core.StartTime() < 0 {
-		t.Fatalf("StartTime = %d", r.core.StartTime())
+	if start := r.core.Log().Start; start < 0 {
+		t.Fatalf("Log().Start = %d", start)
 	}
-	if _, err := r.core.ComputePayWith(pay.DualWeighted); err != nil {
-		t.Fatalf("ComputePayWith: %v", err)
+	if _, err := r.core.ComputePay(); err != nil {
+		t.Fatalf("ComputePay: %v", err)
 	}
 }
 

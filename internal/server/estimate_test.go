@@ -26,7 +26,7 @@ import (
 // infinite budget — the non-finite payload New now refuses to configure, so
 // a test can reach the estimate decision with one.
 func infiniteBudget(c *Core) {
-	c.est = pay.NewEstimator(c.cfg.Schema, c.cfg.Score, c.cfg.Scheme, math.Inf(1), c.cfg.Template, c.start, c.index)
+	c.est = pay.NewEstimator(c.cfg.Schema, c.cfg.Score, c.cfg.Scheme, math.Inf(1), c.cfg.Template, c.log.Start, c.index)
 }
 
 // skippedEstimates counts the estimate-skipped events in rec's ring.

@@ -173,26 +173,14 @@ func (ts TableSpec) Build() (server.Config, error) {
 	}, nil
 }
 
-// Audit replays a collection's bookkeeping log under spec ts (§3.3): it
-// rebuilds the table and recomputes pay with the spec's scoring, budget,
-// scheme and split factors, so a log the collection wrote gives back the
-// collection's own pay. Auditing under another scheme or budget is an edit
-// to the spec value before the call.
+// Audit prices a collection's bookkeeping log under spec ts (§3.3): it
+// builds the spec's configuration and hands it to server.Audit, so a log
+// the collection wrote gives back the collection's own pay. Auditing under
+// another scheme or budget is an edit to the spec value before the call.
 func Audit(ts TableSpec, log replay.Log) (*replay.Audit, error) {
 	cfg, err := ts.Build()
 	if err != nil {
 		return nil, err
 	}
-	return replay.Run(replay.Input{
-		Schema:      cfg.Schema,
-		Score:       cfg.Score,
-		Budget:      cfg.Budget,
-		Scheme:      cfg.Scheme,
-		SplitKey:    cfg.SplitKey,
-		SplitNonKey: cfg.SplitNonKey,
-		Trace:       log.Trace,
-		CCLog:       log.CCLog,
-		Start:       log.Start,
-		JoinTime:    log.JoinTime,
-	})
+	return server.Audit(cfg, log)
 }

@@ -2,8 +2,8 @@ package crowdfill
 
 import (
 	"encoding/json"
-	"math"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	gosync "sync"
 	"testing"
@@ -12,6 +12,8 @@ import (
 	"crowdfill/internal/model"
 	"crowdfill/internal/pay"
 	"crowdfill/internal/replay"
+	"crowdfill/internal/server"
+	"crowdfill/internal/sync"
 )
 
 // paperOnce caches the representative run for the report tests.
@@ -184,9 +186,9 @@ func TestAuditRoundTrip(t *testing.T) {
 	if audit.FinalRows != res.FinalRows {
 		t.Fatalf("audit final rows = %d, want %d", audit.FinalRows, res.FinalRows)
 	}
-	for w, want := range res.Alloc.PerWorker {
-		if got := audit.Pay[w]; math.Abs(got-want) > 1e-9 {
-			t.Fatalf("audit pay for %s = %v, live %v", w, got, want)
+	for w, want := range res.Audit.Alloc.PerWorker {
+		if got := audit.Pay[w]; got != want {
+			t.Fatalf("audit pay for %s = %v, the run paid %v", w, got, want)
 		}
 		if st := audit.Statements[w]; !strings.Contains(st, "total") {
 			t.Fatalf("statement for %s missing: %q", w, st)
@@ -280,15 +282,38 @@ func lateJoinCollection(t *testing.T, s Spec) *Collection {
 	return coll
 }
 
+// liveState reads, under one hold of the serving lock, the master (its
+// snapshot text and epoch), its final table and a copy of the log.
+func liveState(coll *Collection) (master string, epoch uint64, final []*model.Row, log replay.Log) {
+	coll.ns.WithCore(func(core *server.Core) {
+		master, epoch = core.Master().SnapshotText(), core.Master().Epoch()
+		final, log = core.FinalTable(), core.Log()
+	})
+	return master, epoch, final, log
+}
+
 // TestAuditReproducesLivePay: the exported log carries the start and every
 // join time, and the spec carries the split factors, so auditing a live
 // collection whose second worker joined late pays exactly what the
-// collection pays.
+// master's final table pays, and so does the collection's ComputePay.
 func TestAuditReproducesLivePay(t *testing.T) {
 	s := kvSpec()
 	s.Scheme = "dual-weighted"
 	s.SplitKey, s.SplitNonKey = 0.9, 0.9
 	coll := lateJoinCollection(t, s)
+	cfg, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, final, log := liveState(coll)
+	want, err := pay.Compute(pay.Input{
+		Schema: cfg.Schema, Budget: cfg.Budget, Scheme: cfg.Scheme, Final: final,
+		Trace: log.Trace, CCLog: log.CCLog, JoinTime: log.JoinTime, Start: log.Start,
+		SplitKey: cfg.SplitKey, SplitNonKey: cfg.SplitNonKey,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	live, err := coll.ComputePay()
 	if err != nil {
 		t.Fatal(err)
@@ -301,13 +326,53 @@ func TestAuditReproducesLivePay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(live) != 2 {
-		t.Fatalf("live pay = %v, want alice and bob", live)
+	if len(want.PerWorker) != 2 || len(live) != 2 || len(audit.Pay) != 2 {
+		t.Fatalf("pay = %v, ComputePay %v, audit %v: want alice and bob", want.PerWorker, live, audit.Pay)
 	}
-	for w, want := range live {
-		if got := audit.Pay[w]; math.Abs(got-want) > 1e-9 {
-			t.Errorf("audit pay for %s = %v, live %v", w, got, want)
+	for w, amt := range want.PerWorker {
+		if live[w] != amt || audit.Pay[w] != amt {
+			t.Errorf("%s: ComputePay %v, audit %v, the master's final table %v", w, live[w], audit.Pay[w], amt)
 		}
+	}
+}
+
+// TestLogRebuildsMaster: the replica rebuilt from a live collection's log
+// is its master, byte for byte and at the same epoch (the count of applied
+// messages).
+func TestLogRebuildsMaster(t *testing.T) {
+	s := kvSpec()
+	coll := lateJoinCollection(t, s)
+	cfg, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	master, epoch, _, log := liveState(coll)
+	audit, err := server.Audit(cfg, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := audit.Replica.SnapshotText(); got != master || audit.Replica.Epoch() != epoch {
+		t.Fatalf("rebuilt replica at epoch %d\n%s\nmaster at epoch %d\n%s", audit.Replica.Epoch(), got, epoch, master)
+	}
+}
+
+// TestLogStampsStrictlyIncrease: on the real clock too, one counter stamps
+// worker and Central Client messages, so the merged log has no two equal
+// timestamps, each part is in order, and every stamp follows the start.
+func TestLogStampsStrictlyIncrease(t *testing.T) {
+	_, _, _, log := liveState(lateJoinCollection(t, kvSpec()))
+	var all []int64
+	for _, part := range [][]sync.Message{log.Trace, log.CCLog} {
+		for i, m := range part {
+			if i > 0 && m.TS <= part[i-1].TS || m.TS <= log.Start {
+				t.Fatalf("stamp %d out of order (start %d): %+v", m.TS, log.Start, part)
+			}
+			all = append(all, m.TS)
+		}
+	}
+	slices.Sort(all)
+	if len(slices.Compact(all)) != len(log.Trace)+len(log.CCLog) {
+		t.Fatalf("two messages share a stamp: %v", all)
 	}
 }
 
